@@ -326,6 +326,8 @@ class MobiEyesSystem:
                 assert entry.mon_region.contains(client.last_cell), (
                     "LQT entry's monitoring region does not cover the object's cell"
                 )
+        if self._fastpath is not None:
+            self._fastpath.evaluator.check_invariants()
 
     # ------------------------------------------------------------- phases
 

@@ -340,7 +340,9 @@ class LocalQueryTable:
 
     A consumer may also register a *watcher* (:meth:`watch`) to be told
     about changes as they happen instead of polling the version:
-    ``lqt_changed(oid)`` fires on every install/remove, and
+    ``lqt_changed(oid, entry, delta)`` fires on every install/remove with
+    the affected entry and the change in table size (install: 1, or 0 when
+    it replaces an entry of the same query; remove: -1), and
     ``state_changed(oid, entry)`` fires when the owning client replaces an
     entry's ``focal_state`` in place (see :meth:`notify_state`).  With no
     watcher registered -- the reference engine -- the hooks reduce to one
@@ -448,12 +450,13 @@ class LocalQueryTable:
 
     def install(self, entry: LqtEntry) -> None:
         """Install (or replace) a query entry."""
+        watcher = self._watcher
+        if watcher is not None:
+            # Before the overwrite, while a replaced entry still shows.
+            watcher.lqt_changed(self._watch_oid, entry, entry.qid not in self._entries)
         self._entries[entry.qid] = entry
         self.version += 1
         self.tighten_hull(entry.mon_region)
-        watcher = self._watcher
-        if watcher is not None:
-            watcher.lqt_changed(self._watch_oid)
         entry_watcher = self._entry_watcher
         if entry_watcher is not None:
             entry_watcher.entry_installed(self._entry_oid, entry)
@@ -465,7 +468,7 @@ class LocalQueryTable:
             self.version += 1
             watcher = self._watcher
             if watcher is not None:
-                watcher.lqt_changed(self._watch_oid)
+                watcher.lqt_changed(self._watch_oid, entry, -1)
             entry_watcher = self._entry_watcher
             if entry_watcher is not None:
                 entry_watcher.entry_removed(self._entry_oid, entry)

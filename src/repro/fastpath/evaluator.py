@@ -9,15 +9,24 @@ containment, safe-period bounds, and enter/leave deltas -- as flat array
 expressions once per evaluation step, and dispatches the resulting
 differential reports through the unchanged client/transport message path.
 
-The arena is maintained event-driven rather than rebuilt per evaluation:
+The arena is maintained event-driven rather than rebuilt per evaluation,
+and its unit of allocation and invalidation is one **group**: the entries
+of one client bound to one focal object (one entry when grouping is off),
+stored as a contiguous run in ``LocalQueryTable.by_focal`` order.
 
-- every client's :class:`~repro.core.tables.LocalQueryTable` notifies the
-  evaluator on install/remove (``lqt_changed``); the client's entries are
-  then *tombstoned* (``alive`` mask cleared) and re-appended at the arena
-  tail on the next evaluation.  Untouched clients cost nothing.
+- every client's :class:`~repro.core.tables.LocalQueryTable` passes each
+  installed/removed entry to the evaluator (``lqt_changed``), which notes
+  the ``(client, group)`` it belongs to and keeps the system-wide entry
+  count (``lqt_total``).  The next evaluation *tombstones* (``alive`` mask
+  cleared) the runs of the noted groups only and appends their current
+  table image at the arena tail: one Python pass over the changed groups,
+  then one slice assignment per arena column.  A client's untouched groups
+  -- and untouched clients -- cost nothing.
+- a ``(client, group) -> slot`` map of plain ints finds a group's run and
+  its cached prediction basis; no Python object exists per group.
 - when the dead fraction grows past the live population the arena is
-  compacted in place (one boolean-index copy; block offsets are plain
-  integers patched in a single pass).
+  compacted in place (one boolean-index copy per column; the slot map is
+  renumbered in a single pass).
 - in-place replacement of an entry's ``focal_state`` -- velocity broadcasts
   and existing-entry refreshes, which do *not* bump the table version --
   fires ``state_changed``; when the entry is the first of its focal group
@@ -55,9 +64,11 @@ system-wide aggregates on the evaluator rather than per-client counters;
 them into the per-step metrics, which is where the reference engine's
 per-client counters get summed anyway.
 
-Static (fixed-region) entries take the scalar
-``_process_static_entries`` path in their original stream position; their
-regions are arbitrary shapes and there are typically few of them.
+Static (fixed-region) entries stay out of the arena and take the scalar
+``_process_static_entries`` path; their regions are arbitrary shapes and
+there are typically few of them.  Report dispatch reads the reference
+emission order off the client's table, so the arena's slot order is never
+observable.
 """
 
 from __future__ import annotations
@@ -76,28 +87,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mobility.model import ObjectId
 
 
-class _Block:
-    """Arena footprint of one client's local query table.
+_ENTRY_COLUMNS = ("e_reach", "e_fmax", "e_circ", "e_targ", "e_alive", "e_row", "e_group")
+_GROUP_COLUMNS = ("g_start", "g_len", "g_alive", "g_oid", "g_basis")
 
-    ``ent_lo``/``g_lo`` are the client's first entry / group slot; its
-    ``n`` entries and ``n_g`` moving groups are contiguous from there.
-    ``units`` preserves the client's stream order -- ``("m", i)`` is the
-    i-th moving group, ``("s", i)`` the i-th static group -- which drives
-    report emission.  ``first_local`` maps the qid of each moving group's
-    first entry to the group's local index, for the focal-state hook.
-    """
 
-    __slots__ = (
-        "ent_lo",
-        "n",
-        "g_lo",
-        "n_g",
-        "n_static",
-        "units",
-        "keys",
-        "static_units",
-        "first_local",
-    )
+def _neg_reach(entry: "LqtEntry") -> float:
+    return -entry.reach
+
+
+class _DeadEntry:
+    """Stands in ``e_refs`` for the entry of a tombstoned slot until the
+    arena is compacted, so a dead slot pins no removed ``LqtEntry``.  The
+    safe-period scan reads ``ptm`` off every slot, dead ones included."""
+
+    ptm = 0.0
+
+
+_DEAD = _DeadEntry()
 
 
 class BatchEvaluator:
@@ -115,264 +121,248 @@ class BatchEvaluator:
         self.skipped_by_safe_period = 0
         self.skipped_by_grouping = 0
         # Entry-dimension arena columns (amortized-doubling capacity).
-        self._ecap = 1024
-        self._gcap = 512
+        ecap = 1024
+        gcap = 512
         f64 = np.float64
         i64 = np.int64
-        self.e_reach = np.empty(self._ecap, f64)
-        self.e_fmax = np.empty(self._ecap, f64)
-        self.e_own = np.empty(self._ecap, f64)  # owner max speed (safe period)
-        self.e_circ = np.empty(self._ecap, bool)
-        self.e_targ = np.empty(self._ecap, bool)
-        self.e_alive = np.empty(self._ecap, bool)
-        self.e_row = np.empty(self._ecap, i64)  # owner's store row
-        self.e_group = np.empty(self._ecap, i64)
+        self.e_reach = np.empty(ecap, f64)
+        self.e_fmax = np.empty(ecap, f64)
+        self.e_circ = np.empty(ecap, bool)
+        self.e_targ = np.empty(ecap, bool)
+        self.e_alive = np.empty(ecap, bool)
+        self.e_row = np.empty(ecap, i64)  # owner's store row
+        self.e_group = np.empty(ecap, i64)
         self.e_refs: list = []  # LqtEntry per slot, aligned with the columns
-        # Group-dimension columns.
-        self.g_start = np.empty(self._gcap, i64)
-        self.g_alive = np.empty(self._gcap, bool)
-        self.g_oid = np.empty(self._gcap, i64)  # owning client's object id
-        # Cached dead-reckoning basis of the group's first entry.
-        self.g_sx = np.empty(self._gcap, f64)
-        self.g_sy = np.empty(self._gcap, f64)
-        self.g_svx = np.empty(self._gcap, f64)
-        self.g_svy = np.empty(self._gcap, f64)
-        self.g_srec = np.empty(self._gcap, f64)
+        # Group-dimension columns: one slot per (client, focal) group -- per
+        # (client, query) when grouping is off -- whose entries are the
+        # contiguous run ``g_start .. g_start + g_len``.
+        self.g_start = np.empty(gcap, i64)
+        self.g_len = np.empty(gcap, i64)
+        self.g_alive = np.empty(gcap, bool)
+        self.g_oid = np.empty(gcap, i64)  # owning client's object id
+        # Cached dead-reckoning basis of the group's first entry, one row
+        # ``(x, y, vx, vy, recorded_at)`` per group.
+        self.g_basis = np.empty((gcap, 5), f64)
+        self.g_first: list = []  # that first entry, aligned with the slots
         self.n_ent = 0
         self.n_grp = 0
         self.dead_ent = 0
+        self.n_lqt = 0  # LQT entries system-wide, static ones included
         # Compact once this many slots are tombstoned *and* the dead
         # outnumber the alive 2:1; tests lower it to force compaction on
         # tiny workloads.
         self.compact_threshold = 2048
-        self.static_ent = 0  # live static entries across all blocks
-        self._blocks: dict = {}
-        self._stale: set = set()
-        self._static_oids: set = set()
         self._clients: dict = {}
+        # client oid -> {group key -> live group slot}; the key is the focal
+        # object id, or the query id when grouping is off.
+        self._slot: dict = {}
+        # (client oid, group key) pairs, flattened, whose table image changed
+        # since the last refresh.  A flat list of ints keeps the hook free
+        # of container allocations: it fires inside the reporting phase,
+        # where garbage-collector passes would be billed to whichever
+        # server section happens to trip them.
+        self._touched: list = []
+        # Static entries stay out of the arena: client oid -> its static
+        # entries in table order, and the clients whose list is out of date.
+        self._statics: dict = {}
+        self._static_stale: set = set()
 
     # ----------------------------------------------------------- watching
 
     def attach(self, clients: "list[MobiEyesClient]") -> None:
         """Register as watcher of every client's LQT.
 
-        Clients that already hold entries (installed before attachment) are
-        marked stale so the first evaluation picks them up.
+        Entries a client already holds (installed before attachment) are
+        replayed through the install hook so the first evaluation picks
+        them up.
         """
         for client in clients:
-            self._clients[client.oid] = client
-            client.lqt.watch(self, client.oid)
-            if len(client.lqt):
-                self._stale.add(client.oid)
+            oid = client.oid
+            self._clients[oid] = client
+            self._slot[oid] = {}
+            client.lqt.watch(self, oid)
+            for entry in client.lqt.entries():
+                self.lqt_changed(oid, entry, 1)
 
-    def lqt_changed(self, oid: "ObjectId") -> None:
-        """Table hook: an install/remove invalidated the client's block."""
-        self._stale.add(oid)
+    def lqt_changed(self, oid: "ObjectId", entry: "LqtEntry", delta: int) -> None:
+        """Table hook: ``entry`` was installed into (``delta`` 1, or 0 when
+        it replaced an entry of the same query) or removed from (``delta``
+        -1) the client's table; its group is re-imaged at the next refresh.
+        """
+        self.n_lqt += delta
+        focal = entry.oid
+        if focal is None:
+            self._static_stale.add(oid)
+            return
+        self._touched += (oid, focal if self.grouping else entry.qid)
+
+    def basis_slot(self, oid: "ObjectId", entry: "LqtEntry") -> int | None:
+        """The group slot whose cached prediction basis is ``entry``'s focal
+        state: set only when ``entry`` is the first of a group in the arena.
+
+        A group awaiting re-imaging may answer with its old slot; writing
+        there is harmless, the refresh reads the fresh state from the table.
+        """
+        g = self._slot[oid].get(entry.oid if self.grouping else entry.qid)
+        if g is not None and self.g_first[g] is entry:
+            return g
+        return None
+
+    def write_basis(self, slots, state) -> None:
+        """Rewrite the cached prediction basis of group slot(s) ``slots``."""
+        pos = state.pos
+        vel = state.vel
+        self.g_basis[slots] = (pos.x, pos.y, vel.x, vel.y, state.recorded_at)
 
     def state_changed(self, oid: "ObjectId", entry: "LqtEntry") -> None:
         """Table hook: ``entry.focal_state`` was replaced in place."""
-        if oid in self._stale:
-            return  # the block will be rebuilt with the fresh state anyway
-        block = self._blocks.get(oid)
-        if block is None:
-            return
-        li = block.first_local.get(entry.qid)
-        if li is None:
-            return  # not a group's prediction basis
-        g = block.g_lo + li
-        state = entry.focal_state
-        pos = state.pos
-        vel = state.vel
-        self.g_sx[g] = pos.x
-        self.g_sy[g] = pos.y
-        self.g_svx[g] = vel.x
-        self.g_svy[g] = vel.y
-        self.g_srec[g] = state.recorded_at
+        g = self.basis_slot(oid, entry)
+        if g is not None:
+            self.write_basis(g, entry.focal_state)
+
+    def lqt_total(self) -> int:
+        """Total LQT entries system-wide (kept current by the table hook)."""
+        return self.n_lqt
 
     # -------------------------------------------------- arena maintenance
 
-    def _grow_ent(self, need: int) -> None:
+    def _reserve(self, names: tuple, live: int, need: int) -> None:
+        """Make the named columns hold ``need`` rows, keeping the first
+        ``live`` (capacity doubles, so appends stay amortized O(1))."""
         np = self.np
-        cap = self._ecap
+        cap = len(getattr(self, names[0]))
+        if need <= cap:
+            return
         while cap < need:
             cap *= 2
-        n = self.n_ent
-        for name in (
-            "e_reach",
-            "e_fmax",
-            "e_own",
-            "e_circ",
-            "e_targ",
-            "e_alive",
-            "e_row",
-            "e_group",
-        ):
+        for name in names:
             old = getattr(self, name)
-            new = np.empty(cap, old.dtype)
-            new[:n] = old[:n]
+            new = np.empty((cap,) + old.shape[1:], old.dtype)
+            new[:live] = old[:live]
             setattr(self, name, new)
-        self._ecap = cap
-
-    def _grow_grp(self, need: int) -> None:
-        np = self.np
-        cap = self._gcap
-        while cap < need:
-            cap *= 2
-        n = self.n_grp
-        for name in ("g_start", "g_alive", "g_oid", "g_sx", "g_sy", "g_svx", "g_svy", "g_srec"):
-            old = getattr(self, name)
-            new = np.empty(cap, old.dtype)
-            new[:n] = old[:n]
-            setattr(self, name, new)
-        self._gcap = cap
 
     def _refresh(self) -> None:
-        """Tombstone and re-append the blocks of every stale client."""
-        stale = self._stale
-        if not stale:
-            return
-        blocks = self._blocks
-        # Focal-state params seen during this refresh, keyed by state
-        # identity: a broadcast shares one MotionState across its
-        # receivers, so most rebuilds hit the cache.
-        seen: dict[int, tuple] = {}
-        for oid in stale:
-            block = blocks.pop(oid, None)
-            if block is not None:
-                lo = block.ent_lo
-                self.e_alive[lo : lo + block.n] = False
-                self.g_alive[block.g_lo : block.g_lo + block.n_g] = False
-                self.dead_ent += block.n
-                if block.static_units:
-                    self._static_oids.discard(oid)
-                    self.static_ent -= block.n_static
-            client = self._clients[oid]
-            if len(client.lqt):
-                self._append(client, seen)
-        stale.clear()
+        """Absorb the pending LQT deltas.
 
-    def lqt_total(self) -> int:
-        """Total LQT entries system-wide, without forcing a refresh.
-
-        Live arena entries plus static entries, corrected by the pending
-        (stale) clients' current-vs-cached table sizes.
+        Tombstones the run of every touched group and appends the group's
+        current table image -- its members in table order, reach-descending
+        (stable), exactly ``LocalQueryTable.by_focal`` -- at the arena tail.
+        One Python pass over the changed groups collects the new runs; each
+        arena column is then written with a single slice assignment.
         """
-        total = self.n_ent - self.dead_ent + self.static_ent
-        for oid in self._stale:
-            block = self._blocks.get(oid)
-            cached = (block.n + block.n_static) if block is not None else 0
-            total += len(self._clients[oid].lqt) - cached
-        return total
-
-    def _append(self, client: "MobiEyesClient", seen: dict) -> None:
-        """Append the client's current LQT at the arena tail."""
+        clients = self._clients
+        for oid in self._static_stale:
+            statics = [e for e in clients[oid].lqt._entries.values() if e.oid is None]
+            if statics:
+                self._statics[oid] = statics
+            else:
+                self._statics.pop(oid, None)
+        self._static_stale.clear()
+        pending = self._touched
+        if not pending:
+            return
+        touched: dict = {}  # client oid -> its touched group keys
+        for oid, key in zip(pending[::2], pending[1::2]):
+            keys = touched.get(oid)
+            if keys is None:
+                touched[oid] = {key}
+            else:
+                keys.add(key)
+        pending.clear()
         np = self.np
-        lqt = client.lqt
-        refs: list = []
-        grp_first: list = []
-        counts: list[int] = []
-        keys: list = []
-        units: list[tuple[str, int]] = []
-        statics: list[list] = []
-        if self.grouping:
-            # Inline by_focal(): group by focal oid in insertion order,
-            # reach-descending (stable) within each group.
-            groups: dict = {}
-            for entry in lqt._entries.values():
-                g = groups.get(entry.oid)
-                if g is None:
-                    groups[entry.oid] = [entry]
-                else:
-                    g.append(entry)
-            for group in groups.values():
-                if len(group) > 1:
-                    group.sort(key=lambda e: -e.reach)
-            streams = groups.items()
-        else:
-            streams = ((entry.oid, (entry,)) for entry in lqt._entries.values())
-        for key, group in streams:
-            if group[0].is_static:
-                units.append(("s", len(statics)))
-                statics.append(list(group))
-                continue
-            units.append(("m", len(counts)))
-            counts.append(len(group))
-            keys.append(key)
-            grp_first.append(group[0])
-            refs.extend(group)
-
-        n = len(refs)
-        n_g = len(counts)
+        i64 = np.int64
+        grouping = self.grouping
+        row_of = self.store.row_of
         lo = self.n_ent
         g_lo = self.n_grp
-        if lo + n > self._ecap:
-            self._grow_ent(lo + n)
-        if g_lo + n_g > self._gcap:
-            self._grow_grp(g_lo + n_g)
-        if n:
-            hi = lo + n
-            gh = g_lo + n_g
-            self.e_reach[lo:hi] = [e.reach for e in refs]
-            self.e_fmax[lo:hi] = [e.focal_max_speed for e in refs]
-            self.e_own[lo:hi] = client.obj.max_speed
-            # Within-reach implies inside only when the reach IS the circle
-            # radius (the origin-bound circles the query layer validates);
-            # anything else takes the scalar containment fallback.
-            self.e_circ[lo:hi] = [
-                type(e.region) is Circle and e.reach == e.region.r for e in refs
-            ]
-            self.e_targ[lo:hi] = [e.is_target for e in refs]
-            self.e_row[lo:hi] = self.store.row_of[client.oid]
-            self.e_alive[lo:hi] = True
-            if n_g == n:  # all groups are singletons (the common case)
-                slots = np.arange(lo, hi, dtype=np.int64)
-                self.e_group[lo:hi] = np.arange(g_lo, gh, dtype=np.int64)
-                self.g_start[g_lo:gh] = slots
+        dead: list[int] = []  # group slots to tombstone
+        refs: list = []  # the new runs, concatenated
+        firsts: list = []  # per new group: its first entry ...
+        counts: list[int] = []  # ... its length ...
+        owners: list = []  # ... and its client's oid and store row
+        rows: list[int] = []
+        for oid, keys in touched.items():
+            entries = clients[oid].lqt._entries
+            if grouping:
+                members: dict = {key: [] for key in keys}
+                for entry in entries.values():
+                    group = members.get(entry.oid)
+                    if group is not None:
+                        group.append(entry)
             else:
-                carr = np.asarray(counts, dtype=np.int64)
-                gofs = np.zeros(n_g, dtype=np.int64)
-                np.cumsum(carr[:-1], out=gofs[1:])
-                self.e_group[lo:hi] = np.repeat(
-                    np.arange(g_lo, gh, dtype=np.int64), carr
-                )
-                self.g_start[g_lo:gh] = lo + gofs
-            self.g_alive[g_lo:gh] = True
-            self.g_oid[g_lo:gh] = client.oid
-            params: list[tuple] = []
-            add = params.append
-            for e in grp_first:
-                state = e.focal_state
-                t = seen.get(id(state))
-                if t is None:
-                    pos = state.pos
-                    vel = state.vel
-                    t = (pos.x, pos.y, vel.x, vel.y, state.recorded_at)
-                    seen[id(state)] = t
-                add(t)
-            sx, sy, svx, svy, srec = zip(*params)
-            self.g_sx[g_lo:gh] = sx
-            self.g_sy[g_lo:gh] = sy
-            self.g_svx[g_lo:gh] = svx
-            self.g_svy[g_lo:gh] = svy
-            self.g_srec[g_lo:gh] = srec
-            self.e_refs.extend(refs)
+                members = {}
+                for qid in keys:
+                    entry = entries.get(qid)
+                    members[qid] = () if entry is None else (entry,)
+            slots = self._slot[oid]
+            row = row_of[oid]
+            for key, group in members.items():
+                old = slots.pop(key, None)
+                if old is not None:
+                    dead.append(old)
+                if not group:
+                    continue
+                if len(group) > 1:
+                    group.sort(key=_neg_reach)
+                slots[key] = g_lo + len(counts)
+                counts.append(len(group))
+                refs += group
+                firsts.append(group[0])
+                owners.append(oid)
+                rows.append(row)
 
-        block = _Block()
-        block.ent_lo = lo
-        block.n = n
-        block.g_lo = g_lo
-        block.n_g = n_g
-        block.n_static = sum(len(group) for group in statics)
-        block.units = units
-        block.keys = keys
-        block.static_units = statics
-        block.first_local = {e.qid: j for j, e in enumerate(grp_first)}
-        self._blocks[client.oid] = block
-        if statics:
-            self._static_oids.add(client.oid)
-            self.static_ent += block.n_static
-        self.n_ent = lo + n
-        self.n_grp = g_lo + n_g
+        if dead:
+            d = np.asarray(dead, dtype=i64)
+            lens = self.g_len[d]
+            ends = np.cumsum(lens)
+            total = int(ends[-1])
+            # Every slot of every dead run: the run's start, repeated over
+            # its length, plus the offset within the run.
+            idx = np.repeat(self.g_start[d] - (ends - lens), lens) + np.arange(total)
+            self.e_alive[idx] = False
+            self.g_alive[d] = False
+            self.dead_ent += total
+            e_refs = self.e_refs
+            for i in idx.tolist():
+                e_refs[i] = _DEAD
+            g_first = self.g_first
+            for g in dead:
+                g_first[g] = _DEAD
+
+        n = len(refs)
+        if not n:
+            return
+        n_g = len(counts)
+        hi = lo + n
+        gh = g_lo + n_g
+        self._reserve(_ENTRY_COLUMNS, lo, hi)
+        self._reserve(_GROUP_COLUMNS, g_lo, gh)
+        carr = np.asarray(counts, dtype=i64)
+        self.e_reach[lo:hi] = [e.reach for e in refs]
+        self.e_fmax[lo:hi] = [e.focal_max_speed for e in refs]
+        # Within-reach implies inside only when the reach IS the circle
+        # radius (the origin-bound circles the query layer validates);
+        # anything else takes the scalar containment fallback.
+        self.e_circ[lo:hi] = [type(e.region) is Circle and e.reach == e.region.r for e in refs]
+        self.e_targ[lo:hi] = [e.is_target for e in refs]
+        self.e_alive[lo:hi] = True
+        self.e_group[lo:hi] = np.repeat(np.arange(g_lo, gh, dtype=i64), carr)
+        self.e_row[lo:hi] = np.repeat(np.asarray(rows, dtype=i64), carr)
+        self.g_start[g_lo:gh] = lo + np.cumsum(carr) - carr
+        self.g_len[g_lo:gh] = carr
+        self.g_alive[g_lo:gh] = True
+        self.g_oid[g_lo:gh] = owners
+        basis = []
+        for first in firsts:
+            state = first.focal_state
+            pos = state.pos
+            vel = state.vel
+            basis.append((pos.x, pos.y, vel.x, vel.y, state.recorded_at))
+        self.g_basis[g_lo:gh] = basis
+        self.e_refs += refs
+        self.g_first += firsts
+        self.n_ent = hi
+        self.n_grp = gh
 
     def _compact(self) -> None:
         """Squeeze tombstoned slots out of the arena (order-preserving)."""
@@ -385,30 +375,83 @@ class BatchEvaluator:
         gcum = np.cumsum(ga)
         new_n = int(ecum[-1]) if n else 0
         new_g = int(gcum[-1]) if g else 0
-        for name in ("e_reach", "e_fmax", "e_own", "e_circ", "e_targ", "e_row"):
+        for name in ("e_reach", "e_fmax", "e_circ", "e_targ", "e_row"):
             arr = getattr(self, name)
             arr[:new_n] = arr[:n][ea]
         compact_groups = self.e_group[:n][ea]
         self.e_group[:new_n] = gcum[compact_groups] - 1
         alive_starts = self.g_start[:g][ga]
         self.g_start[:new_g] = ecum[alive_starts] - 1
-        for name in ("g_oid", "g_sx", "g_sy", "g_svx", "g_svy", "g_srec"):
+        for name in ("g_len", "g_oid", "g_basis"):
             arr = getattr(self, name)
             arr[:new_g] = arr[:g][ga]
-        # ``ea`` is a *view* of ``e_alive``: consume it before the alive
-        # flags are reset below, or the compress mask is corrupted.
+        # ``ea``/``ga`` are *views* of the alive columns: consume them
+        # before the flags are reset below, or the compress masks are
+        # corrupted.
         self.e_refs = list(compress(self.e_refs, ea.tolist()))
+        self.g_first = list(compress(self.g_first, ga.tolist()))
+        new_slot = (gcum - 1).tolist()  # valid at alive group slots
+        for slots in self._slot.values():
+            for key, slot in slots.items():
+                slots[key] = new_slot[slot]
         self.e_alive[:new_n] = True
         self.g_alive[:new_g] = True
-        ecum_l = ecum  # new index of an alive slot i is ecum[i] - 1
-        for block in self._blocks.values():
-            if block.n:
-                block.ent_lo = int(ecum_l[block.ent_lo]) - 1
-            if block.n_g:
-                block.g_lo = int(gcum[block.g_lo]) - 1
         self.n_ent = new_n
         self.n_grp = new_g
         self.dead_ent = 0
+
+    def check_invariants(self) -> None:
+        """Arena <-> LQT consistency, for the test suite and the bench.
+
+        Absorbs the pending deltas first; that is unobservable, since
+        nothing outside the arena depends on its slot order.
+        """
+        self._refresh()
+        n = self.n_ent
+        clients = self._clients
+        assert self.n_lqt == sum(len(c.lqt) for c in clients.values()), "lqt_total drifted"
+        assert int(self.e_alive[:n].sum()) == n - self.dead_ent, "dead-entry count drifted"
+        assert len(self.e_refs) == n and len(self.g_first) == self.n_grp
+        e_alive = self.e_alive
+        e_group = self.e_group
+        e_targ = self.e_targ[:n].tolist()
+        e_refs = self.e_refs
+        live_entries = live_groups = 0
+        for oid, slots in self._slot.items():
+            lqt = clients[oid].lqt
+            statics = self._statics.get(oid, [])
+            held = len(statics)
+            assert len(statics) == sum(e.is_static for e in lqt.entries())
+            assert all(lqt.find(e.qid) is e and e.is_static for e in statics)
+            if self.grouping:
+                expected = lqt.by_focal()
+                expected.pop(None, None)
+            else:
+                expected = {e.qid: [e] for e in lqt.entries() if not e.is_static}
+            assert slots.keys() == expected.keys(), f"client {oid}: groups out of date"
+            for key, g in slots.items():
+                assert self.g_alive[g] and int(self.g_oid[g]) == oid
+                lo = int(self.g_start[g])
+                hi = lo + int(self.g_len[g])
+                run = e_refs[lo:hi]
+                group = expected[key]
+                assert len(run) == len(group) and all(a is b for a, b in zip(run, group)), (
+                    f"client {oid} group {key}: arena run differs from the table"
+                )
+                assert e_alive[lo:hi].all() and (e_group[lo:hi] == g).all()
+                assert [e.is_target for e in run] == e_targ[lo:hi]
+                first = run[0]
+                assert self.g_first[g] is first
+                state = first.focal_state
+                assert self.g_basis[g].tolist() == [
+                    state.pos.x, state.pos.y, state.vel.x, state.vel.y, state.recorded_at
+                ], f"client {oid} group {key}: stale prediction basis"
+                held += hi - lo
+            assert held == len(lqt), f"client {oid}: entries outside every group"
+            live_entries += held - len(statics)
+            live_groups += len(slots)
+        assert live_entries == n - self.dead_ent, "live slot owned by no client"
+        assert live_groups == int(self.g_alive[: self.n_grp].sum())
 
     # --------------------------------------------------------------- run
 
@@ -421,58 +464,48 @@ class BatchEvaluator:
         ):
             self._compact()
 
-        dirty: set = set()
-        static_changes: dict[tuple, dict] = {}
-        blocks = self._blocks
         clients = self._clients
-        # Static (fixed-region) groups: scalar path, every evaluation.
-        for oid in sorted(self._static_oids):
-            client = clients[oid]
-            for si, group in enumerate(blocks[oid].static_units):
-                changes = client._process_static_entries(group, now)
-                if changes:
-                    static_changes[(oid, si)] = changes
-                    dirty.add(oid)
-
-        group_changes: dict[int, dict] = {}
+        # client oid -> {qid: flag} for this evaluation's result changes.
+        changes: dict = {}
+        # Static (fixed-region) entries: scalar path, every evaluation.
+        for oid, statics in self._statics.items():
+            changed = clients[oid]._process_static_entries(statics, now)
+            if changed:
+                changes[oid] = changed
         if self.n_ent:
-            self._batch(now, dirty, group_changes)
-
-        if not dirty:
-            return
+            self._batch(now, changes)
 
         # ---------------------------------------------------- dispatch
-        # Reference emission: per client (ascending oid), merge unit
-        # changes into a dict keyed by focal object (insertion-ordered,
-        # following the unit stream), then send one report per focal group
-        # (grouping) or one per query (no grouping).
+        # Reference emission, per client in ascending oid: one report per
+        # focal group in ``by_focal`` order (grouping), or one per query
+        # ordered by focal key -- first *changed* appearance in the table --
+        # then table position (no grouping).  The order is read off the
+        # table here; only clients reporting several changes need it.
         grouping = self.grouping
-        for oid in sorted(dirty):
-            block = blocks[oid]
+        for oid in sorted(changes):
+            changed = changes[oid]
             client = clients[oid]
-            g0 = block.g_lo
-            by_focal: dict = {}
-            for kind, li in block.units:
-                if kind == "m":
-                    changes = group_changes.get(g0 + li)
-                    key = block.keys[li]
-                else:
-                    changes = static_changes.get((oid, li))
-                    key = None
-                if changes:
-                    by_focal.setdefault(key, {}).update(changes)
-            if grouping:
-                for changed in by_focal.values():
-                    client._send_result_changes(changed)
+            if len(changed) == 1:
+                client._send_result_changes(changed)
+            elif grouping:
+                for group in client.lqt.by_focal().values():
+                    report = {e.qid: changed[e.qid] for e in group if e.qid in changed}
+                    if report:
+                        client._send_result_changes(report)
             else:
-                for changed in by_focal.values():
-                    for qid, flag in changed.items():
+                by_focal: dict = {}
+                for entry in client.lqt._entries.values():
+                    if entry.qid in changed:
+                        by_focal.setdefault(entry.oid, {})[entry.qid] = changed[entry.qid]
+                for report in by_focal.values():
+                    for qid, flag in report.items():
                         client._send_result_changes({qid: flag})
 
     # ------------------------------------------------------------- batch
 
-    def _batch(self, now: float, dirty: set, group_changes: dict) -> None:
-        """Array pass over the arena; applies entry updates in place."""
+    def _batch(self, now: float, changes: dict) -> None:
+        """Array pass over the arena; applies entry updates in place and
+        adds the result flips to ``changes`` (client oid -> {qid: flag})."""
         np = self.np
         i64 = np.int64
         n = self.n_ent
@@ -532,9 +565,10 @@ class BatchEvaluator:
         else:
             skip = None
             valid = alive
-            g_dt = now - self.g_srec[:n_g]
-            px_g = self.g_sx[:n_g] + self.g_svx[:n_g] * g_dt
-            py_g = self.g_sy[:n_g] + self.g_svy[:n_g] * g_dt
+            basis = self.g_basis[:n_g]
+            g_dt = now - basis[:, 4]
+            px_g = basis[:, 0] + basis[:, 2] * g_dt
+            py_g = basis[:, 1] + basis[:, 3] * g_dt
 
         dx = ox - px_g[e_group]
         dy = oy - py_g[e_group]
@@ -582,7 +616,7 @@ class BatchEvaluator:
             outside = ~inside & valid
             if outside.any():
                 gap = np.sqrt(dist_sq) - reach
-                closing = self.e_own[:n] + self.e_fmax[:n]
+                closing = self.store.max_speed[rows] + self.e_fmax[:n]
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     sp = np.where(
                         gap <= 0.0,
@@ -599,14 +633,15 @@ class BatchEvaluator:
         delta = (inside != self.e_targ[:n]) & valid
         if delta.any():
             idxs = np.nonzero(delta)[0]
-            flags = inside[idxs].tolist()
-            gsel = e_group[idxs].tolist()
+            flags = inside[idxs]
+            self.e_targ[idxs] = flags
             oids = self.g_oid[e_group[idxs]].tolist()
             e_refs = self.e_refs
-            e_targ = self.e_targ
-            for i, g, flag, oid in zip(idxs.tolist(), gsel, flags, oids):
+            for i, flag, oid in zip(idxs.tolist(), flags.tolist(), oids):
                 entry = e_refs[i]
                 entry.is_target = flag
-                e_targ[i] = flag
-                group_changes.setdefault(g, {})[entry.qid] = flag
-                dirty.add(oid)
+                changed = changes.get(oid)
+                if changed is None:
+                    changes[oid] = {entry.qid: flag}
+                else:
+                    changed[entry.qid] = flag

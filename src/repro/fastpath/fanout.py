@@ -133,17 +133,13 @@ class BroadcastFanout:
     def _apply_velocity(self, message: VelocityChangeBroadcast, mask, recv: set) -> None:
         """Fresh focal motion state for each holding receiver's entries.
 
-        The arena bookkeeping inlines the evaluator's ``state_changed``
-        hook: collect the group slots whose cached dead-reckoning basis the
-        in-place ``focal_state`` rewrites invalidate, then rewrite them all
-        in one shot (every receiver got the same state).
+        Every receiver got the same state, so the group slots whose cached
+        dead-reckoning basis the in-place ``focal_state`` rewrites
+        invalidate are collected and rewritten in one shot.
         """
         state = message.state
-        ev = self.evaluator
-        stale = ev._stale
-        blocks = ev._blocks
+        basis_slot = self.evaluator.basis_slot
         slots: list[int] = []
-        append = slots.append
         for qid in message.qids:
             bucket = self.holders.get(qid)
             if not bucket:
@@ -152,26 +148,11 @@ class BroadcastFanout:
                 if oid in recv:
                     entry.focal_state = state
                     entry.ptm = 0.0  # prediction basis changed: re-evaluate
-                    if oid not in stale:  # else rebuilt with the fresh state
-                        block = blocks.get(oid)
-                        if block is not None:
-                            li = block.first_local.get(qid)
-                            if li is not None:  # else not a prediction basis
-                                append(block.g_lo + li)
-        self._write_basis(slots, state)
-
-    def _write_basis(self, slots: list[int], state) -> None:
-        """Rewrite the cached per-group prediction basis of ``slots``."""
-        if not slots:
-            return
-        ev = self.evaluator
-        pos = state.pos
-        vel = state.vel
-        ev.g_sx[slots] = pos.x
-        ev.g_sy[slots] = pos.y
-        ev.g_svx[slots] = vel.x
-        ev.g_svy[slots] = vel.y
-        ev.g_srec[slots] = state.recorded_at
+                    slot = basis_slot(oid, entry)
+                    if slot is not None:
+                        slots.append(slot)
+        if slots:
+            self.evaluator.write_basis(slots, state)
 
     def _apply_remove(self, message: QueryRemoveBroadcast, mask, recv: set) -> None:
         """Drop each removed query from its holding receivers (no leave
@@ -191,9 +172,7 @@ class BroadcastFanout:
         store = self.store
         clients = self.clients
         runtime = self.runtime
-        ev = self.evaluator
-        stale = ev._stale
-        blocks = ev._blocks
+        basis_slot = self.evaluator.basis_slot
         rows = np.nonzero(mask)[0]
         recv_i = runtime.last_i[rows]
         recv_j = runtime.last_j[rows]
@@ -224,17 +203,15 @@ class BroadcastFanout:
                     entry.mon_region = region
                     entry.ptm = 0.0  # focal moved: the safe period is void
                     client.lqt.tighten_hull(region)
-                    if oid not in stale:  # else rebuilt with the fresh state
-                        block = blocks.get(oid)
-                        if block is not None:
-                            li = block.first_local.get(qid)
-                            if li is not None:  # else not a prediction basis
-                                slots.append(block.g_lo + li)
+                    slot = basis_slot(oid, entry)
+                    if slot is not None:
+                        slots.append(slot)
                 else:
                     removed = client.lqt.remove(qid)
                     if removed is not None and removed.is_target:
                         leaves.setdefault(oid, {})[qid] = False
-            self._write_basis(slots, desc.focal_state)
+            if slots:
+                self.evaluator.write_basis(slots, desc.focal_state)
             covered = (
                 (recv_i >= region.lo_i)
                 & (recv_i <= region.hi_i)

@@ -230,16 +230,17 @@ class FastpathRuntime:
         """Per-step measurement sample: ``(lqt_total, evaluated,
         skipped_by_safe_period, skipped_by_grouping, processing_seconds)``.
 
-        Replaces the reference engine's walk over every client: LQT sizes
-        come from the evaluator's arena accounting, the evaluation counters
-        from its system-wide aggregates, and only the (few) clients with
+        Replaces the reference engine's walk over every client: the LQT
+        size comes from the evaluator's hook-maintained counter, the
+        evaluation counters from its system-wide aggregates, and only the
+        (few) clients with
         static entries -- whose scalar path still bumps per-client stats --
         are visited and drained individually.
         """
         ev = self.evaluator
         lqt_total = ev.lqt_total()
         evaluated, skipped_sp, skipped_group = self.drain_eval_counts()
-        for oid in ev._static_oids:
+        for oid in ev._statics:
             # drain() also zeroes uplinks_sent and processing_seconds;
             # neither accumulates for static clients in fastpath mode (the
             # evaluator calls their scalar path directly), so the dataclass

@@ -1,0 +1,207 @@
+"""Property test for the batch evaluator's group-granular arena.
+
+Random interleavings of LQT installs, removes, same-qid replacements,
+in-place ``focal_state`` rewrites, object moves and evaluations are applied
+to a handful of clients on a vectorized system and on a reference twin.
+After every evaluation the arena must image the tables exactly
+(``BatchEvaluator.check_invariants``: every group's run equals
+``lqt.by_focal()`` in members, in-group order, first-entry basis and
+``is_target``), and the reports the batch pass dispatched must equal the
+reference ``evaluation_phase`` reports in content and order.  Skipped
+without numpy."""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core import TrueFilter
+from repro.core.tables import LqtEntry
+from repro.fastpath import numpy_available
+from repro.geometry import Circle, Point, Rect, Vector
+from repro.grid import CellRange
+from repro.mobility.model import MotionState
+from tests.conftest import make_object, make_system
+
+pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+
+N_CLIENTS = 4
+# qid -> (focal oid or None for a static query, region).  Focal 100 carries
+# four queries: two of equal radius (the stable-sort tie) and a rectangle
+# (the scalar containment fallback).
+CATALOGUE = {
+    0: (100, Circle(0, 0, 3.0)),
+    1: (100, Circle(0, 0, 3.0)),
+    2: (100, Circle(0, 0, 1.5)),
+    3: (100, Rect(-2, -1, 4, 2)),
+    4: (101, Circle(0, 0, 2.0)),
+    5: (101, Circle(0, 0, 4.0)),
+    6: (102, Circle(0, 0, 2.5)),
+    7: (None, Rect(24, 24, 3, 3)),
+    8: (None, Circle(26, 26, 2.0)),
+}
+MON_REGION = CellRange(0, 0, 9, 9)
+
+clients = st.integers(0, N_CLIENTS - 1)
+qids = st.sampled_from(sorted(CATALOGUE))
+coords = st.floats(20.0, 30.0, allow_nan=False).map(lambda v: round(v, 1))
+speeds = st.floats(-40.0, 40.0, allow_nan=False).map(lambda v: round(v, 1))
+operations = st.one_of(
+    # Weighted towards installs so tables fill up; installing a held qid is
+    # the replace-same-qid case.
+    st.tuples(st.just("install"), clients, qids, coords, coords),
+    st.tuples(st.just("install"), clients, qids, coords, coords),
+    st.tuples(st.just("remove"), clients, qids),
+    st.tuples(st.just("state"), clients, qids, coords, coords, speeds),
+    st.tuples(st.just("move"), clients, coords, coords),
+    st.tuples(st.just("evaluate")),
+)
+
+
+class Twin:
+    """One engine's system, stripped to its clients' tables and evaluation."""
+
+    def __init__(self, engine, grouping, safe_period):
+        objects = [make_object(oid, 25 + oid, 25, max_speed=50.0) for oid in range(N_CLIENTS)]
+        self.system = make_system(
+            objects, engine=engine, grouping=grouping, safe_period=safe_period
+        )
+        self.clients = [self.system.clients[oid] for oid in range(N_CLIENTS)]
+        self.sent: list = []
+        for client in self.clients:
+            client._send_result_changes = self._recorder(client.oid)
+        runtime = self.system._fastpath
+        self.evaluator = runtime.evaluator if runtime is not None else None
+
+    def _recorder(self, oid):
+        return lambda changes: self.sent.append((oid, list(changes.items())))
+
+    def apply(self, op, now):
+        kind = op[0]
+        if kind == "install":
+            _, c, qid, x, y = op
+            focal, region = CATALOGUE[qid]
+            state = None if focal is None else MotionState(Point(x, y), Vector(1.0, -2.0), now)
+            entry = LqtEntry(
+                qid=qid,
+                oid=focal,
+                region=region,
+                filter=TrueFilter(),
+                focal_state=state,
+                focal_max_speed=60.0,
+                mon_region=MON_REGION,
+            )
+            self.clients[c].lqt.install(entry)
+        elif kind == "remove":
+            self.clients[op[1]].lqt.remove(op[2])
+        elif kind == "state":
+            _, c, qid, x, y, v = op
+            lqt = self.clients[c].lqt
+            entry = lqt.find(qid)
+            if entry is not None and not entry.is_static:
+                entry.focal_state = MotionState(Point(x, y), Vector(v, -v), now)
+                entry.ptm = 0.0
+                lqt.notify_state(entry)
+        elif kind == "move":
+            _, c, x, y = op
+            self.clients[c].obj.pos = Point(x, y)
+            if self.evaluator is not None:
+                self.evaluator.store.sync_from_objects()
+
+    def evaluate(self, now):
+        """Run one evaluation; returns the reports it sent, in order."""
+        self.sent = []
+        if self.evaluator is not None:
+            self.evaluator.run(now)
+        else:
+            clock = SimpleNamespace(now_hours=now)
+            for client in self.clients:
+                client.evaluation_phase(clock)
+        return self.sent
+
+    def entry_state(self):
+        return [
+            [(e.qid, e.is_target, e.ptm) for e in client.lqt.entries()]
+            for client in self.clients
+        ]
+
+    def eval_counts(self):
+        """(evaluated, skipped by safe period, skipped by grouping) so far."""
+        totals = [0, 0, 0]
+        for client in self.clients:
+            stats = client.stats
+            totals[0] += stats.evaluated_queries
+            totals[1] += stats.skipped_by_safe_period
+            totals[2] += stats.skipped_by_grouping
+        ev = self.evaluator
+        if ev is not None:
+            totals[0] += ev.evaluated_queries
+            totals[1] += ev.skipped_by_safe_period
+            totals[2] += ev.skipped_by_grouping
+        return totals
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    ops=st.lists(operations, min_size=1, max_size=60),
+    safe_period=st.booleans(),
+    compact_threshold=st.sampled_from([0, 3, 2048]),
+)
+@pytest.mark.parametrize("grouping", [True, False], ids=["grouping", "no-grouping"])
+def test_arena_images_tables_under_random_interleavings(
+    grouping, ops, safe_period, compact_threshold
+):
+    ref = Twin("reference", grouping, safe_period)
+    vec = Twin("vectorized", grouping, safe_period)
+    vec.evaluator.compact_threshold = compact_threshold
+    now = 0.0
+    for op in ops + [("evaluate",)]:
+        if op[0] != "evaluate":
+            ref.apply(op, now)
+            vec.apply(op, now)
+            continue
+        now += 1.0 / 120.0
+        assert vec.evaluate(now) == ref.evaluate(now)
+        assert vec.entry_state() == ref.entry_state()
+        assert vec.eval_counts() == ref.eval_counts()
+        vec.evaluator.check_invariants()
+        assert vec.evaluator.lqt_total() == sum(len(c.lqt) for c in vec.clients)
+
+
+def test_compaction_renumbers_the_slot_map():
+    """Deterministic walk: tombstone group runs, compact, keep evaluating."""
+    ref = Twin("reference", True, False)
+    vec = Twin("vectorized", True, False)
+    ev = vec.evaluator
+    ev.compact_threshold = 0
+    now = 0.0
+
+    def play(*script):
+        nonlocal now
+        for op in script:
+            ref.apply(op, now)
+            vec.apply(op, now)
+        now += 1.0 / 120.0
+        assert vec.evaluate(now) == ref.evaluate(now)
+        assert vec.entry_state() == ref.entry_state()
+        ev.check_invariants()
+
+    play(
+        ("install", 0, 0, 25.0, 25.0),
+        ("install", 0, 2, 25.0, 25.0),
+        ("install", 0, 4, 25.0, 26.0),
+        ("install", 1, 5, 25.0, 26.0),
+    )
+    assert (ev.n_ent, ev.n_grp, ev.dead_ent) == (4, 3, 0)
+    play(
+        ("remove", 0, 0),  # the group's first entry goes: qid 2 becomes the basis
+        ("remove", 0, 4),  # a whole group goes
+        ("install", 1, 4, 25.0, 26.0),  # smaller reach: joins behind qid 5
+    )
+    # Four slots died against three alive, so the arena was compacted.
+    assert (ev.n_ent, ev.n_grp, ev.dead_ent) == (3, 2, 0)
+    assert [e.qid for e in ev.e_refs] == [2, 5, 4]
+    play(("state", 0, 2, 40.0, 40.0, 5.0))  # focal jumps away: a leave report
+    assert ref.sent == [(0, [(2, False)])]

@@ -15,8 +15,9 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import MobiEyesConfig, MobiEyesSystem, PropagationMode
+from repro.core import MobiEyesConfig, MobiEyesSystem, PropagationMode, QuerySpec
 from repro.fastpath import numpy_available
+from repro.geometry import Circle, Rect
 from repro.network.loss import LossModel
 from repro.sim.rng import SimulationRng
 from repro.workload import generate_workload, paper_defaults
@@ -35,6 +36,7 @@ def build(
     seed=42,
     compact_threshold=None,
     shards=1,
+    extra_specs=(),
 ):
     params = dataclasses.replace(paper_defaults(), seed=seed).scaled(scale)
     rng = SimulationRng(params.seed)
@@ -65,7 +67,7 @@ def build(
     )
     if compact_threshold is not None and engine == "vectorized":
         system._fastpath.evaluator.compact_threshold = compact_threshold
-    system.install_queries(workload.query_specs)
+    system.install_queries(tuple(workload.query_specs) + tuple(extra_specs))
     return system
 
 
@@ -105,6 +107,7 @@ def assert_engines_agree(steps=18, **kwargs):
             ref.check_invariants()
             vec.check_invariants()
     assert metrics_snapshot(ref) == metrics_snapshot(vec), kwargs
+    return vec
 
 
 MATRIX = [
@@ -130,6 +133,39 @@ def test_engines_agree_across_arena_compaction():
     # the tombstone-squeeze path that full-scale runs only hit after
     # thousands of re-appends.
     assert_engines_agree(steps=24, thresh=1.0, compact_threshold=4)
+
+
+# What the 0.012-scale Table 1 workload (one query per focal object, all
+# circles) never produces: a focal object carrying four queries -- two of
+# equal radius, a rectangle -- whose monitoring regions differ, so receivers
+# hold and shed members of the group independently; plus a static query.
+MULTI_QUERY_SPECS = (
+    QuerySpec(oid=0, region=Circle(0, 0, 6.0)),
+    QuerySpec(oid=0, region=Circle(0, 0, 6.0)),
+    QuerySpec(oid=0, region=Circle(0, 0, 1.0)),
+    QuerySpec(oid=0, region=Rect(-3, -1, 6, 2)),
+    QuerySpec.static(Rect(10, 10, 12, 12)),
+)
+
+
+@pytest.mark.parametrize("safe_period", [False, True], ids=["no-sp", "sp"])
+@pytest.mark.parametrize("grouping", [True, False], ids=["grouping", "no-grouping"])
+def test_engines_agree_on_multi_query_focal_groups(grouping, safe_period):
+    vec = assert_engines_agree(
+        steps=24,
+        grouping=grouping,
+        safe_period=safe_period,
+        compact_threshold=4,
+        extra_specs=MULTI_QUERY_SPECS,
+    )
+    # The scenario does what it says: some receivers hold the whole group,
+    # others only part of it, and static entries are out there too.
+    held = {
+        sum(1 for e in client.lqt.entries() if e.oid == 0)
+        for client in vec.clients.values()
+    }
+    assert 4 in held and held & {1, 2, 3}
+    assert any(e.is_static for c in vec.clients.values() for e in c.lqt.entries())
 
 
 @settings(
