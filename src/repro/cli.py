@@ -156,9 +156,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             shards=args.shards,
             latency=args.latency,
             jitter=args.latency_jitter,
-            compare=args.compare,
-            workers=args.workers,
-            executor=args.executor,
             scale=args.scale,
             checkpoint_every=args.checkpoint_every,
             rebalance_every=args.rebalance_every,
@@ -206,8 +203,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             uplink_latency=args.latency,
             downlink_latency=args.latency,
             latency_jitter=args.latency_jitter,
-            workers=args.workers,
-            executor=args.executor,
             crash=args.crash,
             checkpoint_every=args.checkpoint_every,
             rebalance=args.rebalance,
@@ -366,20 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the report gains per-shard load-balance figures when > 1",
     )
     bench.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard worker-pool size (default 0 = serial coordinator); with "
-        "--shards > 1 each scenario also runs a serial twin and reports a "
-        "parallel_speedup column plus a bit-identity check against it",
-    )
-    bench.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker-pool flavor for --workers (default thread)",
-    )
-    bench.add_argument(
         "--scale",
         choices=("default", "xl", "skewed"),
         default="default",
@@ -399,14 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="seeded random extra delay in [0, N] steps on top of --latency",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        help="previous BENCH_*.json to regression-gate against: exit 1 if any "
-        "matched scenario/engine loses more than 20%% of its steps/sec, any "
-        "phase regresses more than 25%%, or result hashes / message counts "
-        "drift from the baseline",
     )
     bench.add_argument(
         "--checkpoint-every",
@@ -471,19 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="server shards behind the coordinator (default 1 = monolithic server)",
-    )
-    chaos.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard worker-pool size (default 0 = serial coordinator); the "
-        "report is bit-identical to the serial one at any worker count",
-    )
-    chaos.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker-pool flavor for --workers (default thread)",
     )
     chaos.add_argument(
         "--latency",

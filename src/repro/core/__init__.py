@@ -6,7 +6,7 @@ from repro.core.config import MobiEyesConfig
 from repro.core.coordinator import Coordinator
 from repro.core.focal import FocalTracker
 from repro.core.load import LoadAccount
-from repro.core.partition import GridPartitioner, PartitionMap
+from repro.core.partition import PartitionMap
 from repro.core.rebalance import ElasticPolicy, RebalancePolicy
 from repro.core.propagation import PropagationMode
 from repro.core.query import (
@@ -42,7 +42,6 @@ __all__ = [
     "ClientStats",
     "Coordinator",
     "FocalTracker",
-    "GridPartitioner",
     "PartitionMap",
     "ElasticPolicy",
     "RebalancePolicy",

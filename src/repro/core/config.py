@@ -66,20 +66,8 @@ class MobiEyesConfig:
             Result hashes, message counts, sizes, and energy accounting
             are bit-identical either way; ``False`` forces the historical
             per-message path.
-        shard_workers: size of the worker pool driving per-step shard work
-            (columnar result ingestion, lease-expiry scans, static-beacon
-            planning) under a sharded server.  ``0`` (the default) selects
-            the serial executor -- the coordinator drives every shard in
-            the calling thread, today's exact behavior.  Positive values
-            run each step as fork -> per-shard parallel region ->
-            deterministic barrier; cross-shard effects are merged at the
-            barrier in canonical order, so results, message counts, and
-            energy ledgers are bit-identical to the serial executor at any
-            worker count.  Ignored while ``shards == 1``.
-        shard_executor: worker-pool flavor when ``shard_workers > 0``:
-            ``"thread"`` (shared-memory thread pool) or ``"process"``
-            (fork-spawned workers holding picklable per-shard result
-            mirrors, synced through a cross-shard mailbox).
+        shard_workers: accepts only ``0`` (the pooled shard executors were
+            removed); kept because ``bench/workloads.py`` passes it.
         checkpoint_every_steps: cadence (in steps) of the system's
             periodic full-state checkpoints (:mod:`repro.core.snapshot`).
             ``0`` (the default) disables periodic checkpointing; explicit
@@ -99,7 +87,7 @@ class MobiEyesConfig:
             ``(step, src, dst, cols)`` tuples: at the top of ``step``, move
             ``cols`` columns from shard ``src`` into the adjacent shard
             ``dst``.  A fixed schedule keeps runs bit-identical across
-            engines, shard counts, and executors (out-of-range ops clamp to
+            engines and shard counts (out-of-range ops clamp to
             no-ops, but the rebalance directive still broadcasts so message
             counts and the energy ledger match everywhere).
         rebalance_hot_factor: policy hysteresis trigger -- a repartition
@@ -117,10 +105,8 @@ class MobiEyesConfig:
             (``rebalance_every_steps``): a persistently hot stripe is
             split into a newly spawned shard (up to this many live
             shards) and a persistently cold stripe is merged away and its
-            slot retired.  Requires ``shards >= 2``, a positive
-            ``rebalance_every_steps``, and the serial executor
-            (``shard_workers == 0`` -- the parallel executors pin the
-            shard list at bind time).
+            slot retired.  Requires ``shards >= 2`` and a positive
+            ``rebalance_every_steps``.
         elastic_min_shards: floor of elastic scale-in (merges never drop
             the live count below this; minimum 2).
         elastic_split_after: consecutive hot policy windows a stripe must
@@ -136,9 +122,9 @@ class MobiEyesConfig:
             into its stripe-adjacent neighbor ``into`` and retires the
             slot, both at the top of ``step``.  The reproducible
             counterpart of the elastic policy (CI's soak smoke uses it);
-            requires ``shards >= 2`` and the serial executor, and cannot
-            be combined with ``rebalance_schedule`` (a fixed
-            ``(src, dst)`` schedule is written against fixed shard ids).
+            requires ``shards >= 2`` and cannot be combined with
+            ``rebalance_schedule`` (a fixed ``(src, dst)`` schedule is
+            written against fixed shard ids).
         ingest_budget_per_step: service-mode admission budget -- how many
             queued ingest operations (position updates, query installs or
             removals) a :class:`~repro.core.service.MobiEyesService`
@@ -176,7 +162,6 @@ class MobiEyesConfig:
     latency_seed: int = 0
     batch_reports: bool = True
     shard_workers: int = 0
-    shard_executor: str = "thread"
     checkpoint_every_steps: int = 0
     rebalance_every_steps: int = 0
     rebalance_schedule: tuple[tuple[int, int, int, int], ...] = ()
@@ -214,11 +199,12 @@ class MobiEyesConfig:
         for knob in ("uplink_latency_steps", "downlink_latency_steps", "latency_jitter_steps"):
             if getattr(self, knob) < 0:
                 raise ValueError(f"{knob} must be non-negative")
-        if self.shard_workers < 0:
-            raise ValueError("shard_workers must be non-negative")
-        if self.shard_executor not in ("thread", "process"):
+        if self.shard_workers != 0:
             raise ValueError(
-                f"shard_executor must be 'thread' or 'process', got {self.shard_executor!r}"
+                f"shard_workers must be 0, got {self.shard_workers!r}: the pooled shard "
+                "executors were removed -- the server tier is under 12% of step wall on "
+                "every benchmark workload, so no pool can beat the coordinator driving "
+                "each shard in the calling thread"
             )
         if self.checkpoint_every_steps < 0:
             raise ValueError("checkpoint_every_steps must be non-negative")
@@ -273,11 +259,6 @@ class MobiEyesConfig:
         if elastic:
             if self.shards < 2:
                 raise ValueError("elastic scale-out requires a sharded server (shards >= 2)")
-            if self.shard_workers > 0:
-                raise ValueError(
-                    "elastic scale-out requires the serial executor (shard_workers == 0): "
-                    "parallel executors pin the shard list at bind time"
-                )
             if self.rebalance_schedule:
                 raise ValueError(
                     "elastic_schedule / elastic_max_shards cannot be combined with "

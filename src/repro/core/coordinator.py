@@ -4,7 +4,7 @@ The coordinator is the transport's uplink sink and the system's
 server-compatible facade when ``config.shards > 1``.  It owns no protocol
 tables itself; it builds one :class:`~repro.core.shard.ServerShard` per
 contiguous column stripe of the grid (see
-:class:`~repro.core.partition.GridPartitioner`) plus three directories
+:class:`~repro.core.partition.PartitionMap`) plus three directories
 that stay in sync through component callbacks:
 
 - ``owner_of``: query id -> owning shard (registry ``on_added`` /
@@ -26,9 +26,10 @@ be suspended by silence that is an artifact of partitioning.
 
 Query installation, removal, lease expiry, static beacons, load
 aggregation, and the read-only ``fot`` / ``sqt`` / ``rqi`` views fan out
-across shards in deterministic (shard id, then key-sorted) order.  With
-one shard every route resolves to shard 0 and the coordinated system is
-bit-identical to the monolithic server.
+across shards in deterministic (shard id, then key-sorted) order, every
+shard driven in the calling thread.  With one shard every route resolves
+to shard 0 and the coordinated system is bit-identical to the monolithic
+server.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ from repro.core.messages import (
     REC_RESULT,
     CellChangeReport,
     MotionStateRequest,
-    QueryInstallBroadcast,
     ResultChangeReport,
 )
-from repro.core.partition import GridPartitioner
+from repro.core.partition import PartitionMap
 from repro.core.query import MovingQuery, QueryId, QuerySpec
 from repro.core.registry import QueryRegistry, ResultCallback
 from repro.core.shard import ServerShard
@@ -71,7 +71,7 @@ class Coordinator:
         self.transport = transport
         self.config = config
         requested = num_shards if num_shards is not None else config.shards
-        self.partitioner = GridPartitioner(grid, requested)
+        self.partitioner = PartitionMap(grid, requested)
         self.owner_of: dict[QueryId, int] = {}
         self._focal_home: dict[ObjectId, int] = {}
         self._fot_home: dict[ObjectId, int] = {}
@@ -83,14 +83,6 @@ class Coordinator:
         self._report_epochs: dict[ObjectId, int] = {}
         self._leases_on = False
         self._lease_steps = 0
-        # Optional parallel shard executor (attach_executor); None keeps
-        # the historical serial loops.
-        self._executor = None
-        # Critical-path seconds (see reset_load): the aggregate with each
-        # parallel region's concurrency credited back, i.e. the modeled
-        # wall time of the step on enough idle cores.
-        self.last_critical_seconds = 0.0
-        self.total_critical_seconds = 0.0
         # Elastic lifecycle: ``shards`` indices are *stable slot ids* --
         # a retired shard's slot stays in place (empty) so directories,
         # reliability endpoints, and checkpoints never renumber; a later
@@ -145,9 +137,6 @@ class Coordinator:
             self.owner_of[entry.qid] = sid
             if entry.oid is not None:
                 self._focal_home[entry.oid] = sid
-            ex = self._executor
-            if ex is not None:
-                ex.note_added(sid, entry)
 
         return on_added
 
@@ -157,9 +146,6 @@ class Coordinator:
             if entry.oid is not None and not focal_left:
                 if self._focal_home.get(entry.oid) == sid:
                     del self._focal_home[entry.oid]
-            ex = self._executor
-            if ex is not None:
-                ex.note_removed(sid, entry.qid)
 
         return on_removed
 
@@ -279,9 +265,7 @@ class Coordinator:
         ``dst``, migrating the span's state online.
 
         The migration runs in four deterministic strokes, all inside one
-        housekeeping slot at the top of a step (never concurrent with a
-        parallel shard region, so the executors' frozen routing tables are
-        safe):
+        housekeeping slot at the top of a step:
 
         1. *freeze the span*: compute the moving columns under the old map;
         2. *epoch bump*: mutate the partition map (``transfer``), making
@@ -333,9 +317,9 @@ class Coordinator:
             summary["rqi_cells_moved"] = len(buckets)
         # Focals homed on the donor whose last-known cell sits inside the
         # moved span follow it (the ordinary handoff keeps the ownership
-        # directories and any executor mirrors in sync).  Objects that
-        # miss the cut -- no position on record yet, or currently outside
-        # the span -- reconverge through their next cell-change report.
+        # directories in sync).  Objects that miss the cut -- no position
+        # on record yet, or currently outside the span -- reconverge
+        # through their next cell-change report.
         homed = sorted(
             oid
             for oid, home in {**self._fot_home, **self._focal_home}.items()
@@ -644,42 +628,13 @@ class Coordinator:
             shard.enable_leases(lease_steps)
 
     def expire_leases(self, step: int) -> None:
-        """Expire leases shard by shard, each in ascending object order.
-
-        With a parallel executor the per-shard expiry *scans* (pure
-        tracker reads) run as one pooled region; the suspensions replay
-        at the barrier in shard order, ascending object order -- the
-        serial order, since a suspension cannot influence another
-        shard's scan (its broadcasts trigger no uplinks).
-        """
-        ex = self._executor
-        if ex is None or not ex.parallel:
-            for shard in self.shards:
-                shard.expire_leases(step)
-            return
-        for shard, expired in zip(self.shards, ex.scan_expired(step)):
-            for oid in expired:
-                shard._suspend(oid)
+        """Expire leases shard by shard, each in ascending object order."""
+        for shard in self.shards:
+            shard.expire_leases(step)
 
     def beacon_static_queries(self) -> int:
-        """Re-broadcast static query descriptors from every shard.
-
-        With a parallel executor the per-shard gathers (registry reads
-        plus load charges) run as one pooled region; the broadcasts --
-        the ledger-charged effects -- replay at the barrier in shard
-        order, entry order, exactly as the serial loop sends them.
-        """
-        ex = self._executor
-        if ex is None or not ex.parallel:
-            return sum(shard.beacon_static_queries() for shard in self.shards)
-        broadcasts = 0
-        for shard, entries in zip(self.shards, ex.plan_static_beacons()):
-            for entry in entries:
-                broadcasts += shard.planner.send(
-                    entry.mon_region,
-                    QueryInstallBroadcast(queries=(shard._descriptor(entry),)),
-                )
-        return broadcasts
+        """Re-broadcast static query descriptors from every shard."""
+        return sum(shard.beacon_static_queries() for shard in self.shards)
 
     def subscribe(self, qid: QueryId, callback: ResultCallback) -> None:
         """Register a result-change callback (fires once per change, from
@@ -709,35 +664,6 @@ class Coordinator:
         """Query ids whose monitoring region covers the cell."""
         return self.queries_at(cell)
 
-    # ------------------------------------------------ parallel execution
-
-    def attach_executor(self, executor) -> None:
-        """Bind a shard executor (see :mod:`repro.core.executor`); the
-        serial executor (or none at all) keeps the historical loops."""
-        self._executor = executor
-        executor.bind(self)
-
-    def close_executor(self) -> None:
-        """Release the executor's pool resources (idempotent)."""
-        if self._executor is not None:
-            self._executor.close()
-
-    def result_batch_applier(self):
-        """The transport's hook into the parallel result kernel.
-
-        Returns a callable taking a *run* of contiguous buffered result
-        records (``[(cols, i), ...]``) -- or None when runs must apply
-        record by record: no executor, a serial executor, or soft-state
-        leases armed (lease touches and reinstatement probes are
-        per-record server reactions the kernel does not model; lease
-        runs are fault-injection runs, whose loss/reliability layers
-        already force the transport's per-message replay path anyway).
-        """
-        ex = self._executor
-        if ex is None or not ex.parallel or self._leases_on:
-            return None
-        return ex.apply_result_run
-
     # ---------------------------------------------------------- load
 
     @property
@@ -751,31 +677,14 @@ class Coordinator:
         return sum(shard.load.ops for shard in self.shards)
 
     def reset_load(self) -> tuple[float, int]:
-        """Return and clear the aggregated (seconds, ops) load counters.
-
-        The returned seconds are *aggregate shard-CPU seconds* -- the sum
-        over shards, which double-counts work that ran concurrently under
-        a parallel executor.  As a side effect this also computes the
-        *critical-path* seconds of the window (``last_critical_seconds``
-        / ``total_critical_seconds``): the aggregate with each parallel
-        region's summed worker time replaced by its slowest worker, i.e.
-        the modeled wall time on enough idle cores.  Without a parallel
-        executor the two are equal.
-        """
+        """Return and clear the aggregated (seconds, ops) load counters
+        (the sum over shards)."""
         seconds = 0.0
         ops = 0
         for shard in self.shards:
             shard_seconds, shard_ops = shard.reset_load()
             seconds += shard_seconds
             ops += shard_ops
-        ex = self._executor
-        if ex is not None and ex.parallel:
-            par_total, span = ex.drain_span()
-            critical = max(0.0, seconds - par_total) + span
-        else:
-            critical = seconds
-        self.last_critical_seconds = critical
-        self.total_critical_seconds += critical
         return seconds, ops
 
     def shard_loads(self) -> list[dict]:

@@ -8,11 +8,10 @@ contiguous span of stripes, and each shard's portion of it is itself a
 rectangular range, so RQI registrations and broadcast splits stay
 range-shaped instead of exploding into per-cell sets.
 
-Unlike the original frozen ``GridPartitioner`` this map is *mutable*: the
-stripe boundaries can shift at runtime (:meth:`transfer`,
-:meth:`split_stripe`, :meth:`merge_stripes`), and -- new with the elastic
-service runtime -- the stripe *count* can change too.  Shard ids are
-**stable names**, not positions: the map keeps an explicit left-to-right
+The map is *mutable*: the stripe boundaries can shift at runtime
+(:meth:`transfer`, :meth:`split_stripe`, :meth:`merge_stripes`), and -- new
+with the elastic service runtime -- the stripe *count* can change too.
+Shard ids are **stable names**, not positions: the map keeps an explicit left-to-right
 ``order`` of shard ids alongside the boundary list, so every layer that
 holds per-shard state keyed by id (coordinator directories, reliability
 sequence streams, checkpoints) survives a stripe being inserted
@@ -289,8 +288,3 @@ class PartitionMap:
         del self._order[p]
         self._pos = {sid: q for q, sid in enumerate(self._order)}
 
-
-# The original frozen partitioner's name, kept as an alias: every layer that
-# type-annotates or constructs a ``GridPartitioner`` keeps working, and the
-# semantics are identical until someone calls a mutation method.
-GridPartitioner = PartitionMap

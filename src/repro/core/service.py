@@ -8,7 +8,7 @@ whose operations are accepted at any time and applied *between* steps, at
 the next tick's admission slot.  The ticker (:meth:`tick`, :meth:`run`)
 advances steps indefinitely; the system's own cadence checkpoints
 (``checkpoint_every_steps``, PR 7's :mod:`repro.core.snapshot`) are the
-durability story, and snapshot v3 carries the ingest queue itself so a
+durability story, and the snapshot carries the ingest queue itself so a
 restored service resumes with the same pending work.
 
 Admission control and backpressure:
@@ -18,6 +18,10 @@ Admission control and backpressure:
   A submission that would overflow is **rejected**: its ticket comes back
   ``"rejected"`` and ``backpressure_rejects`` counts it -- never a silent
   drop;
+- an operation whose target does not exist when it is admitted (an update
+  or install for an unknown object, a removal of a query that is not
+  installed) is **rejected** the same way, counted in
+  ``invalid_rejects``, and admission moves on to the next operation;
 - each tick admits at most ``ingest_budget_per_step`` operations (0 =
   everything queued); the rest stay queued for later ticks (a *deferral*,
   also counted);
@@ -53,8 +57,9 @@ OP_REMOVE = "remove"
 class IngestTicket:
     """The caller's handle on one submitted operation.
 
-    ``status`` moves ``"queued" -> "applied"`` (or is ``"rejected"``
-    immediately at submission when the queue is full); for installs,
+    ``status`` moves ``"queued" -> "applied"`` (or is ``"rejected"``:
+    at submission when the queue is full, at admission when the op's
+    target does not exist); for installs,
     ``qid`` resolves to the server-assigned query id at apply time.
     """
 
@@ -106,6 +111,7 @@ class MobiEyesService:
         self.submitted = 0
         self.applied = 0
         self.backpressure_rejects = 0
+        self.invalid_rejects = 0
         self.deferred_ops = 0
         self.deferred_ticks = 0
         self.ticks = 0
@@ -152,6 +158,20 @@ class MobiEyesService:
 
     # ------------------------------------------------------------- ticker
 
+    def _target_exists(self, ticket: IngestTicket) -> bool:
+        """Whether the object or query the operation names exists now."""
+        system = self.system
+        if ticket.kind == OP_UPDATE:
+            return ticket.payload[0] in system.clients
+        if ticket.kind == OP_INSTALL:
+            spec = ticket.payload[0]
+            return spec.is_static or spec.oid in system.clients
+        ref = ticket.payload[0]
+        qid = ref.qid if isinstance(ref, IngestTicket) else ref
+        # An unresolved install ticket (qid None) is the caller error
+        # _apply raises on, not a missing target.
+        return qid is None or qid in system.server.sqt
+
     def _apply(self, ticket: IngestTicket) -> None:
         system = self.system
         if ticket.kind == OP_UPDATE:
@@ -187,7 +207,12 @@ class MobiEyesService:
             return 0
         admitted = 0
         while self._queue and (self.budget == 0 or admitted < self.budget):
-            self._apply(self._queue.popleft())
+            ticket = self._queue.popleft()
+            if not self._target_exists(ticket):
+                ticket.status = "rejected"
+                self.invalid_rejects += 1
+                continue
+            self._apply(ticket)
             admitted += 1
         if self._queue:
             self.deferred_ops += len(self._queue)
@@ -233,6 +258,7 @@ class MobiEyesService:
             "submitted": self.submitted,
             "applied": self.applied,
             "backpressure_rejects": self.backpressure_rejects,
+            "invalid_rejects": self.invalid_rejects,
             "queued": len(self._queue),
             "deferred_ops": self.deferred_ops,
             "deferred_ticks": self.deferred_ticks,
@@ -241,11 +267,10 @@ class MobiEyesService:
 
     def check_accounting(self) -> None:
         """The no-silent-drop invariant."""
-        assert self.submitted == self.applied + self.backpressure_rejects + len(
-            self._queue
-        ), (
+        rejects = self.backpressure_rejects + self.invalid_rejects
+        assert self.submitted == self.applied + rejects + len(self._queue), (
             f"ingest accounting leak: submitted={self.submitted} != "
-            f"applied={self.applied} + rejects={self.backpressure_rejects} + "
+            f"applied={self.applied} + rejects={rejects} + "
             f"queued={len(self._queue)}"
         )
 
@@ -284,6 +309,7 @@ class MobiEyesService:
             "submitted": self.submitted,
             "applied": self.applied,
             "backpressure_rejects": self.backpressure_rejects,
+            "invalid_rejects": self.invalid_rejects,
             "deferred_ops": self.deferred_ops,
             "deferred_ticks": self.deferred_ticks,
             "ticks": self.ticks,
@@ -305,6 +331,7 @@ class MobiEyesService:
         self.submitted = state["submitted"]
         self.applied = state["applied"]
         self.backpressure_rejects = state["backpressure_rejects"]
+        self.invalid_rejects = state["invalid_rejects"]
         self.deferred_ops = state["deferred_ops"]
         self.deferred_ticks = state["deferred_ticks"]
         self.ticks = state["ticks"]

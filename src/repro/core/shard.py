@@ -7,7 +7,7 @@ through its :class:`~repro.core.coordinator.Coordinator` whatever leaves
 its own partition:
 
 - RQI registrations are *cell-owned*: a monitoring region spanning the
-  partition is split (:meth:`GridPartitioner.split`) and each shard's RQI
+  partition is split (:meth:`PartitionMap.split`) and each shard's RQI
   holds its own rectangular portion, while the SQT entry lives only at
   the owning shard (single-owner replication of the descriptor's home).
 - Query ids come from the coordinator's global allocator.
@@ -24,14 +24,6 @@ uplink sink and dispatches to shards by cell.  Under a nonzero
 drain from the transport queue into the coordinator, which routes to the
 owning shard within the same delivery slot -- shard count never adds
 hops, so a 1-, 2-, or 4-shard run sees identical message timing.
-
-Under a parallel shard executor (``MobiEyesConfig(shard_workers=N)``)
-a shard additionally serves as the unit of parallelism: inside a
-parallel region exactly one worker touches this shard's tables (SQT
-result sets, lease tracker, registry), so the handlers need no locks;
-anything cross-shard happens in the coordinator's fork (the split) or
-at the barrier (the ordered merge) -- see
-:mod:`repro.core.executor`.
 """
 
 from __future__ import annotations
@@ -40,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import MobiEyesConfig
 from repro.core.focal import FocalTracker
-from repro.core.partition import GridPartitioner
+from repro.core.partition import PartitionMap
 from repro.core.query import QueryId
 from repro.core.registry import QueryRegistry
 from repro.core.server import MobiEyesServer
@@ -63,7 +55,7 @@ class ServerShard(MobiEyesServer):
         config: MobiEyesConfig,
         coordinator: "Coordinator",
         shard_id: int,
-        partitioner: GridPartitioner,
+        partitioner: PartitionMap,
         *,
         registry: QueryRegistry,
         tracker: FocalTracker,

@@ -7,11 +7,11 @@ recovery scalars, the transport's deferred-envelope queue and sequence
 counters, the reliability layer's in-flight exchanges and ledgers, the
 fault injector's channel RNGs and drop accounting, the message ledger,
 the metrics cursors, and the simulation RNG streams.  Restoring it
-builds a *fresh* system -- executors, callbacks, watchers, and fastpath
-mirrors are reconstructed by the ordinary constructor -- and grafts the
+builds a *fresh* system -- callbacks, watchers, and fastpath mirrors
+are reconstructed by the ordinary constructor -- and grafts the
 captured state back in through the same table APIs the live protocol
 uses, so ``restore(checkpoint(system))`` resumes bit-identically on
-both engines at any shard or worker count.
+both engines at any shard count.
 
 Capture strategy: all live objects are gathered into **one** payload
 dict and isolated with a single :func:`copy.deepcopy`.  The deepcopy
@@ -22,9 +22,9 @@ memo preserves every identity relation *inside* the payload -- a queued
 monitoring region and focal state, and the injector's channel RNGs keep
 any sharing they had -- while severing every reference to the live
 system.  Pickling the system wholesale is not an option (coordinator
-directory callbacks, client watcher hooks, and executor pools are
-closures); the payload holds only plain data, so a checkpoint also
-serializes with :meth:`Checkpoint.to_bytes`.
+directory callbacks and client watcher hooks are closures); the payload
+holds only plain data, so a checkpoint also serializes with
+:meth:`Checkpoint.to_bytes`.
 
 What is deliberately **not** captured:
 
@@ -55,8 +55,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: policy state and log, per-client partition epochs, and the transport's
 #: stale-epoch reroute counter.  v3 added the elastic fleet shape (stripe
 #: order, slot count, retired slots), the elastic policy's id-keyed
-#: streaks, and the service runtime's ingest queue and counters.
-CHECKPOINT_VERSION = 3
+#: streaks, and the service runtime's ingest queue and counters.  v4
+#: dropped the config's executor-flavor field and the per-step
+#: critical-path server seconds (the pooled executors are gone) and added
+#: the service's ``invalid_rejects`` counter.
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(slots=True)
@@ -321,7 +324,7 @@ def _graft_server(system: "MobiEyesSystem", sections: list[dict[str, Any]]) -> N
             f"checkpoint has {len(sections)} server sections, system has {len(units)}"
         )
     # SQT entries first (directory callbacks populate owner_of /
-    # _focal_home / executor mirrors), then the RQI registrations, then
+    # _focal_home), then the RQI registrations, then
     # the trackers -- so the FOT-subset-of-focals invariant holds at
     # every point of the graft.
     for unit, section in zip(units, sections):

@@ -91,13 +91,6 @@ class MobiEyesSystem:
             from repro.core.coordinator import Coordinator
 
             self.server = Coordinator(self.grid, self.transport, config)
-            if config.shard_workers > 0:
-                from repro.core.executor import make_executor
-
-                # Parallel shard executor: per-step shard work runs as
-                # fork -> per-shard region -> deterministic barrier
-                # (bit-identical to the serial loops; see core/executor).
-                self.server.attach_executor(make_executor(config))
         else:
             self.server = MobiEyesServer(self.grid, self.transport, config)
         # A custom mobility model (e.g. random waypoint) may be supplied;
@@ -342,8 +335,7 @@ class MobiEyesSystem:
             or self._elastic_schedule
             or self._rebalance_policy is not None
         ):
-            # After recovery, before any of this step's traffic: a
-            # repartition never races a parallel shard region, and a crash
+            # After recovery, before any of this step's traffic: a crash
             # window ending this step is rebuilt before boundaries move.
             self._rebalance_housekeeping(clock.step)
         if self._fastpath is not None:
@@ -583,29 +575,19 @@ class MobiEyesSystem:
             self.transport.flush_reports(buf)
 
     def close(self) -> None:
-        """Release background resources (a parallel executor's worker
-        pool, when one is attached).  Idempotent; a system never closed
-        is reaped by the executor's finalizer."""
-        if self._closed:
-            return
+        """End of the system's lifecycle.  Idempotent; the system holds
+        no background resources, so this only marks it closed."""
         self._closed = True
-        close_executor = getattr(self.server, "close_executor", None)
-        if close_executor is not None:
-            close_executor()
 
     def __enter__(self) -> "MobiEyesSystem":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        """Context-manager teardown: crashed or aborted runs never leak
-        executor workers."""
+        """Context-manager teardown."""
         self.close()
 
     def _measurement_phase(self, clock: SimulationClock) -> None:
         server_seconds, server_ops = self.server.reset_load()
-        # Coordinator only: the critical-path view computed by reset_load
-        # (equals the aggregate without a parallel executor).
-        server_critical = getattr(self.server, "last_critical_seconds", server_seconds)
         mark = self.ledger.snapshot()
         delta = self._ledger_mark.delta(mark)
         self._ledger_mark = mark
@@ -656,7 +638,6 @@ class MobiEyesSystem:
             StepStats(
                 step=clock.step,
                 server_seconds=server_seconds,
-                server_critical_seconds=server_critical,
                 server_ops=server_ops,
                 uplink_messages=delta.uplink_count,
                 downlink_messages=delta.downlink_count,

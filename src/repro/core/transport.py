@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol
 
-from repro.core.messages import REC_RESULT, UplinkReportBatch
+from repro.core.messages import UplinkReportBatch
 from repro.geometry import Point
 from repro.grid import CellIndex, CellRange, CellRangeUnion, Grid
 from repro.mobility.model import ObjectId
@@ -397,32 +397,13 @@ class SimulatedTransport:
             else:
                 units.append((env.sender, env.seq, env, -1))
         units.sort(key=lambda unit: (unit[0], unit[1]))
-        # A parallel shard executor takes maximal runs of contiguous
-        # result records (same rules as the inline flush: a run ends at
-        # any non-result record or scalar envelope, which may move query
-        # ownership or trigger inline reactions; result applies cannot).
-        batch_factory = getattr(self._server, "result_batch_applier", None)
-        batch_apply = batch_factory() if batch_factory is not None else None
-        run: list[tuple[object, int]] = []
         for _sender, _seq, env, k in units:
             if k < 0:
-                if run:
-                    batch_apply(run)
-                    run = []
                 self._open_envelope(env, step)
                 continue
             self._delivered_deferred += 1
             self._delivered_delay_sum += step - env.sent_step
-            message = env.message
-            if batch_apply is not None and message.kind[k] == REC_RESULT:  # type: ignore[attr-defined]
-                run.append((message, k))
-                continue
-            if run:
-                batch_apply(run)
-                run = []
-            self._server.apply_report_record(message, k)  # type: ignore[union-attr]
-        if run:
-            batch_apply(run)
+            self._server.apply_report_record(env.message, k)  # type: ignore[union-attr]
 
     def _open_envelope(self, envelope: Envelope, step: int) -> None:
         """Hand one due envelope to its receiver."""
@@ -569,17 +550,6 @@ class SimulatedTransport:
         trace = self.trace
         step = self._step
         if not self.latency_active:
-            # A parallel shard executor takes maximal *runs* of contiguous
-            # result records in one batched call; the run flushes before
-            # any non-result record applies, because cell changes can move
-            # query ownership (focal migration) while result applies
-            # cannot, so every split inside a run sees frozen directories
-            # and the per-record ledger/trace order is untouched (result
-            # applies emit no ledger or trace events).
-            batch_factory = getattr(server, "result_batch_applier", None)
-            batch_apply = batch_factory() if batch_factory is not None else None
-            run: list[tuple[object, int]] = []
-            kinds = buf.kind
             for i in range(n):
                 t0 = perf_counter() if meter else 0.0
                 name = buf.kind_name_of(i)
@@ -589,15 +559,7 @@ class SimulatedTransport:
                     trace.record(step, "uplink", type=name, oid=oid)
                 if meter:
                     self.serialization_seconds += perf_counter() - t0
-                if batch_apply is not None and kinds[i] == REC_RESULT:
-                    run.append((buf, i))
-                    continue
-                if run:
-                    batch_apply(run)
-                    run = []
                 apply_record(buf, i)
-            if run:
-                batch_apply(run)
             buf.clear()
             return
         t0 = perf_counter() if meter else 0.0

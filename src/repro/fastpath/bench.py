@@ -109,8 +109,7 @@ def xl_params() -> SimulationParameters:
 
     Ten times the paper's area and population (densities preserved), with
     the query count capped at 5,000 -- the ROADMAP's "city-scale" stress
-    point.  Only the vectorized engine (and, in useful time, the parallel
-    shard executor) gets through it.
+    point.  Only the vectorized engine gets through it.
     """
     params = paper_defaults().scaled(10.0)
     return replace(params, num_queries=5_000)
@@ -139,7 +138,7 @@ def scenario_matrix(
                 name="xl",
                 description=(
                     "100k objects / 5k queries (paper x10, densities "
-                    "preserved): the parallel-executor stress scenario"
+                    "preserved): the city-scale stress scenario"
                 ),
                 params=xl_params(),
                 steps=4,
@@ -250,8 +249,6 @@ def run_engine(
     scenario: BenchScenario,
     engine: str,
     shards: int = 1,
-    workers: int = 0,
-    executor: str = "thread",
     checkpoint_every: int = 0,
     rebalance_every: int = 0,
     rebalance_metric: str = "seconds",
@@ -282,8 +279,6 @@ def run_engine(
         safe_period=scenario.safe_period,
         engine=engine,
         shards=shards,
-        shard_workers=workers if shards > 1 else 0,
-        shard_executor=executor,
         uplink_latency_steps=scenario.uplink_latency,
         downlink_latency_steps=scenario.downlink_latency,
         latency_jitter_steps=scenario.latency_jitter,
@@ -301,8 +296,6 @@ def run_engine(
         track_accuracy=scenario.track_accuracy,
         warmup_steps=scenario.warmup,
     )
-    # Context-managed so a mid-run exception still tears down the shard
-    # executor (a leaked process pool outlives the bench otherwise).
     with system:
         return _run_engine_timed(system, scenario, workload, build_seconds=built)
 
@@ -312,8 +305,6 @@ def _run_engine_timed(
 ) -> dict:
     config = system.config
     shards = config.shards
-    workers = config.shard_workers
-    executor = config.shard_executor
     engine = config.engine
     checkpoint_every = config.checkpoint_every_steps
     rebalance_every = config.rebalance_every_steps
@@ -332,25 +323,17 @@ def _run_engine_timed(
     system.run(scenario.steps)
     wall_seconds = time.perf_counter() - started
 
-    # Server seconds over the measured window, both ways: the aggregate
-    # sums per-shard CPU time (double-counting concurrent work under a
-    # parallel executor), the critical path credits each parallel region
-    # with its slowest worker only -- the modeled wall time on idle cores.
-    measured = system.metrics._measured()
-    server_aggregate = sum(s.server_seconds for s in measured)
-    server_critical = sum(s.server_critical_seconds for s in measured)
+    # Server seconds over the measured window, summed over shards.
+    server_aggregate = sum(s.server_seconds for s in system.metrics._measured())
 
     report = {
         "engine": engine,
-        "workers": workers if shards > 1 else 0,
-        "executor": executor if shards > 1 and workers > 0 else None,
         "build_seconds": round(build_seconds, 4),
         "warmup_seconds": round(warmup_seconds, 4),
         "wall_seconds": round(wall_seconds, 4),
         "steps_per_sec": round(scenario.steps / wall_seconds, 4),
         "ms_per_step": round(1000.0 * wall_seconds / scenario.steps, 3),
         "server_aggregate_seconds": round(server_aggregate, 4),
-        "server_critical_seconds": round(server_critical, 4),
         "phase_seconds": {name: round(spent, 4) for name, spent in phase_seconds.items()},
         "result_hash": result_hash(system),
         "uplink_messages": system.ledger.uplink_count,
@@ -392,8 +375,6 @@ def _checkpoint_roundtrip(system: MobiEyesSystem, report: dict) -> dict:
         return out
     started = time.perf_counter()
     blob = cp.to_bytes()
-    # Context-managed: a resume that raises must not leak the restored
-    # system's shard executor.
     with restore(from_bytes(blob)) as resumed:
         resumed_steps = system.clock.step - resumed.clock.step
         resumed.run(resumed_steps)
@@ -417,10 +398,9 @@ def load_balance(shard_loads: list[dict]) -> dict:
     ``imbalance`` is max/mean over the deterministic ``ops`` counters:
     1.0 is a perfect split, ``num_shards`` is the degenerate case of all
     load on one shard.  The seconds-based view reports the same split in
-    wall time: ``aggregate_seconds`` sums every shard (double-counting
-    concurrent work), ``critical_seconds`` is the slowest shard -- the
-    floor any parallel schedule of this partitioning can reach -- and
-    ``imbalance_seconds`` is the critical-path max/mean.
+    wall time: ``aggregate_seconds`` sums every shard,
+    ``critical_seconds`` is the slowest shard, and ``imbalance_seconds``
+    is that slowest shard over the mean.
     """
     ops = [row["ops"] for row in shard_loads]
     seconds = [row["seconds"] for row in shard_loads]
@@ -444,21 +424,11 @@ def run_scenario(
     scenario: BenchScenario,
     log=print,
     shards: int = 1,
-    workers: int = 0,
-    executor: str = "thread",
     checkpoint_every: int = 0,
     rebalance_every: int = 0,
     rebalance_metric: str = "seconds",
 ) -> dict:
     """Run one scenario through every available engine.
-
-    With ``workers > 0`` (and ``shards > 1``) each engine runs twice --
-    serial coordinator, then pooled -- and the row gains the parallel
-    columns: ``parallel_speedup`` (serial aggregate server seconds over
-    pooled critical-path seconds -- the span speedup a multicore host
-    realizes as wall time), ``parallel_wall_speedup`` (pooled over serial
-    steps/sec on *this* host), and ``parallel_match`` (bit-identity of
-    result hash, message counts, and energy).
 
     With ``rebalance_every > 0`` (and ``shards > 1``) each engine *also*
     runs a static-stripes twin first, and the rebalanced run gains a
@@ -483,8 +453,6 @@ def run_scenario(
         "safe_period": scenario.safe_period,
         "dead_reckoning_threshold": scenario.dead_reckoning_threshold,
         "shards": shards,
-        "workers": workers if shards > 1 else 0,
-        "executor": executor if shards > 1 and workers > 0 else None,
         "latency": {
             "uplink_steps": scenario.uplink_latency,
             "downlink_steps": scenario.downlink_latency,
@@ -492,8 +460,6 @@ def run_scenario(
         },
         "engines": {},
     }
-    pooled = shards > 1 and workers > 0
-    parallel_speedups: dict[str, float] = {}
     for engine in scenario.engines:
         if engine == "vectorized" and not numpy_available():
             row["engines"][engine] = {"skipped": "numpy not installed"}
@@ -503,22 +469,14 @@ def run_scenario(
             f"  {scenario.name}/{engine}: {params.num_objects} objects, "
             f"{params.num_queries} queries, {scenario.steps} steps ..."
         )
-        serial = None
-        if pooled:
-            # The parallel baseline: same shard count, serial coordinator.
-            serial = run_engine(scenario, engine, shards=shards)
         static = None
         if rebalance_every and shards > 1:
             # The rebalance baseline: identical run, frozen stripes.
-            static = run_engine(
-                scenario, engine, shards=shards, workers=workers, executor=executor
-            )
+            static = run_engine(scenario, engine, shards=shards)
         result = run_engine(
             scenario,
             engine,
             shards=shards,
-            workers=workers,
-            executor=executor,
             checkpoint_every=checkpoint_every,
             rebalance_every=rebalance_every,
             rebalance_metric=rebalance_metric,
@@ -560,33 +518,6 @@ def run_scenario(
             f"  {scenario.name}/{engine}: {result['steps_per_sec']:.2f} steps/s "
             f"({result['ms_per_step']:.1f} ms/step)"
         )
-        if serial is not None:
-            critical = result.get("server_critical_seconds") or 0.0
-            aggregate = serial.get("server_aggregate_seconds") or 0.0
-            parallel = {
-                "serial_steps_per_sec": serial["steps_per_sec"],
-                "serial_server_aggregate_seconds": serial["server_aggregate_seconds"],
-                "parallel_match": (
-                    result["result_hash"] == serial["result_hash"]
-                    and result["uplink_messages"] == serial["uplink_messages"]
-                    and result["downlink_messages"] == serial["downlink_messages"]
-                    and result["energy_joules"] == serial["energy_joules"]
-                ),
-            }
-            if critical > 0 and aggregate > 0:
-                parallel["parallel_speedup"] = round(aggregate / critical, 3)
-                parallel_speedups[engine] = parallel["parallel_speedup"]
-            if serial["steps_per_sec"] > 0:
-                parallel["parallel_wall_speedup"] = round(
-                    result["steps_per_sec"] / serial["steps_per_sec"], 3
-                )
-            result["parallel"] = parallel
-            match = "bit-identical" if parallel["parallel_match"] else "DIVERGED"
-            log(
-                f"  {scenario.name}/{engine}: parallel x{workers} {executor} vs serial: "
-                f"span speedup {parallel.get('parallel_speedup', 'n/a')}x, "
-                f"wall {parallel.get('parallel_wall_speedup', 'n/a')}x ({match})"
-            )
         balance = result.get("load_balance")
         if balance is not None:
             log(
@@ -610,17 +541,6 @@ def run_scenario(
                     f"({roundtrip['checkpoint_bytes']} bytes, "
                     f"{roundtrip['resumed_steps']} steps resumed): {verdict}"
                 )
-    if parallel_speedups:
-        # The row-level column prefers the vectorized engine (the one the
-        # CI gate reads); the per-engine values stay under engines.*.
-        row["parallel_speedup"] = parallel_speedups.get(
-            "vectorized", next(iter(parallel_speedups.values()))
-        )
-        row["parallel_match"] = all(
-            result.get("parallel", {}).get("parallel_match", True)
-            for result in row["engines"].values()
-            if "skipped" not in result
-        )
     ref = row["engines"].get("reference", {})
     vec = row["engines"].get("vectorized", {})
     if "steps_per_sec" in ref and "steps_per_sec" in vec:
@@ -634,112 +554,8 @@ def run_scenario(
 
 
 class BenchRegression(RuntimeError):
-    """Raised when a bench run falls below the baseline by more than the
-    allowed throughput margin (the artifact is still written first)."""
-
-
-def compare_reports(
-    new: dict,
-    baseline: dict,
-    threshold: float = 0.2,
-    phase_threshold: float = 0.25,
-    phase_floor: float = 0.1,
-) -> list[str]:
-    """Regression-gate a fresh bench report against a baseline artifact.
-
-    Three gates per matched scenario/engine pair:
-
-    - throughput: ``steps_per_sec`` dropped by more than ``threshold``
-      (fraction) relative to the baseline;
-    - per-phase time: any phase present in both reports regressed by more
-      than ``phase_threshold`` (fraction).  Phases below ``phase_floor``
-      seconds in the baseline are skipped, and the absolute growth must
-      itself exceed the floor, so timer noise on near-zero phases cannot
-      fail a run;
-    - determinism: ``result_hash`` and message counts must match the
-      baseline exactly (same workload seed, so any drift is a semantic
-      regression, not noise).
-
-    Pairs are matched by scenario name and engine; a pair is only
-    compared when mode, shards, and latency settings agree, so a
-    baseline recorded under different knobs silently gates nothing.
-    """
-    failures: list[str] = []
-    # Reports written before the shard/latency/workers knobs existed lack
-    # the keys; they were all single-shard, zero-latency, serial runs.
-    if new.get("mode") != baseline.get("mode") or (new.get("shards") or 1) != (
-        baseline.get("shards") or 1
-    ):
-        return failures
-    if (new.get("workers") or 0) != (baseline.get("workers") or 0):
-        return failures
-    # Checkpoint cadence perturbs wall time (each snapshot deepcopies the
-    # full system), so timings only gate against a same-cadence baseline.
-    if (new.get("checkpoint_every") or 0) != (baseline.get("checkpoint_every") or 0):
-        return failures
-    # Rebalancing perturbs wall time (twin runs) *and* message counts
-    # (directive downlinks), so it only gates against a same-knob baseline.
-    if (new.get("rebalance_every") or 0) != (baseline.get("rebalance_every") or 0):
-        return failures
-    # Service-runtime and elastic scale-out knobs (soak-style runs folded
-    # into a bench report): a changing fleet and queued ingest perturb
-    # both timings and message counts, so these also gate only against a
-    # same-knob baseline.  Baselines written before the knobs existed
-    # carry none of the keys -- every such report was a finite,
-    # fixed-fleet, no-ingest run, which the falsy defaults reproduce, so
-    # an old BENCH_local.json keeps gating unchanged.
-    for knob in ("elastic_max_shards", "elastic_schedule", "ingest_budget_per_step"):
-        if (new.get(knob) or 0) != (baseline.get(knob) or 0):
-            return failures
-    baseline_rows = {row["name"]: row for row in baseline.get("scenarios", [])}
-    for row in new.get("scenarios", []):
-        base_row = baseline_rows.get(row["name"])
-        if base_row is None:
-            continue
-        if row.get("latency") != base_row.get(
-            "latency", {"uplink_steps": 0, "downlink_steps": 0, "jitter_steps": 0}
-        ):
-            continue
-        for engine, result in row.get("engines", {}).items():
-            base_result = base_row.get("engines", {}).get(engine, {})
-            new_rate = result.get("steps_per_sec")
-            base_rate = base_result.get("steps_per_sec")
-            if new_rate is None or base_rate is None or base_rate <= 0:
-                continue
-            floor = (1.0 - threshold) * base_rate
-            if new_rate < floor:
-                failures.append(
-                    f"{row['name']}/{engine}: {new_rate:.2f} steps/s is below "
-                    f"{floor:.2f} (baseline {base_rate:.2f} - {threshold:.0%})"
-                )
-            new_hash = result.get("result_hash")
-            base_hash = base_result.get("result_hash")
-            if new_hash and base_hash and new_hash != base_hash:
-                failures.append(
-                    f"{row['name']}/{engine}: result_hash {new_hash[:16]}... "
-                    f"differs from baseline {base_hash[:16]}..."
-                )
-            for counter in ("uplink_messages", "downlink_messages"):
-                new_count = result.get(counter)
-                base_count = base_result.get(counter)
-                if new_count is not None and base_count is not None and new_count != base_count:
-                    failures.append(
-                        f"{row['name']}/{engine}: {counter} {new_count} "
-                        f"!= baseline {base_count}"
-                    )
-            base_phases = base_result.get("phase_seconds", {})
-            for phase, new_spent in result.get("phase_seconds", {}).items():
-                base_spent = base_phases.get(phase)
-                if base_spent is None or base_spent < phase_floor:
-                    continue
-                limit = (1.0 + phase_threshold) * base_spent
-                if new_spent > limit and new_spent - base_spent > phase_floor:
-                    failures.append(
-                        f"{row['name']}/{engine}: phase {phase} {new_spent:.2f}s "
-                        f"exceeds {limit:.2f}s (baseline {base_spent:.2f}s "
-                        f"+ {phase_threshold:.0%})"
-                    )
-    return failures
+    """Raised when a bench run's checkpoint roundtrip diverges (the
+    artifact is still written first)."""
 
 
 def run_bench(
@@ -750,10 +566,6 @@ def run_bench(
     shards: int = 1,
     latency: int = 0,
     jitter: int = 0,
-    compare: str | Path | None = None,
-    compare_threshold: float = 0.2,
-    workers: int = 0,
-    executor: str = "thread",
     scale: str = "default",
     checkpoint_every: int = 0,
     rebalance_every: int = 0,
@@ -761,25 +573,20 @@ def run_bench(
 ) -> Path:
     """Run the full matrix and write ``BENCH_<tag>.json``; returns the path.
 
-    With ``compare`` pointing at a previous ``BENCH_*.json``, the fresh
-    report is regression-gated against it after being written:
-    :class:`BenchRegression` is raised if any matched scenario/engine lost
-    more than ``compare_threshold`` of its baseline steps/sec.
+    Raises :class:`BenchRegression` when a ``checkpoint_every`` roundtrip
+    diverged.  This harness gates no timings -- the perf gate is
+    ``bench/run.py`` + ``bench/compare.py``.
     """
     if tag is None:
         tag = "smoke" if smoke else "local"
     # Fail fast on an unwritable destination -- before minutes of scenarios.
     dest = Path(out_dir if out_dir is not None else Path.cwd())
     dest.mkdir(parents=True, exist_ok=True)
-    baseline = None
-    if compare is not None:
-        baseline = json.loads(Path(compare).read_text(encoding="ascii"))
     scenarios = scenario_matrix(smoke=smoke, latency=latency, jitter=jitter, preset=scale)
     log(
         f"bench: {len(scenarios)} scenario(s), mode={'smoke' if smoke else 'full'}"
         + (f", scale={scale}" if scale != "default" else "")
         + (f", shards={shards}" if shards > 1 else "")
-        + (f", workers={workers} ({executor})" if workers and shards > 1 else "")
         + (f", latency={latency}" if latency else "")
         + (f", jitter={jitter}" if jitter else "")
         + (f", checkpoint_every={checkpoint_every}" if checkpoint_every else "")
@@ -795,8 +602,6 @@ def run_bench(
         "python": sys.version.split()[0],
         "numpy_available": numpy_available(),
         "shards": shards,
-        "workers": workers if shards > 1 else 0,
-        "executor": executor if shards > 1 and workers > 0 else None,
         "scale": scale,
         "latency": {"uplink_steps": latency, "downlink_steps": latency, "jitter_steps": jitter},
         "checkpoint_every": checkpoint_every,
@@ -808,8 +613,6 @@ def run_bench(
                 scenario,
                 log=log,
                 shards=shards,
-                workers=workers,
-                executor=executor,
                 checkpoint_every=checkpoint_every,
                 rebalance_every=rebalance_every,
                 rebalance_metric=rebalance_metric,
@@ -823,12 +626,6 @@ def run_bench(
         if "speedup" in row:
             match = "results match" if row["results_match"] else "RESULTS DIFFER"
             log(f"  {row['name']}: vectorized {row['speedup']}x vs reference ({match})")
-        if "parallel_speedup" in row:
-            match = "bit-identical" if row["parallel_match"] else "DIVERGED"
-            log(
-                f"  {row['name']}: parallel span speedup {row['parallel_speedup']}x "
-                f"vs serial coordinator ({match})"
-            )
     log(f"bench: wrote {path}")
     # A diverged checkpoint roundtrip is a correctness failure, not a
     # perf regression -- fail the run (the artifact is already written).
@@ -842,11 +639,4 @@ def run_bench(
         raise BenchRegression(
             "checkpoint roundtrip diverged: " + ", ".join(broken)
         )
-    if baseline is not None:
-        failures = compare_reports(report, baseline, threshold=compare_threshold)
-        if failures:
-            raise BenchRegression(
-                f"bench regression vs {compare}: " + "; ".join(failures)
-            )
-        log(f"bench: within {compare_threshold:.0%} of baseline {compare}")
     return path

@@ -22,14 +22,6 @@ reach the batch evaluator through the same push-based ``attach`` hooks
 the reporting phase uses, so a message that arrives late lands in the
 arena exactly as if its handler had run inline.
 
-Server-side parallelism composes transparently: when the coordinator
-runs a pooled shard executor, the transport routes contiguous runs of
-buffered result records through the executor's batch kernel
-(fork / per-shard region / ordered barrier) instead of the per-record
-scalar apply -- the engine phases above never notice, and both engines
-produce bit-identical ledgers at any worker count (differentially
-tested in ``tests/test_parallel_executor.py``).
-
 The reporting scan picks dead-reckoning candidates from the system's
 ``focal_flags`` -- the client-side registry of who believes it has moving
 queries -- rather than the server's FOT.  The two agree in fault-free

@@ -135,8 +135,6 @@ def run_chaos(
     uplink_latency: int = 0,
     downlink_latency: int = 0,
     latency_jitter: int = 0,
-    workers: int = 0,
-    executor: str = "thread",
     crash: bool = False,
     checkpoint_every: int = 0,
     rebalance: bool = False,
@@ -187,8 +185,6 @@ def run_chaos(
         base_station_side=params.base_station_side,
         engine=engine,
         shards=shards,
-        shard_workers=workers if shards > 1 else 0,
-        shard_executor=executor,
         uplink_latency_steps=uplink_latency,
         downlink_latency_steps=downlink_latency,
         latency_jitter_steps=latency_jitter,
@@ -217,8 +213,8 @@ def run_chaos(
         loss=injector,
     )
     # Everything past construction runs under try/finally: a raising
-    # step (or report assembly) must still tear down the shard
-    # executors of both the system and its lockstep twin.
+    # step (or report assembly) must still close the system and its
+    # lockstep twin.
     twin = None
     try:
         system.install_queries(workload.query_specs)
@@ -362,7 +358,6 @@ def run_chaos(
             "steps": steps,
             "scale": scale,
             "shards": shards,
-            "workers": workers if shards > 1 else 0,
             "objects": params.num_objects,
             "queries": params.num_queries,
             "channels": {

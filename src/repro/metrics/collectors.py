@@ -25,11 +25,6 @@ class StepStats:
 
     step: int
     server_seconds: float = 0.0
-    # Critical-path view of the same window: aggregate shard-CPU seconds
-    # with each parallel region's summed worker time replaced by its
-    # slowest worker.  Equals ``server_seconds`` without a parallel shard
-    # executor (and on the monolithic server).
-    server_critical_seconds: float = 0.0
     server_ops: int = 0
     uplink_messages: int = 0
     downlink_messages: int = 0
@@ -96,13 +91,6 @@ class MetricsLog:
         """Mean server-logic seconds per measured step."""
         measured = self._require_steps()
         return sum(s.server_seconds for s in measured) / len(measured)
-
-    def mean_server_critical_seconds(self) -> float:
-        """Mean critical-path server seconds per measured step (the
-        modeled wall time under a parallel shard executor; equals
-        :meth:`mean_server_seconds` without one)."""
-        measured = self._require_steps()
-        return sum(s.server_critical_seconds for s in measured) / len(measured)
 
     def mean_server_ops(self) -> float:
         """Mean abstract server operations per measured step."""

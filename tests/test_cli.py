@@ -77,9 +77,6 @@ class TestBench:
             shards=1,
             latency=0,
             jitter=0,
-            compare=None,
-            workers=0,
-            executor="thread",
             scale="default",
             checkpoint_every=0,
             rebalance_every=0,
@@ -87,8 +84,7 @@ class TestBench:
         ):
             calls.update(
                 tag=tag, smoke=smoke, out_dir=out_dir, shards=shards,
-                latency=latency, jitter=jitter, compare=compare,
-                workers=workers, executor=executor, scale=scale,
+                latency=latency, jitter=jitter, scale=scale,
                 checkpoint_every=checkpoint_every,
                 rebalance_every=rebalance_every, rebalance_metric=rebalance_metric,
             )
@@ -97,12 +93,11 @@ class TestBench:
         monkeypatch.setattr(bench_mod, "run_bench", fake_run_bench)
         assert main([
             "bench", "--smoke", "--tag", "x", "--shards", "4",
-            "--latency", "2", "--workers", "4", "--executor", "process",
+            "--latency", "2",
         ]) == 0
         assert calls == {
             "tag": "x", "smoke": True, "out_dir": None, "shards": 4,
-            "latency": 2, "jitter": 0, "compare": None,
-            "workers": 4, "executor": "process", "scale": "default",
+            "latency": 2, "jitter": 0, "scale": "default",
             "checkpoint_every": 0,
             "rebalance_every": 0, "rebalance_metric": "seconds",
         }
@@ -111,10 +106,10 @@ class TestBench:
         import repro.fastpath.bench as bench_mod
 
         def failing_run_bench(**kwargs):
-            raise bench_mod.BenchRegression("dense/reference: 50.0 < 80% of 100.0")
+            raise bench_mod.BenchRegression("checkpoint roundtrip diverged: dense/reference")
 
         monkeypatch.setattr(bench_mod, "run_bench", failing_run_bench)
-        assert main(["bench", "--smoke", "--compare", "BENCH_old.json"]) == 1
+        assert main(["bench", "--smoke", "--checkpoint-every", "5"]) == 1
 
 
 class TestParser:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import GridPartitioner
+from repro.core import PartitionMap
 from repro.geometry import Rect
 from repro.grid import CellRange, Grid
 
@@ -19,7 +19,7 @@ class TestStripeBounds:
         """Every column is owned by exactly one shard, stripes are
         contiguous, and shard_of_cell agrees with columns_of."""
         grid = make_grid(cols=10)
-        part = GridPartitioner(grid, num_shards)
+        part = PartitionMap(grid, num_shards)
         seen = []
         for shard in range(part.num_shards):
             lo, hi = part.columns_of(shard)
@@ -34,32 +34,32 @@ class TestStripeBounds:
                 assert part.owns(shard, (i, j))
 
     def test_near_even_split(self):
-        part = GridPartitioner(make_grid(cols=10), 4)
+        part = PartitionMap(make_grid(cols=10), 4)
         widths = [hi - lo + 1 for lo, hi in (part.columns_of(s) for s in range(4))]
         assert sum(widths) == 10
         assert max(widths) - min(widths) <= 1
 
     def test_requested_count_clamped_to_columns(self):
         grid = make_grid(cols=4)
-        part = GridPartitioner(grid, 64)
+        part = PartitionMap(grid, 64)
         assert part.num_shards == 4
         # Every shard still owns at least one column.
         assert all(part.columns_of(s)[0] <= part.columns_of(s)[1] for s in range(4))
 
     def test_out_of_range_cells_clamp(self):
-        part = GridPartitioner(make_grid(cols=10), 3)
+        part = PartitionMap(make_grid(cols=10), 3)
         assert part.shard_of_cell((-5, 0)) == 0
         assert part.shard_of_cell((999, 0)) == part.num_shards - 1
 
     def test_invalid_count_raises(self):
         with pytest.raises(ValueError):
-            GridPartitioner(make_grid(), 0)
+            PartitionMap(make_grid(), 0)
 
 
 class TestRegionSplit:
     def test_cells_of_cover_grid(self):
         grid = make_grid(cols=9, rows=5)
-        part = GridPartitioner(grid, 3)
+        part = PartitionMap(grid, 3)
         covered = set()
         for shard in range(part.num_shards):
             cells = set(part.cells_of(shard))
@@ -70,7 +70,7 @@ class TestRegionSplit:
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 5])
     def test_split_is_exact_partition_of_region(self, num_shards):
         grid = make_grid(cols=10, rows=6)
-        part = GridPartitioner(grid, num_shards)
+        part = PartitionMap(grid, num_shards)
         for lo_i in range(0, 9, 2):
             for hi_i in range(lo_i, 10, 3):
                 region = CellRange(lo_i, hi_i, 1, 4)
@@ -88,13 +88,13 @@ class TestRegionSplit:
                 )
 
     def test_clip_disjoint_is_none(self):
-        part = GridPartitioner(make_grid(cols=10), 2)
+        part = PartitionMap(make_grid(cols=10), 2)
         region = CellRange(0, 2, 0, 3)  # entirely inside shard 0
         assert part.clip(region, 1) is None
         assert part.clip(region, 0) == region
 
     def test_shards_of_region_span(self):
-        part = GridPartitioner(make_grid(cols=10), 2)  # stripes 0-4, 5-9
+        part = PartitionMap(make_grid(cols=10), 2)  # stripes 0-4, 5-9
         assert list(part.shards_of_region(CellRange(3, 6, 0, 0))) == [0, 1]
         assert list(part.shards_of_region(CellRange(0, 4, 0, 0))) == [0]
         assert list(part.shards_of_region(CellRange(5, 9, 0, 0))) == [1]
@@ -104,13 +104,13 @@ class TestMutation:
     """The epoch-versioned mutable side of PartitionMap."""
 
     def test_initial_epoch_and_bounds(self):
-        part = GridPartitioner(make_grid(cols=10), 4)
+        part = PartitionMap(make_grid(cols=10), 4)
         assert part.epoch == 0
         assert part.bounds == (0, 2, 5, 7, 10)
         assert [part.width_of(s) for s in range(4)] == [2, 3, 2, 3]
 
     def test_transfer_moves_columns_and_bumps_epoch(self):
-        part = GridPartitioner(make_grid(cols=10), 2)  # stripes 0-4, 5-9
+        part = PartitionMap(make_grid(cols=10), 2)  # stripes 0-4, 5-9
         moved = part.transfer(0, 1, 2)
         assert moved == 2
         assert part.epoch == 1
@@ -119,7 +119,7 @@ class TestMutation:
         assert part.shard_of_cell((3, 0)) == 1
 
     def test_transfer_clamps_to_donor_width(self):
-        part = GridPartitioner(make_grid(cols=10), 2)
+        part = PartitionMap(make_grid(cols=10), 2)
         moved = part.transfer(0, 1, 99)
         assert moved == 5  # shard 0 had exactly 5 columns
         assert part.width_of(0) == 0
@@ -127,14 +127,14 @@ class TestMutation:
         assert part.epoch == 1
 
     def test_transfer_non_adjacent_or_noop_keeps_epoch(self):
-        part = GridPartitioner(make_grid(cols=10), 4)
+        part = PartitionMap(make_grid(cols=10), 4)
         with pytest.raises(ValueError):
             part.transfer(0, 2, 1)
         assert part.transfer(0, 1, 0) == 0
         assert part.epoch == 0
 
     def test_empty_stripe_receives_no_routes(self):
-        part = GridPartitioner(make_grid(cols=10), 2)
+        part = PartitionMap(make_grid(cols=10), 2)
         part.transfer(0, 1, 5)  # shard 0 emptied
         assert part.width_of(0) == 0
         for col in range(10):
@@ -145,7 +145,7 @@ class TestMutation:
         assert list(part.shards_of_region(whole)) == [1]
 
     def test_single_column_stripe_is_a_valid_donor_once(self):
-        part = GridPartitioner(make_grid(cols=3), 3)  # one column each
+        part = PartitionMap(make_grid(cols=3), 3)  # one column each
         assert [part.width_of(s) for s in range(3)] == [1, 1, 1]
         assert part.transfer(1, 2, 1) == 1
         assert part.width_of(1) == 0
@@ -154,7 +154,7 @@ class TestMutation:
         assert part.epoch == 1
 
     def test_epoch_monotone_under_split_merge_split(self):
-        part = GridPartitioner(make_grid(cols=12), 3)
+        part = PartitionMap(make_grid(cols=12), 3)
         epochs = [part.epoch]
         part.split_stripe(0)
         epochs.append(part.epoch)
@@ -166,10 +166,10 @@ class TestMutation:
         assert sum(part.width_of(s) for s in range(3)) == 12
 
     def test_restore_state_roundtrip_and_validation(self):
-        part = GridPartitioner(make_grid(cols=10), 4)
+        part = PartitionMap(make_grid(cols=10), 4)
         part.transfer(0, 1, 2)
         saved_bounds, saved_epoch = part.bounds, part.epoch
-        other = GridPartitioner(make_grid(cols=10), 4)
+        other = PartitionMap(make_grid(cols=10), 4)
         other.restore_state(saved_bounds, saved_epoch)
         assert other.bounds == saved_bounds and other.epoch == saved_epoch
         with pytest.raises(ValueError):

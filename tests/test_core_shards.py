@@ -42,6 +42,7 @@ def build_system(
     params=None,
     thresh=0.0,
     one_shard_coordinator=False,
+    latency=0,
 ):
     """A Table-1 workload system, optionally sharded.
 
@@ -61,6 +62,8 @@ def build_system(
         dead_reckoning_threshold=thresh,
         engine=engine,
         shards=shards,
+        uplink_latency_steps=latency,
+        downlink_latency_steps=latency,
     )
     system = MobiEyesSystem(
         config,
@@ -95,7 +98,6 @@ def metrics_snapshot(system, include_ops=True):
         row = dataclasses.asdict(stats)
         # Wall-clock fields legitimately differ between deployments.
         row.pop("server_seconds", None)
-        row.pop("server_critical_seconds", None)
         row.pop("object_processing_seconds", None)
         if not include_ops:
             # Cross-shard focal handoffs are real extra server work the
@@ -149,6 +151,22 @@ class TestBitIdentity:
             system.step()
             assert system.results() == system.oracle_results()
         system.check_invariants()
+
+    @pytest.mark.parametrize("latency", [0, 2])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_subscriber_order_across_shard_counts(self, engine, latency):
+        """Result-change callbacks fire in the same ``(qid, oid, entered)``
+        order however the grid is partitioned."""
+        sequences = []
+        for shards in (1, 2, 4):
+            system = build_system(engine, shards=shards, latency=latency)
+            events = []
+            for qid in sorted(system.results()):
+                system.subscribe(qid, lambda q, o, entered: events.append((q, o, entered)))
+            system.run(12)
+            sequences.append(events)
+        assert sequences[0], "scenario produced no membership events"
+        assert sequences[0] == sequences[1] == sequences[2]
 
 
 def sharded_world(shards=2):
@@ -291,6 +309,13 @@ class TestCoordinatorFacade:
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):
             make_system([make_object(0, 24, 25)], shards=0)
+
+    def test_pooled_executor_options_are_gone(self):
+        with pytest.raises(ValueError, match="pooled shard executors were removed"):
+            make_system([make_object(0, 24, 25)], shards=2, shard_workers=1)
+        # No executor-flavor field either: these are the only shard options.
+        fields = {f.name for f in dataclasses.fields(MobiEyesConfig)}
+        assert {n for n in fields if n.startswith("shard")} == {"shards", "shard_workers"}
 
     def test_load_aggregation_and_shard_loads(self):
         system = sharded_world()

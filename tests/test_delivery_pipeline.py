@@ -418,7 +418,6 @@ def metrics_snapshot(system):
     for stats in system.metrics.steps:
         row = dataclasses.asdict(stats)
         row.pop("server_seconds", None)
-        row.pop("server_critical_seconds", None)
         row.pop("object_processing_seconds", None)
         rows.append(row)
     return rows

@@ -516,15 +516,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             self._base(shards=2, elastic_max_shards=3)
 
-    def test_elastic_excludes_workers(self):
-        with pytest.raises(ValueError):
-            self._base(
-                shards=2,
-                shard_workers=2,
-                elastic_max_shards=3,
-                rebalance_every_steps=2,
-            )
-
     def test_elastic_excludes_rebalance_schedule(self):
         with pytest.raises(ValueError):
             self._base(

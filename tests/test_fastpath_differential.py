@@ -88,7 +88,6 @@ def metrics_snapshot(system):
         row = dataclasses.asdict(stats)
         # Wall-clock fields legitimately differ between engines.
         row.pop("server_seconds", None)
-        row.pop("server_critical_seconds", None)
         row.pop("object_processing_seconds", None)
         rows.append(row)
     return rows

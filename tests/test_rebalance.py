@@ -5,9 +5,9 @@ Evidence layers:
 
 1. :class:`~repro.core.RebalancePolicy` unit behavior -- window diffing,
    thermostat hysteresis, donor/recipient selection, checkpoint state;
-2. scheduled repartitions are *bit-identical* across engines, shard
-   counts, and executors (the broadcast-always design), and never change
-   results relative to a static-stripes twin;
+2. scheduled repartitions are *bit-identical* across engines and shard
+   counts (the broadcast-always design), and never change results
+   relative to a static-stripes twin;
 3. stale-epoch uplinks survive boundary moves under latency (rerouted by
    the live map, counted, never dropped);
 4. checkpoints taken before a scheduled move restore and replay it
@@ -40,8 +40,6 @@ def build_system(
     scale=0.012,
     seed=42,
     hotspot=0.0,
-    workers=0,
-    executor="thread",
     latency=0,
     schedule=(),
     rebalance_every=0,
@@ -59,8 +57,6 @@ def build_system(
         base_station_side=params.base_station_side,
         engine=engine,
         shards=shards,
-        shard_workers=workers,
-        shard_executor=executor,
         uplink_latency_steps=latency,
         downlink_latency_steps=latency,
         latency_seed=seed,
@@ -182,14 +178,6 @@ class TestScheduledBitIdentity:
         ref = run_trace(build_system(engine="reference", shards=4, schedule=SCHEDULE), 10)
         vec = run_trace(build_system(engine="vectorized", shards=4, schedule=SCHEDULE), 10)
         assert ref == vec
-
-    def test_identical_serial_vs_pooled(self):
-        serial = build_system(shards=4, schedule=SCHEDULE)
-        pooled = build_system(shards=4, schedule=SCHEDULE, workers=2)
-        try:
-            assert run_trace(serial, 10) == run_trace(pooled, 10)
-        finally:
-            pooled.close()
 
     def test_schedule_mutates_bounds_and_logs(self):
         system = build_system(shards=2, schedule=SCHEDULE)

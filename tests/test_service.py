@@ -201,6 +201,7 @@ class TestBackpressure:
             assert counters["submitted"] == (
                 counters["applied"]
                 + counters["backpressure_rejects"]
+                + counters["invalid_rejects"]
                 + counters["queued"]
             )
             assert service.system.clock.step == 10
@@ -254,6 +255,58 @@ class TestTickets:
             service.remove_query(rejected)
             with pytest.raises(ValueError, match="never applied"):
                 service.tick()
+
+
+class TestInvalidTargets:
+    """Ops naming an object or query that does not exist at admission are
+    rejected and counted; the rest of the slot still applies."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_update_for_unknown_object_is_rejected(self, shards):
+        system, workload, _ = build_system(shards=shards)
+        with MobiEyesService(system) as service:
+            known = workload.objects[0].oid
+            bad = service.submit_update(10**6, Point(1.0, 1.0), Vector(0.0, 0.0))
+            good = service.submit_update(known, Point(2.0, 3.0), Vector(0.0, 0.0))
+            service.tick()
+            assert bad.rejected and good.applied
+            assert service.counters()["invalid_rejects"] == 1
+            service.check_accounting()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_second_remove_of_same_query_is_rejected(self, shards):
+        system, workload, _ = build_system(shards=shards)
+        with MobiEyesService(system) as service:
+            qid = sorted(system.results())[0]
+            first = service.remove_query(qid)
+            second = service.remove_query(qid)
+            spec = QuerySpec(oid=workload.objects[0].oid, region=Circle(0.0, 0.0, 0.5))
+            install = service.install_query(spec)
+            service.tick()
+            assert first.applied and second.rejected and install.applied
+            assert qid not in system.results()
+            assert service.invalid_rejects == 1
+            service.check_accounting()
+
+    def test_install_for_unknown_focal_is_rejected(self):
+        system, _, _ = build_system()
+        with MobiEyesService(system) as service:
+            ticket = service.install_query(
+                QuerySpec(oid=10**6, region=Circle(0.0, 0.0, 0.5))
+            )
+            service.tick()
+            assert ticket.rejected and ticket.qid is None
+            service.check_accounting()
+
+    def test_invalid_rejects_survive_checkpoint(self):
+        system, _, _ = build_system()
+        with MobiEyesService(system) as service:
+            service.submit_update(10**6, Point(1.0, 1.0), Vector(0.0, 0.0))
+            service.tick()
+            with MobiEyesService(restore(checkpoint(system))) as resumed:
+                assert resumed.invalid_rejects == 1
+                assert resumed.counters() == service.counters()
+                resumed.check_accounting()
 
 
 class TestServiceCheckpoint:
