@@ -7,13 +7,13 @@ Usage::
     python -m repro run all --scale 0.05         # everything, custom scale
     python -m repro params [--scale 0.06]        # show Table 1 (scaled)
     python -m repro simulate --objects 400 --queries 40 --steps 30
-    python -m repro bench --smoke                # engine benchmark artifact
     python -m repro chaos --smoke                # fault-injection harness
     python -m repro serve --steps 60             # twin-graded service soak
 
-``run`` prints each experiment's table (the same output the benchmark
-harness produces); ``simulate`` runs a single ad-hoc MobiEyes simulation
-and prints a metrics summary.
+``run`` prints each experiment's table (the same output the
+``benchmarks/`` suite produces); ``simulate`` runs a single ad-hoc MobiEyes
+simulation and prints a metrics summary.  The performance benchmark is not
+a subcommand: it is ``python3 bench/run.py`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -142,28 +142,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         print()
         print(render_world(system))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.fastpath.bench import BenchRegression, run_bench
-
-    try:
-        run_bench(
-            tag=args.tag,
-            smoke=args.smoke,
-            out_dir=args.output,
-            shards=args.shards,
-            latency=args.latency,
-            jitter=args.latency_jitter,
-            scale=args.scale,
-            checkpoint_every=args.checkpoint_every,
-            rebalance_every=args.rebalance_every,
-            rebalance_metric=args.rebalance_metric,
-        )
-    except BenchRegression as regression:
-        print(str(regression), file=sys.stderr)
-        return 1
     return 0
 
 
@@ -340,74 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--render", action="store_true", help="draw an ASCII map of the final world state"
     )
     simulate.set_defaults(func=_cmd_simulate)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark reference vs. vectorized engine, write BENCH_<tag>.json"
-    )
-    bench.add_argument(
-        "--smoke", action="store_true", help="small REPRO_SCALE-aware matrix for CI"
-    )
-    bench.add_argument(
-        "--tag", default=None, help="artifact tag (default: 'local', or 'smoke' with --smoke)"
-    )
-    bench.add_argument(
-        "--output", default=None, help="directory for the artifact (default: current directory)"
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="server shards behind the coordinator (default 1 = monolithic server); "
-        "the report gains per-shard load-balance figures when > 1",
-    )
-    bench.add_argument(
-        "--scale",
-        choices=("default", "xl", "skewed"),
-        default="default",
-        help="scenario preset: 'default' = the usual matrix, 'xl' = one "
-        "100k-object / 5k-query vectorized-only scenario, 'skewed' = one "
-        "flash-crowd scenario (half the objects in the left 20%% x-strip)",
-    )
-    bench.add_argument(
-        "--latency",
-        type=int,
-        default=0,
-        help="per-link delivery delay in steps applied to both uplink and "
-        "downlink (default 0 = inline delivery)",
-    )
-    bench.add_argument(
-        "--latency-jitter",
-        type=int,
-        default=0,
-        help="seeded random extra delay in [0, N] steps on top of --latency",
-    )
-    bench.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        help="snapshot the full system every N steps during the measured "
-        "window, then restore the last checkpoint and resume it to the end: "
-        "the report gains the snapshot cost and a bit-identity verdict "
-        "(exit 1 if the resumed run diverges)",
-    )
-    bench.add_argument(
-        "--rebalance-every",
-        type=int,
-        default=0,
-        help="evaluate the load-aware repartitioning policy every N steps "
-        "(requires --shards > 1): each engine also runs a static-stripes "
-        "twin and the report gains a rebalance block with the static vs "
-        "rebalanced imbalance_seconds and a result-identity verdict",
-    )
-    bench.add_argument(
-        "--rebalance-metric",
-        choices=("seconds", "ops"),
-        default="seconds",
-        help="load signal driving --rebalance-every: wall-clock 'seconds' "
-        "(the real thing) or deterministic 'ops' (reproducible triggers "
-        "for CI)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     chaos = sub.add_parser(
         "chaos",
@@ -613,7 +523,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as error:
+        # Harness and config validation (e.g. --crash at --shards 1).
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

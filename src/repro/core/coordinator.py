@@ -688,7 +688,7 @@ class Coordinator:
         return seconds, ops
 
     def shard_loads(self) -> list[dict]:
-        """Per-shard lifetime load totals (for the bench's balance report).
+        """Per-shard lifetime load totals (for the harness reports' balance block).
 
         Retired slots are excluded: they own no stripe and receive no
         routed traffic, so counting their (frozen) historical totals would

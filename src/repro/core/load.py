@@ -101,3 +101,59 @@ class LoadAccount:
         self.seconds = 0.0
         self.ops = 0
         return out
+
+
+def load_balance(shard_loads: list[dict]) -> dict:
+    """Balance summary over the per-shard lifetime load counters.
+
+    ``imbalance`` is max/mean over the deterministic ``ops`` counters:
+    1.0 is a perfect split, ``num_shards`` is the degenerate case of all
+    load on one shard.  The seconds-based view reports the same split in
+    wall time: ``aggregate_seconds`` sums every shard,
+    ``critical_seconds`` is the slowest shard, and ``imbalance_seconds``
+    is that slowest shard over the mean.
+    """
+    ops = [row["ops"] for row in shard_loads]
+    seconds = [row["seconds"] for row in shard_loads]
+    mean_ops = sum(ops) / max(1, len(ops))
+    mean_seconds = sum(seconds) / max(1, len(seconds))
+    return {
+        "num_shards": len(shard_loads),
+        "min_ops": min(ops),
+        "max_ops": max(ops),
+        "mean_ops": round(mean_ops, 1),
+        "imbalance": round(max(ops) / mean_ops, 3) if mean_ops else 1.0,
+        "aggregate_seconds": round(sum(seconds), 4),
+        "min_seconds": round(min(seconds), 4),
+        "max_seconds": round(max(seconds), 4),
+        "critical_seconds": round(max(seconds), 4),
+        "imbalance_seconds": round(max(seconds) / mean_seconds, 3) if mean_seconds else 1.0,
+    }
+
+
+def fleet_section(system) -> dict:
+    """The shard-fleet block of a harness report, from a live system.
+
+    ``shard_loads`` (seconds rounded for display), their
+    :func:`load_balance`, and the partition map's bounds and epoch are
+    ``None`` on a monolithic server; the applied ``rebalance_log`` and the
+    transport's ``stale_epoch_reroutes`` are always present.  The seconds
+    views are wall-clock and vary run to run; everything else is
+    deterministic.
+    """
+    out = {
+        "shard_loads": None,
+        "load_balance": None,
+        "partition_bounds": None,
+        "partition_epoch": None,
+        "stale_epoch_reroutes": system.transport.stale_epoch_reroutes,
+        "rebalance_log": list(system.rebalance_log),
+    }
+    server = system.server
+    if hasattr(server, "shard_loads"):
+        rows = server.shard_loads()
+        out["shard_loads"] = [{**row, "seconds": round(row["seconds"], 4)} for row in rows]
+        out["load_balance"] = load_balance(rows)
+        out["partition_bounds"] = list(server.partitioner.bounds)
+        out["partition_epoch"] = server.partition_epoch
+    return out

@@ -18,9 +18,11 @@ Admission control and backpressure:
   A submission that would overflow is **rejected**: its ticket comes back
   ``"rejected"`` and ``backpressure_rejects`` counts it -- never a silent
   drop;
-- an operation whose target does not exist when it is admitted (an update
-  or install for an unknown object, a removal of a query that is not
-  installed) is **rejected** the same way, counted in
+- an operation that cannot be applied when it is admitted -- its target
+  does not exist (an update or install for an unknown object, a removal
+  of a query that is not installed) or it carries a non-finite number (a
+  NaN/inf position or velocity component, a region with a non-finite or
+  negative extent) -- is **rejected** the same way, counted in
   ``invalid_rejects``, and admission moves on to the next operation;
 - each tick admits at most ``ingest_budget_per_step`` operations (0 =
   everything queued); the rest stay queued for later ticks (a *deferral*,
@@ -38,6 +40,7 @@ the service adds scheduling, never behavior.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -54,12 +57,16 @@ OP_INSTALL = "install"
 OP_REMOVE = "remove"
 
 
+def _finite(*values: float) -> bool:
+    return all(map(math.isfinite, values))
+
+
 class IngestTicket:
     """The caller's handle on one submitted operation.
 
     ``status`` moves ``"queued" -> "applied"`` (or is ``"rejected"``:
     at submission when the queue is full, at admission when the op's
-    target does not exist); for installs,
+    target does not exist or its numbers are not finite); for installs,
     ``qid`` resolves to the server-assigned query id at apply time.
     """
 
@@ -158,14 +165,24 @@ class MobiEyesService:
 
     # ------------------------------------------------------------- ticker
 
-    def _target_exists(self, ticket: IngestTicket) -> bool:
-        """Whether the object or query the operation names exists now."""
+    def _admissible(self, ticket: IngestTicket) -> bool:
+        """Whether the operation can be applied now: the object or query
+        it names exists, and every coordinate it carries is finite (a NaN
+        position passes ``reflect_into`` untouched and crashes the next
+        step's cell lookup)."""
         system = self.system
         if ticket.kind == OP_UPDATE:
-            return ticket.payload[0] in system.clients
+            oid, pos, vel = ticket.payload
+            return oid in system.clients and _finite(pos.x, pos.y, vel.x, vel.y)
         if ticket.kind == OP_INSTALL:
             spec = ticket.payload[0]
-            return spec.is_static or spec.oid in system.clients
+            box = spec.region.bounding_rect()
+            return (
+                (spec.is_static or spec.oid in system.clients)
+                and _finite(box.lx, box.ly, box.ux, box.uy)
+                and box.lx <= box.ux
+                and box.ly <= box.uy
+            )
         ref = ticket.payload[0]
         qid = ref.qid if isinstance(ref, IngestTicket) else ref
         # An unresolved install ticket (qid None) is the caller error
@@ -208,7 +225,7 @@ class MobiEyesService:
         admitted = 0
         while self._queue and (self.budget == 0 or admitted < self.budget):
             ticket = self._queue.popleft()
-            if not self._target_exists(ticket):
+            if not self._admissible(ticket):
                 ticket.status = "rejected"
                 self.invalid_rejects += 1
                 continue

@@ -130,7 +130,7 @@ class MobiEyesSystem:
         self._crash_windows = ()
         # Online repartitioning: the explicit trigger schedule, the
         # optional load-driven policy, and the log of applied operations
-        # (consumed by the bench / chaos reports).
+        # (consumed by the chaos / soak reports).
         self._rebalance_schedule = config.rebalance_schedule
         self._rebalance_every = config.rebalance_every_steps
         self._elastic_schedule = config.elastic_schedule

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol
 
 from repro.core.messages import UplinkReportBatch
@@ -217,12 +216,6 @@ class SimulatedTransport:
         # Uplinks opened under a newer partition epoch than they were
         # enqueued with (run-cumulative; observability for rebalancing).
         self.stale_epoch_reroutes = 0
-        # Optional serialization meter: when armed (the bench's phase-split
-        # instrumentation), wall seconds spent on message/envelope
-        # accounting -- ledger charging, tracing, batch grouping -- are
-        # accumulated here, separately from protocol compute.
-        self.meter_serialization = False
-        self.serialization_seconds = 0.0
         # Columnar report buffer (wired by the system when batched
         # reporting is on); clients append to it while a window is open
         # (``depth > 0``) instead of sending per-report dataclasses.
@@ -488,15 +481,11 @@ class SimulatedTransport:
             raise RuntimeError("no server attached to transport")
         if self.reliability is not None and getattr(message, "reliable", False):
             return self.reliability.reliable_uplink(message)
-        meter = self.meter_serialization
-        t0 = perf_counter() if meter else 0.0
         bits = message.bits  # type: ignore[attr-defined]
         sender = getattr(message, "oid", None)
         self.ledger.record_uplink(type(message).__name__, bits, sender=sender)
         if self.trace is not None:
             self.trace.record(self._step, "uplink", type=type(message).__name__, oid=sender)
-        if meter:
-            self.serialization_seconds += perf_counter() - t0
         if self.loss is not None and self.loss.drop_uplink(message):
             return False  # sent (and accounted) but lost in transit
         # With no latency model configured the hop is always inline: hand
@@ -545,24 +534,19 @@ class SimulatedTransport:
                 self.uplink(buf.rehydrate(i))
             buf.clear()
             return
-        meter = self.meter_serialization
         ledger = self.ledger
         trace = self.trace
         step = self._step
         if not self.latency_active:
             for i in range(n):
-                t0 = perf_counter() if meter else 0.0
                 name = buf.kind_name_of(i)
                 oid = buf.oid[i]
                 ledger.record_uplink(name, buf.bits_of(i), sender=oid)
                 if trace is not None:
                     trace.record(step, "uplink", type=name, oid=oid)
-                if meter:
-                    self.serialization_seconds += perf_counter() - t0
                 apply_record(buf, i)
             buf.clear()
             return
-        t0 = perf_counter() if meter else 0.0
         latency = self.latency
         cell_of = self.coverage.cell_of if self._route_cells else None
         groups: dict[tuple[int, object], UplinkReportBatch] = {}
@@ -604,8 +588,6 @@ class SimulatedTransport:
                     epoch=getattr(self._server, "partition_epoch", 0),
                 )
             )
-        if meter:
-            self.serialization_seconds += perf_counter() - t0
         buf.clear()
 
     def send(self, oid: ObjectId, message: object) -> bool | None:
@@ -617,14 +599,10 @@ class SimulatedTransport:
         """
         if self.reliability is not None and getattr(message, "reliable", False):
             return self.reliability.reliable_send(oid, message)
-        meter = self.meter_serialization
-        t0 = perf_counter() if meter else 0.0
         bits = message.bits  # type: ignore[attr-defined]
         self.ledger.record_downlink(type(message).__name__, bits, receivers=(oid,), broadcasts=1)
         if self.trace is not None:
             self.trace.record(self._step, "send", type=type(message).__name__, oid=oid)
-        if meter:
-            self.serialization_seconds += perf_counter() - t0
         return self._deliver(oid, message)
 
     def broadcast(self, region: Iterable[CellIndex], message: object) -> int:
@@ -644,8 +622,6 @@ class SimulatedTransport:
             return len(station_ids)
         receivers = self.coverage.covered_by_stations(station_ids)
         receivers |= self.coverage.in_cells(region)
-        meter = self.meter_serialization
-        t0 = perf_counter() if meter else 0.0
         bits = message.bits  # type: ignore[attr-defined]
         self.ledger.record_downlink(
             type(message).__name__, bits, receivers=receivers, broadcasts=len(station_ids)
@@ -658,8 +634,6 @@ class SimulatedTransport:
                 stations=len(station_ids),
                 receivers=len(receivers),
             )
-        if meter:
-            self.serialization_seconds += perf_counter() - t0
         for oid in sorted(receivers):
             self._deliver(oid, message)
         return len(station_ids)

@@ -21,15 +21,14 @@ delay equals the configured hop latency when jitter is off.
 
 from __future__ import annotations
 
-from repro.core import MobiEyesConfig, MobiEyesSystem
+from repro.core import MobiEyesSystem
 from repro.experiments.runner import (
     DEFAULT_STEPS,
     DEFAULT_WARMUP,
     ExperimentResult,
     default_params,
 )
-from repro.sim.rng import SimulationRng
-from repro.workload import generate_workload
+from repro.scenario import build_system
 
 EXP_ID = "ablation-latency"
 TITLE = "Result staleness vs per-hop delivery latency (deferred pipeline)"
@@ -39,27 +38,17 @@ JITTER_POINTS = ((2, 1),)  # (base latency, jitter) rows after the fixed sweep
 
 
 def _run_one(params, steps: int, warmup: int, latency: int, jitter: int) -> MobiEyesSystem:
-    rng = SimulationRng(params.seed)
-    workload = generate_workload(params, rng.fork(1))
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        step_seconds=params.time_step_seconds,
-        base_station_side=params.base_station_side,
-        uplink_latency_steps=latency,
-        downlink_latency_steps=latency,
-        latency_jitter_steps=jitter,
-        latency_seed=params.seed,
-    )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
+    system, _, _ = build_system(
+        params,
+        config=dict(
+            uplink_latency_steps=latency,
+            downlink_latency_steps=latency,
+            latency_jitter_steps=jitter,
+            latency_seed=params.seed,
+        ),
         track_accuracy=True,
         warmup_steps=warmup,
     )
-    system.install_queries(workload.query_specs)
     system.run(steps)
     return system
 

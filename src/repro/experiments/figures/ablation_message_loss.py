@@ -20,7 +20,7 @@ query-result error under three failure models:
 
 from __future__ import annotations
 
-from repro.core import MobiEyesConfig, MobiEyesSystem
+from repro.core import MobiEyesSystem
 from repro.experiments.runner import (
     DEFAULT_STEPS,
     DEFAULT_WARMUP,
@@ -34,8 +34,8 @@ from repro.faults import (
     GilbertElliottChannel,
 )
 from repro.network.loss import LossModel
+from repro.scenario import build_system
 from repro.sim.rng import SimulationRng
-from repro.workload import generate_workload
 
 EXP_ID = "ablation-loss"
 TITLE = "Result error vs wireless message loss (iid, burst, disconnections)"
@@ -57,24 +57,7 @@ def _burst_channel(rng: SimulationRng, mean_rate: float) -> GilbertElliottChanne
 
 
 def _run_one(params, steps: int, warmup: int, loss, arm=None) -> MobiEyesSystem:
-    rng = SimulationRng(params.seed)
-    workload = generate_workload(params, rng.fork(1))
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        step_seconds=params.time_step_seconds,
-        base_station_side=params.base_station_side,
-    )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
-        track_accuracy=True,
-        warmup_steps=warmup,
-        loss=loss,
-    )
-    system.install_queries(workload.query_specs)
+    system, _, _ = build_system(params, track_accuracy=True, warmup_steps=warmup, loss=loss)
     if arm is not None:
         arm()  # channels attach after installation (deployment is clean)
     system.run(steps)
@@ -128,13 +111,10 @@ def run(
         )
     # Scheduled disconnections: every 7th object off the air for the
     # middle third of the run, no channel loss.
-    rng = SimulationRng(params.seed)
-    workload_oids = [obj.oid for obj in generate_workload(params, rng.fork(1)).objects]
     schedule = FaultSchedule(
         disconnects=tuple(
             DisconnectWindow(oid=oid, start=max(1, steps // 3), end=max(2, 2 * steps // 3))
-            for oid in sorted(workload_oids)
-            if oid % 7 == 0
+            for oid in range(0, params.num_objects, 7)  # the workload's oids are 0..N-1
         )
     )
     injector = FaultInjector(SimulationRng(params.seed).fork(3), schedule=schedule)

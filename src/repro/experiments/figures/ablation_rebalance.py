@@ -20,19 +20,18 @@ results.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import replace
 
-from repro.core import MobiEyesConfig, MobiEyesSystem
+from repro.core import MobiEyesSystem
+from repro.core.load import load_balance
 from repro.experiments.runner import (
     DEFAULT_STEPS,
     DEFAULT_WARMUP,
     ExperimentResult,
     default_params,
 )
-from repro.sim.rng import SimulationRng
-from repro.workload import SimulationParameters, generate_workload
+from repro.scenario import build_system, result_digest
+from repro.workload import SimulationParameters
 
 EXP_ID = "ablation-rebalance"
 TITLE = "Shard load balance vs workload skew, static vs rebalanced stripes"
@@ -45,32 +44,17 @@ REBALANCE_EVERY = 4
 def _run_one(
     params: SimulationParameters, steps: int, warmup: int, rebalance: bool
 ) -> MobiEyesSystem:
-    rng = SimulationRng(params.seed)
-    workload = generate_workload(params, rng.fork(1))
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        step_seconds=params.time_step_seconds,
-        base_station_side=params.base_station_side,
-        shards=SHARDS,
-        rebalance_every_steps=REBALANCE_EVERY if rebalance else 0,
-        rebalance_metric="ops",
-    )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
+    system, _, _ = build_system(
+        params,
+        config=dict(
+            shards=SHARDS,
+            rebalance_every_steps=REBALANCE_EVERY if rebalance else 0,
+            rebalance_metric="ops",
+        ),
         warmup_steps=warmup,
     )
-    system.install_queries(workload.query_specs)
     system.run(steps)
     return system
-
-
-def _result_hash(system: MobiEyesSystem) -> str:
-    canonical = {str(qid): sorted(members) for qid, members in sorted(system.results().items())}
-    return hashlib.sha256(json.dumps(canonical, sort_keys=True).encode()).hexdigest()
 
 
 def run(
@@ -86,9 +70,7 @@ def run(
         static = _run_one(params, steps, warmup, rebalance=False)
         rebalanced = _run_one(params, steps, warmup, rebalance=True)
         for label, system in (("static", static), ("rebalanced", rebalanced)):
-            loads = system.server.shard_loads()
-            ops = [row["ops"] for row in loads]
-            mean_ops = sum(ops) / len(ops)
+            balance = load_balance(system.server.shard_loads())
             moves = sum(1 for op in system.rebalance_log if op["cols_moved"])
             rows.append(
                 (
@@ -96,9 +78,9 @@ def run(
                     label,
                     moves,
                     system.server.partitioner.epoch,
-                    round(max(ops) / mean_ops, 3) if mean_ops else 1.0,
-                    max(ops),
-                    _result_hash(system) == _result_hash(static),
+                    balance["imbalance"],
+                    balance["max_ops"],
+                    result_digest(system) == result_digest(static),
                 )
             )
     return ExperimentResult(

@@ -12,9 +12,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.baselines import CentralizedConfig, CentralizedSystem, IndexingMode, ReportingMode
-from repro.core import MobiEyesConfig, MobiEyesSystem, PropagationMode
+from repro.core import MobiEyesSystem, PropagationMode
 from repro.metrics.collectors import MetricsLog
 from repro.metrics.report import format_table
+from repro.scenario import build_system
 from repro.sim.rng import SimulationRng
 from repro.workload import SimulationParameters, bench_defaults, generate_workload
 
@@ -78,29 +79,24 @@ def run_mobieyes(
     seed_offset: int = 0,
 ) -> MobiEyesSystem:
     """Build, install, and run a MobiEyes system on the Table 1 workload."""
-    rng = SimulationRng(params.seed + seed_offset)
-    workload = generate_workload(params, rng.fork(1), focal_skew=focal_skew)
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=alpha if alpha is not None else params.alpha,
-        step_seconds=params.time_step_seconds,
-        base_station_side=(
-            base_station_side if base_station_side is not None else params.base_station_side
-        ),
+    config = dict(
         propagation=propagation,
         dead_reckoning_threshold=dead_reckoning_threshold,
         grouping=grouping,
         safe_period=safe_period,
     )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
+    if alpha is not None:
+        config["alpha"] = alpha
+    if base_station_side is not None:
+        config["base_station_side"] = base_station_side
+    system, _, _ = build_system(
+        params,
+        params.seed + seed_offset,
+        config=config,
+        focal_skew=focal_skew,
         track_accuracy=track_accuracy,
         warmup_steps=warmup,
     )
-    system.install_queries(workload.query_specs)
     system.run(steps)
     return system
 

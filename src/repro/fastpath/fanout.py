@@ -37,7 +37,6 @@ Equivalence to the per-receiver loop:
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.core.messages import (
@@ -115,16 +114,12 @@ class BroadcastFanout:
             return False
         mask = self.coverage.receiver_mask(station_ids, region)
         receivers = self.store.oids[mask].tolist()
-        meter = transport.meter_serialization
-        t0 = perf_counter() if meter else 0.0
         transport.ledger.record_downlink(
             type(message).__name__,
             message.bits,
             receivers=receivers,
             broadcasts=len(station_ids),
         )
-        if meter:
-            transport.serialization_seconds += perf_counter() - t0
         applier(message, mask, set(receivers))
         return True
 

@@ -39,18 +39,17 @@ its twin draw different delays and never bit-realign.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 
-from repro.core import MobiEyesConfig, MobiEyesSystem
+from repro.core.load import fleet_section
 from repro.faults.channels import BernoulliChannel, GilbertElliottChannel
 from repro.faults.injector import FaultInjector
 from repro.faults.policy import ReliabilityPolicy
 from repro.faults.schedule import CrashWindow, DisconnectWindow, FaultSchedule, StationOutage
 from repro.grid import Grid
 from repro.network.basestation import BaseStationLayout
+from repro.scenario import build_system, result_digest, twin_divergence
 from repro.sim.rng import SimulationRng
-from repro.workload import generate_workload, paper_defaults
+from repro.workload import paper_defaults
 
 DISCONNECT_EVERY = 7  # every 7th object gets a disconnection window
 
@@ -163,8 +162,6 @@ def run_chaos(
     if rebalance and shards < 2:
         raise ValueError("rebalancing requires shards >= 2 (a boundary must exist)")
     params = paper_defaults().scaled(scale)
-    rng = SimulationRng(seed)
-    workload = generate_workload(params, rng.fork(1))
     if crash and checkpoint_every <= 0:
         checkpoint_every = max(2, steps // 8)
     crash_start = crash_end = None
@@ -178,11 +175,7 @@ def run_chaos(
         if rebalance
         else ()
     )
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        step_seconds=params.time_step_seconds,
-        base_station_side=params.base_station_side,
+    config = dict(
         engine=engine,
         shards=shards,
         uplink_latency_steps=uplink_latency,
@@ -193,34 +186,28 @@ def run_chaos(
         rebalance_schedule=rebalance_schedule,
     )
     layout = BaseStationLayout(Grid(params.uod, params.alpha), params.base_station_side)
-    schedule = canonical_schedule(steps, [obj.oid for obj in workload.objects], layout, params.uod)
+    # The workload numbers its objects 0..N-1.
+    schedule = canonical_schedule(steps, list(range(params.num_objects)), layout, params.uod)
     if crash:
         schedule = dataclasses.replace(
             schedule,
             crashes=(CrashWindow(shard=shards - 1, start=crash_start, end=crash_end),),
         )
-    channel_rng = rng.fork(3)
+    channel_rng = SimulationRng(seed).fork(3)
     injector = FaultInjector(
         channel_rng,
         schedule=schedule,
         policy=policy if policy is not None else ReliabilityPolicy(),
     )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
-        loss=injector,
-    )
+    # Deployment happens on a healthy network (faults start at step >= 1
+    # anyway); channels are armed only afterwards, so a burst that would
+    # strand the install round trip cannot abort the scenario.
+    system, _, _ = build_system(params, seed, config=config, loss=injector)
     # Everything past construction runs under try/finally: a raising
     # step (or report assembly) must still close the system and its
     # lockstep twin.
     twin = None
     try:
-        system.install_queries(workload.query_specs)
-        # Channels are armed only after deployment: installation happens on a
-        # healthy network (faults start at step >= 1 anyway), so a burst that
-        # would strand the install round trip cannot abort the scenario.
         injector.uplink_channel = _make_channel(channel_rng, uplink_loss, burst)
         injector.downlink_channel = _make_channel(channel_rng, downlink_loss, burst)
 
@@ -229,22 +216,16 @@ def run_chaos(
         # motion rng), stepped in lockstep.  Crash runs always grade against
         # the twin: recovery replays a checkpoint, and only exact realignment
         # with the fault-free run proves the rebuilt shard converged.
-        latency_on = bool(uplink_latency or downlink_latency or latency_jitter)
-        twin = None
-        if latency_on or crash or rebalance:
-            twin_rng = SimulationRng(seed)
-            twin_workload = generate_workload(params, twin_rng.fork(1))
-            twin = MobiEyesSystem(
-                # The fault-free twin needs no recovery basis (skip its
-                # cadence) and no boundary moves: grading the rebalanced run
-                # against a static-stripes twin proves migration never moved
-                # results.
-                dataclasses.replace(config, checkpoint_every_steps=0, rebalance_schedule=()),
-                list(twin_workload.objects),
-                twin_rng.fork(2),
-                velocity_changes_per_step=params.velocity_changes_per_step,
+        if uplink_latency or downlink_latency or latency_jitter or crash or rebalance:
+            # The fault-free twin needs no recovery basis (skip its
+            # cadence) and no boundary moves: grading the rebalanced run
+            # against a static-stripes twin proves migration never moved
+            # results.
+            twin, _, _ = build_system(
+                params,
+                seed,
+                config={**config, "checkpoint_every_steps": 0, "rebalance_schedule": ()},
             )
-            twin.install_queries(twin_workload.query_specs)
 
         sym_fracs: list[float] = []
         sym_counts: list[int] = []
@@ -269,16 +250,7 @@ def run_chaos(
             missing_fracs.append(miss / denom)
             if twin is not None:
                 twin.step()
-                twin_results = twin.results()
-                recovery_counts.append(
-                    sum(
-                        len(
-                            frozenset(results.get(qid, frozenset()))
-                            ^ frozenset(twin_results.get(qid, frozenset()))
-                        )
-                        for qid in set(results) | set(twin_results)
-                    )
-                )
+                recovery_counts.append(twin_divergence(results, twin.results()))
             else:
                 recovery_counts.append(diff)
 
@@ -309,39 +281,19 @@ def run_chaos(
             weighted += frac * age
         staleness_weighted = weighted / max(1, steps)
 
-        results_canonical = {
-            str(qid): sorted(members) for qid, members in sorted(system.results().items())
-        }
-        result_hash = hashlib.sha256(
-            json.dumps(results_canonical, sort_keys=True).encode()
-        ).hexdigest()
-
         ledger = system.ledger
         reliability = system.transport.reliability
-        # Per-shard load split (satellite of the balance report in bench).
-        # The seconds views (charged wall time, imbalance_seconds, critical
-        # min/max) are the docstring's bit-identity carve-out: they vary run
-        # to run and the differential checks never grade them.
-        shard_balance = None
-        shard_loads = None
-        if shards > 1:
-            from repro.fastpath.bench import load_balance
-
-            rows = system.server.shard_loads()
-            balance = load_balance(rows)
-            shard_loads = [
-                {k: (round(v, 4) if k == "seconds" else v) for k, v in row.items()} for row in rows
-            ]
-            shard_balance = dict(balance)
+        # The seconds views in shard_loads / load_balance are the
+        # docstring's bit-identity carve-out.
+        fleet = fleet_section(system)
         rebalance_report = None
         if rebalance:
-            partitioner = system.server.partitioner
             rebalance_report = {
                 "schedule": [list(op) for op in rebalance_schedule],
-                "log": list(system.rebalance_log),
-                "partition_bounds": list(partitioner.bounds),
-                "partition_epoch": partitioner.epoch,
-                "stale_epoch_reroutes": system.transport.stale_epoch_reroutes,
+                "log": fleet["rebalance_log"],
+                "partition_bounds": fleet["partition_bounds"],
+                "partition_epoch": fleet["partition_epoch"],
+                "stale_epoch_reroutes": fleet["stale_epoch_reroutes"],
             }
         crash_report = None
         if crash:
@@ -374,8 +326,8 @@ def run_chaos(
             "schedule": schedule.describe(),
             "crash": crash_report,
             "rebalance": rebalance_report,
-            "shard_loads": shard_loads,
-            "load_balance": shard_balance,
+            "shard_loads": fleet["shard_loads"],
+            "load_balance": fleet["load_balance"],
             "per_step": {
                 "symmetric_error": [round(v, 9) for v in sym_fracs],
                 "missing_fraction": [round(v, 9) for v in missing_fracs],
@@ -391,7 +343,7 @@ def run_chaos(
             },
             "drops": injector.counters(),
             "reliability": reliability.counters(),
-            "result_hash": result_hash,
+            "result_hash": result_digest(system),
         }
     finally:
         system.close()

@@ -38,11 +38,13 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.core import MobiEyesConfig, MobiEyesService, MobiEyesSystem
+from repro.core import MobiEyesService, MobiEyesSystem
+from repro.core.load import fleet_section, load_balance
 from repro.core.query import QuerySpec
+from repro.fastpath.bench import dense_params, skewed_params
 from repro.geometry import Circle, Point, Vector
-from repro.sim.rng import SimulationRng
-from repro.workload import generate_workload, paper_defaults
+from repro.scenario import build_system, twin_divergence
+from repro.workload import paper_defaults
 
 #: Script operation kinds (mirrors the service's ticket kinds; removals
 #: reference the *script id* of the install they cancel).
@@ -56,10 +58,8 @@ def soak_params(scenario: str, scale: float):
 
     ``skewed`` is the elastic-policy showcase (half the population in the
     left 20% x-strip -- the flash crowd the thermostat exists for);
-    ``dense`` and ``paper`` mirror the bench presets.
+    ``dense`` and ``paper`` are the benchmark's presets.
     """
-    from repro.fastpath.bench import dense_params, skewed_params
-
     if scenario == "skewed":
         return skewed_params(scale)
     if scenario == "dense":
@@ -160,13 +160,6 @@ def default_elastic_schedule(steps: int, shards: int) -> tuple[tuple, ...]:
     return ((split_at, "split", 0), (merge_at, "merge", spawned, 0))
 
 
-def _results_of(system: MobiEyesSystem):
-    return {
-        int(qid): tuple(sorted(int(oid) for oid in members))
-        for qid, members in system.results().items()
-    }
-
-
 def _load_snapshot(system: MobiEyesSystem) -> dict[int, tuple] | None:
     loads = getattr(system.server, "shard_loads", None)
     if loads is None:
@@ -195,23 +188,6 @@ def _tail_rows(system: MobiEyesSystem, base: dict[int, tuple]) -> list[dict]:
             }
         )
     return rows
-
-
-def _balance_section(system: MobiEyesSystem) -> dict | None:
-    loads = getattr(system.server, "shard_loads", None)
-    if loads is None:
-        return None
-    from repro.fastpath.bench import load_balance
-
-    rows = loads()
-    return {
-        "shard_loads": [{**row, "seconds": round(row["seconds"], 4)} for row in rows],
-        "balance": load_balance(rows),
-        "partition_bounds": list(system.server.partitioner.bounds),
-        "partition_order": list(system.server.partitioner.order),
-        "partition_epoch": system.server.partition_epoch,
-        "retired_shards": list(system.server.retired_shards),
-    }
 
 
 def run_soak(
@@ -261,14 +237,7 @@ def run_soak(
         elastic_schedule = default_elastic_schedule(steps, shards)
 
     params = replace(soak_params(scenario, scale), seed=seed)
-    rng = SimulationRng(seed)
-    workload = generate_workload(params, rng.fork(1))
-
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        step_seconds=params.time_step_seconds,
-        base_station_side=params.base_station_side,
+    config = dict(
         dead_reckoning_threshold=1.0,
         engine=engine,
         shards=shards,
@@ -279,49 +248,29 @@ def run_soak(
         ingest_budget_per_step=ingest_budget,
         ingest_queue_limit=queue_limit,
     )
+    static_config = dict(config)  # the twin: same knobs, a fleet that never changes
     if elastic in ("policy", "both"):
-        config = replace(
-            config,
+        config.update(
             elastic_max_shards=max_shards,
             rebalance_every_steps=rebalance_every,
             rebalance_metric="ops",
         )
     if elastic in ("schedule", "both"):
-        config = replace(config, elastic_schedule=tuple(elastic_schedule))
+        config["elastic_schedule"] = tuple(elastic_schedule)
     if elastic == "both":
         # The schedule owns fleet membership; the policy only transfers.
         # A scheduled merge names fixed shard ids and requires them to be
         # stripe-adjacent, so a policy split landing between the pair
         # would (correctly) raise.  Streaks beyond any run length keep
         # the thermostat to boundary slides, which never change ids.
-        config = replace(
-            config, elastic_split_after=10**9, elastic_merge_after=10**9
-        )
-
-    def build(cfg: MobiEyesConfig) -> MobiEyesService:
-        build_rng = SimulationRng(seed)
-        load = generate_workload(params, build_rng.fork(1))
-        system = MobiEyesSystem(
-            cfg,
-            list(load.objects),
-            build_rng.fork(2),
-            velocity_changes_per_step=params.velocity_changes_per_step,
-        )
-        system.install_queries(load.query_specs)
-        return MobiEyesService(system)
+        config.update(elastic_split_after=10**9, elastic_merge_after=10**9)
 
     grade_twin = twin and elastic != "off"
-    service = build(config)
+    system, workload, rng = build_system(params, seed, config=config)
+    service = MobiEyesService(system)
     static = None
     if grade_twin:
-        static = build(
-            replace(
-                config,
-                elastic_max_shards=0,
-                elastic_schedule=(),
-                rebalance_every_steps=0,
-            )
-        )
+        static = MobiEyesService(build_system(params, seed, config=static_config)[0])
 
     script = ingest_script_stream(
         params, workload, rng.fork(9), ingest_rate, query_churn_every
@@ -355,6 +304,7 @@ def run_soak(
 
     def report(final: bool) -> dict:
         wall = time.perf_counter() - started
+        fleet = fleet_section(service.system)
         out: dict = {
             "tag": tag,
             "engine": engine,
@@ -390,16 +340,26 @@ def run_soak(
                 "downlink_steps": latency,
                 "jitter_steps": jitter,
             },
-            "rebalance_log": list(service.system.rebalance_log),
-            "stale_epoch_reroutes": service.system.transport.stale_epoch_reroutes,
+            "rebalance_log": fleet["rebalance_log"],
+            "stale_epoch_reroutes": fleet["stale_epoch_reroutes"],
         }
         ops = out["rebalance_log"]
         out["splits"] = sum(1 for op in ops if "split" in op["trigger"])
         out["merges"] = sum(1 for op in ops if "merge" in op["trigger"])
-        elastic_side = _balance_section(service.system)
-        if elastic_side is not None:
-            out["fleet"] = elastic_side
+        if fleet["shard_loads"] is not None:
+            server = service.system.server
+            out["fleet"] = {
+                "shard_loads": fleet["shard_loads"],
+                "balance": fleet["load_balance"],
+                "partition_bounds": fleet["partition_bounds"],
+                "partition_order": list(server.partitioner.order),
+                "partition_epoch": fleet["partition_epoch"],
+                "retired_shards": list(server.retired_shards),
+            }
         if static is not None:
+            # A graded twin means an elastic mode, so both fleets are sharded.
+            static_bal = load_balance(static.system.server.shard_loads())
+            elastic_bal = fleet["load_balance"]
             out["twin"] = {
                 "compared_steps": compared,
                 "results_match": not mismatched_steps,
@@ -407,34 +367,28 @@ def run_soak(
                     mismatched_steps[0] if mismatched_steps else None
                 ),
                 "counters": static.counters(),
+                "balance": static_bal,
             }
-            static_side = _balance_section(static.system)
-            if static_side is not None and elastic_side is not None:
-                out["twin"]["balance"] = static_side["balance"]
-                static_bal = static_side["balance"]
-                elastic_bal = elastic_side["balance"]
-                window = "lifetime"
-                if tail_base is not None:
-                    from repro.fastpath.bench import load_balance
-
-                    static_bal = load_balance(
-                        _tail_rows(static.system, tail_base["static"])
-                    )
-                    elastic_bal = load_balance(
-                        _tail_rows(service.system, tail_base["elastic"])
-                    )
-                    window = f"tail:{tail_start}"
-                out["improvement"] = {
-                    "window": window,
-                    "static_imbalance_seconds": static_bal["imbalance_seconds"],
-                    "elastic_imbalance_seconds": elastic_bal["imbalance_seconds"],
-                    "static_imbalance_ops": static_bal["imbalance"],
-                    "elastic_imbalance_ops": elastic_bal["imbalance"],
-                    "improved_seconds": elastic_bal["imbalance_seconds"]
-                    < static_bal["imbalance_seconds"],
-                    "improved_ops": elastic_bal["imbalance"]
-                    < static_bal["imbalance"],
-                }
+            window = "lifetime"
+            if tail_base is not None:
+                static_bal = load_balance(
+                    _tail_rows(static.system, tail_base["static"])
+                )
+                elastic_bal = load_balance(
+                    _tail_rows(service.system, tail_base["elastic"])
+                )
+                window = f"tail:{tail_start}"
+            out["improvement"] = {
+                "window": window,
+                "static_imbalance_seconds": static_bal["imbalance_seconds"],
+                "elastic_imbalance_seconds": elastic_bal["imbalance_seconds"],
+                "static_imbalance_ops": static_bal["imbalance"],
+                "elastic_imbalance_ops": elastic_bal["imbalance"],
+                "improved_seconds": elastic_bal["imbalance_seconds"]
+                < static_bal["imbalance_seconds"],
+                "improved_ops": elastic_bal["imbalance"]
+                < static_bal["imbalance"],
+            }
         return out
 
     def write(payload: dict) -> None:
@@ -453,8 +407,8 @@ def run_soak(
                         static.tick()
                         if compare_every and done % compare_every == 0:
                             compared += 1
-                            if _results_of(service.system) != _results_of(
-                                static.system
+                            if twin_divergence(
+                                service.system.results(), static.system.results()
                             ):
                                 mismatched_steps.append(done + 1)
                     done += 1

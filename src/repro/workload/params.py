@@ -106,11 +106,11 @@ def paper_defaults() -> SimulationParameters:
     return SimulationParameters()
 
 
-def bench_scale_from_env(default: float = DEFAULT_BENCH_SCALE) -> float:
+def bench_scale_from_env() -> float:
     """The benchmark scale factor, from ``REPRO_SCALE`` when set."""
     raw = os.environ.get("REPRO_SCALE")
     if raw is None:
-        return default
+        return DEFAULT_BENCH_SCALE
     if raw.strip().lower() == "paper":
         return 1.0
     scale = float(raw)

@@ -1,0 +1,132 @@
+"""``.github/scripts/check_artifact.py`` against reports produced here.
+
+CI runs the script on the artifacts of the smoke jobs.  Running it in
+tier-1 on freshly produced reports means a report key the harness renames
+fails here, and the doctored reports below show each check still bites --
+an assertion that silently stops checking is how the old ``--compare``
+gate died.
+"""
+
+from __future__ import annotations
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.faults.chaos import run_chaos
+from repro.soak import run_soak
+
+SCRIPT = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "check_artifact.py"
+spec = importlib.util.spec_from_file_location("check_artifact", SCRIPT)
+check_artifact = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(check_artifact)
+
+
+def run_check(kind: str, report: dict, tmp_path) -> int:
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(report))
+    return check_artifact.main([kind, str(path)])
+
+
+def both_engines(report: dict) -> dict:
+    """The ``--engine both`` artifact shape."""
+    return {"engines": {"reference": report, "vectorized": copy.deepcopy(report)}}
+
+
+@pytest.fixture(scope="module")
+def crash_report():
+    return run_chaos(engine="reference", steps=24, scale=0.01, shards=2, crash=True)
+
+
+@pytest.fixture(scope="module")
+def rebalance_report():
+    return run_chaos(
+        engine="reference", steps=24, scale=0.01, shards=2, crash=True, rebalance=True
+    )
+
+
+@pytest.fixture(scope="module")
+def latency_report():
+    return run_chaos(
+        engine="reference", steps=30, scale=0.015, uplink_latency=1, downlink_latency=1
+    )
+
+
+@pytest.fixture(scope="module")
+def soak_report(tmp_path_factory):
+    report = run_soak(
+        steps=40,
+        shards=2,
+        scale=0.02,
+        elastic="both",
+        ingest_rate=6,
+        ingest_budget=3,
+        query_churn_every=8,
+        tag="ci-check",
+        out_dir=tmp_path_factory.mktemp("soak"),
+        log=lambda *_: None,
+    )
+    # The one wall-clock verdict: true on CI's host, a coin toss on a
+    # loaded test box.  Everything else the script reads is deterministic.
+    report["improvement"]["improved_seconds"] = True
+    return report
+
+
+def test_chaos_crash(crash_report, tmp_path):
+    assert run_check("chaos-crash", crash_report, tmp_path) == 0
+    assert run_check("chaos-crash", both_engines(crash_report), tmp_path) == 0
+    broken = copy.deepcopy(crash_report)
+    broken["per_step"]["twin_divergence"] = [0] * len(broken["per_step"]["twin_divergence"])
+    with pytest.raises(SystemExit, match="never perturbed"):
+        run_check("chaos-crash", broken, tmp_path)
+    broken = copy.deepcopy(crash_report)
+    broken["crash"]["checkpoints_taken"] = 0
+    with pytest.raises(SystemExit, match="checkpoint"):
+        run_check("chaos-crash", both_engines(broken), tmp_path)
+
+
+def test_chaos_rebalance(rebalance_report, tmp_path):
+    assert run_check("chaos-rebalance", both_engines(rebalance_report), tmp_path) == 0
+    broken = copy.deepcopy(rebalance_report)
+    broken["rebalance"]["log"] = []
+    with pytest.raises(SystemExit, match="no repartition"):
+        run_check("chaos-rebalance", broken, tmp_path)
+    broken = copy.deepcopy(rebalance_report)
+    broken["rebalance"]["partition_epoch"] = 0
+    with pytest.raises(SystemExit, match="epoch"):
+        run_check("chaos-rebalance", broken, tmp_path)
+
+
+def test_chaos_latency(latency_report, tmp_path):
+    assert run_check("chaos-latency", both_engines(latency_report), tmp_path) == 0
+    for key, value in (("converged", False), ("recovery_basis", "oracle")):
+        broken = {**latency_report, key: value}
+        with pytest.raises(SystemExit, match="twin"):
+            run_check("chaos-latency", broken, tmp_path)
+
+
+def test_soak(soak_report, tmp_path):
+    assert run_check("soak", soak_report, tmp_path) == 0
+    doctored = {
+        "diverged": lambda r: r["twin"].update(results_match=False, first_divergence_step=3),
+        "lifecycle": lambda r: r.update(merges=0),
+        "backpressure": lambda r: r["ingest"]["counters"].update(backpressure_rejects=0),
+        "accounting": lambda r: r["ingest"]["counters"].update(applied=0),
+        "fleet": lambda r: r["fleet"].update(retired_shards=[]),
+        "ops imbalance": lambda r: r["improvement"].update(improved_ops=False),
+        "seconds imbalance": lambda r: r["improvement"].update(improved_seconds=False),
+    }
+    for message, doctor in doctored.items():
+        broken = copy.deepcopy(soak_report)
+        doctor(broken)
+        with pytest.raises(SystemExit, match=message):
+            run_check("soak", broken, tmp_path)
+
+
+def test_usage_errors(tmp_path, capsys):
+    assert check_artifact.main([]) == 2
+    assert check_artifact.main(["bench", str(tmp_path / "x.json")]) == 2
+    assert "usage" in capsys.readouterr().err

@@ -55,61 +55,48 @@ class TestSimulate:
         assert "lazy" in capsys.readouterr().out
 
 
-class TestBench:
-    def test_parser_accepts_bench_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--smoke", "--tag", "ci", "--output", "out"]
-        )
-        assert args.smoke is True
-        assert args.tag == "ci"
-        assert args.output == "out"
+class TestInvalidFlagCombinations:
+    """Harness/config validation errors are one stderr line and exit 2,
+    not a traceback out of ``main``."""
 
-    def test_dispatches_to_run_bench(self, monkeypatch, tmp_path):
-        import repro.fastpath.bench as bench_mod
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--crash"],
+            ["chaos", "--rebalance", "--shards", "1"],
+            ["serve", "--shards", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_2_with_one_line_error(self, argv, capsys):
+        assert main(argv) == 2
+        # (Without numpy, chaos first says it skips the vectorized engine.)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith(f"repro {argv[0]}: error: ") and "shards >= 2" in last
 
-        calls = {}
+    def test_bench_subcommand_is_gone(self, capsys):
+        # The benchmark is bench/run.py, not a subcommand.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-        def fake_run_bench(
-            tag=None,
-            smoke=False,
-            out_dir=None,
-            log=print,
-            shards=1,
-            latency=0,
-            jitter=0,
-            scale="default",
-            checkpoint_every=0,
-            rebalance_every=0,
-            rebalance_metric="seconds",
-        ):
-            calls.update(
-                tag=tag, smoke=smoke, out_dir=out_dir, shards=shards,
-                latency=latency, jitter=jitter, scale=scale,
-                checkpoint_every=checkpoint_every,
-                rebalance_every=rebalance_every, rebalance_metric=rebalance_metric,
-            )
-            return tmp_path / "BENCH_x.json"
 
-        monkeypatch.setattr(bench_mod, "run_bench", fake_run_bench)
-        assert main([
-            "bench", "--smoke", "--tag", "x", "--shards", "4",
-            "--latency", "2",
-        ]) == 0
-        assert calls == {
-            "tag": "x", "smoke": True, "out_dir": None, "shards": 4,
-            "latency": 2, "jitter": 0, "scale": "default",
-            "checkpoint_every": 0,
-            "rebalance_every": 0, "rebalance_metric": "seconds",
-        }
+class TestServe:
+    def test_bounded_schedule_soak(self, tmp_path, capsys):
+        import json
 
-    def test_regression_gate_exit_code(self, monkeypatch, tmp_path):
-        import repro.fastpath.bench as bench_mod
-
-        def failing_run_bench(**kwargs):
-            raise bench_mod.BenchRegression("checkpoint roundtrip diverged: dense/reference")
-
-        monkeypatch.setattr(bench_mod, "run_bench", failing_run_bench)
-        assert main(["bench", "--smoke", "--checkpoint-every", "5"]) == 1
+        code = main([
+            "serve", "--steps", "12", "--scale", "0.01", "--elastic", "schedule",
+            "--tag", "cli", "--output", str(tmp_path),
+        ])
+        assert code == 0
+        report = json.loads((tmp_path / "SOAK_cli.json").read_text())
+        assert report["steps"] == 12
+        assert report["twin"]["results_match"]
+        assert report["twin"]["compared_steps"] == 12
 
 
 class TestParser:

@@ -24,7 +24,7 @@ from repro.core import MobiEyesConfig, MobiEyesSystem
 from repro.core.coordinator import Coordinator
 from repro.core.messages import CellChangeReport
 from repro.fastpath import numpy_available
-from repro.fastpath.bench import dense_params
+from repro.fastpath.bench import dense_params, skewed_params
 from repro.geometry import Point
 from repro.sim.rng import SimulationRng
 from repro.workload import generate_workload, paper_defaults
@@ -335,6 +335,16 @@ class TestCoordinatorFacade:
         assert sum(row["ops"] for row in rows) == total_ops
         assert sum(row["queries"] for row in rows) == 1
         assert sum(row["focals"] for row in rows) == 1
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_no_idle_shard_under_the_flash_crowd(self, engine):
+        # Half the population sits in the left fifth; the stripes on the
+        # right still carry work (the deleted CI shard step's check).
+        system = build_system(engine, shards=4, params=skewed_params(0.02), thresh=1.0)
+        system.run(33)
+        rows = system.server.shard_loads()
+        assert len(rows) == 4
+        assert min(row["ops"] for row in rows) > 0, rows
 
     def test_chaos_converges_with_two_shards(self):
         from repro.faults.chaos import run_chaos

@@ -11,18 +11,28 @@ never imports it)."""
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import MobiEyesConfig, MobiEyesSystem, PropagationMode, QuerySpec
+from repro.core.snapshot import step_hash
 from repro.fastpath import numpy_available
+from repro.fastpath.bench import dense_params, skewed_params
 from repro.geometry import Circle, Rect
 from repro.network.loss import LossModel
+from repro.scenario import build_system
 from repro.sim.rng import SimulationRng
 from repro.workload import generate_workload, paper_defaults
 
 pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+
+PRESETS = {
+    "paper": lambda scale: paper_defaults().scaled(scale),
+    "dense": dense_params,
+    "skewed": skewed_params,
+}
 
 
 def build(
@@ -37,8 +47,10 @@ def build(
     compact_threshold=None,
     shards=1,
     extra_specs=(),
+    preset="paper",
+    latency=0,
 ):
-    params = dataclasses.replace(paper_defaults(), seed=seed).scaled(scale)
+    params = dataclasses.replace(PRESETS[preset](scale), seed=seed)
     rng = SimulationRng(params.seed)
     workload = generate_workload(params, rng.fork(1))
     config = MobiEyesConfig(
@@ -51,6 +63,8 @@ def build(
         dead_reckoning_threshold=thresh,
         engine=engine,
         shards=shards,
+        uplink_latency_steps=latency,
+        downlink_latency_steps=latency,
     )
     loss = (
         LossModel(rng=rng.fork(77), uplink_loss_rate=loss_p, downlink_loss_rate=loss_p)
@@ -79,6 +93,7 @@ def step_snapshot(system):
         ledger.downlink_count,
         ledger.uplink_bits,
         ledger.downlink_bits,
+        step_hash(system),
     )
 
 
@@ -125,6 +140,34 @@ MATRIX = [
 @pytest.mark.parametrize("kwargs", MATRIX, ids=lambda kw: "-".join(kw) or "defaults")
 def test_engines_bit_identical(kwargs):
     assert_engines_agree(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "knobs", [dict(), dict(shards=4), dict(latency=2)], ids=["1-shard", "4-shards", "latency-2"]
+)
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_engines_bit_identical_on_benchmark_presets(preset, knobs):
+    # The benchmark's three worlds at smoke scale, dead reckoning on, the
+    # 3-step warm-up plus 30 steps the deleted CI bench steps ran.
+    assert_engines_agree(steps=33, scale=0.02, thresh=1.0, preset=preset, **knobs)
+
+
+def test_vectorized_not_slower_than_reference_on_small_dense_world():
+    """A regression trip wire, not a benchmark (that is ``bench/run.py``):
+    at paper scale the dense ratio is >3x; at this scale the margin is
+    still wide enough that >= 1.0 cannot flake on a loaded CI box."""
+    seconds = {}
+    for engine in ("reference", "vectorized"):
+        system, _, _ = build_system(
+            dense_params(0.02),
+            config=dict(engine=engine, dead_reckoning_threshold=1.0),
+            warmup_steps=3,
+        )
+        system.run(3)
+        started = time.perf_counter()
+        system.run(20)
+        seconds[engine] = time.perf_counter() - started
+    assert seconds["vectorized"] <= seconds["reference"], seconds
 
 
 def test_engines_agree_across_arena_compaction():

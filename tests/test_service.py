@@ -22,7 +22,7 @@ from repro.core import MobiEyesConfig, MobiEyesService, MobiEyesSystem
 from repro.core.query import QuerySpec
 from repro.core.snapshot import checkpoint, restore, step_hash
 from repro.fastpath import numpy_available
-from repro.geometry import Circle, Point, Vector
+from repro.geometry import Circle, Point, Rect, Vector
 from repro.sim.rng import SimulationRng
 from repro.soak import OP_INSTALL, OP_REMOVE, OP_UPDATE, ingest_script_stream
 from repro.workload import generate_workload, paper_defaults
@@ -297,6 +297,30 @@ class TestInvalidTargets:
             service.tick()
             assert ticket.rejected and ticket.qid is None
             service.check_accounting()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=str)
+    def test_non_finite_update_or_install_is_rejected(self, engine, bad):
+        """A NaN/inf coordinate never reaches the world: the next tick used
+        to raise out of the step loop (a NaN position has no grid cell)."""
+        system, workload, _ = build_system(engine=engine)
+        with MobiEyesService(system) as service:
+            oid = workload.objects[0].oid
+            still = Vector(0.0, 0.0)
+            rejected = [
+                service.submit_update(oid, Point(bad, 1.0), still),
+                service.submit_update(oid, Point(1.0, bad), still),
+                service.submit_update(oid, Point(1.0, 1.0), Vector(bad, 0.0)),
+                service.submit_update(oid, Point(1.0, 1.0), Vector(0.0, bad)),
+                service.install_query(QuerySpec(oid=oid, region=Circle(0.0, 0.0, abs(bad)))),
+                service.install_query(QuerySpec.static(Rect(bad, 0.0, 1.0, 1.0))),
+            ]
+            good = service.submit_update(oid, Point(2.0, 3.0), still)
+            service.run(3)
+            assert all(ticket.rejected for ticket in rejected) and good.applied
+            assert service.counters()["invalid_rejects"] == len(rejected)
+            service.check_accounting()
+            system.check_invariants()
 
     def test_invalid_rejects_survive_checkpoint(self):
         system, _, _ = build_system()

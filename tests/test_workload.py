@@ -64,7 +64,7 @@ class TestParameters:
         monkeypatch.setenv("REPRO_SCALE", "paper")
         assert bench_scale_from_env() == 1.0
         monkeypatch.delenv("REPRO_SCALE")
-        assert bench_scale_from_env(default=0.125) == 0.125
+        assert bench_scale_from_env() == 0.06
         monkeypatch.setenv("REPRO_SCALE", "-1")
         with pytest.raises(ValueError):
             bench_scale_from_env()
