@@ -84,11 +84,11 @@ def check_soak(report: dict) -> None:
     require(report["fleet"]["retired_shards"] == [2], f"fleet: {report['fleet']}")
     # Scale-out must buy balance, not just exercise the lifecycle: over
     # the post-merge tail window the elastic fleet carries the sustained
-    # hotspot better than the static twin, in both the deterministic ops
-    # view and wall time.
+    # hotspot better than the static twin in the deterministic ops view.
+    # (The seconds view is printed, not asserted: a wall-clock verdict
+    # over a few milliseconds of total shard time.)
     improvement = report["improvement"]
     require(improvement["improved_ops"], f"ops imbalance did not improve: {improvement}")
-    require(improvement["improved_seconds"], f"seconds imbalance did not improve: {improvement}")
     print("splits", report["splits"], "merges", report["merges"],
           "rejects", counters["backpressure_rejects"],
           "imbalance_seconds", improvement["static_imbalance_seconds"],

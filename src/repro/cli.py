@@ -434,10 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--elastic",
         choices=("policy", "schedule", "both", "off"),
         default="policy",
-        help="scale-out mode: 'policy' arms the elastic thermostat "
-        "(deterministic ops metric), 'schedule' applies one split and one "
-        "merge at fixed steps, 'both' combines them, 'off' keeps the "
-        "fleet fixed (no twin)",
+        help="scale-out mode: 'policy' arms the thermostat with a fleet "
+        "ceiling (--max-shards), 'schedule' applies one split and one "
+        "merge at fixed steps, 'both' runs the schedule beside a "
+        "transfer-only thermostat, 'off' keeps the fleet fixed (no twin)",
     )
     serve.add_argument(
         "--max-shards",

@@ -7,7 +7,7 @@ from repro.core.coordinator import Coordinator
 from repro.core.focal import FocalTracker
 from repro.core.load import LoadAccount
 from repro.core.partition import PartitionMap
-from repro.core.rebalance import ElasticPolicy, RebalancePolicy
+from repro.core.rebalance import RebalancePolicy
 from repro.core.propagation import PropagationMode
 from repro.core.query import (
     AndFilter,
@@ -43,7 +43,6 @@ __all__ = [
     "Coordinator",
     "FocalTracker",
     "PartitionMap",
-    "ElasticPolicy",
     "RebalancePolicy",
     "LoadAccount",
     "NotFilter",

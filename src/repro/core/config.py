@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.geometry import Rect
 from repro.core.propagation import PropagationMode
+from repro.core.rebalance import MIN_SHARDS
 from repro.network.radio import RadioModel
 
 
@@ -77,12 +78,11 @@ class MobiEyesConfig:
             shard from the last periodic checkpoint.
         rebalance_every_steps: cadence (in steps) at which the load-aware
             :class:`~repro.core.rebalance.RebalancePolicy` inspects the
-            per-shard critical-path seconds and may move a column span
-            between adjacent shards.  ``0`` (the default) disables
-            policy-driven rebalancing.  Policy triggers depend on wall
-            clocks, so this mode makes no cross-engine bit-identity claim
-            about *when* repartitions happen (the protocol results are
-            unaffected either way -- only directive downlinks differ).
+            per-shard ``ops`` counters and may move a column span between
+            stripe-adjacent shards.  ``0`` (the default) disables
+            policy-driven rebalancing.  The counters are deterministic, so
+            policy runs repeat bit-identically on either engine; the
+            thresholds are constants in :mod:`repro.core.rebalance`.
         rebalance_schedule: explicit, deterministic repartition triggers as
             ``(step, src, dst, cols)`` tuples: at the top of ``step``, move
             ``cols`` columns from shard ``src`` into the adjacent shard
@@ -90,38 +90,19 @@ class MobiEyesConfig:
             engines and shard counts (out-of-range ops clamp to
             no-ops, but the rebalance directive still broadcasts so message
             counts and the energy ledger match everywhere).
-        rebalance_hot_factor: policy hysteresis trigger -- a repartition
-            fires when the hottest shard's window critical-path seconds
-            exceed ``hot_factor`` times the mean.
-        rebalance_cool_factor: policy hysteresis release -- once hot, the
-            policy stays armed (refusing new moves) until the ratio falls
-            below ``cool_factor``, preventing boundary thrash.
-        rebalance_metric: which per-shard load figure drives the policy:
-            ``"seconds"`` (wall-clock critical path, the default) or
-            ``"ops"`` (deterministic operation counters).
         elastic_max_shards: ceiling of the *elastic* scale-out policy.
             ``0`` (the default) disables elasticity; a positive value lets
             the rebalance policy change the shard *count* at its cadence
             (``rebalance_every_steps``): a persistently hot stripe is
             split into a newly spawned shard (up to this many live
             shards) and a persistently cold stripe is merged away and its
-            slot retired.  Requires ``shards >= 2`` and a positive
-            ``rebalance_every_steps``.
-        elastic_min_shards: floor of elastic scale-in (merges never drop
-            the live count below this; minimum 2).
-        elastic_split_after: consecutive hot policy windows a stripe must
-            stay above ``rebalance_hot_factor`` before it is split into a
-            new shard (transfers to neighbors are tried first).
-        elastic_merge_factor: a stripe whose window load falls below this
-            fraction of the mean is *cold*; cold streaks drive merges.
-        elastic_merge_after: consecutive cold windows a stripe must stay
-            below ``elastic_merge_factor`` before it is merged away.
+            slot retired.  Requires ``shards >= 2``, a positive
+            ``rebalance_every_steps`` and a ceiling of at least 2.
         elastic_schedule: explicit, deterministic elastic triggers:
             ``(step, "split", donor)`` spawns a new shard from ``donor``'s
             stripe and ``(step, "merge", sid, into)`` drains shard ``sid``
             into its stripe-adjacent neighbor ``into`` and retires the
-            slot, both at the top of ``step``.  The reproducible
-            counterpart of the elastic policy (CI's soak smoke uses it);
+            slot, both at the top of ``step`` (CI's soak smoke uses it);
             requires ``shards >= 2`` and cannot be combined with
             ``rebalance_schedule`` (a fixed ``(src, dst)`` schedule is
             written against fixed shard ids).
@@ -165,14 +146,7 @@ class MobiEyesConfig:
     checkpoint_every_steps: int = 0
     rebalance_every_steps: int = 0
     rebalance_schedule: tuple[tuple[int, int, int, int], ...] = ()
-    rebalance_hot_factor: float = 1.5
-    rebalance_cool_factor: float = 1.2
-    rebalance_metric: str = "seconds"
     elastic_max_shards: int = 0
-    elastic_min_shards: int = 2
-    elastic_split_after: int = 2
-    elastic_merge_factor: float = 0.5
-    elastic_merge_after: int = 3
     elastic_schedule: tuple[tuple, ...] = ()
     ingest_budget_per_step: int = 0
     ingest_queue_limit: int = 0
@@ -218,24 +192,8 @@ class MobiEyesConfig:
             step, src, dst, cols = op
             if step < 1 or src < 0 or dst < 0 or cols < 1 or abs(src - dst) != 1:
                 raise ValueError(f"invalid rebalance op {op!r}")
-        if self.rebalance_hot_factor < 1.0:
-            raise ValueError("rebalance_hot_factor must be at least 1.0")
-        if not 1.0 <= self.rebalance_cool_factor <= self.rebalance_hot_factor:
-            raise ValueError(
-                "rebalance_cool_factor must lie between 1.0 and rebalance_hot_factor"
-            )
-        if self.rebalance_metric not in ("seconds", "ops"):
-            raise ValueError(
-                f"rebalance_metric must be 'seconds' or 'ops', got {self.rebalance_metric!r}"
-            )
         if self.elastic_max_shards < 0:
             raise ValueError("elastic_max_shards must be non-negative")
-        if self.elastic_min_shards < 2:
-            raise ValueError("elastic_min_shards must be at least 2")
-        if self.elastic_split_after < 1 or self.elastic_merge_after < 1:
-            raise ValueError("elastic streak lengths must be at least 1")
-        if not 0.0 < self.elastic_merge_factor < 1.0:
-            raise ValueError("elastic_merge_factor must lie strictly between 0 and 1")
         for op in self.elastic_schedule:
             if (
                 len(op) < 3
@@ -269,8 +227,8 @@ class MobiEyesConfig:
                 raise ValueError(
                     "elastic_max_shards requires a positive rebalance_every_steps cadence"
                 )
-            if self.elastic_max_shards < self.elastic_min_shards:
-                raise ValueError("elastic_max_shards must be >= elastic_min_shards")
+            if self.elastic_max_shards < MIN_SHARDS:
+                raise ValueError(f"elastic_max_shards must be 0 or at least {MIN_SHARDS}")
         for knob in ("ingest_budget_per_step", "ingest_queue_limit", "ingest_inflight_limit"):
             if getattr(self, knob) < 0:
                 raise ValueError(f"{knob} must be non-negative")

@@ -166,22 +166,10 @@ class PartitionMap:
         return tuple(self._bounds)
 
     def restore_state(
-        self,
-        bounds: tuple[int, ...],
-        epoch: int,
-        order: tuple[int, ...] | None = None,
+        self, bounds: tuple[int, ...], epoch: int, order: tuple[int, ...]
     ) -> None:
         """Adopt a checkpointed boundary layout, epoch, and stripe order
-        wholesale.  ``order`` defaults to the identity permutation (every
-        checkpoint written before stripes could be inserted or removed);
-        omitting it also pins the stripe count to the map's current count,
-        exactly as the pre-elastic restore validated."""
-        if order is None:
-            if len(bounds) != self.num_shards + 1:
-                raise ValueError(
-                    f"bounds length {len(bounds)} does not fit {self.num_shards} shards"
-                )
-            order = tuple(range(len(bounds) - 1))
+        wholesale (the stripe count follows ``order``)."""
         if len(bounds) != len(order) + 1:
             raise ValueError(
                 f"bounds length {len(bounds)} does not fit {len(order)} stripes"

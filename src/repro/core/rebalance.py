@@ -1,223 +1,105 @@
-"""Load-aware rebalancing policy for the epoch-versioned partition map.
+"""Load-aware placement policy for the epoch-versioned partition map.
 
-The sharded server measures per-shard load two ways (:mod:`repro.core.load`):
-wall-clock ``seconds`` charged to each shard's :class:`LoadAccount` and the
-deterministic abstract ``ops`` counter.  This module turns those figures
-into repartition decisions: every ``rebalance_every_steps`` steps the system
-hands the policy the per-shard lifetime totals; the policy diffs them
-against its marks to get the *window* load, finds the hottest shard, and --
-with hysteresis, so a single noisy window cannot thrash the boundaries --
-proposes moving a column span to the cooler adjacent neighbor.
+Every ``rebalance_every_steps`` steps the system hands the policy each live
+shard's lifetime ``ops`` total (the deterministic abstract work counter of
+:mod:`repro.core.load`), keyed by stable shard id, together with the stripe
+widths and the left-to-right stripe order.  The policy diffs the totals
+against its marks to get the *window* load and -- with hysteresis, so one
+noisy window cannot thrash the boundaries -- proposes at most one placement
+operation:
 
-The proposal is a plain ``(src, dst, cols)`` tuple; the actual migration
-(:meth:`~repro.core.coordinator.Coordinator.apply_rebalance`) and the
-client-facing directive broadcast are the system's job.  Keeping the policy
-pure-decision makes it checkpointable (marks + armed flag) and unit-testable
-without a running system.
+- ``("transfer", src, dst, cols)``: slide a column span from the hottest
+  stripe into its cooler stripe-adjacent neighbor;
+- ``("split", donor)``: give a persistently hot stripe a shard of its own;
+- ``("merge", sid, into)``: fold a persistently idle stripe into its cooler
+  stripe-adjacent neighbor and retire the slot.
 
-Two trigger styles coexist:
+Splits and merges need ``max_shards > 0``; a fixed fleet (``max_shards ==
+0``) only ever transfers.  The proposal is a plain tuple; applying it
+(:class:`~repro.core.coordinator.Coordinator` ``apply_rebalance`` /
+``spawn_shard`` / ``retire_shard``) and broadcasting the new epoch are the
+system's job, which keeps the policy checkpointable and unit-testable
+without a running system.  Because it reads only ``ops``, policy-driven
+runs are as reproducible as scheduled ones (``rebalance_schedule`` /
+``elastic_schedule``): same seed, same decisions, on either engine.
 
-- *policy mode* (``rebalance_every_steps > 0``): decisions depend on
-  measured load; under the ``"seconds"`` metric that is wall clock, so this
-  mode makes no bit-identity claim about *when* repartitions fire (the
-  protocol results are identical either way -- only directive downlinks
-  differ between runs).
-- *schedule mode* (``rebalance_schedule``): a fixed list of
-  ``(step, src, dst, cols)`` triggers applied unconditionally, bypassing the
-  policy; this is the reproducible mode the differential tests pin down.
+The thresholds are constants, not configuration: no caller ever set them
+(see docs/ARCHITECTURE.md, "Decision record: one placement policy").
 """
 
 from __future__ import annotations
 
+#: A stripe is *hot* above this multiple of the mean window load: crossing
+#: it arms the transfer thermostat and extends the stripe's hot streak.
+HOT_FACTOR = 1.5
+#: The armed thermostat keeps moving columns until the hottest stripe's
+#: ratio falls below this; between the two factors nothing starts or stops.
+COOL_FACTOR = 1.2
+#: Merges never shrink the fleet below this many live shards.
+MIN_SHARDS = 2
+#: Consecutive hot windows before a stripe is split (transfers come first).
+SPLIT_AFTER = 2
+#: A stripe is *cold* below this fraction of the mean window load.
+MERGE_FACTOR = 0.5
+#: Consecutive cold windows before a stripe is merged away.
+MERGE_AFTER = 3
+
 
 class RebalancePolicy:
-    """Hotspot detection with hysteresis over per-shard load windows.
+    """Hotspot thermostat over per-shard load windows.
 
-    A shard is *hot* when its window load exceeds ``hot_factor`` times the
-    mean across shards.  The hysteresis is thermostat-style: crossing
-    ``hot_factor`` *arms* the policy, and while armed it keeps proposing
-    one move per window until the ratio cools below ``cool_factor``.  The
-    dead band between the two thresholds is where boundary oscillation
-    would live -- a ratio hovering there neither starts nor continues a
-    rebalance, so a single noisy window cannot thrash the stripes.
+    The hysteresis is thermostat-style: the hottest stripe crossing
+    :data:`HOT_FACTOR` x mean *arms* the policy, and while armed it
+    proposes one transfer per window until the ratio cools below
+    :data:`COOL_FACTOR`.  A ratio hovering in the dead band between the
+    two neither starts nor continues a rebalance.
+
+    With ``max_shards > 0`` per-shard streaks escalate past transfers: a
+    stripe hot for :data:`SPLIT_AFTER` consecutive windows is split (up
+    to ``max_shards`` live shards), and a stripe below
+    :data:`MERGE_FACTOR` x mean for :data:`MERGE_AFTER` windows is merged
+    into its cooler neighbor (down to :data:`MIN_SHARDS`).
+
+    Marks and streaks are keyed by *stable shard id*, never by position:
+    a freshly spawned shard starts from a zero mark and zero streaks
+    instead of inheriting a stranger's history, and a retired shard's
+    history is dropped.  Neighbor relations are a stripe-position
+    question, so every evaluation takes the live ``order``.
     """
 
-    def __init__(
-        self,
-        hot_factor: float = 1.5,
-        cool_factor: float = 1.2,
-        metric: str = "seconds",
-    ) -> None:
-        if hot_factor < 1.0:
-            raise ValueError("hot_factor must be at least 1.0")
-        if not 1.0 <= cool_factor <= hot_factor:
-            raise ValueError("cool_factor must lie between 1.0 and hot_factor")
-        if metric not in ("seconds", "ops"):
-            raise ValueError(f"metric must be 'seconds' or 'ops', got {metric!r}")
-        self.hot_factor = hot_factor
-        self.cool_factor = cool_factor
-        self.metric = metric
-        self._marks: list[float] | None = None
+    def __init__(self, max_shards: int = 0) -> None:
+        if max_shards != 0 and max_shards < MIN_SHARDS:
+            raise ValueError(f"max_shards must be 0 (fixed fleet) or at least {MIN_SHARDS}")
+        self.max_shards = max_shards
+        self._marks: dict[int, float] = {}
+        self._hot_streak: dict[int, int] = {}
+        self._cold_streak: dict[int, int] = {}
         self._armed = False
         # Lifetime decision counters (observability).
         self.windows = 0
         self.proposals = 0
-
-    # ----------------------------------------------------------- decisions
-
-    def window_loads(self, totals: list[float]) -> list[float]:
-        """Diff the lifetime totals against the marks from the previous
-        evaluation, advancing the marks.  The first call returns the
-        totals themselves (marks start at zero)."""
-        if self._marks is None or len(self._marks) != len(totals):
-            self._marks = [0.0] * len(totals)
-        window = [max(0.0, t - m) for t, m in zip(totals, self._marks)]
-        self._marks = list(totals)
-        return window
-
-    def propose(
-        self, totals: list[float], widths: list[int]
-    ) -> tuple[int, int, int] | None:
-        """One evaluation: window the loads, apply hysteresis, and either
-        propose a ``(src, dst, cols)`` move or return ``None``."""
-        self.windows += 1
-        window = self.window_loads(totals)
-        n = len(window)
-        if n < 2:
-            return None
-        mean = sum(window) / n
-        if mean <= 0.0:
-            return None
-        hottest = max(range(n), key=lambda s: (window[s], -s))
-        ratio = window[hottest] / mean
-        # Thermostat hysteresis: arm above hot_factor, keep proposing one
-        # move per window while armed, disarm below cool_factor.  In the
-        # dead band between the thresholds the previous state persists.
-        if self._armed and ratio < self.cool_factor:
-            self._armed = False
-        if not self._armed and ratio <= self.hot_factor:
-            return None
-        self._armed = True
-        # Donor must keep at least one column; pick the cooler adjacent
-        # neighbor as recipient (boundary moves only trade between
-        # index-adjacent shards, preserving stripe contiguity).
-        if widths[hottest] < 2:
-            return None
-        neighbors = [s for s in (hottest - 1, hottest + 1) if 0 <= s < n]
-        recipient = min(neighbors, key=lambda s: (window[s], s))
-        if window[recipient] >= window[hottest]:
-            return None
-        cols = max(1, widths[hottest] // 4)
-        self.proposals += 1
-        return (hottest, recipient, cols)
-
-    # --------------------------------------------------------- checkpoints
-
-    def state(self) -> dict:
-        """Checkpointable decision state (marks, hysteresis, counters)."""
-        return {
-            "marks": list(self._marks) if self._marks is not None else None,
-            "armed": self._armed,
-            "windows": self.windows,
-            "proposals": self.proposals,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt checkpointed decision state wholesale."""
-        marks = state["marks"]
-        self._marks = list(marks) if marks is not None else None
-        self._armed = state["armed"]
-        self.windows = state["windows"]
-        self.proposals = state["proposals"]
-
-
-class ElasticPolicy(RebalancePolicy):
-    """A rebalance policy that can also change the shard *count*.
-
-    The base thermostat slides boundaries between a fixed set of stripes;
-    this extension watches per-shard *streaks* and escalates:
-
-    - a stripe that stays above ``hot_factor`` x mean for ``split_after``
-      consecutive windows (boundary slides evidently are not enough --
-      think a one-column floor under a flash crowd) is **split**: a new
-      shard spawns to its right and takes half its columns;
-    - a stripe that stays below ``merge_factor`` x mean for
-      ``merge_after`` consecutive windows is **merged** into its cooler
-      stripe-adjacent neighbor and its slot retired;
-    - otherwise the ordinary transfer thermostat runs.
-
-    Because the live shard set changes over time, the window marks and
-    streak counters are keyed by *stable shard id* (a dict), never by
-    list position: a freshly spawned shard starts with a zero mark and a
-    zero streak instead of inheriting a stranger's history, and a retired
-    shard's history is dropped.
-
-    Decisions come back as op tuples -- ``("split", donor)``,
-    ``("merge", sid, into)``, or ``("transfer", src, dst, cols)`` -- and
-    stay pure: the system translates them into coordinator calls.
-    """
-
-    def __init__(
-        self,
-        hot_factor: float = 1.5,
-        cool_factor: float = 1.2,
-        metric: str = "seconds",
-        *,
-        max_shards: int,
-        min_shards: int = 2,
-        split_after: int = 2,
-        merge_factor: float = 0.5,
-        merge_after: int = 3,
-    ) -> None:
-        super().__init__(hot_factor, cool_factor, metric)
-        if max_shards < min_shards:
-            raise ValueError("max_shards must be at least min_shards")
-        if min_shards < 2:
-            raise ValueError("min_shards must be at least 2")
-        if split_after < 1 or merge_after < 1:
-            raise ValueError("streak lengths must be at least 1")
-        if not 0.0 < merge_factor < 1.0:
-            raise ValueError("merge_factor must lie strictly between 0 and 1")
-        self.max_shards = max_shards
-        self.min_shards = min_shards
-        self.split_after = split_after
-        self.merge_factor = merge_factor
-        self.merge_after = merge_after
-        self._id_marks: dict[int, float] = {}
-        self._hot_streak: dict[int, int] = {}
-        self._cold_streak: dict[int, int] = {}
-        # Lifetime elastic decision counters (observability).
         self.splits = 0
         self.merges = 0
 
     # ----------------------------------------------------------- decisions
 
-    def window_loads_by_id(self, totals: dict[int, float]) -> dict[int, float]:
-        """Diff lifetime totals against per-id marks, advancing the marks.
-
-        Ids absent from ``totals`` (retired shards) drop their marks; ids
-        new to it (spawned shards) start from a zero mark.
-        """
-        window = {
-            sid: max(0.0, t - self._id_marks.get(sid, 0.0)) for sid, t in totals.items()
-        }
-        self._id_marks = dict(totals)
-        return window
-
-    def propose_elastic(
+    def propose(
         self,
         totals: dict[int, float],
         widths: dict[int, int],
         order: tuple[int, ...],
     ) -> tuple | None:
-        """One elastic evaluation over the live fleet.
+        """One evaluation over the live fleet: window the loads, update
+        the streaks, and return one placement op or ``None``.
 
         ``totals``/``widths`` are keyed by shard id; ``order`` lists the
-        live ids in left-to-right stripe order (neighbor relations are a
-        stripe-position question, not an id question).
+        live ids in left-to-right stripe order.
         """
         self.windows += 1
-        window = self.window_loads_by_id(totals)
+        # Ids absent from ``totals`` (retired shards) drop their marks;
+        # ids new to it (spawned shards) start from a zero mark.
+        window = {sid: max(0.0, t - self._marks.get(sid, 0.0)) for sid, t in totals.items()}
+        self._marks = dict(totals)
         n = len(order)
         if n < 2:
             return None
@@ -225,80 +107,78 @@ class ElasticPolicy(RebalancePolicy):
         if mean <= 0.0:
             return None
         pos = {sid: p for p, sid in enumerate(order)}
-        for sid in order:
-            ratio = window[sid] / mean
-            self._hot_streak[sid] = (
-                self._hot_streak.get(sid, 0) + 1 if ratio > self.hot_factor else 0
-            )
-            self._cold_streak[sid] = (
-                self._cold_streak.get(sid, 0) + 1 if ratio < self.merge_factor else 0
-            )
-        for sid in list(self._hot_streak):
-            if sid not in pos:
-                del self._hot_streak[sid]
-        for sid in list(self._cold_streak):
-            if sid not in pos:
-                del self._cold_streak[sid]
+        hot, cold = self._hot_streak, self._cold_streak
+        self._hot_streak = {
+            sid: hot.get(sid, 0) + 1 if window[sid] / mean > HOT_FACTOR else 0 for sid in order
+        }
+        self._cold_streak = {
+            sid: cold.get(sid, 0) + 1 if window[sid] / mean < MERGE_FACTOR else 0 for sid in order
+        }
         hottest = max(order, key=lambda s: (window[s], -pos[s]))
         ratio = window[hottest] / mean
+
+        def cooler_neighbor(sid: int) -> int:
+            p = pos[sid]
+            neighbors = [order[q] for q in (p - 1, p + 1) if 0 <= q < n]
+            return min(neighbors, key=lambda s: (window[s], pos[s]))
+
         # 1. Scale out: a persistent hotspot that boundary slides did not
         #    fix gets its own shard (capacity, not just placement).
         if (
             n < self.max_shards
-            and self._hot_streak.get(hottest, 0) >= self.split_after
+            and self._hot_streak[hottest] >= SPLIT_AFTER
             and widths[hottest] >= 2
         ):
             self._hot_streak[hottest] = 0
             self.splits += 1
             self.proposals += 1
             return ("split", hottest)
-        # 2. The ordinary transfer thermostat (base-class semantics, but
-        #    over ids in stripe order).
-        if self._armed and ratio < self.cool_factor:
+        # 2. The transfer thermostat: arm above HOT_FACTOR, keep proposing
+        #    one move per window while armed, disarm below COOL_FACTOR.
+        #    The donor must keep at least one column.
+        if self._armed and ratio < COOL_FACTOR:
             self._armed = False
-        if self._armed or ratio > self.hot_factor:
+        if self._armed or ratio > HOT_FACTOR:
             self._armed = True
             if widths[hottest] >= 2:
-                p = pos[hottest]
-                neighbors = [order[q] for q in (p - 1, p + 1) if 0 <= q < n]
-                recipient = min(neighbors, key=lambda s: (window[s], pos[s]))
+                recipient = cooler_neighbor(hottest)
                 if window[recipient] < window[hottest]:
-                    cols = max(1, widths[hottest] // 4)
                     self.proposals += 1
-                    return ("transfer", hottest, recipient, cols)
-        # 3. Scale in: a persistently idle stripe returns its slot.  The
-        #    coldest streak-qualified stripe merges into its cooler
-        #    stripe-adjacent neighbor.
-        if n > self.min_shards:
-            cold = [
-                sid for sid in order if self._cold_streak.get(sid, 0) >= self.merge_after
-            ]
-            if cold:
-                coldest = min(cold, key=lambda s: (window[s], pos[s]))
-                p = pos[coldest]
-                neighbors = [order[q] for q in (p - 1, p + 1) if 0 <= q < n]
-                into = min(neighbors, key=lambda s: (window[s], pos[s]))
+                    return ("transfer", hottest, recipient, max(1, widths[hottest] // 4))
+        # 3. Scale in: the coldest streak-qualified stripe returns its slot.
+        if self.max_shards and n > MIN_SHARDS:
+            idle = [sid for sid in order if self._cold_streak[sid] >= MERGE_AFTER]
+            if idle:
+                coldest = min(idle, key=lambda s: (window[s], pos[s]))
                 self._cold_streak[coldest] = 0
                 self.merges += 1
                 self.proposals += 1
-                return ("merge", coldest, into)
+                return ("merge", coldest, cooler_neighbor(coldest))
         return None
 
     # --------------------------------------------------------- checkpoints
 
     def state(self) -> dict:
-        state = super().state()
-        state["id_marks"] = dict(self._id_marks)
-        state["hot_streak"] = dict(self._hot_streak)
-        state["cold_streak"] = dict(self._cold_streak)
-        state["splits"] = self.splits
-        state["merges"] = self.merges
-        return state
+        """Checkpointable decision state (marks, streaks, hysteresis,
+        counters)."""
+        return {
+            "marks": dict(self._marks),
+            "hot_streak": dict(self._hot_streak),
+            "cold_streak": dict(self._cold_streak),
+            "armed": self._armed,
+            "windows": self.windows,
+            "proposals": self.proposals,
+            "splits": self.splits,
+            "merges": self.merges,
+        }
 
     def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self._id_marks = dict(state.get("id_marks", {}))
-        self._hot_streak = dict(state.get("hot_streak", {}))
-        self._cold_streak = dict(state.get("cold_streak", {}))
-        self.splits = state.get("splits", 0)
-        self.merges = state.get("merges", 0)
+        """Adopt checkpointed decision state wholesale."""
+        self._marks = dict(state["marks"])
+        self._hot_streak = dict(state["hot_streak"])
+        self._cold_streak = dict(state["cold_streak"])
+        self._armed = state["armed"]
+        self.windows = state["windows"]
+        self.proposals = state["proposals"]
+        self.splits = state["splits"]
+        self.merges = state["merges"]

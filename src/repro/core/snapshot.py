@@ -58,8 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: streaks, and the service runtime's ingest queue and counters.  v4
 #: dropped the config's executor-flavor field and the per-step
 #: critical-path server seconds (the pooled executors are gone) and added
-#: the service's ``invalid_rejects`` counter.
-CHECKPOINT_VERSION = 4
+#: the service's ``invalid_rejects`` counter.  v5 dropped seven policy
+#: fields from the config and gave the placement policy one id-keyed state
+#: shape (``marks``/``hot_streak``/``cold_streak`` dicts for every fleet).
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(slots=True)

@@ -137,30 +137,12 @@ class MobiEyesSystem:
         self._rebalance_policy = None
         self.rebalance_log: list[dict] = []
         if self._rebalance_every and config.shards > 1:
-            if config.elastic_max_shards > 0:
-                from repro.core.rebalance import ElasticPolicy
+            from repro.core.rebalance import RebalancePolicy
 
-                # The thermostat may also change the shard count: split a
-                # persistently hot stripe into a spawned shard, merge a
-                # persistently cold one away (see core/rebalance.py).
-                self._rebalance_policy = ElasticPolicy(
-                    hot_factor=config.rebalance_hot_factor,
-                    cool_factor=config.rebalance_cool_factor,
-                    metric=config.rebalance_metric,
-                    max_shards=config.elastic_max_shards,
-                    min_shards=config.elastic_min_shards,
-                    split_after=config.elastic_split_after,
-                    merge_factor=config.elastic_merge_factor,
-                    merge_after=config.elastic_merge_after,
-                )
-            else:
-                from repro.core.rebalance import RebalancePolicy
-
-                self._rebalance_policy = RebalancePolicy(
-                    hot_factor=config.rebalance_hot_factor,
-                    cool_factor=config.rebalance_cool_factor,
-                    metric=config.rebalance_metric,
-                )
+            # elastic_max_shards > 0 lets the thermostat change the shard
+            # count too: split a persistently hot stripe into a spawned
+            # shard, merge a persistently cold one away.
+            self._rebalance_policy = RebalancePolicy(config.elastic_max_shards)
         if getattr(loss, "policy", None) is not None:
             # Fault injection: bind the injector to live positions, turn
             # on server leases, and give every client the fault policy
@@ -399,104 +381,63 @@ class MobiEyesSystem:
         housekeeping slot as crash orchestration (the post-``step - 1``
         boundary: nothing of step ``step`` has run yet).
 
-        Scheduled triggers fire unconditionally and always broadcast the
-        rebalance directive -- even under a monolithic server or when the
-        operation clamps to a no-op for this shard count -- so a fixed
-        schedule yields identical message counts and energy ledgers
-        across 1/2/4 shards and both engines.  Policy triggers depend on
-        measured load (wall clock under the default metric) and broadcast
-        only after an effective move; that mode trades the cross-run
-        identity claim for actual load awareness.
+        ``rebalance_schedule`` triggers fire unconditionally and always
+        broadcast the rebalance directive -- even under a monolithic
+        server or when the operation clamps to a no-op for this shard
+        count -- so a fixed schedule yields identical message counts and
+        energy ledgers across 1/2/4 shards and both engines.  Elastic
+        schedule triggers and policy decisions (which read only the
+        deterministic ``ops`` counters) broadcast after an effective move.
         """
         coordinator = self.server if self.config.shards > 1 else None
-        scheduled = False
-        for op in self._rebalance_schedule:
-            trigger_step, src, dst, cols = op
-            if trigger_step != step:
-                continue
-            scheduled = True
+        due = [op for op in self._rebalance_schedule if op[0] == step]
+        if due:
             if coordinator is not None:
-                summary = coordinator.apply_rebalance(src, dst, cols)
-                summary["step"] = step
-                summary["trigger"] = "schedule"
-                self.rebalance_log.append(summary)
-        if scheduled:
-            epoch = getattr(self.server, "partition_epoch", None)
-            if epoch is None:
+                for _, src, dst, cols in due:
+                    self._apply_placement_op(
+                        ("transfer", src, dst, cols), "schedule", step, announce=False
+                    )
+                epoch = coordinator.partition_epoch
+            else:
                 # Monolith: no map to mutate, but the directive still goes
                 # out (see above); derive the advertised epoch statelessly
                 # so checkpoint/restore replays the same value.
                 epoch = sum(1 for op in self._rebalance_schedule if op[0] <= step)
             self._broadcast_rebalance(epoch)
-        # Deterministic elastic triggers (the reproducible counterpart of
-        # the elastic policy; config validation guarantees a coordinator).
+        # Deterministic elastic triggers (config validation guarantees a
+        # coordinator).
         for op in self._elastic_schedule:
-            if op[0] != step:
-                continue
-            if op[1] == "split":
-                summary = coordinator.spawn_shard(op[2])
-            else:
-                summary = coordinator.retire_shard(op[2], op[3])
-            summary["step"] = step
-            summary["trigger"] = f"schedule-{op[1]}"
-            self.rebalance_log.append(summary)
-            if summary["cols_moved"]:
-                self._broadcast_rebalance(coordinator.partition_epoch)
+            if op[0] == step:
+                self._apply_placement_op(op[1:], "schedule", step)
         policy = self._rebalance_policy
-        if (
-            policy is not None
-            and coordinator is not None
-            and step > 0
-            and step % self._rebalance_every == 0
-        ):
+        if policy is not None and step > 0 and step % self._rebalance_every == 0:
+            part = coordinator.partitioner
             rows = coordinator.shard_loads()
-            key = "seconds" if policy.metric == "seconds" else "ops"
-            if getattr(policy, "propose_elastic", None) is not None:
-                self._apply_elastic_proposal(coordinator, policy, rows, key, step)
-            else:
-                totals = [float(row[key]) for row in rows]
-                widths = [
-                    coordinator.partitioner.width_of(row["shard"]) for row in rows
-                ]
-                proposal = policy.propose(totals, widths)
-                if proposal is not None:
-                    src, dst, cols = proposal
-                    summary = coordinator.apply_rebalance(src, dst, cols)
-                    summary["step"] = step
-                    summary["trigger"] = "policy"
-                    self.rebalance_log.append(summary)
-                    if summary["cols_moved"]:
-                        self._broadcast_rebalance(coordinator.partition_epoch)
+            totals = {row["shard"]: float(row["ops"]) for row in rows}
+            widths = {row["shard"]: part.width_of(row["shard"]) for row in rows}
+            proposal = policy.propose(totals, widths, part.order)
+            if proposal is not None:
+                self._apply_placement_op(proposal, "policy", step)
 
-    def _apply_elastic_proposal(self, coordinator, policy, rows, key, step) -> None:
-        """Run one elastic policy window and apply its decision.
-
-        The policy works over stable shard ids in stripe order; split and
-        merge decisions go through the coordinator's lifecycle
-        (spawn/retire), transfers through the ordinary migration.  Every
-        applied op lands in ``rebalance_log``; any effective column move
-        broadcasts the new epoch.
+    def _apply_placement_op(
+        self, op: tuple, source: str, step: int, announce: bool = True
+    ) -> None:
+        """Apply one ``("transfer", src, dst, cols)`` / ``("split", donor)``
+        / ``("merge", sid, into)`` op through the coordinator, log it in
+        ``rebalance_log`` and, if columns moved, broadcast the new epoch.
         """
-        part = coordinator.partitioner
-        totals = {row["shard"]: float(row[key]) for row in rows}
-        widths = {row["shard"]: part.width_of(row["shard"]) for row in rows}
-        proposal = policy.propose_elastic(totals, widths, part.order)
-        if proposal is None:
-            return
-        if proposal[0] == "split":
-            summary = coordinator.spawn_shard(proposal[1])
-            trigger = "policy-split"
-        elif proposal[0] == "merge":
-            summary = coordinator.retire_shard(proposal[1], proposal[2])
-            trigger = "policy-merge"
+        coordinator = self.server
+        kind = op[0]
+        if kind == "split":
+            summary = coordinator.spawn_shard(op[1])
+        elif kind == "merge":
+            summary = coordinator.retire_shard(op[1], op[2])
         else:
-            _, src, dst, cols = proposal
-            summary = coordinator.apply_rebalance(src, dst, cols)
-            trigger = "policy"
+            summary = coordinator.apply_rebalance(*op[1:])
         summary["step"] = step
-        summary["trigger"] = trigger
+        summary["trigger"] = source if kind == "transfer" else f"{source}-{kind}"
         self.rebalance_log.append(summary)
-        if summary["cols_moved"]:
+        if announce and summary["cols_moved"]:
             self._broadcast_rebalance(coordinator.partition_epoch)
 
     def _broadcast_rebalance(self, epoch: int) -> None:

@@ -4,8 +4,8 @@ The paper's server is monolithic; this repo shards it into column
 stripes, which makes the stripe boundaries a load-balancing knob.  This
 ablation crosses a workload skew (``hotspot_fraction``: the share of the
 population compressed into the left 20% x-strip) with the online
-rebalancing policy (:class:`repro.core.RebalancePolicy`, deterministic
-``ops`` metric) and reports the per-shard load split each combination
+rebalancing policy (:class:`repro.core.RebalancePolicy`, which reads the
+deterministic ``ops`` counters) and reports the per-shard load split each combination
 ends up with.
 
 Expected shape: on the uniform workload the static stripes are already
@@ -49,7 +49,6 @@ def _run_one(
         config=dict(
             shards=SHARDS,
             rebalance_every_steps=REBALANCE_EVERY if rebalance else 0,
-            rebalance_metric="ops",
         ),
         warmup_steps=warmup,
     )

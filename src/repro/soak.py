@@ -219,13 +219,13 @@ def run_soak(
     ``steps=None`` runs until interrupted (Ctrl-C finalizes the report
     cleanly -- the run so far is graded and written, not discarded).
     ``elastic`` selects the scale-out mode: ``"policy"`` arms the
-    :class:`~repro.core.ElasticPolicy` thermostat (deterministic ``ops``
-    metric), ``"schedule"`` applies fixed split/merge triggers
+    :class:`~repro.core.RebalancePolicy` thermostat with a fleet ceiling
+    (``max_shards``), ``"schedule"`` applies fixed split/merge triggers
     (``elastic_schedule``, defaulted by :func:`default_elastic_schedule`
-    for bounded runs), ``"both"`` combines them -- guaranteed lifecycle
-    coverage from the schedule *and* the thermostat's load chasing (the
-    CI soak smoke uses this) -- and ``"off"`` runs a fixed fleet with no
-    twin.
+    for bounded runs), ``"both"`` combines the schedule with a
+    transfer-only thermostat -- guaranteed lifecycle coverage from the
+    schedule *and* the thermostat's load chasing (the CI soak smoke uses
+    this) -- and ``"off"`` runs a fixed fleet with no twin.
     """
     if elastic not in ("policy", "schedule", "both", "off"):
         raise ValueError(f"unknown elastic mode {elastic!r}")
@@ -250,20 +250,15 @@ def run_soak(
     )
     static_config = dict(config)  # the twin: same knobs, a fleet that never changes
     if elastic in ("policy", "both"):
-        config.update(
-            elastic_max_shards=max_shards,
-            rebalance_every_steps=rebalance_every,
-            rebalance_metric="ops",
-        )
+        config["rebalance_every_steps"] = rebalance_every
+    if elastic == "policy":
+        config["elastic_max_shards"] = max_shards
     if elastic in ("schedule", "both"):
+        # In "both" mode the schedule owns fleet membership and the policy,
+        # left without a ceiling, only transfers: a scheduled merge names
+        # fixed shard ids and requires them to be stripe-adjacent, so a
+        # policy split landing between the pair would (correctly) raise.
         config["elastic_schedule"] = tuple(elastic_schedule)
-    if elastic == "both":
-        # The schedule owns fleet membership; the policy only transfers.
-        # A scheduled merge names fixed shard ids and requires them to be
-        # stripe-adjacent, so a policy split landing between the pair
-        # would (correctly) raise.  Streaks beyond any run length keep
-        # the thermostat to boundary slides, which never change ids.
-        config.update(elastic_split_after=10**9, elastic_merge_after=10**9)
 
     grade_twin = twin and elastic != "off"
     system, workload, rng = build_system(params, seed, config=config)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro import scenario
 from repro.core import MobiEyesConfig, MobiEyesSystem, PropagationMode, QuerySpec, TrueFilter
 from repro.geometry import Circle, Point, Rect, Vector
 from repro.mobility import MovingObject
 from repro.sim import SimulationRng
+from repro.workload import paper_defaults
 
 
 def make_object(oid, x, y, vx=0.0, vy=0.0, max_speed=100.0, props=None):
@@ -48,6 +52,36 @@ def make_system(
         loss=loss,
         motion=motion,
     )
+
+
+def paper_system(
+    engine="reference",
+    shards=2,
+    scale=0.012,
+    seed=42,
+    hotspot=0.0,
+    latency=0,
+    loss=None,
+    **config,
+):
+    """A scaled Table-1 world through ``scenario.build_system``, queries
+    installed; ``config`` holds further :class:`MobiEyesConfig` fields."""
+    params = dataclasses.replace(
+        paper_defaults(), seed=seed, hotspot_fraction=hotspot
+    ).scaled(scale)
+    system, _, _ = scenario.build_system(
+        params,
+        config=dict(
+            engine=engine,
+            shards=shards,
+            uplink_latency_steps=latency,
+            downlink_latency_steps=latency,
+            latency_seed=seed,
+            **config,
+        ),
+        loss=loss,
+    )
+    return system
 
 
 def circle_query(oid, radius, query_filter=None):

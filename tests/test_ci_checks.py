@@ -9,7 +9,9 @@ gate died.
 
 from __future__ import annotations
 
+import argparse
 import copy
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -57,7 +59,7 @@ def latency_report():
 
 @pytest.fixture(scope="module")
 def soak_report(tmp_path_factory):
-    report = run_soak(
+    return run_soak(
         steps=40,
         shards=2,
         scale=0.02,
@@ -69,10 +71,6 @@ def soak_report(tmp_path_factory):
         out_dir=tmp_path_factory.mktemp("soak"),
         log=lambda *_: None,
     )
-    # The one wall-clock verdict: true on CI's host, a coin toss on a
-    # loaded test box.  Everything else the script reads is deterministic.
-    report["improvement"]["improved_seconds"] = True
-    return report
 
 
 def test_chaos_crash(crash_report, tmp_path):
@@ -117,13 +115,37 @@ def test_soak(soak_report, tmp_path):
         "accounting": lambda r: r["ingest"]["counters"].update(applied=0),
         "fleet": lambda r: r["fleet"].update(retired_shards=[]),
         "ops imbalance": lambda r: r["improvement"].update(improved_ops=False),
-        "seconds imbalance": lambda r: r["improvement"].update(improved_seconds=False),
     }
     for message, doctor in doctored.items():
         broken = copy.deepcopy(soak_report)
         doctor(broken)
         with pytest.raises(SystemExit, match=message):
             run_check("soak", broken, tmp_path)
+    # The wall-clock verdict is reported, never gated on.
+    unlucky = copy.deepcopy(soak_report)
+    unlucky["improvement"]["improved_seconds"] = False
+    assert run_check("soak", unlucky, tmp_path) == 0
+
+
+def test_knob_counts_only_ratchet_down():
+    """ROADMAP's north-star counts, pinned: a PR that adds a config field
+    or a CLI argument has to raise these numbers in the open."""
+    from repro.cli import build_parser
+    from repro.core import MobiEyesConfig
+
+    fields = [f for f in dataclasses.fields(MobiEyesConfig) if f.init]
+    assert len(fields) <= 27, [f.name for f in fields]
+
+    def arguments(parser):
+        count = 0
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                count += sum(arguments(sub) for sub in action.choices.values())
+            elif not isinstance(action, argparse._HelpAction):
+                count += 1
+        return count
+
+    assert arguments(build_parser()) <= 51
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -170,11 +170,11 @@ class TestMutation:
         part.transfer(0, 1, 2)
         saved_bounds, saved_epoch = part.bounds, part.epoch
         other = PartitionMap(make_grid(cols=10), 4)
-        other.restore_state(saved_bounds, saved_epoch)
+        other.restore_state(saved_bounds, saved_epoch, part.order)
         assert other.bounds == saved_bounds and other.epoch == saved_epoch
         with pytest.raises(ValueError):
-            other.restore_state((0, 3, 5, 10), saved_epoch)  # wrong length
+            other.restore_state((0, 3, 5, 10), saved_epoch, part.order)  # wrong length
         with pytest.raises(ValueError):
-            other.restore_state((0, 5, 3, 8, 10), saved_epoch)  # not monotone
+            other.restore_state((0, 5, 3, 8, 10), saved_epoch, part.order)  # not monotone
         with pytest.raises(ValueError):
-            other.restore_state((1, 3, 5, 8, 10), saved_epoch)  # wrong span
+            other.restore_state((1, 3, 5, 8, 10), saved_epoch, part.order)  # wrong span

@@ -6,32 +6,35 @@ Evidence layers:
 1. :class:`~repro.core.partition.PartitionMap` stripe surgery -- a
    zero-width insert or removal changes no cell's owner, so neither
    bumps the epoch; the filling/draining transfer does;
-2. :class:`~repro.core.ElasticPolicy` unit behavior -- id-keyed streaks,
-   split/merge/transfer decision order, fleet bounds, checkpoint state;
+2. :class:`~repro.core.RebalancePolicy` with a fleet ceiling -- id-keyed
+   streaks, split/merge/transfer decision order, fleet bounds, checkpoint
+   state;
 3. coordinator spawn/retire/recycle keeps invariants and drains retired
    slots completely;
 4. scheduled splits and merges are deterministic, engine-agnostic, and
    **oracle-exact** against a static-fleet lockstep twin (scale-out
    moves state, never results);
-5. the policy path actually splits a persistent flash-crowd hotspot;
-6. snapshot v3 restores a mutated fleet (order, retired slots, epoch)
+5. the policy path actually splits a persistent flash-crowd hotspot, and
+   stays stripe-adjacent when a schedule has reordered the ids;
+6. a checkpoint restores a mutated fleet (order, retired slots, epoch)
    and resumes bit-identically.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.core import ElasticPolicy, MobiEyesConfig, MobiEyesSystem
+from repro import scenario
+from repro.core import MobiEyesConfig, RebalancePolicy
 from repro.core.snapshot import checkpoint, from_bytes, restore, step_hash
 from repro.core.partition import PartitionMap
 from repro.fastpath import numpy_available
+from repro.fastpath.bench import skewed_params
 from repro.geometry import Rect
 from repro.grid import Grid
 from repro.sim.rng import SimulationRng
-from repro.workload import generate_workload, paper_defaults
+from repro.workload import paper_defaults
+from tests.conftest import paper_system
 
 ENGINES = ["reference"] + (["vectorized"] if numpy_available() else [])
 
@@ -42,52 +45,6 @@ SCHEDULE = ((3, "split", 0), (7, "merge", 2, 0))
 
 def make_grid(cols=8, rows=8, alpha=1.0):
     return Grid(Rect(0, 0, cols * alpha, rows * alpha), alpha)
-
-
-def build_system(
-    engine="reference",
-    shards=2,
-    scale=0.012,
-    seed=42,
-    hotspot=0.0,
-    latency=0,
-    schedule=(),
-    max_shards=0,
-    rebalance_every=0,
-    split_after=2,
-    merge_after=3,
-    checkpoint_every=0,
-):
-    params = dataclasses.replace(
-        paper_defaults(), seed=seed, hotspot_fraction=hotspot
-    ).scaled(scale)
-    rng = SimulationRng(params.seed)
-    workload = generate_workload(params, rng.fork(1))
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        base_station_side=params.base_station_side,
-        engine=engine,
-        shards=shards,
-        uplink_latency_steps=latency,
-        downlink_latency_steps=latency,
-        latency_seed=seed,
-        elastic_schedule=schedule,
-        elastic_max_shards=max_shards,
-        elastic_split_after=split_after,
-        elastic_merge_after=merge_after,
-        rebalance_every_steps=rebalance_every,
-        rebalance_metric="ops" if rebalance_every else "seconds",
-        checkpoint_every_steps=checkpoint_every,
-    )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
-    )
-    system.install_queries(workload.query_specs)
-    return system
 
 
 def results_of(system):
@@ -152,28 +109,29 @@ class TestStripeSurgery:
         assert part.order == (0, 2, 1)
         assert part.shard_of_cell((2, 0)) == 2
 
-    def test_restore_state_without_order_keeps_legacy_rule(self):
+    def test_restore_state_rejects_bounds_order_length_mismatch(self):
         part = PartitionMap(make_grid(cols=8), 2)
-        with pytest.raises(ValueError):
-            part.restore_state((0, 2, 3, 8), 5)  # count change needs order
+        with pytest.raises(ValueError, match="does not fit 2 stripes"):
+            part.restore_state((0, 2, 3, 8), 5, (0, 1))  # three stripes, two ids
+        assert part.order == (0, 1) and part.epoch == 0  # nothing adopted
 
 
 class TestElasticPolicy:
-    def policy(self, **kw):
-        kw.setdefault("max_shards", 4)
-        kw.setdefault("split_after", 2)
-        kw.setdefault("merge_after", 2)
-        return ElasticPolicy(hot_factor=1.5, cool_factor=1.2, **kw)
+    """The policy with a fleet ceiling: split after 2 hot windows, merge
+    after 3 cold ones (the constants in ``core/rebalance.py``)."""
+
+    def policy(self, max_shards=4):
+        return RebalancePolicy(max_shards=max_shards)
 
     def test_split_after_hot_streak(self):
         policy = self.policy()
         order = (0, 1)
         widths = {0: 4, 1: 4}
         # Window 1: shard 0 hot (streak 1) -> transfer proposed first.
-        op = policy.propose_elastic({0: 10.0, 1: 1.0}, widths, order)
+        op = policy.propose({0: 10.0, 1: 1.0}, widths, order)
         assert op == ("transfer", 0, 1, 1)
         # Window 2: still hot (streak 2) -> escalate to a split.
-        op = policy.propose_elastic({0: 20.0, 1: 2.0}, widths, order)
+        op = policy.propose({0: 20.0, 1: 2.0}, widths, order)
         assert op == ("split", 0)
         assert policy.splits == 1
 
@@ -181,84 +139,78 @@ class TestElasticPolicy:
         policy = self.policy(max_shards=2)
         order = (0, 1)
         widths = {0: 4, 1: 4}
-        policy.propose_elastic({0: 10.0, 1: 1.0}, widths, order)
-        op = policy.propose_elastic({0: 20.0, 1: 2.0}, widths, order)
+        policy.propose({0: 10.0, 1: 1.0}, widths, order)
+        op = policy.propose({0: 20.0, 1: 2.0}, widths, order)
         assert op is not None and op[0] == "transfer"  # capped: no split
 
     def test_split_needs_splittable_width(self):
         policy = self.policy()
         order = (0, 1)
         widths = {0: 1, 1: 7}
-        policy.propose_elastic({0: 10.0, 1: 1.0}, widths, order)
-        op = policy.propose_elastic({0: 20.0, 1: 2.0}, widths, order)
+        policy.propose({0: 10.0, 1: 1.0}, widths, order)
+        op = policy.propose({0: 20.0, 1: 2.0}, widths, order)
         assert op is None or op[0] != "split"
 
     def test_merge_after_cold_streak(self):
         policy = self.policy()
         order = (0, 1, 2)
         widths = {0: 3, 1: 3, 2: 2}
-        # Shard 2 idles below merge_factor x mean for two windows; the
-        # fleet is otherwise calm (no hot shard).
-        assert policy.propose_elastic({0: 5.0, 1: 5.0, 2: 0.1}, widths, order) is None
-        op = policy.propose_elastic({0: 10.0, 1: 10.0, 2: 0.2}, widths, order)
+        # Shard 2 idles below the merge factor x mean for three windows;
+        # the fleet is otherwise calm (no hot shard).
+        assert policy.propose({0: 5.0, 1: 5.0, 2: 0.1}, widths, order) is None
+        assert policy.propose({0: 10.0, 1: 10.0, 2: 0.2}, widths, order) is None
+        op = policy.propose({0: 15.0, 1: 15.0, 2: 0.3}, widths, order)
         assert op == ("merge", 2, 1)
         assert policy.merges == 1
 
     def test_merge_respects_min_shards(self):
-        policy = self.policy(min_shards=2)
+        policy = self.policy()
         order = (0, 1)
         widths = {0: 4, 1: 4}
-        policy.propose_elastic({0: 5.0, 1: 0.1}, widths, order)
-        op = policy.propose_elastic({0: 10.0, 1: 0.2}, widths, order)
-        assert op is None or op[0] != "merge"
+        for window in (1, 2, 3, 4):
+            op = policy.propose({0: 5.0 * window, 1: 0.1 * window}, widths, order)
+            assert op is None or op[0] != "merge"
+        assert policy.merges == 0
 
     def test_streaks_keyed_by_id_not_position(self):
         """A freshly spawned shard starts cold-zero even when it occupies
         a position whose previous occupant had a streak."""
         policy = self.policy()
-        policy.propose_elastic({0: 5.0, 1: 0.1, 2: 0.1}, {0: 4, 1: 2, 2: 2}, (0, 1, 2))
+        policy.propose({0: 5.0, 1: 0.1, 2: 0.1}, {0: 4, 1: 2, 2: 2}, (0, 1, 2))
         # Shard 1 retires; shard 3 spawns into the middle position.
-        policy.propose_elastic(
-            {0: 10.0, 3: 0.2, 2: 0.2}, {0: 4, 3: 2, 2: 2}, (0, 3, 2)
-        )
+        policy.propose({0: 10.0, 3: 0.2, 2: 0.2}, {0: 4, 3: 2, 2: 2}, (0, 3, 2))
         # Shard 2 kept its cold streak (now 2); shard 3 -- occupying the
         # retired shard 1's old position -- starts fresh at 1.
         assert policy._cold_streak[2] == 2
         assert policy._cold_streak[3] == 1
         assert 1 not in policy._cold_streak  # retired history dropped
         assert 1 not in policy._hot_streak
-        assert 1 not in policy._id_marks
+        assert 1 not in policy._marks
 
     def test_state_roundtrip(self):
         policy = self.policy()
-        policy.propose_elastic({0: 10.0, 1: 1.0}, {0: 4, 1: 4}, (0, 1))
+        policy.propose({0: 10.0, 1: 1.0}, {0: 4, 1: 4}, (0, 1))
         clone = self.policy()
         clone.restore_state(policy.state())
-        assert clone._id_marks == policy._id_marks
-        assert clone._hot_streak == policy._hot_streak
-        assert clone._cold_streak == policy._cold_streak
-        assert (clone.splits, clone.merges) == (policy.splits, policy.merges)
+        assert clone.state() == policy.state()
+        assert clone._hot_streak == {0: 1, 1: 0}
         # Both halves now make the same next decision.
         totals = {0: 20.0, 1: 2.0}
         widths = {0: 4, 1: 4}
-        assert policy.propose_elastic(totals, widths, (0, 1)) == clone.propose_elastic(
+        assert policy.propose(totals, widths, (0, 1)) == clone.propose(
             totals, widths, (0, 1)
         )
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            ElasticPolicy(max_shards=1)
+            RebalancePolicy(max_shards=1)  # a ceiling below the merge floor
         with pytest.raises(ValueError):
-            ElasticPolicy(max_shards=4, min_shards=1)
-        with pytest.raises(ValueError):
-            ElasticPolicy(max_shards=4, split_after=0)
-        with pytest.raises(ValueError):
-            ElasticPolicy(max_shards=4, merge_factor=1.5)
+            RebalancePolicy(max_shards=-1)
 
 
 class TestSpawnRetireLifecycle:
     def test_spawn_retire_recycle(self):
-        system = build_system(shards=2)
+        system = paper_system(shards=2)
         with system:
             system.run(2)
             server = system.server
@@ -286,7 +238,7 @@ class TestSpawnRetireLifecycle:
             system.run(2)
 
     def test_spawn_requires_live_wide_donor(self):
-        system = build_system(shards=2)
+        system = paper_system(shards=2)
         with system:
             server = system.server
             with pytest.raises(ValueError):
@@ -301,30 +253,21 @@ class TestSpawnRetireLifecycle:
         from repro.faults.injector import FaultInjector
         from repro.faults.schedule import CrashWindow, FaultSchedule
 
-        params = dataclasses.replace(paper_defaults(), seed=42).scaled(0.012)
-        rng = SimulationRng(params.seed)
-        workload = generate_workload(params, rng.fork(1))
-        config = MobiEyesConfig(
-            uod=params.uod,
-            alpha=params.alpha,
-            base_station_side=params.base_station_side,
-            shards=2,
-            elastic_schedule=SCHEDULE,
-            checkpoint_every_steps=2,
-        )
         injector = FaultInjector(
-            rng.fork(3),
+            SimulationRng(42).fork(3),
             schedule=FaultSchedule(crashes=(CrashWindow(shard=1, start=3, end=5),)),
         )
         with pytest.raises(ValueError, match="fixed fleet"):
-            MobiEyesSystem(config, list(workload.objects), rng.fork(2), loss=injector)
+            paper_system(
+                shards=2, elastic_schedule=SCHEDULE, checkpoint_every_steps=2, loss=injector
+            )
 
 
 class TestScheduledElastic:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_oracle_exact_vs_static_twin(self, engine):
-        elastic = build_system(engine=engine, shards=2, schedule=SCHEDULE)
-        static = build_system(engine=engine, shards=2)
+        elastic = paper_system(engine=engine, shards=2, elastic_schedule=SCHEDULE)
+        static = paper_system(engine=engine, shards=2)
         with elastic, static:
             for step in range(10):
                 elastic.step()
@@ -338,8 +281,8 @@ class TestScheduledElastic:
             elastic.server.check_invariants()
 
     def test_deterministic_across_runs(self):
-        a = build_system(shards=2, schedule=SCHEDULE)
-        b = build_system(shards=2, schedule=SCHEDULE)
+        a = paper_system(shards=2, elastic_schedule=SCHEDULE)
+        b = paper_system(shards=2, elastic_schedule=SCHEDULE)
         with a, b:
             for _ in range(10):
                 a.step()
@@ -348,8 +291,8 @@ class TestScheduledElastic:
 
     @pytest.mark.skipif(len(ENGINES) < 2, reason="numpy not installed")
     def test_engines_bit_identical(self):
-        ref = build_system(engine="reference", shards=2, schedule=SCHEDULE)
-        vec = build_system(engine="vectorized", shards=2, schedule=SCHEDULE)
+        ref = paper_system(engine="reference", shards=2, elastic_schedule=SCHEDULE)
+        vec = paper_system(engine="vectorized", shards=2, elastic_schedule=SCHEDULE)
         with ref, vec:
             for _ in range(10):
                 ref.step()
@@ -358,8 +301,8 @@ class TestScheduledElastic:
 
     def test_survives_latency(self):
         """Stale-epoch uplinks in flight across a split/merge reroute."""
-        elastic = build_system(shards=2, schedule=SCHEDULE, latency=2)
-        static = build_system(shards=2, latency=2)
+        elastic = paper_system(shards=2, elastic_schedule=SCHEDULE, latency=2)
+        static = paper_system(shards=2, latency=2)
         with elastic, static:
             for _ in range(12):
                 elastic.step()
@@ -369,15 +312,14 @@ class TestScheduledElastic:
 
 class TestPolicyElastic:
     def test_flash_crowd_triggers_split(self):
-        system = build_system(
+        system = paper_system(
             shards=2,
             hotspot=0.6,
-            max_shards=4,
-            rebalance_every=2,
-            split_after=1,
+            elastic_max_shards=4,
+            rebalance_every_steps=2,
             scale=0.02,
         )
-        static = build_system(shards=2, hotspot=0.6, scale=0.02)
+        static = paper_system(shards=2, hotspot=0.6, scale=0.02)
         with system, static:
             for _ in range(16):
                 system.step()
@@ -390,12 +332,43 @@ class TestPolicyElastic:
             assert system.server.partitioner.num_shards > 2
             system.server.check_invariants()
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_policy_stays_stripe_adjacent_after_scheduled_split(self, engine):
+        """A scheduled split leaves the stripe order (0, 2, 1); the fixed-
+        fleet policy armed beside it must pick neighbors by stripe
+        position.  (The list-indexed policy took ``hottest +- 1`` in id
+        order and raised ``shards must be adjacent: transfer(0, 1)`` out
+        of ``step()`` at step 4.)"""
+        system, _, _ = scenario.build_system(
+            skewed_params(0.02),
+            11,
+            config=dict(
+                engine=engine,
+                shards=2,
+                rebalance_every_steps=2,
+                elastic_schedule=((3, "split", 0),),
+            ),
+        )
+        with system:
+            for _ in range(40):
+                order = system.server.partitioner.order
+                logged = len(system.rebalance_log)
+                system.step()
+                system.check_invariants()
+                for op in system.rebalance_log[logged:]:
+                    if op["trigger"] == "policy":
+                        assert abs(order.index(op["src"]) - order.index(op["dst"])) == 1
+            triggers = [op["trigger"] for op in system.rebalance_log]
+            assert triggers.count("schedule-split") == 1
+            assert "policy" in triggers
+            assert set(triggers) <= {"schedule-split", "policy"}  # fixed fleet
+
 
 class TestElasticCheckpoint:
     def test_roundtrip_mid_fleet_mutation(self):
         """Checkpoint between the split and the merge: the restored system
         carries the grown fleet and replays the merge bit-identically."""
-        system = build_system(shards=2, schedule=SCHEDULE, checkpoint_every=5)
+        system = paper_system(shards=2, elastic_schedule=SCHEDULE, checkpoint_every_steps=5)
         with system:
             system.run(6)  # past the split (step 3) and the cadence (step 5)
             cp = system._last_checkpoint
@@ -414,7 +387,7 @@ class TestElasticCheckpoint:
                 resumed.server.check_invariants()
 
     def test_retired_slot_restores(self):
-        system = build_system(shards=2, schedule=SCHEDULE)
+        system = paper_system(shards=2, elastic_schedule=SCHEDULE)
         with system:
             system.run(9)  # past both the split and the merge
             assert system.server.retired_shards == (2,)
@@ -515,6 +488,10 @@ class TestConfigValidation:
     def test_elastic_policy_needs_cadence(self):
         with pytest.raises(ValueError):
             self._base(shards=2, elastic_max_shards=3)
+
+    def test_elastic_ceiling_below_two_rejected(self):
+        with pytest.raises(ValueError, match="elastic_max_shards"):
+            self._base(shards=2, elastic_max_shards=1, rebalance_every_steps=2)
 
     def test_elastic_excludes_rebalance_schedule(self):
         with pytest.raises(ValueError):

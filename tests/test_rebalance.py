@@ -4,7 +4,8 @@ epoch machinery end to end.
 Evidence layers:
 
 1. :class:`~repro.core.RebalancePolicy` unit behavior -- window diffing,
-   thermostat hysteresis, donor/recipient selection, checkpoint state;
+   thermostat hysteresis, donor/recipient selection, checkpoint state
+   (the split/merge decisions are in ``test_elastic.py``);
 2. scheduled repartitions are *bit-identical* across engines and shard
    counts (the broadcast-always design), and never change results
    relative to a static-stripes twin;
@@ -12,67 +13,27 @@ Evidence layers:
    the live map, counted, never dropped);
 4. checkpoints taken before a scheduled move restore and replay it
    bit-identically, including the mutated bounds;
-5. the ops-metric policy actually fixes a flash-crowd imbalance.
+5. the policy actually fixes a flash-crowd imbalance, and does so
+   deterministically: same decisions across runs and engines.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.core import MobiEyesConfig, MobiEyesSystem, RebalancePolicy
+from repro import scenario
+from repro.core import MobiEyesConfig, RebalancePolicy
 from repro.core.messages import RebalanceDirective
-from repro.core.snapshot import checkpoint, restore
+from repro.core.snapshot import checkpoint, restore, step_hash
 from repro.fastpath import numpy_available
-from repro.sim.rng import SimulationRng
-from repro.workload import generate_workload, paper_defaults
+from repro.fastpath.bench import skewed_params
+from repro.workload import paper_defaults
+from tests.conftest import paper_system
 
 ENGINES = ["reference"] + (["vectorized"] if numpy_available() else [])
 
 # Two boundary moves: columns right at step 3, partially back at step 7.
 SCHEDULE = ((3, 0, 1, 1), (7, 1, 0, 2))
-
-
-def build_system(
-    engine="reference",
-    shards=2,
-    scale=0.012,
-    seed=42,
-    hotspot=0.0,
-    latency=0,
-    schedule=(),
-    rebalance_every=0,
-    rebalance_metric="seconds",
-    checkpoint_every=0,
-):
-    params = dataclasses.replace(
-        paper_defaults(), seed=seed, hotspot_fraction=hotspot
-    ).scaled(scale)
-    rng = SimulationRng(params.seed)
-    workload = generate_workload(params, rng.fork(1))
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        base_station_side=params.base_station_side,
-        engine=engine,
-        shards=shards,
-        uplink_latency_steps=latency,
-        downlink_latency_steps=latency,
-        latency_seed=seed,
-        rebalance_schedule=schedule,
-        rebalance_every_steps=rebalance_every,
-        rebalance_metric=rebalance_metric,
-        checkpoint_every_steps=checkpoint_every,
-    )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
-    )
-    system.install_queries(workload.query_specs)
-    return system
 
 
 def step_snapshot(system):
@@ -94,62 +55,83 @@ def run_trace(system, steps):
     return trace
 
 
+def by_id(*values):
+    """Per-shard figures keyed by shard id 0..n-1 (a fixed fleet)."""
+    return dict(enumerate(values))
+
+
 class TestPolicy:
     def test_window_diffs_lifetime_totals(self):
         policy = RebalancePolicy()
-        assert policy.window_loads([3.0, 1.0]) == [3.0, 1.0]
-        assert policy.window_loads([5.0, 4.0]) == [2.0, 3.0]
+        widths, order = by_id(4, 4), (0, 1)
+        assert policy.propose(by_id(10.0, 1.0), widths, order) == ("transfer", 0, 1, 1)
+        # Lifetime totals are level now, but the *window* (1 vs 10) says
+        # shard 1 carried the load since the last evaluation.
+        assert policy.propose(by_id(11.0, 11.0), widths, order) == ("transfer", 1, 0, 1)
 
     def test_quiet_below_hot_factor(self):
-        policy = RebalancePolicy(hot_factor=1.5, cool_factor=1.2)
-        assert policy.propose([1.0, 1.2, 1.1], [3, 3, 3]) is None
+        policy = RebalancePolicy()
+        assert policy.propose(by_id(1.0, 1.2, 1.1), by_id(3, 3, 3), (0, 1, 2)) is None
         assert policy.proposals == 0
 
     def test_proposes_move_to_cooler_neighbor(self):
-        policy = RebalancePolicy(hot_factor=1.5, cool_factor=1.2)
+        policy = RebalancePolicy()
         # Shard 1 is hot; shard 2 is the cooler of its two neighbors.
-        assert policy.propose([4.0, 10.0, 1.0], [4, 4, 4]) == (1, 2, 1)
+        op = policy.propose(by_id(4.0, 10.0, 1.0), by_id(4, 4, 4), (0, 1, 2))
+        assert op == ("transfer", 1, 2, 1)
+
+    def test_neighbors_follow_stripe_order_not_ids(self):
+        policy = RebalancePolicy()
+        # Stripe order 0, 2, 1: shard 0's only neighbor is shard 2.
+        op = policy.propose(by_id(10.0, 0.0, 1.0), by_id(4, 2, 2), (0, 2, 1))
+        assert op == ("transfer", 0, 2, 1)
 
     def test_thermostat_keeps_proposing_until_cool(self):
-        policy = RebalancePolicy(hot_factor=1.5, cool_factor=1.2)
-        assert policy.propose([0.0, 10.0, 1.0], [4, 4, 4]) is not None
-        # Still far above cool_factor next window: keep rebalancing.
-        assert policy.propose([0.0, 20.0, 2.0], [3, 5, 4]) is not None
-        # Cooled below cool_factor: disarm and go quiet.
-        assert policy.propose([1.0, 21.1, 3.1], [3, 5, 4]) is None
-        # Dead band (between cool and hot) does not re-arm.
-        assert policy.propose([2.0, 22.4, 4.1], [3, 5, 4]) is None
+        policy = RebalancePolicy()
+        order = (0, 1, 2)
+        assert policy.propose(by_id(0.0, 10.0, 1.0), by_id(4, 4, 4), order) is not None
+        # Still far above the cool factor next window: keep rebalancing.
+        assert policy.propose(by_id(0.0, 20.0, 2.0), by_id(3, 5, 4), order) is not None
+        # Cooled below the cool factor: disarm and go quiet.
+        assert policy.propose(by_id(1.0, 21.1, 3.1), by_id(3, 5, 4), order) is None
+        # Dead band (ratio ~1.29, between cool and hot) does not re-arm.
+        assert policy.propose(by_id(2.0, 22.6, 4.1), by_id(3, 5, 4), order) is None
+
+    def test_fixed_fleet_never_splits_or_merges(self):
+        policy = RebalancePolicy()  # max_shards == 0
+        widths, order = by_id(4, 4, 4), (0, 1, 2)
+        for window in range(1, 6):
+            # Shard 0 persistently hot, shard 2 persistently idle.
+            op = policy.propose(by_id(10.0 * window, 1.0 * window, 0.0), widths, order)
+            assert op == ("transfer", 0, 1, 1)
+        assert (policy.splits, policy.merges) == (0, 0)
 
     def test_no_move_from_single_column_donor(self):
         policy = RebalancePolicy()
-        assert policy.propose([0.0, 10.0], [4, 1]) is None
+        assert policy.propose(by_id(0.0, 10.0), by_id(4, 1), (0, 1)) is None
 
     def test_no_move_when_neighbor_as_hot(self):
-        policy = RebalancePolicy(hot_factor=1.0, cool_factor=1.0)
-        assert policy.propose([5.0, 5.0], [4, 4]) is None
+        policy = RebalancePolicy()
+        # Shard 0 is hot (2x the mean) but its only neighbor is as hot.
+        op = policy.propose(by_id(10.0, 10.0, 0.0, 0.0), by_id(4, 4, 4, 4), (0, 1, 2, 3))
+        assert op is None
+        assert policy.proposals == 0
 
     def test_degenerate_inputs(self):
         policy = RebalancePolicy()
-        assert policy.propose([7.0], [8]) is None
-        assert policy.propose([0.0, 0.0], [4, 4]) is None
+        assert policy.propose(by_id(7.0), by_id(8), (0,)) is None
+        assert policy.propose(by_id(0.0, 0.0), by_id(4, 4), (0, 1)) is None
 
     def test_state_roundtrip(self):
-        policy = RebalancePolicy(hot_factor=1.5, cool_factor=1.2)
-        policy.propose([0.0, 10.0, 1.0], [4, 4, 4])
-        clone = RebalancePolicy(hot_factor=1.5, cool_factor=1.2)
+        policy = RebalancePolicy()
+        order = (0, 1, 2)
+        policy.propose(by_id(0.0, 10.0, 1.0), by_id(4, 4, 4), order)
+        clone = RebalancePolicy()
         clone.restore_state(policy.state())
         assert clone.state() == policy.state()
         # Both continue identically from the restored marks.
-        totals = [1.0, 12.0, 2.0]
-        assert clone.propose(totals, [3, 5, 4]) == policy.propose(totals, [3, 5, 4])
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            RebalancePolicy(hot_factor=0.5)
-        with pytest.raises(ValueError):
-            RebalancePolicy(hot_factor=1.5, cool_factor=1.6)
-        with pytest.raises(ValueError):
-            RebalancePolicy(metric="watts")
+        totals, widths = by_id(1.0, 12.0, 2.0), by_id(3, 5, 4)
+        assert clone.propose(totals, widths, order) == policy.propose(totals, widths, order)
 
     def test_config_schedule_validation(self):
         params = paper_defaults().scaled(0.012)
@@ -158,8 +140,6 @@ class TestPolicy:
             MobiEyesConfig(**base, rebalance_schedule=((0, 0, 1, 1),))  # step < 1
         with pytest.raises(ValueError):
             MobiEyesConfig(**base, rebalance_schedule=((3, 0, 2, 1),))  # not adjacent
-        with pytest.raises(ValueError):
-            MobiEyesConfig(**base, rebalance_metric="watts")
 
 
 class TestScheduledBitIdentity:
@@ -168,19 +148,19 @@ class TestScheduledBitIdentity:
         """The broadcast-always design: a fixed trigger schedule produces
         the same results, message counts, and bits at 1, 2, and 4 shards."""
         traces = {
-            shards: run_trace(build_system(engine=engine, shards=shards, schedule=SCHEDULE), 10)
+            shards: run_trace(paper_system(engine=engine, shards=shards, rebalance_schedule=SCHEDULE), 10)
             for shards in (1, 2, 4)
         }
         assert traces[1] == traces[2] == traces[4]
 
     @pytest.mark.skipif(len(ENGINES) < 2, reason="needs numpy")
     def test_identical_across_engines(self):
-        ref = run_trace(build_system(engine="reference", shards=4, schedule=SCHEDULE), 10)
-        vec = run_trace(build_system(engine="vectorized", shards=4, schedule=SCHEDULE), 10)
+        ref = run_trace(paper_system(engine="reference", shards=4, rebalance_schedule=SCHEDULE), 10)
+        vec = run_trace(paper_system(engine="vectorized", shards=4, rebalance_schedule=SCHEDULE), 10)
         assert ref == vec
 
     def test_schedule_mutates_bounds_and_logs(self):
-        system = build_system(shards=2, schedule=SCHEDULE)
+        system = paper_system(shards=2, rebalance_schedule=SCHEDULE)
         before = system.server.partitioner.bounds
         run_trace(system, 10)
         part = system.server.partitioner
@@ -194,20 +174,20 @@ class TestScheduledBitIdentity:
         """Repartitioning moves load, never results.  Only the result
         sets compare here: the rebalanced run legitimately sends more
         downlinks (the directive broadcasts)."""
-        moving = build_system(shards=4, schedule=SCHEDULE)
-        static = build_system(shards=4)
+        moving = paper_system(shards=4, rebalance_schedule=SCHEDULE)
+        static = paper_system(shards=4)
         moving_trace = run_trace(moving, 10)
         static_trace = run_trace(static, 10)
         assert [r for r, *_ in moving_trace] == [r for r, *_ in static_trace]
 
     def test_clients_adopt_broadcast_epoch(self):
-        system = build_system(shards=2, schedule=SCHEDULE)
+        system = paper_system(shards=2, rebalance_schedule=SCHEDULE)
         run_trace(system, 10)
         epochs = {client.partition_epoch for client in system.clients.values()}
         assert epochs == {2}
 
     def test_stale_directive_is_ignored(self):
-        system = build_system(shards=2)
+        system = paper_system(shards=2)
         client = next(iter(system.clients.values()))
         client.on_downlink(RebalanceDirective(epoch=3))
         assert client.partition_epoch == 3
@@ -219,8 +199,8 @@ class TestStaleEpochReroute:
     def test_inflight_uplinks_rerouted_not_dropped(self):
         """With delivery latency, uplinks enqueued before a boundary move
         arrive stamped with the old epoch; the live map reroutes them."""
-        moving = build_system(shards=4, schedule=SCHEDULE, latency=2)
-        static = build_system(shards=4, latency=2)
+        moving = paper_system(shards=4, rebalance_schedule=SCHEDULE, latency=2)
+        static = paper_system(shards=4, latency=2)
         moving_trace = run_trace(moving, 10)
         static_trace = run_trace(static, 10)
         assert [r for r, *_ in moving_trace] == [r for r, *_ in static_trace]
@@ -228,7 +208,7 @@ class TestStaleEpochReroute:
         assert static.transport.stale_epoch_reroutes == 0
 
     def test_zero_latency_has_no_stale_deliveries(self):
-        system = build_system(shards=4, schedule=SCHEDULE)
+        system = paper_system(shards=4, rebalance_schedule=SCHEDULE)
         run_trace(system, 10)
         assert system.transport.stale_epoch_reroutes == 0
 
@@ -237,9 +217,9 @@ class TestCheckpointRebalance:
     def test_restore_before_trigger_replays_move(self):
         """A checkpoint taken before a scheduled move must replay the move
         on resume and end bit-identical to the uninterrupted run."""
-        straight = build_system(shards=2, schedule=SCHEDULE)
+        straight = paper_system(shards=2, rebalance_schedule=SCHEDULE)
         tail = run_trace(straight, 10)[4:]
-        original = build_system(shards=2, schedule=SCHEDULE)
+        original = paper_system(shards=2, rebalance_schedule=SCHEDULE)
         run_trace(original, 4)
         resumed = restore(checkpoint(original))
         assert resumed.server.partitioner.epoch == 1  # step-3 move captured
@@ -248,8 +228,8 @@ class TestCheckpointRebalance:
         assert resumed.server.partitioner.epoch == straight.server.partitioner.epoch
 
     def test_restore_after_all_triggers_keeps_bounds(self):
-        original = build_system(shards=2, schedule=SCHEDULE)
-        straight = build_system(shards=2, schedule=SCHEDULE)
+        original = paper_system(shards=2, rebalance_schedule=SCHEDULE)
+        straight = paper_system(shards=2, rebalance_schedule=SCHEDULE)
         run_trace(original, 8)
         tail = run_trace(straight, 10)[8:]
         resumed = restore(checkpoint(original))
@@ -258,7 +238,7 @@ class TestCheckpointRebalance:
         assert run_trace(resumed, 2) == tail
 
     def test_policy_state_survives_restore(self):
-        system = build_system(shards=2, hotspot=0.5, rebalance_every=3, rebalance_metric="ops")
+        system = paper_system(shards=2, hotspot=0.5, rebalance_every_steps=3)
         run_trace(system, 7)
         resumed = restore(checkpoint(system))
         assert resumed._rebalance_policy is not None
@@ -268,13 +248,11 @@ class TestCheckpointRebalance:
 
 class TestPolicyMode:
     def test_ops_policy_fixes_flash_crowd(self):
-        """On the hotspot workload the ops-metric policy must move columns
-        off the hot stripes and strictly cut the ops imbalance -- without
-        changing a single result relative to the static twin."""
-        static = build_system(shards=4, hotspot=0.5, scale=0.02)
-        moving = build_system(
-            shards=4, hotspot=0.5, scale=0.02, rebalance_every=3, rebalance_metric="ops"
-        )
+        """On the hotspot workload the policy must move columns off the
+        hot stripes and strictly cut the ops imbalance -- without changing
+        a single result relative to the static twin."""
+        static = paper_system(shards=4, hotspot=0.5, scale=0.02)
+        moving = paper_system(shards=4, hotspot=0.5, scale=0.02, rebalance_every_steps=3)
         static_trace = run_trace(static, 12)
         moving_trace = run_trace(moving, 12)
         assert [r for r, *_ in moving_trace] == [r for r, *_ in static_trace]
@@ -288,7 +266,27 @@ class TestPolicyMode:
         moving.server.check_invariants()
 
     def test_uniform_workload_stays_quiet(self):
-        system = build_system(shards=4, scale=0.02, rebalance_every=4, rebalance_metric="ops")
+        system = paper_system(shards=4, scale=0.02, rebalance_every_steps=4)
         run_trace(system, 16)
         assert system.rebalance_log == []
         assert system.server.partitioner.epoch == 0
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_policy_mode_is_deterministic(self, shards):
+        """The policy reads only the ops counters, so a fixed-fleet policy
+        run makes the same moves at the same steps -- and hashes the same
+        after every step -- on every run and on both engines."""
+        runs = []
+        for engine in ENGINES + ENGINES[:1]:  # every engine, the first one twice
+            system, _, _ = scenario.build_system(
+                skewed_params(0.02),
+                11,
+                config=dict(engine=engine, shards=shards, rebalance_every_steps=3),
+            )
+            hashes = []
+            for _ in range(20):
+                system.step()
+                hashes.append(step_hash(system))
+            runs.append((hashes, system.rebalance_log))
+        assert any(op["cols_moved"] for op in runs[0][1])
+        assert all(run == runs[0] for run in runs[1:])

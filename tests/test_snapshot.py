@@ -129,6 +129,11 @@ class TestCheckpointRoundtrip:
         stale = Checkpoint(version=CHECKPOINT_VERSION + 1, payload=cp.payload)
         with pytest.raises(ValueError, match="version"):
             restore(stale)
+        # v4 bytes (seven more config fields, list-indexed policy marks)
+        # are refused, not half-read.
+        v4 = Checkpoint(version=4, payload=cp.payload).to_bytes()
+        with pytest.raises(ValueError, match="version 4 unsupported"):
+            from_bytes(v4)
         with pytest.raises(ValueError):
             from_bytes(b"not a checkpoint")
 
