@@ -63,7 +63,8 @@ class MobiEyesConfig:
             velocity changes) through the columnar batched pipeline
             (:mod:`repro.core.reporting`): clients append records to a
             shared struct-of-arrays buffer flushed once per window instead
-            of allocating one dataclass and one envelope per report.
+            of allocating one dataclass per report (under loss, fault
+            injection or modeled latency the flush replays per message).
             Result hashes, message counts, sizes, and energy accounting
             are bit-identical either way; ``False`` forces the historical
             per-message path.

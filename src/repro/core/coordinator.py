@@ -43,6 +43,7 @@ from repro.core.focal import FocalTracker
 from repro.core.messages import (
     REC_CELL,
     REC_RESULT,
+    REC_VELOCITY,
     CellChangeReport,
     MotionStateRequest,
     ResultChangeReport,
@@ -50,11 +51,12 @@ from repro.core.messages import (
 from repro.core.partition import PartitionMap
 from repro.core.query import MovingQuery, QueryId, QuerySpec
 from repro.core.registry import QueryRegistry, ResultCallback
+from repro.core.reporting import ReportBuffer
 from repro.core.shard import ServerShard
 from repro.core.tables import FotEntry, SqtEntry
 from repro.core.transport import SimulatedTransport
 from repro.grid import CellIndex, CellRange, Grid
-from repro.mobility.model import ObjectId
+from repro.mobility.model import MotionState, ObjectId
 
 
 class Coordinator:
@@ -173,63 +175,63 @@ class Coordinator:
         transport can count stale-epoch reroutes)."""
         return self.partitioner.epoch
 
+    def _route_report(self, kind: int, oid: ObjectId, new_cell: CellIndex | None) -> int:
+        """The one routing rule, by record kind: a cell change goes to the
+        owner of ``new_cell``, a result change to the owner of the sender's
+        current cell, anything else (velocity changes and every control
+        message) to the sender's home directory, falling back to its cell.
+        Both :meth:`shard_for_uplink` and :meth:`apply_report_record`
+        resolve through here."""
+        if kind == REC_CELL:
+            return self.partitioner.shard_of_cell(new_cell)
+        if kind != REC_RESULT:
+            home = self._home_of(oid)
+            if home is not None:
+                return home
+        return self.partitioner.shard_of_cell(self.transport.coverage.cell_of(oid))
+
+    def _touch_home(
+        self, oid: ObjectId, endpoint: int, state: MotionState | None, max_speed: float | None
+    ) -> None:
+        """Lease-touch guarantee: a sender whose traffic routed to a
+        foreign shard must still refresh its lease at home."""
+        home = self._home_of(oid)
+        if home is not None and home != endpoint:
+            self.shards[home]._touch_lease_rec(oid, state, max_speed)
+
     def shard_for_uplink(self, message: object) -> int:
         """The shard an uplink message is dispatched to (also the ack
         endpoint the reliability layer keys its sequence streams by)."""
         if isinstance(message, CellChangeReport):
-            return self.partitioner.shard_of_cell(message.new_cell)
+            return self._route_report(REC_CELL, message.oid, message.new_cell)
         if isinstance(message, ResultChangeReport):
-            return self.partitioner.shard_of_cell(self.transport.sender_cell(message.oid))
+            return self._route_report(REC_RESULT, message.oid, None)
         oid = getattr(message, "oid", None)
         if oid is None:
             return 0
-        home = self._home_of(oid)
-        if home is not None:
-            return home
-        return self.partitioner.shard_of_cell(self.transport.sender_cell(oid))
+        return self._route_report(REC_VELOCITY, oid, None)
 
     def on_uplink(self, message: object) -> None:
         """Dispatch an object -> server message to the responsible shard."""
         endpoint = self.shard_for_uplink(message)
         if self._leases_on:
-            # Lease-touch guarantee: a sender whose traffic all routes to
-            # foreign shards must still refresh its lease at home.
             oid = getattr(message, "oid", None)
             if oid is not None:
-                home = self._home_of(oid)
-                if home is not None and home != endpoint:
-                    self.shards[home]._touch_lease(message)
+                self._touch_home(
+                    oid,
+                    endpoint,
+                    getattr(message, "state", None),
+                    getattr(message, "max_speed", None),
+                )
         self.shards[endpoint].on_uplink(message)
 
-    def apply_report_record(self, cols: object, i: int) -> None:
-        """Route record ``i`` of a columnar report batch to its shard.
-
-        Mirrors :meth:`shard_for_uplink` kind by kind -- cell changes go
-        to the new cell's owner, result changes to the sender's current
-        cell, velocity changes to the sender's home directory -- and keeps
-        the lease-touch-home guarantee for records routed away from the
-        sender's home shard.
-        """
-        kind = cols.kind[i]  # type: ignore[attr-defined]
-        oid = cols.oid[i]  # type: ignore[attr-defined]
-        if kind == REC_CELL:
-            endpoint = self.partitioner.shard_of_cell(
-                (cols.new_i[i], cols.new_j[i])  # type: ignore[attr-defined]
-            )
-        elif kind == REC_RESULT:
-            endpoint = self.partitioner.shard_of_cell(self.transport.sender_cell(oid))
-        else:
-            home = self._home_of(oid)
-            if home is not None:
-                endpoint = home
-            else:
-                endpoint = self.partitioner.shard_of_cell(self.transport.sender_cell(oid))
+    def apply_report_record(self, cols: ReportBuffer, i: int) -> None:
+        """Route record ``i`` of a flushed report window to its shard
+        (the columnar twin of :meth:`on_uplink`)."""
+        oid = cols.oid[i]
+        endpoint = self._route_report(cols.kind[i], oid, (cols.new_i[i], cols.new_j[i]))
         if self._leases_on:
-            home = self._home_of(oid)
-            if home is not None and home != endpoint:
-                self.shards[home]._touch_lease_rec(
-                    oid, cols.state[i], None  # type: ignore[attr-defined]
-                )
+            self._touch_home(oid, endpoint, cols.state[i], None)
         self.shards[endpoint].apply_report_record(cols, i)
 
     # ---------------------------------------------------- focal handoff

@@ -54,9 +54,9 @@ BITS_MOTION_STATE = 4 * BITS_COORD + BITS_TIME  # pos + vel + timestamp
 BITS_CELL_RANGE = 2 * BITS_CELL  # (lo_i, lo_j) .. (hi_i, hi_j)
 
 
-# Per-record wire sizes of the three high-volume report kinds.  The batched
-# columnar path (``UplinkReportBatch``) charges the ledger record by record
-# with these, so batching never changes a byte of the size accounting.
+# Per-record wire sizes of the three high-volume report kinds.  The
+# columnar path (``ReportBuffer``) charges the ledger record by record
+# with these, so buffering never changes a byte of the size accounting.
 
 
 def velocity_change_bits() -> int:
@@ -79,13 +79,13 @@ def result_change_bits(n_changes: int) -> int:
     return BITS_HEADER + BITS_OID + BITS_QID + bitmap_bits
 
 
-# Record kinds of the columnar report pipeline (ReportBuffer /
-# UplinkReportBatch column ``kind``).
+# Record kinds of the columnar report pipeline (ReportBuffer column
+# ``kind``).
 REC_RESULT = 0
 REC_CELL = 1
 REC_VELOCITY = 2
 
-# Ledger type names per record kind: a batched record is charged under the
+# Ledger type names per record kind: a buffered record is charged under the
 # same name the equivalent dataclass message would have been.
 REC_KIND_NAMES = ("ResultChangeReport", "CellChangeReport", "VelocityChangeReport")
 
@@ -247,78 +247,6 @@ class ResyncRequest:
     def bits(self) -> int:
         """Wire size of this message in bits."""
         return BITS_HEADER + BITS_OID + BITS_CELL + BITS_MOTION_STATE + BITS_COORD
-
-
-class UplinkReportBatch:
-    """One envelope's worth of batched report records, struct-of-arrays.
-
-    The columnar report pipeline groups the high-volume uplink reports
-    (:class:`ResultChangeReport`, :class:`CellChangeReport`,
-    :class:`VelocityChangeReport`) flushed in one step by (delivery step,
-    sender cell) and ships each group as a single envelope carrying these
-    parallel columns instead of N dataclasses.  Per-record semantics are
-    unchanged: every record keeps its own sender oid (the ``oid`` column)
-    and transport sequence number (``seq``), the ledger is charged record
-    by record with the exact per-record sizes (:meth:`bits_of`), and the
-    receiving server applies records through the same column layout the
-    client-side :class:`~repro.core.reporting.ReportBuffer` accumulates.
-
-    Result-change flags are flattened: record ``i`` owns the slice
-    ``qid_flat[qid_lo[i]:qid_hi[i]]`` / ``flag_flat[...]``.
-    """
-
-    reliable: ClassVar[bool] = False
-
-    __slots__ = (
-        "kind",
-        "oid",
-        "epoch",
-        "prev_i",
-        "prev_j",
-        "new_i",
-        "new_j",
-        "state",
-        "qid_lo",
-        "qid_hi",
-        "qid_flat",
-        "flag_flat",
-        "seq",
-    )
-
-    def __init__(self) -> None:
-        self.kind: list[int] = []
-        self.oid: list[ObjectId] = []
-        self.epoch: list[int] = []
-        self.prev_i: list[int] = []
-        self.prev_j: list[int] = []
-        self.new_i: list[int] = []
-        self.new_j: list[int] = []
-        self.state: list[MotionState | None] = []
-        self.qid_lo: list[int] = []
-        self.qid_hi: list[int] = []
-        self.qid_flat: list[QueryId] = []
-        self.flag_flat: list[bool] = []
-        self.seq: list[int] = []
-
-    @property
-    def count(self) -> int:
-        """Number of report records carried by this batch."""
-        return len(self.kind)
-
-    def bits_of(self, i: int) -> int:
-        """Wire size of record ``i`` -- identical to the bits the
-        equivalent per-record dataclass message would report."""
-        kind = self.kind[i]
-        if kind == REC_RESULT:
-            return result_change_bits(self.qid_hi[i] - self.qid_lo[i])
-        if kind == REC_CELL:
-            return cell_change_bits(self.state[i] is not None)
-        return velocity_change_bits()
-
-    @property
-    def bits(self) -> int:
-        """Wire size of the whole batch: the sum of its records' sizes."""
-        return sum(self.bits_of(i) for i in range(len(self.kind)))
 
 
 # ---------------------------------------------------------------- downlink

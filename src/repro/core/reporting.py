@@ -2,8 +2,8 @@
 
 The three report kinds objects emit every step (result changes, cell
 changes, velocity changes) dominate uplink traffic; allocating one frozen
-dataclass plus one envelope per report is the reference path's hot spot.
-The :class:`ReportBuffer` is the batched alternative: inside a *window*
+dataclass per report is the reference path's hot spot.
+The :class:`ReportBuffer` is the columnar alternative: inside a *window*
 (``depth > 0``) clients append report records to parallel columns instead
 of sending dataclasses, and the transport flushes the whole buffer when
 the window closes (:meth:`repro.core.transport.SimulatedTransport.flush_reports`).
@@ -16,8 +16,9 @@ Semantics are preserved exactly:
 - The ledger is charged per record with the same type names and the same
   per-record bit sizes (:meth:`bits_of`) as the dataclass messages.
 - When a loss model or the fault-injection reliability layer is active,
-  the flush *rehydrates* each record into its dataclass and replays it
-  through the ordinary uplink path, so drop/ack/retransmit semantics stay
+  or hops are deferred by modeled latency, the flush *rehydrates* each
+  record into its dataclass and replays it through the ordinary uplink
+  path, so drop/ack/retransmit semantics, delay draws and envelopes stay
   per logical message.
 
 Windows never span a point where a client's buffered send could influence
@@ -53,6 +54,9 @@ class ReportBuffer:
     positive.  The transport sets it back to zero *before* flushing, so
     any report a server reaction provokes mid-flush takes the ordinary
     inline path -- exactly where it would have been sent without batching.
+
+    Result-change flags are flattened: record ``i`` owns the slice
+    ``qid_flat[qid_lo[i]:qid_hi[i]]`` / ``flag_flat[...]``.
     """
 
     __slots__ = (
@@ -159,8 +163,8 @@ class ReportBuffer:
         return REC_KIND_NAMES[self.kind[i]]
 
     def rehydrate(self, i: int) -> ResultChangeReport | CellChangeReport | VelocityChangeReport:
-        """Rebuild record ``i`` as its per-message dataclass (loss /
-        reliability flush path)."""
+        """Rebuild record ``i`` as its per-message dataclass (the replay
+        flush path)."""
         kind = self.kind[i]
         if kind == REC_RESULT:
             lo, hi = self.qid_lo[i], self.qid_hi[i]

@@ -56,6 +56,7 @@ from repro.core.messages import (
 )
 from repro.core.query import MovingQuery, QueryId, QuerySpec
 from repro.core.registry import QueryRegistry
+from repro.core.reporting import ReportBuffer
 from repro.core.tables import FotEntry, SqtEntry
 from repro.core.transport import SimulatedTransport
 from repro.grid import CellIndex, CellRange, CellRangeUnion, Grid, monitoring_region
@@ -292,34 +293,31 @@ class MobiEyesServer:
         else:
             raise TypeError(f"unexpected uplink message {type(message).__name__}")
 
-    def apply_report_record(self, cols: object, i: int) -> None:
-        """Apply record ``i`` of a columnar report batch.
+    def apply_report_record(self, cols: ReportBuffer, i: int) -> None:
+        """Apply record ``i`` of a flushed report window.
 
-        ``cols`` is anything exposing the :class:`~repro.core.reporting.
-        ReportBuffer` column layout (the buffer itself on the inline flush
-        path, an :class:`~repro.core.messages.UplinkReportBatch` when the
-        record arrived in a deferred envelope).  Semantically identical to
-        :meth:`on_uplink` with the equivalent per-record dataclass, but
-        without constructing it.
+        ``cols`` is the :class:`~repro.core.reporting.ReportBuffer` the
+        transport is flushing inline (a deferred or lossy flush replays
+        dataclasses through :meth:`on_uplink` instead).  Semantically
+        identical to :meth:`on_uplink` with the equivalent per-record
+        dataclass, but without constructing it.
         """
-        kind = cols.kind[i]  # type: ignore[attr-defined]
-        oid = cols.oid[i]  # type: ignore[attr-defined]
-        state = cols.state[i]  # type: ignore[attr-defined]
+        kind = cols.kind[i]
+        oid = cols.oid[i]
+        state = cols.state[i]
         if self.tracker.leases_enabled:
             self._touch_lease_rec(oid, state, None)
         if kind == REC_RESULT:
-            lo = cols.qid_lo[i]  # type: ignore[attr-defined]
-            hi = cols.qid_hi[i]  # type: ignore[attr-defined]
+            lo = cols.qid_lo[i]
+            hi = cols.qid_hi[i]
             self._apply_result_record(
-                oid,
-                cols.epoch[i],  # type: ignore[attr-defined]
-                zip(cols.qid_flat[lo:hi], cols.flag_flat[lo:hi]),  # type: ignore[attr-defined]
+                oid, cols.epoch[i], zip(cols.qid_flat[lo:hi], cols.flag_flat[lo:hi])
             )
         elif kind == REC_CELL:
             self._on_cell_change_rec(
                 oid,
-                (cols.prev_i[i], cols.prev_j[i]),  # type: ignore[attr-defined]
-                (cols.new_i[i], cols.new_j[i]),  # type: ignore[attr-defined]
+                (cols.prev_i[i], cols.prev_j[i]),
+                (cols.new_i[i], cols.new_j[i]),
                 state,
             )
         else:
@@ -345,7 +343,7 @@ class MobiEyesServer:
     def _touch_lease_rec(
         self, oid: ObjectId, state: MotionState | None, max_speed: float | None
     ) -> None:
-        """Record-level lease touch (shared by message and batch paths)."""
+        """Record-level lease touch (shared by the message and columnar paths)."""
         self.tracker.touch(oid, self.transport.step)
         if not self.tracker.is_suspended(oid):
             return

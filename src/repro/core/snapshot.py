@@ -61,7 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: the service's ``invalid_rejects`` counter.  v5 dropped seven policy
 #: fields from the config and gave the placement policy one id-keyed state
 #: shape (``marks``/``hot_streak``/``cold_streak`` dicts for every fleet).
-CHECKPOINT_VERSION = 5
+#: v6: the queue holds one envelope per message (a v5 queue may hold
+#: batched-report envelopes of a class that no longer exists).
+CHECKPOINT_VERSION = 6
 
 
 @dataclass(slots=True)

@@ -452,20 +452,18 @@ class MobiEyesSystem:
         if self._fastpath is not None:
             self._fastpath.reporting_phase(clock)
         else:
+            # With batched reporting, one report window per client: the
+            # client's own sends are buffered, then flushed (window closed)
+            # before the next client reports -- so server reactions
+            # interleave exactly as on the per-message path.
             buf = self.transport.report_buffer
-            if buf is None:
-                for oid in self._client_order:
-                    self.clients[oid].report_phase(clock)
-            else:
-                # One report window per client: the client's own sends are
-                # buffered, then flushed (window closed) before the next
-                # client reports -- so server reactions interleave exactly
-                # as on the per-message path.
-                clients = self.clients
-                flush = self.transport.flush_reports
-                for oid in self._client_order:
+            clients = self.clients
+            flush = self.transport.flush_reports
+            for oid in self._client_order:
+                if buf is not None:
                     buf.depth = 1
-                    clients[oid].report_phase(clock)
+                clients[oid].report_phase(clock)
+                if buf is not None:
                     buf.depth = 0
                     if buf.kind:
                         flush(buf)

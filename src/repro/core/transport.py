@@ -35,7 +35,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol
 
-from repro.core.messages import UplinkReportBatch
 from repro.geometry import Point
 from repro.grid import CellIndex, CellRange, CellRangeUnion, Grid
 from repro.mobility.model import ObjectId
@@ -55,7 +54,8 @@ SERVER_SENDER = -1
 
 @dataclass(slots=True)
 class Envelope:
-    """One deferred hop in the delivery pipeline.
+    """One deferred hop of one logical message in the delivery pipeline
+    (a report window flushed under latency parks one envelope per record).
 
     Ordering within a delivery step is total and deterministic: envelopes
     drain sorted by ``(sender, seq)``, where ``seq`` is a transport-global
@@ -247,14 +247,10 @@ class SimulatedTransport:
         self._clients.pop(oid, None)
 
     def enable_cell_routing(self) -> None:
-        """Keep per-object cells in the coverage index (sharded server)."""
+        """Keep per-object cells in the coverage index, so a sharded server
+        can route uplinks by ``coverage.cell_of(sender)``."""
         self._route_cells = True
         self.coverage.track_cells = True
-
-    def sender_cell(self, oid: ObjectId) -> CellIndex:
-        """The grid cell of an uplink sender this step (requires
-        :meth:`enable_cell_routing`)."""
-        return self.coverage.cell_of(oid)
 
     def uplink_endpoint(self, message: object) -> int:
         """The server-side endpoint an uplink lands on: the shard id under
@@ -360,43 +356,11 @@ class SimulatedTransport:
         if queue:
             for due in sorted(key for key in queue if key <= step):
                 batch = queue.pop(due)
-                if any(env.kind == "uplink_batch" for env in batch):
-                    self._open_expanded(batch, step)
-                    continue
                 batch.sort(key=lambda env: (env.sender, env.seq))
                 for envelope in batch:
                     self._open_envelope(envelope, step)
         if self.reliability is not None:
             self.reliability.advance(step)
-
-    def _open_expanded(self, batch: list[Envelope], step: int) -> None:
-        """Drain one due slot that contains batched-report envelopes.
-
-        Each batch envelope carries N report records, every record keeping
-        the sender and transport sequence number the per-message path would
-        have stamped on its own envelope.  Expanding batches to per-record
-        units and merge-sorting them with the scalar envelopes by
-        ``(sender, seq)`` reproduces the per-message drain order exactly.
-        """
-        units: list[tuple[int, int, Envelope, int]] = []
-        live_epoch = getattr(self._server, "partition_epoch", 0)
-        for env in batch:
-            if env.kind == "uplink_batch":
-                if env.epoch != live_epoch:
-                    self.stale_epoch_reroutes += 1
-                message: UplinkReportBatch = env.message  # type: ignore[assignment]
-                for k in range(message.count):
-                    units.append((message.oid[k], message.seq[k], env, k))
-            else:
-                units.append((env.sender, env.seq, env, -1))
-        units.sort(key=lambda unit: (unit[0], unit[1]))
-        for _sender, _seq, env, k in units:
-            if k < 0:
-                self._open_envelope(env, step)
-                continue
-            self._delivered_deferred += 1
-            self._delivered_delay_sum += step - env.sent_step
-            self._server.apply_report_record(env.message, k)  # type: ignore[union-attr]
 
     def _open_envelope(self, envelope: Envelope, step: int) -> None:
         """Hand one due envelope to its receiver."""
@@ -445,16 +409,8 @@ class SimulatedTransport:
         return removed
 
     def pending_count(self) -> int:
-        """Logical messages currently in flight (enqueued, not yet
-        delivered); a batched-report envelope counts once per record."""
-        total = 0
-        for batch in self._queue.values():
-            for env in batch:
-                if env.kind == "uplink_batch":
-                    total += env.message.count  # type: ignore[attr-defined]
-                else:
-                    total += 1
-        return total
+        """Messages currently in flight (enqueued, not yet delivered)."""
+        return sum(len(batch) for batch in self._queue.values())
 
     def drain_delivery_stats(self) -> tuple[int, int]:
         """``(deferred deliveries, summed delivery delay in steps)`` since
@@ -506,21 +462,17 @@ class SimulatedTransport:
         Must be called with the window closed (``buf.depth == 0``): any
         report a server reaction provokes mid-flush then takes the
         ordinary inline path, exactly where the per-message pipeline would
-        have sent it.  Three modes, chosen once per flush:
+        have sent it.  Two modes, chosen once per flush:
 
-        - **Replay** (a loss model or the reliability layer is active, or
-          the server has no columnar ingestion): every record is
-          rehydrated into its dataclass and sent through :meth:`uplink`,
-          keeping drop rolls, acks, and retransmissions per logical
-          message.
-        - **Inline** (no deferred delivery): records are charged to the
-          ledger and applied to the server column by column -- no
+        - **Replay** (a loss model or the reliability layer is active,
+          hops are deferred by modeled latency, or the server has no
+          columnar ingestion): every record is rehydrated into its
+          dataclass and sent through :meth:`uplink` -- the path
+          ``batch_reports=False`` runs -- keeping drop rolls, acks,
+          retransmissions, delay draws and envelopes per logical message.
+        - **Inline columnar** (everything else): records are charged to
+          the ledger and applied to the server column by column -- no
           dataclass, no envelope.
-        - **Deferred** (nonzero latency): records are charged and stamped
-          with per-record delays and sequence numbers in append order
-          (the per-message path's RNG-draw and seq order), then grouped
-          into one :class:`UplinkReportBatch` envelope per
-          ``(delivery step, sender cell)``.
         """
         n = len(buf.kind)
         if n == 0:
@@ -529,7 +481,12 @@ class SimulatedTransport:
         if server is None:
             raise RuntimeError("no server attached to transport")
         apply_record = getattr(server, "apply_report_record", None)
-        if self.loss is not None or self.reliability is not None or apply_record is None:
+        if (
+            self.loss is not None
+            or self.reliability is not None
+            or apply_record is None
+            or self.latency_active
+        ):
             for i in range(n):
                 self.uplink(buf.rehydrate(i))
             buf.clear()
@@ -537,57 +494,13 @@ class SimulatedTransport:
         ledger = self.ledger
         trace = self.trace
         step = self._step
-        if not self.latency_active:
-            for i in range(n):
-                name = buf.kind_name_of(i)
-                oid = buf.oid[i]
-                ledger.record_uplink(name, buf.bits_of(i), sender=oid)
-                if trace is not None:
-                    trace.record(step, "uplink", type=name, oid=oid)
-                apply_record(buf, i)
-            buf.clear()
-            return
-        latency = self.latency
-        cell_of = self.coverage.cell_of if self._route_cells else None
-        groups: dict[tuple[int, object], UplinkReportBatch] = {}
         for i in range(n):
             name = buf.kind_name_of(i)
             oid = buf.oid[i]
             ledger.record_uplink(name, buf.bits_of(i), sender=oid)
             if trace is not None:
                 trace.record(step, "uplink", type=name, oid=oid)
-            delay = latency.uplink_delay()
-            self._envelope_seq += 1
-            key = (delay, cell_of(oid) if cell_of is not None else None)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = UplinkReportBatch()
-            group.kind.append(buf.kind[i])
-            group.oid.append(oid)
-            group.epoch.append(buf.epoch[i])
-            group.prev_i.append(buf.prev_i[i])
-            group.prev_j.append(buf.prev_j[i])
-            group.new_i.append(buf.new_i[i])
-            group.new_j.append(buf.new_j[i])
-            group.state.append(buf.state[i])
-            lo, hi = buf.qid_lo[i], buf.qid_hi[i]
-            group.qid_lo.append(len(group.qid_flat))
-            group.qid_flat.extend(buf.qid_flat[lo:hi])
-            group.flag_flat.extend(buf.flag_flat[lo:hi])
-            group.qid_hi.append(len(group.qid_flat))
-            group.seq.append(self._envelope_seq)
-        for (delay, _cell), message in groups.items():
-            self._queue.setdefault(step + delay, []).append(
-                Envelope(
-                    deliver_step=step + delay,
-                    sender=message.oid[0],
-                    seq=message.seq[0],
-                    kind="uplink_batch",
-                    message=message,
-                    sent_step=step,
-                    epoch=getattr(self._server, "partition_epoch", 0),
-                )
-            )
+            apply_record(buf, i)
         buf.clear()
 
     def send(self, oid: ObjectId, message: object) -> bool | None:

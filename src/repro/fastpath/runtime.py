@@ -154,34 +154,21 @@ class FastpathRuntime:
         cell_j = store.cell_j
         threshold = self.system.config.dead_reckoning_threshold
         transport = self.system.transport
+        # With batched reporting, one report window per candidate (mirrors
+        # the reference engine's per-client window): the candidate's sends
+        # are buffered and flush before the next candidate runs.
         buf = transport.report_buffer
-        if buf is None:
-            for oid in sorted(candidates):
-                client = clients[oid]
-                row = row_of[oid]
-                new_cell = (int(cell_i[row]), int(cell_j[row]))
-                if new_cell != client.last_cell:
-                    # Mirror first: the handler sets `last_cell` as its
-                    # first statement, so the broadcast fan-out sees the
-                    # two in agreement even mid-handler.
-                    self.last_i[row] = new_cell[0]
-                    self.last_j[row] = new_cell[1]
-                    client._handle_own_cell_change(new_cell, now)
-                if client.has_mq:
-                    deviation = client.obj.pos.distance_to(client._relayed_state.predict(now))
-                    if deviation > threshold:
-                        client._relay_motion_state(now)
-            return
-        # One report window per candidate (mirrors the reference engine's
-        # per-client window): the candidate's sends are buffered and flush
-        # before the next candidate runs.
         flush = transport.flush_reports
         for oid in sorted(candidates):
             client = clients[oid]
             row = row_of[oid]
             new_cell = (int(cell_i[row]), int(cell_j[row]))
-            buf.depth = 1
+            if buf is not None:
+                buf.depth = 1
             if new_cell != client.last_cell:
+                # Mirror first: the handler sets `last_cell` as its
+                # first statement, so the broadcast fan-out sees the
+                # two in agreement even mid-handler.
                 self.last_i[row] = new_cell[0]
                 self.last_j[row] = new_cell[1]
                 client._handle_own_cell_change(new_cell, now)
@@ -189,9 +176,10 @@ class FastpathRuntime:
                 deviation = client.obj.pos.distance_to(client._relayed_state.predict(now))
                 if deviation > threshold:
                     client._relay_motion_state(now)
-            buf.depth = 0
-            if buf.kind:
-                flush(buf)
+            if buf is not None:
+                buf.depth = 0
+                if buf.kind:
+                    flush(buf)
 
     def evaluation_phase(self, clock: "SimulationClock") -> None:
         """One batched pass over every client's local query table."""

@@ -62,10 +62,14 @@ def paper_system(
     hotspot=0.0,
     latency=0,
     loss=None,
+    latency_model=None,
+    track_accuracy=False,
     **config,
 ):
     """A scaled Table-1 world through ``scenario.build_system``, queries
-    installed; ``config`` holds further :class:`MobiEyesConfig` fields."""
+    installed; ``config`` holds further :class:`MobiEyesConfig` fields
+    (``latency`` is the config's per-hop delay, ``latency_model`` an
+    explicit model handed to the system instead)."""
     params = dataclasses.replace(
         paper_defaults(), seed=seed, hotspot_fraction=hotspot
     ).scaled(scale)
@@ -80,6 +84,8 @@ def paper_system(
             **config,
         ),
         loss=loss,
+        latency=latency_model,
+        track_accuracy=track_accuracy,
     )
     return system
 

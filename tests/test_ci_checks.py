@@ -14,6 +14,7 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,16 @@ def test_soak(soak_report, tmp_path):
     unlucky = copy.deepcopy(soak_report)
     unlucky["improvement"]["improved_seconds"] = False
     assert run_check("soak", unlucky, tmp_path) == 0
+
+
+def test_workflow_invokes_every_check_mode():
+    """The chaos smoke jobs are one matrix: a row dropped or mistyped
+    there must not silently retire one of the script's checks."""
+    workflow = (SCRIPT.parents[1] / "workflows" / "ci.yml").read_text()
+    invoked = set(re.findall(r"check_artifact\.py ([\w-]+)", workflow))
+    if "check_artifact.py ${{ matrix.check }}" in workflow:
+        invoked.update(re.findall(r"^\s+check: ([\w-]+)$", workflow, re.MULTILINE))
+    assert invoked == set(check_artifact.CHECKS)
 
 
 def test_knob_counts_only_ratchet_down():

@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import MobiEyesConfig, MobiEyesSystem
+from repro.core import MobiEyesConfig
 from repro.core.transport import SERVER_SENDER, SimulatedTransport
 from repro.fastpath import numpy_available
 from repro.faults.policy import ReliabilityPolicy
@@ -24,8 +24,7 @@ from repro.grid import Grid
 from repro.metrics.collectors import MetricsLog, StepStats
 from repro.network import BaseStationLayout, LatencyModel, MessageLedger
 from repro.sim import TraceLog
-from repro.sim.rng import SimulationRng
-from repro.workload import generate_workload, paper_defaults
+from tests.conftest import paper_system
 
 
 @pytest.fixture
@@ -376,32 +375,6 @@ class TestDeferredReliability:
 # ------------------------------------------- full-system differentials
 
 
-def build_system(engine, latency=None, shards=1, scale=0.012, seed=42, config_latency=0):
-    params = dataclasses.replace(paper_defaults(), seed=seed).scaled(scale)
-    rng = SimulationRng(params.seed)
-    workload = generate_workload(params, rng.fork(1))
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        base_station_side=params.base_station_side,
-        engine=engine,
-        shards=shards,
-        uplink_latency_steps=config_latency,
-        downlink_latency_steps=config_latency,
-        latency_seed=seed,
-    )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
-        track_accuracy=True,
-        latency=latency,
-    )
-    system.install_queries(workload.query_specs)
-    return system
-
-
 def step_snapshot(system):
     ledger = system.ledger.snapshot()
     return (
@@ -429,8 +402,8 @@ class TestZeroLatencySystemIdentity:
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_reference_engine(self, shards):
-        plain = build_system("reference", latency=None, shards=shards)
-        queued = build_system("reference", latency=LatencyModel(), shards=shards)
+        plain = paper_system("reference", shards=shards, track_accuracy=True)
+        queued = paper_system("reference", shards=shards, latency_model=LatencyModel(), track_accuracy=True)
         for step in range(14):
             plain.step()
             queued.step()
@@ -440,8 +413,8 @@ class TestZeroLatencySystemIdentity:
     @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_vectorized_engine(self, shards):
-        plain = build_system("vectorized", latency=None, shards=shards)
-        queued = build_system("vectorized", latency=LatencyModel(), shards=shards)
+        plain = paper_system("vectorized", shards=shards, track_accuracy=True)
+        queued = paper_system("vectorized", shards=shards, latency_model=LatencyModel(), track_accuracy=True)
         for step in range(14):
             plain.step()
             queued.step()
@@ -452,8 +425,8 @@ class TestZeroLatencySystemIdentity:
 class TestLatencySystemDifferential:
     @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
     def test_engines_agree_under_latency(self):
-        ref = build_system("reference", config_latency=2)
-        vec = build_system("vectorized", config_latency=2)
+        ref = paper_system("reference", shards=1, latency=2, track_accuracy=True)
+        vec = paper_system("vectorized", shards=1, latency=2, track_accuracy=True)
         for step in range(14):
             ref.step()
             vec.step()
@@ -462,15 +435,15 @@ class TestLatencySystemDifferential:
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_shard_counts_agree_under_latency(self, shards):
-        mono = build_system("reference", config_latency=2)
-        sharded = build_system("reference", config_latency=2, shards=shards)
+        mono = paper_system("reference", shards=1, latency=2)
+        sharded = paper_system("reference", shards=shards, latency=2)
         for step in range(14):
             mono.step()
             sharded.step()
             assert step_snapshot(mono) == step_snapshot(sharded), f"step {step + 1}"
 
     def test_latency_metrics_are_populated(self):
-        system = build_system("reference", config_latency=2)
+        system = paper_system("reference", shards=1, latency=2)
         system.run(12)
         log = system.metrics
         assert log.max_inflight_messages() > 0
@@ -479,14 +452,14 @@ class TestLatencySystemDifferential:
         assert system.transport.latency_active
 
     def test_zero_latency_metrics_stay_zero(self):
-        system = build_system("reference")
+        system = paper_system("reference", shards=1)
         system.run(6)
         log = system.metrics
         assert log.max_inflight_messages() == 0
         assert log.mean_delivery_delay_steps() is None
 
     def test_invariants_relaxed_while_in_flight(self):
-        system = build_system("reference", config_latency=2)
+        system = paper_system("reference", shards=1, latency=2)
         for _ in range(8):
             system.step()
             system.check_invariants()  # must tolerate in-flight installs
@@ -518,7 +491,7 @@ class TestAccuracyProvenance:
         assert log.mean_result_error() == pytest.approx(0.5)
 
     def test_system_marks_carried_samples_stale(self):
-        system = build_system("reference", config_latency=3)
+        system = paper_system("reference", shards=1, latency=3, track_accuracy=True)
         system.run(10)
         carried = [
             s for s in system.metrics.steps if s.result_error is not None and not s.result_error_is_fresh

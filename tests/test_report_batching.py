@@ -3,30 +3,29 @@
 Two layers of guarantees:
 
 - *Wire-size identity* (unit level): a buffered record's ledger size
-  equals the size of the dataclass message it replaces, and a batch
-  envelope's size is exactly the sum of its records' sizes -- batching
-  never changes what the ledger charges, only how many Python objects
-  exist.
+  equals the size of the dataclass message it replaces -- buffering never
+  changes what the ledger charges, only how many Python objects exist.
 - *Accounting identity* (system level): a simulation run with
   ``batch_reports`` on produces the same per-type message counts, the
-  same total bits, and the same query results as the per-message path,
-  across grouping on/off, 1/2/4 shards, and zero/nonzero latency.
+  same total bits, the same query results, ``step_hash``, in-flight count
+  and stale-epoch reroute count as the per-message path, across grouping
+  on/off, 1/2/4 shards, zero/nonzero latency, and with a rebalance
+  schedule moving stripes under the in-flight reports.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import MobiEyesConfig, MobiEyesSystem
-from repro.core.messages import UplinkReportBatch
 from repro.core.reporting import ReportBuffer
+from repro.core.snapshot import step_hash
+from repro.core.transport import SimulatedTransport
+from repro.geometry import Point, Rect, Vector
+from repro.grid import Grid
 from repro.mobility.model import MotionState
-from repro.geometry import Point, Vector
-from repro.sim.rng import SimulationRng
-from repro.workload import generate_workload, paper_defaults
+from repro.network import BaseStationLayout, LatencyModel, MessageLedger
+from tests.conftest import paper_system
 
 
 def _state(x: float, y: float) -> MotionState:
@@ -83,58 +82,77 @@ def test_buffered_record_bits_equal_dataclass_bits(records):
         assert buf.bits_of(i) == buf.rehydrate(i).bits
 
 
-@given(st.lists(_record, min_size=1, max_size=40))
-@settings(max_examples=50, deadline=None)
-def test_batch_envelope_bits_equal_sum_of_records(records):
-    """A batch envelope charges exactly the sum of its records' sizes."""
+class _ColumnarServer:
+    """An uplink sink with columnar ingestion, recording what it is fed."""
+
+    def __init__(self):
+        self.messages = []
+        self.records = []
+
+    def on_uplink(self, message):
+        self.messages.append(message)
+
+    def apply_report_record(self, cols, i):
+        self.records.append(cols.rehydrate(i))
+
+
+def test_latency_flush_enqueues_one_uplink_envelope_per_record():
+    """Under modeled latency a flushed window is N ordinary ``uplink``
+    envelopes, one per record, drained in ``(sender, seq)`` order."""
+    grid = Grid(Rect(0, 0, 50, 50), alpha=5.0)
+    transport = SimulatedTransport(
+        BaseStationLayout(grid, side_length=10.0), grid, MessageLedger()
+    )
+    transport.set_latency(LatencyModel(uplink_steps=2))
+    server = _ColumnarServer()
+    transport.attach_server(server)
+    transport.begin_step(1, [])
     buf = ReportBuffer()
-    _fill(buf, records)
-    batch = UplinkReportBatch()
-    for i in range(buf.count):
-        batch.kind.append(buf.kind[i])
-        batch.oid.append(buf.oid[i])
-        batch.epoch.append(buf.epoch[i])
-        batch.prev_i.append(buf.prev_i[i])
-        batch.prev_j.append(buf.prev_j[i])
-        batch.new_i.append(buf.new_i[i])
-        batch.new_j.append(buf.new_j[i])
-        batch.state.append(buf.state[i])
-        lo, hi = buf.qid_lo[i], buf.qid_hi[i]
-        batch.qid_lo.append(len(batch.qid_flat))
-        batch.qid_flat.extend(buf.qid_flat[lo:hi])
-        batch.flag_flat.extend(buf.flag_flat[lo:hi])
-        batch.qid_hi.append(len(batch.qid_flat))
-        batch.seq.append(i)
-    assert batch.bits == sum(buf.bits_of(i) for i in range(buf.count))
-    assert batch.bits == sum(buf.rehydrate(i).bits for i in range(buf.count))
+    senders = [7, 3, 5]
+    for oid in senders:
+        buf.add_velocity(oid=oid, state=_state(float(oid), 0.0))
+        buf.add_result(oid=oid, changes={3: True}, epoch=0)
+    transport.flush_reports(buf)
+    assert buf.count == 0
+    queued = [env for batch in transport._queue.values() for env in batch]
+    assert [env.kind for env in queued] == ["uplink"] * (2 * len(senders))
+    assert transport.pending_count() == 2 * len(senders)
+    assert not server.messages and not server.records  # nothing applied yet
+
+    opened = []
+    original = transport._open_envelope
+
+    def record(envelope, step):
+        opened.append((envelope.sender, envelope.seq))
+        original(envelope, step)
+
+    transport._open_envelope = record
+    transport.begin_step(3, [])
+    transport.delivery_phase(3)
+    assert opened == sorted(opened) and len(opened) == 2 * len(senders)
+    assert [type(m).__name__ for m in server.messages] == [
+        "VelocityChangeReport",
+        "ResultChangeReport",
+    ] * len(senders)
+    assert [m.oid for m in server.messages] == [3, 3, 5, 5, 7, 7]
+    assert not server.records and transport.pending_count() == 0
 
 
 # --------------------------------------------------------------- system level
 
+SCHEDULE = ((3, 0, 1, 1), (6, 1, 0, 1), (9, 0, 1, 1))
 
-def _run(batch: bool, grouping: bool, shards: int, latency: int, steps: int = 12):
-    params = dataclasses.replace(paper_defaults(), seed=99).scaled(0.012)
-    rng = SimulationRng(params.seed)
-    workload = generate_workload(params, rng.fork(1))
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        base_station_side=params.base_station_side,
+
+def _run(batch: bool, grouping: bool, shards: int, latency: int, steps: int = 12, **config):
+    system = paper_system(
+        seed=99,
+        shards=shards,
+        latency=latency,
         grouping=grouping,
         dead_reckoning_threshold=0.5,
         batch_reports=batch,
-        shards=shards,
-        uplink_latency_steps=latency,
-        downlink_latency_steps=latency,
-        latency_seed=params.seed,
+        **config,
     )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
-    )
-    system.install_queries(workload.query_specs)
     system.run(steps)
     ledger = system.ledger
     return (
@@ -145,6 +163,9 @@ def _run(batch: bool, grouping: bool, shards: int, latency: int, steps: int = 12
         ledger.uplink_bits,
         ledger.downlink_count,
         ledger.downlink_bits,
+        system.transport.stale_epoch_reroutes,
+        system.transport.pending_count(),
+        step_hash(system),
     )
 
 
@@ -159,5 +180,17 @@ def test_batching_preserves_accounting(grouping, shards):
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_batching_preserves_accounting_under_latency(shards):
-    """Same identity on the deferred path (envelope-batched delivery)."""
+    """Same identity on the deferred path (the flush replays per message)."""
     assert _run(True, True, shards, latency=2) == _run(False, True, shards, latency=2)
+
+
+@pytest.mark.parametrize("latency", [0, 2])
+@pytest.mark.parametrize("shards", [2, 4])
+def test_batching_preserves_accounting_under_rebalance(shards, latency):
+    """Stripes move while reports are in flight: every stale uplink is
+    counted once per message, whichever way it was flushed."""
+    batched = _run(True, True, shards, latency, rebalance_schedule=SCHEDULE)
+    assert batched == _run(False, True, shards, latency, rebalance_schedule=SCHEDULE)
+    *_, reroutes, _pending, _hash = batched
+    if latency:
+        assert reroutes > 0  # the schedule did catch reports in flight

@@ -130,10 +130,12 @@ class TestCheckpointRoundtrip:
         with pytest.raises(ValueError, match="version"):
             restore(stale)
         # v4 bytes (seven more config fields, list-indexed policy marks)
-        # are refused, not half-read.
-        v4 = Checkpoint(version=4, payload=cp.payload).to_bytes()
-        with pytest.raises(ValueError, match="version 4 unsupported"):
-            from_bytes(v4)
+        # and v5 bytes (whose queue may hold batched-report envelopes of a
+        # deleted class) are refused, not half-read.
+        for old in (4, 5):
+            stale_bytes = Checkpoint(version=old, payload=cp.payload).to_bytes()
+            with pytest.raises(ValueError, match=f"version {old} unsupported"):
+                from_bytes(stale_bytes)
         with pytest.raises(ValueError):
             from_bytes(b"not a checkpoint")
 
