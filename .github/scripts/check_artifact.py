@@ -52,6 +52,13 @@ def check_chaos_rebalance(report: dict) -> None:
         moves = [op for op in rebalance["log"] if op["cols_moved"]]
         require(bool(moves), f"{engine}: no repartition was applied")
         require(rebalance["partition_epoch"] >= len(moves), f"{engine}: epoch behind the moves")
+        # Under uplink latency the reports sent the step before a move are
+        # still in flight when it lands: a zero count means the move raced
+        # nothing, or the counter stopped counting.
+        require(
+            run["latency"]["uplink_steps"] == 0 or rebalance["stale_epoch_reroutes"] > 0,
+            f"{engine}: no stale-epoch reroute although uplinks were in flight across a move",
+        )
         print(engine, f"{len(moves)} moves, epoch {rebalance['partition_epoch']},",
               f"{rebalance['stale_epoch_reroutes']} stale-epoch reroutes, converged")
 

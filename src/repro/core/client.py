@@ -68,16 +68,14 @@ class ClientStats:
     skipped_by_safe_period: int = 0
     skipped_by_grouping: int = 0
     processing_seconds: float = 0.0
-    uplinks_sent: int = 0
 
     def drain(self) -> tuple[int, int, int, float]:
         """Take ``(evaluated, skipped_by_safe_period, skipped_by_grouping,
         processing_seconds)`` and zero *every* counter.
 
-        This is the one place the counters are zeroed, shared by the
-        per-step measurement loop (hot path: one call, one tuple, no
-        snapshot object) and :meth:`reset` -- so adding a field cannot
-        silently drift between the two.
+        This is the one place the counters are zeroed (the per-step
+        measurement loop's hot path: one call, one tuple, no snapshot
+        object).
         """
         out = (
             self.evaluated_queries,
@@ -89,20 +87,7 @@ class ClientStats:
         self.skipped_by_safe_period = 0
         self.skipped_by_grouping = 0
         self.processing_seconds = 0.0
-        self.uplinks_sent = 0
         return out
-
-    def reset(self) -> "ClientStats":
-        """Reset the accumulated state; returns the pre-reset snapshot."""
-        uplinks = self.uplinks_sent
-        evaluated, skipped_sp, skipped_group, processing = self.drain()
-        return ClientStats(
-            evaluated_queries=evaluated,
-            skipped_by_safe_period=skipped_sp,
-            skipped_by_grouping=skipped_group,
-            processing_seconds=processing,
-            uplinks_sent=uplinks,
-        )
 
 
 class MobiEyesClient:
@@ -191,10 +176,9 @@ class MobiEyesClient:
             self._set_relayed(state)
         buf = self.transport.report_buffer
         if buf is not None and buf.depth:
-            self.stats.uplinks_sent += 1
             buf.add_cell(self.oid, prev_cell, new_cell, state)
             return
-        self._uplink(
+        self.transport.uplink(
             CellChangeReport(oid=self.oid, prev_cell=prev_cell, new_cell=new_cell, state=state)
         )
 
@@ -203,10 +187,9 @@ class MobiEyesClient:
         self._set_relayed(state)
         buf = self.transport.report_buffer
         if buf is not None and buf.depth:
-            self.stats.uplinks_sent += 1
             buf.add_velocity(self.oid, state)
             return
-        self._uplink(VelocityChangeReport(oid=self.oid, state=state))
+        self.transport.uplink(VelocityChangeReport(oid=self.oid, state=state))
 
     def _set_relayed(self, state) -> None:
         """Update the relayed motion state, mirroring it to any watcher."""
@@ -340,28 +323,18 @@ class MobiEyesClient:
             # Open report window: append to the columnar buffer (flushed by
             # the transport when the window closes) instead of allocating a
             # dataclass.  The buffer copies the flags out immediately.
-            self.stats.uplinks_sent += 1
             buf.add_result(self.oid, changes, self._report_epoch)
             return
-        self._uplink(
+        self.transport.uplink(
             ResultChangeReport(
                 oid=self.oid, changes=dict(changes), epoch=self._report_epoch
             )
         )
 
-    def _uplink(self, message: object) -> None:
-        self.stats.uplinks_sent += 1
-        acked = self.transport.uplink(message)
-        if self.fault_policy is None or not getattr(message, "reliable", False):
-            return
-        if acked is None:
-            # Deferred reliable exchange: the outcome arrives later through
-            # _note_uplink_outcome when the ack lands or the retries drain.
-            return
-        self._note_uplink_outcome(acked)
-
     def _note_uplink_outcome(self, acked: bool) -> None:
-        """Digest one reliable uplink's fate (immediate or deferred).
+        """Digest one reliable uplink's fate, reported by the reliability
+        layer when the ack lands or the retry budget drains (within the
+        sending call on inline hops, steps later on deferred ones).
 
         A reliable uplink doubles as a connectivity probe: its ack (or
         the lack of one after the retry budget) is how the object learns
@@ -399,7 +372,7 @@ class MobiEyesClient:
         self._steps_since_ack += 1
         if self._steps_since_ack >= self.fault_policy.heartbeat_steps:
             self._steps_since_ack = 0
-            self._uplink(Heartbeat(oid=self.oid))
+            self.transport.uplink(Heartbeat(oid=self.oid))
 
     def _send_resync(self) -> None:
         """Ask the server for a full state snapshot (reliable round trip).
@@ -413,7 +386,7 @@ class MobiEyesClient:
         self._suspect = False
         state = self.obj.snapshot()
         self._set_relayed(state)
-        self._uplink(
+        self.transport.uplink(
             ResyncRequest(
                 oid=self.oid, cell=self.last_cell, state=state, max_speed=self.obj.max_speed
             )
@@ -480,7 +453,7 @@ class MobiEyesClient:
             if message.oid == self.oid:
                 state = self.obj.snapshot()
                 self._set_relayed(state)
-                self._uplink(
+                self.transport.uplink(
                     MotionStateResponse(oid=self.oid, state=state, max_speed=self.obj.max_speed)
                 )
         elif isinstance(message, ResyncResponse):

@@ -669,11 +669,6 @@ class Coordinator:
     # ---------------------------------------------------------- load
 
     @property
-    def load_seconds(self) -> float:
-        """Wall seconds spent across all shards since the last reset."""
-        return sum(shard.load.seconds for shard in self.shards)
-
-    @property
     def op_count(self) -> int:
         """Abstract operations across all shards since the last reset."""
         return sum(shard.load.ops for shard in self.shards)

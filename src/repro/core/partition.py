@@ -9,8 +9,8 @@ rectangular range, so RQI registrations and broadcast splits stay
 range-shaped instead of exploding into per-cell sets.
 
 The map is *mutable*: the stripe boundaries can shift at runtime
-(:meth:`transfer`, :meth:`split_stripe`, :meth:`merge_stripes`), and -- new
-with the elastic service runtime -- the stripe *count* can change too.
+(:meth:`transfer`), and -- new with the elastic service runtime -- the
+stripe *count* can change too.
 Shard ids are **stable names**, not positions: the map keeps an explicit left-to-right
 ``order`` of shard ids alongside the boundary list, so every layer that
 holds per-shard state keyed by id (coordinator directories, reliability
@@ -112,16 +112,6 @@ class PartitionMap:
         p = self.position_of(shard)
         return self._bounds[p + 1] - self._bounds[p]
 
-    def cells_of(self, shard: int) -> CellRange:
-        """Every grid cell owned by a shard, as a rectangular range.
-
-        Raises ``ValueError`` for an emptied stripe (there is no non-empty
-        range to return); check :meth:`width_of` first when a stripe may
-        have been drained by rebalancing.
-        """
-        lo, hi = self.columns_of(shard)
-        return CellRange(lo, hi, 0, self.grid.n_rows - 1)
-
     def owns(self, shard: int, cell: CellIndex) -> bool:
         """Whether ``shard`` owns ``cell``."""
         lo, hi = self.columns_of(shard)
@@ -215,32 +205,6 @@ class PartitionMap:
         self.epoch += 1
         return moved
 
-    def split_stripe(self, shard: int, at: int | None = None) -> int:
-        """Split a hot stripe: donate its right part to the right neighbor.
-
-        Columns ``[at, hi]`` move to the stripe immediately to the right;
-        the default split point is the midpoint (right half moves, the left
-        majority stays for odd widths).  Returns the number of columns
-        moved (0 when the stripe is too narrow to split).
-        """
-        p = self.position_of(shard)
-        if p >= len(self._order) - 1:
-            raise ValueError(f"no right neighbor to receive a split of shard {shard}")
-        lo, hi_excl = self._bounds[p], self._bounds[p + 1]
-        if at is None:
-            moved = (hi_excl - lo) // 2
-        else:
-            if not lo <= at <= hi_excl:
-                raise ValueError(f"split point {at} outside stripe [{lo}, {hi_excl})")
-            moved = hi_excl - at
-        return self.transfer(shard, self._order[p + 1], moved)
-
-    def merge_stripes(self, shard: int, into: int) -> int:
-        """Merge a cold stripe: drain every column of ``shard`` into the
-        adjacent shard ``into``, leaving ``shard`` empty.  Returns the
-        number of columns moved."""
-        return self.transfer(shard, into, self.width_of(shard))
-
     # ------------------------------------------------------------------
     # Elastic stripe lifecycle (no epoch bump: zero-width edits move no
     # cells; the transfers that fill or drain the stripe are the epoch
@@ -250,8 +214,7 @@ class PartitionMap:
     def insert_stripe(self, after: int, new_id: int) -> None:
         """Insert a zero-width stripe owned by ``new_id`` immediately to
         the right of live shard ``after``.  The new stripe owns no columns
-        until a subsequent :meth:`transfer` (or :meth:`split_stripe` of
-        its neighbor) fills it."""
+        until a subsequent :meth:`transfer` from its neighbor fills it."""
         if new_id < 0:
             raise ValueError(f"shard ids must be non-negative, got {new_id}")
         if self.is_live(new_id):
@@ -263,8 +226,8 @@ class PartitionMap:
 
     def remove_stripe(self, shard: int) -> None:
         """Retire an *empty* stripe from the map.  Drain it first with
-        :meth:`merge_stripes`; removing a stripe that still owns columns
-        is an error, never a silent data loss."""
+        :meth:`transfer`; removing a stripe that still owns columns is an
+        error, never a silent data loss."""
         if self.num_shards == 1:
             raise ValueError("cannot remove the last stripe")
         p = self.position_of(shard)

@@ -111,11 +111,6 @@ class MobiEyesServer:
     # ------------------------------------------------------------- timing
 
     @property
-    def load_seconds(self) -> float:
-        """Wall seconds spent in server handlers since the last reset."""
-        return self.load.seconds
-
-    @property
     def op_count(self) -> int:
         """Abstract operations performed since the last reset."""
         return self.load.ops

@@ -62,8 +62,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: fields from the config and gave the placement policy one id-keyed state
 #: shape (``marks``/``hot_streak``/``cold_streak`` dicts for every fleet).
 #: v6: the queue holds one envelope per message (a v5 queue may hold
-#: batched-report envelopes of a class that no longer exists).
-CHECKPOINT_VERSION = 6
+#: batched-report envelopes of a class that no longer exists).  v7: one
+#: reliable-exchange shape (``_Exchange.up`` replaces ``kind``/``name``/
+#: ``bits``); ``ClientStats.uplinks_sent`` and the LQT ``version`` are gone.
+CHECKPOINT_VERSION = 7
 
 
 @dataclass(slots=True)
@@ -133,7 +135,6 @@ def _capture_clients(system: "MobiEyesSystem") -> dict[int, dict[str, Any]]:
         lqt = client.lqt
         out[oid] = {
             "entries": list(lqt._entries.values()),  # install order
-            "version": lqt.version,
             "hull": (lqt.hull_lo_i, lqt.hull_hi_i, lqt.hull_lo_j, lqt.hull_hi_j),
             "has_mq": client.has_mq,
             "last_cell": client.last_cell,
@@ -352,7 +353,6 @@ def _graft_clients(system: "MobiEyesSystem", sections: dict[int, dict[str, Any]]
             # install() fires the watcher hooks, so the fastpath's batch
             # evaluator and fan-out index stay in sync with the graft.
             lqt.install(entry)
-        lqt.version = section["version"]
         lqt.hull_lo_i, lqt.hull_hi_i, lqt.hull_lo_j, lqt.hull_hi_j = section["hull"]
         client._set_has_mq(section["has_mq"])
         client.last_cell = section["last_cell"]

@@ -549,8 +549,7 @@ class MobiEyesSystem:
             processing = 0.0
             # This loop touches every client every step, so it stays on
             # the measured hot path; draining goes through the dataclass
-            # (one call, one tuple) so a new counter field cannot silently
-            # diverge from ClientStats.reset.
+            # (one call, one tuple), the one place the counters are zeroed.
             for oid in self._client_order:
                 client = self.clients[oid]
                 lqt_total += len(client.lqt)

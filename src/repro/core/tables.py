@@ -333,14 +333,9 @@ class LqtEntry:
 class LocalQueryTable:
     """LQT: the queries a moving object currently monitors.
 
-    ``version`` counts structural changes (installs and removes).  In-place
-    mutation of an entry's fields does not bump it; consumers that cache
-    derived structure (the vectorized batch evaluator) key their caches on
-    the version and re-read the mutable fields every evaluation.
-
-    A consumer may also register a *watcher* (:meth:`watch`) to be told
-    about changes as they happen instead of polling the version:
-    ``lqt_changed(oid, entry, delta)`` fires on every install/remove with
+    A consumer that caches derived structure (the vectorized batch
+    evaluator) registers a *watcher* (:meth:`watch`) to be told about
+    changes as they happen: ``lqt_changed(oid, entry, delta)`` fires on every install/remove with
     the affected entry and the change in table size (install: 1, or 0 when
     it replaces an entry of the same query; remove: -1), and
     ``state_changed(oid, entry)`` fires when the owning client replaces an
@@ -365,7 +360,6 @@ class LocalQueryTable:
 
     def __init__(self) -> None:
         self._entries: dict[QueryId, LqtEntry] = {}
-        self.version = 0
         self._watcher = None
         self._watch_oid: ObjectId | None = None
         self._entry_watcher = None
@@ -455,7 +449,6 @@ class LocalQueryTable:
             # Before the overwrite, while a replaced entry still shows.
             watcher.lqt_changed(self._watch_oid, entry, entry.qid not in self._entries)
         self._entries[entry.qid] = entry
-        self.version += 1
         self.tighten_hull(entry.mon_region)
         entry_watcher = self._entry_watcher
         if entry_watcher is not None:
@@ -465,7 +458,6 @@ class LocalQueryTable:
         """Remove a stored entry."""
         entry = self._entries.pop(qid, None)
         if entry is not None:
-            self.version += 1
             watcher = self._watcher
             if watcher is not None:
                 watcher.lqt_changed(self._watch_oid, entry, -1)

@@ -367,25 +367,31 @@ class SimulatedTransport:
         self._delivered_deferred += 1
         self._delivered_delay_sum += step - envelope.sent_step
         kind = envelope.kind
+        if kind in ("uplink", "rel-uplink") and envelope.epoch != getattr(
+            self._server, "partition_epoch", 0
+        ):
+            # The map moved while this hop was in flight; on_uplink
+            # resolves the destination shard against the live map, so the
+            # uplink (plain or reliable) is rerouted rather than dropped.
+            self.stale_epoch_reroutes += 1
         if kind == "uplink":
-            if envelope.epoch != getattr(self._server, "partition_epoch", 0):
-                # The map moved while this hop was in flight; on_uplink
-                # resolves the destination shard against the live map, so
-                # the uplink is rerouted rather than dropped.
-                self.stale_epoch_reroutes += 1
             self._server.on_uplink(envelope.message)
-            return
-        if kind == "downlink":
+        elif kind == "downlink":
             client = self._clients.get(envelope.receiver)
-            if client is None:
-                return  # radio detached while the message was in flight
-            if envelope.downlink_seq is not None:
-                observe = getattr(client, "observe_downlink_seq", None)
-                if observe is not None:
-                    observe(envelope.downlink_seq)
-            client.on_downlink(envelope.message)
-            return
-        self.reliability.open_envelope(envelope)
+            if client is not None:  # else: radio detached mid-flight
+                self._hand_over(client, envelope.message, envelope.downlink_seq)
+        else:
+            self.reliability.open_envelope(envelope)
+
+    @staticmethod
+    def _hand_over(client: DownlinkReceiver, message: object, seq: int | None) -> None:
+        """Give one downlink to a receiver's radio, sequence number first
+        (the stream is numbered only under fault injection)."""
+        if seq is not None:
+            observe = getattr(client, "observe_downlink_seq", None)
+            if observe is not None:
+                observe(seq)
+        client.on_downlink(message)
 
     def discard_queued(self, predicate: Callable[[Envelope], bool]) -> int:
         """Drop queued, not-yet-delivered envelopes matching ``predicate``.
@@ -574,9 +580,5 @@ class SimulatedTransport:
                 "downlink", message, SERVER_SENDER, delay, receiver=oid, downlink_seq=seq
             )
             return True
-        if seq is not None:
-            observe = getattr(client, "observe_downlink_seq", None)
-            if observe is not None:
-                observe(seq)
-        client.on_downlink(message)
+        self._hand_over(client, message, seq)
         return True

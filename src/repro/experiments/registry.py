@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
 from repro.experiments.figures import (
     ablation_dead_reckoning,
@@ -29,15 +29,6 @@ from repro.experiments.figures import (
     fig13_safe_period,
 )
 from repro.experiments.runner import ExperimentResult
-
-
-class ExperimentModule(Protocol):
-    """The shape of a figure module: an id, a title, and a run function."""
-
-    EXP_ID: str
-    TITLE: str
-
-    def run(self, scale: float | None = ..., steps: int = ..., warmup: int = ...) -> ExperimentResult: ...
 
 
 _MODULES = (

@@ -13,7 +13,6 @@ from typing import Sequence
 
 from repro.baselines import CentralizedConfig, CentralizedSystem, IndexingMode, ReportingMode
 from repro.core import MobiEyesSystem, PropagationMode
-from repro.metrics.collectors import MetricsLog
 from repro.metrics.report import format_table
 from repro.scenario import build_system
 from repro.sim.rng import SimulationRng
@@ -138,8 +137,3 @@ def run_centralized(
 def with_queries(params: SimulationParameters, num_queries: int) -> SimulationParameters:
     """A copy of the parameters with a different query count."""
     return replace(params, num_queries=min(num_queries, params.num_objects))
-
-
-def metrics_of(system: MobiEyesSystem | CentralizedSystem) -> MetricsLog:
-    """The metrics log of a system (either engine)."""
-    return system.metrics

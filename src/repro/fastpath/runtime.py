@@ -221,11 +221,11 @@ class FastpathRuntime:
         lqt_total = ev.lqt_total()
         evaluated, skipped_sp, skipped_group = self.drain_eval_counts()
         for oid in ev._statics:
-            # drain() also zeroes uplinks_sent and processing_seconds;
-            # neither accumulates for static clients in fastpath mode (the
-            # evaluator calls their scalar path directly), so the dataclass
-            # method is as cheap as the old hand-zeroing and stays in sync
-            # with any future ClientStats fields.
+            # drain() also zeroes processing_seconds; it does not
+            # accumulate for static clients in fastpath mode (the evaluator
+            # calls their scalar path directly), so the dataclass method is
+            # as cheap as the old hand-zeroing and stays in sync with any
+            # future ClientStats fields.
             c_eval, c_sp, c_group, _ = self.system.clients[oid].stats.drain()
             evaluated += c_eval
             skipped_sp += c_sp

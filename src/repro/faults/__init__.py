@@ -13,9 +13,10 @@ deployment faces:
   :class:`~repro.network.loss.LossModel` that combines schedule faults
   with a channel and does *not* exempt reliable messages.
 - :mod:`~repro.faults.reliability` -- the ack/retransmit protocol that
-  earns reliability instead: bounded retries in sub-step rounds, per
-  message sequence numbers, every attempt and every ack charged to the
-  :class:`~repro.network.messaging.MessageLedger`.
+  earns reliability instead: one exchange state machine whose every hop
+  is inline or deferred as the transport's latency model says, bounded
+  retries, per message sequence numbers, every attempt and every ack
+  charged to the :class:`~repro.network.messaging.MessageLedger`.
 - :mod:`~repro.faults.policy` -- the knobs (retry budget, heartbeat
   cadence, soft-state lease length).
 - :mod:`~repro.faults.chaos` -- a seeded chaos harness measuring how fast

@@ -111,12 +111,24 @@ class FaultInjector:
         """
         return self.offline(oid) or self.station_dead_for(oid)
 
-    def _fault_cause(self, oid: ObjectId | None, channel: Channel | None) -> str | None:
+    def _fault_cause(
+        self, oid: ObjectId | None, channel: Channel | None, uplink: object = None
+    ) -> str | None:
+        """Why this hop is lost, checked in priority order: disconnection,
+        station outage, crashed server shard (``uplink`` messages only),
+        then the stochastic channel."""
         if oid is not None:
             if oid in self._offline:
                 return "disconnect"
             if self.station_dead_for(oid):
                 return "outage"
+        if (
+            uplink is not None
+            and self._crashed
+            and self._shard_router is not None
+            and self._shard_router(uplink) in self._crashed
+        ):
+            return "crash"
         if channel is not None and channel.roll():
             return "channel"
         return None
@@ -126,31 +138,11 @@ class FaultInjector:
     def drop_uplink(self, message: object) -> bool:
         """Whether this object -> server message is lost in transit.
 
-        Checked in priority order: disconnection, station outage, crashed
-        server shard, then the stochastic channel.  The crash check routes
-        the message with the bound shard router and consumes no RNG, so a
-        crash-free run's channel stream is bit-identical with or without
-        crash windows in the schedule.
+        The crash check routes the message with the bound shard router
+        and consumes no RNG, so a crash-free run's channel stream is
+        bit-identical with or without crash windows in the schedule.
         """
-        oid = getattr(message, "oid", None)
-        if oid is not None:
-            if oid in self._offline:
-                cause = "disconnect"
-            elif self.station_dead_for(oid):
-                cause = "outage"
-            else:
-                cause = None
-        else:
-            cause = None
-        if (
-            cause is None
-            and self._crashed
-            and self._shard_router is not None
-            and self._shard_router(message) in self._crashed
-        ):
-            cause = "crash"
-        if cause is None and self.uplink_channel is not None and self.uplink_channel.roll():
-            cause = "channel"
+        cause = self._fault_cause(getattr(message, "oid", None), self.uplink_channel, message)
         if cause is None:
             return False
         self.dropped_uplinks += 1

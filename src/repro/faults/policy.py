@@ -1,17 +1,18 @@
 """Reliability protocol parameters.
 
 All durations are measured in simulation steps (the paper's 30-second
-intervals).  The retry budget's meaning depends on the transport's
-latency mode:
+intervals).  ``max_attempts`` always counts *wire transmissions* of one
+message through the one exchange state machine
+(:mod:`repro.faults.reliability`); each hop asks the transport whether it
+is deferred, and that alone decides how long the budget takes to spend:
 
-- With zero modeled latency (the default), ``max_attempts`` counts
-  *sub-step rounds*: synchronous within-step delivery means a
-  retransmission and its ack both complete inside the step that sent the
-  original, so retries are back-to-back rounds of the same step.
-- With a nonzero :class:`~repro.network.latency.LatencyModel`, each
-  attempt occupies a real round trip: the sender arms a retransmit timer
-  to the model's worst-case RTT and re-sends from the delivery phase of
-  a *later* step, up to the same ``max_attempts`` wire transmissions.
+- while hops complete inline (no modeled latency, the default), an
+  attempt and its ack finish inside the step that sent the original, so
+  the retries are back-to-back sub-step rounds of the same step;
+- with a nonzero :class:`~repro.network.latency.LatencyModel`, each
+  attempt occupies a real round trip: a retransmit timer armed to the
+  model's worst-case RTT re-sends from the delivery phase of a *later*
+  step.
 """
 
 from __future__ import annotations

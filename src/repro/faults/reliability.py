@@ -18,20 +18,26 @@ The receiver processes only the first copy that arrives -- duplicates
 caused by a lost ack are suppressed, which is what the echoed sequence
 number buys in a real stack.
 
-Two timing modes, chosen per exchange by the transport's latency state:
+One state machine, one clock question per hop.  Every exchange -- either
+direction -- is an :class:`_Exchange` whose data copies and acks all
+travel through :meth:`ReliabilityLayer._hop`: charge the ledger, roll the
+injector, ask the transport for this hop's delay, then either arrive now
+or park a ``rel-*`` envelope for the delivery phase.  The layer has no
+timing mode of its own; the transport's latency state only decides who
+runs the retry step (:meth:`ReliabilityLayer._retry`: retransmit, or
+give up once the budget is spent):
 
-- *Synchronous* (no modeled latency, or inside a forced-inline section):
-  within-step delivery means "no ack came back" is known immediately, so
-  the retries happen in back-to-back sub-step rounds (see
-  :mod:`repro.faults.policy`).  This is the historical, bit-identical
-  behavior.
-- *Deferred* (nonzero modeled latency): each attempt rides the
-  transport's envelope pipeline, the ack rides it back, and a real
-  retransmit timer -- armed to the latency model's worst-case round trip
-  -- re-sends from :meth:`ReliabilityLayer.advance` during the delivery
-  phase until the ack lands or the attempt budget drains.  The sender
-  learns the outcome asynchronously (clients through
-  ``_note_uplink_outcome``).
+- while no hop can be deferred (no modeled latency, or inside a
+  forced-inline section) an attempt's fate is known when ``_hop``
+  returns, so the opener retries in back-to-back rounds of the same
+  step (see :mod:`repro.faults.policy`) and returns the outcome;
+- otherwise the opener returns ``None`` and a retransmit timer -- armed
+  to the latency model's worst-case round trip -- retries from
+  :meth:`ReliabilityLayer.advance` during the delivery phase until the
+  ack lands or the budget drains.
+
+On both clocks the sending client learns an uplink's fate through the
+same call, ``_note_uplink_outcome``.
 """
 
 from __future__ import annotations
@@ -40,22 +46,23 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.messages import Ack
+from repro.core.transport import SERVER_SENDER
 from repro.faults.injector import FaultInjector
 from repro.mobility.model import ObjectId
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.transport import Envelope, SimulatedTransport
 
+_ACK = "rel-ack"
+
 
 @dataclass(slots=True)
 class _Exchange:
-    """State of one in-flight deferred reliable exchange."""
+    """State of one in-flight reliable exchange."""
 
     token: int
-    kind: str  # "uplink" (object -> server) or "downlink" (server -> object)
+    up: bool  # True: object -> server; False: server -> object
     message: object
-    name: str
-    bits: int
     oid: ObjectId  # uplink: the sender; downlink: the receiver
     seq: int
     ack: Ack = field(init=False)
@@ -85,8 +92,8 @@ class ReliabilityLayer:
         # a private gap-free sequence stream.  The monolith's endpoint is
         # always 0, collapsing this to the old per-sender stream.
         self._uplink_seq: dict[tuple[ObjectId, int], int] = {}
-        # Deferred exchanges awaiting an ack, keyed by a monotonic token
-        # (sorted iteration keeps the retransmit timers deterministic).
+        # Exchanges awaiting an ack, keyed by a monotonic token (sorted
+        # iteration keeps the retransmit timers deterministic).
         self._pending: dict[int, _Exchange] = {}
         self._next_token = 0
 
@@ -97,248 +104,148 @@ class ReliabilityLayer:
             return 1
         return max(1, latency.worst_case_rtt_steps)
 
-    # ------------------------------------------------------------- uplink
+    # -------------------------------------------------------- entry points
 
     def reliable_uplink(self, message: object) -> bool | None:
         """Deliver an object -> server message with retries.
 
-        Synchronous mode returns whether the exchange was acked; deferred
-        mode returns ``None`` (outcome pending) and reports the fate to
-        the sending client when it is known.
+        Returns whether the exchange was acked, or ``None`` while hops
+        are being deferred (outcome pending); either way the sending
+        client is told through ``_note_uplink_outcome`` once it is known.
         """
-        transport = self.transport
         sender = getattr(message, "oid", None)
-        bits = message.bits  # type: ignore[attr-defined]
-        name = type(message).__name__
-        stream = (sender, transport.uplink_endpoint(message))
+        stream = (sender, self.transport.uplink_endpoint(message))
         seq = self._uplink_seq.get(stream, 0) + 1
         self._uplink_seq[stream] = seq
-        if transport.latency_active:
-            exchange = self._open_exchange("uplink", message, name, bits, sender, seq)
-            self._transmit(exchange)
-            return None
-        ack = Ack(oid=sender, seq=seq)
-        delivered = False
-        for attempt in range(self.policy.max_attempts):
-            if attempt:
-                self.retransmissions += 1
-            transport.ledger.record_uplink(name, bits, sender=sender)
-            if transport.trace is not None:
-                transport.trace.record(transport.step, "uplink", type=name, oid=sender)
-            if self.injector.drop_uplink(message):
-                continue
-            if delivered:
-                self.duplicates_suppressed += 1
-            else:
-                delivered = True
-                transport._server.on_uplink(message)
-            transport.ledger.record_downlink("Ack", ack.bits, receivers=(sender,), broadcasts=1)
-            self.acks_sent += 1
-            if not self.injector.drop_delivery(ack, receiver=sender):
-                return True
-            self.ack_drops += 1
-        self.failures += 1
-        return False
-
-    # ------------------------------------------------------------ downlink
+        return self._run(True, message, sender, seq)
 
     def reliable_send(self, oid: ObjectId, message: object) -> bool | None:
         """Deliver a server -> object message with retries.
 
-        Synchronous mode returns whether the exchange was acked; deferred
-        mode returns ``None`` while the exchange is in flight.
+        Returns whether the exchange was acked, or ``None`` while the
+        exchange is in flight on deferred hops.
         """
         transport = self.transport
-        bits = message.bits  # type: ignore[attr-defined]
-        name = type(message).__name__
-        client = transport._clients.get(oid)
-        if client is None:
+        if oid not in transport._clients:
             # No radio attached: transmit once (the sender cannot know) and
             # give up -- nothing on the far side will ever ack.
-            transport.ledger.record_downlink(name, bits, receivers=(oid,), broadcasts=1)
+            bits = message.bits  # type: ignore[attr-defined]
+            transport.ledger.record_downlink(
+                type(message).__name__, bits, receivers=(oid,), broadcasts=1
+            )
             self.failures += 1
             return False
-        seq = transport.next_downlink_seq(oid)
-        if transport.latency_active:
-            exchange = self._open_exchange("downlink", message, name, bits, oid, seq)
-            self._transmit(exchange)
-            return None
-        ack = Ack(oid=oid, seq=seq)
-        delivered = False
-        for attempt in range(self.policy.max_attempts):
-            if attempt:
-                self.retransmissions += 1
-            transport.ledger.record_downlink(name, bits, receivers=(oid,), broadcasts=1)
-            if transport.trace is not None:
-                transport.trace.record(transport.step, "send", type=name, oid=oid)
-            if self.injector.drop_delivery(message, receiver=oid):
-                continue
-            if delivered:
-                self.duplicates_suppressed += 1
-            else:
-                delivered = True
-                observe = getattr(client, "observe_downlink_seq", None)
-                if observe is not None:
-                    observe(seq)
-                client.on_downlink(message)
-            transport.ledger.record_uplink("Ack", ack.bits, sender=oid)
-            self.acks_sent += 1
-            if not self.injector.drop_uplink(ack):
-                return True
-            self.ack_drops += 1
-        self.failures += 1
-        return False
+        return self._run(False, message, oid, transport.next_downlink_seq(oid))
 
-    # ----------------------------------------------------- deferred mode
-
-    def _open_exchange(
-        self, kind: str, message: object, name: str, bits: int, oid: ObjectId, seq: int
-    ) -> _Exchange:
+    def _run(self, up: bool, message: object, oid: ObjectId, seq: int) -> bool | None:
+        """Open an exchange and put its first attempt on the wire; with no
+        deferred hops, also run the retry step to completion here and now."""
+        deferred = self.transport.latency_active
         self._next_token += 1
-        exchange = _Exchange(
-            token=self._next_token, kind=kind, message=message, name=name, bits=bits,
-            oid=oid, seq=seq,
-        )
+        exchange = _Exchange(token=self._next_token, up=up, message=message, oid=oid, seq=seq)
         self._pending[exchange.token] = exchange
-        return exchange
+        self._transmit(exchange)
+        if deferred:
+            return None  # advance() owns the retries
+        while exchange.token in self._pending:
+            self._retry(exchange)
+        return exchange.acked
+
+    # ------------------------------------------------------- state machine
+
+    def _retry(self, exchange: _Exchange) -> None:
+        """The last attempt went unacked: send another, or give up."""
+        if exchange.attempts >= self.policy.max_attempts:
+            self.failures += 1
+            self._finish(exchange)
+        else:
+            self.retransmissions += 1
+            self._transmit(exchange)
 
     def _transmit(self, exchange: _Exchange) -> None:
-        """Put one attempt on the wire: charge it, roll loss, enqueue."""
-        transport = self.transport
+        """One attempt: arm the retransmit timer and send the data copy."""
         exchange.attempts += 1
-        exchange.deadline = transport.step + self._rto_steps()
-        if exchange.kind == "uplink":
-            transport.ledger.record_uplink(exchange.name, exchange.bits, sender=exchange.oid)
-            if transport.trace is not None:
-                transport.trace.record(
-                    transport.step, "uplink", type=exchange.name, oid=exchange.oid
-                )
-            if self.injector.drop_uplink(exchange.message):
-                return  # lost in transit; the retransmit timer covers it
-            delay = transport._uplink_delay()
-            if delay <= 0:
-                self._arrive_at_server(exchange)
-            else:
-                transport._enqueue(
-                    "rel-uplink", exchange.message, exchange.oid, delay, context=exchange
-                )
-        else:
-            transport.ledger.record_downlink(
-                exchange.name, exchange.bits, receivers=(exchange.oid,), broadcasts=1
-            )
-            if transport.trace is not None:
-                transport.trace.record(
-                    transport.step, "send", type=exchange.name, oid=exchange.oid
-                )
-            if self.injector.drop_delivery(exchange.message, receiver=exchange.oid):
-                return
-            delay = transport._downlink_delay()
-            if delay <= 0:
-                self._arrive_at_client(exchange)
-            else:
-                from repro.core.transport import SERVER_SENDER
+        exchange.deadline = self.transport.step + self._rto_steps()
+        self._hop(exchange, exchange.message, "rel-uplink" if exchange.up else "rel-downlink")
 
-                transport._enqueue(
-                    "rel-downlink", exchange.message, SERVER_SENDER, delay, context=exchange
-                )
+    def _hop(self, exchange: _Exchange, message: object, kind: str) -> None:
+        """Put one copy on the wire: charge it, roll loss, stamp the delay,
+        then arrive now or park a ``kind`` envelope.  A lost copy just
+        returns -- the retry budget covers it."""
+        transport = self.transport
+        oid = exchange.oid
+        is_ack = kind == _ACK
+        up = exchange.up != is_ack  # an ack travels against its exchange
+        name = type(message).__name__
+        bits = message.bits  # type: ignore[attr-defined]
+        if up:
+            transport.ledger.record_uplink(name, bits, sender=oid)
+        else:
+            transport.ledger.record_downlink(name, bits, receivers=(oid,), broadcasts=1)
+        if is_ack:
+            self.acks_sent += 1
+        elif transport.trace is not None:
+            transport.trace.record(transport.step, "uplink" if up else "send", type=name, oid=oid)
+        if up:
+            dropped = self.injector.drop_uplink(message)
+        else:
+            dropped = self.injector.drop_delivery(message, receiver=oid)
+        if dropped:
+            if is_ack:
+                self.ack_drops += 1
+            return
+        delay = transport._uplink_delay() if up else transport._downlink_delay()
+        if delay <= 0:
+            self._arrive(exchange, kind)
+        else:
+            transport._enqueue(
+                kind, message, oid if up else SERVER_SENDER, delay, context=exchange
+            )
 
     def open_envelope(self, envelope: "Envelope") -> None:
-        """Dispatch a due reliability envelope from the delivery phase."""
-        exchange = envelope.context
-        kind = envelope.kind
-        if kind == "rel-uplink":
-            self._arrive_at_server(exchange)
-        elif kind == "rel-downlink":
-            self._arrive_at_client(exchange)
-        elif kind == "rel-ack":
-            self._ack_arrived(exchange)
-        else:  # pragma: no cover - enqueue kinds are closed
-            raise ValueError(f"unexpected reliability envelope kind {kind!r}")
+        """A parked hop came due in the delivery phase."""
+        self._arrive(envelope.context, envelope.kind)
 
-    def _arrive_at_server(self, exchange: _Exchange) -> None:
-        """One copy of a reliable uplink reaches the server; ack back."""
+    def _arrive(self, exchange: _Exchange, kind: str) -> None:
+        """One copy reaches the far side.  An ack completes the exchange;
+        a data copy is delivered (first one only) and acked back."""
         transport = self.transport
+        if kind == _ACK:
+            if not exchange.acked:
+                exchange.acked = True
+                self._finish(exchange)
+            return
+        client = None
+        if not exchange.up:
+            client = transport._clients.get(exchange.oid)
+            if client is None:
+                return  # radio detached mid-flight; the budget drains unacked
         if exchange.delivered:
             self.duplicates_suppressed += 1
         else:
             exchange.delivered = True
-            transport._server.on_uplink(exchange.message)
-        transport.ledger.record_downlink(
-            "Ack", exchange.ack.bits, receivers=(exchange.oid,), broadcasts=1
-        )
-        self.acks_sent += 1
-        if self.injector.drop_delivery(exchange.ack, receiver=exchange.oid):
-            self.ack_drops += 1
-            return
-        delay = transport._downlink_delay()
-        if delay <= 0:
-            self._ack_arrived(exchange)
-        else:
-            from repro.core.transport import SERVER_SENDER
+            if exchange.up:
+                transport._server.on_uplink(exchange.message)
+            else:
+                transport._hand_over(client, exchange.message, exchange.seq)
+        self._hop(exchange, exchange.ack, _ACK)
 
-            transport._enqueue(
-                "rel-ack", exchange.ack, SERVER_SENDER, delay, context=exchange
-            )
-
-    def _arrive_at_client(self, exchange: _Exchange) -> None:
-        """One copy of a reliable downlink reaches the receiver; ack back."""
-        transport = self.transport
-        client = transport._clients.get(exchange.oid)
-        if client is None:
-            return  # radio detached mid-flight; the timer will drain retries
-        if exchange.delivered:
-            self.duplicates_suppressed += 1
-        else:
-            exchange.delivered = True
-            observe = getattr(client, "observe_downlink_seq", None)
-            if observe is not None:
-                observe(exchange.seq)
-            client.on_downlink(exchange.message)
-        transport.ledger.record_uplink("Ack", exchange.ack.bits, sender=exchange.oid)
-        self.acks_sent += 1
-        if self.injector.drop_uplink(exchange.ack):
-            self.ack_drops += 1
-            return
-        delay = transport._uplink_delay()
-        if delay <= 0:
-            self._ack_arrived(exchange)
-        else:
-            transport._enqueue("rel-ack", exchange.ack, exchange.oid, delay, context=exchange)
-
-    def _ack_arrived(self, exchange: _Exchange) -> None:
-        """The sender sees the ack: the exchange completes successfully."""
-        if exchange.acked:
-            return
-        exchange.acked = True
+    def _finish(self, exchange: _Exchange) -> None:
+        """Close the exchange and tell an uplink's sender how it went."""
         self._pending.pop(exchange.token, None)
-        if exchange.kind == "uplink":
-            self._notify_uplink_sender(exchange, True)
-
-    def _notify_uplink_sender(self, exchange: _Exchange, acked: bool) -> None:
-        client = self.transport._clients.get(exchange.oid)
-        if client is None:
-            return
-        note = getattr(client, "_note_uplink_outcome", None)
-        if note is not None:
-            note(acked)
+        if exchange.up:
+            client = self.transport._clients.get(exchange.oid)
+            note = getattr(client, "_note_uplink_outcome", None)
+            if note is not None:
+                note(exchange.acked)
 
     def advance(self, step: int) -> None:
         """Fire due retransmit timers (called from the delivery phase,
         after the step's envelopes have drained)."""
-        if not self._pending:
-            return
         for token in sorted(self._pending):
             exchange = self._pending.get(token)
-            if exchange is None or step < exchange.deadline:
-                continue
-            if exchange.attempts >= self.policy.max_attempts:
-                del self._pending[token]
-                self.failures += 1
-                if exchange.kind == "uplink":
-                    self._notify_uplink_sender(exchange, False)
-                continue
-            self.retransmissions += 1
-            self._transmit(exchange)
+            if exchange is not None and step >= exchange.deadline:
+                self._retry(exchange)
 
     # ---------------------------------------------------------- inspection
 

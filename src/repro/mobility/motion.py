@@ -121,12 +121,3 @@ class MotionModel:
         speed = self.rng.uniform(0.0, obj.max_speed)
         obj.vel = Vector.from_polar(self.rng.direction(), speed)
         obj.recorded_at = now_hours
-
-    def bounced_objects(self) -> list[ObjectId]:
-        """Ids of objects whose velocity changed by boundary reflection in
-        the last ``advance`` call are included in ``changed_last_step`` only
-        when they were also randomly re-assigned; reflections are treated as
-        ordinary motion (the focal-object dead-reckoning check catches the
-        deviation they cause).
-        """
-        return list(self.changed_last_step)

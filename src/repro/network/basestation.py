@@ -37,10 +37,6 @@ class BaseStation:
         """Whether the station's coverage circle contains the point."""
         return self.coverage.contains(point)
 
-    def covers_cell(self, grid: Grid, cell: CellIndex) -> bool:
-        """Whether the station's coverage intersects the grid cell."""
-        return self.coverage.intersects_rect(grid.cell_rect(cell))
-
 
 class BaseStationLayout:
     """A lattice deployment of base stations covering a grid's UoD.

@@ -95,8 +95,17 @@ def test_chaos_rebalance(rebalance_report, tmp_path):
         run_check("chaos-rebalance", broken, tmp_path)
     broken = copy.deepcopy(rebalance_report)
     broken["rebalance"]["partition_epoch"] = 0
-    with pytest.raises(SystemExit, match="epoch"):
+    with pytest.raises(SystemExit, match="epoch behind"):
         run_check("chaos-rebalance", broken, tmp_path)
+    # Under uplink latency a move must have raced in-flight uplinks; the
+    # zero-latency run above legitimately reports none.
+    assert rebalance_report["rebalance"]["stale_epoch_reroutes"] == 0
+    deferred = copy.deepcopy(rebalance_report)
+    deferred["latency"]["uplink_steps"] = 1
+    with pytest.raises(SystemExit, match="no stale-epoch reroute"):
+        run_check("chaos-rebalance", deferred, tmp_path)
+    deferred["rebalance"]["stale_epoch_reroutes"] = 6
+    assert run_check("chaos-rebalance", deferred, tmp_path) == 0
 
 
 def test_chaos_latency(latency_report, tmp_path):

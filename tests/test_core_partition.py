@@ -62,7 +62,8 @@ class TestRegionSplit:
         part = PartitionMap(grid, 3)
         covered = set()
         for shard in range(part.num_shards):
-            cells = set(part.cells_of(shard))
+            lo, hi = part.columns_of(shard)
+            cells = {(i, j) for i in range(lo, hi + 1) for j in range(grid.n_rows)}
             assert not (cells & covered), "shard stripes overlap"
             covered |= cells
         assert len(covered) == grid.n_cols * grid.n_rows
@@ -156,11 +157,11 @@ class TestMutation:
     def test_epoch_monotone_under_split_merge_split(self):
         part = PartitionMap(make_grid(cols=12), 3)
         epochs = [part.epoch]
-        part.split_stripe(0)
+        part.transfer(0, 1, part.width_of(0) // 2)  # split
         epochs.append(part.epoch)
-        part.merge_stripes(0, 1)
+        part.transfer(0, 1, part.width_of(0))  # merge
         epochs.append(part.epoch)
-        part.split_stripe(1)
+        part.transfer(1, 2, part.width_of(1) // 2)  # split
         epochs.append(part.epoch)
         assert epochs == sorted(set(epochs)), "epoch must strictly increase"
         assert sum(part.width_of(s) for s in range(3)) == 12

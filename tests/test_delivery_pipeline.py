@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import MobiEyesConfig
+from repro.core.partition import PartitionMap
 from repro.core.transport import SERVER_SENDER, SimulatedTransport
 from repro.fastpath import numpy_available
 from repro.faults.policy import ReliabilityPolicy
@@ -295,6 +296,36 @@ class _AckAwareClient(FakeClient):
         self.outcomes.append(acked)
 
 
+class _ScriptedDrops:
+    """FaultInjector stand-in whose every roll -- data copies and acks, both
+    directions -- pops the next decision off one script (exhausted: keep)."""
+
+    def __init__(self, script, max_attempts):
+        self.policy = ReliabilityPolicy(max_attempts=max_attempts)
+        self.script = list(script)
+
+    def begin_step(self, step):
+        pass
+
+    def drop_uplink(self, message):
+        return self.script.pop(0) if self.script else False
+
+    def drop_delivery(self, message, receiver=None):
+        return self.script.pop(0) if self.script else False
+
+
+class _ShardedFakeServer(FakeServer):
+    """A FakeServer that advertises a live partition epoch."""
+
+    def __init__(self, partitioner):
+        super().__init__()
+        self.partitioner = partitioner
+
+    @property
+    def partition_epoch(self):
+        return self.partitioner.epoch
+
+
 def make_reliable_transport(layout, grid, injector, latency):
     ledger = MessageLedger()
     transport = SimulatedTransport(layout, grid, ledger, loss=injector)
@@ -370,6 +401,103 @@ class TestDeferredReliability:
         assert [m.oid for m in server.received] == [5]  # applied once
         assert transport.reliability.duplicates_suppressed == 1
         assert client.outcomes == [True]
+
+
+    def test_stale_reliable_uplink_counts_as_reroute(self, layout, grid):
+        """A rel-uplink parked before a boundary move and opened after it
+        is re-resolved by on_uplink exactly like a plain uplink, so it is
+        counted like one (the parent counted only kind == "uplink")."""
+        transport, _ = make_reliable_transport(
+            layout, grid, _DropPlan(), LatencyModel(uplink_steps=1, downlink_steps=1)
+        )
+        server = _ShardedFakeServer(PartitionMap(grid, 2))
+        transport.attach_server(server)
+        transport.attach_client(5, _AckAwareClient())
+        transport.begin_step(1, [(5, Point(5, 5))])
+        transport.uplink(_ReliablePing(5))  # parks a rel-uplink, epoch 0
+        transport.uplink(SizedMessage(oid=5))  # parks a plain uplink, epoch 0
+        assert server.partitioner.transfer(0, 1, 1) == 1
+        transport.begin_step(2, [])
+        transport.delivery_phase(2)
+        assert len(server.received) == 2  # rerouted, not dropped
+        assert transport.stale_epoch_reroutes == 2
+        # Parked under the live epoch: not stale.
+        transport.uplink(_ReliablePing(5))
+        transport.begin_step(3, [])
+        transport.delivery_phase(3)
+        assert len(server.received) == 3
+        assert transport.stale_epoch_reroutes == 2
+
+
+def _drive_exchanges(layout, grid, latency, directions, script, max_attempts):
+    """Run reliable exchanges one after another (each to completion, so
+    every clock consumes the shared drop script in the same order) and
+    return everything the two clocks must agree on."""
+    injector = _ScriptedDrops(script, max_attempts)
+    transport, server = make_reliable_transport(layout, grid, injector, latency)
+    client = _AckAwareClient()
+    transport.attach_client(5, client)
+    step = 1
+    transport.begin_step(step, [(5, Point(5, 5))])
+    returned = []
+    for up in directions:
+        message = _ReliablePing(5)
+        returned.append(transport.uplink(message) if up else transport.send(5, message))
+        while transport.reliability.counters()["pending"]:
+            step += 1
+            assert step < 200, "exchange never completed"
+            transport.begin_step(step, [])
+            transport.delivery_phase(step)
+    assert transport.pending_count() == 0
+    ledger = transport.ledger
+    totals = (
+        len(server.received),
+        len(client.received),
+        client.outcomes,
+        transport.reliability.counters(),
+        dict(ledger.counts_by_type),
+        dict(ledger.bits_by_type),
+        (ledger.uplink_count, ledger.downlink_count, ledger.uplink_bits, ledger.downlink_bits),
+        dict(ledger.energy_by_object),
+        len(injector.script),
+    )
+    return totals, returned, step
+
+
+class TestOneExchangeMachineOnBothClocks:
+    """The property the single state machine rests on: whether a hop is
+    deferred changes *when* things happen, never *what* happens."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        directions=st.lists(st.booleans(), min_size=1, max_size=4),
+        script=st.lists(st.booleans(), max_size=24),
+        max_attempts=st.integers(min_value=1, max_value=4),
+    )
+    def test_same_drop_script_same_outcome_inline_and_deferred(
+        self, layout, grid, directions, script, max_attempts
+    ):
+        inline, returned, last_step = _drive_exchanges(
+            layout, grid, None, directions, script, max_attempts
+        )
+        assert last_step == 1  # all within the sending step
+        deferred, pending, _ = _drive_exchanges(
+            layout, grid, LatencyModel(uplink_steps=1, downlink_steps=1),
+            directions, script, max_attempts,
+        )
+        assert deferred == inline
+        assert pending == [None] * len(directions)
+        # Inline, the return value is the outcome the sender was told.
+        assert [r for r, up in zip(returned, directions) if up] == inline[2]
+        delivered = inline[0] + inline[1]
+        counters = inline[3]
+        assert counters["failures"] == returned.count(False)
+        assert delivered <= len(directions)  # first copy only
+        assert counters["pending"] == 0
 
 
 # ------------------------------------------- full-system differentials

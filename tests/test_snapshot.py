@@ -10,11 +10,8 @@ window.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.core import MobiEyesConfig, MobiEyesSystem
 from repro.core.snapshot import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -26,36 +23,10 @@ from repro.core.snapshot import (
 from repro.faults import CrashWindow, FaultInjector, FaultSchedule, ReliabilityPolicy
 from repro.faults.chaos import run_chaos
 from repro.faults.schedule import DisconnectWindow
+from repro.faults.channels import BernoulliChannel
 from repro.sim import SimulationRng
-from repro.workload import generate_workload, paper_defaults
 
-from tests.conftest import circle_query, make_object, make_system
-
-
-def build_system(engine="reference", shards=1, latency=0, scale=0.012, seed=42):
-    """A small Table-1 workload on the given engine/shard/latency knobs."""
-    params = dataclasses.replace(paper_defaults(), seed=seed).scaled(scale)
-    rng = SimulationRng(params.seed)
-    workload = generate_workload(params, rng.fork(1))
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        step_seconds=params.time_step_seconds,
-        base_station_side=params.base_station_side,
-        engine=engine,
-        shards=shards,
-        uplink_latency_steps=latency,
-        downlink_latency_steps=latency,
-        latency_seed=seed,
-    )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
-    )
-    system.install_queries(workload.query_specs)
-    return system
+from tests.conftest import circle_query, make_object, make_system, paper_system
 
 
 class TestCheckpointRoundtrip:
@@ -64,7 +35,7 @@ class TestCheckpointRoundtrip:
     def test_restore_resumes_bit_identically(self, engine, shards):
         if engine == "vectorized":
             pytest.importorskip("numpy")
-        system = build_system(engine=engine, shards=shards)
+        system = paper_system(engine, shards=shards)
         system.run(6)
         cp = checkpoint(system)
         system.run(6)
@@ -82,7 +53,7 @@ class TestCheckpointRoundtrip:
         # In-flight envelopes (and their reliable-exchange contexts) are
         # part of the snapshot: the resumed run must deliver them on the
         # original timetable.
-        system = build_system(latency=2, shards=2)
+        system = paper_system(latency=2, shards=2)
         system.run(5)
         cp = checkpoint(system)
         assert system.transport.pending_count() > 0
@@ -94,8 +65,48 @@ class TestCheckpointRoundtrip:
         assert step_hash(resumed) == want
         resumed.close()
 
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_restore_with_reliable_exchanges_in_flight(self, engine):
+        # Lossy links under latency keep reliable exchanges open across the
+        # step boundary (parked rel-* envelopes, armed retransmit timers);
+        # a checkpoint taken then must resume them on the same timetable,
+        # channel rolls included.
+        if engine == "vectorized":
+            pytest.importorskip("numpy")
+        rng = SimulationRng(11)
+        injector = FaultInjector(
+            rng,
+            policy=ReliabilityPolicy(heartbeat_steps=2),
+            uplink_channel=BernoulliChannel(rng, rate=0.2),
+            downlink_channel=BernoulliChannel(rng, rate=0.2),
+        )
+        system = paper_system(engine, shards=2, latency=2, loss=injector)
+        system.run(6)
+        cp = checkpoint(system)
+        reliability = system.transport.reliability
+        assert reliability.counters()["pending"] > 0
+        assert any(
+            env.kind.startswith("rel-") and env.context.token in reliability._pending
+            for batch in system.transport._queue.values()
+            for env in batch
+        )
+        hashes = []
+        for _ in range(8):
+            system.step()
+            hashes.append(step_hash(system))
+        assert reliability.retransmissions > 0
+        want_counters = reliability.counters()
+        system.close()
+
+        resumed = restore(from_bytes(cp.to_bytes()))
+        for want in hashes:
+            resumed.step()
+            assert step_hash(resumed) == want
+        assert resumed.transport.reliability.counters() == want_counters
+        resumed.close()
+
     def test_checkpoint_is_not_consumed(self):
-        system = build_system()
+        system = paper_system(shards=1)
         system.run(4)
         cp = checkpoint(system)
         system.run(4)
@@ -110,12 +121,12 @@ class TestCheckpointRoundtrip:
     def test_checkpoint_does_not_perturb_the_run(self):
         # Taking snapshots (including the periodic cadence) is observably
         # free: the run with a cadence matches the run without one.
-        plain = build_system()
+        plain = paper_system(shards=1)
         plain.run(10)
         want = step_hash(plain)
         plain.close()
 
-        system = build_system()
+        system = paper_system(shards=1)
         system._checkpoint_every = 3
         system.run(10)
         assert system._checkpoints_taken == 3
@@ -123,16 +134,17 @@ class TestCheckpointRoundtrip:
         system.close()
 
     def test_version_mismatch_rejected(self):
-        system = build_system()
+        system = paper_system(shards=1)
         cp = checkpoint(system)
         system.close()
         stale = Checkpoint(version=CHECKPOINT_VERSION + 1, payload=cp.payload)
         with pytest.raises(ValueError, match="version"):
             restore(stale)
-        # v4 bytes (seven more config fields, list-indexed policy marks)
-        # and v5 bytes (whose queue may hold batched-report envelopes of a
-        # deleted class) are refused, not half-read.
-        for old in (4, 5):
+        # v4 bytes (seven more config fields, list-indexed policy marks),
+        # v5 bytes (whose queue may hold batched-report envelopes of a
+        # deleted class) and v6 bytes (whose queue may hold reliable
+        # exchanges of the old shape) are refused, not half-read.
+        for old in (4, 5, 6):
             stale_bytes = Checkpoint(version=old, payload=cp.payload).to_bytes()
             with pytest.raises(ValueError, match=f"version {old} unsupported"):
                 from_bytes(stale_bytes)
