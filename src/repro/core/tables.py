@@ -260,7 +260,7 @@ class ReverseQueryIndex:
         prev = self._cells.get(prev_cell)
         if not prev:
             return sorted(bucket)
-        return sorted(qid for qid in bucket if qid not in prev)
+        return sorted(bucket - prev)
 
     def queries_at(self, cell: CellIndex) -> frozenset[QueryId]:
         """``nearby_queries`` of an object whose current cell is ``cell``."""

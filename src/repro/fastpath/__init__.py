@@ -17,8 +17,9 @@ and the loss model see bit-identical traffic -- but replaces the hot-loop
   kernel for the handful of out-of-bounds objects so arithmetic matches the
   reference bit for bit.
 - :class:`~repro.fastpath.coverage.VectorizedCoverageIndex`: cell/tile
-  bucketing as a single stable ``argsort`` group-by; station-coverage
-  lookups as array distance masks.
+  bucketing as a stable ``argsort`` group-by and every station's receivers
+  resolved in one batched distance pass, once per step; a lookup is a
+  ``set`` filled from list slices.
 - :class:`~repro.fastpath.evaluator.BatchEvaluator`: all LQT entries
   system-wide gathered once per evaluation step into per-focal batches;
   ``dist^2 vs reach^2``, containment, safe periods, and enter/leave deltas

@@ -1,18 +1,26 @@
 """Array-backed coverage index (vectorized engine).
 
 The reference :class:`~repro.core.transport.CoverageIndex` re-buckets every
-object into per-tile and per-cell dict lists each step.  The vectorized
-index instead sorts the population once per step with a *stable* argsort on
-the flattened tile / cell keys: a bucket is then a contiguous slice of the
-sorted arrays, found with two binary searches, and station-coverage checks
-become one array distance mask per tile row.
+object into per-tile and per-cell dict lists each step and walks them per
+lookup.  Positions are frozen between two ``rebuild`` calls, so the
+vectorized index resolves the whole receiver geometry there, once per step,
+and keeps it as plain Python lists:
 
-Stability matters for more than determinism: within a bucket the stable
-sort preserves population order, which is exactly the order the reference
-index appends to its dict lists.  Receiver *sets* are therefore built with
-the same insertion sequence in both engines, so iterating them (e.g. the
-per-receiver loss draws in ``SimulatedTransport.broadcast``) consumes the
-random stream identically.
+- the population sorted by flattened cell key, plus one offset per cell: a
+  cell's objects are a slice, and so is one column of a rectangular region;
+- per base station, the ids inside its coverage circle, again as one slice
+  behind one offset per station.
+
+A lookup is then a ``set`` filled from list slices -- no numpy call.  At
+the few dozen receivers of a typical broadcast the fixed cost of a single
+array operation exceeds the whole slice-and-update, which is why the index
+ends in lists rather than arrays.
+
+Both sorts are *stable*, so each bucket's run stays in population order
+(the order the reference index appends in).  Nothing observes the order of
+a receiver set: ``SimulatedTransport.broadcast`` delivers over
+``sorted(receivers)``, ledger charges are per object, and
+``MessageLedger.total_energy`` is an ``fsum``.
 """
 
 from __future__ import annotations
@@ -23,6 +31,25 @@ from repro.fastpath.store import ObjectStateStore
 from repro.grid import CellIndex, CellRange, CellRangeUnion, Grid
 from repro.mobility.model import ObjectId
 from repro.network.basestation import BaseStationId, BaseStationLayout
+
+
+def _stable_order(np, keys, buckets: int):
+    """Stable argsort of bucket keys drawn from ``range(buckets)``.
+
+    Sorted in the narrowest unsigned dtype that holds them: numpy's stable
+    sort is a radix sort for 16-bit keys (a 64 x 64 grid, a 32 x 32 station
+    lattice), about ten times faster at 10,000 keys than the merge sort
+    int64 gets, and the permutation is the same.
+    """
+    return np.argsort(keys.astype(np.min_scalar_type(buckets)), kind="stable")
+
+
+def _offsets(np, keys, buckets: int) -> list[int]:
+    """``start`` such that bucket ``k`` of the key-sorted population is the
+    slice ``start[k] : start[k + 1]``."""
+    start = np.zeros(buckets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=buckets), out=start[1:])
+    return start.tolist()
 
 
 class VectorizedCoverageIndex:
@@ -42,201 +69,117 @@ class VectorizedCoverageIndex:
         # arrays are maintained unconditionally, so nothing extra to track.
         self.track_cells = False
         np = store.np
-        self._empty = np.empty(0, dtype=np.int64)
-        self._tile_keys = self._empty
-        self._tile_x = self._empty
-        self._tile_y = self._empty
-        self._tile_oids = self._empty
-        self._tile_rows = self._empty  # store rows in tile-sorted order
+        self._cell_rows = np.empty(0, dtype=np.int64)  # store rows in cell-sorted order
+        self._cell_keys = self._cell_rows  # flattened cell keys, sorted
         self._cell_oids: list[ObjectId] = []
-        self._cell_rows = self._empty  # store rows in cell-sorted order
-        self._cell_keys = self._empty  # flattened cell keys, sorted
+        self._cell_start = [0] * (grid.cell_count + 1)
+        self._station_oids: list[ObjectId] = []
+        self._station_start = [0] * (len(layout) + 1)
+        # Station centres by lattice column / row and the common radius,
+        # read from the station objects so the array test in `rebuild` is
+        # `Circle.contains` bit for bit.  The `inf` padding stands for the
+        # neighbours of an edge tile that lie off the lattice: they fail
+        # every distance test, so no edge mask is needed.
+        rows = layout.tile_rows
+        circles = [station.coverage for station in layout.stations]
+        self._col_cx = np.array([np.inf, *(c.cx for c in circles[::rows]), np.inf])
+        self._row_cy = np.array([np.inf, *(c.cy for c in circles[:rows]), np.inf])
+        self._r_sq = circles[0].r * circles[0].r
 
     def rebuild(self, positions: Iterable[tuple[ObjectId, object]] = ()) -> None:
-        """Re-bucket the population for the new step (one argsort each way)."""
+        """Re-bucket the population and resolve every cell's and every
+        station's receivers for the new step."""
         store = self.store
         np = store.np
-        store.refresh_derived(self.grid, self.layout)
-
-        tile_key = store.tile_i * self.layout.tile_rows + store.tile_j
-        order = np.argsort(tile_key, kind="stable")
-        self._tile_keys = tile_key[order]
-        self._tile_x = store.x[order]
-        self._tile_y = store.y[order]
-        self._tile_oids = store.oids[order]
-        self._tile_rows = order
+        layout = self.layout
+        store.refresh_derived(self.grid, layout)
 
         cell_key = store.cell_i * self.grid.n_rows + store.cell_j
-        order = np.argsort(cell_key, kind="stable")
+        order = _stable_order(np, cell_key, self.grid.cell_count)
         self._cell_rows = order
         self._cell_keys = cell_key[order]
         self._cell_oids = store.oids[order].tolist()
+        self._cell_start = _offsets(np, cell_key, self.grid.cell_count)
+
+        # A station's circle reaches only its own tile and the eight around
+        # it, so each object is tested against the (up to) nine stations of
+        # its tile neighbourhood.  dx^2 depends only on the neighbour's
+        # column offset and dy^2 only on its row offset: three rows of each
+        # feed all nine tests.
+        tile_rows = layout.tile_rows
+        tile_key = store.tile_i * tile_rows + store.tile_j
+        order = _stable_order(np, tile_key, len(layout))
+        tile_key = tile_key[order]
+        d = np.arange(3)[:, None]  # neighbour offset d - 1, through the padding
+        dx = store.x[order] - self._col_cx[store.tile_i[order] + d]
+        dy = store.y[order] - self._row_cy[store.tile_j[order] + d]
+        di, dj, k = np.nonzero((dx * dx)[:, None] + (dy * dy)[None, :] <= self._r_sq)
+        # Nine runs, one per (di, dj), each already sorted by station (tile
+        # order plus a constant): the stable sort only has to merge them.
+        station_key = tile_key[k] + ((di - 1) * tile_rows + dj - 1)
+        k = k[_stable_order(np, station_key, len(layout))]
+        self._station_oids = store.oids[order[k]].tolist()
+        self._station_start = _offsets(np, station_key, len(layout))
 
     def cell_of(self, oid: ObjectId) -> CellIndex:
         """The grid cell an object was in at the last rebuild."""
         row = self.store.row_of[oid]
         return (int(self.store.cell_i[row]), int(self.store.cell_j[row]))
 
+    # The three lookups below are separate call seams (the benchmark's
+    # tracer wraps each by name), so they share the two private helpers and
+    # never call one another.
+
     def covered_by_stations(self, station_ids: Iterable[BaseStationId]) -> set[ObjectId]:
         """Objects inside any of the stations' coverage circles."""
-        np = self.store.np
-        layout = self.layout
-        tile_rows = layout.tile_rows
-        keys = self._tile_keys
         out: set[ObjectId] = set()
-        for bsid in station_ids:
-            coverage = layout.get(bsid).coverage
-            cx, cy = coverage.cx, coverage.cy
-            r_sq = coverage.r * coverage.r
-            ti, tj = layout.tile_of_station(bsid)
-            jlo = max(tj - 1, 0)
-            jhi = min(tj + 1, tile_rows - 1)
-            cols = [col for col in (ti - 1, ti, ti + 1) if 0 <= col < layout.tile_cols]
-            # One batched binary search for all candidate tile columns.
-            bounds = np.searchsorted(
-                keys,
-                [col * tile_rows + jlo for col in cols]
-                + [col * tile_rows + jhi + 1 for col in cols],
-            )
-            ncols = len(cols)
-            for k in range(ncols):
-                lo = int(bounds[k])
-                hi = int(bounds[k + ncols])
-                if lo == hi:
-                    continue
-                dx = self._tile_x[lo:hi] - cx
-                dy = self._tile_y[lo:hi] - cy
-                inside = dx * dx + dy * dy <= r_sq
-                out.update(self._tile_oids[lo:hi][inside].tolist())
+        self._add_stations(out, station_ids)
+        return out
+
+    def in_cells(
+        self, cells: "CellRange | CellRangeUnion | Iterable[CellIndex]"
+    ) -> set[ObjectId]:
+        """Objects currently located in the given grid cells."""
+        out: set[ObjectId] = set()
+        self._add_cells(out, cells)
         return out
 
     def receiver_mask(
         self,
         station_ids: Iterable[BaseStationId],
         region: "CellRange | CellRangeUnion | Iterable[CellIndex]",
-    ):
-        """Boolean store-row mask of one broadcast's receivers.
+    ) -> set[ObjectId]:
+        """One broadcast's receivers, as an id set:
+        ``covered_by_stations(station_ids) | in_cells(region)``."""
+        out: set[ObjectId] = set()
+        self._add_stations(out, station_ids)
+        self._add_cells(out, region)
+        return out
 
-        Same membership as ``covered_by_stations(station_ids) |
-        in_cells(region)``, but produced as an array mask without building
-        the intermediate Python sets -- the fan-out applies broadcasts in
-        bulk, so it never needs the receivers in set form.
-        """
-        np = self.store.np
-        mask = np.zeros(self.store.n, dtype=bool)
-        layout = self.layout
-        tile_rows = layout.tile_rows
-        keys = self._tile_keys
-        trows = self._tile_rows
-        # One batched binary search for every station's candidate tile
-        # columns, then one concatenated distance pass over all slices --
-        # the covers are small, so per-station array ops would drown in
-        # fixed numpy overhead.
-        lo_keys: list[int] = []
-        hi_keys: list[int] = []
-        spans: list[tuple[int, float, float, float]] = []  # (#cols, cx, cy, r^2)
+    def _add_stations(self, out: set[ObjectId], station_ids: Iterable[BaseStationId]) -> None:
+        oids = self._station_oids
+        start = self._station_start
         for bsid in station_ids:
-            coverage = layout.get(bsid).coverage
-            ti, tj = layout.tile_of_station(bsid)
-            jlo = max(tj - 1, 0)
-            jhi = min(tj + 1, tile_rows - 1)
-            ncols = 0
-            for col in (ti - 1, ti, ti + 1):
-                if 0 <= col < layout.tile_cols:
-                    lo_keys.append(col * tile_rows + jlo)
-                    hi_keys.append(col * tile_rows + jhi + 1)
-                    ncols += 1
-            spans.append((ncols, coverage.cx, coverage.cy, coverage.r * coverage.r))
-        bounds = keys.searchsorted(lo_keys + hi_keys).tolist()
-        nkeys = len(lo_keys)
-        slices: list[tuple[int, int]] = []
-        cxs: list[float] = []
-        cys: list[float] = []
-        rsqs: list[float] = []
-        k = 0
-        for ncols, cx, cy, r_sq in spans:
-            for _ in range(ncols):
-                lo = bounds[k]
-                hi = bounds[k + nkeys]
-                k += 1
-                if lo != hi:
-                    slices.append((lo, hi))
-                    cxs.append(cx)
-                    cys.append(cy)
-                    rsqs.append(r_sq)
-        if slices:
-            xs = np.concatenate([self._tile_x[lo:hi] for lo, hi in slices])
-            ys = np.concatenate([self._tile_y[lo:hi] for lo, hi in slices])
-            rows = np.concatenate([trows[lo:hi] for lo, hi in slices])
-            lens = [hi - lo for lo, hi in slices]
-            dx = xs - np.repeat(cxs, lens)
-            dy = ys - np.repeat(cys, lens)
-            inside = dx * dx + dy * dy <= np.repeat(rsqs, lens)
-            mask[rows[inside]] = True
+            out.update(oids[start[bsid] : start[bsid + 1]])
+
+    def _add_cells(
+        self, out: set[ObjectId], region: "CellRange | CellRangeUnion | Iterable[CellIndex]"
+    ) -> None:
+        oids = self._cell_oids
+        start = self._cell_start
+        n_cols = self.grid.n_cols
+        n_rows = self.grid.n_rows
         if type(region) is CellRange:
             rects = (region,)
         elif type(region) is CellRangeUnion:
             rects = (region.first, region.second)
         else:
-            rects = None
-        n_rows = self.grid.n_rows
-        ckeys = self._cell_keys
-        crows = self._cell_rows
-        if rects is not None:
-            # A rect's keys are contiguous per i-column: one batched binary
-            # search yields every column's sorted-run bounds at once.
-            search = ckeys.searchsorted
-            for rect in rects:
-                span = rect.hi_j - rect.lo_j + 1
-                lo_keys = [i * n_rows + rect.lo_j for i in range(rect.lo_i, rect.hi_i + 1)]
-                bounds = search(lo_keys + [k + span for k in lo_keys]).tolist()
-                nc = len(lo_keys)
-                for k in range(nc):
-                    lo = bounds[k]
-                    hi = bounds[k + nc]
-                    if lo != hi:
-                        mask[crows[lo:hi]] = True
-        else:
-            for i, j in region:
-                key = i * n_rows + j
-                lo = int(np.searchsorted(ckeys, key))
-                hi = int(np.searchsorted(ckeys, key + 1))
-                if lo != hi:
-                    mask[crows[lo:hi]] = True
-        return mask
-
-    def in_cells(self, cells: Iterable[CellIndex]) -> set[ObjectId]:
-        """Objects currently located in the given grid cells."""
-        np = self.store.np
-        n_rows = self.grid.n_rows
-        keys = self._cell_keys
-        oids = self._cell_oids
-        if type(cells) is CellRange:
-            # Monitoring regions arrive as rectangular cell ranges: build
-            # the wanted keys with one outer sum, in the range's own
-            # iteration order (i-outer, j-inner) so the bucket visit order
-            # -- and with it the receiver-set insertion sequence -- is the
-            # same as iterating the range cell by cell.
-            ii = np.arange(cells.lo_i, cells.hi_i + 1, dtype=np.int64) * n_rows
-            jj = np.arange(cells.lo_j, cells.hi_j + 1, dtype=np.int64)
-            wanted = (ii[:, None] + jj).ravel()
-            ncells = int(wanted.size)
-            if not ncells:
-                return set()
-            bounds = np.searchsorted(keys, np.concatenate([wanted, wanted + 1]))
-        else:
-            flat = [i * n_rows + j for i, j in cells]
-            if not flat:
-                return set()
-            ncells = len(flat)
-            bounds = np.searchsorted(keys, flat + [k + 1 for k in flat])
-        # One batched binary search: each cell's bucket is the contiguous
-        # run [key, key + 1) of the sorted keys.
-        blist = bounds.tolist()
-        out: set[ObjectId] = set()
-        for k in range(ncells):
-            lo = blist[k]
-            hi = blist[k + ncells]
-            if lo != hi:
-                out.update(oids[lo:hi])
-        return out
+            rects = (CellRange(i, i, j, j) for i, j in region)
+        for rect in rects:
+            # Cell keys are column-major: one column of a rectangle is one
+            # contiguous run of the cell-sorted ids.
+            lo = max(rect.lo_j, 0)
+            hi = min(rect.hi_j, n_rows - 1) + 1
+            if lo < hi:
+                for i in range(max(rect.lo_i, 0), min(rect.hi_i, n_cols - 1) + 1):
+                    out.update(oids[start[i * n_rows + lo] : start[i * n_rows + hi]])

@@ -15,9 +15,9 @@ per-receiver table poke that can be applied in bulk:
 
 :class:`BroadcastFanout` keeps a query-id -> holders index (maintained
 push-style through the LQT's entry-watcher hooks) so a broadcast touches
-exactly the entries it affects, and computes the receiver set as one
-boolean store-row mask (:meth:`VectorizedCoverageIndex.receiver_mask`)
-instead of a Python set.
+exactly the entries it affects, and takes the receivers as the one id set
+:meth:`VectorizedCoverageIndex.receiver_mask` reads off the per-step index
+(a few dozen ids; the ledger and the appliers consume the set as it is).
 
 Equivalence to the per-receiver loop:
 
@@ -57,11 +57,9 @@ class BroadcastFanout:
     """Bulk application of region broadcasts for one vectorized system."""
 
     def __init__(self, runtime: "FastpathRuntime") -> None:
-        self.runtime = runtime
         system = runtime.system
         self.transport = system.transport
         self.store = runtime.store
-        self.np = runtime.np
         self.coverage = runtime.coverage
         self.clients = system.clients
         self.evaluator = runtime.evaluator
@@ -112,20 +110,21 @@ class BroadcastFanout:
             # Lazy propagation: receivers may install from the expanded
             # descriptors; keep the scalar per-receiver path.
             return False
-        mask = self.coverage.receiver_mask(station_ids, region)
-        receivers = self.store.oids[mask].tolist()
+        # Looked up through the instance at call time: the index's three
+        # reads are the seams an outside tracer wraps by name.
+        receivers = self.coverage.receiver_mask(station_ids, region)
         transport.ledger.record_downlink(
             type(message).__name__,
             message.bits,
             receivers=receivers,
             broadcasts=len(station_ids),
         )
-        applier(message, mask, set(receivers))
+        applier(message, receivers)
         return True
 
     # ------------------------------------------------------------ appliers
 
-    def _apply_velocity(self, message: VelocityChangeBroadcast, mask, recv: set) -> None:
+    def _apply_velocity(self, message: VelocityChangeBroadcast, recv: set) -> None:
         """Fresh focal motion state for each holding receiver's entries.
 
         Every receiver got the same state, so the group slots whose cached
@@ -149,7 +148,7 @@ class BroadcastFanout:
         if slots:
             self.evaluator.write_basis(slots, state)
 
-    def _apply_remove(self, message: QueryRemoveBroadcast, mask, recv: set) -> None:
+    def _apply_remove(self, message: QueryRemoveBroadcast, recv: set) -> None:
         """Drop each removed query from its holding receivers (no leave
         reports: the reference remove handler sends none)."""
         clients = self.clients
@@ -161,17 +160,10 @@ class BroadcastFanout:
             for oid in hit:  # removal mutates the bucket via the hooks
                 clients[oid].lqt.remove(qid)
 
-    def _apply_query(self, message, mask, recv: set) -> None:
+    def _apply_query(self, message, recv: set) -> None:
         """Install / refresh / drop per the broadcast descriptors."""
-        np = self.np
-        store = self.store
         clients = self.clients
-        runtime = self.runtime
         basis_slot = self.evaluator.basis_slot
-        rows = np.nonzero(mask)[0]
-        recv_i = runtime.last_i[rows]
-        recv_j = runtime.last_j[rows]
-        recv_oids = store.oids[rows].tolist()
         # Leave reports accumulate per receiver in descriptor order and are
         # sent last, ascending by receiver -- the exact uplink sequence of
         # the sorted per-receiver loop (only these reports are externally
@@ -181,18 +173,25 @@ class BroadcastFanout:
             qid = desc.qid
             region = desc.mon_region
             focal = desc.oid
-            bucket = self.holders.get(qid)
-            held = list(bucket.items()) if bucket else ()
+            lo_i, hi_i, lo_j, hi_j = region.lo_i, region.hi_i, region.lo_j, region.hi_j
+            # Read live while the loop edits it through the entry hooks:
+            # each receiver is visited once, so its own answer is never stale.
+            bucket = self.holders.get(qid, {})
             slots: list[int] = []
-            for oid, entry in held:
-                if oid not in recv or oid == focal:
+            for oid in recv:
+                if oid == focal:
                     continue
                 client = clients[oid]
-                # `last_cell` equals the runtime's cell mirror at every
-                # broadcast moment, and the tuple read beats two array
-                # lookups in this scalar loop.
+                # `last_cell` is the receiver's cell at every broadcast
+                # moment (the reporting scan updates it before the handler
+                # that provokes the broadcast runs).
                 ci, cj = client.last_cell
-                if region.lo_i <= ci <= region.hi_i and region.lo_j <= cj <= region.hi_j:
+                covered = lo_i <= ci <= hi_i and lo_j <= cj <= hi_j
+                entry = bucket.get(oid)
+                if entry is None:
+                    if covered and desc.filter.matches(client.obj.props):
+                        client.lqt.install(LqtEntry.from_descriptor(desc))
+                elif covered:
                     entry.focal_state = desc.focal_state
                     entry.focal_max_speed = desc.focal_max_speed
                     entry.mon_region = region
@@ -207,20 +206,5 @@ class BroadcastFanout:
                         leaves.setdefault(oid, {})[qid] = False
             if slots:
                 self.evaluator.write_basis(slots, desc.focal_state)
-            covered = (
-                (recv_i >= region.lo_i)
-                & (recv_i <= region.hi_i)
-                & (recv_j >= region.lo_j)
-                & (recv_j <= region.hi_j)
-            )
-            if covered.any():
-                held_oids = {oid for oid, _ in held}
-                for idx in np.nonzero(covered)[0].tolist():
-                    oid = recv_oids[idx]
-                    if oid == focal or oid in held_oids:
-                        continue
-                    client = clients[oid]
-                    if desc.filter.matches(client.obj.props):
-                        client.lqt.install(LqtEntry.from_descriptor(desc))
         for oid in sorted(leaves):
             clients[oid]._send_result_changes(leaves[oid])

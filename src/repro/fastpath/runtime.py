@@ -166,9 +166,8 @@ class FastpathRuntime:
             if buf is not None:
                 buf.depth = 1
             if new_cell != client.last_cell:
-                # Mirror first: the handler sets `last_cell` as its
-                # first statement, so the broadcast fan-out sees the
-                # two in agreement even mid-handler.
+                # Keep the scan's mirror of `last_cell` in step (the
+                # handler sets the attribute as its first statement).
                 self.last_i[row] = new_cell[0]
                 self.last_j[row] = new_cell[1]
                 client._handle_own_cell_change(new_cell, now)

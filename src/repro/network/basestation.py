@@ -25,6 +25,12 @@ from repro.grid import CellIndex, CellRange, CellRangeUnion, Grid
 
 BaseStationId = int
 
+# Entries `BaseStationLayout.minimal_cover` memoizes before it starts over.
+# Every focal cell crossing keys a fresh ``CellRangeUnion(old, new)``, so the
+# memo grows for as long as a run lasts; the cap is far above what the warm
+# set of a paper-scale run reaches, so it only bounds a soak.
+COVER_CACHE_MAX = 1 << 16
+
 
 @dataclass(frozen=True, slots=True)
 class BaseStation:
@@ -137,7 +143,8 @@ class BaseStationLayout:
 
         The greedy cover is a pure function of the region (the lattice and
         the Bmap are fixed at construction) and monitoring regions repeat
-        heavily across steps, so results are memoized.
+        heavily across steps, so results are memoized (up to
+        :data:`COVER_CACHE_MAX` entries; on overflow the memo is cleared).
         """
         key: object = (
             region if isinstance(region, (CellRange, CellRangeUnion)) else tuple(region)
@@ -145,6 +152,8 @@ class BaseStationLayout:
         cached = self._cover_cache.get(key)
         if cached is not None:
             return list(cached)
+        if len(self._cover_cache) >= COVER_CACHE_MAX:
+            self._cover_cache.clear()
         # Cells as bits of one int: the greedy rounds then run on integer
         # AND / popcount instead of set intersections.  The selection is
         # identical to the set formulation -- the gain is the same count

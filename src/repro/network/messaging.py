@@ -91,10 +91,9 @@ class MessageLedger:
         """Total joules charged across all objects.
 
         ``fsum`` so the total is independent of the order objects were
-        first charged: the vectorized broadcast fan-out visits receivers
-        in store-row order while the reference loop visits them in set
-        order, and a naive left-to-right sum would differ in the last
-        ulps between the two.
+        first charged: the two engines build a broadcast's receiver set in
+        different insertion orders, and a naive left-to-right sum would
+        differ in the last ulps between the two.
         """
         return math.fsum(self.energy_by_object.values())
 

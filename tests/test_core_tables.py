@@ -139,6 +139,16 @@ class TestReverseQueryIndex:
         rqi.add(2, CellRange(0, 0, 0, 0))
         assert rqi.queries_at((0, 0)) == frozenset({1, 2})
 
+    def test_fresh_ids_between_is_new_minus_prev_ascending(self):
+        rqi = ReverseQueryIndex()
+        for qid in (9, 3, 7):
+            rqi.add(qid, CellRange(1, 1, 0, 0))
+        rqi.add(7, CellRange(0, 0, 0, 0))
+        assert rqi.fresh_ids_between((0, 0), (1, 0)) == [3, 9]
+        assert rqi.fresh_ids_between((5, 5), (1, 0)) == [3, 7, 9]  # empty prev cell
+        assert rqi.fresh_ids_between((1, 0), (0, 0)) == []
+        assert rqi.fresh_ids_between((1, 0), (5, 5)) == []  # empty new cell
+
 
 class TestLocalQueryTable:
     def test_install_and_lookup(self):

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.grid import CellRange, Grid
-from repro.network import BaseStationLayout, MessageLedger, RadioModel
+from repro.grid import CellRange, CellRangeUnion, Grid
+from repro.network import BaseStationLayout, MessageLedger, RadioModel, basestation
 
 
 @pytest.fixture
@@ -86,6 +86,19 @@ class TestMinimalCover:
     def test_greedy_not_worse_than_all_stations(self, layout):
         region = CellRange(0, 9, 0, 9)
         assert len(layout.minimal_cover(region)) <= len(layout)
+
+    def test_memo_is_capped_and_a_clear_changes_no_answer(self, layout, monkeypatch):
+        """Every focal crossing keys a fresh region, so an uncapped memo
+        grows for as long as a run lasts."""
+        monkeypatch.setattr(basestation, "COVER_CACHE_MAX", 4)
+        regions = [CellRange(i, i + 2, j, j + 3) for i in range(6) for j in range(5)]
+        regions.append(CellRangeUnion(regions[0], regions[-1]))
+        first_pass = []
+        for region in regions:
+            first_pass.append(layout.minimal_cover(region))
+            assert len(layout._cover_cache) <= 4
+        # The memo was cleared several times over; every answer repeats.
+        assert [layout.minimal_cover(region) for region in regions] == first_pass
 
 
 class TestRadioModel:
