@@ -1,6 +1,5 @@
 """The MobiEyes distributed moving-query protocol (the paper's contribution)."""
 
-from repro.core.broadcast import BroadcastPlanner
 from repro.core.client import ClientStats, MobiEyesClient
 from repro.core.config import MobiEyesConfig
 from repro.core.coordinator import Coordinator
@@ -27,18 +26,15 @@ from repro.core.shard import ServerShard
 from repro.core.service import MobiEyesService
 from repro.core.system import MobiEyesSystem
 from repro.core.tables import (
-    FocalObjectTable,
     LocalQueryTable,
     LqtEntry,
     ReverseQueryIndex,
-    ServerQueryTable,
     SqtEntry,
 )
 from repro.core.transport import SimulatedTransport
 
 __all__ = [
     "AndFilter",
-    "BroadcastPlanner",
     "ClientStats",
     "Coordinator",
     "FocalTracker",
@@ -48,7 +44,6 @@ __all__ = [
     "NotFilter",
     "OrFilter",
     "PropertyEqualsFilter",
-    "FocalObjectTable",
     "LocalQueryTable",
     "LqtEntry",
     "MobiEyesClient",
@@ -64,7 +59,6 @@ __all__ = [
     "QueryId",
     "QuerySpec",
     "ReverseQueryIndex",
-    "ServerQueryTable",
     "SimulatedTransport",
     "SqtEntry",
     "TrueFilter",

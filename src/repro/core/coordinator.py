@@ -79,9 +79,8 @@ class Coordinator:
         self._fot_home: dict[ObjectId, int] = {}
         self._subscribers: dict[QueryId, list[ResultCallback]] = {}
         self._next_qid: QueryId = 1
-        # One report-epoch map for the whole fleet: an object's epoch must
-        # survive focal/cell handoffs between shards (see
-        # MobiEyesServer._report_epoch).
+        # One report-epoch map for the whole fleet; every shard holds this
+        # very dict (restore fills it in place, never rebinds it).
         self._report_epochs: dict[ObjectId, int] = {}
         self._leases_on = False
         self._lease_steps = 0
@@ -253,7 +252,7 @@ class Coordinator:
         with target.load.timed():
             for entry in list(source.registry.queries_of_focal(oid)):
                 source.registry.release(entry.qid)
-                target.registry.adopt(entry)
+                target.registry.add(entry)
                 target.load.ops += 1
             packed = source.tracker.export_state(oid)
             source.tracker.evict(oid)
@@ -410,7 +409,7 @@ class Coordinator:
         # descriptors (RQI registrations already moved with the cells).
         for entry in sorted(shard.registry.entries(), key=lambda e: e.qid):
             shard.registry.release(entry.qid)
-            target.registry.adopt(entry)
+            target.registry.add(entry)
         part.remove_stripe(sid)
         self._retired.add(sid)
         return summary
@@ -461,7 +460,7 @@ class Coordinator:
                 shard._rqi_remove(entry.qid, entry.mon_region)
             shard.registry.release(entry.qid)
         tracker = shard.tracker
-        tracked = sorted({*tracker.last_heard, *tracker.suspended, *tracker.fot.ids()})
+        tracked = sorted({*tracker.last_heard, *tracker.suspended, *tracker.ids()})
         for oid in tracked:
             tracker.evict(oid)
         # Foreign queries replicated their RQI portions into this stripe;
@@ -579,16 +578,6 @@ class Coordinator:
         purged.sort()
         return purged
 
-    def report_epoch(self, oid: ObjectId) -> int:
-        """The report generation currently accepted from ``oid``."""
-        return self._report_epochs.get(oid, 0)
-
-    def bump_report_epoch(self, oid: ObjectId) -> int:
-        """Start a new report generation for ``oid`` (fleet-wide)."""
-        epoch = self._report_epochs.get(oid, 0) + 1
-        self._report_epochs[oid] = epoch
-        return epoch
-
     # ------------------------------------------------------- server API
 
     def install_query(self, spec: QuerySpec) -> QueryId:
@@ -662,16 +651,7 @@ class Coordinator:
             for e in self._sqt_view.entries()
         ]
 
-    def nearby_queries(self, cell: CellIndex) -> frozenset[QueryId]:
-        """Query ids whose monitoring region covers the cell."""
-        return self.queries_at(cell)
-
     # ---------------------------------------------------------- load
-
-    @property
-    def op_count(self) -> int:
-        """Abstract operations across all shards since the last reset."""
-        return sum(shard.load.ops for shard in self.shards)
 
     def reset_load(self) -> tuple[float, int]:
         """Return and clear the aggregated (seconds, ops) load counters
@@ -702,7 +682,7 @@ class Coordinator:
                     "ops": shard.load.total_ops + shard.load.ops,
                     "seconds": shard.load.total_seconds + shard.load.seconds,
                     "queries": len(shard.registry),
-                    "focals": len(shard.tracker.fot),
+                    "focals": len(shard.tracker),
                 }
             )
         return out

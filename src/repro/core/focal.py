@@ -1,30 +1,32 @@
 """Focal tracker: the FOT plus soft-state lease bookkeeping.
 
-One of the three layered server components (registry / focal tracker /
-broadcast planner).  The tracker owns one server's focal object table --
-the last reported kinematic state of every focal object it is responsible
-for -- together with the lease machinery wired up under fault injection:
-the last step each object was heard from, and the max-speed bounds of
-focal objects whose queries are currently suspended.
+One of the two table owners of a server (registry / focal tracker).  The
+tracker *is* one server's focal object table -- ``oid -> FotEntry``, the
+last reported kinematic state of every focal object it is responsible
+for, held here and nowhere else -- together with the lease machinery
+wired up under fault injection: the last step each object was heard
+from, and the max-speed bounds of focal objects whose queries are
+currently suspended.
 
-The optional ``on_change`` callback fires on every FOT membership change
-(``on_change(oid, present)``); the coordinator uses it to track which
-shard currently holds each focal object's state.
+The optional ``on_change`` callback fires exactly once per FOT
+membership change (``on_change(oid, present)``; a refresh of a tracked
+object is not one); the coordinator uses it to track which shard
+currently holds each focal object's state.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro.core.tables import FocalObjectTable, FotEntry
+from repro.core.tables import FotEntry
 from repro.mobility.model import MotionState, ObjectId
 
 
 class FocalTracker:
-    """FOT ownership, lease freshness, and suspension state."""
+    """The FOT of one server, lease freshness, and suspension state."""
 
     def __init__(self, on_change: Callable[[ObjectId, bool], None] | None = None) -> None:
-        self.fot = FocalObjectTable()
+        self._entries: dict[ObjectId, FotEntry] = {}
         # Soft-state leases (enabled under fault injection): last step each
         # object was heard from, and the max-speed bound of focal objects
         # whose queries are currently suspended.
@@ -36,33 +38,42 @@ class FocalTracker:
     # ---------------------------------------------------------------- FOT
 
     def __contains__(self, oid: ObjectId) -> bool:
-        return oid in self.fot
+        return oid in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
     def get(self, oid: ObjectId) -> FotEntry:
         """The stored kinematic state of a focal object."""
-        return self.fot.get(oid)
+        return self._entries[oid]
 
     def upsert(self, oid: ObjectId, state: MotionState, max_speed: float) -> FotEntry:
         """Insert or refresh a focal object's state."""
-        fresh = oid not in self.fot
-        entry = self.fot.upsert(oid, state, max_speed)
-        if fresh and self._on_change is not None:
+        entry = self._entries.get(oid)
+        if entry is not None:
+            entry.state = state
+            entry.max_speed = max_speed
+            return entry
+        entry = self._entries[oid] = FotEntry(oid=oid, state=state, max_speed=max_speed)
+        if self._on_change is not None:
             self._on_change(oid, True)
         return entry
 
     def update_state(self, oid: ObjectId, state: MotionState) -> None:
         """Replace the stored motion state of a focal object."""
-        self.fot.update_state(oid, state)
+        self._entries[oid].state = state
 
     def remove(self, oid: ObjectId) -> None:
         """Drop a focal object's state."""
-        self.fot.remove(oid)
+        del self._entries[oid]
         if self._on_change is not None:
             self._on_change(oid, False)
 
     def ids(self) -> Iterator[ObjectId]:
-        """Tracked focal object ids."""
-        return self.fot.ids()
+        """Tracked focal object ids in ascending order.  The explicit sort
+        keeps lease expiry and invariant checks deterministic even when
+        entries migrated between shards out of insertion order."""
+        return iter(sorted(self._entries))
 
     # -------------------------------------------------------------- leases
 
@@ -80,14 +91,12 @@ class FocalTracker:
         self.last_heard[oid] = step
 
     def expired(self, step: int) -> list[ObjectId]:
-        """Focal objects whose lease ran out, in ascending id order (the
-        explicit sort keeps multi-shard expiry deterministic regardless of
-        FOT insertion order)."""
+        """Focal objects whose lease ran out, in ascending id order."""
         if self.lease_steps is None:
             return []
         return [
             oid
-            for oid in sorted(self.fot.ids())
+            for oid in self.ids()
             if step - self.last_heard.get(oid, 0) > self.lease_steps
         ]
 
@@ -107,8 +116,7 @@ class FocalTracker:
 
     def export_state(self, oid: ObjectId) -> tuple:
         """Package one object's tracker state for a cross-shard handoff."""
-        entry = self.fot.get(oid) if oid in self.fot else None
-        return (entry, self.last_heard.get(oid), self.suspended.get(oid))
+        return (self._entries.get(oid), self.last_heard.get(oid), self.suspended.get(oid))
 
     def import_state(self, oid: ObjectId, packed: tuple) -> None:
         """Adopt tracker state exported by another shard's tracker."""
@@ -126,7 +134,7 @@ class FocalTracker:
 
     def evict(self, oid: ObjectId) -> None:
         """Forget one object entirely (its state migrated to another shard)."""
-        if oid in self.fot:
+        if oid in self._entries:
             self.remove(oid)
         self.last_heard.pop(oid, None)
         self.suspended.pop(oid, None)

@@ -11,30 +11,14 @@ the server side logic per time step":
   cannot compare wall-clock values).
 
 Every server component -- the monolithic server, and each shard behind the
-coordinator -- charges one :class:`LoadAccount`; per-shard accounts
-aggregate without re-implementing the timer-depth bookkeeping that used to
-be copy-pasted ``_enter_timed``/``_exit_timed`` pairs.
+coordinator -- charges one :class:`LoadAccount`, which is its own
+re-entrant context manager: a handler's ``with self.load.timed():``
+allocates nothing, and only the outermost enter/exit pair reads the clock.
 """
 
 from __future__ import annotations
 
 import time
-
-
-class _TimedSection:
-    """Context manager entering/leaving an account's timed section."""
-
-    __slots__ = ("account",)
-
-    def __init__(self, account: "LoadAccount") -> None:
-        self.account = account
-
-    def __enter__(self) -> "LoadAccount":
-        self.account.enter()
-        return self.account
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.account.exit()
 
 
 class _PausedSection:
@@ -46,11 +30,11 @@ class _PausedSection:
         self.account = account
 
     def __enter__(self) -> "LoadAccount":
-        self.account.exit()
+        self.account.__exit__()
         return self.account
 
     def __exit__(self, *exc_info: object) -> None:
-        self.account.enter()
+        self.account.__enter__()
 
 
 class LoadAccount:
@@ -72,21 +56,21 @@ class LoadAccount:
         self._depth = 0
         self._start = 0.0
 
-    def enter(self) -> None:
-        """Enter a timed section (re-entrant)."""
+    def timed(self) -> "LoadAccount":
+        """``with account.timed(): ...`` -- a timed section (re-entrant)."""
+        return self
+
+    def __enter__(self) -> "LoadAccount":
         if self._depth == 0:
             self._start = time.perf_counter()
         self._depth += 1
+        return self
 
-    def exit(self) -> None:
-        """Leave a timed section; the outermost exit accumulates."""
+    def __exit__(self, *exc_info: object) -> None:
+        """The outermost exit accumulates."""
         self._depth -= 1
         if self._depth == 0:
             self.seconds += time.perf_counter() - self._start
-
-    def timed(self) -> _TimedSection:
-        """``with account.timed(): ...`` -- a timed section."""
-        return _TimedSection(self)
 
     def paused(self) -> _PausedSection:
         """``with account.paused(): ...`` inside a timed section -- a span

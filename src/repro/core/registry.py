@@ -1,16 +1,19 @@
-"""Query registry: SQT/RQI ownership and result-change subscriptions.
+"""Query registry: the SQT, the RQI and result-change subscriptions.
 
-One of the three layered server components (registry / focal tracker /
-broadcast planner).  The registry owns the server query table and the
-reverse query index of one server (the monolithic server, or one shard
-behind the coordinator) and is the single place queries are added to and
-removed from, so the two tables can never drift apart.
+One of the two table owners of a server (registry / focal tracker).  The
+registry *is* the server query table of one server (the monolithic
+server, or one shard behind the coordinator) -- ``qid -> SqtEntry`` plus
+the focal-object grouping, held here and nowhere else -- and owns that
+server's reverse query index, so ownership changes have one entrance.
 
 Optional ``on_added`` / ``on_removed`` callbacks let a coordinator keep
 its global query-ownership directory in sync with per-shard registries;
-the monolithic server passes none.  The subscriber book may be shared
-between registries (the coordinator hands every shard the same dict) so
-result-change subscriptions survive cross-shard focal handoffs.
+each fires exactly once per ownership change, whichever of
+:meth:`~QueryRegistry.add`, :meth:`~QueryRegistry.release` or
+:meth:`~QueryRegistry.remove` made it.  The monolithic server passes
+none.  The subscriber book may be shared between registries (the
+coordinator hands every shard the same dict) so result-change
+subscriptions survive cross-shard focal handoffs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from repro.core.query import QueryId
-from repro.core.tables import ReverseQueryIndex, ServerQueryTable, SqtEntry
+from repro.core.tables import ReverseQueryIndex, SqtEntry
 from repro.grid import CellIndex, CellRange
 from repro.mobility.model import ObjectId
 
@@ -27,7 +30,7 @@ ResultCallback = Callable[[QueryId, ObjectId, bool], None]
 
 
 class QueryRegistry:
-    """SQT + RQI ownership plus the result-change subscriber book."""
+    """The SQT and RQI of one server plus the result-change subscriber book."""
 
     def __init__(
         self,
@@ -35,7 +38,8 @@ class QueryRegistry:
         on_removed: Callable[[SqtEntry, bool], None] | None = None,
         subscribers: dict[QueryId, list[ResultCallback]] | None = None,
     ) -> None:
-        self.sqt = ServerQueryTable()
+        self._entries: dict[QueryId, SqtEntry] = {}
+        self._by_focal: dict[ObjectId, set[QueryId]] = {}
         self.rqi = ReverseQueryIndex()
         self.subscribers: dict[QueryId, list[ResultCallback]] = (
             subscribers if subscribers is not None else {}
@@ -46,64 +50,73 @@ class QueryRegistry:
     # --------------------------------------------------------------- SQT
 
     def __contains__(self, qid: QueryId) -> bool:
-        return qid in self.sqt
+        return qid in self._entries
 
     def __len__(self) -> int:
-        return len(self.sqt)
+        return len(self._entries)
 
     def get(self, qid: QueryId) -> SqtEntry:
         """Look up an owned query entry."""
-        return self.sqt.get(qid)
+        return self._entries[qid]
 
     def add(self, entry: SqtEntry) -> None:
-        """Take ownership of a query entry (SQT only; the caller registers
-        the monitoring region separately, possibly across shards)."""
-        self.sqt.add(entry)
-        if self._on_added is not None:
-            self._on_added(entry)
-
-    def remove(self, qid: QueryId) -> tuple[SqtEntry, bool]:
-        """Drop ownership of a query; returns ``(entry, focal_left)`` where
-        ``focal_left`` is True while the entry's focal object still anchors
-        other queries in this registry."""
-        entry = self.sqt.remove(qid)
-        self.subscribers.pop(qid, None)
-        focal_left = entry.is_static or self.sqt.is_focal(entry.oid)
-        if self._on_removed is not None:
-            self._on_removed(entry, focal_left)
-        return entry, focal_left
-
-    def adopt(self, entry: SqtEntry) -> None:
-        """Take ownership of an entry migrating in from another registry
-        (cross-shard focal handoff); RQI registrations are cell-owned and
-        do not move with the entry."""
-        self.sqt.add(entry)
+        """Take ownership of a query entry, fresh or migrating in from
+        another registry (SQT only: RQI registrations are cell-owned, so
+        the caller registers the monitoring region separately, possibly
+        across shards, and a handoff leaves them where they are)."""
+        if entry.qid in self._entries:
+            raise ValueError(f"duplicate query id {entry.qid}")
+        self._entries[entry.qid] = entry
+        if entry.oid is not None:
+            self._by_focal.setdefault(entry.oid, set()).add(entry.qid)
         if self._on_added is not None:
             self._on_added(entry)
 
     def release(self, qid: QueryId) -> SqtEntry:
         """Give up ownership of an entry migrating to another registry,
         keeping its subscriptions (the book is shared) and its RQI cells."""
-        entry = self.sqt.remove(qid)
+        entry = self._entries.pop(qid)
+        if entry.oid is not None:
+            group = self._by_focal[entry.oid]
+            group.discard(qid)
+            if not group:
+                del self._by_focal[entry.oid]
         if self._on_removed is not None:
-            self._on_removed(entry, entry.is_static or self.sqt.is_focal(entry.oid))
+            self._on_removed(entry, entry.is_static or self.is_focal(entry.oid))
         return entry
 
+    def remove(self, qid: QueryId) -> tuple[SqtEntry, bool]:
+        """Uninstall a query: :meth:`release` plus dropping its
+        subscriptions.  Returns ``(entry, focal_left)`` where
+        ``focal_left`` is True while the entry's focal object still anchors
+        other queries in this registry."""
+        entry = self.release(qid)
+        self.subscribers.pop(qid, None)
+        return entry, entry.is_static or self.is_focal(entry.oid)
+
     def queries_of_focal(self, oid: ObjectId) -> list[SqtEntry]:
-        """Owned queries bound to focal object ``oid``, qid-ascending."""
-        return self.sqt.queries_of_focal(oid)
+        """Owned queries bound to focal object ``oid`` (groupable MQs),
+        qid-ascending."""
+        return [self._entries[qid] for qid in sorted(self._by_focal.get(oid, ()))]
 
     def is_focal(self, oid: ObjectId) -> bool:
         """Whether ``oid`` anchors at least one owned query."""
-        return self.sqt.is_focal(oid)
+        return oid in self._by_focal
 
     def entries(self) -> Iterator[SqtEntry]:
-        """Owned entries in qid-ascending order."""
-        return self.sqt.entries()
+        """Owned entries in qid-ascending order.
+
+        Query ids are allocated monotonically, so for a monolithic server
+        the sort matches plain insertion order; behind the coordinator a
+        shard's insertion order depends on handoff history, and the
+        explicit sort is what keeps resync purges, static beacons, and
+        result snapshots deterministic across shard counts.
+        """
+        return iter([self._entries[qid] for qid in sorted(self._entries)])
 
     def ids(self) -> Iterator[QueryId]:
         """Owned query ids in ascending order."""
-        return self.sqt.ids()
+        return iter(sorted(self._entries))
 
     # --------------------------------------------------------------- RQI
 
@@ -123,7 +136,7 @@ class QueryRegistry:
 
     def subscribe(self, qid: QueryId, callback: ResultCallback) -> None:
         """Register a result-change callback for an owned query."""
-        if qid not in self.sqt:
+        if qid not in self._entries:
             raise KeyError(f"unknown query {qid}")
         self.subscribers.setdefault(qid, []).append(callback)
 
@@ -142,7 +155,7 @@ class QueryRegistry:
         """Drop ``oid`` from every owned result set; returns the affected
         query ids in qid-ascending order (callbacks are the caller's job)."""
         purged: list[QueryId] = []
-        for entry in self.sqt.entries():
+        for entry in self.entries():
             if oid in entry.result:
                 entry.result.discard(oid)
                 purged.append(entry.qid)

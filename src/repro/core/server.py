@@ -1,15 +1,18 @@
 """The MobiEyes server: a mediator between moving objects (paper Section 3).
 
-The server never evaluates queries itself.  It composes three layered
-components -- a :class:`~repro.core.registry.QueryRegistry` (SQT/RQI
-ownership and result subscriptions), a
-:class:`~repro.core.focal.FocalTracker` (FOT and soft-state leases), and a
-:class:`~repro.core.broadcast.BroadcastPlanner` (query grouping and
-monitoring-region broadcasts) -- and orchestrates the protocol across
-them: installing queries and relaying significant focal-object changes
-(velocity-vector changes and grid-cell crossings) to the objects inside
-the affected monitoring regions using the minimal number of base-station
-broadcasts.
+The server never evaluates queries itself.  It composes two table owners
+-- a :class:`~repro.core.registry.QueryRegistry` (the SQT, the RQI and
+result subscriptions) and a :class:`~repro.core.focal.FocalTracker` (the
+FOT and soft-state leases) -- over the transport, and orchestrates the
+protocol across them: installing queries and relaying significant
+focal-object changes (velocity-vector changes and grid-cell crossings) to
+the objects inside the affected monitoring regions using the minimal
+number of base-station broadcasts.  Which queries ride together in one
+broadcast (the paper's Section 4.1 grouping) is :meth:`MobiEyesServer._groups`.
+
+Reports reach the handlers two ways: ``on_uplink`` takes a message
+dataclass apart, ``apply_report_record`` reads one record of a flushed
+columnar window; both call the same record-level handlers.
 
 Server load is measured by a :class:`~repro.core.load.LoadAccount`: the
 wall-clock time spent inside the server's handlers (the same "time spent
@@ -23,7 +26,9 @@ resolve through its coordinator goes through a ``_``-prefixed hook
 ``_rqi_remove`` / ``_rqi_move``, ``_purge_object``, ``_result_entry``,
 ``_acquire_focal``, ``_allocate_qid``).  Here every hook resolves against
 the server's own tables; :class:`~repro.core.shard.ServerShard` overrides
-them to reach across the partition.
+them to reach across the partition.  ``transport.broadcast`` and the
+hooks are looked up at call time, never cached as bound methods: the
+benchmark's tracer wraps those instance attributes by name.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from typing import Callable, Iterable
 
 ResultCallback = Callable[["QueryId", "ObjectId", bool], None]
 
-from repro.core.broadcast import BroadcastPlanner
 from repro.core.config import MobiEyesConfig
 from repro.core.focal import FocalTracker
 from repro.core.load import LoadAccount
@@ -44,6 +48,7 @@ from repro.core.messages import (
     Heartbeat,
     MotionStateRequest,
     MotionStateResponse,
+    QueryDescriptor,
     QueryInstallBroadcast,
     QueryInstallList,
     QueryRemoveBroadcast,
@@ -81,12 +86,11 @@ class MobiEyesServer:
         self.config = config
         self.registry = registry if registry is not None else QueryRegistry()
         self.tracker = tracker if tracker is not None else FocalTracker()
-        self.planner = BroadcastPlanner(transport, config.grouping)
         self.load = LoadAccount()
         self._next_qid: QueryId = 1
         # Per-object report generations (see ResultChangeReport.epoch);
-        # absent means epoch 0.  Sharded servers share one map through the
-        # coordinator so an object's epoch survives cell handoffs.
+        # absent means epoch 0.  A shard rebinds this to its coordinator's
+        # map so an object's epoch survives cell handoffs.
         self._report_epochs: dict[ObjectId, int] = {}
         if attach:
             transport.attach_server(self)
@@ -94,14 +98,14 @@ class MobiEyesServer:
     # ------------------------------------------------------- table aliases
 
     @property
-    def fot(self):
-        """The focal object table (owned by the focal tracker)."""
-        return self.tracker.fot
+    def fot(self) -> FocalTracker:
+        """The focal object table: a read alias of the focal tracker."""
+        return self.tracker
 
     @property
-    def sqt(self):
-        """The server query table (owned by the query registry)."""
-        return self.registry.sqt
+    def sqt(self) -> QueryRegistry:
+        """The server query table: a read alias of the query registry."""
+        return self.registry
 
     @property
     def rqi(self):
@@ -109,11 +113,6 @@ class MobiEyesServer:
         return self.registry.rqi
 
     # ------------------------------------------------------------- timing
-
-    @property
-    def op_count(self) -> int:
-        """Abstract operations performed since the last reset."""
-        return self.load.ops
 
     def reset_load(self) -> tuple[float, int]:
         """Return and clear the accumulated (seconds, ops) load counters."""
@@ -169,18 +168,6 @@ class MobiEyesServer:
         """Drop ``oid`` from every query result anywhere; qid-ascending."""
         return self.registry.purge_object(oid)
 
-    def _report_epoch(self, oid: ObjectId) -> int:
-        """The report generation currently accepted from ``oid``."""
-        return self._report_epochs.get(oid, 0)
-
-    def _bump_report_epoch(self, oid: ObjectId) -> int:
-        """Start a new report generation for ``oid`` (after a purge):
-        reports stamped with an older epoch -- still in flight across the
-        purge under modeled latency -- will be discarded on arrival."""
-        epoch = self._report_epochs.get(oid, 0) + 1
-        self._report_epochs[oid] = epoch
-        return epoch
-
     def _acquire_focal(self, oid: ObjectId) -> None:
         """Take over responsibility for a focal object that crossed into
         this server's territory (no-op without partitioning)."""
@@ -228,7 +215,7 @@ class MobiEyesServer:
         # Notify the focal object of its role, then install the query on
         # every object in the monitoring region through broadcasts.
         self.transport.send(spec.oid, FocalRoleNotification(oid=spec.oid, has_mq=True))
-        self.planner.send(
+        self.transport.broadcast(
             mon_region, QueryInstallBroadcast(queries=(self._descriptor(entry),))
         )
         return qid
@@ -248,7 +235,7 @@ class MobiEyesServer:
             self.registry.add(entry)
             self._rqi_add(qid, mon_region)
             self.load.ops += mon_region.cell_count + 1
-        self.planner.send(
+        self.transport.broadcast(
             mon_region, QueryInstallBroadcast(queries=(self._descriptor(entry),))
         )
         return qid
@@ -263,7 +250,7 @@ class MobiEyesServer:
                 if entry.oid in self.tracker:
                     self.tracker.remove(entry.oid)
                 self.tracker.pop_suspended(entry.oid)
-        self.planner.send(entry.mon_region, QueryRemoveBroadcast(qids=(qid,)))
+        self.transport.broadcast(entry.mon_region, QueryRemoveBroadcast(qids=(qid,)))
         if not focal_left:
             self.transport.send(entry.oid, FocalRoleNotification(oid=entry.oid, has_mq=False))
 
@@ -272,13 +259,19 @@ class MobiEyesServer:
     def on_uplink(self, message: object) -> None:
         """Dispatch an object -> server message."""
         if self.tracker.leases_enabled:
-            self._touch_lease(message)
+            oid = getattr(message, "oid", None)
+            if oid is not None:
+                self._touch_lease_rec(
+                    oid, getattr(message, "state", None), getattr(message, "max_speed", None)
+                )
         if isinstance(message, VelocityChangeReport):
-            self._on_velocity_change(message)
+            self._on_velocity_change_rec(message.oid, message.state)
         elif isinstance(message, CellChangeReport):
-            self._on_cell_change(message)
+            self._on_cell_change_rec(
+                message.oid, message.prev_cell, message.new_cell, message.state
+            )
         elif isinstance(message, ResultChangeReport):
-            self._on_result_change(message)
+            self._apply_result_record(message.oid, message.epoch, message.changes.items())
         elif isinstance(message, MotionStateResponse):
             self._on_motion_state(message)
         elif isinstance(message, ResyncRequest):
@@ -326,19 +319,10 @@ class MobiEyesServer:
         from again (wired up only under fault injection)."""
         self.tracker.enable_leases(lease_steps)
 
-    def _touch_lease(self, message: object) -> None:
-        """Record a sign of life and reinstate a suspended focal object."""
-        oid = getattr(message, "oid", None)
-        if oid is None:
-            return
-        self._touch_lease_rec(
-            oid, getattr(message, "state", None), getattr(message, "max_speed", None)
-        )
-
     def _touch_lease_rec(
         self, oid: ObjectId, state: MotionState | None, max_speed: float | None
     ) -> None:
-        """Record-level lease touch (shared by the message and columnar paths)."""
+        """Record a sign of life and reinstate a suspended focal object."""
         self.tracker.touch(oid, self.transport.step)
         if not self.tracker.is_suspended(oid):
             return
@@ -373,13 +357,13 @@ class MobiEyesServer:
                     left.append((entry.qid, member))
                 entry.result.clear()
                 self.load.ops += entry.mon_region.cell_count + 1
-            groups = self.planner.groups(entries)
+            groups = self._groups(entries)
             self.tracker.mark_suspended(oid, self.tracker.get(oid).max_speed)
             self.tracker.remove(oid)
         for qid, member in left:
             self.registry.notify(qid, member, False)
         for mon_region, group in groups:
-            self.planner.send(
+            self.transport.broadcast(
                 mon_region, QueryRemoveBroadcast(qids=tuple(e.qid for e in group))
             )
 
@@ -400,9 +384,9 @@ class MobiEyesServer:
                 self._rqi_add(entry.qid, entry.mon_region)
                 entry.suspended = False
                 self.load.ops += entry.mon_region.cell_count + 1
-            groups = self.planner.groups(entries)
+            groups = self._groups(entries)
         for mon_region, group in groups:
-            self.planner.send(
+            self.transport.broadcast(
                 mon_region,
                 QueryInstallBroadcast(queries=tuple(self._descriptor(e) for e in group)),
             )
@@ -431,21 +415,24 @@ class MobiEyesServer:
                 else:
                     focal_updates = [
                         (group[0].mon_region, group)
-                        for _region, group in self.planner.groups(entries)
+                        for _region, group in self._groups(entries)
                     ]
             purged = self._purge_object(oid)
-            epoch = self._bump_report_epoch(oid)
+            # A new report generation: reports stamped with an older epoch
+            # -- still in flight across the purge under modeled latency --
+            # are discarded on arrival.
+            epoch = self._report_epochs[oid] = self._report_epochs.get(oid, 0) + 1
             self.load.ops += len(purged)
             queries = tuple(
-                self._descriptor(self._entry_of(qid))
+                self._descriptor(entry)
                 for qid in sorted(self._queries_at(message.cell))
-                if self._entry_of(qid).oid != oid
+                if (entry := self._entry_of(qid)).oid != oid
             )
             has_mq = self.registry.is_focal(oid) and not self.tracker.is_suspended(oid)
         for qid in purged:
             self.registry.notify(qid, oid, False)
         for combined_region, group in focal_updates:
-            self.planner.send(
+            self.transport.broadcast(
                 combined_region,
                 QueryUpdateBroadcast(queries=tuple(self._descriptor(e) for e in group)),
             )
@@ -458,22 +445,19 @@ class MobiEyesServer:
             self.tracker.upsert(message.oid, message.state, message.max_speed)
             self.load.ops += 1
 
-    def _on_velocity_change(self, message: VelocityChangeReport) -> None:
-        """Relay a focal object's significant velocity change (Section 3.4)."""
-        self._on_velocity_change_rec(message.oid, message.state)
-
     def _on_velocity_change_rec(self, oid: ObjectId, state: MotionState) -> None:
+        """Relay a focal object's significant velocity change (Section 3.4)."""
         with self.load.timed():
             if oid not in self.tracker:
                 return  # stale report from an object that lost its focal role
             self.tracker.update_state(oid, state)
             queries = self.registry.queries_of_focal(oid)
-            groups = self.planner.groups(queries)
+            groups = self._groups(queries)
             self.load.ops += 1 + len(queries)
         lazy = self.config.propagation.is_lazy
         for mon_region, group in groups:
             descriptors = tuple(self._descriptor(e) for e in group) if lazy else ()
-            self.planner.send(
+            self.transport.broadcast(
                 mon_region,
                 VelocityChangeBroadcast(
                     oid=oid,
@@ -483,12 +467,6 @@ class MobiEyesServer:
                 ),
             )
 
-    def _on_cell_change(self, message: CellChangeReport) -> None:
-        """Handle an object that crossed into a new grid cell (Section 3.5)."""
-        self._on_cell_change_rec(
-            message.oid, message.prev_cell, message.new_cell, message.state
-        )
-
     def _on_cell_change_rec(
         self,
         oid: ObjectId,
@@ -496,6 +474,7 @@ class MobiEyesServer:
         new_cell: CellIndex,
         state: MotionState | None,
     ) -> None:
+        """Handle an object that crossed into a new grid cell (Section 3.5)."""
         self._acquire_focal(oid)
         with self.load.timed():
             if state is not None and oid in self.tracker:
@@ -514,7 +493,7 @@ class MobiEyesServer:
                 ),
             )
         for combined_region, group in focal_updates:
-            self.planner.send(
+            self.transport.broadcast(
                 combined_region,
                 QueryUpdateBroadcast(queries=tuple(self._descriptor(e) for e in group)),
             )
@@ -526,7 +505,7 @@ class MobiEyesServer:
         fresh = self._fresh_queries_at(prev_cell, new_cell)
         self.load.ops += 1
         # The object never monitors its own queries (it is their focal).
-        return [self._entry_of(qid) for qid in fresh if self._entry_of(qid).oid != oid]
+        return [entry for qid in fresh if (entry := self._entry_of(qid)).oid != oid]
 
     def _refresh_focal_regions(
         self, oid: ObjectId, new_cell: CellIndex
@@ -555,7 +534,7 @@ class MobiEyesServer:
                 if old_region == new_region
                 else CellRangeUnion(old_region, new_region)
             )
-        groups = self.planner.groups(queries)
+        groups = self._groups(queries)
         out: list[tuple[CellRange | CellRangeUnion | set[CellIndex], list[SqtEntry]]] = []
         for _mon_region, group in groups:
             shapes = {combined_by_query[entry.qid] for entry in group}
@@ -570,16 +549,13 @@ class MobiEyesServer:
                 out.append((cells, group))
         return out
 
-    def _on_result_change(self, message: ResultChangeReport) -> None:
-        """Differentially update query results (Section 3.6)."""
-        self._apply_result_record(message.oid, message.epoch, message.changes.items())
-
     def _apply_result_record(
         self, oid: ObjectId, epoch: int, items: "Iterable[tuple[QueryId, bool]]"
     ) -> None:
+        """Differentially update query results (Section 3.6)."""
         applied: list[tuple[QueryId, bool]] = []
         with self.load.timed():
-            if epoch < self._report_epoch(oid):
+            if epoch < self._report_epochs.get(oid, 0):
                 # Sent before this object's last resync purge (only
                 # possible under modeled latency): applying it would
                 # resurrect memberships the purge just erased, and the
@@ -618,7 +594,28 @@ class MobiEyesServer:
 
     # ------------------------------------------------------------ helpers
 
-    def _descriptor(self, entry: SqtEntry) -> "QueryDescriptor":
+    def _groups(self, queries: list[SqtEntry]) -> list[tuple[CellRange, list[SqtEntry]]]:
+        """Group queries for broadcasting.
+
+        With grouping enabled (Section 4.1), queries sharing the focal
+        object *and* the monitoring region ride in one broadcast; groups
+        are keyed by monitoring region.  With grouping disabled every
+        query is broadcast separately.  Groups come out sorted by their
+        smallest query id: on the monolith that is first-occurrence order
+        (queries arrive qid-ascending), but a shard's table order depends
+        on handoff history, and the explicit sort is what keeps multi-shard
+        broadcast schedules deterministic.
+        """
+        if not self.config.grouping:
+            return [(e.mon_region, [e]) for e in sorted(queries, key=lambda e: e.qid)]
+        grouped: dict[CellRange, list[SqtEntry]] = {}
+        for entry in sorted(queries, key=lambda e: e.qid):
+            grouped.setdefault(entry.mon_region, []).append(entry)
+        return sorted(grouped.items(), key=lambda item: item[1][0].qid)
+
+    def _descriptor(self, entry: SqtEntry) -> QueryDescriptor:
+        """The over-the-air descriptor of one query, from its SQT entry and
+        its focal object's FOT entry (static queries have none)."""
         # A descriptor is a pure function of the entry's immutable fields
         # (qid, oid, region, filter), its monitoring region, and the focal
         # object's state and max speed.  The cached copy is reused whenever
@@ -635,8 +632,15 @@ class MobiEyesServer:
                 and cached.focal_max_speed == focal.max_speed
             ):
                 return cached
-        desc = self.planner.descriptor(entry, focal)
-        entry.desc_cache = desc
+        desc = entry.desc_cache = QueryDescriptor(
+            qid=entry.qid,
+            oid=entry.oid,
+            region=entry.region,
+            filter=entry.filter,
+            focal_state=None if focal is None else focal.state,
+            focal_max_speed=0.0 if focal is None else focal.max_speed,
+            mon_region=entry.mon_region,
+        )
         return desc
 
     def beacon_static_queries(self) -> int:
@@ -648,7 +652,7 @@ class MobiEyesServer:
             self.load.ops += len(static_entries)
         broadcasts = 0
         for entry in static_entries:
-            broadcasts += self.planner.send(
+            broadcasts += self.transport.broadcast(
                 entry.mon_region, QueryInstallBroadcast(queries=(self._descriptor(entry),))
             )
         return broadcasts
@@ -665,10 +669,6 @@ class MobiEyesServer:
             MovingQuery(qid=e.qid, oid=e.oid, region=e.region, filter=e.filter)
             for e in self.registry.entries()
         ]
-
-    def nearby_queries(self, cell: CellIndex) -> frozenset[QueryId]:
-        """Query ids whose monitoring region covers the cell."""
-        return self.registry.queries_at(cell)
 
     def check_invariants(self) -> None:
         """Structural consistency between FOT, SQT, and RQI (used by tests)."""

@@ -66,6 +66,9 @@ class ServerShard(MobiEyesServer):
         self.coordinator = coordinator
         self.shard_id = shard_id
         self.partitioner = partitioner
+        # One report-epoch map for the whole fleet, shared by reference: an
+        # object's epoch must survive focal/cell handoffs between shards.
+        self._report_epochs = coordinator._report_epochs
 
     # -------------------------------------------------- cross-shard hooks
 
@@ -111,12 +114,6 @@ class ServerShard(MobiEyesServer):
 
     def _purge_object(self, oid: ObjectId) -> list[QueryId]:
         return self.coordinator.purge_object(oid)
-
-    def _report_epoch(self, oid: ObjectId) -> int:
-        return self.coordinator.report_epoch(oid)
-
-    def _bump_report_epoch(self, oid: ObjectId) -> int:
-        return self.coordinator.bump_report_epoch(oid)
 
     def _acquire_focal(self, oid: ObjectId) -> None:
         self.coordinator.migrate_focal(oid, self.shard_id)

@@ -114,7 +114,7 @@ def _capture_server(system: "MobiEyesSystem") -> list[dict[str, Any]]:
     sections = []
     for unit in _server_units(system):
         tracker = unit.tracker
-        oids = sorted({*tracker.last_heard, *tracker.suspended, *tracker.fot.ids()})
+        oids = sorted({*tracker.last_heard, *tracker.suspended, *tracker.ids()})
         sections.append(
             {
                 # SqtEntry objects in qid order; desc_cache rides along and
@@ -449,7 +449,8 @@ def restore(cp: Checkpoint) -> "MobiEyesSystem":
         )
     _graft_server(system, p["server"])
     system.server._next_qid = p["next_qid"]
-    system.server._report_epochs = p["report_epochs"]
+    # In place: every shard holds the coordinator's epoch dict by reference.
+    system.server._report_epochs.update(p["report_epochs"])
     _graft_clients(system, p["clients"])
     _graft_transport(system, p["transport"])
     _graft_reliability(system, p["reliability"])

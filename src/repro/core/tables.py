@@ -1,10 +1,12 @@
-"""Server-side and object-side tables (paper Section 3.2).
+"""Table rows and the two tables that hide an algorithm (paper Section 3.2).
 
 Server side:
-    - :class:`FocalObjectTable` (FOT): ``oid -> (pos, vel, tm)`` for every
-      focal object, plus the max-speed bound used by safe periods.
-    - :class:`ServerQueryTable` (SQT): ``qid -> (oid, region, curr_cell,
-      mon_region, filter, {result})``.
+    - :class:`FotEntry`: one FOT row, ``oid -> (pos, vel, tm)`` plus the
+      max-speed bound used by safe periods.  The FOT itself is the
+      :class:`~repro.core.focal.FocalTracker`'s own dict.
+    - :class:`SqtEntry`: one SQT row, ``qid -> (oid, region, curr_cell,
+      mon_region, filter, {result})``.  The SQT itself is the
+      :class:`~repro.core.registry.QueryRegistry`'s own dicts.
     - :class:`ReverseQueryIndex` (RQI): grid cell -> ids of queries whose
       monitoring region intersects the cell (``nearby_queries`` of any
       object in that cell).
@@ -40,48 +42,6 @@ class FotEntry:
     max_speed: float
 
 
-class FocalObjectTable:
-    """FOT: focal objects' last reported positions and velocity vectors."""
-
-    def __init__(self) -> None:
-        self._entries: dict[ObjectId, FotEntry] = {}
-
-    def __contains__(self, oid: ObjectId) -> bool:
-        return oid in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, oid: ObjectId) -> FotEntry:
-        """Look up a stored entry by its identifier."""
-        return self._entries[oid]
-
-    def upsert(self, oid: ObjectId, state: MotionState, max_speed: float) -> FotEntry:
-        """Insert or update the entry for an object."""
-        entry = self._entries.get(oid)
-        if entry is None:
-            entry = FotEntry(oid=oid, state=state, max_speed=max_speed)
-            self._entries[oid] = entry
-        else:
-            entry.state = state
-            entry.max_speed = max_speed
-        return entry
-
-    def update_state(self, oid: ObjectId, state: MotionState) -> None:
-        """Replace the stored motion state of a focal object."""
-        self._entries[oid].state = state
-
-    def remove(self, oid: ObjectId) -> None:
-        """Remove a stored entry."""
-        del self._entries[oid]
-
-    def ids(self) -> Iterator[ObjectId]:
-        """Iterate over the stored identifiers in ascending order.  The
-        explicit sort keeps lease expiry and invariant checks deterministic
-        even when entries migrated between shards out of insertion order."""
-        return iter(sorted(self._entries))
-
-
 @dataclass(slots=True)
 class SqtEntry:
     """One installed query's server-side record.
@@ -110,65 +70,6 @@ class SqtEntry:
     def is_static(self) -> bool:
         """Whether this is a static (fixed-region) query."""
         return self.oid is None
-
-
-class ServerQueryTable:
-    """SQT: every installed moving query, keyed by query id."""
-
-    def __init__(self) -> None:
-        self._entries: dict[QueryId, SqtEntry] = {}
-        self._by_focal: dict[ObjectId, set[QueryId]] = {}
-
-    def __contains__(self, qid: QueryId) -> bool:
-        return qid in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, qid: QueryId) -> SqtEntry:
-        """Look up a stored entry by its identifier."""
-        return self._entries[qid]
-
-    def add(self, entry: SqtEntry) -> None:
-        """Add a new entry."""
-        if entry.qid in self._entries:
-            raise ValueError(f"duplicate query id {entry.qid}")
-        self._entries[entry.qid] = entry
-        if entry.oid is not None:
-            self._by_focal.setdefault(entry.oid, set()).add(entry.qid)
-
-    def remove(self, qid: QueryId) -> SqtEntry:
-        """Remove a stored entry."""
-        entry = self._entries.pop(qid)
-        if entry.oid is not None:
-            group = self._by_focal[entry.oid]
-            group.discard(qid)
-            if not group:
-                del self._by_focal[entry.oid]
-        return entry
-
-    def queries_of_focal(self, oid: ObjectId) -> list[SqtEntry]:
-        """All queries bound to focal object ``oid`` (groupable MQs)."""
-        return [self._entries[qid] for qid in sorted(self._by_focal.get(oid, ()))]
-
-    def is_focal(self, oid: ObjectId) -> bool:
-        """Whether this object is the focal object of some query."""
-        return oid in self._by_focal
-
-    def entries(self) -> Iterator[SqtEntry]:
-        """Iterate over the stored entries in ascending qid order.
-
-        Query ids are allocated monotonically, so for a monolithic server
-        the sort matches plain insertion order; behind the coordinator a
-        shard's insertion order depends on handoff history, and the
-        explicit sort is what keeps resync purges, static beacons, and
-        result snapshots deterministic across shard counts.
-        """
-        return iter([self._entries[qid] for qid in sorted(self._entries)])
-
-    def ids(self) -> Iterator[QueryId]:
-        """Iterate over the stored identifiers in ascending order."""
-        return iter(sorted(self._entries))
 
 
 class ReverseQueryIndex:

@@ -64,15 +64,19 @@ def paper_system(
     loss=None,
     latency_model=None,
     track_accuracy=False,
+    params=None,
     **config,
 ):
     """A scaled Table-1 world through ``scenario.build_system``, queries
     installed; ``config`` holds further :class:`MobiEyesConfig` fields
     (``latency`` is the config's per-hop delay, ``latency_model`` an
-    explicit model handed to the system instead)."""
-    params = dataclasses.replace(
-        paper_defaults(), seed=seed, hotspot_fraction=hotspot
-    ).scaled(scale)
+    explicit model handed to the system instead).  ``params`` replaces the
+    scaled Table-1 parameters (and ``scale`` / ``seed`` / ``hotspot``) with
+    ready-made ones, e.g. the dense or skewed preset."""
+    if params is None:
+        params = dataclasses.replace(
+            paper_defaults(), seed=seed, hotspot_fraction=hotspot
+        ).scaled(scale)
     system, _, _ = scenario.build_system(
         params,
         config=dict(
@@ -80,7 +84,7 @@ def paper_system(
             shards=shards,
             uplink_latency_steps=latency,
             downlink_latency_steps=latency,
-            latency_seed=seed,
+            latency_seed=params.seed,
             **config,
         ),
         loss=loss,

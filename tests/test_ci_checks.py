@@ -23,9 +23,17 @@ from repro.faults.chaos import run_chaos
 from repro.soak import run_soak
 
 SCRIPT = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "check_artifact.py"
-spec = importlib.util.spec_from_file_location("check_artifact", SCRIPT)
-check_artifact = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(check_artifact)
+
+
+def load_script(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check_artifact = load_script(SCRIPT)
+bench_trajectory = load_script(SCRIPT.with_name("bench_trajectory.py"))
 
 
 def run_check(kind: str, report: dict, tmp_path) -> int:
@@ -172,3 +180,38 @@ def test_usage_errors(tmp_path, capsys):
     assert check_artifact.main([]) == 2
     assert check_artifact.main(["bench", str(tmp_path / "x.json")]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_bench_trajectory_prints_the_committed_documents(tmp_path, capsys):
+    """One host line per committed ``BENCH_pr<N>.json``, then workload x
+    end-to-end metric with one median column per document, PR-ascending."""
+    root = SCRIPT.parents[2]
+    documents = sorted(root.glob("BENCH_pr*.json"), key=bench_trajectory.pr_number)
+    assert documents
+    assert bench_trajectory.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    prs = [f"pr{bench_trajectory.pr_number(path)}" for path in documents]
+    assert [line.split(":")[0] for line in lines[: len(prs)]] == prs
+    assert lines[len(prs)].split() == ["workload", "metric", "unit", *prs]
+    rows = [line.split() for line in lines[len(prs) + 1 :]]
+    assert len(rows) == 50
+    assert all(len(row) == 3 + len(prs) for row in rows)
+    # A median, not a placeholder, wherever the document has the workload.
+    newest = json.loads(documents[-1].read_text())
+    steps_per_s = newest["workloads"]["paper_table1"]["metrics"]["steps_per_s"]["median"]
+    assert rows[0][:3] == ["paper_table1", "steps_per_s", "steps/s"]
+    assert float(rows[0][-1]) == pytest.approx(steps_per_s, rel=1e-4)
+    # Another schema, a smoke run and a stray name are refused.
+    for doctor, message in (
+        ({"schema": 2}, "schema 2"),
+        ({"mode": "smoke"}, "full-mode"),
+        ({"trace": 1}, "untraced"),
+    ):
+        path = tmp_path / "BENCH_pr99.json"
+        path.write_text(json.dumps({**newest, **doctor}))
+        with pytest.raises(SystemExit, match=message):
+            bench_trajectory.main([str(documents[0]), str(path)])
+    stray = tmp_path / "BENCH_local.json"
+    stray.write_text(json.dumps(newest))
+    with pytest.raises(SystemExit, match="not named"):
+        bench_trajectory.main([str(stray)])

@@ -208,3 +208,23 @@ class TestServerLoadAccounting:
         seconds2, ops2 = small_world.server.reset_load()
         assert seconds2 == 0.0
         assert ops2 == 0
+
+    def test_only_the_outermost_section_is_timed_and_pauses_are_excluded(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.core import LoadAccount, load
+
+        # Only the load module's view of the clock, not the process's.
+        ticks = iter(range(100))
+        monkeypatch.setattr(load, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        account = LoadAccount()
+        with account.timed():  # clock read 0
+            with account.timed():  # nested: no clock read
+                pass
+            with account.paused():  # read 1 closes the span, read 2 reopens it
+                pass
+        # read 3 closes it: (1 - 0) + (3 - 2), the pause's own tick left out.
+        assert account.seconds == 2.0
+        with account.timed() as section:
+            assert section is account
+        assert account.seconds == 3.0

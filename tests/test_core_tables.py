@@ -1,13 +1,20 @@
-"""Tests for the FOT / SQT / RQI / LQT tables."""
+"""Tests for the FOT / SQT / RQI / LQT tables.
+
+The FOT is the :class:`FocalTracker`'s own dict and the SQT the
+:class:`QueryRegistry`'s (PR 19 folded the table classes into their
+owners); ``TestFocalObjectTable`` / ``TestServerQueryTable`` keep their
+ids and hold the owners to the table contract.
+"""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    FocalObjectTable,
+    FocalTracker,
     LocalQueryTable,
     LqtEntry,
+    QueryRegistry,
     ReverseQueryIndex,
-    ServerQueryTable,
     SqtEntry,
     TrueFilter,
 )
@@ -45,14 +52,14 @@ def lqt_entry(qid=1, oid=10, r=2.0):
 
 class TestFocalObjectTable:
     def test_upsert_and_get(self):
-        fot = FocalObjectTable()
+        fot = FocalTracker()
         fot.upsert(1, state(1, 1), max_speed=50.0)
         assert 1 in fot
         assert fot.get(1).state.pos == Point(1, 1)
         assert len(fot) == 1
 
     def test_upsert_updates_existing(self):
-        fot = FocalObjectTable()
+        fot = FocalTracker()
         fot.upsert(1, state(1, 1), 50.0)
         fot.upsert(1, state(2, 2), 60.0)
         assert fot.get(1).state.pos == Point(2, 2)
@@ -60,46 +67,63 @@ class TestFocalObjectTable:
         assert len(fot) == 1
 
     def test_update_state(self):
-        fot = FocalObjectTable()
+        fot = FocalTracker()
         fot.upsert(1, state(1, 1), 50.0)
         fot.update_state(1, state(3, 3))
         assert fot.get(1).state.pos == Point(3, 3)
 
     def test_remove(self):
-        fot = FocalObjectTable()
+        fot = FocalTracker()
         fot.upsert(1, state(), 50.0)
         fot.remove(1)
         assert 1 not in fot
 
+    def test_on_change_fires_once_per_membership_change(self):
+        events = []
+        fot = FocalTracker(on_change=lambda oid, present: events.append((oid, present)))
+        fot.upsert(3, state(), 50.0)
+        fot.upsert(3, state(1, 1), 60.0)  # a refresh is not a membership change
+        fot.update_state(3, state(2, 2))
+        assert events == [(3, True)]
+        packed = fot.export_state(3)
+        fot.evict(3)
+        fot.evict(3)  # already gone: no second callback
+        assert events == [(3, True), (3, False)]
+        other = FocalTracker(on_change=lambda oid, present: events.append(("other", oid, present)))
+        other.import_state(3, packed)
+        assert events[2:] == [("other", 3, True)]
+        assert other.get(3).max_speed == 60.0
+        assert list(other.ids()) == [3] and len(fot) == 0
+
 
 class TestServerQueryTable:
     def test_add_and_get(self):
-        sqt = ServerQueryTable()
+        sqt = QueryRegistry()
         sqt.add(sqt_entry(qid=1))
         assert 1 in sqt
         assert sqt.get(1).oid == 10
 
     def test_duplicate_qid_rejected(self):
-        sqt = ServerQueryTable()
+        sqt = QueryRegistry()
         sqt.add(sqt_entry(qid=1))
         with pytest.raises(ValueError):
             sqt.add(sqt_entry(qid=1))
 
     def test_queries_of_focal_sorted(self):
-        sqt = ServerQueryTable()
+        sqt = QueryRegistry()
         sqt.add(sqt_entry(qid=3, oid=10))
         sqt.add(sqt_entry(qid=1, oid=10))
         sqt.add(sqt_entry(qid=2, oid=20))
         assert [e.qid for e in sqt.queries_of_focal(10)] == [1, 3]
 
     def test_is_focal(self):
-        sqt = ServerQueryTable()
+        sqt = QueryRegistry()
         sqt.add(sqt_entry(qid=1, oid=10))
         assert sqt.is_focal(10)
         assert not sqt.is_focal(11)
 
     def test_remove_clears_focal_when_last(self):
-        sqt = ServerQueryTable()
+        sqt = QueryRegistry()
         sqt.add(sqt_entry(qid=1, oid=10))
         sqt.add(sqt_entry(qid=2, oid=10))
         sqt.remove(1)
@@ -107,6 +131,109 @@ class TestServerQueryTable:
         sqt.remove(2)
         assert not sqt.is_focal(10)
         assert len(sqt) == 0
+
+
+def recording_registry(subscribers=None):
+    """A registry whose ownership callbacks append to the returned log."""
+    log = []
+    registry = QueryRegistry(
+        on_added=lambda entry: log.append(("added", entry.qid)),
+        on_removed=lambda entry, focal_left: log.append(("removed", entry.qid, focal_left)),
+        subscribers=subscribers,
+    )
+    return registry, log
+
+
+class TestRegistryOwnership:
+    """What the coordinator's directories rely on: one callback per
+    ownership change, whichever method made it."""
+
+    def test_each_callback_fires_exactly_once_per_ownership_change(self):
+        registry, log = recording_registry()
+        registry.add(sqt_entry(qid=1, oid=10))
+        registry.add(sqt_entry(qid=2, oid=10))
+        registry.add(sqt_entry(qid=3, oid=None))
+        assert log == [("added", 1), ("added", 2), ("added", 3)]
+        del log[:]
+        # focal_left: the focal still anchors query 2, then nothing; a
+        # static query has no focal to lose.
+        assert registry.remove(1)[1] is True
+        assert registry.release(2).qid == 2
+        assert registry.remove(3)[1] is True
+        assert log == [("removed", 1, True), ("removed", 2, False), ("removed", 3, True)]
+
+    def test_release_keeps_subscriptions_and_remove_drops_them(self):
+        book = {}
+        source, _ = recording_registry(book)
+        target, _ = recording_registry(book)
+        source.add(sqt_entry(qid=1))
+        seen = []
+        source.subscribe(1, lambda qid, oid, entered: seen.append((qid, oid, entered)))
+        target.add(source.release(1))  # a cross-shard handoff
+        assert 1 not in source and 1 in target
+        target.notify(1, 7, True)
+        assert seen == [(1, 7, True)]
+        target.remove(1)
+        assert 1 not in book
+        target.notify(1, 7, False)
+        assert seen == [(1, 7, True)]
+
+    def test_duplicate_add_raises_before_any_callback_or_index_write(self):
+        registry, log = recording_registry()
+        first = sqt_entry(qid=1, oid=10)
+        registry.add(first)
+        del log[:]
+        with pytest.raises(ValueError, match="duplicate query id 1"):
+            registry.add(sqt_entry(qid=1, oid=20))
+        assert log == []
+        assert registry.get(1) is first
+        assert not registry.is_focal(20)
+        assert [e.qid for e in registry.queries_of_focal(10)] == [1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add", "release", "remove"]),
+                st.integers(1, 6),  # qid
+                st.sampled_from([None, 10, 20, 30]),  # focal of an add
+            ),
+            max_size=40,
+        )
+    )
+    def test_any_sequence_matches_a_plain_dict_model(self, ops):
+        registry, log = recording_registry()
+        model = {}  # qid -> entry
+        for op, qid, oid in ops:
+            del log[:]
+            if op == "add":
+                if qid in model:
+                    with pytest.raises(ValueError):
+                        registry.add(sqt_entry(qid=qid, oid=oid))
+                    assert log == []
+                else:
+                    model[qid] = sqt_entry(qid=qid, oid=oid)
+                    registry.add(model[qid])
+                    assert log == [("added", qid)]
+            elif qid not in model:
+                with pytest.raises(KeyError):
+                    getattr(registry, op)(qid)
+                assert log == []
+            else:
+                entry = model.pop(qid)
+                focal_left = entry.oid is None or any(e.oid == entry.oid for e in model.values())
+                out = getattr(registry, op)(qid)
+                assert out == ((entry, focal_left) if op == "remove" else entry)
+                assert log == [("removed", qid, focal_left)]
+            assert len(registry) == len(model)
+            assert list(registry.ids()) == sorted(model)
+            assert list(registry.entries()) == [model[q] for q in sorted(model)]
+            for focal in (10, 20, 30):
+                owned = [model[q] for q in sorted(model) if model[q].oid == focal]
+                assert registry.queries_of_focal(focal) == owned
+                assert registry.is_focal(focal) == bool(owned)
+            for q in range(1, 7):
+                assert (q in registry) == (q in model)
 
 
 class TestReverseQueryIndex:
