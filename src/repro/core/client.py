@@ -123,8 +123,8 @@ class MobiEyesClient:
         self._needs_resync = False
         self._suspect = False
         # The newest partition epoch this client has heard of (via
-        # RebalanceDirective); uplinks are stamped with it so the server
-        # transport can count stale-epoch reroutes after a repartition.
+        # RebalanceDirective).  Recorded and checkpointed, never read for
+        # routing: ``Envelope.epoch`` is the *server's* epoch at enqueue.
         self.partition_epoch = 0
         # Report generation: bumped (by the server, via ResyncResponse)
         # every time a resync purges this object from the query results, so
@@ -320,7 +320,7 @@ class MobiEyesClient:
     def _send_result_changes(self, changes: dict[QueryId, bool]) -> None:
         buf = self.transport.report_buffer
         if buf is not None and buf.depth:
-            # Open report window: append to the columnar buffer (flushed by
+            # Open report window: append to the report buffer (flushed by
             # the transport when the window closes) instead of allocating a
             # dataclass.  The buffer copies the flags out immediately.
             buf.add_result(self.oid, changes, self._report_epoch)
@@ -464,10 +464,9 @@ class MobiEyesClient:
             # from a checkpoint); run the ordinary resync round trip.
             self._needs_resync = True
         elif isinstance(message, RebalanceDirective):
-            # The partition map moved under us: adopt the advertised epoch
-            # so subsequent uplinks are stamped with the current routing
-            # generation.  No state to resync -- in-flight uplinks carrying
-            # the old epoch are rerouted server-side at delivery.
+            # The partition map moved under us: record the advertised
+            # epoch.  No state to resync -- the transport stamps envelopes
+            # with the server's epoch and reroutes the stale ones itself.
             if message.epoch > self.partition_epoch:
                 self.partition_epoch = message.epoch
         else:

@@ -60,9 +60,9 @@ class MobiEyesConfig:
         latency_seed: seed of the jitter stream (ignored while the jitter
             span is zero).
         batch_reports: run the high-volume uplink reports (result, cell,
-            velocity changes) through the columnar batched pipeline
-            (:mod:`repro.core.reporting`): clients append records to a
-            shared struct-of-arrays buffer flushed once per window instead
+            velocity changes) through the buffered pipeline
+            (:mod:`repro.core.reporting`): clients append one row tuple
+            per report to a shared buffer flushed once per window instead
             of allocating one dataclass per report (under loss, fault
             injection or modeled latency the flush replays per message).
             Result hashes, message counts, sizes, and energy accounting

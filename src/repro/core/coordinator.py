@@ -226,11 +226,13 @@ class Coordinator:
 
     def apply_report_record(self, cols: ReportBuffer, i: int) -> None:
         """Route record ``i`` of a flushed report window to its shard
-        (the columnar twin of :meth:`on_uplink`)."""
-        oid = cols.oid[i]
-        endpoint = self._route_report(cols.kind[i], oid, (cols.new_i[i], cols.new_j[i]))
+        (the row twin of :meth:`on_uplink`)."""
+        kind = cols.kind[i]
+        row = cols.rows[i]
+        oid = row[0]
+        endpoint = self._route_report(kind, oid, row[3] if kind == REC_CELL else None)
         if self._leases_on:
-            self._touch_home(oid, endpoint, cols.state[i], None)
+            self._touch_home(oid, endpoint, row[1], None)
         self.shards[endpoint].apply_report_record(cols, i)
 
     # ---------------------------------------------------- focal handoff

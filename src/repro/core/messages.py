@@ -55,7 +55,7 @@ BITS_CELL_RANGE = 2 * BITS_CELL  # (lo_i, lo_j) .. (hi_i, hi_j)
 
 
 # Per-record wire sizes of the three high-volume report kinds.  The
-# columnar path (``ReportBuffer``) charges the ledger record by record
+# buffered path (``ReportBuffer``) charges the ledger record by record
 # with these, so buffering never changes a byte of the size accounting.
 
 
@@ -79,8 +79,7 @@ def result_change_bits(n_changes: int) -> int:
     return BITS_HEADER + BITS_OID + BITS_QID + bitmap_bits
 
 
-# Record kinds of the columnar report pipeline (ReportBuffer column
-# ``kind``).
+# Record kinds of the buffered report pipeline (``ReportBuffer.kind``).
 REC_RESULT = 0
 REC_CELL = 1
 REC_VELOCITY = 2
@@ -431,9 +430,9 @@ class RebalanceDirective:
     transport at delivery time (stale-epoch reroute), so nothing is
     dropped and the directive stays a hint rather than state.
 
-    Like :class:`ResyncDirective` the directive is unreliable -- a client
-    that misses it keeps stamping the old epoch, and those uplinks are
-    simply rerouted until the next directive lands.
+    Like :class:`ResyncDirective` the directive is unreliable, and a
+    client that misses it loses nothing: routing never reads the client's
+    recorded epoch (envelopes carry the *server's* epoch at enqueue).
     """
 
     reliable: ClassVar[bool] = False

@@ -11,8 +11,8 @@ number of base-station broadcasts.  Which queries ride together in one
 broadcast (the paper's Section 4.1 grouping) is :meth:`MobiEyesServer._groups`.
 
 Reports reach the handlers two ways: ``on_uplink`` takes a message
-dataclass apart, ``apply_report_record`` reads one record of a flushed
-columnar window; both call the same record-level handlers.
+dataclass apart, ``apply_report_record`` unpacks one row of a flushed
+report window; both call the same record-level handlers.
 
 Server load is measured by a :class:`~repro.core.load.LoadAccount`: the
 wall-clock time spent inside the server's handlers (the same "time spent
@@ -291,23 +291,15 @@ class MobiEyesServer:
         dataclass, but without constructing it.
         """
         kind = cols.kind[i]
-        oid = cols.oid[i]
-        state = cols.state[i]
+        row = cols.rows[i]
+        oid = row[0]
+        state = row[1]
         if self.tracker.leases_enabled:
             self._touch_lease_rec(oid, state, None)
         if kind == REC_RESULT:
-            lo = cols.qid_lo[i]
-            hi = cols.qid_hi[i]
-            self._apply_result_record(
-                oid, cols.epoch[i], zip(cols.qid_flat[lo:hi], cols.flag_flat[lo:hi])
-            )
+            self._apply_result_record(oid, row[2], row[3])
         elif kind == REC_CELL:
-            self._on_cell_change_rec(
-                oid,
-                (cols.prev_i[i], cols.prev_j[i]),
-                (cols.new_i[i], cols.new_j[i]),
-                state,
-            )
+            self._on_cell_change_rec(oid, row[2], row[3], state)
         else:
             self._on_velocity_change_rec(oid, state)
 

@@ -167,13 +167,19 @@ class MobiEyesService:
 
     def _admissible(self, ticket: IngestTicket) -> bool:
         """Whether the operation can be applied now: the object or query
-        it names exists, and every coordinate it carries is finite (a NaN
+        it names exists, every coordinate it carries is finite (a NaN
         position passes ``reflect_into`` untouched and crashes the next
-        step's cell lookup)."""
+        step's cell lookup), and a reported position lies inside the
+        universe (``reflect_into`` would mirror a finite outside point to
+        a different inside one; containment also fails on NaN and inf)."""
         system = self.system
         if ticket.kind == OP_UPDATE:
             oid, pos, vel = ticket.payload
-            return oid in system.clients and _finite(pos.x, pos.y, vel.x, vel.y)
+            return (
+                oid in system.clients
+                and _finite(vel.x, vel.y)
+                and system.config.uod.contains(pos)
+            )
         if ticket.kind == OP_INSTALL:
             spec = ticket.payload[0]
             box = spec.region.bounding_rect()

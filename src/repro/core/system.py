@@ -76,12 +76,10 @@ class MobiEyesSystem:
             self.layout, self.grid, self.ledger, trace=trace, loss=loss
         )
         if config.batch_reports:
-            from repro.core.reporting import ReportBuffer
-
-            # Columnar report pipeline: clients append the high-volume
-            # uplink reports to this buffer while a phase window is open;
-            # the transport flushes it with identical per-record accounting.
-            self.transport.report_buffer = ReportBuffer()
+            # Clients append the high-volume uplink reports to one buffer
+            # while a phase's report window is open; the transport flushes
+            # it with identical per-record accounting.
+            self.transport.enable_report_batching()
         # Per-link delivery latency: an explicit model wins; otherwise the
         # config's knobs (all-zero means no model -- the inline fast path).
         self.latency = latency if latency is not None else LatencyModel.from_config(config)
@@ -96,6 +94,8 @@ class MobiEyesSystem:
         # A custom mobility model (e.g. random waypoint) may be supplied;
         # it must manage the same object population.
         if motion is not None:
+            if config.engine == "vectorized":
+                raise ValueError("a custom motion model needs engine='reference'")
             if list(motion.objects) != list(objects):
                 raise ValueError("motion model must wrap the same object population")
             self.motion = motion
@@ -456,17 +456,11 @@ class MobiEyesSystem:
             # client's own sends are buffered, then flushed (window closed)
             # before the next client reports -- so server reactions
             # interleave exactly as on the per-message path.
-            buf = self.transport.report_buffer
+            window = self.transport.report_window
             clients = self.clients
-            flush = self.transport.flush_reports
             for oid in self._client_order:
-                if buf is not None:
-                    buf.depth = 1
-                clients[oid].report_phase(clock)
-                if buf is not None:
-                    buf.depth = 0
-                    if buf.kind:
-                        flush(buf)
+                with window:
+                    clients[oid].report_phase(clock)
         beacon = self.config.static_beacon_steps
         if (
             self.config.propagation.is_lazy
@@ -496,22 +490,12 @@ class MobiEyesSystem:
         if self._fastpath is not None:
             self._fastpath.evaluation_phase(clock)
             return
-        buf = self.transport.report_buffer
-        if buf is None:
-            for oid in self._client_order:
-                self.clients[oid].evaluation_phase(clock)
-            return
         # One window around the whole evaluation pass: result reports only
         # flow client -> server here (applying one cannot influence another
         # client's evaluation), so a single end-of-phase flush is safe.
-        buf.depth = 1
-        try:
+        with self.transport.report_window:
             for oid in self._client_order:
                 self.clients[oid].evaluation_phase(clock)
-        finally:
-            buf.depth = 0
-        if buf.kind:
-            self.transport.flush_reports(buf)
 
     def close(self) -> None:
         """End of the system's lifecycle.  Idempotent; the system holds

@@ -244,11 +244,6 @@ class LocalQueryTable:
     watcher registered -- the reference engine -- the hooks reduce to one
     ``None`` check.
 
-    A second, independent *entry watcher* slot (:meth:`watch_entries`)
-    receives the entries themselves -- ``entry_installed(oid, entry)`` /
-    ``entry_removed(oid, entry)`` -- so a broadcast fan-out can maintain a
-    query-to-holders index without scanning tables.
-
     The table also maintains a *hull*: the intersection of every
     installed entry's monitoring-region bounds.  While the owning object
     stays inside the hull, no entry's region can have been left, so the
@@ -263,8 +258,6 @@ class LocalQueryTable:
         self._entries: dict[QueryId, LqtEntry] = {}
         self._watcher = None
         self._watch_oid: ObjectId | None = None
-        self._entry_watcher = None
-        self._entry_oid: ObjectId | None = None
         self.hull_lo_i = -_HULL_MAX
         self.hull_hi_i = _HULL_MAX
         self.hull_lo_j = -_HULL_MAX
@@ -275,12 +268,6 @@ class LocalQueryTable:
         table, identified by the owning object's ``oid``."""
         self._watcher = watcher
         self._watch_oid = oid
-
-    def watch_entries(self, watcher, oid: ObjectId) -> None:
-        """Register an entry watcher (``entry_installed`` /
-        ``entry_removed`` hooks), identified by the owning object's oid."""
-        self._entry_watcher = watcher
-        self._entry_oid = oid
 
     # ----------------------------------------------------------------- hull
 
@@ -351,9 +338,6 @@ class LocalQueryTable:
             watcher.lqt_changed(self._watch_oid, entry, entry.qid not in self._entries)
         self._entries[entry.qid] = entry
         self.tighten_hull(entry.mon_region)
-        entry_watcher = self._entry_watcher
-        if entry_watcher is not None:
-            entry_watcher.entry_installed(self._entry_oid, entry)
 
     def remove(self, qid: QueryId) -> LqtEntry | None:
         """Remove a stored entry."""
@@ -362,9 +346,6 @@ class LocalQueryTable:
             watcher = self._watcher
             if watcher is not None:
                 watcher.lqt_changed(self._watch_oid, entry, -1)
-            entry_watcher = self._entry_watcher
-            if entry_watcher is not None:
-                entry_watcher.entry_removed(self._entry_oid, entry)
         return entry
 
     def entries(self) -> list[LqtEntry]:

@@ -31,10 +31,11 @@ chosen station) without introducing delivery gaps the paper does not model.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
+from repro.core.reporting import ReportBuffer
 from repro.geometry import Point
 from repro.grid import CellIndex, CellRange, CellRangeUnion, Grid
 from repro.mobility.model import ObjectId
@@ -43,9 +44,6 @@ from repro.network.latency import LatencyModel
 from repro.network.loss import LossModel
 from repro.network.messaging import MessageLedger
 from repro.sim.trace import TraceLog
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.reporting import ReportBuffer
 
 # Envelope sender key for server-originated traffic.  Object ids are
 # non-negative, so the server's messages sort first within a step.
@@ -165,6 +163,31 @@ class CoverageIndex:
         return out
 
 
+class _ReportWindow:
+    """The one report-window protocol, reusable and allocation-free:
+    ``with transport.report_window:`` buffers the block's high-volume
+    reports, then closes the window (``depth`` back to 0, always) and --
+    unless the block raised -- flushes what it buffered.  The flush goes
+    through ``transport.flush_reports`` looked up at exit: the benchmark's
+    tracer wraps that instance attribute by name.
+    """
+
+    __slots__ = ("transport", "buffer")
+
+    def __init__(self, transport: "SimulatedTransport", buffer: ReportBuffer) -> None:
+        self.transport = transport
+        self.buffer = buffer
+
+    def __enter__(self) -> None:
+        self.buffer.depth = 1
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        buf = self.buffer
+        buf.depth = 0
+        if exc_type is None and buf.kind:
+            self.transport.flush_reports(buf)
+
+
 class SimulatedTransport:
     """Routes protocol messages, accounting them in a message ledger.
 
@@ -216,10 +239,11 @@ class SimulatedTransport:
         # Uplinks opened under a newer partition epoch than they were
         # enqueued with (run-cumulative; observability for rebalancing).
         self.stale_epoch_reroutes = 0
-        # Columnar report buffer (wired by the system when batched
-        # reporting is on); clients append to it while a window is open
-        # (``depth > 0``) instead of sending per-report dataclasses.
-        self.report_buffer: "ReportBuffer | None" = None
+        # Report buffering, off until `enable_report_batching`: clients
+        # append to the buffer while the window is open (``depth > 0``)
+        # instead of sending per-report dataclasses.
+        self.report_buffer: ReportBuffer | None = None
+        self.report_window: AbstractContextManager[None] = nullcontext()
         # Vectorized broadcast fan-out (wired by the fastpath runtime).
         # When set, eligible region broadcasts are applied to all covered
         # receivers in bulk instead of one ``_deliver`` call each; the
@@ -245,6 +269,11 @@ class SimulatedTransport:
     def detach_client(self, oid: ObjectId) -> None:
         """Remove an object's radio."""
         self._clients.pop(oid, None)
+
+    def enable_report_batching(self) -> None:
+        """Buffer the high-volume reports sent inside a report window."""
+        self.report_buffer = ReportBuffer()
+        self.report_window = _ReportWindow(self, self.report_buffer)
 
     def enable_cell_routing(self) -> None:
         """Keep per-object cells in the coverage index, so a sharded server
@@ -462,7 +491,7 @@ class SimulatedTransport:
         )
         return True
 
-    def flush_reports(self, buf: "ReportBuffer") -> None:
+    def flush_reports(self, buf: ReportBuffer) -> None:
         """Flush a closed client-side report window.
 
         Must be called with the window closed (``buf.depth == 0``): any
@@ -472,12 +501,12 @@ class SimulatedTransport:
 
         - **Replay** (a loss model or the reliability layer is active,
           hops are deferred by modeled latency, or the server has no
-          columnar ingestion): every record is rehydrated into its
+          ``apply_report_record``): every record is rehydrated into its
           dataclass and sent through :meth:`uplink` -- the path
           ``batch_reports=False`` runs -- keeping drop rolls, acks,
           retransmissions, delay draws and envelopes per logical message.
-        - **Inline columnar** (everything else): records are charged to
-          the ledger and applied to the server column by column -- no
+        - **Inline records** (everything else): records are charged to
+          the ledger and applied to the server row by row -- no
           dataclass, no envelope.
         """
         n = len(buf.kind)
@@ -500,9 +529,10 @@ class SimulatedTransport:
         ledger = self.ledger
         trace = self.trace
         step = self._step
+        rows = buf.rows
         for i in range(n):
             name = buf.kind_name_of(i)
-            oid = buf.oid[i]
+            oid = rows[i][0]
             ledger.record_uplink(name, buf.bits_of(i), sender=oid)
             if trace is not None:
                 trace.record(step, "uplink", type=name, oid=oid)

@@ -166,6 +166,9 @@ class BatchEvaluator:
         # entries in table order, and the clients whose list is out of date.
         self._statics: dict = {}
         self._static_stale: set = set()
+        # qid -> {holder oid -> that holder's LqtEntry}, statics included:
+        # the index the broadcast fan-out resolves its receivers' entries by.
+        self.holders: dict = {}
 
     # ----------------------------------------------------------- watching
 
@@ -187,14 +190,27 @@ class BatchEvaluator:
     def lqt_changed(self, oid: "ObjectId", entry: "LqtEntry", delta: int) -> None:
         """Table hook: ``entry`` was installed into (``delta`` 1, or 0 when
         it replaced an entry of the same query) or removed from (``delta``
-        -1) the client's table; its group is re-imaged at the next refresh.
+        -1) the client's table; its group is re-imaged at the next refresh,
+        the fan-out's ``holders`` index is brought up to date here.
         """
         self.n_lqt += delta
+        qid = entry.qid
+        if delta >= 0:
+            bucket = self.holders.get(qid)
+            if bucket is None:
+                self.holders[qid] = {oid: entry}
+            else:
+                bucket[oid] = entry
+        else:
+            bucket = self.holders[qid]
+            del bucket[oid]
+            if not bucket:
+                del self.holders[qid]
         focal = entry.oid
         if focal is None:
             self._static_stale.add(oid)
             return
-        self._touched += (oid, focal if self.grouping else entry.qid)
+        self._touched += (oid, focal if self.grouping else qid)
 
     def basis_slot(self, oid: "ObjectId", entry: "LqtEntry") -> int | None:
         """The group slot whose cached prediction basis is ``entry``'s focal

@@ -13,11 +13,12 @@ per-receiver table poke that can be applied in bulk:
   the entry of each holding receiver, install on covered non-holders.
 - ``QueryRemoveBroadcast``: drop the entry of each holding receiver.
 
-:class:`BroadcastFanout` keeps a query-id -> holders index (maintained
-push-style through the LQT's entry-watcher hooks) so a broadcast touches
-exactly the entries it affects, and takes the receivers as the one id set
-:meth:`VectorizedCoverageIndex.receiver_mask` reads off the per-step index
-(a few dozen ids; the ledger and the appliers consume the set as it is).
+:class:`BroadcastFanout` reads the query-id -> holders index the batch
+evaluator maintains inside its ``lqt_changed`` table hook, so a broadcast
+touches exactly the entries it affects, and takes the receivers as the
+one id set :meth:`VectorizedCoverageIndex.receiver_mask` reads off the
+per-step index (a few dozen ids; the ledger and the appliers consume the
+set as it is).
 
 Equivalence to the per-receiver loop:
 
@@ -64,31 +65,13 @@ class BroadcastFanout:
         self.clients = system.clients
         self.evaluator = runtime.evaluator
         # qid -> {holder oid -> that holder's LqtEntry}.
-        self.holders: dict["QueryId", dict["ObjectId", LqtEntry]] = {}
-        for client in runtime.clients_in_order:
-            for entry in client.lqt.entries():
-                self.holders.setdefault(entry.qid, {})[client.oid] = entry
-            client.lqt.watch_entries(self, client.oid)
+        self.holders = self.evaluator.holders
         self._appliers = {
             VelocityChangeBroadcast: self._apply_velocity,
             QueryInstallBroadcast: self._apply_query,
             QueryUpdateBroadcast: self._apply_query,
             QueryRemoveBroadcast: self._apply_remove,
         }
-
-    # --------------------------------------------- LQT entry-watcher hooks
-
-    def entry_installed(self, oid: "ObjectId", entry: LqtEntry) -> None:
-        """An LQT gained (or replaced) an entry; index it."""
-        self.holders.setdefault(entry.qid, {})[oid] = entry
-
-    def entry_removed(self, oid: "ObjectId", entry: LqtEntry) -> None:
-        """An LQT dropped an entry; unindex it."""
-        bucket = self.holders.get(entry.qid)
-        if bucket is not None:
-            bucket.pop(oid, None)
-            if not bucket:
-                del self.holders[entry.qid]
 
     # ------------------------------------------------------------ dispatch
 
@@ -157,7 +140,7 @@ class BroadcastFanout:
             if not bucket:
                 continue
             hit = [oid for oid in bucket if oid in recv]
-            for oid in hit:  # removal mutates the bucket via the hooks
+            for oid in hit:  # removal mutates the bucket via the table hook
                 clients[oid].lqt.remove(qid)
 
     def _apply_query(self, message, recv: set) -> None:
@@ -174,7 +157,7 @@ class BroadcastFanout:
             region = desc.mon_region
             focal = desc.oid
             lo_i, hi_i, lo_j, hi_j = region.lo_i, region.hi_i, region.lo_j, region.hi_j
-            # Read live while the loop edits it through the entry hooks:
+            # Read live while the loop edits it through the table hook:
             # each receiver is visited once, so its own answer is never stale.
             bucket = self.holders.get(qid, {})
             slots: list[int] = []

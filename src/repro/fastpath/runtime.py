@@ -1,12 +1,12 @@
 """Engine glue: drives the vectorized kernels inside the phase loop.
 
-:class:`FastpathRuntime` owns the shared :class:`ObjectStateStore`, the
-vectorized coverage index (installed onto the transport in place of the
-dict-based one), and the batch evaluator, and implements the three hot
-phases of :class:`~repro.core.system.MobiEyesSystem`:
+:class:`FastpathRuntime` shares the vectorized motion model's
+:class:`~repro.fastpath.store.ObjectStateStore`, owns the vectorized
+coverage index (installed onto the transport in place of the dict-based
+one) and the batch evaluator, and implements the three hot phases of
+:class:`~repro.core.system.MobiEyesSystem`:
 
-- *movement*: array kinematics (or a custom scalar motion model followed by
-  a whole-store sync), then the transport's step rollover.
+- *movement*: array kinematics, then the transport's step rollover.
 - *reporting*: a vectorized cell-crossing scan picks the candidate objects
   (cell changed, or focal and therefore subject to the dead-reckoning
   check); only candidates run their scalar protocol reactions, strictly in
@@ -39,9 +39,7 @@ from typing import TYPE_CHECKING
 from repro.fastpath.coverage import VectorizedCoverageIndex
 from repro.fastpath.evaluator import BatchEvaluator
 from repro.fastpath.fanout import BroadcastFanout
-from repro.fastpath.motion import VectorizedMotionModel
 from repro.fastpath.oracle import exact_results_fast
-from repro.fastpath.store import ObjectStateStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.query import MovingQuery, QueryId
@@ -55,15 +53,7 @@ class FastpathRuntime:
 
     def __init__(self, system: "MobiEyesSystem") -> None:
         self.system = system
-        motion = system.motion
-        if isinstance(motion, VectorizedMotionModel):
-            self.store = motion.store
-            self._sync_after_advance = False
-        else:
-            # A custom scalar motion model stays authoritative; mirror its
-            # population into the store after every advance.
-            self.store = ObjectStateStore(motion.objects)
-            self._sync_after_advance = True
+        self.store = system.motion.store
         np = self.store.np
         self.np = np
         self.coverage = VectorizedCoverageIndex(system.layout, system.grid, self.store)
@@ -116,8 +106,6 @@ class FastpathRuntime:
     def movement_phase(self, clock: "SimulationClock") -> None:
         """Advance kinematics and roll the transport into the new step."""
         self.system.motion.advance(clock.step_hours, clock.now_hours)
-        if self._sync_after_advance:
-            self.store.sync_from_objects()
         # The vectorized coverage index reads the store directly; no
         # position list is materialized.
         self.system.transport.begin_step(clock.step, ())
@@ -153,48 +141,31 @@ class FastpathRuntime:
         cell_i = store.cell_i
         cell_j = store.cell_j
         threshold = self.system.config.dead_reckoning_threshold
-        transport = self.system.transport
         # With batched reporting, one report window per candidate (mirrors
         # the reference engine's per-client window): the candidate's sends
         # are buffered and flush before the next candidate runs.
-        buf = transport.report_buffer
-        flush = transport.flush_reports
+        window = self.system.transport.report_window
         for oid in sorted(candidates):
             client = clients[oid]
             row = row_of[oid]
             new_cell = (int(cell_i[row]), int(cell_j[row]))
-            if buf is not None:
-                buf.depth = 1
-            if new_cell != client.last_cell:
-                # Keep the scan's mirror of `last_cell` in step (the
-                # handler sets the attribute as its first statement).
-                self.last_i[row] = new_cell[0]
-                self.last_j[row] = new_cell[1]
-                client._handle_own_cell_change(new_cell, now)
-            if client.has_mq:
-                deviation = client.obj.pos.distance_to(client._relayed_state.predict(now))
-                if deviation > threshold:
-                    client._relay_motion_state(now)
-            if buf is not None:
-                buf.depth = 0
-                if buf.kind:
-                    flush(buf)
+            with window:
+                if new_cell != client.last_cell:
+                    # Keep the scan's mirror of `last_cell` in step (the
+                    # handler sets the attribute as its first statement).
+                    self.last_i[row] = new_cell[0]
+                    self.last_j[row] = new_cell[1]
+                    client._handle_own_cell_change(new_cell, now)
+                if client.has_mq:
+                    deviation = client.obj.pos.distance_to(client._relayed_state.predict(now))
+                    if deviation > threshold:
+                        client._relay_motion_state(now)
 
     def evaluation_phase(self, clock: "SimulationClock") -> None:
         """One batched pass over every client's local query table."""
         started = time.perf_counter()
-        transport = self.system.transport
-        buf = transport.report_buffer
-        if buf is None:
+        with self.system.transport.report_window:
             self.evaluator.run(clock.now_hours)
-        else:
-            buf.depth = 1
-            try:
-                self.evaluator.run(clock.now_hours)
-            finally:
-                buf.depth = 0
-            if buf.kind:
-                transport.flush_reports(buf)
         self.processing_seconds += time.perf_counter() - started
 
     # ------------------------------------------------------------ metrics

@@ -3,9 +3,9 @@
 The protocol layer keeps :class:`~repro.mobility.model.MovingObject`
 instances authoritative (clients read ``obj.pos`` when building messages),
 while the store mirrors the kinematic state in contiguous arrays for the
-vectorized kernels.  The mirror is maintained incrementally by the
-vectorized motion model; when a custom (scalar) motion model drives the
-population, :meth:`ObjectStateStore.sync_from_objects` refreshes it whole.
+vectorized kernels.  The mirror is filled once at construction
+(:meth:`ObjectStateStore.sync_from_objects`) and maintained incrementally
+by the vectorized motion model from then on.
 
 Grid-cell and lattice-tile indices are derived arrays recomputed once per
 step (:meth:`refresh_derived`); their arithmetic mirrors

@@ -34,6 +34,7 @@ def load_script(path: Path):
 
 check_artifact = load_script(SCRIPT)
 bench_trajectory = load_script(SCRIPT.with_name("bench_trajectory.py"))
+bench_drift = load_script(SCRIPT.with_name("bench_drift.py"))
 
 
 def run_check(kind: str, report: dict, tmp_path) -> int:
@@ -215,3 +216,42 @@ def test_bench_trajectory_prints_the_committed_documents(tmp_path, capsys):
     stray.write_text(json.dumps(newest))
     with pytest.raises(SystemExit, match="not named"):
         bench_trajectory.main([str(stray)])
+
+
+def test_bench_drift_compares_the_deterministic_metrics_only():
+    """The gate CI runs on a fresh ``bench/run.py --smoke --seed 42``: counts
+    and hashes exact, the two float totals to 1e-9, clocks never read."""
+    committed = json.loads(bench_drift.COMMITTED.read_text())
+    assert committed["mode"] == "smoke" and committed["seed"] == 42 and not committed["trace"]
+    assert len(committed["workloads"]) == 5
+    assert bench_drift.drift(committed, copy.deepcopy(committed)) == []
+
+    def doctored(edit) -> list[str]:
+        fresh = copy.deepcopy(committed)
+        edit(fresh["workloads"]["paper_table1"])
+        return bench_drift.drift(committed, fresh)
+
+    def scale(metric, factor):
+        return lambda entry: entry["metrics"][metric].update(
+            median=entry["metrics"][metric]["median"] * factor
+        )
+
+    for metric in bench_drift.EXACT:  # the last bit counts
+        (line,) = doctored(scale(metric, 1 + 1e-15))
+        assert line.startswith(f"paper_table1.{metric}: ")
+    for metric in bench_drift.CLOSE:  # the summation order does not
+        assert doctored(scale(metric, 1 + 1e-12)) == []
+        (line,) = doctored(scale(metric, 1 + 1e-8))
+        assert line.startswith(f"paper_table1.{metric}: ")
+    (line,) = doctored(lambda entry: entry.update(step_hashes=["0" * 64]))
+    assert line.startswith("paper_table1.step_hashes: ")
+    for clock in ("steps_per_s", "step_ms_p50", "server_ms_per_step", "setup_s", "peak_rss_mb"):
+        assert doctored(scale(clock, 2.0)) == []
+    gone = copy.deepcopy(committed)
+    del gone["workloads"]["dense_eval"]
+    assert bench_drift.drift(committed, gone) == ["dense_eval: no result"]
+    assert bench_drift.drift(gone, committed) == ["dense_eval: not in the committed document"]
+    full = {**committed, "mode": "full"}
+    assert bench_drift.drift(committed, full) == ["mode: 'smoke' -> 'full'"]
+    workflow = (SCRIPT.parents[1] / "workflows" / "ci.yml").read_text()
+    assert "python3 .github/scripts/bench_drift.py" in workflow

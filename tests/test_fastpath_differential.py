@@ -16,7 +16,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import MobiEyesConfig, MobiEyesSystem, PropagationMode, QuerySpec
+from repro.core import PropagationMode, QuerySpec
 from repro.core.snapshot import step_hash
 from repro.fastpath import numpy_available
 from repro.fastpath.bench import dense_params, skewed_params
@@ -24,7 +24,8 @@ from repro.geometry import Circle, Rect
 from repro.network.loss import LossModel
 from repro.scenario import build_system
 from repro.sim.rng import SimulationRng
-from repro.workload import generate_workload, paper_defaults
+from repro.workload import paper_defaults
+from tests.conftest import paper_system
 
 pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
@@ -51,37 +52,28 @@ def build(
     latency=0,
 ):
     params = dataclasses.replace(PRESETS[preset](scale), seed=seed)
-    rng = SimulationRng(params.seed)
-    workload = generate_workload(params, rng.fork(1))
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        base_station_side=params.base_station_side,
+    loss = (
+        LossModel(
+            rng=SimulationRng(seed).fork(77), uplink_loss_rate=loss_p, downlink_loss_rate=loss_p
+        )
+        if loss_p
+        else None
+    )
+    system = paper_system(
+        engine=engine,
+        shards=shards,
+        latency=latency,
+        loss=loss,
+        track_accuracy=True,
+        params=params,
         grouping=grouping,
         safe_period=safe_period,
         propagation=PropagationMode.LAZY if lazy else PropagationMode.EAGER,
         dead_reckoning_threshold=thresh,
-        engine=engine,
-        shards=shards,
-        uplink_latency_steps=latency,
-        downlink_latency_steps=latency,
-    )
-    loss = (
-        LossModel(rng=rng.fork(77), uplink_loss_rate=loss_p, downlink_loss_rate=loss_p)
-        if loss_p
-        else None
-    )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
-        track_accuracy=True,
-        loss=loss,
     )
     if compact_threshold is not None and engine == "vectorized":
         system._fastpath.evaluator.compact_threshold = compact_threshold
-    system.install_queries(tuple(workload.query_specs) + tuple(extra_specs))
+    system.install_queries(extra_specs)
     return system
 
 

@@ -100,3 +100,11 @@ class TestWaypointEndToEnd:
         motion = RandomWaypointModel(other, uod, rng)
         with pytest.raises(ValueError):
             make_system(objects, motion=motion)
+
+    def test_custom_motion_needs_the_reference_engine(self):
+        """The vectorized engine moves objects itself (array kinematics over
+        its own store); a caller-supplied model is rejected, not mirrored."""
+        objects = [make_object(0, 5, 5)]
+        motion = RandomWaypointModel(objects, Rect(0, 0, 50, 50), SimulationRng(9))
+        with pytest.raises(ValueError, match="engine='reference'"):
+            make_system(objects, motion=motion, engine="vectorized")

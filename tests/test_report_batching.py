@@ -1,10 +1,16 @@
-"""Properties of the columnar report pipeline.
+"""Properties of the buffered report pipeline.
 
-Two layers of guarantees:
+Four layers of guarantees:
 
 - *Wire-size identity* (unit level): a buffered record's ledger size
   equals the size of the dataclass message it replaces -- buffering never
   changes what the ledger charges, only how many Python objects exist.
+- *Handler identity* (unit level): a buffered row and its rehydrated
+  dataclass reach the server's record-level handlers with equal arguments,
+  and a sharded server's same shard.
+- *Window protocol* (unit level): ``with transport.report_window:`` closes
+  the window before it flushes, flushes nothing after a raise, and is a
+  no-op without batching.
 - *Accounting identity* (system level): a simulation run with
   ``batch_reports`` on produces the same per-type message counts, the
   same total bits, the same query results, ``step_hash``, in-flight count
@@ -18,60 +24,66 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import MobiEyesConfig
+from repro.core.client import MobiEyesClient
 from repro.core.reporting import ReportBuffer
+from repro.core.server import MobiEyesServer
 from repro.core.snapshot import step_hash
 from repro.core.transport import SimulatedTransport
 from repro.geometry import Point, Rect, Vector
 from repro.grid import Grid
 from repro.mobility.model import MotionState
 from repro.network import BaseStationLayout, LatencyModel, MessageLedger
-from tests.conftest import paper_system
+from tests.conftest import make_object, paper_system
 
 
 def _state(x: float, y: float) -> MotionState:
     return MotionState(pos=Point(x, y), vel=Vector(0.5, -0.25), recorded_at=0.125)
 
 
-_record = st.one_of(
-    # (kind, payload) tuples drive the buffer appends below.
-    st.tuples(
-        st.just("result"),
-        st.dictionaries(
-            st.integers(min_value=0, max_value=50),
-            st.booleans(),
-            min_size=1,
-            max_size=8,
-        ),
-    ),
-    st.tuples(
-        st.just("cell"),
+def _records(max_cell: int = 30):
+    """Lists of (kind, payload) tuples driving the buffer appends below."""
+    record = st.one_of(
         st.tuples(
-            st.integers(min_value=0, max_value=30),
-            st.integers(min_value=0, max_value=30),
-            st.booleans(),  # carries a motion state (focal sender)?
+            st.just("result"),
+            st.dictionaries(
+                st.integers(min_value=0, max_value=50),
+                st.booleans(),
+                min_size=1,
+                max_size=8,
+            ),
         ),
-    ),
-    st.tuples(st.just("velocity"), st.none()),
-)
+        st.tuples(
+            st.just("cell"),
+            st.tuples(
+                st.integers(min_value=0, max_value=max_cell),
+                st.integers(min_value=0, max_value=max_cell),
+                st.booleans(),  # carries a motion state (focal sender)?
+            ),
+        ),
+        st.tuples(st.just("velocity"), st.none()),
+    )
+    return st.lists(record, min_size=1, max_size=40)
 
 
-def _fill(buf: ReportBuffer, records) -> None:
+def _fill(buf: ReportBuffer, records, oids=range(40)) -> None:
     for i, (kind, payload) in enumerate(records):
+        oid = oids[i]
         if kind == "result":
-            buf.add_result(oid=i, changes=payload, epoch=i % 3)
+            buf.add_result(oid=oid, changes=payload, epoch=i % 3)
         elif kind == "cell":
             ci, cj, focal = payload
             buf.add_cell(
-                oid=i,
+                oid=oid,
                 prev_cell=(ci, cj),
                 new_cell=(ci + 1, cj),
                 state=_state(float(ci), float(cj)) if focal else None,
             )
         else:
-            buf.add_velocity(oid=i, state=_state(float(i), 0.0))
+            buf.add_velocity(oid=oid, state=_state(float(i), 0.0))
 
 
-@given(st.lists(_record, min_size=1, max_size=40))
+@given(_records())
 @settings(max_examples=50, deadline=None)
 def test_buffered_record_bits_equal_dataclass_bits(records):
     """bits_of(i) == rehydrate(i).bits for every record kind and shape."""
@@ -82,29 +94,145 @@ def test_buffered_record_bits_equal_dataclass_bits(records):
         assert buf.bits_of(i) == buf.rehydrate(i).bits
 
 
-class _ColumnarServer:
-    """An uplink sink with columnar ingestion, recording what it is fed."""
+GRID = Grid(Rect(0, 0, 160, 160), alpha=5.0)  # 32 x 32 cells: holds _records()
+CONFIG = MobiEyesConfig(uod=GRID.uod, alpha=GRID.alpha, base_station_side=10.0)
 
-    def __init__(self):
+RECORD_HANDLERS = (
+    "_touch_lease_rec",
+    "_apply_result_record",
+    "_on_cell_change_rec",
+    "_on_velocity_change_rec",
+)
+
+
+def _transport() -> SimulatedTransport:
+    return SimulatedTransport(BaseStationLayout(GRID, side_length=10.0), GRID, MessageLedger())
+
+
+@given(_records())
+@settings(max_examples=50, deadline=None)
+def test_row_and_dataclass_reach_the_record_handlers_alike(records):
+    """apply_report_record(buf, i) == on_uplink(buf.rehydrate(i)), observed
+    at the four record-level handlers (leases on, so the touch fires)."""
+    server = MobiEyesServer(GRID, _transport(), CONFIG)
+    server.enable_leases(3)
+    calls = []
+    for name in RECORD_HANDLERS:
+        # Flag pairs arrive as a tuple on one path, dict items on the other.
+        def handler(*args, _name=name):
+            calls.append((_name, *(tuple(a) if hasattr(a, "__iter__") else a for a in args)))
+
+        setattr(server, name, handler)
+    buf = ReportBuffer()
+    _fill(buf, records)
+    for i in range(buf.count):
+        server.apply_report_record(buf, i)
+        by_row = calls[:]
+        calls.clear()
+        server.on_uplink(buf.rehydrate(i))
+        assert by_row == calls and len(calls) == 2  # the touch, then the kind's handler
+        calls.clear()
+
+
+@pytest.fixture(scope="module")
+def sharded():
+    """A stepped 2-shard world: focal homes registered, sender cells known."""
+    system = paper_system(shards=2)
+    system.step()
+    return system
+
+
+@given(_records(max_cell=5))  # the 0.012-scale grid is 7 x 7 cells
+@settings(max_examples=50, deadline=None)
+def test_row_and_dataclass_resolve_to_the_same_shard(sharded, records):
+    coordinator = sharded.server
+    landed = []
+    for sid, shard in enumerate(coordinator.shards):
+        shard.apply_report_record = lambda cols, i, _sid=sid: landed.append(_sid)
+        shard.on_uplink = lambda message, _sid=sid: landed.append(_sid)
+    buf = ReportBuffer()
+    _fill(buf, records, oids=sorted(sharded.clients)[::3])  # focal and plain senders
+    for i in range(buf.count):
+        message = buf.rehydrate(i)
+        coordinator.apply_report_record(buf, i)
+        coordinator.on_uplink(message)
+        assert landed == [coordinator.shard_for_uplink(message)] * 2
+        landed.clear()
+
+
+class _RecordingServer:
+    """An uplink sink with record ingestion, recording what it is fed."""
+
+    def __init__(self, reaction=None):
         self.messages = []
         self.records = []
+        self.reaction = reaction  # a server reaction to the first record
 
     def on_uplink(self, message):
         self.messages.append(message)
 
     def apply_report_record(self, cols, i):
         self.records.append(cols.rehydrate(i))
+        if self.reaction is not None:
+            reaction, self.reaction = self.reaction, None
+            reaction()
+
+
+def _window_world(batching: bool):
+    transport = _transport()
+    if batching:
+        transport.enable_report_batching()
+    server = _RecordingServer()
+    transport.attach_server(server)
+    client = MobiEyesClient(make_object(7, 12, 12), GRID, transport, CONFIG)
+    return transport, server, client
+
+
+def test_report_provoked_mid_flush_goes_inline():
+    """The window is closed (``depth`` 0) before its flush starts, and the
+    flush goes through ``transport.flush_reports`` as it reads at exit."""
+    transport, server, client = _window_world(batching=True)
+    buf = transport.report_buffer
+    server.reaction = lambda: client._relay_motion_state(0.0)
+    flushes = []
+    flush = transport.flush_reports
+    transport.flush_reports = lambda b: (flushes.append(b.depth), flush(b))
+    with transport.report_window:
+        client._relay_motion_state(0.0)
+        assert buf.depth == 1 and buf.count == 1 and not server.records
+    assert flushes == [0]
+    assert [type(r).__name__ for r in server.records] == ["VelocityChangeReport"]
+    assert [type(m).__name__ for m in server.messages] == ["VelocityChangeReport"]
+    assert buf.depth == 0 and buf.count == 0
+
+
+def test_raising_block_closes_the_window_and_flushes_nothing():
+    transport, server, client = _window_world(batching=True)
+    buf = transport.report_buffer
+    with pytest.raises(RuntimeError, match="mid-phase"):
+        with transport.report_window:
+            client._relay_motion_state(0.0)
+            raise RuntimeError("mid-phase")
+    assert buf.depth == 0 and buf.count == 1
+    assert not server.records and not server.messages
+
+
+def test_window_is_a_no_op_without_batching():
+    transport, server, client = _window_world(batching=False)
+    assert transport.report_buffer is None
+    with transport.report_window:
+        client._relay_motion_state(0.0)
+        assert len(server.messages) == 1  # sent inline, inside the block
+    assert len(server.messages) == 1 and not server.records
+    assert paper_system(batch_reports=False).transport.report_buffer is None
 
 
 def test_latency_flush_enqueues_one_uplink_envelope_per_record():
     """Under modeled latency a flushed window is N ordinary ``uplink``
     envelopes, one per record, drained in ``(sender, seq)`` order."""
-    grid = Grid(Rect(0, 0, 50, 50), alpha=5.0)
-    transport = SimulatedTransport(
-        BaseStationLayout(grid, side_length=10.0), grid, MessageLedger()
-    )
+    transport = _transport()
     transport.set_latency(LatencyModel(uplink_steps=2))
-    server = _ColumnarServer()
+    server = _RecordingServer()
     transport.attach_server(server)
     transport.begin_step(1, [])
     buf = ReportBuffer()

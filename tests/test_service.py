@@ -18,7 +18,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import MobiEyesConfig, MobiEyesService, MobiEyesSystem
+from repro.core import MobiEyesConfig, MobiEyesService
 from repro.core.query import QuerySpec
 from repro.core.snapshot import checkpoint, restore, step_hash
 from repro.fastpath import numpy_available
@@ -26,6 +26,7 @@ from repro.geometry import Circle, Point, Rect, Vector
 from repro.sim.rng import SimulationRng
 from repro.soak import OP_INSTALL, OP_REMOVE, OP_UPDATE, ingest_script_stream
 from repro.workload import generate_workload, paper_defaults
+from tests.conftest import paper_system
 
 ENGINES = ["reference"] + (["vectorized"] if numpy_available() else [])
 
@@ -48,29 +49,19 @@ def build_system(
     inflight_limit=0,
 ):
     params = build_params(scale=scale, seed=seed)
-    rng = SimulationRng(params.seed)
-    workload = generate_workload(params, rng.fork(1))
-    config = MobiEyesConfig(
-        uod=params.uod,
-        alpha=params.alpha,
-        base_station_side=params.base_station_side,
+    system = paper_system(
         engine=engine,
         shards=shards,
-        uplink_latency_steps=latency,
-        downlink_latency_steps=latency,
+        latency=latency,
+        params=params,
         latency_jitter_steps=jitter,
-        latency_seed=seed,
         ingest_budget_per_step=ingest_budget,
         ingest_queue_limit=queue_limit,
         ingest_inflight_limit=inflight_limit,
     )
-    system = MobiEyesSystem(
-        config,
-        list(workload.objects),
-        rng.fork(2),
-        velocity_changes_per_step=params.velocity_changes_per_step,
-    )
-    system.install_queries(workload.query_specs)
+    # paper_system keeps its workload; the scripts below read only object
+    # ids off it, so the same draw (fork 1 of the seed) made again serves.
+    workload = generate_workload(params, SimulationRng(params.seed).fork(1))
     return system, workload, params
 
 
@@ -321,6 +312,31 @@ class TestInvalidTargets:
             assert service.counters()["invalid_rejects"] == len(rejected)
             service.check_accounting()
             system.check_invariants()
+
+    def test_out_of_universe_update_is_rejected(self):
+        """A finite position outside ``config.uod`` is a bad report, not a
+        bounce: the service used to count it applied after ``reflect_into``
+        mirrored it to a different in-universe point.  Direct
+        ``apply_external_update`` callers keep the reflection."""
+        system, workload, params = build_system()
+        uod = params.uod
+        with MobiEyesService(system) as service:
+            first, second = workload.objects[0].oid, workload.objects[1].oid
+            still = Vector(0.0, 0.0)
+            before = system.clients[first].obj.pos
+            rejected = [
+                service.submit_update(first, Point(uod.ux + 1.0, uod.ly), still),
+                service.submit_update(first, Point(uod.lx, uod.ly - 1e-9), still),
+            ]
+            edge = service.submit_update(second, Point(uod.ux, uod.uy), still)
+            service.admit()
+            assert all(ticket.rejected for ticket in rejected) and edge.applied
+            assert system.clients[first].obj.pos == before
+            assert system.clients[second].obj.pos == Point(uod.ux, uod.uy)
+            assert service.counters()["invalid_rejects"] == len(rejected)
+            service.check_accounting()
+        system.apply_external_update(first, Point(uod.ux + 1.0, uod.ly), still)
+        assert system.clients[first].obj.pos == Point(uod.ux - 1.0, uod.ly)
 
     def test_invalid_rejects_survive_checkpoint(self):
         system, _, _ = build_system()
