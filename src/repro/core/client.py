@@ -93,6 +93,14 @@ class ClientStats:
 class MobiEyesClient:
     """Object-side protocol state machine for one moving object."""
 
+    #: The plain attributes a checkpoint carries (see core/snapshot.py,
+    #: which restores the LQT, ``has_mq`` and the relayed state through
+    #: their watcher-firing setters instead).
+    CHECKPOINT_FIELDS = (
+        "last_cell", "stats", "_steps_since_ack", "_last_downlink_seq",
+        "_needs_resync", "_suspect", "_report_epoch", "partition_epoch",
+    )
+
     def __init__(
         self,
         obj: MovingObject,

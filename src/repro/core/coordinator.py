@@ -34,9 +34,8 @@ server.
 
 from __future__ import annotations
 
-from copy import deepcopy as _deepcopy
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.core.config import MobiEyesConfig
 from repro.core.focal import FocalTracker
@@ -109,7 +108,7 @@ class Coordinator:
 
         Used by the constructor, by :meth:`spawn_shard` when the fleet
         grows past every previously built slot, and by
-        :meth:`ensure_shard_slots` when a checkpoint restores a larger
+        :meth:`restore_fleet` when a checkpoint restores a larger
         fleet than the config's initial count."""
         registry = QueryRegistry(
             on_added=self._added_callback(sid),
@@ -416,14 +415,12 @@ class Coordinator:
         self._retired.add(sid)
         return summary
 
-    def ensure_shard_slots(self, count: int) -> None:
-        """Grow ``shards`` to at least ``count`` slots (checkpoint restore
-        of a fleet that scaled out past the config's initial count)."""
-        while len(self.shards) < count:
+    def restore_fleet(self, slots: int, retired: Iterable[int]) -> None:
+        """Checkpoint restore: grow ``shards`` to ``slots`` (a fleet that
+        scaled out past the config's initial count) and adopt the
+        checkpointed retired-slot set."""
+        while len(self.shards) < slots:
             self.shards.append(self._make_shard(len(self.shards)))
-
-    def restore_retired(self, retired: set[int]) -> None:
-        """Adopt a checkpointed retired-slot set wholesale."""
         self._retired = set(retired)
 
     @property
@@ -462,7 +459,7 @@ class Coordinator:
                 shard._rqi_remove(entry.qid, entry.mon_region)
             shard.registry.release(entry.qid)
         tracker = shard.tracker
-        tracked = sorted({*tracker.last_heard, *tracker.suspended, *tracker.ids()})
+        tracked = tracker.tracked_oids()
         for oid in tracked:
             tracker.evict(oid)
         # Foreign queries replicated their RQI portions into this stripe;
@@ -476,8 +473,9 @@ class Coordinator:
             "envelopes_dropped": dropped,
         }
 
-    def recover_shard(self, sid: int, checkpoint, step: int) -> dict:
-        """Restart shard ``sid`` from the system's last checkpoint.
+    def recover_shard(self, sid: int, sections: list[dict], step: int) -> dict:
+        """Restart shard ``sid`` from the server sections of the system's
+        last checkpoint (freshly decoded: this adopts their objects).
 
         Rebuilds the dead shard's tables in three strokes:
 
@@ -498,13 +496,7 @@ class Coordinator:
         the chaos twin grades exactly that window.  Returns counters for
         the chaos report.
         """
-        if checkpoint is None:
-            raise ValueError(
-                f"shard {sid} crash ended at step {step} with no checkpoint to "
-                "recover from (the first cadence checkpoint had not been taken)"
-            )
         shard = self.shards[sid]
-        sections = _deepcopy(checkpoint.payload["server"])
         recovered_queries = 0
         recovered_focals = 0
         for section in sections:

@@ -114,6 +114,11 @@ class FocalTracker:
 
     # ----------------------------------------------------------- handoff
 
+    def tracked_oids(self) -> list[ObjectId]:
+        """Every object with any state here (an entry, a lease stamp or a
+        suspension record), ascending."""
+        return sorted({*self.last_heard, *self.suspended, *self._entries})
+
     def export_state(self, oid: ObjectId) -> tuple:
         """Package one object's tracker state for a cross-shard handoff."""
         return (self._entries.get(oid), self.last_heard.get(oid), self.suspended.get(oid))

@@ -67,6 +67,13 @@ class RebalancePolicy:
     question, so every evaluation takes the live ``order``.
     """
 
+    #: The decision state a checkpoint carries (see core/snapshot.py):
+    #: marks, streaks, hysteresis, counters.
+    CHECKPOINT_FIELDS = (
+        "_marks", "_hot_streak", "_cold_streak", "_armed",
+        "windows", "proposals", "splits", "merges",
+    )
+
     def __init__(self, max_shards: int = 0) -> None:
         if max_shards != 0 and max_shards < MIN_SHARDS:
             raise ValueError(f"max_shards must be 0 (fixed fleet) or at least {MIN_SHARDS}")
@@ -155,30 +162,3 @@ class RebalancePolicy:
                 self.proposals += 1
                 return ("merge", coldest, cooler_neighbor(coldest))
         return None
-
-    # --------------------------------------------------------- checkpoints
-
-    def state(self) -> dict:
-        """Checkpointable decision state (marks, streaks, hysteresis,
-        counters)."""
-        return {
-            "marks": dict(self._marks),
-            "hot_streak": dict(self._hot_streak),
-            "cold_streak": dict(self._cold_streak),
-            "armed": self._armed,
-            "windows": self.windows,
-            "proposals": self.proposals,
-            "splits": self.splits,
-            "merges": self.merges,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt checkpointed decision state wholesale."""
-        self._marks = dict(state["marks"])
-        self._hot_streak = dict(state["hot_streak"])
-        self._cold_streak = dict(state["cold_streak"])
-        self._armed = state["armed"]
-        self.windows = state["windows"]
-        self.proposals = state["proposals"]
-        self.splits = state["splits"]
-        self.merges = state["merges"]

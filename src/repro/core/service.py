@@ -45,6 +45,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.query import QueryId, QuerySpec
+from repro.core.snapshot import export_state, import_state
 from repro.geometry import Point, Vector
 from repro.mobility.model import ObjectId
 
@@ -93,6 +94,15 @@ class IngestTicket:
 class MobiEyesService:
     """Queue-driven, indefinitely running front end of a MobiEyes system."""
 
+    #: What a checkpoint carries (see core/snapshot.py): the queue -- its
+    #: tickets as they are, so a queued removal still references its queued
+    #: install's ticket after the round trip -- and the lifetime counters
+    #: :meth:`counters` reports.
+    CHECKPOINT_FIELDS = (
+        "_queue", "submitted", "applied", "backpressure_rejects", "invalid_rejects",
+        "deferred_ops", "deferred_ticks", "ticks",
+    )
+
     def __init__(self, system: "MobiEyesSystem") -> None:
         self.system = system
         config = system.config
@@ -124,9 +134,9 @@ class MobiEyesService:
         self.ticks = 0
         # A checkpoint taken mid-service carries the queue; a system
         # restored from one parks it here for the next service attach.
-        pending = getattr(system, "_pending_service_state", None)
+        pending = system._pending_service_state
         if pending is not None:
-            self._restore_state(pending)
+            import_state(self, pending)
             system._pending_service_state = None
         system._service = self
 
@@ -277,16 +287,9 @@ class MobiEyesService:
     def counters(self) -> dict:
         """Accounting snapshot: every submission is applied, rejected, or
         still queued -- nothing is silently dropped."""
-        return {
-            "submitted": self.submitted,
-            "applied": self.applied,
-            "backpressure_rejects": self.backpressure_rejects,
-            "invalid_rejects": self.invalid_rejects,
-            "queued": len(self._queue),
-            "deferred_ops": self.deferred_ops,
-            "deferred_ticks": self.deferred_ticks,
-            "ticks": self.ticks,
-        }
+        out = export_state(self)
+        out["queued"] = len(out.pop("_queue"))
+        return out
 
     def check_accounting(self) -> None:
         """The no-silent-drop invariant."""
@@ -296,68 +299,6 @@ class MobiEyesService:
             f"applied={self.applied} + rejects={rejects} + "
             f"queued={len(self._queue)}"
         )
-
-    # -------------------------------------------------------- checkpoints
-
-    def state(self) -> dict:
-        """Checkpointable service state (the queue and the counters).
-
-        Queued operations serialize by value; a queued removal that
-        references a queued install's ticket serializes as the install's
-        queue position, so the restored queue re-links the same pair.
-        """
-        install_pos = {
-            id(t): i for i, t in enumerate(self._queue) if t.kind == OP_INSTALL
-        }
-        ops: list[tuple] = []
-        for ticket in self._queue:
-            if ticket.kind == OP_REMOVE:
-                (ref,) = ticket.payload
-                if isinstance(ref, IngestTicket):
-                    if ref.qid is not None:
-                        ops.append((OP_REMOVE, "qid", ref.qid))
-                    elif id(ref) in install_pos:
-                        ops.append((OP_REMOVE, "pos", install_pos[id(ref)]))
-                    else:
-                        raise ValueError(
-                            "queued removal references an install ticket that is "
-                            "neither applied nor queued"
-                        )
-                else:
-                    ops.append((OP_REMOVE, "qid", ref))
-            else:
-                ops.append((ticket.kind, ticket.payload))
-        return {
-            "ops": ops,
-            "submitted": self.submitted,
-            "applied": self.applied,
-            "backpressure_rejects": self.backpressure_rejects,
-            "invalid_rejects": self.invalid_rejects,
-            "deferred_ops": self.deferred_ops,
-            "deferred_ticks": self.deferred_ticks,
-            "ticks": self.ticks,
-        }
-
-    def _restore_state(self, state: dict) -> None:
-        self._queue.clear()
-        tickets: list[IngestTicket] = []
-        for op in state["ops"]:
-            if op[0] == OP_REMOVE:
-                _, how, value = op
-                ref = tickets[value] if how == "pos" else value
-                ticket = IngestTicket(OP_REMOVE, (ref,))
-            else:
-                kind, payload = op
-                ticket = IngestTicket(kind, tuple(payload))
-            tickets.append(ticket)
-            self._queue.append(ticket)
-        self.submitted = state["submitted"]
-        self.applied = state["applied"]
-        self.backpressure_rejects = state["backpressure_rejects"]
-        self.invalid_rejects = state["invalid_rejects"]
-        self.deferred_ops = state["deferred_ops"]
-        self.deferred_ticks = state["deferred_ticks"]
-        self.ticks = state["ticks"]
 
     # ----------------------------------------------------------- teardown
 

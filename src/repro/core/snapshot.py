@@ -13,18 +13,19 @@ captured state back in through the same table APIs the live protocol
 uses, so ``restore(checkpoint(system))`` resumes bit-identically on
 both engines at any shard count.
 
-Capture strategy: all live objects are gathered into **one** payload
-dict and isolated with a single :func:`copy.deepcopy`.  The deepcopy
-memo preserves every identity relation *inside* the payload -- a queued
-:class:`~repro.core.transport.Envelope`'s ``context`` stays the very
-``_Exchange`` the reliability layer keys in ``_pending``, an
-``SqtEntry``'s descriptor cache stays identity-valid against its
-monitoring region and focal state, and the injector's channel RNGs keep
-any sharing they had -- while severing every reference to the live
-system.  Pickling the system wholesale is not an option (coordinator
-directory callbacks and client watcher hooks are closures); the payload
-holds only plain data, so a checkpoint also serializes with
-:meth:`Checkpoint.to_bytes`.
+Capture strategy: a checkpoint *is* its bytes.  The live objects are
+gathered into one payload dict and serialized once, inside
+:func:`checkpoint`; that one ``pickle.dumps`` is the isolation from the
+live system, and its memo keeps every identity relation inside the
+payload (a queued :class:`~repro.core.transport.Envelope`'s ``context``
+stays the very ``_Exchange`` the reliability layer keys in ``_pending``,
+an ``SqtEntry``'s descriptor cache stays identity-valid, shared channel
+RNGs stay shared).  The bytes become objects again in one place,
+:func:`_decode`, which resolves allow-listed classes only and checks the
+payload's shape before anything is built from it.  Each component names
+its checkpointed attributes once, in a class-level ``CHECKPOINT_FIELDS``
+read by :func:`export_state` / :func:`import_state`.  (The system itself
+cannot be pickled: directory callbacks and watcher hooks are closures.)
 
 What is deliberately **not** captured:
 
@@ -39,66 +40,227 @@ What is deliberately **not** captured:
 
 from __future__ import annotations
 
-import copy
 import hashlib
+import io
 import json
 import pickle
+import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import MobiEyesSystem
 
-#: Wire-format version of :class:`Checkpoint` payloads.  Bump on any
-#: change to the payload layout; :func:`from_bytes` refuses mismatches.
-#: v2 added the partition map (boundary layout + epoch), the rebalance
-#: policy state and log, per-client partition epochs, and the transport's
-#: stale-epoch reroute counter.  v3 added the elastic fleet shape (stripe
-#: order, slot count, retired slots), the elastic policy's id-keyed
-#: streaks, and the service runtime's ingest queue and counters.  v4
-#: dropped the config's executor-flavor field and the per-step
-#: critical-path server seconds (the pooled executors are gone) and added
-#: the service's ``invalid_rejects`` counter.  v5 dropped seven policy
-#: fields from the config and gave the placement policy one id-keyed state
-#: shape (``marks``/``hot_streak``/``cold_streak`` dicts for every fleet).
-#: v6: the queue holds one envelope per message (a v5 queue may hold
-#: batched-report envelopes of a class that no longer exists).  v7: one
-#: reliable-exchange shape (``_Exchange.up`` replaces ``kind``/``name``/
-#: ``bits``); ``ClientStats.uplinks_sent`` and the LQT ``version`` are gone.
-CHECKPOINT_VERSION = 7
+#: Wire-format version.  Bump on any layout change: the header, a payload
+#: key, an owner's ``CHECKPOINT_FIELDS``, a field of a payload class.
+CHECKPOINT_VERSION = 8
+
+#: Largest payload a checkpoint may hold, checked before anything is
+#: hashed or decoded (Table 1 at full scale is ~6 MB).
+MAX_PAYLOAD_BYTES = 1 << 28
+
+_MAGIC = b"MOBIEYES"
+#: magic, version, payload length, SHA-256 of the payload.
+_HEADER = struct.Struct(">8sHQ32s")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Checkpoint:
-    """One captured system state: a version tag plus the payload dict.
+    """One captured system state: a version tag plus the serialized payload.
 
-    The payload is private to this module -- treat a checkpoint as an
-    opaque token to hand back to :func:`restore` (or persist with
-    :meth:`to_bytes` / :func:`from_bytes`).
+    Immutable and opaque -- hand it back to :func:`restore`, or persist it
+    with :meth:`to_bytes` / :func:`from_bytes`.  Construction is the one
+    place the version and the size cap are checked.
     """
 
     version: int
-    payload: dict[str, Any]
+    blob: bytes
+
+    def __post_init__(self) -> None:
+        if self.version != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"checkpoint version {self.version} unsupported (expected {CHECKPOINT_VERSION})"
+            )
+        if not isinstance(self.blob, bytes):
+            raise ValueError(f"checkpoint payload is {type(self.blob).__name__}, not bytes")
+        if len(self.blob) > MAX_PAYLOAD_BYTES:
+            raise ValueError(f"checkpoint payload exceeds {MAX_PAYLOAD_BYTES} bytes")
 
     def to_bytes(self) -> bytes:
-        """Serialize for persistence (pickle protocol; the payload holds
-        only plain data objects, no closures)."""
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+        """The fixed header followed by the payload bytes."""
+        digest = hashlib.sha256(self.blob).digest()
+        return _HEADER.pack(_MAGIC, self.version, len(self.blob), digest) + self.blob
 
 
 def from_bytes(data: bytes) -> Checkpoint:
-    """Deserialize a checkpoint produced by :meth:`Checkpoint.to_bytes`."""
-    try:
-        cp = pickle.loads(data)
-    except Exception as exc:
-        raise ValueError(f"not a checkpoint: {exc}") from exc
-    if not isinstance(cp, Checkpoint):
-        raise ValueError(f"not a checkpoint: {type(cp).__name__}")
-    if cp.version != CHECKPOINT_VERSION:
+    """Parse :meth:`Checkpoint.to_bytes` output.
+
+    Checks the header (magic, version, length, digest) and the size cap and
+    **decodes nothing**: the payload stays bytes until :func:`restore`.
+    Anything else is a ``ValueError``.
+    """
+    if not isinstance(data, (bytes, bytearray)) or len(data) < _HEADER.size:
+        raise ValueError("not a checkpoint: no header")
+    magic, version, length, digest = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise ValueError("not a checkpoint: bad magic")
+    if length != len(data) - _HEADER.size:
         raise ValueError(
-            f"checkpoint version {cp.version} unsupported (expected {CHECKPOINT_VERSION})"
+            f"checkpoint header announces {length} payload bytes, "
+            f"{len(data) - _HEADER.size} follow"
         )
+    cp = Checkpoint(version, bytes(data[_HEADER.size :]))
+    if hashlib.sha256(cp.blob).digest() != digest:
+        raise ValueError("checkpoint payload does not match its digest")
     return cp
+
+
+# ------------------------------------------------------------------- decode
+
+#: Every global a payload may name, by module: the plain-data classes the
+#: capture below gathers, every message that can sit in the delivery queue,
+#: and the shapes and filters this package defines (a query built on a
+#: caller-defined one checkpoints but does not restore).  Exact -- tests/
+#: test_snapshot.py fails on a payload class missing here and on an entry
+#: no checkpoint uses.  No numpy: the reference engine restores without it.
+_ALLOWED_GLOBALS = {
+    "random": "Random",
+    "collections": "Counter deque",
+    "repro.core.client": "ClientStats",
+    "repro.core.config": "MobiEyesConfig",
+    "repro.core.messages": "Ack CellChangeReport FocalRoleNotification Heartbeat "
+    "MotionStateRequest MotionStateResponse QueryDescriptor QueryInstallBroadcast "
+    "QueryInstallList QueryRemoveBroadcast QueryUpdateBroadcast RebalanceDirective "
+    "ResultChangeReport ResyncDirective ResyncRequest ResyncResponse "
+    "VelocityChangeBroadcast VelocityChangeReport",
+    "repro.core.propagation": "PropagationMode",
+    "repro.core.query": "AndFilter NotFilter OrFilter PropertyEqualsFilter QuerySpec TrueFilter",
+    "repro.core.service": "IngestTicket",
+    "repro.core.tables": "FotEntry LqtEntry SqtEntry",
+    "repro.core.transport": "Envelope",
+    "repro.faults.channels": "BernoulliChannel GilbertElliottChannel",
+    "repro.faults.policy": "ReliabilityPolicy",
+    "repro.faults.reliability": "_Exchange",
+    "repro.faults.schedule": "CrashWindow DisconnectWindow FaultSchedule StationOutage",
+    "repro.geometry.shapes": "Circle Rect",
+    "repro.geometry.vector": "Vector",
+    "repro.grid.grid": "CellRange",
+    "repro.metrics.collectors": "StepStats",
+    "repro.mobility.model": "MotionState MovingObject",
+    "repro.network.latency": "LatencyModel",
+    "repro.network.loss": "LossModel",
+    "repro.network.messaging": "LedgerSnapshot",
+    "repro.network.radio": "RadioModel",
+    "repro.sim.rng": "SimulationRng",
+    "repro.workload.filters": "ClassThresholdFilter",
+}
+
+
+class _PayloadUnpickler(pickle.Unpickler):
+    """Resolves allow-listed globals only, so decoding imports and calls
+    nothing but the payload's own plain-data classes."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if name not in _ALLOWED_GLOBALS.get(module, "").split():
+            raise pickle.UnpicklingError(f"{module}.{name} is not a checkpoint payload class")
+        return super().find_class(module, name)
+
+
+def _decode(cp: Checkpoint) -> dict[str, Any]:
+    """The payload of a checkpoint, as a fresh object graph per call --
+    the only place checkpoint bytes become objects."""
+    try:
+        payload = _PayloadUnpickler(io.BytesIO(cp.blob)).load()
+    except Exception as exc:  # damaged or hostile bytes fail any way they like
+        raise ValueError(f"checkpoint payload does not decode: {exc}") from exc
+    _check_shape(payload)
+    return payload
+
+
+def _check_keys(what: str, state: Any, names: Iterable) -> None:
+    if not isinstance(state, dict):
+        raise ValueError(f"checkpoint {what} is {type(state).__name__}, not a dict")
+    expected = frozenset(names)
+    if state.keys() != expected:  # the common case costs one comparison per section
+        missing = sorted(expected - state.keys(), key=repr)
+        unexpected = sorted(state.keys() - expected, key=repr)
+        raise ValueError(f"checkpoint {what}: missing {missing}, unexpected {unexpected}")
+
+
+def export_state(owner: Any) -> dict[str, Any] | None:
+    """The attributes ``owner``'s class names in ``CHECKPOINT_FIELDS``
+    (None for a component the system was built without)."""
+    if owner is None:
+        return None
+    return {name: getattr(owner, name) for name in owner.CHECKPOINT_FIELDS}
+
+
+def import_state(owner: Any, state: dict[str, Any] | None) -> None:
+    """Set exactly the attributes :func:`export_state` read; a state whose
+    keys differ from the owner's tuple is a ``ValueError``."""
+    if state is not None:
+        _check_keys(f"{type(owner).__name__} state", state, owner.CHECKPOINT_FIELDS)
+        for name, value in state.items():
+            setattr(owner, name, value)
+
+
+_PAYLOAD_KEYS = (
+    "config step objects rng velocity_changes_per_step changed_last_step track_accuracy "
+    "warmup_steps latency loss server partition rebalance_policy next_qid report_epochs "
+    "clients transport reliability ledger metrics_steps system last_checkpoint own_basis service"
+).split()
+
+
+def _check_shape(p: Any) -> None:
+    """Refuse a payload :func:`restore` could only half-apply, before any
+    system is built: exact keys in every dict this module wrote, one
+    server section per shard slot, one client section per object."""
+    from repro.core.client import MobiEyesClient
+    from repro.core.config import MobiEyesConfig
+    from repro.core.rebalance import RebalancePolicy
+    from repro.core.service import MobiEyesService
+    from repro.core.system import MobiEyesSystem
+    from repro.core.transport import SimulatedTransport
+    from repro.faults.injector import FaultInjector
+    from repro.faults.reliability import ReliabilityLayer
+    from repro.network.messaging import MessageLedger
+
+    _check_keys("payload", p, _PAYLOAD_KEYS)
+    config, partition, sections, loss = p["config"], p["partition"], p["server"], p["loss"]
+    if not isinstance(config, MobiEyesConfig) or not isinstance(sections, list):
+        raise ValueError("checkpoint config or server sections are of the wrong type")
+    # A coordinator and its partition map exist exactly when shards > 1,
+    # and its fleet (one section per shard slot) only grows.
+    fleet_ok = len(sections) >= config.shards if config.shards > 1 else len(sections) == 1
+    if not fleet_ok or (partition is None) != (config.shards == 1):
+        raise ValueError(f"checkpoint server sections do not fit shards={config.shards}")
+    if partition is not None:
+        _check_keys("partition", partition, ("bounds", "epoch", "order", "retired"))
+    # The transport builds a reliability layer exactly when the loss seam
+    # is an injector (which travels as a dict).
+    if (p["reliability"] is not None) != isinstance(loss, dict):
+        raise ValueError("checkpoint reliability state does not match its loss seam")
+    try:
+        oids = [obj.oid for obj in p["objects"]]
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"checkpoint objects are malformed: {exc}") from exc
+    _check_keys("clients", p["clients"], oids)
+    for section in sections:
+        _check_keys("server section", section, ("entries", "tracker"))
+    client_keys = ("entries", "hull", "has_mq", "relayed", *MobiEyesClient.CHECKPOINT_FIELDS)
+    for section in p["clients"].values():
+        _check_keys("client section", section, client_keys)
+    for what, state, owner in (
+        ("transport", p["transport"], SimulatedTransport),
+        ("ledger", p["ledger"], MessageLedger),
+        ("reliability", p["reliability"], ReliabilityLayer),
+        ("injector", loss if isinstance(loss, dict) else None, FaultInjector),
+        ("service", p["service"], MobiEyesService),
+        ("rebalance policy", p["rebalance_policy"], RebalancePolicy),
+        ("system", p["system"], MobiEyesSystem),
+    ):
+        if state is not None:
+            _check_keys(what, state, owner.CHECKPOINT_FIELDS)
 
 
 # ------------------------------------------------------------------ capture
@@ -111,21 +273,19 @@ def _server_units(system: "MobiEyesSystem") -> list:
 
 
 def _capture_server(system: "MobiEyesSystem") -> list[dict[str, Any]]:
-    sections = []
-    for unit in _server_units(system):
-        tracker = unit.tracker
-        oids = sorted({*tracker.last_heard, *tracker.suspended, *tracker.ids()})
-        sections.append(
-            {
-                # SqtEntry objects in qid order; desc_cache rides along and
-                # stays identity-valid under the one-blob deepcopy.
-                "entries": list(unit.registry.entries()),
-                # (entry | None, last_heard | None, suspended_speed | None)
-                # per object, the cross-shard handoff packing.
-                "tracker": [(oid, tracker.export_state(oid)) for oid in oids],
-            }
-        )
-    return sections
+    return [
+        {
+            # SqtEntry objects in qid order; desc_cache rides along and
+            # stays identity-valid (pickle memoises by identity).
+            "entries": list(unit.registry.entries()),
+            # (entry | None, last_heard | None, suspended_speed | None)
+            # per object, the cross-shard handoff packing.
+            "tracker": [
+                (oid, unit.tracker.export_state(oid)) for oid in unit.tracker.tracked_oids()
+            ],
+        }
+        for unit in _server_units(system)
+    ]
 
 
 def _capture_clients(system: "MobiEyesSystem") -> dict[int, dict[str, Any]]:
@@ -137,81 +297,25 @@ def _capture_clients(system: "MobiEyesSystem") -> dict[int, dict[str, Any]]:
             "entries": list(lqt._entries.values()),  # install order
             "hull": (lqt.hull_lo_i, lqt.hull_hi_i, lqt.hull_lo_j, lqt.hull_hi_j),
             "has_mq": client.has_mq,
-            "last_cell": client.last_cell,
             "relayed": client._relayed_state,
-            "stats": client.stats,
-            "steps_since_ack": client._steps_since_ack,
-            "last_downlink_seq": client._last_downlink_seq,
-            "needs_resync": client._needs_resync,
-            "suspect": client._suspect,
-            "report_epoch": client._report_epoch,
-            "partition_epoch": client.partition_epoch,
+            **export_state(client),
         }
     return out
 
 
-def _capture_transport(system: "MobiEyesSystem") -> dict[str, Any]:
-    t = system.transport
-    return {
-        "step": t._step,
-        "downlink_seq": t._downlink_seq,
-        "queue": t._queue,
-        "envelope_seq": t._envelope_seq,
-        "delivered_deferred": t._delivered_deferred,
-        "delivered_delay_sum": t._delivered_delay_sum,
-        "stale_epoch_reroutes": t.stale_epoch_reroutes,
-    }
-
-
-def _capture_reliability(system: "MobiEyesSystem") -> dict[str, Any] | None:
-    rel = system.transport.reliability
-    if rel is None:
-        return None
-    return {
-        "uplink_seq": rel._uplink_seq,
-        "pending": rel._pending,
-        "next_token": rel._next_token,
-        "retransmissions": rel.retransmissions,
-        "acks_sent": rel.acks_sent,
-        "ack_drops": rel.ack_drops,
-        "failures": rel.failures,
-        "duplicates_suppressed": rel.duplicates_suppressed,
-    }
-
-
-def _capture_loss(system: "MobiEyesSystem") -> tuple[str, Any]:
-    """``(kind, data)``: the loss seam's state, injector-aware.
-
-    A :class:`~repro.faults.injector.FaultInjector` cannot be carried
-    whole (its position locator is a closure over the live clients), so
-    it is decomposed into its data parts and rebuilt at restore; the
-    system constructor re-binds it.  A plain loss model has no wiring
-    into the system and travels as-is.
-    """
+def _capture_loss(system: "MobiEyesSystem") -> Any:
+    """The loss seam's state.  A :class:`~repro.faults.injector.FaultInjector`
+    travels as a dict of its data attributes (its position locator is a
+    closure over the live clients) and is rebuilt and re-bound at restore;
+    a plain loss model has no wiring into the system and travels as-is."""
     loss = system.transport.loss
-    if loss is None:
-        return ("none", None)
-    if getattr(loss, "policy", None) is not None:
-        return (
-            "injector",
-            {
-                "rng": loss.rng,
-                "schedule": loss.schedule,
-                "policy": loss.policy,
-                "uplink_channel": loss.uplink_channel,
-                "downlink_channel": loss.downlink_channel,
-                "dropped_uplinks": loss.dropped_uplinks,
-                "dropped_deliveries": loss.dropped_deliveries,
-                "drops_by_cause": loss.drops_by_cause,
-            },
-        )
-    return ("model", loss)
+    return export_state(loss) if getattr(loss, "policy", None) is not None else loss
 
 
 def _capture_partition(system: "MobiEyesSystem") -> dict[str, Any] | None:
-    """The mutable partition state: boundary layout, epoch, and -- since
-    elastic scale-out -- the stripe order, the shard-slot count, and the
-    retired slots (None for a monolithic server, which has no map)."""
+    """The mutable partition state: boundary layout, epoch, stripe order
+    and retired slots (None for a monolith: no map).  The shard-slot count
+    is the number of server sections."""
     partitioner = getattr(system.server, "partitioner", None)
     if partitioner is None:
         return None
@@ -219,7 +323,6 @@ def _capture_partition(system: "MobiEyesSystem") -> dict[str, Any] | None:
         "bounds": partitioner.bounds,
         "epoch": partitioner.epoch,
         "order": partitioner.order,
-        "slots": len(system.server.shards),
         "retired": system.server.retired_shards,
     }
 
@@ -244,18 +347,23 @@ def _check_supported(system: "MobiEyesSystem") -> None:
         )
 
 
-def checkpoint(system: "MobiEyesSystem") -> Checkpoint:
+def checkpoint(system: "MobiEyesSystem", cadence_step: int | None = None) -> Checkpoint:
     """Capture a system's full state at a step boundary.
 
     Must be called between steps (not from inside a phase); the captured
-    state is fully isolated from the live system, so the system may keep
-    running and the checkpoint restored any number of times.
+    state is bytes, so the system may keep running and the checkpoint be
+    restored any number of times.  ``cadence_step`` is for the system's
+    own periodic capture, which runs after the clock has ticked: it names
+    the boundary step to record and marks the checkpoint as its own
+    recovery basis (a run restored from it recovers a crashed shard from it).
     """
     _check_supported(system)
     server = system.server
+    own_basis = cadence_step is not None
+    basis = system._last_checkpoint
     payload: dict[str, Any] = {
         "config": system.config,
-        "step": system.clock.step,
+        "step": cadence_step if own_basis else system.clock.step,
         "objects": system.motion.objects,
         "rng": system.rng,
         "velocity_changes_per_step": system.motion.velocity_changes_per_step,
@@ -268,66 +376,43 @@ def checkpoint(system: "MobiEyesSystem") -> Checkpoint:
         # Partition state must restore *before* the server graft: grafted
         # RQI registrations split monitoring regions by the live map.
         "partition": _capture_partition(system),
-        "rebalance_policy": (
-            system._rebalance_policy.state()
-            if system._rebalance_policy is not None
-            else None
-        ),
-        "rebalance_log": system.rebalance_log,
+        "rebalance_policy": export_state(system._rebalance_policy),
         "next_qid": server._next_qid,
         "report_epochs": server._report_epochs,
         "clients": _capture_clients(system),
-        "transport": _capture_transport(system),
-        "reliability": _capture_reliability(system),
-        "ledger": system.ledger,
+        # Queued rel-* envelopes and the reliability layer's ``_pending``
+        # share their exchanges: one dumps keeps them the same objects.
+        "transport": export_state(system.transport),
+        "reliability": export_state(system.transport.reliability),
+        "ledger": export_state(system.ledger),
         "metrics_steps": system.metrics.steps,
-        "ledger_mark": system._ledger_mark,
-        "last_error": system._last_error,
-        "last_error_step": system._last_error_step,
-        # Crash-recovery cadence state: the last periodic checkpoint the
-        # system took (None outside crash schedules), carried so a
-        # restored run recovers from the same basis the original would.
-        "last_checkpoint": getattr(system, "_last_checkpoint", None),
-        "checkpoints_taken": system._checkpoints_taken,
-        # Service runtime: the ingest queue and its accounting, so a
-        # restored service resumes with the same pending work (None when
-        # no service is attached).
-        "service": (
-            system._service.state() if system._service is not None else None
-        ),
+        "system": export_state(system),
+        # Crash-recovery basis: the last periodic checkpoint's bytes (None
+        # in a cadence capture, which is its own and never nests another).
+        "last_checkpoint": None if own_basis or basis is None else basis.blob,
+        "own_basis": own_basis,
+        # The attached service's ingest queue and accounting, so a restored
+        # service resumes with the same pending work.
+        "service": export_state(system._service),
     }
-    return Checkpoint(version=CHECKPOINT_VERSION, payload=copy.deepcopy(payload))
+    return Checkpoint(CHECKPOINT_VERSION, pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
 
 
 # ------------------------------------------------------------------ restore
 
 
-def _rebuild_loss(kind: str, data: Any):
-    if kind == "none":
-        return None
-    if kind == "model":
+def _rebuild_loss(data: Any):
+    if not isinstance(data, dict):
         return data
     from repro.faults.injector import FaultInjector
 
-    injector = FaultInjector(
-        rng=data["rng"],
-        schedule=data["schedule"],
-        policy=data["policy"],
-        uplink_channel=data["uplink_channel"],
-        downlink_channel=data["downlink_channel"],
-    )
-    injector.dropped_uplinks = data["dropped_uplinks"]
-    injector.dropped_deliveries = data["dropped_deliveries"]
-    injector.drops_by_cause = data["drops_by_cause"]
+    injector = FaultInjector(data["rng"])
+    import_state(injector, data)
     return injector
 
 
 def _graft_server(system: "MobiEyesSystem", sections: list[dict[str, Any]]) -> None:
     units = _server_units(system)
-    if len(units) != len(sections):
-        raise ValueError(
-            f"checkpoint has {len(sections)} server sections, system has {len(units)}"
-        )
     # SQT entries first (directory callbacks populate owner_of /
     # _focal_home), then the RQI registrations, then
     # the trackers -- so the FOT-subset-of-focals invariant holds at
@@ -349,82 +434,34 @@ def _graft_clients(system: "MobiEyesSystem", sections: dict[int, dict[str, Any]]
         client = system.clients[oid]
         section = sections[oid]
         lqt = client.lqt
-        for entry in section["entries"]:
+        for entry in section.pop("entries"):
             # install() fires the watcher hooks, so the fastpath's batch
             # evaluator and fan-out index stay in sync with the graft.
             lqt.install(entry)
-        lqt.hull_lo_i, lqt.hull_hi_i, lqt.hull_lo_j, lqt.hull_hi_j = section["hull"]
-        client._set_has_mq(section["has_mq"])
-        client.last_cell = section["last_cell"]
-        client._set_relayed(section["relayed"])
-        client.stats = section["stats"]
-        client._steps_since_ack = section["steps_since_ack"]
-        client._last_downlink_seq = section["last_downlink_seq"]
-        client._needs_resync = section["needs_resync"]
-        client._suspect = section["suspect"]
-        client._report_epoch = section["report_epoch"]
-        client.partition_epoch = section["partition_epoch"]
-
-
-def _graft_transport(system: "MobiEyesSystem", section: dict[str, Any]) -> None:
-    t = system.transport
-    t._step = section["step"]
-    t._downlink_seq = section["downlink_seq"]
-    t._queue = section["queue"]
-    t._envelope_seq = section["envelope_seq"]
-    t._delivered_deferred = section["delivered_deferred"]
-    t._delivered_delay_sum = section["delivered_delay_sum"]
-    t.stale_epoch_reroutes = section["stale_epoch_reroutes"]
-
-
-def _graft_reliability(system: "MobiEyesSystem", section: dict[str, Any] | None) -> None:
-    rel = system.transport.reliability
-    if section is None:
-        if rel is not None:
-            raise ValueError("checkpoint has no reliability state but the system does")
-        return
-    if rel is None:
-        raise ValueError("checkpoint has reliability state but the system does not")
-    rel._uplink_seq = section["uplink_seq"]
-    # Queued rel-* envelopes reference these exchanges by identity: the
-    # one-blob deepcopy kept Envelope.context and _pending values the
-    # same objects, so retransmit timers keep driving in-flight hops.
-    rel._pending = section["pending"]
-    rel._next_token = section["next_token"]
-    rel.retransmissions = section["retransmissions"]
-    rel.acks_sent = section["acks_sent"]
-    rel.ack_drops = section["ack_drops"]
-    rel.failures = section["failures"]
-    rel.duplicates_suppressed = section["duplicates_suppressed"]
-
-
-def _graft_ledger(system: "MobiEyesSystem", saved) -> None:
-    # The transport and the system share one ledger object; graft the
-    # captured totals into it in place.
-    ledger = system.ledger
-    ledger.uplink_count = saved.uplink_count
-    ledger.downlink_count = saved.downlink_count
-    ledger.uplink_bits = saved.uplink_bits
-    ledger.downlink_bits = saved.downlink_bits
-    ledger.counts_by_type = saved.counts_by_type
-    ledger.bits_by_type = saved.bits_by_type
-    ledger.energy_by_object = saved.energy_by_object
+        lqt.hull_lo_i, lqt.hull_hi_i, lqt.hull_lo_j, lqt.hull_hi_j = section.pop("hull")
+        client._set_has_mq(section.pop("has_mq"))
+        client._set_relayed(section.pop("relayed"))
+        import_state(client, section)  # what is left: the plain attributes
 
 
 def restore(cp: Checkpoint) -> "MobiEyesSystem":
     """Rebuild a running system from a checkpoint.
 
-    The checkpoint is not consumed: its payload is deepcopied again, so
-    the same checkpoint restores any number of independent systems.
+    The checkpoint is not consumed: every call decodes its bytes afresh,
+    so the same checkpoint restores any number of independent systems.
+    A payload that is damaged, hostile or of the wrong shape is a
+    ``ValueError`` raised before any system is built.
     """
     from repro.core.system import MobiEyesSystem
 
-    if cp.version != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint version {cp.version} unsupported (expected {CHECKPOINT_VERSION})"
-        )
-    p = copy.deepcopy(cp.payload)
-    loss = _rebuild_loss(*p["loss"])
+    p = _decode(cp)
+    # An object an external update moved since the last movement phase is
+    # built where the live coverage index still held it, then moved again.
+    held = p["system"]["_unstepped_updates"]
+    moved = [obj for obj in p["objects"] if obj.oid in held]
+    updates = [(obj.oid, obj.pos, obj.vel, obj.recorded_at) for obj in moved]
+    for obj in moved:
+        obj.pos, obj.vel, obj.recorded_at = held[obj.oid]
     system = MobiEyesSystem(
         p["config"],
         p["objects"],
@@ -432,9 +469,11 @@ def restore(cp: Checkpoint) -> "MobiEyesSystem":
         velocity_changes_per_step=p["velocity_changes_per_step"],
         track_accuracy=p["track_accuracy"],
         warmup_steps=p["warmup_steps"],
-        loss=loss,
+        loss=_rebuild_loss(p["loss"]),
         latency=p["latency"],
     )
+    for update in updates:
+        system.motion.apply_update(*update)
     partition = p["partition"]
     if partition is not None:
         server = system.server
@@ -442,8 +481,7 @@ def restore(cp: Checkpoint) -> "MobiEyesSystem":
         # has more server sections than the config's initial count) and
         # re-mark retired slots, then adopt the stripe layout -- all
         # before the graft, whose RQI splits consult the live map.
-        server.ensure_shard_slots(partition["slots"])
-        server.restore_retired(set(partition["retired"]))
+        server.restore_fleet(len(p["server"]), partition["retired"])
         server.partitioner.restore_state(
             tuple(partition["bounds"]), partition["epoch"], tuple(partition["order"])
         )
@@ -452,19 +490,22 @@ def restore(cp: Checkpoint) -> "MobiEyesSystem":
     # In place: every shard holds the coordinator's epoch dict by reference.
     system.server._report_epochs.update(p["report_epochs"])
     _graft_clients(system, p["clients"])
-    _graft_transport(system, p["transport"])
-    _graft_reliability(system, p["reliability"])
-    _graft_ledger(system, p["ledger"])
+    import_state(system.transport, p["transport"])
+    import_state(system.transport.reliability, p["reliability"])
+    # The constructor rolled the loss seam into step 0: re-activate the
+    # fault windows of the step the transport is really in.
+    if system.transport.loss is not None:
+        system.transport.loss.begin_step(system.transport.step)
+    # In place: the transport and the system share the one ledger object.
+    import_state(system.ledger, p["ledger"])
     system.motion.changed_last_step = p["changed_last_step"]
     system.metrics.steps = p["metrics_steps"]
-    system._ledger_mark = p["ledger_mark"]
-    system._last_error = p["last_error"]
-    system._last_error_step = p["last_error_step"]
-    system._last_checkpoint = p["last_checkpoint"]
-    system._checkpoints_taken = p["checkpoints_taken"]
-    if p["rebalance_policy"] is not None and system._rebalance_policy is not None:
-        system._rebalance_policy.restore_state(p["rebalance_policy"])
-    system.rebalance_log = p["rebalance_log"]
+    import_state(system, p["system"])
+    if p["own_basis"]:
+        system._last_checkpoint = cp
+    elif p["last_checkpoint"] is not None:
+        system._last_checkpoint = Checkpoint(CHECKPOINT_VERSION, p["last_checkpoint"])
+    import_state(system._rebalance_policy, p["rebalance_policy"])
     # A service attached to the restored system adopts the checkpointed
     # ingest queue (see MobiEyesService.__init__).
     system._pending_service_state = p["service"]

@@ -34,6 +34,7 @@ from repro.core.config import MobiEyesConfig
 from repro.core.messages import RebalanceDirective, ResyncDirective
 from repro.core.query import QueryId, QuerySpec
 from repro.core.server import MobiEyesServer
+from repro.core.snapshot import _decode, checkpoint
 from repro.core.transport import SimulatedTransport
 from repro.grid import CellRange, Grid
 from repro.metrics.accuracy import exact_results, mean_result_error
@@ -52,6 +53,12 @@ from repro.sim.trace import TraceLog
 
 class MobiEyesSystem:
     """A complete distributed MobiEyes deployment in simulation."""
+
+    #: The facade's own attributes a checkpoint carries (core/snapshot.py).
+    CHECKPOINT_FIELDS = (
+        "_ledger_mark", "_last_error", "_last_error_step", "_checkpoints_taken", "rebalance_log",
+        "_unstepped_updates",
+    )
 
     def __init__(
         self,
@@ -185,6 +192,10 @@ class MobiEyesSystem:
         # ingest-queue state waiting for the next service to adopt.
         self._service = None
         self._pending_service_state = None
+        # ``oid -> (pos, vel, recorded_at)`` before the external updates
+        # applied since the last movement phase: where the coverage index
+        # still holds those objects, so a restore can rebuild it the same.
+        self._unstepped_updates: dict[ObjectId, tuple] = {}
         self._fastpath = None
         if config.engine == "vectorized":
             from repro.fastpath.runtime import FastpathRuntime
@@ -243,6 +254,8 @@ class MobiEyesSystem:
         fixed steps is bit-identical however it is driven (service queue
         or direct calls).
         """
+        obj = self.clients[oid].obj
+        self._unstepped_updates.setdefault(oid, (obj.pos, obj.vel, obj.recorded_at))
         self.motion.apply_update(oid, pos, vel, self.clock.now_hours)
 
     def step(self) -> int:
@@ -320,6 +333,7 @@ class MobiEyesSystem:
             # After recovery, before any of this step's traffic: a crash
             # window ending this step is rebuilt before boundaries move.
             self._rebalance_housekeeping(clock.step)
+        self._unstepped_updates.clear()
         if self._fastpath is not None:
             self._fastpath.movement_phase(clock)
             return
@@ -341,7 +355,13 @@ class MobiEyesSystem:
         """
         for window in self._crash_windows:
             if window.end == step:
-                self.server.recover_shard(window.shard, self._last_checkpoint, step)
+                if self._last_checkpoint is None:
+                    raise ValueError(
+                        f"shard {window.shard} crash ended at step {step} before the "
+                        "first cadence checkpoint: nothing to recover from"
+                    )
+                sections = _decode(self._last_checkpoint)["server"]
+                self.server.recover_shard(window.shard, sections, step)
                 # Clients re-pull descriptors and report epochs; coverage
                 # still matches true positions (movement has not run yet).
                 grid = self.grid
@@ -355,25 +375,9 @@ class MobiEyesSystem:
         if every and step % every == 0:
             injector = self._fault_injector
             if injector is None or not injector.schedule.crashed(step):
-                from repro.core.snapshot import checkpoint
-
-                # Null the previous basis during capture so checkpoints
-                # never nest into chains; the fresh checkpoint then becomes
-                # its own recovery basis via a self-reference (cycle-safe
-                # under deepcopy and pickle), which keeps a restored run
-                # recovering from the identical snapshot.
-                prev = self._last_checkpoint
-                self._last_checkpoint = None
-                try:
-                    cp = checkpoint(self)
-                except Exception:
-                    self._last_checkpoint = prev
-                    raise
                 # The clock already reads ``step`` but this is the
                 # post-``step - 1`` boundary state.
-                cp.payload["step"] = step - 1
-                cp.payload["last_checkpoint"] = cp
-                self._last_checkpoint = cp
+                self._last_checkpoint = checkpoint(self, cadence_step=step - 1)
                 self._checkpoints_taken += 1
 
     def _rebalance_housekeeping(self, step: int) -> None:

@@ -200,6 +200,13 @@ class SimulatedTransport:
     so receivers can detect the traffic they missed.
     """
 
+    #: The attributes a checkpoint carries (exported and re-imported by
+    #: name in core/snapshot.py; everything else is wiring or derived).
+    CHECKPOINT_FIELDS = (
+        "_step", "_downlink_seq", "_queue", "_envelope_seq",
+        "_delivered_deferred", "_delivered_delay_sum", "stale_epoch_reroutes",
+    )
+
     def __init__(
         self,
         layout: BaseStationLayout,

@@ -46,6 +46,13 @@ class FaultInjector:
     ``outage``, and ``channel``.
     """
 
+    #: What a checkpoint carries (see core/snapshot.py): the constructor's
+    #: arguments and the drop accounting; the bindings are re-made at restore.
+    CHECKPOINT_FIELDS = (
+        "rng", "schedule", "policy", "uplink_channel", "downlink_channel",
+        "dropped_uplinks", "dropped_deliveries", "drops_by_cause",
+    )
+
     def __init__(
         self,
         rng: SimulationRng,

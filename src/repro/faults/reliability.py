@@ -78,6 +78,13 @@ class _Exchange:
 class ReliabilityLayer:
     """Bounded-retry delivery of reliable messages over a fault injector."""
 
+    #: The attributes a checkpoint carries (see core/snapshot.py).  Queued
+    #: rel-* envelopes reference the ``_pending`` exchanges by identity.
+    CHECKPOINT_FIELDS = (
+        "_uplink_seq", "_pending", "_next_token", "retransmissions",
+        "acks_sent", "ack_drops", "failures", "duplicates_suppressed",
+    )
+
     def __init__(self, transport: "SimulatedTransport", injector: FaultInjector) -> None:
         self.transport = transport
         self.injector = injector

@@ -36,6 +36,13 @@ class MessageLedger:
     bits_by_type: Counter = field(default_factory=Counter)
     energy_by_object: dict[ObjectId, float] = field(default_factory=dict)
 
+    #: The totals a checkpoint carries (see core/snapshot.py): everything
+    #: but the radio model, which the config rebuilds.
+    CHECKPOINT_FIELDS = (
+        "uplink_count", "downlink_count", "uplink_bits", "downlink_bits",
+        "counts_by_type", "bits_by_type", "energy_by_object",
+    )
+
     # ------------------------------------------------------------- recording
 
     def record_uplink(self, msg_type: str, bits: float, sender: ObjectId | None = None) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import settings
 
 from repro import scenario
 from repro.core import MobiEyesConfig, MobiEyesSystem, PropagationMode, QuerySpec, TrueFilter
@@ -12,6 +13,15 @@ from repro.geometry import Circle, Point, Rect, Vector
 from repro.mobility import MovingObject
 from repro.sim import SimulationRng
 from repro.workload import paper_defaults
+
+# Volume of the generated tests, chosen with hypothesis's own
+# ``--hypothesis-profile``.  "short" is what tier-1 runs: hypothesis's
+# defaults with a dozen rules per state-machine example.  "long" is the CI
+# step over the checkpoint tests (tests/test_snapshot*.py scale their
+# example counts from the profile's ``max_examples``).
+settings.register_profile("short", stateful_step_count=12)
+settings.register_profile("long", max_examples=2000, stateful_step_count=50)
+settings.load_profile("short")
 
 
 def make_object(oid, x, y, vx=0.0, vy=0.0, max_speed=100.0, props=None):

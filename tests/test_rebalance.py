@@ -19,12 +19,14 @@ Evidence layers:
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro import scenario
 from repro.core import MobiEyesConfig, RebalancePolicy
 from repro.core.messages import RebalanceDirective
-from repro.core.snapshot import checkpoint, restore, step_hash
+from repro.core.snapshot import checkpoint, export_state, import_state, restore, step_hash
 from repro.fastpath import numpy_available
 from repro.fastpath.bench import skewed_params
 from repro.workload import paper_defaults
@@ -127,8 +129,8 @@ class TestPolicy:
         order = (0, 1, 2)
         policy.propose(by_id(0.0, 10.0, 1.0), by_id(4, 4, 4), order)
         clone = RebalancePolicy()
-        clone.restore_state(policy.state())
-        assert clone.state() == policy.state()
+        import_state(clone, copy.deepcopy(export_state(policy)))
+        assert export_state(clone) == export_state(policy)
         # Both continue identically from the restored marks.
         totals, widths = by_id(1.0, 12.0, 2.0), by_id(3, 5, 4)
         assert clone.propose(totals, widths, order) == policy.propose(totals, widths, order)
@@ -242,7 +244,7 @@ class TestCheckpointRebalance:
         run_trace(system, 7)
         resumed = restore(checkpoint(system))
         assert resumed._rebalance_policy is not None
-        assert resumed._rebalance_policy.state() == system._rebalance_policy.state()
+        assert export_state(resumed._rebalance_policy) == export_state(system._rebalance_policy)
         assert resumed.rebalance_log == system.rebalance_log
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import MobiEyesConfig, MobiEyesService
 from repro.core.query import QuerySpec
-from repro.core.snapshot import checkpoint, restore, step_hash
+from repro.core.snapshot import _decode, checkpoint, restore, step_hash
 from repro.fastpath import numpy_available
 from repro.geometry import Circle, Point, Rect, Vector
 from repro.sim.rng import SimulationRng
@@ -378,7 +378,7 @@ class TestServiceCheckpoint:
         with system:
             system.step()
             cp = checkpoint(system)
-            assert cp.payload["service"] is None
+            assert _decode(cp)["service"] is None
 
 
 class TestConfigValidation:

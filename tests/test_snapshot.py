@@ -10,20 +10,41 @@ window.
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import pickle
+import pickletools
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import MobiEyesService, MobiEyesSystem, snapshot
+from repro.core.query import (
+    AndFilter,
+    NotFilter,
+    OrFilter,
+    PropertyEqualsFilter,
+    QuerySpec,
+    TrueFilter,
+)
 from repro.core.snapshot import (
     CHECKPOINT_VERSION,
     Checkpoint,
     checkpoint,
+    export_state,
     from_bytes,
+    import_state,
     restore,
     step_hash,
 )
 from repro.faults import CrashWindow, FaultInjector, FaultSchedule, ReliabilityPolicy
-from repro.faults.chaos import run_chaos
+from repro.faults.chaos import canonical_schedule, run_chaos
 from repro.faults.schedule import DisconnectWindow
-from repro.faults.channels import BernoulliChannel
+from repro.faults.channels import BernoulliChannel, GilbertElliottChannel
+from repro.fastpath import numpy_available
+from repro.geometry import Circle, Rect
+from repro.network.loss import LossModel
 from repro.sim import SimulationRng
 
 from tests.conftest import circle_query, make_object, make_system, paper_system
@@ -105,6 +126,28 @@ class TestCheckpointRoundtrip:
         assert resumed.transport.reliability.counters() == want_counters
         resumed.close()
 
+    def test_restore_reactivates_the_open_fault_windows(self):
+        # Found while writing tests/test_snapshot_stateful.py: the restored
+        # injector stood in step 0's (empty) fault windows until the next
+        # movement phase, so a broadcast made right after the restore was
+        # delivered to objects the live run knows to be disconnected.
+        def build():
+            windows = tuple(DisconnectWindow(oid=oid, start=2, end=9) for oid in range(0, 40, 2))
+            injector = FaultInjector(SimulationRng(3), schedule=FaultSchedule(disconnects=windows))
+            return paper_system(shards=1, scale=0.004, seed=1, loss=injector)
+
+        system, twin = build(), build()
+        system.run(4)
+        twin.run(4)
+        resumed = restore(checkpoint(system))
+        qid = next(iter(twin.server.sqt.ids()))
+        for each in (resumed, twin):
+            each.remove_query(qid)
+        assert resumed.transport.loss.counters() == twin.transport.loss.counters()
+        assert step_hash(resumed) == step_hash(twin)
+        for each in (resumed, twin, system):
+            each.close()
+
     def test_checkpoint_is_not_consumed(self):
         system = paper_system(shards=1)
         system.run(4)
@@ -137,15 +180,18 @@ class TestCheckpointRoundtrip:
         system = paper_system(shards=1)
         cp = checkpoint(system)
         system.close()
-        stale = Checkpoint(version=CHECKPOINT_VERSION + 1, payload=cp.payload)
+        # The version is checked where a checkpoint is made, so a foreign
+        # one never reaches restore.
         with pytest.raises(ValueError, match="version"):
-            restore(stale)
+            restore(Checkpoint(version=CHECKPOINT_VERSION + 1, blob=cp.blob))
         # v4 bytes (seven more config fields, list-indexed policy marks),
         # v5 bytes (whose queue may hold batched-report envelopes of a
-        # deleted class) and v6 bytes (whose queue may hold reliable
-        # exchanges of the old shape) are refused, not half-read.
-        for old in (4, 5, 6):
-            stale_bytes = Checkpoint(version=old, payload=cp.payload).to_bytes()
+        # deleted class), v6 bytes (reliable exchanges of the old shape)
+        # and v7 payloads (deep-copied objects, no header) are refused by
+        # the header's version field, not half-read.
+        data = cp.to_bytes()
+        for old in (4, 5, 6, 7):
+            stale_bytes = data[:8] + old.to_bytes(2, "big") + data[10:]
             with pytest.raises(ValueError, match=f"version {old} unsupported"):
                 from_bytes(stale_bytes)
         with pytest.raises(ValueError):
@@ -157,6 +203,283 @@ class TestCheckpointRoundtrip:
         system.subscribe(qid, lambda q, oid, entered: None)
         with pytest.raises(ValueError, match="subscription"):
             checkpoint(system)
+
+
+def tiny_checkpoint() -> Checkpoint:
+    with make_system([make_object(0, 25, 25), make_object(1, 26, 25, vx=6.0)]) as system:
+        system.install_query(circle_query(0, 3.0))
+        system.run(2)
+        return checkpoint(system)
+
+
+def doctored(cp: Checkpoint, edit) -> Checkpoint:
+    """``cp`` with ``edit`` applied to its decoded payload."""
+    payload = snapshot._decode(cp)
+    edit(payload)
+    return Checkpoint(CHECKPOINT_VERSION, pickle.dumps(payload))
+
+
+#: The first bytes of ``checkpoint(...).to_bytes()`` as the parent commit
+#: (checkpoint v7) wrote it for ``tiny_checkpoint``'s world: a bare
+#: protocol-5 pickle of the ``Checkpoint`` dataclass, no header.
+V7_BYTES = (
+    b"\x80\x05\x95\xda\x1a\x00\x00\x00\x00\x00\x00\x8c\x13repro.core."
+    b"snapshot\x94\x8c\nCheckpoint\x94\x93\x94"
+    b")\x81\x94N}\x94(\x8c\x07version\x94K\x07\x8c\x07pay"
+    b"load\x94}\x94(\x8c\x06config\x94\x8c\x11repro"
+    b".core.config\x94\x8c\x0eMobiEyesC"
+    b"onfig\x94\x93\x94)\x81\x94]\x94(\x8c\x15repro.ge"
+    b"ometry.shapes\x94\x8c\x04Rect\x94\x93\x94)"
+    b"\x81\x94]\x94(K\x00K\x00K2K2ebG@\x14\x00\x00\x00\x00\x00\x00"
+    b"G@>\x00\x00\x00\x00\x00\x00G@$\x00\x00\x00\x00\x00\x00\x8c\x16repr"
+    b"o.core.propagation\x94\x8c\x0fPro"
+)
+
+SENTINEL: list = []
+
+
+def touch_sentinel(*args):
+    SENTINEL.append(args)
+
+
+class Evil:
+    def __reduce__(self):
+        return (touch_sentinel, ("ran",))
+
+
+class TestWrongShapeFailsClosed:
+    """A payload that decodes but is not what ``checkpoint`` wrote is a
+    ``ValueError`` naming the difference, raised before a system exists."""
+
+    @staticmethod
+    def refused(cp: Checkpoint, match: str) -> None:
+        built = AssertionError("restore built a system from a malformed payload")
+        with mock.patch.object(MobiEyesSystem, "__init__", side_effect=built):
+            with pytest.raises(ValueError, match=match):
+                restore(cp)
+
+    def test_empty_payload(self):
+        self.refused(
+            Checkpoint(CHECKPOINT_VERSION, pickle.dumps({})), "missing .*'clients'.*'loss'"
+        )
+
+    def test_payload_that_is_not_a_dict_or_not_bytes(self):
+        self.refused(Checkpoint(CHECKPOINT_VERSION, pickle.dumps(None)), "NoneType, not a dict")
+        for blob in ({}, None, bytearray(b"x")):
+            with pytest.raises(ValueError, match="not bytes"):
+                Checkpoint(CHECKPOINT_VERSION, blob)
+
+    def test_reliability_state_without_an_injector_and_a_missing_client(self):
+        cp = tiny_checkpoint()
+        self.refused(
+            doctored(cp, lambda p: p.update(reliability={})), "reliability state does not match"
+        )
+        self.refused(doctored(cp, lambda p: p["clients"].pop(1)), r"clients: missing \[1\]")
+        self.refused(doctored(cp, lambda p: p["transport"].update(extra=1)), "unexpected .*'extra'")
+        self.refused(doctored(cp, lambda p: p["server"].append(p["server"][0])), "do not fit shards=1")
+
+    def test_import_rejects_keys_that_differ_from_the_owners_tuple(self):
+        with make_system([make_object(0, 25, 25)]) as system:
+            state = export_state(system.transport)
+            assert tuple(state) == type(system.transport).CHECKPOINT_FIELDS
+            import_state(system.transport, dict(state))
+            del state["_queue"]
+            state["queue"] = {}
+            with pytest.raises(ValueError, match=r"missing \['_queue'\], unexpected \['queue'\]"):
+                import_state(system.transport, state)
+
+
+class TestHostileBytesFailClosed:
+    def test_mutated_bytes_never_reach_the_decoder(self):
+        good = tiny_checkpoint().to_bytes()
+        header = snapshot._HEADER.size
+
+        def relength(data: bytes, length: int) -> bytes:
+            return data[:10] + length.to_bytes(8, "big") + data[18:]
+
+        mutation = st.one_of(
+            st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255)).map(
+                lambda flip: good[: flip[0]] + bytes([good[flip[0]] ^ flip[1]]) + good[flip[0] + 1 :]
+            ),
+            st.integers(0, len(good) - 1).map(lambda cut: good[:cut]),
+            st.binary(min_size=1, max_size=64).map(lambda junk: good + junk),
+            # A doctored length field, alone and with the data cut or
+            # padded to agree with it (then the digest is what disagrees).
+            st.integers(0, 2 * len(good)).filter(lambda n: n != len(good) - header).map(
+                lambda n: relength(good, n)
+            ),
+            st.integers(0, len(good) - header - 1).map(
+                lambda n: relength(good[: header + n], n)
+            ),
+            st.binary(min_size=1, max_size=64).map(
+                lambda junk: relength(good + junk, len(good) - header + len(junk))
+            ),
+        )
+
+        @settings(max_examples=max(1, settings().max_examples // 2), deadline=None)
+        @given(mutation)
+        def check(data):
+            with mock.patch.object(snapshot, "_decode") as decode:
+                with pytest.raises(ValueError):
+                    restore(from_bytes(data))
+            assert not decode.called
+
+        check()
+        with pytest.raises(ValueError, match="exceeds"):
+            with mock.patch.object(snapshot, "MAX_PAYLOAD_BYTES", 16):
+                from_bytes(good)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(pickle.dumps(Evil()), id="reduce"),
+            pytest.param(b"cos\nsystem\n(S'true'\ntR.", id="os.system"),
+            pytest.param(b"cbuiltins\neval\n(S'1'\ntR.", id="builtins.eval"),
+            pytest.param(pickle.dumps(restore), id="repro-function"),
+            pytest.param(pickle.dumps(touch_sentinel), id="test-function"),
+            pytest.param(b"\x80\x05\x95\xff\x00\x00\x00\x00\x00\x00\x00}\x94(\x8c\x06config", id="truncated"),
+            pytest.param(pickle.dumps([1, 2, 3]), id="not-a-dict"),
+            pytest.param(b"", id="empty"),
+        ],
+    )
+    def test_valid_header_around_a_hostile_body(self, body):
+        """``from_bytes`` accepts the well-formed header without decoding
+        anything; ``restore`` refuses the body without running it."""
+        del SENTINEL[:]
+        data = Checkpoint(CHECKPOINT_VERSION, body).to_bytes()
+        with mock.patch.object(snapshot, "_PayloadUnpickler") as unpickler:
+            cp = from_bytes(data)
+        assert not unpickler.called and cp.blob == body
+        with pytest.raises(ValueError):
+            restore(cp)
+        assert SENTINEL == []
+
+    def test_a_truncated_real_payload_is_refused(self):
+        cp = tiny_checkpoint()
+        with pytest.raises(ValueError, match="does not decode"):
+            restore(Checkpoint(CHECKPOINT_VERSION, cp.blob[: len(cp.blob) // 2]))
+
+    def test_parent_written_v7_bytes_are_refused_by_the_magic_check(self):
+        assert V7_BYTES.startswith(b"\x80\x05") and b"Checkpoint" in V7_BYTES
+        with mock.patch.object(snapshot, "_PayloadUnpickler") as unpickler:
+            with pytest.raises(ValueError, match="bad magic"):
+                from_bytes(V7_BYTES)
+        assert not unpickler.called
+
+
+def globals_of(blob: bytes) -> set[tuple[str, str]]:
+    """Every ``(module, name)`` a protocol-4+ pickle stream resolves, read
+    off its opcodes without executing it."""
+    seen: set[tuple[str, str]] = set()
+    memo: list = []
+    pushed: list = [None, None]  # the last two values pushed, strings only
+    for op, arg, _ in pickletools.genops(blob):
+        if op.name == "FRAME":
+            continue
+        if op.name == "MEMOIZE":
+            memo.append(pushed[-1])
+            continue
+        assert op.name not in ("GLOBAL", "INST", "PUT", "BINPUT", "LONG_BINPUT", "GET"), op.name
+        if op.name == "STACK_GLOBAL":
+            seen.add((pushed[-2], pushed[-1]))
+        if op.name in ("SHORT_BINUNICODE", "BINUNICODE", "BINUNICODE8"):
+            pushed.append(arg)
+        elif op.name in ("BINGET", "LONG_BINGET"):
+            pushed.append(memo[arg])
+        else:
+            pushed.append(None)
+        del pushed[:-2]
+    return seen
+
+
+class TestAllowListIsExact:
+    def test_checkpoints_name_exactly_the_allow_listed_globals(self):
+        """A new payload class fails here with its name; so does an
+        allow-list entry no checkpoint uses."""
+        seen: set[tuple[str, str]] = set()
+
+        def take(system):
+            seen.update(globals_of(checkpoint(system).blob))
+
+        # The round-trip matrix.
+        for engine in ("reference", "vectorized") if numpy_available() else ("reference",):
+            for shards in (1, 2, 4):
+                with paper_system(engine, shards=shards) as system:
+                    system.run(6)
+                    take(system)
+        # Reliable exchanges in flight under latency 2, burst and i.i.d.
+        # channels, every kind of fault window, a crash recovered from a
+        # cadence checkpoint, scheduled rebalances, and a filtered static
+        # query installed and removed mid-run -- a checkpoint every step,
+        # so every message class is caught in the queue at some boundary.
+        with paper_system(shards=2) as base:
+            schedule = canonical_schedule(24, sorted(base.clients), base.layout, base.config.uod)
+        schedule = dataclasses.replace(schedule, crashes=(CrashWindow(shard=1, start=8, end=12),))
+        rng = SimulationRng(5)
+        injector = FaultInjector(
+            rng,
+            schedule=schedule,
+            policy=ReliabilityPolicy(heartbeat_steps=2, lease_steps=3),
+            uplink_channel=GilbertElliottChannel(
+                rng, p_good_to_bad=0.05, p_bad_to_good=0.45, loss_good=0.0, loss_bad=1.0
+            ),
+            downlink_channel=BernoulliChannel(rng, rate=0.1),
+        )
+        spec = QuerySpec.static(
+            Rect(10, 10, 20, 20),
+            filter=AndFilter((OrFilter((NotFilter(PropertyEqualsFilter("class", 1)), TrueFilter())),)),
+        )
+        with paper_system(
+            shards=2,
+            latency=2,
+            loss=injector,
+            checkpoint_every_steps=3,
+            rebalance_schedule=((5, 0, 1, 1), (15, 1, 0, 1)),
+        ) as system:
+            for step in range(24):
+                system.step()
+                take(system)
+                if step == 13:
+                    qid = system.install_query(spec)
+                    take(system)
+                if step == 16:
+                    system.remove_query(qid)
+                    take(system)
+        # A suspended focal's stateless sign of life: the server probes it
+        # for motion state (uplink loss switched on after the installs).
+        rng = SimulationRng(9)
+        injector = FaultInjector(rng, policy=ReliabilityPolicy(heartbeat_steps=2, lease_steps=2))
+        with paper_system(shards=1, latency=1, loss=injector) as system:
+            injector.uplink_channel = BernoulliChannel(rng, rate=0.5)
+            for _ in range(16):
+                system.step()
+                take(system)
+        # A plain loss model, which travels whole.
+        with paper_system(shards=1, loss=LossModel(SimulationRng(3), 0.1, 0.1)) as system:
+            system.run(3)
+            take(system)
+        # A service mid-backlog: queued tickets and their specs.
+        with paper_system(shards=2, ingest_budget_per_step=1, ingest_queue_limit=8) as system:
+            service = MobiEyesService(system)
+            for oid in sorted(system.clients)[:2]:
+                service.install_query(QuerySpec(oid=oid, region=Circle(0, 0, 1.0)))
+            service.tick()
+            assert service.queue_depth == 1
+            take(system)
+        # An elastic fleet after a split.
+        with paper_system(shards=2, elastic_schedule=((3, "split", 0),)) as system:
+            system.run(5)
+            assert len(system.server.shards) == 3
+            take(system)
+
+        allowed = {
+            (module, name)
+            for module, names in snapshot._ALLOWED_GLOBALS.items()
+            for name in names.split()
+        }
+        assert sorted(seen - allowed) == [], "payload classes missing from the allow-list"
+        assert sorted(allowed - seen) == [], "allow-list entries no checkpoint uses"
+        assert not any("numpy" in module for module, _ in allowed)
 
 
 class TestCloseLifecycle:
