@@ -1,6 +1,6 @@
 """The MobiEyes distributed moving-query protocol (the paper's contribution)."""
 
-from repro.core.client import ClientStats, MobiEyesClient
+from repro.core.client import EvalCounters, MobiEyesClient
 from repro.core.config import MobiEyesConfig
 from repro.core.coordinator import Coordinator
 from repro.core.focal import FocalTracker
@@ -35,8 +35,8 @@ from repro.core.transport import SimulatedTransport
 
 __all__ = [
     "AndFilter",
-    "ClientStats",
     "Coordinator",
+    "EvalCounters",
     "FocalTracker",
     "PartitionMap",
     "RebalancePolicy",

@@ -60,34 +60,22 @@ from repro.mobility.model import MovingObject, ObjectId
 from repro.sim.clock import SimulationClock
 
 
-@dataclass
-class ClientStats:
-    """Per-object processing counters, sampled by the metric collectors."""
+@dataclass(slots=True)
+class EvalCounters:
+    """Lifetime LQT-evaluation counters.  A system owns one, which every
+    client and the batch evaluator increment; a client built on its own
+    gets a private one."""
 
     evaluated_queries: int = 0  # containment checks actually performed
     skipped_by_safe_period: int = 0
     skipped_by_grouping: int = 0
     processing_seconds: float = 0.0
 
-    def drain(self) -> tuple[int, int, int, float]:
-        """Take ``(evaluated, skipped_by_safe_period, skipped_by_grouping,
-        processing_seconds)`` and zero *every* counter.
-
-        This is the one place the counters are zeroed (the per-step
-        measurement loop's hot path: one call, one tuple, no snapshot
-        object).
-        """
-        out = (
-            self.evaluated_queries,
-            self.skipped_by_safe_period,
-            self.skipped_by_grouping,
-            self.processing_seconds,
-        )
-        self.evaluated_queries = 0
-        self.skipped_by_safe_period = 0
-        self.skipped_by_grouping = 0
-        self.processing_seconds = 0.0
-        return out
+    COUNTERS = (
+        "evaluated_queries", "skipped_by_safe_period", "skipped_by_grouping",
+        "processing_seconds",
+    )
+    CHECKPOINT_FIELDS = COUNTERS
 
 
 class MobiEyesClient:
@@ -97,7 +85,7 @@ class MobiEyesClient:
     #: which restores the LQT, ``has_mq`` and the relayed state through
     #: their watcher-firing setters instead).
     CHECKPOINT_FIELDS = (
-        "last_cell", "stats", "_steps_since_ack", "_last_downlink_seq",
+        "last_cell", "_steps_since_ack", "_last_downlink_seq",
         "_needs_resync", "_suspect", "_report_epoch", "partition_epoch",
     )
 
@@ -107,6 +95,7 @@ class MobiEyesClient:
         grid: Grid,
         transport: SimulatedTransport,
         config: MobiEyesConfig,
+        stats: EvalCounters | None = None,
     ) -> None:
         self.obj = obj
         self.grid = grid
@@ -120,7 +109,7 @@ class MobiEyesClient:
         # register a watcher to mirror it into its dead-reckoning columns.
         self._relayed_watcher = None
         self._relayed_state = obj.snapshot()
-        self.stats = ClientStats()
+        self.stats = stats if stats is not None else EvalCounters()
         # Fault-handling state; the system wires `focal_registry` (the
         # shared client-side view of who is focal) and `fault_policy`
         # (non-None only when a FaultInjector is attached).

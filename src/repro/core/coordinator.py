@@ -647,16 +647,11 @@ class Coordinator:
 
     # ---------------------------------------------------------- load
 
-    def reset_load(self) -> tuple[float, int]:
-        """Return and clear the aggregated (seconds, ops) load counters
-        (the sum over shards)."""
-        seconds = 0.0
-        ops = 0
-        for shard in self.shards:
-            shard_seconds, shard_ops = shard.reset_load()
-            seconds += shard_seconds
-            ops += shard_ops
-        return seconds, ops
+    def load_totals(self) -> tuple[float, int]:
+        """Lifetime (seconds, ops) summed over every shard slot -- retired
+        ones included, so the totals only ever go up."""
+        loads = [shard.load for shard in self.shards]
+        return sum(load.seconds for load in loads), sum(load.ops for load in loads)
 
     def shard_loads(self) -> list[dict]:
         """Per-shard lifetime load totals (for the harness reports' balance block).
@@ -673,8 +668,8 @@ class Coordinator:
                 {
                     "shard": shard.shard_id,
                     "columns": [lo, hi],
-                    "ops": shard.load.total_ops + shard.load.ops,
-                    "seconds": shard.load.total_seconds + shard.load.seconds,
+                    "ops": shard.load.ops,
+                    "seconds": shard.load.seconds,
                     "queries": len(shard.registry),
                     "focals": len(shard.tracker),
                 }

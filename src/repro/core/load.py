@@ -14,11 +14,20 @@ Every server component -- the monolithic server, and each shard behind the
 coordinator -- charges one :class:`LoadAccount`, which is its own
 re-entrant context manager: a handler's ``with self.load.timed():``
 allocates nothing, and only the outermost enter/exit pair reads the clock.
+
+Counters in this package only go up.  A component names its lifetime
+counters once, in a class-level ``COUNTERS`` tuple that its
+``CHECKPOINT_FIELDS`` include (a counter *is* a checkpoint field);
+:func:`read_counters` is the one read of that tuple, and anything that
+wants a per-step or per-window figure keeps a *mark* of the totals and
+subtracts (``MobiEyesSystem._measurement_phase``, the rebalance policy's
+window, the soak's tail window).  Nothing is zeroed on read.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Any
 
 
 class _PausedSection:
@@ -37,22 +46,37 @@ class _PausedSection:
         self.account.__enter__()
 
 
+def read_counters(owner: Any) -> dict[str, Any]:
+    """The lifetime counters ``owner``'s class names in ``COUNTERS``
+    (empty for a component the system was built without)."""
+    if owner is None:
+        return {}
+    return {name: getattr(owner, name) for name in owner.COUNTERS}
+
+
+def counter_section(counters: dict[str, Any], owner: str) -> dict[str, Any]:
+    """One owner's slice of ``MobiEyesSystem.counters()``, prefix removed."""
+    prefix = owner + "."
+    return {key[len(prefix):]: value for key, value in counters.items() if key.startswith(prefix)}
+
+
 class LoadAccount:
     """Re-entrant wall-clock + operation-count accounting for one server.
 
-    ``seconds``/``ops`` accumulate since the last :meth:`reset` (one
-    measurement step); ``total_seconds``/``total_ops`` accumulate over the
-    account's lifetime and survive resets -- the per-shard load-balance
-    report is built from the lifetime totals.
+    ``seconds`` / ``ops`` accumulate over the account's lifetime: the
+    step sample, the rebalance policy and the per-shard load-balance
+    report all difference them against their own marks.
     """
 
-    __slots__ = ("seconds", "ops", "total_seconds", "total_ops", "_depth", "_start")
+    __slots__ = ("seconds", "ops", "_depth", "_start")
+
+    COUNTERS = ("seconds", "ops")
+    #: Rides in its server unit's checkpoint section (core/snapshot.py).
+    CHECKPOINT_FIELDS = COUNTERS
 
     def __init__(self) -> None:
         self.seconds = 0.0
         self.ops = 0
-        self.total_seconds = 0.0
-        self.total_ops = 0
         self._depth = 0
         self._start = 0.0
 
@@ -76,15 +100,6 @@ class LoadAccount:
         """``with account.paused(): ...`` inside a timed section -- a span
         that is *not* server work (e.g. a synchronous client round trip)."""
         return _PausedSection(self)
-
-    def reset(self) -> tuple[float, int]:
-        """Return and clear the per-step (seconds, ops) counters."""
-        out = (self.seconds, self.ops)
-        self.total_seconds += self.seconds
-        self.total_ops += self.ops
-        self.seconds = 0.0
-        self.ops = 0
-        return out
 
 
 def load_balance(shard_loads: list[dict]) -> dict:
@@ -121,7 +136,7 @@ def fleet_section(system) -> dict:
     ``shard_loads`` (seconds rounded for display), their
     :func:`load_balance`, and the partition map's bounds and epoch are
     ``None`` on a monolithic server; the applied ``rebalance_log`` and the
-    transport's ``stale_epoch_reroutes`` are always present.  The seconds
+    ``transport.stale_epoch_reroutes`` counter are always present.  The seconds
     views are wall-clock and vary run to run; everything else is
     deterministic.
     """
@@ -130,7 +145,7 @@ def fleet_section(system) -> dict:
         "load_balance": None,
         "partition_bounds": None,
         "partition_epoch": None,
-        "stale_epoch_reroutes": system.transport.stale_epoch_reroutes,
+        "stale_epoch_reroutes": system.counters()["transport.stale_epoch_reroutes"],
         "rebalance_log": list(system.rebalance_log),
     }
     server = system.server

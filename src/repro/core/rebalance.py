@@ -24,7 +24,7 @@ runs are as reproducible as scheduled ones (``rebalance_schedule`` /
 ``elastic_schedule``): same seed, same decisions, on either engine.
 
 The thresholds are constants, not configuration: no caller ever set them
-(see docs/ARCHITECTURE.md, "Decision record: one placement policy").
+(see docs/DECISIONS.md, "One placement policy").
 """
 
 from __future__ import annotations
@@ -67,12 +67,11 @@ class RebalancePolicy:
     question, so every evaluation takes the live ``order``.
     """
 
+    #: Lifetime decision counters (core/load.py).
+    COUNTERS = ("windows", "proposals", "splits", "merges")
     #: The decision state a checkpoint carries (see core/snapshot.py):
     #: marks, streaks, hysteresis, counters.
-    CHECKPOINT_FIELDS = (
-        "_marks", "_hot_streak", "_cold_streak", "_armed",
-        "windows", "proposals", "splits", "merges",
-    )
+    CHECKPOINT_FIELDS = ("_marks", "_hot_streak", "_cold_streak", "_armed", *COUNTERS)
 
     def __init__(self, max_shards: int = 0) -> None:
         if max_shards != 0 and max_shards < MIN_SHARDS:
@@ -82,7 +81,6 @@ class RebalancePolicy:
         self._hot_streak: dict[int, int] = {}
         self._cold_streak: dict[int, int] = {}
         self._armed = False
-        # Lifetime decision counters (observability).
         self.windows = 0
         self.proposals = 0
         self.splits = 0

@@ -114,9 +114,9 @@ class MobiEyesServer:
 
     # ------------------------------------------------------------- timing
 
-    def reset_load(self) -> tuple[float, int]:
-        """Return and clear the accumulated (seconds, ops) load counters."""
-        return self.load.reset()
+    def load_totals(self) -> tuple[float, int]:
+        """Lifetime (seconds, ops) charged to this server."""
+        return self.load.seconds, self.load.ops
 
     # -------------------------------------------------- cross-shard hooks
     #

@@ -44,8 +44,9 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.load import read_counters
 from repro.core.query import QueryId, QuerySpec
-from repro.core.snapshot import export_state, import_state
+from repro.core.snapshot import import_state
 from repro.geometry import Point, Vector
 from repro.mobility.model import ObjectId
 
@@ -94,14 +95,15 @@ class IngestTicket:
 class MobiEyesService:
     """Queue-driven, indefinitely running front end of a MobiEyes system."""
 
-    #: What a checkpoint carries (see core/snapshot.py): the queue -- its
-    #: tickets as they are, so a queued removal still references its queued
-    #: install's ticket after the round trip -- and the lifetime counters
-    #: :meth:`counters` reports.
-    CHECKPOINT_FIELDS = (
-        "_queue", "submitted", "applied", "backpressure_rejects", "invalid_rejects",
+    #: Lifetime counters (core/load.py), in :meth:`counters` order.
+    COUNTERS = (
+        "submitted", "applied", "backpressure_rejects", "invalid_rejects",
         "deferred_ops", "deferred_ticks", "ticks",
     )
+    #: What a checkpoint carries (see core/snapshot.py): the queue -- its
+    #: tickets as they are, so a queued removal still references its queued
+    #: install's ticket after the round trip -- and the counters.
+    CHECKPOINT_FIELDS = ("_queue", *COUNTERS)
 
     def __init__(self, system: "MobiEyesSystem") -> None:
         self.system = system
@@ -287,9 +289,7 @@ class MobiEyesService:
     def counters(self) -> dict:
         """Accounting snapshot: every submission is applied, rejected, or
         still queued -- nothing is silently dropped."""
-        out = export_state(self)
-        out["queued"] = len(out.pop("_queue"))
-        return out
+        return {**read_counters(self), "queued": len(self._queue)}
 
     def check_accounting(self) -> None:
         """The no-silent-drop invariant."""

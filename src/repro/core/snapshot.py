@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Wire-format version.  Bump on any layout change: the header, a payload
 #: key, an owner's ``CHECKPOINT_FIELDS``, a field of a payload class.
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 #: Largest payload a checkpoint may hold, checked before anything is
 #: hashed or decoded (Table 1 at full scale is ~6 MB).
@@ -126,7 +126,6 @@ def from_bytes(data: bytes) -> Checkpoint:
 _ALLOWED_GLOBALS = {
     "random": "Random",
     "collections": "Counter deque",
-    "repro.core.client": "ClientStats",
     "repro.core.config": "MobiEyesConfig",
     "repro.core.messages": "Ack CellChangeReport FocalRoleNotification Heartbeat "
     "MotionStateRequest MotionStateResponse QueryDescriptor QueryInstallBroadcast "
@@ -149,7 +148,6 @@ _ALLOWED_GLOBALS = {
     "repro.mobility.model": "MotionState MovingObject",
     "repro.network.latency": "LatencyModel",
     "repro.network.loss": "LossModel",
-    "repro.network.messaging": "LedgerSnapshot",
     "repro.network.radio": "RadioModel",
     "repro.sim.rng": "SimulationRng",
     "repro.workload.filters": "ClassThresholdFilter",
@@ -207,7 +205,8 @@ def import_state(owner: Any, state: dict[str, Any] | None) -> None:
 _PAYLOAD_KEYS = (
     "config step objects rng velocity_changes_per_step changed_last_step track_accuracy "
     "warmup_steps latency loss server partition rebalance_policy next_qid report_epochs "
-    "clients transport reliability ledger metrics_steps system last_checkpoint own_basis service"
+    "clients eval_counters transport reliability ledger metrics_steps system last_checkpoint "
+    "own_basis service"
 ).split()
 
 
@@ -215,8 +214,9 @@ def _check_shape(p: Any) -> None:
     """Refuse a payload :func:`restore` could only half-apply, before any
     system is built: exact keys in every dict this module wrote, one
     server section per shard slot, one client section per object."""
-    from repro.core.client import MobiEyesClient
+    from repro.core.client import EvalCounters, MobiEyesClient
     from repro.core.config import MobiEyesConfig
+    from repro.core.load import LoadAccount
     from repro.core.rebalance import RebalancePolicy
     from repro.core.service import MobiEyesService
     from repro.core.system import MobiEyesSystem
@@ -246,11 +246,13 @@ def _check_shape(p: Any) -> None:
         raise ValueError(f"checkpoint objects are malformed: {exc}") from exc
     _check_keys("clients", p["clients"], oids)
     for section in sections:
-        _check_keys("server section", section, ("entries", "tracker"))
+        _check_keys("server section", section, ("entries", "tracker", "load"))
+        _check_keys("server load", section["load"], LoadAccount.CHECKPOINT_FIELDS)
     client_keys = ("entries", "hull", "has_mq", "relayed", *MobiEyesClient.CHECKPOINT_FIELDS)
     for section in p["clients"].values():
         _check_keys("client section", section, client_keys)
     for what, state, owner in (
+        ("evaluation counters", p["eval_counters"], EvalCounters),
         ("transport", p["transport"], SimulatedTransport),
         ("ledger", p["ledger"], MessageLedger),
         ("reliability", p["reliability"], ReliabilityLayer),
@@ -283,6 +285,9 @@ def _capture_server(system: "MobiEyesSystem") -> list[dict[str, Any]]:
             "tracker": [
                 (oid, unit.tracker.export_state(oid)) for oid in unit.tracker.tracked_oids()
             ],
+            # The unit's lifetime load: what the step sample and the
+            # rebalance policy's marks are differenced against.
+            "load": export_state(unit.load),
         }
         for unit in _server_units(system)
     ]
@@ -380,6 +385,7 @@ def checkpoint(system: "MobiEyesSystem", cadence_step: int | None = None) -> Che
         "next_qid": server._next_qid,
         "report_epochs": server._report_epochs,
         "clients": _capture_clients(system),
+        "eval_counters": export_state(system.eval_counters),
         # Queued rel-* envelopes and the reliability layer's ``_pending``
         # share their exchanges: one dumps keeps them the same objects.
         "transport": export_state(system.transport),
@@ -427,6 +433,7 @@ def _graft_server(system: "MobiEyesSystem", sections: list[dict[str, Any]]) -> N
     for unit, section in zip(units, sections):
         for oid, packed in section["tracker"]:
             unit.tracker.import_state(oid, packed)
+        import_state(unit.load, section["load"])
 
 
 def _graft_clients(system: "MobiEyesSystem", sections: dict[int, dict[str, Any]]) -> None:
@@ -490,6 +497,7 @@ def restore(cp: Checkpoint) -> "MobiEyesSystem":
     # In place: every shard holds the coordinator's epoch dict by reference.
     system.server._report_epochs.update(p["report_epochs"])
     _graft_clients(system, p["clients"])
+    import_state(system.eval_counters, p["eval_counters"])
     import_state(system.transport, p["transport"])
     import_state(system.transport.reliability, p["reliability"])
     # The constructor rolled the loss seam into step 0: re-activate the

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.client import MobiEyesClient
+from repro.core.client import EvalCounters, MobiEyesClient
 from repro.core.config import MobiEyesConfig
+from repro.core.load import LoadAccount, read_counters
 from repro.core.messages import RebalanceDirective, ResyncDirective
 from repro.core.query import QueryId, QuerySpec
 from repro.core.server import MobiEyesServer
@@ -54,10 +55,12 @@ from repro.sim.trace import TraceLog
 class MobiEyesSystem:
     """A complete distributed MobiEyes deployment in simulation."""
 
+    #: Lifetime counters (core/load.py).
+    COUNTERS = ("checkpoints_taken",)
     #: The facade's own attributes a checkpoint carries (core/snapshot.py).
     CHECKPOINT_FIELDS = (
-        "_ledger_mark", "_last_error", "_last_error_step", "_checkpoints_taken", "rebalance_log",
-        "_unstepped_updates",
+        "_step_mark", "_last_error", "_last_error_step", "rebalance_log", "crash_log",
+        "_unstepped_updates", *COUNTERS,
     )
 
     def __init__(
@@ -116,8 +119,11 @@ class MobiEyesSystem:
             self.motion = MotionModel(
                 objects, config.uod, self.rng, velocity_changes_per_step=velocity_changes_per_step
             )
+        # The one evaluation-counter object every client (and the batch
+        # evaluator) increments.
+        self.eval_counters = EvalCounters()
         self.clients: dict[ObjectId, MobiEyesClient] = {
-            obj.oid: MobiEyesClient(obj, self.grid, self.transport, config)
+            obj.oid: MobiEyesClient(obj, self.grid, self.transport, config, self.eval_counters)
             for obj in self.motion.objects
         }
         self._client_order = sorted(self.clients)
@@ -133,8 +139,10 @@ class MobiEyesSystem:
         # recovery basis), and the schedule's crash windows if any.
         self._last_checkpoint = None
         self._checkpoint_every = config.checkpoint_every_steps
-        self._checkpoints_taken = 0
+        self.checkpoints_taken = 0
         self._crash_windows = ()
+        # What each crash erased and each recovery rebuilt (chaos report).
+        self.crash_log: list[dict] = []
         # Online repartitioning: the explicit trigger schedule, the
         # optional load-driven policy, and the log of applied operations
         # (consumed by the chaos / soak reports).
@@ -212,7 +220,8 @@ class MobiEyesSystem:
             population=len(self.motion),
             warmup_steps=warmup_steps,
         )
-        self._ledger_mark = self.ledger.snapshot()
+        # The lifetime totals at the last step sample (see _sample_totals).
+        self._step_mark = self._sample_totals()
 
         self.engine = SimulationEngine(SimulationClock(config.step_seconds))
         self.engine.register("movement", self._movement_phase)
@@ -292,6 +301,33 @@ class MobiEyesSystem:
         """The client state machine of one moving object."""
         return self.clients[oid]
 
+    def counters(self) -> dict:
+        """Every lifetime counter of the system (plus its owners' gauges)
+        under one flat ``"<owner>.<name>"`` key: the read-only view the
+        chaos, soak and fleet reports are filled from.  Owners the system
+        was built without are absent."""
+        transport = self.transport
+        sections = {
+            "system": read_counters(self),
+            "server": dict(zip(LoadAccount.COUNTERS, self.server.load_totals())),
+            "eval": read_counters(self.eval_counters),
+            "ledger": read_counters(self.ledger),
+            "transport": read_counters(transport),
+            "policy": read_counters(self._rebalance_policy),
+        }
+        for name, owner in (
+            ("reliability", transport.reliability),
+            ("injector", self._fault_injector),
+            ("service", self._service),
+        ):
+            if owner is not None:
+                sections[name] = owner.counters()
+        return {
+            f"{owner}.{name}": value
+            for owner, section in sections.items()
+            for name, value in section.items()
+        }
+
     def check_invariants(self) -> None:
         """Protocol invariants validated by the test suite.
 
@@ -303,7 +339,13 @@ class MobiEyesSystem:
         rule hold regardless.
         """
         self.server.check_invariants()
-        relaxed = self.transport.latency_active or self.transport.pending_count() > 0
+        transport = self.transport
+        assert transport._envelope_seq == (
+            transport.delivered_deferred
+            + transport.discarded_envelopes
+            + transport.pending_count()
+        ), "an envelope is neither delivered, discarded nor queued"
+        relaxed = transport.latency_active or transport.pending_count() > 0
         for oid in self._client_order:
             client = self.clients[oid]
             for entry in client.lqt.entries():
@@ -361,7 +403,8 @@ class MobiEyesSystem:
                         "first cadence checkpoint: nothing to recover from"
                     )
                 sections = _decode(self._last_checkpoint)["server"]
-                self.server.recover_shard(window.shard, sections, step)
+                summary = self.server.recover_shard(window.shard, sections, step)
+                self.crash_log.append({"step": step, **summary})
                 # Clients re-pull descriptors and report epochs; coverage
                 # still matches true positions (movement has not run yet).
                 grid = self.grid
@@ -370,7 +413,7 @@ class MobiEyesSystem:
                 )
         for window in self._crash_windows:
             if window.start == step:
-                self.server.crash_shard(window.shard)
+                self.crash_log.append({"step": step, **self.server.crash_shard(window.shard)})
         every = self._checkpoint_every
         if every and step % every == 0:
             injector = self._fault_injector
@@ -378,7 +421,7 @@ class MobiEyesSystem:
                 # The clock already reads ``step`` but this is the
                 # post-``step - 1`` boundary state.
                 self._last_checkpoint = checkpoint(self, cadence_step=step - 1)
-                self._checkpoints_taken += 1
+                self.checkpoints_taken += 1
 
     def _rebalance_housekeeping(self, step: int) -> None:
         """Scheduled and policy-driven repartitioning, in the same
@@ -513,39 +556,39 @@ class MobiEyesSystem:
         """Context-manager teardown."""
         self.close()
 
+    def _sample_totals(self) -> tuple:
+        """The lifetime totals a step sample is a difference of."""
+        ledger, evals, transport = self.ledger, self.eval_counters, self.transport
+        return (
+            *self.server.load_totals(),
+            ledger.uplink_count,
+            ledger.downlink_count,
+            ledger.uplink_bits,
+            ledger.downlink_bits,
+            ledger.total_energy(),
+            evals.evaluated_queries,
+            evals.skipped_by_safe_period,
+            evals.skipped_by_grouping,
+            evals.processing_seconds,
+            transport.delivered_deferred,
+            transport.delivered_delay_sum,
+        )
+
     def _measurement_phase(self, clock: SimulationClock) -> None:
-        server_seconds, server_ops = self.server.reset_load()
-        mark = self.ledger.snapshot()
-        delta = self._ledger_mark.delta(mark)
-        self._ledger_mark = mark
+        totals = self._sample_totals()
+        (
+            server_seconds, server_ops,
+            uplinks, downlinks, uplink_bits, downlink_bits, energy,
+            evaluated, skipped_sp, skipped_group, processing,
+            delivered, delay_sum,
+        ) = (now - before for now, before in zip(totals, self._step_mark))
+        self._step_mark = totals
 
         if self._fastpath is not None:
-            # The batch evaluator tracks LQT sizes and the evaluation
-            # counters as system-wide aggregates; no per-client walk.
-            (
-                lqt_total,
-                evaluated,
-                skipped_sp,
-                skipped_group,
-                processing,
-            ) = self._fastpath.measurement_counts()
+            # The batch evaluator tracks the LQT sizes; no per-client walk.
+            lqt_total = self._fastpath.evaluator.lqt_total()
         else:
-            lqt_total = 0
-            evaluated = 0
-            skipped_sp = 0
-            skipped_group = 0
-            processing = 0.0
-            # This loop touches every client every step, so it stays on
-            # the measured hot path; draining goes through the dataclass
-            # (one call, one tuple), the one place the counters are zeroed.
-            for oid in self._client_order:
-                client = self.clients[oid]
-                lqt_total += len(client.lqt)
-                d_evaluated, d_skipped_sp, d_skipped_group, d_processing = client.stats.drain()
-                evaluated += d_evaluated
-                skipped_sp += d_skipped_sp
-                skipped_group += d_skipped_group
-                processing += d_processing
+            lqt_total = sum(len(client.lqt) for client in self.clients.values())
 
         # Accuracy is sampled on evaluation steps only: results change
         # meaningfully when the objects re-evaluate their LQTs, and the
@@ -556,27 +599,24 @@ class MobiEyesSystem:
         if self.track_accuracy and clock.step % self.config.eval_period_steps == 0:
             self._last_error = mean_result_error(self.results(), self.oracle_results())
             self._last_error_step = clock.step
-        error = self._last_error
-        error_step = self._last_error_step
 
-        delivered, delay_sum = self.transport.drain_delivery_stats()
         self.metrics.append(
             StepStats(
                 step=clock.step,
                 server_seconds=server_seconds,
                 server_ops=server_ops,
-                uplink_messages=delta.uplink_count,
-                downlink_messages=delta.downlink_count,
-                uplink_bits=delta.uplink_bits,
-                downlink_bits=delta.downlink_bits,
-                energy_joules=delta.total_energy,
+                uplink_messages=uplinks,
+                downlink_messages=downlinks,
+                uplink_bits=uplink_bits,
+                downlink_bits=downlink_bits,
+                energy_joules=energy,
                 mean_lqt_size=lqt_total / max(1, len(self.clients)),
                 evaluated_queries=evaluated,
                 skipped_by_safe_period=skipped_sp,
                 skipped_by_grouping=skipped_group,
                 object_processing_seconds=processing,
-                result_error=error,
-                result_error_step=error_step,
+                result_error=self._last_error,
+                result_error_step=self._last_error_step,
                 inflight_messages=self.transport.pending_count(),
                 delivered_messages=delivered,
                 delivery_delay_steps=delay_sum,

@@ -200,12 +200,17 @@ class SimulatedTransport:
     so receivers can detect the traffic they missed.
     """
 
+    #: Lifetime counters (core/load.py): envelopes opened by the delivery
+    #: phase and their summed delay in steps, queued envelopes that died
+    #: with a crashed shard, and uplinks opened under a newer partition
+    #: epoch than they were enqueued with.
+    COUNTERS = (
+        "delivered_deferred", "delivered_delay_sum", "discarded_envelopes",
+        "stale_epoch_reroutes",
+    )
     #: The attributes a checkpoint carries (exported and re-imported by
     #: name in core/snapshot.py; everything else is wiring or derived).
-    CHECKPOINT_FIELDS = (
-        "_step", "_downlink_seq", "_queue", "_envelope_seq",
-        "_delivered_deferred", "_delivered_delay_sum", "stale_epoch_reroutes",
-    )
+    CHECKPOINT_FIELDS = ("_step", "_downlink_seq", "_queue", "_envelope_seq", *COUNTERS)
 
     def __init__(
         self,
@@ -240,11 +245,12 @@ class SimulatedTransport:
         self._queue: dict[int, list[Envelope]] = {}
         self._envelope_seq = 0
         self._force_inline = 0
-        # Per-step delivery statistics, drained by the metrics collector.
-        self._delivered_deferred = 0
-        self._delivered_delay_sum = 0
-        # Uplinks opened under a newer partition epoch than they were
-        # enqueued with (run-cumulative; observability for rebalancing).
+        # Every envelope is delivered, discarded or still queued:
+        # _envelope_seq == delivered_deferred + discarded_envelopes +
+        # pending_count() (MobiEyesSystem.check_invariants).
+        self.delivered_deferred = 0
+        self.delivered_delay_sum = 0
+        self.discarded_envelopes = 0
         self.stale_epoch_reroutes = 0
         # Report buffering, off until `enable_report_batching`: clients
         # append to the buffer while the window is open (``depth > 0``)
@@ -400,8 +406,8 @@ class SimulatedTransport:
 
     def _open_envelope(self, envelope: Envelope, step: int) -> None:
         """Hand one due envelope to its receiver."""
-        self._delivered_deferred += 1
-        self._delivered_delay_sum += step - envelope.sent_step
+        self.delivered_deferred += 1
+        self.delivered_delay_sum += step - envelope.sent_step
         kind = envelope.kind
         if kind in ("uplink", "rel-uplink") and envelope.epoch != getattr(
             self._server, "partition_epoch", 0
@@ -433,10 +439,11 @@ class SimulatedTransport:
         """Drop queued, not-yet-delivered envelopes matching ``predicate``.
 
         Shard crash support: in-flight uplinks addressed to a shard die
-        with it.  Returns the number of envelopes removed.  Reliable
-        exchanges whose envelope is discarded stay pending -- their
-        retransmit timers keep running, so the hop is retried (and
-        re-routed) or fails through the normal retry budget.
+        with it.  Returns the number of envelopes removed, which
+        ``discarded_envelopes`` accumulates.  Reliable exchanges whose
+        envelope is discarded stay pending -- their retransmit timers keep
+        running, so the hop is retried (and re-routed) or fails through
+        the normal retry budget.
         """
         removed = 0
         for due in list(self._queue):
@@ -448,20 +455,12 @@ class SimulatedTransport:
                     self._queue[due] = kept
                 else:
                     del self._queue[due]
+        self.discarded_envelopes += removed
         return removed
 
     def pending_count(self) -> int:
         """Messages currently in flight (enqueued, not yet delivered)."""
         return sum(len(batch) for batch in self._queue.values())
-
-    def drain_delivery_stats(self) -> tuple[int, int]:
-        """``(deferred deliveries, summed delivery delay in steps)`` since
-        the last drain; zeroed for the next measurement window."""
-        delivered = self._delivered_deferred
-        delay_sum = self._delivered_delay_sum
-        self._delivered_deferred = 0
-        self._delivered_delay_sum = 0
-        return delivered, delay_sum
 
     # ------------------------------------------------------------ traffic
 

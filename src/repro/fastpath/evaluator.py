@@ -57,12 +57,10 @@ that make a system-wide batch legal:
   reference processing order -- so loss-model draws consume the random
   stream identically.
 
-The evaluation stats counters (``evaluated_queries``,
-``skipped_by_safe_period``, ``skipped_by_grouping``) are kept as
-system-wide aggregates on the evaluator rather than per-client counters;
-:meth:`~repro.fastpath.runtime.FastpathRuntime.drain_eval_counts` folds
-them into the per-step metrics, which is where the reference engine's
-per-client counters get summed anyway.
+The evaluation counters (``evaluated_queries``,
+``skipped_by_safe_period``, ``skipped_by_grouping``) go to the system's
+one :class:`~repro.core.client.EvalCounters`, the object the reference
+engine's clients -- and this engine's static entries -- increment too.
 
 Static (fixed-region) entries stay out of the arena and take the scalar
 ``_process_static_entries`` path; their regions are arbitrary shapes and
@@ -80,7 +78,7 @@ from repro.fastpath import require_numpy
 from repro.geometry import Circle, Point
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.client import MobiEyesClient
+    from repro.core.client import EvalCounters, MobiEyesClient
     from repro.core.config import MobiEyesConfig
     from repro.core.tables import LqtEntry
     from repro.fastpath.store import ObjectStateStore
@@ -109,17 +107,17 @@ _DEAD = _DeadEntry()
 class BatchEvaluator:
     """One-shot batched evaluation of all clients' local query tables."""
 
-    def __init__(self, config: "MobiEyesConfig", store: "ObjectStateStore") -> None:
+    def __init__(
+        self, config: "MobiEyesConfig", store: "ObjectStateStore", stats: "EvalCounters"
+    ) -> None:
         np = require_numpy()
         self.np = np
         self.config = config
         self.store = store
         self.grouping = config.grouping
         self.sp_on = config.safe_period
-        # System-wide aggregates, drained into the step metrics.
-        self.evaluated_queries = 0
-        self.skipped_by_safe_period = 0
-        self.skipped_by_grouping = 0
+        # The system's evaluation counters (the clients hold the same object).
+        self.stats = stats
         # Entry-dimension arena columns (amortized-doubling capacity).
         ecap = 1024
         gcap = 512
@@ -543,7 +541,7 @@ class BatchEvaluator:
             refs = self.e_refs
             ptm = np.fromiter((e.ptm for e in refs), np.float64, count=n)
             skip = (ptm > now) & alive
-            self.skipped_by_safe_period += int(skip.sum())
+            self.stats.skipped_by_safe_period += int(skip.sum())
             valid = alive & ~skip
             pick = np.where(valid, np.arange(n, dtype=i64), n)
             g_first = np.minimum.reduceat(pick, g_start)
@@ -624,9 +622,9 @@ class BatchEvaluator:
                 client = clients[int(g_oid[g])]
                 inside[i] = client._contains(e_refs[i], predicted)
 
-        self.evaluated_queries += int(checked.sum())
+        self.stats.evaluated_queries += int(checked.sum())
         if self.grouping:
-            self.skipped_by_grouping += int(implied.sum())
+            self.stats.skipped_by_grouping += int(implied.sum())
 
         if self.sp_on:
             outside = ~inside & valid

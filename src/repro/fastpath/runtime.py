@@ -57,7 +57,7 @@ class FastpathRuntime:
         np = self.store.np
         self.np = np
         self.coverage = VectorizedCoverageIndex(system.layout, system.grid, self.store)
-        self.evaluator = BatchEvaluator(system.config, self.store)
+        self.evaluator = BatchEvaluator(system.config, self.store, system.eval_counters)
         self.clients_in_order = [system.clients[oid] for oid in system._client_order]
         # From here on every LQT install/remove and focal-state refresh is
         # pushed to the evaluator instead of being polled per evaluation.
@@ -88,7 +88,6 @@ class FastpathRuntime:
         # declines (loss, reliability, tracing, latency, ...).
         self.fanout = BroadcastFanout(self)
         system.transport.fanout = self.fanout
-        self.processing_seconds = 0.0
 
     def _relayed_changed(self, oid: "ObjectId", state) -> None:
         """Client hook: mirror a relayed-state update into the DR columns."""
@@ -166,57 +165,7 @@ class FastpathRuntime:
         started = time.perf_counter()
         with self.system.transport.report_window:
             self.evaluator.run(clock.now_hours)
-        self.processing_seconds += time.perf_counter() - started
-
-    # ------------------------------------------------------------ metrics
-
-    def drain_processing_seconds(self) -> float:
-        """Evaluation wall time accumulated since the last measurement."""
-        spent = self.processing_seconds
-        self.processing_seconds = 0.0
-        return spent
-
-    def measurement_counts(self) -> tuple[int, int, int, int, float]:
-        """Per-step measurement sample: ``(lqt_total, evaluated,
-        skipped_by_safe_period, skipped_by_grouping, processing_seconds)``.
-
-        Replaces the reference engine's walk over every client: the LQT
-        size comes from the evaluator's hook-maintained counter, the
-        evaluation counters from its system-wide aggregates, and only the
-        (few) clients with
-        static entries -- whose scalar path still bumps per-client stats --
-        are visited and drained individually.
-        """
-        ev = self.evaluator
-        lqt_total = ev.lqt_total()
-        evaluated, skipped_sp, skipped_group = self.drain_eval_counts()
-        for oid in ev._statics:
-            # drain() also zeroes processing_seconds; it does not
-            # accumulate for static clients in fastpath mode (the evaluator
-            # calls their scalar path directly), so the dataclass method is
-            # as cheap as the old hand-zeroing and stays in sync with any
-            # future ClientStats fields.
-            c_eval, c_sp, c_group, _ = self.system.clients[oid].stats.drain()
-            evaluated += c_eval
-            skipped_sp += c_sp
-            skipped_group += c_group
-        return lqt_total, evaluated, skipped_sp, skipped_group, self.drain_processing_seconds()
-
-    def drain_eval_counts(self) -> tuple[int, int, int]:
-        """Aggregate (evaluated, skipped-by-safe-period, skipped-by-grouping)
-        counts for the moving entries handled by the batch evaluator.
-
-        The batch pass keeps these as system-wide totals instead of bumping
-        10k per-client counters; the metrics layer sums per-client counters
-        anyway, so folding the aggregates in at measurement time yields the
-        same :class:`~repro.metrics.collectors.StepStats`.
-        """
-        ev = self.evaluator
-        counts = (ev.evaluated_queries, ev.skipped_by_safe_period, ev.skipped_by_grouping)
-        ev.evaluated_queries = 0
-        ev.skipped_by_safe_period = 0
-        ev.skipped_by_grouping = 0
-        return counts
+        self.system.eval_counters.processing_seconds += time.perf_counter() - started
 
     def oracle_results(
         self, queries: "list[MovingQuery]"

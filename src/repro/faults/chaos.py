@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.load import fleet_section
+from repro.core.load import counter_section, fleet_section
 from repro.faults.channels import BernoulliChannel, GilbertElliottChannel
 from repro.faults.injector import FaultInjector
 from repro.faults.policy import ReliabilityPolicy
@@ -281,8 +281,8 @@ def run_chaos(
             weighted += frac * age
         staleness_weighted = weighted / max(1, steps)
 
-        ledger = system.ledger
-        reliability = system.transport.reliability
+        counters = system.counters()
+        by_type = system.ledger.counts_by_type  # the per-type book, not a counter
         # The seconds views in shard_loads / load_balance are the
         # docstring's bit-identity carve-out.
         fleet = fleet_section(system)
@@ -302,7 +302,9 @@ def run_chaos(
                     {"shard": c.shard, "start": c.start, "end": c.end} for c in schedule.crashes
                 ],
                 "checkpoint_every": checkpoint_every,
-                "checkpoints_taken": system._checkpoints_taken,
+                "checkpoints_taken": counters["system.checkpoints_taken"],
+                "envelopes_discarded": counters["transport.discarded_envelopes"],
+                "log": list(system.crash_log),
             }
         return {
             "engine": engine,
@@ -338,11 +340,9 @@ def run_chaos(
             "reconvergence": reconvergence,
             "converged": converged,
             "staleness_weighted_error": round(staleness_weighted, 9),
-            "message_counts": {
-                key: int(ledger.counts_by_type[key]) for key in sorted(ledger.counts_by_type)
-            },
-            "drops": injector.counters(),
-            "reliability": reliability.counters(),
+            "message_counts": {key: int(by_type[key]) for key in sorted(by_type)},
+            "drops": counter_section(counters, "injector"),
+            "reliability": counter_section(counters, "reliability"),
             "result_hash": result_digest(system),
         }
     finally:

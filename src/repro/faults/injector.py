@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable
 
+from repro.core.load import read_counters
 from repro.faults.channels import BernoulliChannel, GilbertElliottChannel
 from repro.faults.policy import ReliabilityPolicy
 from repro.faults.schedule import FaultSchedule
@@ -46,11 +47,13 @@ class FaultInjector:
     ``outage``, and ``channel``.
     """
 
+    #: Lifetime counters (core/load.py); ``drops_by_cause`` splits them.
+    COUNTERS = ("dropped_uplinks", "dropped_deliveries")
     #: What a checkpoint carries (see core/snapshot.py): the constructor's
     #: arguments and the drop accounting; the bindings are re-made at restore.
     CHECKPOINT_FIELDS = (
         "rng", "schedule", "policy", "uplink_channel", "downlink_channel",
-        "dropped_uplinks", "dropped_deliveries", "drops_by_cause",
+        "drops_by_cause", *COUNTERS,
     )
 
     def __init__(
@@ -169,8 +172,5 @@ class FaultInjector:
 
     def counters(self) -> dict:
         """A JSON-friendly snapshot of the drop accounting."""
-        return {
-            "dropped_uplinks": self.dropped_uplinks,
-            "dropped_deliveries": self.dropped_deliveries,
-            "by_cause": {key: self.drops_by_cause[key] for key in sorted(self.drops_by_cause)},
-        }
+        by_cause = self.drops_by_cause
+        return {**read_counters(self), "by_cause": {key: by_cause[key] for key in sorted(by_cause)}}

@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.load import read_counters
 from repro.core.messages import Ack
 from repro.core.transport import SERVER_SENDER
 from repro.faults.injector import FaultInjector
@@ -78,12 +79,13 @@ class _Exchange:
 class ReliabilityLayer:
     """Bounded-retry delivery of reliable messages over a fault injector."""
 
+    #: Lifetime counters (core/load.py), in :meth:`counters` order.
+    COUNTERS = (
+        "retransmissions", "acks_sent", "ack_drops", "failures", "duplicates_suppressed",
+    )
     #: The attributes a checkpoint carries (see core/snapshot.py).  Queued
     #: rel-* envelopes reference the ``_pending`` exchanges by identity.
-    CHECKPOINT_FIELDS = (
-        "_uplink_seq", "_pending", "_next_token", "retransmissions",
-        "acks_sent", "ack_drops", "failures", "duplicates_suppressed",
-    )
+    CHECKPOINT_FIELDS = ("_uplink_seq", "_pending", "_next_token", *COUNTERS)
 
     def __init__(self, transport: "SimulatedTransport", injector: FaultInjector) -> None:
         self.transport = transport
@@ -258,11 +260,4 @@ class ReliabilityLayer:
 
     def counters(self) -> dict:
         """A JSON-friendly snapshot of the reliability accounting."""
-        return {
-            "retransmissions": self.retransmissions,
-            "acks_sent": self.acks_sent,
-            "ack_drops": self.ack_drops,
-            "failures": self.failures,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "pending": len(self._pending),
-        }
+        return {**read_counters(self), "pending": len(self._pending)}

@@ -36,12 +36,12 @@ class MessageLedger:
     bits_by_type: Counter = field(default_factory=Counter)
     energy_by_object: dict[ObjectId, float] = field(default_factory=dict)
 
+    #: Lifetime counters (core/load.py); the by-type and by-object books
+    #: split them.
+    COUNTERS = ("uplink_count", "downlink_count", "uplink_bits", "downlink_bits")
     #: The totals a checkpoint carries (see core/snapshot.py): everything
     #: but the radio model, which the config rebuilds.
-    CHECKPOINT_FIELDS = (
-        "uplink_count", "downlink_count", "uplink_bits", "downlink_bits",
-        "counts_by_type", "bits_by_type", "energy_by_object",
-    )
+    CHECKPOINT_FIELDS = (*COUNTERS, "counts_by_type", "bits_by_type", "energy_by_object")
 
     # ------------------------------------------------------------- recording
 
@@ -120,16 +120,6 @@ class MessageLedger:
             downlink_bits=self.downlink_bits,
             total_energy=self.total_energy(),
         )
-
-    def reset(self) -> None:
-        """Reset the accumulated state."""
-        self.uplink_count = 0
-        self.downlink_count = 0
-        self.uplink_bits = 0.0
-        self.downlink_bits = 0.0
-        self.counts_by_type.clear()
-        self.bits_by_type.clear()
-        self.energy_by_object.clear()
 
 
 @dataclass(frozen=True, slots=True)

@@ -39,7 +39,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.core import MobiEyesService, MobiEyesSystem
-from repro.core.load import fleet_section, load_balance
+from repro.core.load import counter_section, fleet_section, load_balance
 from repro.core.query import QuerySpec
 from repro.fastpath.bench import dense_params, skewed_params
 from repro.geometry import Circle, Point, Vector
@@ -328,7 +328,7 @@ def run_soak(
                 "budget_per_step": ingest_budget,
                 "queue_limit": service.queue_limit,
                 "query_churn_every": query_churn_every,
-                "counters": service.counters(),
+                "counters": counter_section(service.system.counters(), "service"),
             },
             "latency": {
                 "uplink_steps": latency,
@@ -361,7 +361,7 @@ def run_soak(
                 "first_divergence_step": (
                     mismatched_steps[0] if mismatched_steps else None
                 ),
-                "counters": static.counters(),
+                "counters": counter_section(static.system.counters(), "service"),
                 "balance": static_bal,
             }
             window = "lifetime"
@@ -413,12 +413,14 @@ def run_soak(
                             "static": _load_snapshot(static.system),
                         }
                     if report_every and done % report_every == 0:
-                        write(report(final=False))
+                        progress = report(final=False)
+                        write(progress)
+                        ingest = progress["ingest"]["counters"]
                         log(
                             f"soak: step {done}"
                             + (f"/{steps}" if steps is not None else "")
-                            + f", queue {service.queue_depth}, "
-                            f"rejects {service.backpressure_rejects}, "
+                            + f", queue {ingest['queued']}, "
+                            f"rejects {ingest['backpressure_rejects']}, "
                             f"fleet {service.system.server.partitioner.num_shards}"
                         )
             except KeyboardInterrupt:

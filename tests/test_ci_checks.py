@@ -10,8 +10,10 @@ gate died.
 from __future__ import annotations
 
 import argparse
+import ast
 import copy
 import dataclasses
+import importlib
 import importlib.util
 import json
 import re
@@ -175,6 +177,71 @@ def test_knob_counts_only_ratchet_down():
         return count
 
     assert arguments(build_parser()) <= 51
+
+
+SRC = SCRIPT.parents[2] / "src"
+
+#: The classes that own lifetime counters: each names them once, in a
+#: class-level ``COUNTERS`` tuple its ``CHECKPOINT_FIELDS`` include.
+COUNTER_OWNERS = {
+    "EvalCounters", "FaultInjector", "LoadAccount", "MessageLedger", "MobiEyesService",
+    "MobiEyesSystem", "RebalancePolicy", "ReliabilityLayer", "SimulatedTransport",
+}
+#: ``self.<name> += ...`` on one of those classes that is state, not a
+#: counter -- each with the reason it may go unreported.
+NOT_COUNTERS = {
+    "LoadAccount": {"_depth"},  # re-entrancy depth of a timed section; comes back down
+    "ReliabilityLayer": {"_next_token"},  # exchange-key allocator (a sequence stamp)
+    "SimulatedTransport": {
+        "_force_inline",  # depth of synchronous() blocks; comes back down
+        "_envelope_seq",  # envelope ordering stamp; conserved against three counters
+    },
+}
+
+
+def test_every_incremented_attribute_of_a_counter_owner_is_declared():
+    """The guard that would have caught PR 22's restore bug: a number a
+    counter-owning class accumulates is either in its ``COUNTERS`` tuple --
+    and so checkpointed and in ``MobiEyesSystem.counters()`` -- or listed
+    above with a reason."""
+    owners = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if not any(
+                isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "COUNTERS"
+                for stmt in node.body
+            ):
+                continue
+            module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+            cls = getattr(importlib.import_module(module), node.name)
+            owners[node.name] = cls
+            assert set(cls.COUNTERS) <= set(cls.CHECKPOINT_FIELDS), node.name
+            bumped = {
+                sub.target.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.AugAssign)
+                and isinstance(sub.op, ast.Add)
+                and isinstance(sub.target, ast.Attribute)
+                and isinstance(sub.target.value, ast.Name)
+                and sub.target.value.id == "self"
+            }
+            stray = bumped - set(cls.COUNTERS) - NOT_COUNTERS.get(node.name, set())
+            assert not stray, f"{node.name} accumulates undeclared {sorted(stray)}"
+    assert set(owners) == COUNTER_OWNERS
+    assert set(NOT_COUNTERS) <= COUNTER_OWNERS
+
+
+def test_no_zero_on_read_counter_is_left_in_src():
+    pattern = re.compile(r"def drain|reset_load|total_ops\b|total_seconds\b")
+    hits = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not hits, hits
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -79,11 +79,21 @@ class TestGroupedEvaluation:
         system.install_query(circle_query(0, 2.0))
         system.install_query(circle_query(0, 3.0))
         system.step()
-        client1 = system.client(1)
-        # Far outside the largest radius: one real evaluation, two implied.
-        stats = client1.stats  # stats were reset at measurement; use totals
+        # Far outside the largest radius: one real evaluation, two implied
+        # -- in the system's one lifetime counter object (every client
+        # increments the same one) and in the step's sample of it.
+        stats = system.client(1).stats
+        assert stats is system.eval_counters is system.client(0).stats
+        assert (stats.evaluated_queries, stats.skipped_by_grouping) == (1, 2)
+        assert stats.skipped_by_safe_period == 0
         metrics = system.metrics.steps[-1]
-        assert metrics.skipped_by_grouping >= 2
+        assert (metrics.evaluated_queries, metrics.skipped_by_grouping) == (1, 2)
+        # The next step's sample is a difference, the totals keep growing.
+        system.step()
+        sample = system.metrics.steps[-1]
+        assert stats.evaluated_queries == 1 + sample.evaluated_queries
+        assert stats.skipped_by_grouping == 2 + sample.skipped_by_grouping
+        assert stats.skipped_by_safe_period == sample.skipped_by_safe_period
 
     def test_grouping_results_match_ungrouped(self):
         objects = [

@@ -201,13 +201,23 @@ class TestLazyPropagationServer:
 
 class TestServerLoadAccounting:
     def test_load_accumulates_and_resets(self, small_world):
+        # "Resets" is the step sample's view: the account itself only goes
+        # up, and each step's figure is the difference since the last one.
         small_world.install_query(circle_query(0, 2.0))
-        seconds, ops = small_world.server.reset_load()
+        server = small_world.server
+        seconds, ops = server.load_totals()
         assert seconds > 0.0
         assert ops > 0
-        seconds2, ops2 = small_world.server.reset_load()
-        assert seconds2 == 0.0
-        assert ops2 == 0
+        assert server.load_totals() == (seconds, ops)  # reading takes nothing
+        small_world.step()
+        first = small_world.metrics.steps[-1]
+        assert first.server_ops == server.load_totals()[1] >= ops  # install included
+        small_world.step()
+        second = small_world.metrics.steps[-1]
+        assert second.server_ops == server.load_totals()[1] - first.server_ops
+        assert second.server_seconds == pytest.approx(
+            server.load_totals()[0] - first.server_seconds
+        )
 
     def test_only_the_outermost_section_is_timed_and_pauses_are_excluded(self, monkeypatch):
         from types import SimpleNamespace

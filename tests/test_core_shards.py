@@ -308,15 +308,18 @@ class TestCoordinatorFacade:
         system.install_query(circle_query(0, 2.0))
         total_ops = sum(shard.load.ops for shard in coord.shards)
         assert total_ops > 0
-        seconds, ops = coord.reset_load()
+        seconds, ops = coord.load_totals()
         assert ops == total_ops
-        assert seconds >= 0.0
-        assert [shard.load.ops for shard in coord.shards] == [0, 0]
+        assert seconds == sum(shard.load.seconds for shard in coord.shards) >= 0.0
         rows = coord.shard_loads()
         assert [row["shard"] for row in rows] == [0, 1]
         assert [tuple(row["columns"]) for row in rows] == [(0, 4), (5, 9)]
-        # Lifetime totals survive the reset and cover everything spent.
-        assert sum(row["ops"] for row in rows) == total_ops
+        # The rows are the accounts' lifetime totals: a step's sample takes
+        # nothing away from them.
+        assert [row["ops"] for row in rows] == [shard.load.ops for shard in coord.shards]
+        system.step()
+        assert system.metrics.steps[-1].server_ops == coord.load_totals()[1] >= total_ops
+        assert sum(row["ops"] for row in coord.shard_loads()) == coord.load_totals()[1]
         assert sum(row["queries"] for row in rows) == 1
         assert sum(row["focals"] for row in rows) == 1
 

@@ -218,15 +218,28 @@ class TestDeferredOrdering:
         transport.delivery_phase(3)
         assert [m.bits for m in server.received] == [1, 2]
 
-    def test_delivery_stats_drain(self, layout, grid):
+    def test_delivery_stats_are_lifetime_counters(self, layout, grid):
         transport, _, server, _ = make_transport(layout, grid, LatencyModel(uplink_steps=2))
         transport.begin_step(1, [(5, Point(5, 5))])
         transport.uplink(SizedMessage(oid=5, bits=1))
         transport.begin_step(3, [])
         transport.delivery_phase(3)
-        delivered, delay_sum = transport.drain_delivery_stats()
-        assert (delivered, delay_sum) == (1, 2)
-        assert transport.drain_delivery_stats() == (0, 0)  # zeroed
+        assert (transport.delivered_deferred, transport.delivered_delay_sum) == (1, 2)
+        # Reading takes nothing; the next delivery adds to the totals.
+        transport.uplink(SizedMessage(oid=5, bits=1))
+        transport.begin_step(5, [])
+        transport.delivery_phase(5)
+        assert (transport.delivered_deferred, transport.delivered_delay_sum) == (2, 4)
+        # Every envelope is delivered, discarded-and-counted, or queued.
+        transport.uplink(SizedMessage(oid=5, bits=1))
+        transport.uplink(SizedMessage(oid=5, bits=2))
+        assert transport.discard_queued(lambda env: env.message.bits == 2) == 1
+        assert transport.discarded_envelopes == 1
+        assert transport._envelope_seq == 4 == (
+            transport.delivered_deferred
+            + transport.discarded_envelopes
+            + transport.pending_count()
+        )
 
     def test_detached_receiver_skipped(self, layout, grid):
         transport, *_ = make_transport(layout, grid, LatencyModel(downlink_steps=1))

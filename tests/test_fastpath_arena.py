@@ -129,18 +129,8 @@ class Twin:
 
     def eval_counts(self):
         """(evaluated, skipped by safe period, skipped by grouping) so far."""
-        totals = [0, 0, 0]
-        for client in self.clients:
-            stats = client.stats
-            totals[0] += stats.evaluated_queries
-            totals[1] += stats.skipped_by_safe_period
-            totals[2] += stats.skipped_by_grouping
-        ev = self.evaluator
-        if ev is not None:
-            totals[0] += ev.evaluated_queries
-            totals[1] += ev.skipped_by_safe_period
-            totals[2] += ev.skipped_by_grouping
-        return totals
+        stats = self.system.eval_counters
+        return [stats.evaluated_queries, stats.skipped_by_safe_period, stats.skipped_by_grouping]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

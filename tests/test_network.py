@@ -171,10 +171,3 @@ class TestMessageLedger:
         assert delta.uplink_count == 1
         assert delta.downlink_count == 3
         assert delta.total_count == 4
-
-    def test_reset(self):
-        ledger = MessageLedger()
-        ledger.record_uplink("a", 100, sender=1)
-        ledger.reset()
-        assert ledger.total_count == 0
-        assert ledger.total_energy() == 0.0

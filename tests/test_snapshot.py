@@ -43,6 +43,7 @@ from repro.faults.chaos import canonical_schedule, run_chaos
 from repro.faults.schedule import DisconnectWindow
 from repro.faults.channels import BernoulliChannel, GilbertElliottChannel
 from repro.fastpath import numpy_available
+from repro.fastpath.bench import skewed_params
 from repro.geometry import Circle, Rect
 from repro.network.loss import LossModel
 from repro.sim import SimulationRng
@@ -172,7 +173,7 @@ class TestCheckpointRoundtrip:
         system = paper_system(shards=1)
         system._checkpoint_every = 3
         system.run(10)
-        assert system._checkpoints_taken == 3
+        assert system.checkpoints_taken == 3
         assert step_hash(system) == want
         system.close()
 
@@ -186,11 +187,12 @@ class TestCheckpointRoundtrip:
             restore(Checkpoint(version=CHECKPOINT_VERSION + 1, blob=cp.blob))
         # v4 bytes (seven more config fields, list-indexed policy marks),
         # v5 bytes (whose queue may hold batched-report envelopes of a
-        # deleted class), v6 bytes (reliable exchanges of the old shape)
-        # and v7 payloads (deep-copied objects, no header) are refused by
-        # the header's version field, not half-read.
+        # deleted class), v6 bytes (reliable exchanges of the old shape),
+        # v7 payloads (deep-copied objects, no header) and v8 bytes (per-
+        # client stats, no server load sections) are refused by the
+        # header's version field, not half-read.
         data = cp.to_bytes()
-        for old in (4, 5, 6, 7):
+        for old in (4, 5, 6, 7, 8):
             stale_bytes = data[:8] + old.to_bytes(2, "big") + data[10:]
             with pytest.raises(ValueError, match=f"version {old} unsupported"):
                 from_bytes(stale_bytes)
@@ -203,6 +205,72 @@ class TestCheckpointRoundtrip:
         system.subscribe(qid, lambda q, oid, entered: None)
         with pytest.raises(ValueError, match="subscription"):
             checkpoint(system)
+
+
+ENGINES = ["reference"] + (["vectorized"] if numpy_available() else [])
+
+
+class TestRestoreUnderThePolicy:
+    """PR 22's bug, found by reading the two sampling idioms side by side:
+    the checkpoint carried the policy's marks but not the per-shard
+    lifetime ``ops`` they are diffed against (docs/ROBUSTNESS.md)."""
+
+    @pytest.mark.parametrize("cut", [7, 12, 23])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_thermostat_run_resumes_from_its_own_checkpoint(self, engine, cut):
+        # At the parent the restored shards restarted from zero lifetime
+        # ops, so the first policy window after the cut read max(0, small -
+        # mark): rebalance_log and step_hash left the live run's at step
+        # 10 / 15 / 25 (a transfer skipped, a merge where the live run
+        # transfers).
+        system, twin = (
+            paper_system(
+                engine,
+                shards=2,
+                params=skewed_params(0.03),
+                rebalance_every_steps=5,
+                elastic_max_shards=4,
+            )
+            for _ in range(2)
+        )
+        system.run(cut)
+        twin.run(cut)
+        resumed = restore(from_bytes(checkpoint(system).to_bytes()))
+        system.close()
+        for step in range(cut + 1, 61):
+            resumed.step()
+            twin.step()
+            assert resumed.rebalance_log == twin.rebalance_log, step
+            assert [row["ops"] for row in resumed.server.shard_loads()] == [
+                row["ops"] for row in twin.server.shard_loads()
+            ], step
+            assert step_hash(resumed) == step_hash(twin), step
+        assert twin.rebalance_log  # the policy did act
+        resumed.close()
+        twin.close()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ops_charged_by_service_admission_survive_a_round_trip(self, engine):
+        # An install admitted between steps charges ``load.ops`` before the
+        # step that samples it; the restored run read 33 against 44.
+        def admitted():
+            system = paper_system(engine, shards=1)
+            system.run(3)
+            service = MobiEyesService(system)
+            service.install_query(circle_query(5, 2.0))
+            assert service.admit() == 1
+            return system
+
+        live, system = admitted(), admitted()
+        charged = system.server.load.ops
+        resumed = restore(from_bytes(checkpoint(system).to_bytes()))
+        assert resumed.server.load.ops == charged
+        live.step()
+        resumed.step()
+        assert resumed.metrics.steps[-1].server_ops == live.metrics.steps[-1].server_ops
+        assert step_hash(resumed) == step_hash(live)
+        for each in (live, system, resumed):
+            each.close()
 
 
 def tiny_checkpoint() -> Checkpoint:

@@ -1,18 +1,23 @@
-"""Generated interleavings around checkpoint / restore (ROADMAP item A's seed).
+"""Generated interleavings around checkpoint / restore (ROADMAP item A).
 
-One state machine drives a small world -- a few dozen objects, static and
-moving queries, either engine, 1 or 2 shards, hop latency 0 or 1 -- with
-the rules step / install / remove / external update / ``checkpoint ->
-to_bytes -> from_bytes -> restore`` (the restored system replaces the
-running one), beside a twin that takes the same calls and is never
-checkpointed.  After every rule both systems pass ``check_invariants()``
-and hash identically.
+One state machine drives a small world -- a few dozen objects on an 8 x 8
+grid, static and moving queries, either engine, 1 / 2 / 4 shards, hop
+latency 0 or 1, the placement policy armed or not, a service attached or
+not -- with the rules step / install / remove / external update /
+transfer / split / merge (through ``_apply_placement_op``) / service
+submit + tick / ``checkpoint -> to_bytes -> from_bytes -> restore`` (the
+restored system replaces the running one), beside a twin that takes the
+same calls and is never checkpointed.  After every rule both systems pass
+``check_invariants()`` (which includes envelope conservation), hash
+identically, agree on ``rebalance_log``, per-shard ops and every
+deterministic key of ``counters()``, conserve ingest operations, and hold
+a well-formed partition map.
 
 The profile sets the volume (``--hypothesis-profile long`` in CI; see
 tests/conftest.py).  A failure hypothesis shrinks here is committed as an
-explicit regression test below before it is fixed.  Crash / recover /
-transfer / split / merge / service rules belong to item A and are not
-here yet.
+explicit regression test below before it is fixed.  Crash / recover rules,
+fault injection, the cross-engine lockstep twin and oracle equality when
+drained belong to item A and are not here yet.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+from repro.core import MobiEyesService
 from repro.core.query import PropertyEqualsFilter, QuerySpec, TrueFilter
+from repro.core.rebalance import MIN_SHARDS
 from repro.core.snapshot import checkpoint, from_bytes, restore, step_hash
 from repro.fastpath import numpy_available
 from repro.geometry import Circle, Point, Rect, Vector
@@ -34,31 +41,53 @@ SIDE = 20.0  # the universe of discourse of a 0.004-scale Table-1 world
 
 coordinate = st.floats(0.0, SIDE, allow_nan=False, width=32)
 filters = st.sampled_from([TrueFilter(), PropertyEqualsFilter("class", 1)])
+velocity = st.floats(-30, 30)
 
 
 class CheckpointMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.system = self.twin = None
+        self.service = self.twin_service = None
+        self.epoch = 0
 
     @initialize(
         engine=st.sampled_from(ENGINES),
-        shards=st.sampled_from([1, 2]),
+        shards=st.sampled_from([1, 2, 4]),
         latency=st.sampled_from([0, 1]),
         seed=st.integers(0, 7),
+        # (rebalance_every_steps, elastic_max_shards): off, a transfer-only
+        # thermostat, the thermostat with splits and merges.
+        policy=st.sampled_from([(0, 0), (3, 0), (3, 4)]),
+        service=st.booleans(),
     )
-    def build(self, engine, shards, latency, seed):
+    def build(self, engine, shards, latency, seed, policy, service):
+        every, ceiling = policy if shards > 1 else (0, 0)
         self.system, self.twin = (
-            paper_system(engine, shards=shards, latency=latency, scale=0.004, seed=seed)
+            paper_system(
+                engine,
+                shards=shards,
+                latency=latency,
+                scale=0.004,
+                seed=seed,
+                alpha=2.5,  # 8 x 8 cells: four shards start two columns wide
+                rebalance_every_steps=every,
+                elastic_max_shards=ceiling,
+                ingest_budget_per_step=2,
+            )
             for _ in range(2)
         )
         self.oids = sorted(self.system.clients)
-        self.qids = list(self.system.server.sqt.ids())
+        if service:
+            self.service = MobiEyesService(self.system)
+            self.twin_service = MobiEyesService(self.twin)
 
     def both(self, call):
         got, want = call(self.system), call(self.twin)
         assert got == want
         return got
+
+    # ------------------------------------------------------ the live system
 
     @rule(steps=st.integers(1, 3))
     def step(self, steps):
@@ -67,41 +96,140 @@ class CheckpointMachine(RuleBasedStateMachine):
     @rule(data=st.data(), radius=st.floats(0.5, 4.0), flt=filters)
     def install_moving(self, data, radius, flt):
         spec = QuerySpec(data.draw(st.sampled_from(self.oids)), Circle(0, 0, radius), flt)
-        self.qids.append(self.both(lambda system: system.install_query(spec)))
+        self.both(lambda system: system.install_query(spec))
 
     @rule(x=coordinate, y=coordinate, w=st.floats(0.5, 8.0), h=st.floats(0.5, 8.0), flt=filters)
     def install_static(self, x, y, w, h, flt):
         spec = QuerySpec.static(Rect(x, y, min(SIDE, x + w), min(SIDE, y + h)), flt)
-        self.qids.append(self.both(lambda system: system.install_query(spec)))
+        self.both(lambda system: system.install_query(spec))
 
-    @precondition(lambda self: self.qids)
+    @precondition(lambda self: self.system is not None and len(self.system.server.sqt))
     @rule(data=st.data())
     def remove(self, data):
-        qid = data.draw(st.sampled_from(self.qids))
-        self.qids.remove(qid)
+        qid = data.draw(st.sampled_from(sorted(self.system.server.sqt.ids())))
         self.both(lambda system: system.remove_query(qid))
 
-    @rule(data=st.data(), x=coordinate, y=coordinate, vx=st.floats(-30, 30), vy=st.floats(-30, 30))
+    @rule(data=st.data(), x=coordinate, y=coordinate, vx=velocity, vy=velocity)
     def external_update(self, data, x, y, vx, vy):
         oid = data.draw(st.sampled_from(self.oids))
         self.both(
             lambda system: system.apply_external_update(oid, Point(x, y), Vector(vx, vy))
         )
 
+    # ------------------------------------------------------------ placement
+
+    def partition(self):
+        """The live partition map (None before ``build`` and on a monolith)."""
+        return getattr(getattr(self.system, "server", None), "partitioner", None)
+
+    def place(self, op):
+        self.both(
+            lambda system: system._apply_placement_op(op, "machine", system.clock.step)
+        )
+
+    def wide(self):
+        """Live shard ids whose stripe can give a column away and keep one."""
+        part = self.partition()
+        return [] if part is None else [sid for sid in part.order if part.width_of(sid) >= 2]
+
+    @precondition(lambda self: len(self.wide()) and len(self.partition().order) > 1)
+    @rule(data=st.data())
+    def transfer(self, data):
+        part = self.partition()
+        order = part.order
+        src = data.draw(st.sampled_from(self.wide()))
+        at = order.index(src)
+        dst = data.draw(
+            st.sampled_from([order[p] for p in (at - 1, at + 1) if 0 <= p < len(order)])
+        )
+        cols = data.draw(st.integers(1, part.width_of(src) - 1))  # the donor keeps a column
+        self.place(("transfer", src, dst, cols))
+
+    @precondition(lambda self: self.wide())
+    @rule(data=st.data())
+    def split(self, data):
+        self.place(("split", data.draw(st.sampled_from(self.wide()))))
+
+    @precondition(
+        lambda self: self.partition() is not None and len(self.partition().order) > MIN_SHARDS
+    )
+    @rule(data=st.data(), leftwards=st.booleans())
+    def merge(self, data, leftwards):
+        order = self.partition().order
+        left, right = data.draw(st.sampled_from(list(zip(order, order[1:]))))
+        self.place(("merge", right, left) if leftwards else ("merge", left, right))
+
+    # -------------------------------------------------------------- service
+
+    def both_services(self, call):
+        call(self.service), call(self.twin_service)
+
+    @precondition(lambda self: self.service is not None)
+    @rule(data=st.data(), x=coordinate, y=coordinate, vx=velocity, vy=velocity)
+    def submit_update(self, data, x, y, vx, vy):
+        oid = data.draw(st.sampled_from(self.oids))
+        self.both_services(lambda svc: svc.submit_update(oid, Point(x, y), Vector(vx, vy)))
+
+    @precondition(lambda self: self.service is not None)
+    @rule(data=st.data(), radius=st.floats(0.5, 4.0))
+    def submit_install(self, data, radius):
+        spec = QuerySpec(data.draw(st.sampled_from(self.oids)), Circle(0, 0, radius))
+        self.both_services(lambda svc: svc.install_query(spec))
+
+    @precondition(lambda self: self.service is not None)
+    @rule()
+    def tick(self):
+        assert self.service.tick() == self.twin_service.tick()
+
+    # ----------------------------------------------------------- round trip
+
     @rule()
     def roundtrip(self):
         restored = restore(from_bytes(checkpoint(self.system).to_bytes()))
         self.system.close()
         self.system = restored
+        if self.service is not None:
+            # Adopts the checkpointed ingest queue and counters.
+            self.service = MobiEyesService(restored)
+
+    # ----------------------------------------------------------- invariants
 
     @invariant()
     def twins_agree(self):
         if self.system is None:
             return
-        self.system.check_invariants()
-        self.twin.check_invariants()
-        assert step_hash(self.system) == step_hash(self.twin)
-        assert self.system.results() == self.twin.results()
+        system, twin = self.system, self.twin
+        system.check_invariants()
+        twin.check_invariants()
+        assert step_hash(system) == step_hash(twin)
+        assert system.results() == twin.results()
+        assert system.rebalance_log == twin.rebalance_log
+        got, want = system.counters(), twin.counters()
+        assert got.keys() == want.keys()
+        # Wall-clock totals are the only counters allowed to differ.
+        assert {k: v for k, v in got.items() if not k.endswith("seconds")} == {
+            k: v for k, v in want.items() if not k.endswith("seconds")
+        }
+        if self.service is not None:
+            self.service.check_accounting()
+            self.twin_service.check_accounting()
+        part = self.partition()
+        if part is None:
+            return
+        rows, twin_rows = system.server.shard_loads(), twin.server.shard_loads()
+        for row in rows + twin_rows:
+            del row["seconds"]
+        assert rows == twin_rows
+        # The map is well formed: the stripes tile the columns left to
+        # right, every slot is a live stripe or retired (never both), and
+        # the epoch never goes back.
+        bounds, order = part.bounds, part.order
+        assert bounds[0] == 0 and bounds[-1] == system.grid.n_cols
+        assert list(bounds) == sorted(bounds) and len(bounds) == len(order) + 1
+        retired = system.server.retired_shards
+        assert sorted(order + retired) == list(range(len(system.server.shards)))
+        assert part.epoch >= self.epoch
+        self.epoch = part.epoch
 
     def teardown(self):
         if self.system is not None:
