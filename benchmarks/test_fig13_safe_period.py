@@ -15,7 +15,8 @@ def test_fig13_safe_period(run_figure):
     assert skipped[-1] > 0
     assert evals_on[-1] < evals_off[-1]
 
-    # Relative savings grow with alpha (the paper's headline effect).
-    saved_small = 1.0 - evals_on[0] / max(evals_off[0], 1)
-    saved_large = 1.0 - evals_on[-1] / max(evals_off[-1], 1)
-    assert saved_large >= saved_small
+    # Relative savings grow with alpha, strictly, point by point (the
+    # paper's headline effect); half the evaluations go at the largest.
+    saved = [1.0 - on / off for on, off in zip(evals_on, evals_off)]
+    assert all(later > earlier for earlier, later in zip(saved, saved[1:]))
+    assert saved[-1] > 0.4

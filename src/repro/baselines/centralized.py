@@ -115,8 +115,13 @@ class CentralizedSystem:
         self._next_qid: QueryId = 1
         self._pending_reports: list[tuple[ObjectId, MotionState]] = []
 
+        # Lifetime totals of the server phase; a step's figures are the
+        # totals minus the mark taken at the previous sample.  An op is a
+        # changed position, an evaluated query or an index node read, so the
+        # two index modes differ in ops and not only in seconds.
         self.server_seconds = 0.0
         self.server_ops = 0
+        self._load_mark = (0.0, 0)
         self.metrics = MetricsLog(
             step_seconds=config.step_seconds,
             population=len(self.motion),
@@ -204,6 +209,7 @@ class CentralizedSystem:
 
     def _server_phase(self, clock: SimulationClock) -> None:
         started = time.perf_counter()
+        visited = self.index.node_visits
         # 1. Ingest reports into the server-side store.
         for oid, state in self._pending_reports:
             self._server_states[oid] = state
@@ -233,7 +239,7 @@ class CentralizedSystem:
         evaluated = self.index.evaluate(self._queries, self._server_positions, self._objects)
         for qid, members in evaluated.items():
             self._results[qid] = members
-        self.server_ops += len(self._queries)
+        self.server_ops += len(self._queries) + self.index.node_visits - visited
         self.server_seconds += time.perf_counter() - started
 
     def _apply_position(self, oid: ObjectId, pos: Point) -> None:
@@ -247,14 +253,17 @@ class CentralizedSystem:
         mark = self.ledger.snapshot()
         delta = self._ledger_mark.delta(mark)
         self._ledger_mark = mark
+        load = (self.server_seconds, self.server_ops)
+        seconds, ops = (now - before for now, before in zip(load, self._load_mark))
+        self._load_mark = load
         error = None
         if self.track_accuracy:
             error = mean_result_error(self.results(), self.oracle_results())
         self.metrics.append(
             StepStats(
                 step=clock.step,
-                server_seconds=self.server_seconds,
-                server_ops=self.server_ops,
+                server_seconds=seconds,
+                server_ops=ops,
                 uplink_messages=delta.uplink_count,
                 downlink_messages=delta.downlink_count,
                 uplink_bits=delta.uplink_bits,
@@ -263,5 +272,3 @@ class CentralizedSystem:
                 result_error=error,
             )
         )
-        self.server_seconds = 0.0
-        self.server_ops = 0

@@ -65,6 +65,11 @@ class ObjectIndexEngine:
             results[qid] = members
         return results
 
+    @property
+    def node_visits(self) -> int:
+        """Lifetime R*-tree nodes read by this engine's updates and searches."""
+        return self._tree.node_visits
+
     def __len__(self) -> int:
         return len(self._tree)
 

@@ -123,5 +123,10 @@ class QueryIndexEngine:
         """
         return {qid: set(self._results.get(qid, set())) for qid in queries}
 
+    @property
+    def node_visits(self) -> int:
+        """Lifetime R*-tree nodes read by this engine's updates and probes."""
+        return self._tree.node_visits
+
     def __len__(self) -> int:
         return len(self._tree)

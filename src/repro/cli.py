@@ -19,14 +19,16 @@ a subcommand: it is ``python3 bench/run.py`` (see ``bench/README.md``).
 from __future__ import annotations
 
 import argparse
+import io
 import sys
+import textwrap
 import time
 from pathlib import Path
 from typing import Sequence
 
 from repro.core import PropagationMode
 from repro.experiments import EXPERIMENTS, TITLES, run_experiment
-from repro.experiments.runner import run_mobieyes
+from repro.experiments.runner import DEFAULT_STEPS, RunTable, run_mobieyes
 from repro.metrics.report import format_table
 from repro.workload import bench_defaults, paper_defaults
 
@@ -34,6 +36,10 @@ from repro.workload import bench_defaults, paper_defaults
 def _cmd_list(_args: argparse.Namespace) -> int:
     rows = [(exp_id, TITLES[exp_id]) for exp_id in EXPERIMENTS]
     print(format_table(("experiment", "title"), rows))
+    for exp_id, experiment in EXPERIMENTS.items():
+        print(f"\n{exp_id}")
+        indent = dict(initial_indent="  ", subsequent_indent="  ", break_on_hyphens=False)
+        print(textwrap.fill(experiment.paper, 78, **indent))
     return 0
 
 
@@ -44,17 +50,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
+    runs = RunTable(args.steps or DEFAULT_STEPS)  # shared by 'all'
     for exp_id in exp_ids:
         started = time.perf_counter()
-        kwargs = {}
-        if args.scale is not None:
-            kwargs["scale"] = args.scale
-        if args.steps is not None:
-            from repro.experiments.runner import DEFAULT_WARMUP
-
-            kwargs["steps"] = args.steps
-            kwargs["warmup"] = min(DEFAULT_WARMUP, args.steps // 4)
-        result = run_experiment(exp_id, **kwargs)
+        result = run_experiment(exp_id, scale=args.scale, runs=runs)
         print(result.table())
         if args.save:
             from repro.experiments.io import save_result
@@ -268,14 +267,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import write_report
-    from repro.experiments.runner import DEFAULT_STEPS
 
-    kwargs = {"scale": args.scale, "steps": args.steps or DEFAULT_STEPS}
+    # Rendered in memory: a failure twenty minutes in must not cost the
+    # previous file.
+    report = io.StringIO()
+    write_report(report, scale=args.scale, steps=args.steps or DEFAULT_STEPS)
     if args.output == "-":
-        write_report(sys.stdout, **kwargs)
+        sys.stdout.write(report.getvalue())
         return 0
-    with open(args.output, "w") as handle:
-        write_report(handle, **kwargs)
+    Path(args.output).write_text(report.getvalue())
     print(f"wrote {args.output}")
     return 0
 

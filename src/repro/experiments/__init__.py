@@ -1,6 +1,7 @@
-"""Experiment harness: registry, shared runner, per-figure modules."""
+"""Experiment harness: registry, run table, the figures and their extensions."""
 
 from repro.experiments.registry import EXPERIMENTS, TITLES, all_experiment_ids, run_experiment
+from repro.experiments import figures, extensions  # noqa: F401  (registers, in report order)
 from repro.experiments.runner import (
     DEFAULT_STEPS,
     DEFAULT_WARMUP,

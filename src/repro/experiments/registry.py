@@ -1,70 +1,73 @@
-"""Registry of reproducible experiments: one per paper figure + ablations."""
+"""Registry of reproducible experiments: one per paper figure + ablations.
+
+An experiment is a plain function over ``(runs, params)`` -- a
+:class:`~repro.experiments.runner.RunTable` and the scaled Table 1
+parameters -- returning ``(headers, rows)`` or ``(headers, rows, note)``,
+registered under an id and a title with :func:`experiment`.  Its docstring
+is the one statement of what the paper's figure shows: ``repro list``, the
+report and ``pydoc`` all print it.
+"""
 
 from __future__ import annotations
 
+import inspect
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.experiments.figures import (
-    ablation_dead_reckoning,
-    ablation_grouping,
-    ablation_latency,
-    ablation_message_loss,
-    ablation_mobility,
-    ablation_propagation,
-    ablation_rebalance,
-    analysis_lqt_size,
-    analysis_optimal_alpha,
-    fig01_server_load_vs_queries,
-    fig02_lqp_error,
-    fig03_server_load_vs_alpha,
-    fig04_messaging_vs_alpha,
-    fig05_messaging_vs_objects,
-    fig06_uplink_vs_objects,
-    fig07_messaging_vs_velocity_changes,
-    fig08_messaging_vs_bs_coverage,
-    fig09_power_vs_queries,
-    fig10_lqt_vs_alpha,
-    fig11_lqt_vs_queries,
-    fig12_lqt_vs_radius,
-    fig13_safe_period,
-)
-from repro.experiments.runner import ExperimentResult
-
-
-_MODULES = (
-    fig01_server_load_vs_queries,
-    fig02_lqp_error,
-    fig03_server_load_vs_alpha,
-    fig04_messaging_vs_alpha,
-    fig05_messaging_vs_objects,
-    fig06_uplink_vs_objects,
-    fig07_messaging_vs_velocity_changes,
-    fig08_messaging_vs_bs_coverage,
-    fig09_power_vs_queries,
-    fig10_lqt_vs_alpha,
-    fig11_lqt_vs_queries,
-    fig12_lqt_vs_radius,
-    fig13_safe_period,
-    ablation_dead_reckoning,
-    ablation_grouping,
-    ablation_propagation,
-    ablation_message_loss,
-    ablation_mobility,
-    ablation_latency,
-    ablation_rebalance,
-    analysis_optimal_alpha,
-    analysis_lqt_size,
+from repro.experiments.runner import (
+    DEFAULT_STEPS,
+    DEFAULT_WARMUP,
+    ExperimentResult,
+    RunTable,
+    default_params,
 )
 
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    module.EXP_ID: module.run for module in _MODULES
-}
 
-TITLES: dict[str, str] = {module.EXP_ID: module.TITLE for module in _MODULES}
+@dataclass(frozen=True)
+class Experiment:
+    """A registered experiment; calling it runs it."""
+
+    exp_id: str
+    title: str
+    paper: str
+    fn: Callable
+
+    def __call__(
+        self,
+        scale: float | None = None,
+        steps: int = DEFAULT_STEPS,
+        warmup: int = DEFAULT_WARMUP,
+        runs: RunTable | None = None,
+    ) -> ExperimentResult:
+        """Run at ``scale`` (``REPRO_SCALE`` when None).  ``runs`` shares
+        simulations with the other experiments run through the same table
+        and carries its own window; without one, a table for
+        (``steps``, ``warmup``) lives for this call."""
+        if runs is None:
+            runs = RunTable(steps, warmup)
+        headers, rows, *note = self.fn(runs, default_params(scale))
+        return ExperimentResult(self.exp_id, self.title, tuple(headers), tuple(rows), *note)
+
+
+EXPERIMENTS: dict[str, Experiment] = {}
+TITLES: dict[str, str] = {}
+
+
+def experiment(exp_id: str, title: str) -> Callable[[Callable], Callable]:
+    """Register the decorated function; its docstring is the paper paragraph."""
+
+    def register(fn: Callable) -> Callable:
+        paper = " ".join(inspect.cleandoc(fn.__doc__ or "").split())
+        EXPERIMENTS[exp_id] = Experiment(exp_id, title, paper, fn)
+        TITLES[exp_id] = title
+        return fn
+
+    return register
 
 
 def run_experiment(exp_id: str, **kwargs) -> ExperimentResult:
-    """Run one registered experiment by id (e.g. ``fig04``)."""
+    """Run one registered experiment by id (e.g. ``fig04``); the keywords
+    are :meth:`Experiment.__call__`'s."""
     try:
         runner = EXPERIMENTS[exp_id]
     except KeyError:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.core import MobiEyesConfig, MobiEyesSystem
 from repro.sim.rng import SimulationRng
@@ -26,6 +26,7 @@ def build_system(
     *,
     config: Mapping[str, Any] | None = None,
     focal_skew: float | None = None,
+    motion: Callable | None = None,
     **system_kwargs: Any,
 ) -> tuple[MobiEyesSystem, Workload, SimulationRng]:
     """Build a system on the parameters' workload and install its queries.
@@ -35,7 +36,10 @@ def build_system(
     bit-identical systems -- build twice for a twin, never share the
     workload (a run moves its objects in place).  ``config`` holds
     :class:`MobiEyesConfig` fields laid over the geometry taken from
-    ``params``; the remaining keywords go to :class:`MobiEyesSystem`.
+    ``params``; ``motion`` is a factory ``(objects, rng) -> motion model``
+    called with the system's own object list and ``fork(3)`` (a custom
+    motion model needs ``engine="reference"``); the remaining keywords go
+    to :class:`MobiEyesSystem`.
     Returns the system, its workload and the root rng (fork it for any
     further stream, e.g. a loss channel or an ingest script).
     """
@@ -48,9 +52,12 @@ def build_system(
         "base_station_side": params.base_station_side,
         **(config or {}),
     }
+    objects = list(workload.objects)
+    if motion is not None:
+        system_kwargs["motion"] = motion(objects, rng.fork(3))
     system = MobiEyesSystem(
         MobiEyesConfig(**fields),
-        list(workload.objects),
+        objects,
         rng.fork(2),
         velocity_changes_per_step=params.velocity_changes_per_step,
         **system_kwargs,

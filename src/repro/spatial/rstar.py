@@ -90,6 +90,9 @@ class RStarTree:
         self._root = _Node(leaf=True)
         self._height = 1  # number of levels; leaves are level 0
         self._size = 0
+        #: Nodes read by searches and by the descents of inserts and deletes,
+        #: over the tree's lifetime: the usual clock-free CPU-cost proxy.
+        self.node_visits = 0
 
     # ------------------------------------------------------------------ API
 
@@ -134,6 +137,7 @@ class RStarTree:
         stack = [self._root]
         while stack:
             node = stack.pop()
+            self.node_visits += 1
             if node.leaf:
                 for entry in node.entries:
                     if entry.rect.intersects(rect):
@@ -171,6 +175,7 @@ class RStarTree:
             if node is None:
                 out.append((dist, item))
                 continue
+            self.node_visits += 1
             for entry in node.entries:
                 counter += 1
                 entry_dist = entry.rect.distance_to_point(point)
@@ -248,6 +253,7 @@ class RStarTree:
             path.append((node, entry))
             node = entry.child  # type: ignore[assignment]
             current_level -= 1
+        self.node_visits += len(path) + 1
         return node, path
 
     def _pick_child(self, node: _Node, rect: Rect, target_is_leaf: bool) -> _Entry:
@@ -390,6 +396,7 @@ class RStarTree:
     ) -> tuple[_Node, list[tuple[_Node, _Entry]]] | None:
         if path is None:
             path = []
+        self.node_visits += 1
         if node.leaf:
             for entry in node.entries:
                 if entry.item == item and entry.rect.intersects(rect):

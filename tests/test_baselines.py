@@ -236,3 +236,37 @@ class TestCentralizedSystem:
         system.run(5)
         assert system.metrics.mean_server_seconds() > 0.0
         assert system.metrics.mean_server_ops() > 0.0
+
+    def test_server_ops_tell_the_index_modes_apart_without_a_clock(self):
+        """Changed positions + queries is the same number for both modes;
+        the R*-tree nodes each one reads is what differs."""
+        params = paper_defaults().scaled(0.01)
+
+        def run(indexing):
+            workload = generate_workload(params, SimulationRng(5))
+            system = CentralizedSystem(
+                CentralizedConfig(uod=params.uod, indexing=indexing),
+                list(workload.objects),
+                SimulationRng(6),
+                velocity_changes_per_step=params.velocity_changes_per_step,
+            )
+            system.install_queries(workload.query_specs)
+            system.run(6)
+            return system
+
+        objects, queries = run(IndexingMode.OBJECTS), run(IndexingMode.QUERIES)
+        flat = params.num_objects + params.num_queries  # every object moves every step
+        for system in (objects, queries):
+            steps = system.metrics.steps
+            assert all(step.server_ops > flat for step in steps)  # flat + nodes read
+            # Lifetime totals and a mark: the samples add up, nothing is zeroed.
+            assert sum(step.server_ops for step in steps) == system.server_ops
+            # Seeding the index and installing queries is untimed set-up.
+            assert system.server_ops - len(steps) * flat < system.index.node_visits
+            assert sum(step.server_seconds for step in steps) == pytest.approx(
+                system.server_seconds
+            )
+        assert objects.metrics.mean_server_ops() != queries.metrics.mean_server_ops()
+        assert [s.server_ops for s in objects.metrics.steps] == [
+            s.server_ops for s in run(IndexingMode.OBJECTS).metrics.steps
+        ]

@@ -233,6 +233,15 @@ def test_every_incremented_attribute_of_a_counter_owner_is_declared():
     assert set(NOT_COUNTERS) <= COUNTER_OWNERS
 
 
+#: ``self.x += ...`` and, outside ``__init__``, ``self.x = 0`` in one class
+#: that is state with a lifecycle, not a counter drained by its reader.
+RESTARTED_NOT_DRAINED = {
+    "MobiEyesClient._steps_since_ack",  # a timer an acknowledgement restarts
+    "BatchEvaluator.dead_ent",  # tombstones in the arena; compaction removes them
+    "SimulationClock.step",  # SimulationClock.reset() rewinds the clock
+}
+
+
 def test_no_zero_on_read_counter_is_left_in_src():
     pattern = re.compile(r"def drain|reset_load|total_ops\b|total_seconds\b")
     hits = [
@@ -241,7 +250,63 @@ def test_no_zero_on_read_counter_is_left_in_src():
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
     ]
+    # The idiom itself, whatever the attribute is called: accumulated with
+    # ``+=`` and set back to zero outside __init__.
+    for path in sorted(SRC.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bumped = {
+                node.target.attr
+                for node in ast.walk(cls)
+                if isinstance(node, ast.AugAssign) and _is_self_attribute(node.target)
+            }
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+                    continue
+                hits += [
+                    f"{path.relative_to(SRC)}:{node.lineno} {cls.name}.{target.attr}"
+                    for node in ast.walk(method)
+                    if isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Constant)
+                    and node.value.value in (0, 0.0)
+                    for target in node.targets
+                    if _is_self_attribute(target)
+                    and target.attr in bumped
+                    and f"{cls.name}.{target.attr}" not in RESTARTED_NOT_DRAINED
+                ]
     assert not hits, hits
+
+
+def _is_self_attribute(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def test_every_experiment_states_its_shape_once_and_has_a_benchmark():
+    """An experiment is registered with one paragraph of what the paper's
+    figure shows (its docstring: the text ``repro list`` and the report
+    print) and has a ``benchmarks/test_*`` file asserting that shape."""
+    from repro.experiments import EXPERIMENTS, TITLES
+
+    assert len(EXPERIMENTS) == 22 and list(TITLES) == list(EXPERIMENTS)
+    benchmarks = [path.read_text() for path in (SRC.parent / "benchmarks").glob("test_*.py")]
+    for exp_id, experiment in EXPERIMENTS.items():
+        assert experiment.title == TITLES[exp_id]
+        assert experiment.paper.startswith(("Paper (Fig. ", "Extension")), exp_id
+        assert len(experiment.paper) > 100 and "\n" not in experiment.paper, exp_id
+        assert any(f'"{exp_id}"' in text for text in benchmarks), f"no benchmark runs {exp_id}"
+    # One statement each: an id or a title is written once under src/.
+    source = "".join(path.read_text() for path in sorted(SRC.rglob("*.py")))
+    for exp_id, title in TITLES.items():
+        assert source.count(f'"{exp_id}"') == 1, exp_id
+        assert source.count(title) == 1, title
+    # The CI job that runs those benchmarks reads no clock.
+    workflow = (SCRIPT.parents[1] / "workflows" / "ci.yml").read_text()
+    assert 'python -m pytest benchmarks -q -m "not clock"' in workflow
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -39,6 +39,26 @@ class TestRun:
         assert "unknown experiment" in err
 
 
+class TestReport:
+    def test_short_run_writes_the_whole_report(self, tmp_path, capsys):
+        target = tmp_path / "EXPERIMENTS.md"
+        assert main(["report", "--scale", "0.005", "--steps", "3", "--output", str(target)]) == 0
+        assert "## analysis-lqt:" in target.read_text()
+
+    def test_a_failed_report_leaves_the_previous_file(self, tmp_path, capsys, monkeypatch):
+        from repro.experiments import EXPERIMENTS
+
+        def boom(**kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(EXPERIMENTS, "fig02", boom)
+        target = tmp_path / "EXPERIMENTS.md"
+        target.write_text("the result of record\n")
+        assert main(["report", "--scale", "0.005", "--steps", "4", "--output", str(target)]) == 2
+        assert "repro report: error: boom" in capsys.readouterr().err
+        assert target.read_text() == "the result of record\n"
+
+
 class TestSimulate:
     def test_basic_simulation(self, capsys):
         code = main(

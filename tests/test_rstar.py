@@ -161,3 +161,42 @@ class TestStructure:
             tree.insert(rect_at(i % 50, i // 50), i)
         # 500 items at fanout >= 4 must fit in a handful of levels.
         assert tree.height <= 6
+
+
+class TestNodeVisits:
+    """The clock-free cost the centralized baselines report as server ops."""
+
+    def test_an_empty_search_reads_the_root_only(self):
+        tree = RStarTree()
+        tree.search(rect_at(0, 0, 1, 1))
+        assert tree.node_visits == 1
+
+    def test_searches_and_updates_read_nodes_and_the_count_only_goes_up(self):
+        tree = RStarTree(max_entries=8)
+        for i in range(300):
+            tree.insert(rect_at(i % 20, i // 20), i)
+        seen = [tree.node_visits]
+        tree.search(Rect(0, 0, 3, 3))
+        seen.append(tree.node_visits)
+        assert seen[-1] - seen[-2] >= tree.height  # root to a leaf at least
+        tree.search(Rect(0, 0, 20, 15))  # everything: every node
+        seen.append(tree.node_visits)
+        assert seen[-1] - seen[-2] > seen[-2] - seen[-3]
+        tree.update(rect_at(0, 0), rect_at(19, 14), 0)  # a delete and an insert descent
+        seen.append(tree.node_visits)
+        assert seen[-1] - seen[-2] >= 2 * tree.height
+        tree.nearest(Point(5, 5), k=3)
+        seen.append(tree.node_visits)
+        assert seen == sorted(set(seen))
+
+    def test_the_count_repeats_exactly(self):
+        def build():
+            tree = RStarTree(max_entries=6)
+            for i in range(120):
+                tree.insert(rect_at((i * 37) % 50, (i * 61) % 50), i)
+            for i in range(0, 120, 3):
+                tree.update(rect_at((i * 37) % 50, (i * 61) % 50), rect_at(i % 50, i % 7), i)
+            tree.search(Rect(10, 10, 20, 20))
+            return tree.node_visits
+
+        assert build() == build()
