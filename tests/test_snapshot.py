@@ -606,6 +606,18 @@ class TestShardCrashRecovery:
                 loss=self.crash_injector(shard=5),
             )
 
+    def test_crash_before_the_first_basis_is_a_construction_error(self):
+        # At the parent this config constructed and then raised "crash ended
+        # at step 6 before the first cadence checkpoint" out of step(): the
+        # only tick before the window's end (step 4) falls inside it.
+        with pytest.raises(ValueError, match=r"start=2.*checkpoint_every_steps=4"):
+            paper_system(
+                shards=2,
+                scale=0.01,
+                checkpoint_every_steps=4,
+                loss=self.crash_injector(start=2, end=6),
+            )
+
     def test_crash_erases_and_recovery_rebuilds(self):
         injector = self.crash_injector(start=6, end=10, shard=1)
         system = make_system(
@@ -651,6 +663,24 @@ class TestShardCrashRecovery:
             assert qid in coord.owner_of
         coord.check_invariants()
         system.close()
+
+
+class TestRecoveryBasis:
+    def test_the_basis_is_the_server_tables_and_nests_nothing(self):
+        # Deterministic byte counts, no clock read.  At the parent the basis
+        # was a checkpoint of the whole world and every explicit checkpoint
+        # of a cadence run carried the previous one inside it (1.99x).
+        plain, cadenced = (
+            paper_system(shards=2, scale=0.02, checkpoint_every_steps=every) for every in (0, 4)
+        )
+        with plain, cadenced:
+            plain.run(9)
+            cadenced.run(9)
+            assert cadenced.checkpoints_taken == 2
+            assert step_hash(cadenced) == step_hash(plain)
+            whole = len(checkpoint(cadenced).blob)
+            assert 0 < len(cadenced.recovery_basis) < whole / 10
+            assert whole < 1.15 * len(checkpoint(plain).blob)
 
 
 class TestChaosCrash:
