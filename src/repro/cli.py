@@ -181,7 +181,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             downlink_latency=args.latency,
             latency_jitter=args.latency_jitter,
             crash=args.crash,
-            checkpoint_every=args.checkpoint_every,
             rebalance=args.rebalance,
         )
 
@@ -372,16 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--crash",
         action="store_true",
         help="add a mid-run shard crash window (requires --shards >= 2): the "
-        "shard's soft state is erased, rebuilt from the last periodic "
-        "checkpoint at the window end, and recovery is graded against the "
+        "shard's soft state is erased, rebuilt from the recovery basis (the "
+        "server tables) at the window end, and recovery is graded against the "
         "fault-free lockstep twin",
-    )
-    chaos.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        help="checkpoint cadence in steps for --crash recovery "
-        "(default: steps // 8, at least 2)",
     )
     chaos.add_argument(
         "--rebalance",

@@ -88,6 +88,10 @@ class Coordinator:
         # reliability endpoints, and checkpoints never renumber; a later
         # spawn recycles the lowest retired slot before growing the list.
         self._retired: set[int] = set()
+        # The one record of which shards are down: ``crash_shard`` adds,
+        # ``recover_shard`` removes, the checkpoint's partition section
+        # carries it, and the fault injector drops uplinks routed into it.
+        self._dead: set[int] = set()
         self.shards: list[ServerShard] = [
             self._make_shard(sid) for sid in range(self.partitioner.num_shards)
         ]
@@ -208,6 +212,11 @@ class Coordinator:
         if oid is None:
             return 0
         return self._route_report(REC_VELOCITY, oid, None)
+
+    def uplink_dead(self, message: object) -> bool:
+        """Whether an uplink's destination shard is down (the fault
+        injector's crash check)."""
+        return bool(self._dead) and self.shard_for_uplink(message) in self._dead
 
     def on_uplink(self, message: object) -> None:
         """Dispatch an object -> server message to the responsible shard."""
@@ -415,18 +424,24 @@ class Coordinator:
         self._retired.add(sid)
         return summary
 
-    def restore_fleet(self, slots: int, retired: Iterable[int]) -> None:
+    def restore_fleet(self, slots: int, retired: Iterable[int], dead: Iterable[int]) -> None:
         """Checkpoint restore: grow ``shards`` to ``slots`` (a fleet that
         scaled out past the config's initial count) and adopt the
-        checkpointed retired-slot set."""
+        checkpointed retired-slot and dead-shard sets."""
         while len(self.shards) < slots:
             self.shards.append(self._make_shard(len(self.shards)))
         self._retired = set(retired)
+        self._dead = set(dead)
 
     @property
     def retired_shards(self) -> tuple[int, ...]:
         """Retired slot ids, ascending (for checkpoints and reports)."""
         return tuple(sorted(self._retired))
+
+    @property
+    def dead_shards(self) -> tuple[int, ...]:
+        """Crashed, not yet recovered shard ids, ascending."""
+        return tuple(sorted(self._dead))
 
     # --------------------------------------------------- crash / recovery
 
@@ -441,8 +456,8 @@ class Coordinator:
         registry callbacks, so surviving shards route around the hole:
         results for dead queries resolve to ``None`` and are skipped, and
         fresh uplinks into the dead stripe are dropped by the fault
-        injector's crash window.  Returns drop/teardown counters for the
-        chaos report.
+        injector, which asks :meth:`uplink_dead`.  Returns drop/teardown
+        counters for the chaos report.
         """
         shard = self.shards[sid]
         # Discard in-flight uplinks first: routing consults the ownership
@@ -466,6 +481,7 @@ class Coordinator:
         # those registrations are this shard's soft state and die too
         # (recover_shard rebuilds them from the survivors' live entries).
         shard.registry.rqi.clear()
+        self._dead.add(sid)
         return {
             "shard": sid,
             "queries_lost": len(entries),
@@ -475,7 +491,7 @@ class Coordinator:
 
     def recover_shard(self, sid: int, sections: list[dict], step: int) -> dict:
         """Restart shard ``sid`` from the server sections of the system's
-        last checkpoint (freshly decoded: this adopts their objects).
+        recovery basis (freshly decoded: this adopts their objects).
 
         Rebuilds the dead shard's tables in three strokes:
 
@@ -489,7 +505,7 @@ class Coordinator:
            from the checkpoint with ``last_heard = step``, granting a
            fresh lease so recovery itself cannot expire anyone.
 
-        The caller (the system's crash orchestration) follows up with a
+        The caller (the system's boundary slot) follows up with a
         grid-wide resync directive so clients re-pull descriptors and
         report epochs; entries recovered here may be stale until those
         resyncs and the objects' own reports re-converge the results --
@@ -497,6 +513,7 @@ class Coordinator:
         the chaos report.
         """
         shard = self.shards[sid]
+        self._dead.discard(sid)
         recovered_queries = 0
         recovered_focals = 0
         for section in sections:
@@ -586,6 +603,10 @@ class Coordinator:
         if spec.is_static:
             mon_region = self.grid.cells_intersecting(spec.region.bounding_rect())
             owner = self.partitioner.shard_of_cell((mon_region.lo_i, mon_region.lo_j))
+            if owner in self._dead:
+                # Any shard can own a static query's descriptor (retire_shard
+                # re-homes them the same way): the first one that is up.
+                owner = next(sid for sid in self.partitioner.order if sid not in self._dead)
             return self.shards[owner].install_query(spec)
         home = self._home_of(spec.oid)
         if home is None:
@@ -698,17 +719,17 @@ class Coordinator:
     def check_invariants(self) -> None:
         """Per-shard invariants plus the cross-shard partition and
         directory consistency rules.  Retired slots must be fully drained
-        -- a retired shard holding state is a lost-migration bug."""
+        -- a retired shard holding state is a lost-migration bug -- and a
+        dead shard holds no entry, no focal and no RQI cell: it is a
+        process that is down, not a table to park state in."""
         for shard in self.shards:
-            if not self.partitioner.is_live(shard.shard_id):
-                assert len(shard.registry) == 0, (
-                    f"retired shard {shard.shard_id} still owns queries"
-                )
-                assert not list(shard.tracker.ids()), (
-                    f"retired shard {shard.shard_id} still tracks focals"
-                )
+            sid = shard.shard_id
+            if sid in self._dead or not self.partitioner.is_live(sid):
+                idle = f"{'dead' if sid in self._dead else 'retired'} shard {sid}"
+                assert len(shard.registry) == 0, f"{idle} still owns queries"
+                assert not list(shard.tracker.ids()), f"{idle} still tracks focals"
                 assert not list(shard.registry.rqi.nonempty_cells()), (
-                    f"retired shard {shard.shard_id} still holds RQI cells"
+                    f"{idle} still holds RQI cells"
                 )
                 continue
             shard.check_invariants()

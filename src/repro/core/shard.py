@@ -100,13 +100,20 @@ class ServerShard(MobiEyesServer):
             return self.registry.get(qid)
         return self.coordinator.result_entry(qid)
 
+    # A dead shard's RQI stripe stays empty until recover_shard rebuilds it
+    # from the live entries.
+
     def _rqi_add(self, qid: QueryId, region: CellRange) -> None:
+        dead = self.coordinator._dead
         for shard, portion in self.partitioner.split(region):
-            self.coordinator.shards[shard].registry.register_cells(qid, portion)
+            if shard not in dead:
+                self.coordinator.shards[shard].registry.register_cells(qid, portion)
 
     def _rqi_remove(self, qid: QueryId, region: CellRange) -> None:
+        dead = self.coordinator._dead
         for shard, portion in self.partitioner.split(region):
-            self.coordinator.shards[shard].registry.unregister_cells(qid, portion)
+            if shard not in dead:
+                self.coordinator.shards[shard].registry.unregister_cells(qid, portion)
 
     def _rqi_move(self, qid: QueryId, old: CellRange, new: CellRange) -> None:
         self._rqi_remove(qid, old)
@@ -123,7 +130,10 @@ class ServerShard(MobiEyesServer):
     def check_invariants(self) -> None:
         """Per-shard structural consistency, including the partition rule
         that this shard's RQI only holds cells of its own column stripe."""
-        super().check_invariants()
+        dead = self.coordinator._dead
+        # A monitoring region's portion on a dead stripe is gone until
+        # recover_shard rebuilds it from this (live) entry.
+        super().check_invariants(lambda cell: self.partitioner.shard_of_cell(cell) in dead)
         for cell in self.registry.rqi.nonempty_cells():
             assert self.partitioner.owns(self.shard_id, cell), (
                 f"shard {self.shard_id} RQI holds foreign cell {cell}"

@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Wire-format version.  Bump on any layout change: the header, a payload
 #: key, an owner's ``CHECKPOINT_FIELDS``, a field of a payload class.
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 #: Largest payload a checkpoint may hold, checked before anything is
 #: hashed or decoded (Table 1 at full scale is ~6 MB).
@@ -164,15 +164,31 @@ class _PayloadUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-def _decode(cp: Checkpoint) -> dict[str, Any]:
-    """The payload of a checkpoint, as a fresh object graph per call --
-    the only place checkpoint bytes become objects."""
+def _loads(blob: bytes) -> Any:
+    """A fresh object graph per call -- the only place checkpoint bytes
+    become objects."""
     try:
-        payload = _PayloadUnpickler(io.BytesIO(cp.blob)).load()
+        return _PayloadUnpickler(io.BytesIO(blob)).load()
     except Exception as exc:  # damaged or hostile bytes fail any way they like
         raise ValueError(f"checkpoint payload does not decode: {exc}") from exc
+
+
+def _decode(cp: Checkpoint) -> dict[str, Any]:
+    """The shape-checked payload of a checkpoint."""
+    payload = _loads(cp.blob)
     _check_shape(payload)
     return payload
+
+
+def decode_basis(blob: bytes | None) -> list[dict[str, Any]]:
+    """The server sections of a recovery basis (:func:`capture_basis`),
+    decoded and key-checked like a whole checkpoint's: a ``ValueError``
+    before :meth:`Coordinator.recover_shard` touches a table."""
+    if not isinstance(blob, bytes):
+        raise ValueError("no recovery basis has been captured: nothing to recover from")
+    sections = _loads(blob)
+    _check_sections(sections)
+    return sections
 
 
 def _check_keys(what: str, state: Any, names: Iterable) -> None:
@@ -205,9 +221,18 @@ def import_state(owner: Any, state: dict[str, Any] | None) -> None:
 _PAYLOAD_KEYS = (
     "config step objects rng velocity_changes_per_step changed_last_step track_accuracy "
     "warmup_steps latency loss server partition rebalance_policy next_qid report_epochs "
-    "clients eval_counters transport reliability ledger metrics_steps system last_checkpoint "
-    "own_basis service"
+    "clients eval_counters transport reliability ledger metrics_steps system basis service"
 ).split()
+
+
+def _check_sections(sections: Any) -> None:
+    from repro.core.load import LoadAccount
+
+    if not isinstance(sections, list):
+        raise ValueError(f"checkpoint server sections are {type(sections).__name__}, not a list")
+    for section in sections:
+        _check_keys("server section", section, ("entries", "tracker", "load"))
+        _check_keys("server load", section["load"], LoadAccount.CHECKPOINT_FIELDS)
 
 
 def _check_shape(p: Any) -> None:
@@ -216,7 +241,6 @@ def _check_shape(p: Any) -> None:
     server section per shard slot, one client section per object."""
     from repro.core.client import EvalCounters, MobiEyesClient
     from repro.core.config import MobiEyesConfig
-    from repro.core.load import LoadAccount
     from repro.core.rebalance import RebalancePolicy
     from repro.core.service import MobiEyesService
     from repro.core.system import MobiEyesSystem
@@ -227,15 +251,18 @@ def _check_shape(p: Any) -> None:
 
     _check_keys("payload", p, _PAYLOAD_KEYS)
     config, partition, sections, loss = p["config"], p["partition"], p["server"], p["loss"]
-    if not isinstance(config, MobiEyesConfig) or not isinstance(sections, list):
-        raise ValueError("checkpoint config or server sections are of the wrong type")
+    if not isinstance(config, MobiEyesConfig):
+        raise ValueError(f"checkpoint config is {type(config).__name__}")
+    _check_sections(sections)
+    if p["basis"] is not None:
+        decode_basis(p["basis"])
     # A coordinator and its partition map exist exactly when shards > 1,
     # and its fleet (one section per shard slot) only grows.
     fleet_ok = len(sections) >= config.shards if config.shards > 1 else len(sections) == 1
     if not fleet_ok or (partition is None) != (config.shards == 1):
         raise ValueError(f"checkpoint server sections do not fit shards={config.shards}")
     if partition is not None:
-        _check_keys("partition", partition, ("bounds", "epoch", "order", "retired"))
+        _check_keys("partition", partition, ("bounds", "epoch", "order", "retired", "dead"))
     # The transport builds a reliability layer exactly when the loss seam
     # is an injector (which travels as a dict).
     if (p["reliability"] is not None) != isinstance(loss, dict):
@@ -245,9 +272,6 @@ def _check_shape(p: Any) -> None:
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"checkpoint objects are malformed: {exc}") from exc
     _check_keys("clients", p["clients"], oids)
-    for section in sections:
-        _check_keys("server section", section, ("entries", "tracker", "load"))
-        _check_keys("server load", section["load"], LoadAccount.CHECKPOINT_FIELDS)
     client_keys = ("entries", "hull", "has_mq", "relayed", *MobiEyesClient.CHECKPOINT_FIELDS)
     for section in p["clients"].values():
         _check_keys("client section", section, client_keys)
@@ -293,6 +317,13 @@ def _capture_server(system: "MobiEyesSystem") -> list[dict[str, Any]]:
     ]
 
 
+def capture_basis(system: "MobiEyesSystem") -> bytes:
+    """The recovery basis: the server tables (FOT, SQT; the RQI is derived
+    from them) and nothing else, as bytes -- what
+    :meth:`Coordinator.recover_shard` rebuilds a crashed shard from."""
+    return pickle.dumps(_capture_server(system), pickle.HIGHEST_PROTOCOL)
+
+
 def _capture_clients(system: "MobiEyesSystem") -> dict[int, dict[str, Any]]:
     out = {}
     for oid in system._client_order:
@@ -318,9 +349,9 @@ def _capture_loss(system: "MobiEyesSystem") -> Any:
 
 
 def _capture_partition(system: "MobiEyesSystem") -> dict[str, Any] | None:
-    """The mutable partition state: boundary layout, epoch, stripe order
-    and retired slots (None for a monolith: no map).  The shard-slot count
-    is the number of server sections."""
+    """The mutable partition state: boundary layout, epoch, stripe order,
+    retired and dead slots (None for a monolith: no map).  The shard-slot
+    count is the number of server sections."""
     partitioner = getattr(system.server, "partitioner", None)
     if partitioner is None:
         return None
@@ -329,6 +360,7 @@ def _capture_partition(system: "MobiEyesSystem") -> dict[str, Any] | None:
         "epoch": partitioner.epoch,
         "order": partitioner.order,
         "retired": system.server.retired_shards,
+        "dead": system.server.dead_shards,
     }
 
 
@@ -352,23 +384,18 @@ def _check_supported(system: "MobiEyesSystem") -> None:
         )
 
 
-def checkpoint(system: "MobiEyesSystem", cadence_step: int | None = None) -> Checkpoint:
+def checkpoint(system: "MobiEyesSystem") -> Checkpoint:
     """Capture a system's full state at a step boundary.
 
     Must be called between steps (not from inside a phase); the captured
     state is bytes, so the system may keep running and the checkpoint be
-    restored any number of times.  ``cadence_step`` is for the system's
-    own periodic capture, which runs after the clock has ticked: it names
-    the boundary step to record and marks the checkpoint as its own
-    recovery basis (a run restored from it recovers a crashed shard from it).
+    restored any number of times.
     """
     _check_supported(system)
     server = system.server
-    own_basis = cadence_step is not None
-    basis = system._last_checkpoint
     payload: dict[str, Any] = {
         "config": system.config,
-        "step": cadence_step if own_basis else system.clock.step,
+        "step": system.clock.step,
         "objects": system.motion.objects,
         "rng": system.rng,
         "velocity_changes_per_step": system.motion.velocity_changes_per_step,
@@ -393,10 +420,8 @@ def checkpoint(system: "MobiEyesSystem", cadence_step: int | None = None) -> Che
         "ledger": export_state(system.ledger),
         "metrics_steps": system.metrics.steps,
         "system": export_state(system),
-        # Crash-recovery basis: the last periodic checkpoint's bytes (None
-        # in a cadence capture, which is its own and never nests another).
-        "last_checkpoint": None if own_basis or basis is None else basis.blob,
-        "own_basis": own_basis,
+        # The crash-recovery basis (capture_basis bytes, or None).
+        "basis": system.recovery_basis,
         # The attached service's ingest queue and accounting, so a restored
         # service resumes with the same pending work.
         "service": export_state(system._service),
@@ -488,7 +513,7 @@ def restore(cp: Checkpoint) -> "MobiEyesSystem":
         # has more server sections than the config's initial count) and
         # re-mark retired slots, then adopt the stripe layout -- all
         # before the graft, whose RQI splits consult the live map.
-        server.restore_fleet(len(p["server"]), partition["retired"])
+        server.restore_fleet(len(p["server"]), partition["retired"], partition["dead"])
         server.partitioner.restore_state(
             tuple(partition["bounds"]), partition["epoch"], tuple(partition["order"])
         )
@@ -509,10 +534,7 @@ def restore(cp: Checkpoint) -> "MobiEyesSystem":
     system.motion.changed_last_step = p["changed_last_step"]
     system.metrics.steps = p["metrics_steps"]
     import_state(system, p["system"])
-    if p["own_basis"]:
-        system._last_checkpoint = cp
-    elif p["last_checkpoint"] is not None:
-        system._last_checkpoint = Checkpoint(CHECKPOINT_VERSION, p["last_checkpoint"])
+    system.recovery_basis = p["basis"]
     import_state(system._rebalance_policy, p["rebalance_policy"])
     # A service attached to the restored system adopts the checkpointed
     # ingest queue (see MobiEyesService.__init__).

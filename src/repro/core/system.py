@@ -35,7 +35,7 @@ from repro.core.load import LoadAccount, read_counters
 from repro.core.messages import RebalanceDirective, ResyncDirective
 from repro.core.query import QueryId, QuerySpec
 from repro.core.server import MobiEyesServer
-from repro.core.snapshot import _decode, checkpoint
+from repro.core.snapshot import capture_basis, decode_basis
 from repro.core.transport import SimulatedTransport
 from repro.grid import CellRange, Grid
 from repro.metrics.accuracy import exact_results, mean_result_error
@@ -50,6 +50,10 @@ from repro.sim.clock import SimulationClock
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SimulationRng
 from repro.sim.trace import TraceLog
+
+
+#: A boundary with nothing scheduled (see MobiEyesSystem._boundary_slot).
+_NOTHING_DUE: tuple = ((), (), ())
 
 
 class MobiEyesSystem:
@@ -135,23 +139,20 @@ class MobiEyesSystem:
         for client in self.clients.values():
             client.focal_registry = self.focal_flags
         self._fault_injector = None
-        # Crash recovery state: the most recent periodic checkpoint (the
-        # recovery basis), and the schedule's crash windows if any.
-        self._last_checkpoint = None
-        self._checkpoint_every = config.checkpoint_every_steps
+        # The recovery basis: the server tables as bytes (see
+        # snapshot.capture_basis), retaken every ``checkpoint_every_steps``
+        # while no shard is dead; ``Coordinator.recover_shard`` reads it.
+        self.recovery_basis: bytes | None = None
         self.checkpoints_taken = 0
-        self._crash_windows = ()
-        # What each crash erased and each recovery rebuilt (chaos report).
+        # What each crash erased and each recovery rebuilt, and the applied
+        # placement operations (consumed by the chaos / soak reports).
         self.crash_log: list[dict] = []
-        # Online repartitioning: the explicit trigger schedule, the
-        # optional load-driven policy, and the log of applied operations
-        # (consumed by the chaos / soak reports).
-        self._rebalance_schedule = config.rebalance_schedule
-        self._rebalance_every = config.rebalance_every_steps
-        self._elastic_schedule = config.elastic_schedule
-        self._rebalance_policy = None
         self.rebalance_log: list[dict] = []
-        if self._rebalance_every and config.shards > 1:
+        # step -> (crash ops, transfers, splits / merges) due at that
+        # boundary, resolved here once (see _boundary_slot).
+        self._due: dict[int, tuple[list, list, list]] = {}
+        self._rebalance_policy = None
+        if config.rebalance_every_steps and config.shards > 1:
             from repro.core.rebalance import RebalancePolicy
 
             # elastic_max_shards > 0 lets the thermostat change the shard
@@ -159,42 +160,23 @@ class MobiEyesSystem:
             # shard, merge a persistently cold one away.
             self._rebalance_policy = RebalancePolicy(config.elastic_max_shards)
         if getattr(loss, "policy", None) is not None:
-            # Fault injection: bind the injector to live positions, turn
-            # on server leases, and give every client the fault policy
-            # (heartbeats and resync).
+            # Fault injection: bind the injector to live positions (and to
+            # the coordinator's dead set), turn on server leases, and give
+            # every client the fault policy (heartbeats and resync).
             self._fault_injector = loss
-            loss.bind(self.layout, lambda oid: self.clients[oid].obj.pos)
+            loss.bind(
+                self.layout,
+                lambda oid: self.clients[oid].obj.pos,
+                getattr(self.server, "uplink_dead", None),
+            )
             self.server.enable_leases(loss.policy.lease_steps)
             for client in self.clients.values():
                 client.fault_policy = loss.policy
-            if config.shards > 1:
-                # Let crash windows drop uplinks addressed to a dead shard.
-                loss.bind_shards(self.server.shard_for_uplink)
-            crashes = loss.schedule.crashes
-            if crashes:
-                if config.elastic_max_shards > 0 or config.elastic_schedule:
-                    raise ValueError(
-                        "shard crash windows require a fixed fleet: crash "
-                        "recovery rebuilds a shard by id from the last "
-                        "checkpoint, which elastic retirement invalidates"
-                    )
-                if config.shards <= 1:
-                    raise ValueError(
-                        "shard crash windows require a sharded server (config.shards > 1)"
-                    )
-                if config.checkpoint_every_steps <= 0:
-                    raise ValueError(
-                        "shard crash windows require a positive "
-                        "checkpoint_every_steps cadence (recovery rebuilds the "
-                        "dead shard from the last periodic checkpoint)"
-                    )
-                for window in crashes:
-                    if window.shard >= self.server.num_shards:
-                        raise ValueError(
-                            f"crash window targets shard {window.shard} but the "
-                            f"partitioner built only {self.server.num_shards} shards"
-                        )
-                self._crash_windows = crashes
+            self._schedule_crashes(loss.schedule.crashes)
+        for step, *transfer in config.rebalance_schedule:
+            self._due_at(step)[1].append(("transfer", *transfer))
+        for step, *op in config.elastic_schedule:
+            self._due_at(step)[2].append(tuple(op))
         # Service runtime attach point (core/service.py): the live service
         # wrapping this system, and -- after a restore -- the checkpointed
         # ingest-queue state waiting for the next service to adopt.
@@ -345,12 +327,19 @@ class MobiEyesSystem:
             + transport.discarded_envelopes
             + transport.pending_count()
         ), "an envelope is neither delivered, discarded nor queued"
-        relaxed = transport.latency_active or transport.pending_count() > 0
+        # ... and while a shard is dead, or for a client that still owes
+        # the resync a recovery directed, the LQT may hold what the crash
+        # erased.
+        relaxed = (
+            transport.latency_active
+            or transport.pending_count() > 0
+            or bool(getattr(self.server, "dead_shards", ()))
+        )
         for oid in self._client_order:
             client = self.clients[oid]
             for entry in client.lqt.entries():
                 assert entry.oid != oid, "object monitors its own query"
-                if relaxed:
+                if relaxed or client._needs_resync:
                     continue
                 assert entry.qid in self.server.sqt, "LQT holds a removed query"
                 assert entry.mon_region.contains(client.last_cell), (
@@ -365,16 +354,7 @@ class MobiEyesSystem:
         return [(obj.oid, obj.pos) for obj in self.motion.objects]
 
     def _movement_phase(self, clock: SimulationClock) -> None:
-        if self._crash_windows or self._checkpoint_every:
-            self._robustness_housekeeping(clock.step)
-        if (
-            self._rebalance_schedule
-            or self._elastic_schedule
-            or self._rebalance_policy is not None
-        ):
-            # After recovery, before any of this step's traffic: a crash
-            # window ending this step is rebuilt before boundaries move.
-            self._rebalance_housekeeping(clock.step)
+        self._boundary_slot(clock.step)
         self._unstepped_updates.clear()
         if self._fastpath is not None:
             self._fastpath.movement_phase(clock)
@@ -382,118 +362,142 @@ class MobiEyesSystem:
         self.motion.advance(clock.step_hours, clock.now_hours)
         self.transport.begin_step(clock.step, self._positions())
 
-    def _robustness_housekeeping(self, step: int) -> None:
-        """Crash-window orchestration and checkpoint cadence.
+    def _due_at(self, step: int) -> tuple[list, list, list]:
+        return self._due.setdefault(step, ([], [], []))
 
-        Runs at the very top of the movement phase -- the clock already
-        reads ``step`` but nothing of step ``step`` has happened, so the
-        system is exactly at the post-``step - 1`` boundary.  In order:
-        a crash window *ending* here restarts its shard from the last
-        periodic checkpoint and broadcasts a grid-wide resync directive
-        (this step's traffic already sees the rebuilt tables); a window
-        *starting* here kills its shard before any new delivery; and on
-        a cadence tick with every shard healthy, a fresh checkpoint
-        becomes the recovery basis.
-        """
-        for window in self._crash_windows:
-            if window.end == step:
-                if self._last_checkpoint is None:
-                    raise ValueError(
-                        f"shard {window.shard} crash ended at step {step} before the "
-                        "first cadence checkpoint: nothing to recover from"
-                    )
-                sections = _decode(self._last_checkpoint)["server"]
-                summary = self.server.recover_shard(window.shard, sections, step)
-                self.crash_log.append({"step": step, **summary})
-                # Clients re-pull descriptors and report epochs; coverage
-                # still matches true positions (movement has not run yet).
-                grid = self.grid
-                self.transport.broadcast(
-                    CellRange(0, grid.n_cols - 1, 0, grid.n_rows - 1), ResyncDirective()
+    def _schedule_crashes(self, crashes: tuple) -> None:
+        """Resolve the fault schedule's crash windows into boundary ops,
+        refusing what could only fail later, out of ``step()``."""
+        config = self.config
+        every = config.checkpoint_every_steps
+        if not crashes:
+            return
+        if config.elastic_max_shards > 0 or config.elastic_schedule:
+            raise ValueError(
+                "shard crash windows require a fixed fleet: crash "
+                "recovery rebuilds a shard by id from the last "
+                "checkpoint, which elastic retirement invalidates"
+            )
+        if config.shards <= 1:
+            raise ValueError("shard crash windows require a sharded server (config.shards > 1)")
+        if every <= 0:
+            raise ValueError(
+                "shard crash windows require a positive checkpoint_every_steps cadence "
+                "(recovery rebuilds the dead shard from the last recovery basis)"
+            )
+        for window in crashes:
+            if window.shard >= self.server.num_shards:
+                raise ValueError(
+                    f"crash window targets shard {window.shard} but the "
+                    f"partitioner built only {self.server.num_shards} shards"
                 )
-        for window in self._crash_windows:
-            if window.start == step:
-                self.crash_log.append({"step": step, **self.server.crash_shard(window.shard)})
-        every = self._checkpoint_every
-        if every and step % every == 0:
-            injector = self._fault_injector
-            if injector is None or not injector.schedule.crashed(step):
-                # The clock already reads ``step`` but this is the
-                # post-``step - 1`` boundary state.
-                self._last_checkpoint = checkpoint(self, cadence_step=step - 1)
-                self.checkpoints_taken += 1
+            if window.start <= every:
+                # The slot captures after it crashes, so the first basis
+                # exists from the boundary after step ``every``'s.
+                raise ValueError(
+                    f"{window} opens before the first recovery basis exists "
+                    f"(checkpoint_every_steps={every} first captures at step {every}, "
+                    "after that boundary's crash ops)"
+                )
+        for window in crashes:
+            self._due_at(window.end)[0].append(("recover", window.shard))
+        for window in crashes:
+            self._due_at(window.start)[0].append(("crash", window.shard))
 
-    def _rebalance_housekeeping(self, step: int) -> None:
-        """Scheduled and policy-driven repartitioning, in the same
-        housekeeping slot as crash orchestration (the post-``step - 1``
-        boundary: nothing of step ``step`` has run yet).
+    def _boundary_slot(self, step: int) -> None:
+        """Everything that happens *between* steps, at the very top of the
+        movement phase: the clock already reads ``step`` but nothing of
+        step ``step`` has happened, so the system is exactly at the
+        post-``step - 1`` boundary.  In order: a crash window *ending* here
+        restarts its shard from the recovery basis (this step's traffic
+        already sees the rebuilt tables); a window *starting* here kills
+        its shard before any new delivery; on a cadence tick with every
+        shard alive the server tables become the new basis; then the
+        scheduled transfers, the scheduled splits / merges, and the
+        load-driven policy (which reads only the deterministic ``ops``
+        counters) move boundaries.
 
         ``rebalance_schedule`` triggers fire unconditionally and always
-        broadcast the rebalance directive -- even under a monolithic
+        broadcast one rebalance directive -- even under a monolithic
         server or when the operation clamps to a no-op for this shard
         count -- so a fixed schedule yields identical message counts and
-        energy ledgers across 1/2/4 shards and both engines.  Elastic
-        schedule triggers and policy decisions (which read only the
-        deterministic ``ops`` counters) broadcast after an effective move.
+        energy ledgers across 1/2/4 shards and both engines.
         """
-        coordinator = self.server if self.config.shards > 1 else None
-        due = [op for op in self._rebalance_schedule if op[0] == step]
-        if due:
-            if coordinator is not None:
-                for _, src, dst, cols in due:
-                    self._apply_placement_op(
-                        ("transfer", src, dst, cols), "schedule", step, announce=False
-                    )
-                epoch = coordinator.partition_epoch
+        crash_ops, transfers, elastic_ops = self._due.get(step, _NOTHING_DUE)
+        for op in crash_ops:
+            self.apply_op(op, "schedule", step)
+        config = self.config
+        every = config.checkpoint_every_steps
+        # While a shard is dead it cannot contribute its tables (the old
+        # basis stays) and its frozen ``ops`` read as a cold stripe the
+        # policy would hand columns to (the policy holds).
+        all_up = not getattr(self.server, "dead_shards", ())
+        if every and step % every == 0 and all_up:
+            self.recovery_basis = capture_basis(self)
+            self.checkpoints_taken += 1
+        if transfers:
+            if config.shards > 1:
+                for op in transfers:
+                    self.apply_op(op, "schedule", step, announce=False)
+                epoch = self.server.partition_epoch
             else:
                 # Monolith: no map to mutate, but the directive still goes
                 # out (see above); derive the advertised epoch statelessly
                 # so checkpoint/restore replays the same value.
-                epoch = sum(1 for op in self._rebalance_schedule if op[0] <= step)
-            self._broadcast_rebalance(epoch)
-        # Deterministic elastic triggers (config validation guarantees a
-        # coordinator).
-        for op in self._elastic_schedule:
-            if op[0] == step:
-                self._apply_placement_op(op[1:], "schedule", step)
+                epoch = sum(1 for op in config.rebalance_schedule if op[0] <= step)
+            self._broadcast_everywhere(RebalanceDirective(epoch=epoch))
+        for op in elastic_ops:
+            self.apply_op(op, "schedule", step)
         policy = self._rebalance_policy
-        if policy is not None and step > 0 and step % self._rebalance_every == 0:
+        if policy is not None and all_up and step % config.rebalance_every_steps == 0:
+            coordinator = self.server
             part = coordinator.partitioner
             rows = coordinator.shard_loads()
             totals = {row["shard"]: float(row["ops"]) for row in rows}
             widths = {row["shard"]: part.width_of(row["shard"]) for row in rows}
             proposal = policy.propose(totals, widths, part.order)
             if proposal is not None:
-                self._apply_placement_op(proposal, "policy", step)
+                self.apply_op(proposal, "policy", step)
 
-    def _apply_placement_op(
-        self, op: tuple, source: str, step: int, announce: bool = True
-    ) -> None:
-        """Apply one ``("transfer", src, dst, cols)`` / ``("split", donor)``
-        / ``("merge", sid, into)`` op through the coordinator, log it in
-        ``rebalance_log`` and, if columns moved, broadcast the new epoch.
-        """
+    def apply_op(self, op: tuple, source: str, step: int, announce: bool = True) -> None:
+        """Apply one step-boundary operation through the coordinator:
+        ``("recover", sid)`` / ``("crash", sid)`` (logged in ``crash_log``;
+        a recovery announces a grid-wide :class:`ResyncDirective`, so
+        clients re-pull descriptors and report epochs) or ``("transfer",
+        src, dst, cols)`` / ``("split", donor)`` / ``("merge", sid, into)``
+        (logged in ``rebalance_log``; if columns moved, announces the new
+        epoch).  The schedules, the policy and the tests all come through
+        here."""
         coordinator = self.server
         kind = op[0]
-        if kind == "split":
-            summary = coordinator.spawn_shard(op[1])
-        elif kind == "merge":
-            summary = coordinator.retire_shard(op[1], op[2])
+        directive = None
+        if kind == "recover":
+            sections = decode_basis(self.recovery_basis)
+            summary = coordinator.recover_shard(op[1], sections, step)
+            log, directive = self.crash_log, ResyncDirective()
+        elif kind == "crash":
+            log, summary = self.crash_log, coordinator.crash_shard(op[1])
         else:
-            summary = coordinator.apply_rebalance(*op[1:])
+            if kind == "split":
+                summary = coordinator.spawn_shard(op[1])
+            elif kind == "merge":
+                summary = coordinator.retire_shard(op[1], op[2])
+            else:
+                summary = coordinator.apply_rebalance(*op[1:])
+            summary["trigger"] = source if kind == "transfer" else f"{source}-{kind}"
+            log = self.rebalance_log
+            if summary["cols_moved"]:
+                directive = RebalanceDirective(epoch=coordinator.partition_epoch)
         summary["step"] = step
-        summary["trigger"] = source if kind == "transfer" else f"{source}-{kind}"
-        self.rebalance_log.append(summary)
-        if announce and summary["cols_moved"]:
-            self._broadcast_rebalance(coordinator.partition_epoch)
+        log.append(summary)
+        if announce and directive is not None:
+            self._broadcast_everywhere(directive)
 
-    def _broadcast_rebalance(self, epoch: int) -> None:
-        """Grid-wide directive: clients adopt the advertised epoch."""
+    def _broadcast_everywhere(self, directive: object) -> None:
+        """Grid-wide directive.  Coverage still matches true positions:
+        movement has not run yet."""
         grid = self.grid
-        self.transport.broadcast(
-            CellRange(0, grid.n_cols - 1, 0, grid.n_rows - 1),
-            RebalanceDirective(epoch=epoch),
-        )
+        self.transport.broadcast(CellRange(0, grid.n_cols - 1, 0, grid.n_rows - 1), directive)
 
     def _reporting_phase(self, clock: SimulationClock) -> None:
         if self._fastpath is not None:

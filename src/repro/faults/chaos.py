@@ -135,17 +135,15 @@ def run_chaos(
     downlink_latency: int = 0,
     latency_jitter: int = 0,
     crash: bool = False,
-    checkpoint_every: int = 0,
     rebalance: bool = False,
 ) -> dict:
     """Run one chaos scenario and return the JSON-safe report.
 
     With ``crash=True`` (requires ``shards >= 2``) the schedule gains a
     mid-run crash window on the last shard: the shard's soft state is
-    erased at the window start and rebuilt from the system's last
-    periodic checkpoint (cadence ``checkpoint_every``, defaulted to
-    ``max(2, steps // 8)``) at the window end, followed by a grid-wide
-    client resync.  Crash runs are always graded against the fault-free
+    erased at the window start and rebuilt from the system's recovery
+    basis (the server tables, captured every ``max(2, steps // 8)``
+    steps) at the window end, followed by a grid-wide client resync.  Crash runs are always graded against the fault-free
     lockstep twin, even at zero latency.
 
     With ``rebalance=True`` (requires ``shards >= 2``) the run applies
@@ -162,11 +160,10 @@ def run_chaos(
     if rebalance and shards < 2:
         raise ValueError("rebalancing requires shards >= 2 (a boundary must exist)")
     params = paper_defaults().scaled(scale)
-    if crash and checkpoint_every <= 0:
-        checkpoint_every = max(2, steps // 8)
+    checkpoint_every = max(2, steps // 8) if crash else 0
     crash_start = crash_end = None
     if crash:
-        # The window opens only after the first cadence checkpoint exists
+        # The window opens only after the first recovery basis exists
         # and closes with enough run left to observe reconvergence.
         crash_start = max(checkpoint_every + 1, steps // 3)
         crash_end = crash_start + min(8, max(2, steps // 5))
@@ -182,7 +179,7 @@ def run_chaos(
         downlink_latency_steps=downlink_latency,
         latency_jitter_steps=latency_jitter,
         latency_seed=seed,
-        checkpoint_every_steps=checkpoint_every if crash else 0,
+        checkpoint_every_steps=checkpoint_every,
         rebalance_schedule=rebalance_schedule,
     )
     layout = BaseStationLayout(Grid(params.uod, params.alpha), params.base_station_side)
@@ -214,7 +211,7 @@ def run_chaos(
         # Recovery yardstick under latency: a fault-free twin with the same
         # latency pipeline (motion is identical -- faults never touch the
         # motion rng), stepped in lockstep.  Crash runs always grade against
-        # the twin: recovery replays a checkpoint, and only exact realignment
+        # the twin: recovery replays the basis, and only exact realignment
         # with the fault-free run proves the rebuilt shard converged.
         if uplink_latency or downlink_latency or latency_jitter or crash or rebalance:
             # The fault-free twin needs no recovery basis (skip its
@@ -303,6 +300,7 @@ def run_chaos(
                 ],
                 "checkpoint_every": checkpoint_every,
                 "checkpoints_taken": counters["system.checkpoints_taken"],
+                "basis_bytes": len(system.recovery_basis),
                 "envelopes_discarded": counters["transport.discarded_envelopes"],
                 "log": list(system.crash_log),
             }

@@ -74,29 +74,29 @@ class FaultInjector:
         self.drops_by_cause: Counter = Counter()
         self._offline: frozenset[ObjectId] = frozenset()
         self._dead: frozenset[int] = frozenset()
-        self._crashed: frozenset[int] = frozenset()
         self._layout: BaseStationLayout | None = None
         self._locator: Locator | None = None
-        self._shard_router: Callable[[object], int] | None = None
+        self._uplink_dead: Callable[[object], bool] | None = None
 
     # ------------------------------------------------------------- wiring
 
-    def bind(self, layout: BaseStationLayout, locator: Locator) -> None:
-        """Attach the station layout and an ``oid -> position`` resolver
-        (done by :class:`~repro.core.system.MobiEyesSystem`)."""
+    def bind(
+        self,
+        layout: BaseStationLayout,
+        locator: Locator,
+        uplink_dead: Callable[[object], bool] | None = None,
+    ) -> None:
+        """Attach the station layout, an ``oid -> position`` resolver and,
+        under a sharded server, the coordinator's "is this uplink's shard
+        down" predicate (done by :class:`~repro.core.system.MobiEyesSystem`;
+        the coordinator owns the dead set, the injector keeps none)."""
         self._layout = layout
         self._locator = locator
-
-    def bind_shards(self, router: Callable[[object], int]) -> None:
-        """Attach the ``message -> shard id`` router so crash windows can
-        drop uplinks addressed to a dead shard (done by the system when a
-        sharded server is built)."""
-        self._shard_router = router
+        self._uplink_dead = uplink_dead
 
     def begin_step(self, step: int) -> None:
-        """Activate the schedule windows covering ``step``."""
+        """Activate the disconnection and outage windows covering ``step``."""
         self._offline, self._dead = self.schedule.at(step)
-        self._crashed = self.schedule.crashed(step)
 
     # ---------------------------------------------------------- predicates
 
@@ -132,12 +132,7 @@ class FaultInjector:
                 return "disconnect"
             if self.station_dead_for(oid):
                 return "outage"
-        if (
-            uplink is not None
-            and self._crashed
-            and self._shard_router is not None
-            and self._shard_router(uplink) in self._crashed
-        ):
+        if uplink is not None and self._uplink_dead is not None and self._uplink_dead(uplink):
             return "crash"
         if channel is not None and channel.roll():
             return "channel"
@@ -148,9 +143,9 @@ class FaultInjector:
     def drop_uplink(self, message: object) -> bool:
         """Whether this object -> server message is lost in transit.
 
-        The crash check routes the message with the bound shard router
-        and consumes no RNG, so a crash-free run's channel stream is
-        bit-identical with or without crash windows in the schedule.
+        The crash check asks the coordinator and consumes no RNG, so a
+        crash-free run's channel stream is bit-identical with or without
+        crash windows in the schedule.
         """
         cause = self._fault_cause(getattr(message, "oid", None), self.uplink_channel, message)
         if cause is None:

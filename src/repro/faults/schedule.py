@@ -56,11 +56,13 @@ class StationOutage:
 class CrashWindow:
     """Server shard ``shard`` is down for steps ``start <= step < end``.
 
-    While the window is open the shard's soft state is gone (dropped at
-    ``start`` by :meth:`~repro.core.coordinator.Coordinator.crash_shard`)
-    and every uplink routed to it is lost; at ``end`` the coordinator
-    rebuilds the shard from its last checkpoint
-    (:meth:`~repro.core.coordinator.Coordinator.recover_shard`).
+    Declarative: the system resolves a window into a ``("crash", shard)``
+    op at the ``start`` boundary
+    (:meth:`~repro.core.coordinator.Coordinator.crash_shard`: the shard's
+    soft state is gone and, while the coordinator lists it dead, every
+    uplink routed to it is lost) and a ``("recover", shard)`` op at ``end``
+    (:meth:`~repro.core.coordinator.Coordinator.recover_shard`, from the
+    recovery basis).
     """
 
     shard: int
@@ -91,10 +93,6 @@ class FaultSchedule:
         offline = frozenset(w.oid for w in self.disconnects if w.active(step))
         dead = frozenset(o.bsid for o in self.outages if o.active(step))
         return offline, dead
-
-    def crashed(self, step: int) -> frozenset[int]:
-        """The server shards down at ``step``."""
-        return frozenset(c.shard for c in self.crashes if c.active(step))
 
     @property
     def last_step(self) -> int:

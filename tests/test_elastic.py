@@ -380,13 +380,14 @@ class TestElasticCheckpoint:
         carries the grown fleet and replays the merge bit-identically."""
         system = paper_system(shards=2, elastic_schedule=SCHEDULE, checkpoint_every_steps=5)
         with system:
-            system.run(6)  # past the split (step 3) and the cadence (step 5)
-            cp = system._last_checkpoint
-            assert cp is not None
+            system.run(4)  # past the split (step 3), before the cadence (step 5)
+            cp = checkpoint(system)
             assert tuple(_decode(cp)["partition"]["order"]) == (0, 2, 1)
+            system.run(2)
             with restore(from_bytes(cp.to_bytes())) as resumed:
                 assert resumed.server.partitioner.order == (0, 2, 1)
                 resumed.run(system.clock.step - resumed.clock.step)
+                assert resumed.checkpoints_taken == system.checkpoints_taken == 1
                 assert step_hash(resumed) == step_hash(system)
                 # Lockstep through the merge at step 7 and beyond.
                 for _ in range(5):

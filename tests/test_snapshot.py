@@ -170,8 +170,7 @@ class TestCheckpointRoundtrip:
         want = step_hash(plain)
         plain.close()
 
-        system = paper_system(shards=1)
-        system._checkpoint_every = 3
+        system = paper_system(shards=1, checkpoint_every_steps=3)
         system.run(10)
         assert system.checkpoints_taken == 3
         assert step_hash(system) == want
@@ -188,11 +187,12 @@ class TestCheckpointRoundtrip:
         # v4 bytes (seven more config fields, list-indexed policy marks),
         # v5 bytes (whose queue may hold batched-report envelopes of a
         # deleted class), v6 bytes (reliable exchanges of the old shape),
-        # v7 payloads (deep-copied objects, no header) and v8 bytes (per-
-        # client stats, no server load sections) are refused by the
-        # header's version field, not half-read.
+        # v7 payloads (deep-copied objects, no header), v8 bytes (per-
+        # client stats, no server load sections) and v9 bytes (the previous
+        # whole-world checkpoint nested under ``last_checkpoint``) are
+        # refused by the header's version field, not half-read.
         data = cp.to_bytes()
-        for old in (4, 5, 6, 7, 8):
+        for old in (4, 5, 6, 7, 8, 9):
             stale_bytes = data[:8] + old.to_bytes(2, "big") + data[10:]
             with pytest.raises(ValueError, match=f"version {old} unsupported"):
                 from_bytes(stale_bytes)

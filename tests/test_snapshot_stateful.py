@@ -32,7 +32,9 @@ from repro.core.query import PropertyEqualsFilter, QuerySpec, TrueFilter
 from repro.core.rebalance import MIN_SHARDS
 from repro.core.snapshot import checkpoint, from_bytes, restore, step_hash
 from repro.fastpath import numpy_available
+from repro.faults import FaultInjector, ReliabilityPolicy
 from repro.geometry import Circle, Point, Rect, Vector
+from repro.sim import SimulationRng
 
 from tests.conftest import paper_system
 
@@ -60,9 +62,14 @@ class CheckpointMachine(RuleBasedStateMachine):
         # thermostat, the thermostat with splits and merges.
         policy=st.sampled_from([(0, 0), (3, 0), (3, 4)]),
         service=st.booleans(),
+        # A fault injector (leases, heartbeats, the reliability layer; no
+        # channel loss) and a recovery-basis cadence: what the crash /
+        # recover rules need.
+        faults=st.booleans(),
     )
-    def build(self, engine, shards, latency, seed, policy, service):
+    def build(self, engine, shards, latency, seed, policy, service, faults):
         every, ceiling = policy if shards > 1 else (0, 0)
+        self.faults = faults and shards > 1
         self.system, self.twin = (
             paper_system(
                 engine,
@@ -74,6 +81,12 @@ class CheckpointMachine(RuleBasedStateMachine):
                 rebalance_every_steps=every,
                 elastic_max_shards=ceiling,
                 ingest_budget_per_step=2,
+                checkpoint_every_steps=2 if self.faults else 0,
+                loss=FaultInjector(
+                    SimulationRng(seed), policy=ReliabilityPolicy(heartbeat_steps=2, lease_steps=4)
+                )
+                if self.faults
+                else None,
             )
             for _ in range(2)
         )
@@ -96,7 +109,17 @@ class CheckpointMachine(RuleBasedStateMachine):
     @rule(data=st.data(), radius=st.floats(0.5, 4.0), flt=filters)
     def install_moving(self, data, radius, flt):
         spec = QuerySpec(data.draw(st.sampled_from(self.oids)), Circle(0, 0, radius), flt)
-        self.both(lambda system: system.install_query(spec))
+
+        def install(system):
+            try:
+                return system.install_query(spec)
+            except KeyError:
+                # A new focal standing on a dead stripe: its answer to the
+                # install round trip routes to the dead shard and is lost.
+                assert system.server.dead_shards
+                return None
+
+        self.both(install)
 
     @rule(x=coordinate, y=coordinate, w=st.floats(0.5, 8.0), h=st.floats(0.5, 8.0), flt=filters)
     def install_static(self, x, y, w, h, flt):
@@ -124,24 +147,40 @@ class CheckpointMachine(RuleBasedStateMachine):
 
     def place(self, op):
         self.both(
-            lambda system: system._apply_placement_op(op, "machine", system.clock.step)
+            lambda system: system.apply_op(op, "machine", system.clock.step)
         )
+
+    def dead(self):
+        """The coordinator's dead set (empty before ``build`` and on a monolith)."""
+        return getattr(getattr(self.system, "server", None), "dead_shards", ())
+
+    def up(self):
+        """Stripe order without the dead shards.  The placement rules hand
+        nothing to and take nothing from a shard that is down (see "Shard
+        crash and recovery" in docs/ROBUSTNESS.md)."""
+        part, dead = self.partition(), self.dead()
+        return [] if part is None else [sid for sid in part.order if sid not in dead]
 
     def wide(self):
-        """Live shard ids whose stripe can give a column away and keep one."""
+        """Shard ids that are up and whose stripe can give a column away
+        and keep one."""
         part = self.partition()
-        return [] if part is None else [sid for sid in part.order if part.width_of(sid) >= 2]
+        return [sid for sid in self.up() if part.width_of(sid) >= 2]
 
-    @precondition(lambda self: len(self.wide()) and len(self.partition().order) > 1)
+    def up_pairs(self):
+        """Stripe-adjacent ``(left, right)`` pairs with both shards up."""
+        part, dead = self.partition(), self.dead()
+        order = () if part is None else part.order
+        return [pair for pair in zip(order, order[1:]) if not set(pair) & set(dead)]
+
+    @precondition(lambda self: any(set(pair) & set(self.wide()) for pair in self.up_pairs()))
     @rule(data=st.data())
     def transfer(self, data):
-        part = self.partition()
-        order = part.order
-        src = data.draw(st.sampled_from(self.wide()))
-        at = order.index(src)
-        dst = data.draw(
-            st.sampled_from([order[p] for p in (at - 1, at + 1) if 0 <= p < len(order)])
-        )
+        part, wide = self.partition(), self.wide()
+        moves = [
+            move for pair in self.up_pairs() for move in (pair, pair[::-1]) if move[0] in wide
+        ]
+        src, dst = data.draw(st.sampled_from(moves))
         cols = data.draw(st.integers(1, part.width_of(src) - 1))  # the donor keeps a column
         self.place(("transfer", src, dst, cols))
 
@@ -151,13 +190,33 @@ class CheckpointMachine(RuleBasedStateMachine):
         self.place(("split", data.draw(st.sampled_from(self.wide()))))
 
     @precondition(
-        lambda self: self.partition() is not None and len(self.partition().order) > MIN_SHARDS
+        lambda self: self.partition() is not None
+        and len(self.partition().order) > MIN_SHARDS
+        and self.up_pairs()
     )
     @rule(data=st.data(), leftwards=st.booleans())
     def merge(self, data, leftwards):
-        order = self.partition().order
-        left, right = data.draw(st.sampled_from(list(zip(order, order[1:]))))
+        left, right = data.draw(st.sampled_from(self.up_pairs()))
         self.place(("merge", right, left) if leftwards else ("merge", left, right))
+
+    # ------------------------------------------------------ crash / recover
+
+    @precondition(
+        lambda self: self.system is not None
+        and self.faults
+        and self.system.recovery_basis is not None
+        and not self.dead()  # at most one dead shard ...
+        and len(self.partition().order) > 1  # ... and never the last live one
+    )
+    @rule(data=st.data())
+    def crash(self, data):
+        self.place(("crash", data.draw(st.sampled_from(self.partition().order))))
+
+    @precondition(lambda self: self.dead())
+    @rule()
+    def recover(self):
+        (sid,) = self.dead()
+        self.place(("recover", sid))
 
     # -------------------------------------------------------------- service
 
@@ -204,6 +263,7 @@ class CheckpointMachine(RuleBasedStateMachine):
         assert step_hash(system) == step_hash(twin)
         assert system.results() == twin.results()
         assert system.rebalance_log == twin.rebalance_log
+        assert system.crash_log == twin.crash_log
         got, want = system.counters(), twin.counters()
         assert got.keys() == want.keys()
         # Wall-clock totals are the only counters allowed to differ.
@@ -213,6 +273,16 @@ class CheckpointMachine(RuleBasedStateMachine):
         if self.service is not None:
             self.service.check_accounting()
             self.twin_service.check_accounting()
+        if self.faults:
+            # The ledger half of message conservation: every lost hop has
+            # exactly one cause, only a hop the ledger charged can be lost,
+            # and the acks the reliability layer sent are the acks charged.
+            lost = got["injector.by_cause"]
+            uplinks_lost = sum(n for cause, n in lost.items() if cause.startswith("uplink-"))
+            assert uplinks_lost == got["injector.dropped_uplinks"] <= got["ledger.uplink_count"]
+            assert sum(lost.values()) - uplinks_lost == got["injector.dropped_deliveries"]
+            assert got["reliability.acks_sent"] == system.ledger.counts_by_type["Ack"]
+            assert got["reliability.ack_drops"] <= got["reliability.acks_sent"]
         part = self.partition()
         if part is None:
             return
