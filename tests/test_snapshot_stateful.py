@@ -46,6 +46,25 @@ filters = st.sampled_from([TrueFilter(), PropertyEqualsFilter("class", 1)])
 velocity = st.floats(-30, 30)
 
 
+def world(engine="reference", shards=2, seed=0, faults=True, **config):
+    """The machine's world: 40 objects on 8 x 8 cells (four shards start two
+    columns wide).  ``faults`` attaches a fault injector -- leases,
+    heartbeats, the reliability layer; no channel loss -- and a
+    recovery-basis cadence: what the crash / recover ops need."""
+    policy = ReliabilityPolicy(heartbeat_steps=2, lease_steps=4)
+    return paper_system(
+        engine,
+        shards=shards,
+        scale=0.004,
+        seed=seed,
+        alpha=2.5,
+        ingest_budget_per_step=2,
+        checkpoint_every_steps=2 if faults else 0,
+        loss=FaultInjector(SimulationRng(seed), policy=policy) if faults else None,
+        **config,
+    )
+
+
 class CheckpointMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
@@ -62,31 +81,20 @@ class CheckpointMachine(RuleBasedStateMachine):
         # thermostat, the thermostat with splits and merges.
         policy=st.sampled_from([(0, 0), (3, 0), (3, 4)]),
         service=st.booleans(),
-        # A fault injector (leases, heartbeats, the reliability layer; no
-        # channel loss) and a recovery-basis cadence: what the crash /
-        # recover rules need.
-        faults=st.booleans(),
+        faults=st.booleans(),  # see world(): arms the crash / recover rules
     )
     def build(self, engine, shards, latency, seed, policy, service, faults):
         every, ceiling = policy if shards > 1 else (0, 0)
         self.faults = faults and shards > 1
         self.system, self.twin = (
-            paper_system(
+            world(
                 engine,
                 shards=shards,
                 latency=latency,
-                scale=0.004,
                 seed=seed,
-                alpha=2.5,  # 8 x 8 cells: four shards start two columns wide
                 rebalance_every_steps=every,
                 elastic_max_shards=ceiling,
-                ingest_budget_per_step=2,
-                checkpoint_every_steps=2 if self.faults else 0,
-                loss=FaultInjector(
-                    SimulationRng(seed), policy=ReliabilityPolicy(heartbeat_steps=2, lease_steps=4)
-                )
-                if self.faults
-                else None,
+                faults=self.faults,
             )
             for _ in range(2)
         )
@@ -337,3 +345,107 @@ def test_restore_between_an_external_update_and_the_next_step(engine):
     for each in (system, twin):
         each.run(3)
     assert step_hash(system) == step_hash(twin)
+
+
+# Shrunk from the crash / recover rules (PR 24; docs/ROBUSTNESS.md "Shard
+# crash and recovery" tells each story).
+
+
+def crash(system, sid):
+    system.apply_op(("crash", sid), "test", system.clock.step)
+
+
+def recover(system, sid):
+    system.apply_op(("recover", sid), "test", system.clock.step)
+
+
+def test_a_static_install_on_a_dead_stripe_lands_on_a_shard_that_is_up():
+    """build(shards=2, seed=0, faults), step(2), crash(0), install_static at
+    (0, 0): the install-time owner is the shard of the region's lower-left
+    cell, so the dead shard owned a query (``dead shard 0 still owns
+    queries``)."""
+    with world() as system:
+        system.run(2)
+        crash(system, 0)
+        qid = system.install_query(QuerySpec.static(Rect(0.0, 0.0, 1.0, 1.0)))
+        assert system.server.owner_of[qid] == 1
+        system.check_invariants()
+        system.run(2)
+        recover(system, 0)
+        system.check_invariants()
+        assert qid in system.server.sqt
+
+
+def test_the_policy_holds_while_a_shard_is_dead():
+    """build(shards=2, seed=0, policy=(3, 0), faults), step(2), crash(0),
+    step(1): a dead shard's ``ops`` stop growing, the thermostat read it as
+    the cold stripe and handed it a column -- RQI buckets and focals
+    included."""
+    with world(rebalance_every_steps=3) as system:
+        system.run(2)
+        crash(system, 0)
+        system.run(4)  # past the policy ticks at steps 3 and 6
+        assert [op["step"] for op in system.rebalance_log] == []
+        system.check_invariants()
+        recover(system, 0)
+        system.run(3)  # the tick at step 9 is the policy's again
+        system.check_invariants()
+
+
+def test_recovery_does_not_resurrect_a_query_removed_since_the_basis():
+    """... remove(qid 1), install_moving(oid 21), ..., recover(): the basis
+    still held the removed query, "live nowhere" read as "died with the
+    shard", and it came back beside its focal's new query on another shard
+    (``query 1's focal object 21 missing from FOT``)."""
+    with world() as system:
+        system.run(3)
+        qid = next(iter(system.server.shards[1].registry.ids()))
+        crash(system, 0)
+        system.remove_query(qid)
+        system.run(1)
+        recover(system, 0)
+        assert qid not in system.server.sqt
+        system.check_invariants()
+
+
+def test_a_recovered_query_joins_its_focal_where_the_focal_lives_now():
+    """A focal whose queries died with shard 1 walks onto shard 0's stripe
+    during the window and is given a new query there; recovery then put the
+    old one back on shard 1, so one focal's queries had two homes."""
+    from tests.conftest import circle_query, make_object, make_system
+
+    objects = [
+        make_object(0, 26.9, 25, vx=-60.0, max_speed=60.0),  # crosses x = 25 at step 4
+        make_object(1, 26, 25),
+        make_object(2, 23, 25),
+    ]
+    injector = FaultInjector(SimulationRng(3), policy=ReliabilityPolicy(heartbeat_steps=2))
+    with make_system(objects, shards=2, checkpoint_every_steps=2, loss=injector) as system:
+        old = system.install_query(circle_query(0, 3.0))
+        system.run(2)
+        assert system.server.owner_of[old] == 1
+        crash(system, 1)
+        system.run(3)
+        new = system.install_query(circle_query(0, 1.0))
+        recover(system, 1)
+        assert system.server.owner_of[old] == system.server.owner_of[new] == 0
+        system.check_invariants()
+        system.run(4)
+        assert system.results() == system.oracle_results()
+
+
+def test_a_queued_install_whose_focal_cannot_answer_is_rejected_not_raised():
+    """build(service, faults), tick, tick, crash(0), submit_install(oid 0),
+    tick: the focal stands on the dead stripe, its answer to the install
+    round trip is lost, and the ``KeyError`` left ``tick()`` with the ticket
+    already off the queue (an offline focal did the same at the parent)."""
+    with world() as system:
+        service = MobiEyesService(system)
+        service.tick()
+        service.tick()
+        crash(system, 0)
+        ticket = service.install_query(QuerySpec(0, Circle(0, 0, 1.0)))
+        service.tick()
+        assert ticket.status == "rejected" and ticket.qid is None
+        service.check_accounting()
+        system.check_invariants()
