@@ -88,10 +88,11 @@ class Coordinator:
         # reliability endpoints, and checkpoints never renumber; a later
         # spawn recycles the lowest retired slot before growing the list.
         self._retired: set[int] = set()
-        # The one record of which shards are down: ``crash_shard`` adds,
-        # ``recover_shard`` removes, the checkpoint's partition section
-        # carries it, and the fault injector drops uplinks routed into it.
-        self._dead: set[int] = set()
+        # The one record of which shards are down, and the query ids that
+        # died with each: ``crash_shard`` adds, ``recover_shard`` removes,
+        # the checkpoint's partition section carries it, and the fault
+        # injector drops uplinks routed into it.
+        self._dead: dict[int, set[QueryId]] = {}
         self.shards: list[ServerShard] = [
             self._make_shard(sid) for sid in range(self.partitioner.num_shards)
         ]
@@ -424,14 +425,16 @@ class Coordinator:
         self._retired.add(sid)
         return summary
 
-    def restore_fleet(self, slots: int, retired: Iterable[int], dead: Iterable[int]) -> None:
+    def restore_fleet(
+        self, slots: int, retired: Iterable[int], dead: dict[int, Iterable[QueryId]]
+    ) -> None:
         """Checkpoint restore: grow ``shards`` to ``slots`` (a fleet that
         scaled out past the config's initial count) and adopt the
-        checkpointed retired-slot and dead-shard sets."""
+        checkpointed retired slots and dead shards."""
         while len(self.shards) < slots:
             self.shards.append(self._make_shard(len(self.shards)))
         self._retired = set(retired)
-        self._dead = set(dead)
+        self._dead = {sid: set(lost) for sid, lost in dead.items()}
 
     @property
     def retired_shards(self) -> tuple[int, ...]:
@@ -481,7 +484,7 @@ class Coordinator:
         # those registrations are this shard's soft state and die too
         # (recover_shard rebuilds them from the survivors' live entries).
         shard.registry.rqi.clear()
-        self._dead.add(sid)
+        self._dead[sid] = {entry.qid for entry in entries}
         return {
             "shard": sid,
             "queries_lost": len(entries),
@@ -495,8 +498,10 @@ class Coordinator:
 
         Rebuilds the dead shard's tables in three strokes:
 
-        1. every checkpointed SQT entry whose query id no longer exists
-           anywhere (it died with the shard) is re-adopted by ``sid`` and
+        1. every SQT entry of the basis whose query died with the shard
+           (a query removed since the basis stays removed) is re-adopted --
+           by ``sid``, or by the shard its focal calls home now if the
+           focal was given a new query elsewhere during the window -- and
            its monitoring region re-registered across the partition;
         2. the stripe's RQI registrations for *surviving* queries are
            rebuilt from the live registries of the other shards (their
@@ -513,16 +518,18 @@ class Coordinator:
         the chaos report.
         """
         shard = self.shards[sid]
-        self._dead.discard(sid)
+        lost = self._dead.pop(sid)
         recovered_queries = 0
         recovered_focals = 0
         for section in sections:
             for entry in section["entries"]:
-                if entry.qid in self.owner_of:
+                if entry.qid not in lost:
                     continue
-                shard.registry.add(entry)
+                home = None if entry.is_static else self._home_of(entry.oid)
+                adopter = shard if home is None else self.shards[home]
+                adopter.registry.add(entry)
                 if not entry.suspended:
-                    shard._rqi_add(entry.qid, entry.mon_region)
+                    adopter._rqi_add(entry.qid, entry.mon_region)
                 recovered_queries += 1
             for oid, packed in section["tracker"]:
                 if oid in self._fot_home or oid in shard.tracker.suspended:

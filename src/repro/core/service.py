@@ -207,14 +207,21 @@ class MobiEyesService:
         # _apply raises on, not a missing target.
         return qid is None or qid in system.server.sqt
 
-    def _apply(self, ticket: IngestTicket) -> None:
+    def _apply(self, ticket: IngestTicket) -> bool:
+        """Apply an admissible operation; False if its target turned out
+        not to exist after all."""
         system = self.system
         if ticket.kind == OP_UPDATE:
             oid, pos, vel = ticket.payload
             system.apply_external_update(oid, pos, vel)
         elif ticket.kind == OP_INSTALL:
             (spec,) = ticket.payload
-            ticket.qid = system.install_query(spec)
+            try:
+                ticket.qid = system.install_query(spec)
+            except KeyError:
+                # The focal did not answer the install round trip: it is
+                # offline, or stands on a crashed shard's stripe.
+                return False
         else:
             (ref,) = ticket.payload
             qid = ref.qid if isinstance(ref, IngestTicket) else ref
@@ -226,6 +233,7 @@ class MobiEyesService:
             ticket.qid = qid
         ticket.status = "applied"
         self.applied += 1
+        return True
 
     def admit(self) -> int:
         """Pump one admission slot: apply queued operations up to the
@@ -243,11 +251,10 @@ class MobiEyesService:
         admitted = 0
         while self._queue and (self.budget == 0 or admitted < self.budget):
             ticket = self._queue.popleft()
-            if not self._admissible(ticket):
+            if not (self._admissible(ticket) and self._apply(ticket)):
                 ticket.status = "rejected"
                 self.invalid_rejects += 1
                 continue
-            self._apply(ticket)
             admitted += 1
         if self._queue:
             self.deferred_ops += len(self._queue)

@@ -360,7 +360,7 @@ def _capture_partition(system: "MobiEyesSystem") -> dict[str, Any] | None:
         "epoch": partitioner.epoch,
         "order": partitioner.order,
         "retired": system.server.retired_shards,
-        "dead": system.server.dead_shards,
+        "dead": system.server._dead,
     }
 
 
