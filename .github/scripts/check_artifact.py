@@ -36,14 +36,15 @@ def check_chaos_crash(report: dict) -> None:
     for engine, run in _twin_graded_runs(report).items():
         crash = run["crash"]
         require(crash["checkpoints_taken"] > 0, f"{engine}: no recovery checkpoint was taken")
+        require(crash["basis_bytes"] > 0, f"{engine}: the recovery basis is empty")
         (window,) = crash["windows"]
         divergence = run["per_step"]["twin_divergence"]
         require(
             any(divergence[window["start"] - 1 : window["end"]]),
             f"{engine}: the crash never perturbed the run",
         )
-        print(engine, "recovered from crash window", window,
-              "after", crash["checkpoints_taken"], "checkpoints")
+        print(engine, "recovered from crash window", window, "after",
+              crash["checkpoints_taken"], "basis captures, the last", crash["basis_bytes"], "bytes")
 
 
 def check_chaos_rebalance(report: dict) -> None:

@@ -70,13 +70,13 @@ class MobiEyesConfig:
             per-message path.
         shard_workers: accepts only ``0`` (the pooled shard executors were
             removed); kept because ``bench/workloads.py`` passes it.
-        checkpoint_every_steps: cadence (in steps) of the system's
-            periodic full-state checkpoints (:mod:`repro.core.snapshot`).
-            ``0`` (the default) disables periodic checkpointing; explicit
-            :func:`~repro.core.snapshot.checkpoint` calls work either
-            way.  A fault schedule containing shard crash windows
-            requires a positive cadence -- recovery rebuilds the dead
-            shard from the last periodic checkpoint.
+        checkpoint_every_steps: cadence (in steps) at which the system
+            retakes its in-memory *recovery basis*: the server tables as
+            bytes, which a crashed shard is rebuilt from (``0``, the
+            default, keeps none; shard crash windows need a tick before
+            the first window).  Nothing leaves the process: durability is
+            the caller's ``checkpoint(system).to_bytes()``
+            (:mod:`repro.core.snapshot`), which carries the basis.
         rebalance_every_steps: cadence (in steps) at which the load-aware
             :class:`~repro.core.rebalance.RebalancePolicy` inspects the
             per-shard ``ops`` counters and may move a column span between

@@ -88,10 +88,9 @@ class Coordinator:
         # reliability endpoints, and checkpoints never renumber; a later
         # spawn recycles the lowest retired slot before growing the list.
         self._retired: set[int] = set()
-        # The one record of which shards are down, and the query ids that
+        # The one record of which shards are down, with the query ids that
         # died with each: ``crash_shard`` adds, ``recover_shard`` removes,
-        # the checkpoint's partition section carries it, and the fault
-        # injector drops uplinks routed into it.
+        # the checkpoint's partition section carries it.
         self._dead: dict[int, set[QueryId]] = {}
         self.shards: list[ServerShard] = [
             self._make_shard(sid) for sid in range(self.partitioner.num_shards)
@@ -350,10 +349,6 @@ class Coordinator:
 
     # ------------------------------------------------- elastic lifecycle
 
-    def is_live(self, sid: int) -> bool:
-        """Whether a shard slot currently owns a stripe (not retired)."""
-        return self.partitioner.is_live(sid)
-
     def spawn_shard(self, donor: int) -> dict:
         """Scale out: bring a new shard online and split the donor's
         stripe into it.
@@ -425,9 +420,7 @@ class Coordinator:
         self._retired.add(sid)
         return summary
 
-    def restore_fleet(
-        self, slots: int, retired: Iterable[int], dead: dict[int, Iterable[QueryId]]
-    ) -> None:
+    def restore_fleet(self, slots: int, retired: Iterable[int], dead: dict) -> None:
         """Checkpoint restore: grow ``shards`` to ``slots`` (a fleet that
         scaled out past the config's initial count) and adopt the
         checkpointed retired slots and dead shards."""
@@ -499,10 +492,10 @@ class Coordinator:
         Rebuilds the dead shard's tables in three strokes:
 
         1. every SQT entry of the basis whose query died with the shard
-           (a query removed since the basis stays removed) is re-adopted --
-           by ``sid``, or by the shard its focal calls home now if the
-           focal was given a new query elsewhere during the window -- and
-           its monitoring region re-registered across the partition;
+           (one removed since stays removed) is re-adopted -- by ``sid``,
+           or by the shard its focal calls home now, if it was given a new
+           query elsewhere meanwhile -- and its monitoring region
+           re-registered across the partition;
         2. the stripe's RQI registrations for *surviving* queries are
            rebuilt from the live registries of the other shards (their
            entries are fresher than the checkpoint);
@@ -546,11 +539,9 @@ class Coordinator:
             if other.shard_id == sid:
                 continue
             for entry in other.registry.entries():
-                if entry.suspended:
-                    continue
-                for owner, portion in self.partitioner.split(entry.mon_region):
-                    if owner == sid:
-                        shard.registry.register_cells(entry.qid, portion)
+                portion = self.partitioner.clip(entry.mon_region, sid)
+                if portion is not None and not entry.suspended:
+                    shard.registry.register_cells(entry.qid, portion)
         return {
             "shard": sid,
             "queries_recovered": recovered_queries,
@@ -727,8 +718,7 @@ class Coordinator:
         """Per-shard invariants plus the cross-shard partition and
         directory consistency rules.  Retired slots must be fully drained
         -- a retired shard holding state is a lost-migration bug -- and a
-        dead shard holds no entry, no focal and no RQI cell: it is a
-        process that is down, not a table to park state in."""
+        dead shard holds no entry, no focal and no RQI cell."""
         for shard in self.shards:
             sid = shard.shard_id
             if sid in self._dead or not self.partitioner.is_live(sid):

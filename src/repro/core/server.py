@@ -71,6 +71,9 @@ from repro.mobility.model import MotionState, ObjectId
 class MobiEyesServer:
     """Server-side half of the MobiEyes protocol."""
 
+    #: Crashed shard ids (the coordinator's is live: a monolith has none).
+    dead_shards: tuple[int, ...] = ()
+
     def __init__(
         self,
         grid: Grid,

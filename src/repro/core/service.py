@@ -6,9 +6,11 @@ service turns it into an *open-ended* deployment.  A
 -- :meth:`submit_update`, :meth:`install_query`, :meth:`remove_query` --
 whose operations are accepted at any time and applied *between* steps, at
 the next tick's admission slot.  The ticker (:meth:`tick`, :meth:`run`)
-advances steps indefinitely; the system's own cadence checkpoints
-(``checkpoint_every_steps``, PR 7's :mod:`repro.core.snapshot`) are the
-durability story, and the snapshot carries the ingest queue itself so a
+advances steps indefinitely.  Nothing the system does on its own leaves
+the process: ``checkpoint_every_steps`` only refreshes the in-memory
+recovery basis (the server tables a crashed shard is rebuilt from).
+Durability is the caller's ``checkpoint(system).to_bytes()``
+(:mod:`repro.core.snapshot`), which carries the ingest queue itself so a
 restored service resumes with the same pending work.
 
 Admission control and backpressure:
@@ -19,8 +21,9 @@ Admission control and backpressure:
   ``"rejected"`` and ``backpressure_rejects`` counts it -- never a silent
   drop;
 - an operation that cannot be applied when it is admitted -- its target
-  does not exist (an update or install for an unknown object, a removal
-  of a query that is not installed) or it carries a non-finite number (a
+  does not exist (an update or install for an unknown object, an install
+  whose focal object does not answer the round trip, a removal of a
+  query that is not installed) or it carries a non-finite number (a
   NaN/inf position or velocity component, a region with a non-finite or
   negative extent) -- is **rejected** the same way, counted in
   ``invalid_rejects``, and admission moves on to the next operation;

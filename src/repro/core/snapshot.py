@@ -46,7 +46,7 @@ import json
 import pickle
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import MobiEyesSystem
@@ -164,31 +164,24 @@ class _PayloadUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-def _loads(blob: bytes) -> Any:
-    """A fresh object graph per call -- the only place checkpoint bytes
+def _decode(blob: bytes, check: Callable[[Any], None] | None = None) -> Any:
+    """``blob`` as a fresh, checked object graph per call (a whole payload
+    unless ``check`` says otherwise) -- the only place checkpoint bytes
     become objects."""
     try:
-        return _PayloadUnpickler(io.BytesIO(blob)).load()
+        payload = _PayloadUnpickler(io.BytesIO(blob)).load()
     except Exception as exc:  # damaged or hostile bytes fail any way they like
         raise ValueError(f"checkpoint payload does not decode: {exc}") from exc
-
-
-def _decode(cp: Checkpoint) -> dict[str, Any]:
-    """The shape-checked payload of a checkpoint."""
-    payload = _loads(cp.blob)
-    _check_shape(payload)
+    (check or _check_shape)(payload)
     return payload
 
 
 def decode_basis(blob: bytes | None) -> list[dict[str, Any]]:
     """The server sections of a recovery basis (:func:`capture_basis`),
-    decoded and key-checked like a whole checkpoint's: a ``ValueError``
-    before :meth:`Coordinator.recover_shard` touches a table."""
+    decoded and key-checked like a whole checkpoint's."""
     if not isinstance(blob, bytes):
         raise ValueError("no recovery basis has been captured: nothing to recover from")
-    sections = _loads(blob)
-    _check_sections(sections)
-    return sections
+    return _decode(blob, _check_sections)
 
 
 def _check_keys(what: str, state: Any, names: Iterable) -> None:
@@ -318,9 +311,8 @@ def _capture_server(system: "MobiEyesSystem") -> list[dict[str, Any]]:
 
 
 def capture_basis(system: "MobiEyesSystem") -> bytes:
-    """The recovery basis: the server tables (FOT, SQT; the RQI is derived
-    from them) and nothing else, as bytes -- what
-    :meth:`Coordinator.recover_shard` rebuilds a crashed shard from."""
+    """The recovery basis: the server tables as bytes and nothing else --
+    what :meth:`Coordinator.recover_shard` rebuilds a crashed shard from."""
     return pickle.dumps(_capture_server(system), pickle.HIGHEST_PROTOCOL)
 
 
@@ -486,7 +478,7 @@ def restore(cp: Checkpoint) -> "MobiEyesSystem":
     """
     from repro.core.system import MobiEyesSystem
 
-    p = _decode(cp)
+    p = _decode(cp.blob)
     # An object an external update moved since the last movement phase is
     # built where the live coverage index still held it, then moved again.
     held = p["system"]["_unstepped_updates"]

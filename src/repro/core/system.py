@@ -52,10 +52,6 @@ from repro.sim.rng import SimulationRng
 from repro.sim.trace import TraceLog
 
 
-#: A boundary with nothing scheduled (see MobiEyesSystem._boundary_slot).
-_NOTHING_DUE: tuple = ((), (), ())
-
-
 class MobiEyesSystem:
     """A complete distributed MobiEyes deployment in simulation."""
 
@@ -139,9 +135,8 @@ class MobiEyesSystem:
         for client in self.clients.values():
             client.focal_registry = self.focal_flags
         self._fault_injector = None
-        # The recovery basis: the server tables as bytes (see
-        # snapshot.capture_basis), retaken every ``checkpoint_every_steps``
-        # while no shard is dead; ``Coordinator.recover_shard`` reads it.
+        # The server tables as bytes (snapshot.capture_basis), retaken every
+        # ``checkpoint_every_steps``: what a crashed shard is rebuilt from.
         self.recovery_basis: bytes | None = None
         self.checkpoints_taken = 0
         # What each crash erased and each recovery rebuilt, and the applied
@@ -164,11 +159,8 @@ class MobiEyesSystem:
             # the coordinator's dead set), turn on server leases, and give
             # every client the fault policy (heartbeats and resync).
             self._fault_injector = loss
-            loss.bind(
-                self.layout,
-                lambda oid: self.clients[oid].obj.pos,
-                getattr(self.server, "uplink_dead", None),
-            )
+            uplink_dead = getattr(self.server, "uplink_dead", None)
+            loss.bind(self.layout, lambda oid: self.clients[oid].obj.pos, uplink_dead)
             self.server.enable_leases(loss.policy.lease_steps)
             for client in self.clients.values():
                 client.fault_policy = loss.policy
@@ -327,13 +319,10 @@ class MobiEyesSystem:
             + transport.discarded_envelopes
             + transport.pending_count()
         ), "an envelope is neither delivered, discarded nor queued"
-        # ... and while a shard is dead, or for a client that still owes
-        # the resync a recovery directed, the LQT may hold what the crash
-        # erased.
+        # Likewise while a shard is dead and for a client that still owes the
+        # resync a recovery directed: the LQT may hold what the crash erased.
         relaxed = (
-            transport.latency_active
-            or transport.pending_count() > 0
-            or bool(getattr(self.server, "dead_shards", ()))
+            transport.latency_active or transport.pending_count() > 0 or self.server.dead_shards
         )
         for oid in self._client_order:
             client = self.clients[oid]
@@ -368,36 +357,32 @@ class MobiEyesSystem:
     def _schedule_crashes(self, crashes: tuple) -> None:
         """Resolve the fault schedule's crash windows into boundary ops,
         refusing what could only fail later, out of ``step()``."""
-        config = self.config
-        every = config.checkpoint_every_steps
         if not crashes:
             return
-        if config.elastic_max_shards > 0 or config.elastic_schedule:
+        config = self.config
+        every = config.checkpoint_every_steps
+        if config.elastic_schedule:
+            # The load-driven fleet (elastic_max_shards) is fine: the policy
+            # holds while a shard is dead.
             raise ValueError(
-                "shard crash windows require a fixed fleet: crash "
-                "recovery rebuilds a shard by id from the last "
-                "checkpoint, which elastic retirement invalidates"
+                "shard crash windows cannot be combined with elastic_schedule: both name "
+                "shard ids by hand, and a scheduled split / merge can retire, recycle or "
+                "hand live state to the very slot a window kills"
             )
         if config.shards <= 1:
             raise ValueError("shard crash windows require a sharded server (config.shards > 1)")
-        if every <= 0:
-            raise ValueError(
-                "shard crash windows require a positive checkpoint_every_steps cadence "
-                "(recovery rebuilds the dead shard from the last recovery basis)"
-            )
         for window in crashes:
             if window.shard >= self.server.num_shards:
                 raise ValueError(
                     f"crash window targets shard {window.shard} but the "
                     f"partitioner built only {self.server.num_shards} shards"
                 )
-            if window.start <= every:
-                # The slot captures after it crashes, so the first basis
+            if not 0 < every < window.start:
+                # The slot crashes before it captures: the first basis
                 # exists from the boundary after step ``every``'s.
                 raise ValueError(
-                    f"{window} opens before the first recovery basis exists "
-                    f"(checkpoint_every_steps={every} first captures at step {every}, "
-                    "after that boundary's crash ops)"
+                    f"{window} opens before any recovery basis exists to rebuild the shard "
+                    f"from (checkpoint_every_steps={every}: 0 captures none, N first at step N)"
                 )
         for window in crashes:
             self._due_at(window.end)[0].append(("recover", window.shard))
@@ -406,16 +391,13 @@ class MobiEyesSystem:
 
     def _boundary_slot(self, step: int) -> None:
         """Everything that happens *between* steps, at the very top of the
-        movement phase: the clock already reads ``step`` but nothing of
-        step ``step`` has happened, so the system is exactly at the
-        post-``step - 1`` boundary.  In order: a crash window *ending* here
-        restarts its shard from the recovery basis (this step's traffic
-        already sees the rebuilt tables); a window *starting* here kills
-        its shard before any new delivery; on a cadence tick with every
-        shard alive the server tables become the new basis; then the
-        scheduled transfers, the scheduled splits / merges, and the
-        load-driven policy (which reads only the deterministic ``ops``
-        counters) move boundaries.
+        movement phase: the clock already reads ``step`` but nothing of it
+        has happened (the post-``step - 1`` boundary).  In order: recover
+        the shards whose crash window ends here (this step's traffic sees
+        the rebuilt tables), kill those whose window starts here (before
+        any new delivery), retake the recovery basis on a cadence tick,
+        then move boundaries: scheduled transfers, scheduled splits /
+        merges, the load-driven policy.
 
         ``rebalance_schedule`` triggers fire unconditionally and always
         broadcast one rebalance directive -- even under a monolithic
@@ -423,15 +405,15 @@ class MobiEyesSystem:
         count -- so a fixed schedule yields identical message counts and
         energy ledgers across 1/2/4 shards and both engines.
         """
-        crash_ops, transfers, elastic_ops = self._due.get(step, _NOTHING_DUE)
+        crash_ops, transfers, elastic_ops = self._due.get(step, ((), (), ()))
         for op in crash_ops:
             self.apply_op(op, "schedule", step)
         config = self.config
         every = config.checkpoint_every_steps
-        # While a shard is dead it cannot contribute its tables (the old
-        # basis stays) and its frozen ``ops`` read as a cold stripe the
-        # policy would hand columns to (the policy holds).
-        all_up = not getattr(self.server, "dead_shards", ())
+        # A dead shard cannot contribute its tables (the old basis stays),
+        # and its frozen ``ops`` read as a cold stripe the policy would hand
+        # columns to (the policy holds).
+        all_up = not self.server.dead_shards
         if every and step % every == 0 and all_up:
             self.recovery_basis = capture_basis(self)
             self.checkpoints_taken += 1
@@ -450,9 +432,9 @@ class MobiEyesSystem:
             self.apply_op(op, "schedule", step)
         policy = self._rebalance_policy
         if policy is not None and all_up and step % config.rebalance_every_steps == 0:
-            coordinator = self.server
-            part = coordinator.partitioner
-            rows = coordinator.shard_loads()
+            # It reads only the deterministic ``ops`` counters.
+            part = self.server.partitioner
+            rows = self.server.shard_loads()
             totals = {row["shard"]: float(row["ops"]) for row in rows}
             widths = {row["shard"]: part.width_of(row["shard"]) for row in rows}
             proposal = policy.propose(totals, widths, part.order)
@@ -460,23 +442,22 @@ class MobiEyesSystem:
                 self.apply_op(proposal, "policy", step)
 
     def apply_op(self, op: tuple, source: str, step: int, announce: bool = True) -> None:
-        """Apply one step-boundary operation through the coordinator:
-        ``("recover", sid)`` / ``("crash", sid)`` (logged in ``crash_log``;
-        a recovery announces a grid-wide :class:`ResyncDirective`, so
-        clients re-pull descriptors and report epochs) or ``("transfer",
-        src, dst, cols)`` / ``("split", donor)`` / ``("merge", sid, into)``
-        (logged in ``rebalance_log``; if columns moved, announces the new
-        epoch).  The schedules, the policy and the tests all come through
-        here."""
+        """Apply one step-boundary operation through the coordinator, stamp
+        it with ``step``, log it and announce it: ``("recover", sid)`` /
+        ``("crash", sid)`` go to ``crash_log`` (a recovery directs every
+        client to resync), ``("transfer", src, dst, cols)`` / ``("split",
+        donor)`` / ``("merge", sid, into)`` to ``rebalance_log`` (moved
+        columns advertise the new epoch).  The schedules, the policy and
+        the tests all come through here."""
         coordinator = self.server
         kind = op[0]
-        directive = None
+        log, directive = self.crash_log, None
         if kind == "recover":
             sections = decode_basis(self.recovery_basis)
             summary = coordinator.recover_shard(op[1], sections, step)
-            log, directive = self.crash_log, ResyncDirective()
+            directive = ResyncDirective()
         elif kind == "crash":
-            log, summary = self.crash_log, coordinator.crash_shard(op[1])
+            summary = coordinator.crash_shard(op[1])
         else:
             if kind == "split":
                 summary = coordinator.spawn_shard(op[1])
@@ -494,8 +475,8 @@ class MobiEyesSystem:
             self._broadcast_everywhere(directive)
 
     def _broadcast_everywhere(self, directive: object) -> None:
-        """Grid-wide directive.  Coverage still matches true positions:
-        movement has not run yet."""
+        """Grid-wide directive (coverage still matches true positions:
+        movement has not run yet)."""
         grid = self.grid
         self.transport.broadcast(CellRange(0, grid.n_cols - 1, 0, grid.n_rows - 1), directive)
 

@@ -295,9 +295,7 @@ def run_chaos(
         crash_report = None
         if crash:
             crash_report = {
-                "windows": [
-                    {"shard": c.shard, "start": c.start, "end": c.end} for c in schedule.crashes
-                ],
+                "windows": schedule.describe()["crashes"],
                 "checkpoint_every": checkpoint_every,
                 "checkpoints_taken": counters["system.checkpoints_taken"],
                 "basis_bytes": len(system.recovery_basis),

@@ -75,10 +75,6 @@ class CrashWindow:
         if self.shard < 0:
             raise ValueError("shard must be non-negative")
 
-    def active(self, step: int) -> bool:
-        """Whether the window covers ``step``."""
-        return self.start <= step < self.end
-
 
 @dataclass(frozen=True, slots=True)
 class FaultSchedule:

@@ -96,6 +96,10 @@ def test_chaos_crash(crash_report, tmp_path):
     broken["crash"]["checkpoints_taken"] = 0
     with pytest.raises(SystemExit, match="checkpoint"):
         run_check("chaos-crash", both_engines(broken), tmp_path)
+    broken = copy.deepcopy(crash_report)
+    broken["crash"]["basis_bytes"] = 0
+    with pytest.raises(SystemExit, match="basis"):
+        run_check("chaos-crash", broken, tmp_path)
 
 
 def test_chaos_rebalance(rebalance_report, tmp_path):
@@ -176,7 +180,7 @@ def test_knob_counts_only_ratchet_down():
                 count += 1
         return count
 
-    assert arguments(build_parser()) <= 51
+    assert arguments(build_parser()) <= 50
 
 
 SRC = SCRIPT.parents[2] / "src"

@@ -257,20 +257,52 @@ class TestSpawnRetireLifecycle:
             with pytest.raises(ValueError):
                 server.retire_shard(0, 0)  # cannot retire the last shard
 
-    def test_crash_windows_reject_elastic(self):
-        """Crash recovery rebuilds a shard by id from the last checkpoint;
-        elastic retirement invalidates that id, so the mix is refused."""
+    @staticmethod
+    def crash_injector(start, end):
         from repro.faults.injector import FaultInjector
         from repro.faults.schedule import CrashWindow, FaultSchedule
 
-        injector = FaultInjector(
-            SimulationRng(42).fork(3),
-            schedule=FaultSchedule(crashes=(CrashWindow(shard=1, start=3, end=5),)),
-        )
-        with pytest.raises(ValueError, match="fixed fleet"):
+        schedule = FaultSchedule(crashes=(CrashWindow(shard=1, start=start, end=end),))
+        return FaultInjector(SimulationRng(42).fork(3), schedule=schedule)
+
+    def test_crash_windows_reject_elastic(self):
+        """A crash window and a scheduled split / merge both name shard ids
+        by hand; either can name a slot the other retired, recycled or
+        killed, so that mix is refused (docs/ROBUSTNESS.md)."""
+        with pytest.raises(ValueError, match="elastic_schedule"):
             paper_system(
-                shards=2, elastic_schedule=SCHEDULE, checkpoint_every_steps=2, loss=injector
+                shards=2,
+                elastic_schedule=SCHEDULE,
+                checkpoint_every_steps=2,
+                loss=self.crash_injector(3, 5),
             )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_crash_window_under_the_thermostat(self, engine):
+        """The load-driven fleet takes a crash window: the policy holds
+        while the shard is down (its frozen ops would read as a cold stripe
+        to hand columns to), recovery re-adopts what the crash erased, and
+        the run realigns with the oracle."""
+        system = paper_system(
+            engine,
+            shards=2,
+            params=skewed_params(0.03),
+            rebalance_every_steps=5,
+            elastic_max_shards=4,
+            checkpoint_every_steps=4,
+            loss=self.crash_injector(12, 18),
+        )
+        with system:
+            for _ in range(45):
+                system.step()
+                system.check_invariants()
+            erased, rebuilt = system.crash_log
+            assert erased["queries_lost"] and (erased["step"], rebuilt["step"]) == (12, 18)
+            assert rebuilt["queries_recovered"] <= erased["queries_lost"]
+            acted = [op["step"] for op in system.rebalance_log]
+            assert acted and not any(12 <= step < 18 for step in acted)
+            assert any(op["trigger"] == "policy-split" for op in system.rebalance_log)
+            assert system.results() == system.oracle_results()
 
 
 class TestScheduledElastic:
@@ -382,7 +414,7 @@ class TestElasticCheckpoint:
         with system:
             system.run(4)  # past the split (step 3), before the cadence (step 5)
             cp = checkpoint(system)
-            assert tuple(_decode(cp)["partition"]["order"]) == (0, 2, 1)
+            assert tuple(_decode(cp.blob)["partition"]["order"]) == (0, 2, 1)
             system.run(2)
             with restore(from_bytes(cp.to_bytes())) as resumed:
                 assert resumed.server.partitioner.order == (0, 2, 1)

@@ -378,7 +378,7 @@ class TestServiceCheckpoint:
         with system:
             system.step()
             cp = checkpoint(system)
-            assert _decode(cp)["service"] is None
+            assert _decode(cp.blob)["service"] is None
 
 
 class TestConfigValidation:

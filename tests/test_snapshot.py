@@ -282,7 +282,7 @@ def tiny_checkpoint() -> Checkpoint:
 
 def doctored(cp: Checkpoint, edit) -> Checkpoint:
     """``cp`` with ``edit`` applied to its decoded payload."""
-    payload = snapshot._decode(cp)
+    payload = snapshot._decode(cp.blob)
     edit(payload)
     return Checkpoint(CHECKPOINT_VERSION, pickle.dumps(payload))
 
@@ -421,6 +421,41 @@ class TestHostileBytesFailClosed:
         with pytest.raises(ValueError):
             restore(cp)
         assert SENTINEL == []
+
+    def test_a_hostile_recovery_basis_never_reaches_a_table(self):
+        """The basis is decoded by the same allow-listing unpickler and
+        section key check as a whole checkpoint: at recovery, before
+        ``recover_shard`` is called, and at restore, before a system is
+        built from the checkpoint that carries it."""
+        from repro.core.coordinator import Coordinator
+
+        with paper_system(shards=2, scale=0.004, checkpoint_every_steps=2) as system:
+            system.run(3)
+            good = system.recovery_basis
+            system.apply_op(("crash", 1), "test", 3)
+            cp = checkpoint(system)
+            for bad in (
+                pickle.dumps(Evil()),
+                b"cos\nsystem\n(S'true'\ntR.",
+                good[: len(good) // 2],
+                pickle.dumps({"entries": []}),  # not a list of sections
+                pickle.dumps([{"entries": [], "tracker": []}]),  # a section short of a key
+                None,
+            ):
+                del SENTINEL[:]
+                system.recovery_basis = bad
+                with mock.patch.object(Coordinator, "recover_shard") as recover:
+                    with pytest.raises(ValueError):
+                        system.apply_op(("recover", 1), "test", 3)
+                assert not recover.called and SENTINEL == []
+                assert system.server.dead_shards == (1,) and system.crash_log[-1]["step"] == 3
+                if bad is not None:
+                    TestWrongShapeFailsClosed.refused(
+                        doctored(cp, lambda p: p.update(basis=bad)), "checkpoint"
+                    )
+            system.recovery_basis = good
+            system.apply_op(("recover", 1), "test", 3)
+            system.check_invariants()
 
     def test_a_truncated_real_payload_is_refused(self):
         cp = tiny_checkpoint()
@@ -644,6 +679,36 @@ class TestShardCrashRecovery:
         oracle = system.oracle_results()
         assert results.get(qid, frozenset()) == oracle[qid]
         system.close()
+
+    def test_a_checkpoint_taken_while_a_shard_is_dead_restores_it_dead(self):
+        # The dead set rides in the checkpoint's partition section and the
+        # injector asks the coordinator: nothing is re-derived from the
+        # schedule, so the restored run drops the same uplinks.
+        def build():
+            system = make_system(
+                boundary_objects(),
+                shards=2,
+                checkpoint_every_steps=2,
+                loss=self.crash_injector(start=6, end=10, shard=1),
+            )
+            system.install_query(circle_query(0, 3.0))
+            system.run(7)
+            return system
+
+        twin = build()
+        with build() as system:
+            resumed = restore(from_bytes(checkpoint(system).to_bytes()))
+        assert resumed.server.dead_shards == twin.server.dead_shards == (1,)
+        for each in (resumed, twin):
+            each.run(9)
+            each.check_invariants()
+        assert resumed.server.dead_shards == ()
+        assert resumed.crash_log == twin.crash_log and len(twin.crash_log) == 2
+        drops = resumed.transport.loss.drops_by_cause
+        assert drops == twin.transport.loss.drops_by_cause and drops["uplink-crash"] > 0
+        assert step_hash(resumed) == step_hash(twin)
+        resumed.close()
+        twin.close()
 
     def test_surviving_shard_is_untouched(self):
         # Queries owned by the healthy shard keep exact results through a
