@@ -3,21 +3,23 @@
 One state machine drives a small world -- a few dozen objects on an 8 x 8
 grid, static and moving queries, either engine, 1 / 2 / 4 shards, hop
 latency 0 or 1, the placement policy armed or not, a service attached or
-not -- with the rules step / install / remove / external update /
-transfer / split / merge (through ``_apply_placement_op``) / service
+not, a fault injector (with a recovery-basis cadence) attached or not --
+with the rules step / install / remove / external update / transfer /
+split / merge / crash / recover (all five through ``apply_op``) / service
 submit + tick / ``checkpoint -> to_bytes -> from_bytes -> restore`` (the
-restored system replaces the running one), beside a twin that takes the
-same calls and is never checkpointed.  After every rule both systems pass
-``check_invariants()`` (which includes envelope conservation), hash
-identically, agree on ``rebalance_log``, per-shard ops and every
-deterministic key of ``counters()``, conserve ingest operations, and hold
-a well-formed partition map.
+restored system replaces the running one, also while a shard is dead),
+beside a twin that takes the same calls and is never checkpointed.  After
+every rule both systems pass ``check_invariants()`` (which includes
+envelope conservation and dead-shard emptiness), hash identically, agree
+on ``rebalance_log``, ``crash_log``, per-shard ops and every deterministic
+key of ``counters()``, conserve ingest operations, satisfy the ledger
+identities, and hold a well-formed partition map.
 
 The profile sets the volume (``--hypothesis-profile long`` in CI; see
 tests/conftest.py).  A failure hypothesis shrinks here is committed as an
-explicit regression test below before it is fixed.  Crash / recover rules,
-fault injection, the cross-engine lockstep twin and oracle equality when
-drained belong to item A and are not here yet.
+explicit regression test below before it is fixed.  Disconnect / outage
+windows, channel loss, the cross-engine lockstep twin and oracle equality
+when drained belong to item A and are not here yet.
 """
 
 from __future__ import annotations
