@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.sim.rng import zipf_weights
 from repro.workload.params import SimulationParameters
 
 MEAN_ABS_HEADING_COMPONENT = 2.0 / math.pi  # E|cos(theta)| for uniform theta
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step, 1/phi
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,21 +142,29 @@ class AlphaCostModel:
 
     # ------------------------------------------------------------ optimum
 
-    def optimal_alpha(
-        self, candidates: Sequence[float] | None = None
-    ) -> tuple[float, float]:
+    def optimal_alpha(self) -> tuple[float, float]:
         """``(alpha*, rate*)`` minimizing the modeled total message rate.
 
-        Scans a geometric candidate grid by default; the model is smooth
-        and unimodal, so a scan is plenty.
+        A geometric scan (x1.25 steps over 0.25 .. ~200) brackets the
+        minimum between the best grid point's neighbours; the model is
+        smooth and unimodal, so golden-section search then narrows that
+        bracket to floating-point resolution.
         """
-        if candidates is None:
-            candidates = [0.25 * 1.25**k for k in range(30)]  # 0.25 .. ~200
-        best_alpha = None
-        best_rate = math.inf
-        for alpha in candidates:
-            rate = self.total_rate(alpha)
-            if rate < best_rate:
-                best_alpha, best_rate = alpha, rate
-        assert best_alpha is not None
+        grid = [0.25 * 1.25**k for k in range(30)]
+        rates = [self.total_rate(alpha) for alpha in grid]
+        k = rates.index(min(rates))
+        lo, hi = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
+        a, b = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+        fa, fb = self.total_rate(a), self.total_rate(b)
+        while hi - lo > 1e-9 * hi:
+            if fa <= fb:
+                hi, b, fb = b, a, fa
+                a = hi - _INVPHI * (hi - lo)
+                fa = self.total_rate(a)
+            else:
+                lo, a, fa = a, b, fb
+                b = lo + _INVPHI * (hi - lo)
+                fb = self.total_rate(b)
+        # The better probe is always kept, so it is the best one evaluated.
+        best_rate, best_alpha = min((rates[k], grid[k]), (fa, a), (fb, b))
         return best_alpha, best_rate

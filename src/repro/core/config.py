@@ -120,7 +120,7 @@ class MobiEyesConfig:
             rejected -- counted in ``backpressure_rejects``, never
             silently dropped.
         ingest_inflight_limit: service-mode backpressure on the transport:
-            while more than this many envelopes are pending delivery, the
+            while more than this many hops are pending delivery, the
             service defers the whole tick's admissions (counted as
             deferrals).  ``0`` (the default) disables the inflight gate.
     """

@@ -10,14 +10,15 @@ over-hearing the paper identifies as MobiEyes' main energy overhead.
 
 Delivery is staged through a deferred message pipeline: every hop is
 stamped with a per-link delay by an optional
-:class:`~repro.network.latency.LatencyModel` and queued as a timestamped
-:class:`Envelope`; the engine's *delivery phase* drains the envelopes
-whose delay elapsed in deterministic ``(deliver_step, sender, seq)``
-order.  A zero-delay hop (the default -- no latency model attached, or a
-model with all-zero delays) completes *inline at send time*, which is
-exactly the paper's assumption that protocol exchanges complete within
-the 30-second step; the inline path is bit-identical to the historical
-call-at-send transport.
+:class:`~repro.network.latency.LatencyModel` and queued in a timestamped
+:class:`Envelope` (the receivers of one downlink message that drew the
+same delay share one, as a run); the engine's *delivery phase* drains
+the envelopes whose delay elapsed in deterministic
+``(deliver_step, sender, seq)`` order.  A zero-delay hop (the default --
+no latency model attached, or a model with all-zero delays) completes
+*inline at send time*, which is exactly the paper's assumption that
+protocol exchanges complete within the 30-second step; the inline path is
+bit-identical to the historical call-at-send transport.
 
 One modeling note: the server's *minimal station cover* of a monitoring
 region picks stations whose coverage circles intersect every region cell,
@@ -52,14 +53,23 @@ SERVER_SENDER = -1
 
 @dataclass(slots=True)
 class Envelope:
-    """One deferred hop of one logical message in the delivery pipeline
-    (a report window flushed under latency parks one envelope per record).
+    """Deferred hops of one logical message in the delivery pipeline (a
+    report window flushed under latency parks one envelope per record).
+
+    An uplink or reliability envelope is one hop.  A downlink envelope is
+    the *run* of one message's receivers that drew the same delay: the
+    ascending ``(oid, downlink_seq)`` pairs (``downlink_seq`` is None
+    unless the reliability layer numbers the stream), one hop each -- a
+    unicast is a run of one.
 
     Ordering within a delivery step is total and deterministic: envelopes
     drain sorted by ``(sender, seq)``, where ``seq`` is a transport-global
-    monotonic stamp allocated at enqueue time -- so two messages from the
-    same sender can never reorder, and ties across senders break by the
-    sender key (:data:`SERVER_SENDER` before any object id).
+    monotonic stamp allocated per hop at enqueue time -- so two messages
+    from the same sender can never reorder, and ties across senders break
+    by the sender key (:data:`SERVER_SENDER` before any object id).  A run
+    holds the ``seq`` its first member took; its later members took the
+    next consecutive stamps, so opening the run in place of its hops
+    keeps the per-hop drain order.
     """
 
     deliver_step: int
@@ -68,8 +78,7 @@ class Envelope:
     kind: str  # "uplink" | "downlink" | a reliability exchange kind
     message: object
     sent_step: int
-    receiver: ObjectId | None = None
-    downlink_seq: int | None = None
+    run: list[tuple[ObjectId, int | None]] | None = None  # a downlink's receivers
     context: object = None  # reliability exchange state, when applicable
     # Partition epoch at enqueue time: the routing generation this hop was
     # planned under.  If the map was repartitioned while the hop was in
@@ -78,6 +87,11 @@ class Envelope:
     # shard id frozen at enqueue) and the mismatch is counted as a
     # stale-epoch reroute rather than a drop.
     epoch: int = 0
+
+    @property
+    def hops(self) -> int:
+        """How many hops this envelope carries (a downlink's run length)."""
+        return 1 if self.run is None else len(self.run)
 
 
 class DownlinkReceiver(Protocol):
@@ -200,10 +214,10 @@ class SimulatedTransport:
     so receivers can detect the traffic they missed.
     """
 
-    #: Lifetime counters (core/load.py): envelopes opened by the delivery
-    #: phase and their summed delay in steps, queued envelopes that died
-    #: with a crashed shard, and uplinks opened under a newer partition
-    #: epoch than they were enqueued with.
+    #: Lifetime counters (core/load.py): hops opened by the delivery phase
+    #: and their summed delay in steps, queued hops that died with a
+    #: crashed shard, and uplinks opened under a newer partition epoch
+    #: than they were enqueued with.
     COUNTERS = (
         "delivered_deferred", "delivered_delay_sum", "discarded_envelopes",
         "stale_epoch_reroutes",
@@ -245,9 +259,10 @@ class SimulatedTransport:
         self._queue: dict[int, list[Envelope]] = {}
         self._envelope_seq = 0
         self._force_inline = 0
-        # Every envelope is delivered, discarded or still queued:
+        # Every hop is delivered, discarded or still queued:
         # _envelope_seq == delivered_deferred + discarded_envelopes +
-        # pending_count() (MobiEyesSystem.check_invariants).
+        # pending_count() (MobiEyesSystem.check_invariants); all four count
+        # hops, not envelopes.
         self.delivered_deferred = 0
         self.delivered_delay_sum = 0
         self.discarded_envelopes = 0
@@ -258,10 +273,10 @@ class SimulatedTransport:
         self.report_buffer: ReportBuffer | None = None
         self.report_window: AbstractContextManager[None] = nullcontext()
         # Vectorized broadcast fan-out (wired by the fastpath runtime).
-        # When set, eligible region broadcasts are applied to all covered
-        # receivers in bulk instead of one ``_deliver`` call each; the
-        # hook declines (returns False) whenever loss, reliability,
-        # tracing, or deferred delivery require per-receiver semantics.
+        # When set, an eligible region broadcast is applied to all its
+        # receivers in bulk -- inline at send, or when its deferred run
+        # opens -- instead of one handover each; it declines whenever
+        # per-receiver semantics are required.
         self.fanout = None
 
     # ------------------------------------------------------------- wiring
@@ -365,11 +380,11 @@ class SimulatedTransport:
         sender: int,
         delay: int,
         *,
-        receiver: ObjectId | None = None,
-        downlink_seq: int | None = None,
+        run: list[tuple[ObjectId, int | None]] | None = None,
         context: object = None,
     ) -> Envelope:
-        """Park one hop in the pipeline until its delay elapses."""
+        """Park one hop (a downlink: the first of a run) in the pipeline
+        until its delay elapses."""
         self._envelope_seq += 1
         envelope = Envelope(
             deliver_step=self._step + delay,
@@ -378,8 +393,7 @@ class SimulatedTransport:
             kind=kind,
             message=message,
             sent_step=self._step,
-            receiver=receiver,
-            downlink_seq=downlink_seq,
+            run=run,
             context=context,
             epoch=getattr(self._server, "partition_epoch", 0),
         )
@@ -405,9 +419,16 @@ class SimulatedTransport:
             self.reliability.advance(step)
 
     def _open_envelope(self, envelope: Envelope, step: int) -> None:
-        """Hand one due envelope to its receiver."""
-        self.delivered_deferred += 1
-        self.delivered_delay_sum += step - envelope.sent_step
+        """Hand one due envelope to its receiver(s).
+
+        A downlink run goes to the vectorized engine's fan-out in one
+        piece when it accepts the message and the hops carry no sequence
+        numbers; otherwise each member is handed over in ascending order,
+        skipping a radio that detached while the run was in flight.
+        """
+        hops = envelope.hops
+        self.delivered_deferred += hops
+        self.delivered_delay_sum += hops * (step - envelope.sent_step)
         kind = envelope.kind
         if kind in ("uplink", "rel-uplink") and envelope.epoch != getattr(
             self._server, "partition_epoch", 0
@@ -419,9 +440,16 @@ class SimulatedTransport:
         if kind == "uplink":
             self._server.on_uplink(envelope.message)
         elif kind == "downlink":
-            client = self._clients.get(envelope.receiver)
-            if client is not None:  # else: radio detached mid-flight
-                self._hand_over(client, envelope.message, envelope.downlink_seq)
+            message = envelope.message
+            fanout = self.fanout
+            if fanout is not None and self.reliability is None and fanout.accepts(message):
+                fanout.apply(message, {oid for oid, _ in envelope.run})
+                return
+            clients = self._clients
+            for oid, seq in envelope.run:
+                client = clients.get(oid)
+                if client is not None:  # else: radio detached mid-flight
+                    self._hand_over(client, message, seq)
         else:
             self.reliability.open_envelope(envelope)
 
@@ -439,7 +467,7 @@ class SimulatedTransport:
         """Drop queued, not-yet-delivered envelopes matching ``predicate``.
 
         Shard crash support: in-flight uplinks addressed to a shard die
-        with it.  Returns the number of envelopes removed, which
+        with it.  Returns the number of hops removed, which
         ``discarded_envelopes`` accumulates.  Reliable exchanges whose
         envelope is discarded stay pending -- their retransmit timers keep
         running, so the hop is retried (and re-routed) or fails through
@@ -447,20 +475,22 @@ class SimulatedTransport:
         """
         removed = 0
         for due in list(self._queue):
-            batch = self._queue[due]
-            kept = [env for env in batch if not predicate(env)]
-            if len(kept) != len(batch):
-                removed += len(batch) - len(kept)
-                if kept:
-                    self._queue[due] = kept
+            kept = []
+            for env in self._queue[due]:
+                if predicate(env):
+                    removed += env.hops
                 else:
-                    del self._queue[due]
+                    kept.append(env)
+            if kept:
+                self._queue[due] = kept
+            else:
+                del self._queue[due]
         self.discarded_envelopes += removed
         return removed
 
     def pending_count(self) -> int:
-        """Messages currently in flight (enqueued, not yet delivered)."""
-        return sum(len(batch) for batch in self._queue.values())
+        """Hops currently in flight (enqueued, not yet delivered)."""
+        return sum(env.hops for batch in self._queue.values() for env in batch)
 
     # ------------------------------------------------------------ traffic
 
@@ -558,7 +588,7 @@ class SimulatedTransport:
         self.ledger.record_downlink(type(message).__name__, bits, receivers=(oid,), broadcasts=1)
         if self.trace is not None:
             self.trace.record(self._step, "send", type=type(message).__name__, oid=oid)
-        return self._deliver(oid, message)
+        return self._deliver((oid,), message)
 
     def broadcast(self, region: Iterable[CellIndex], message: object) -> int:
         """Server -> the objects of a grid-cell region.
@@ -589,32 +619,58 @@ class SimulatedTransport:
                 stations=len(station_ids),
                 receivers=len(receivers),
             )
-        for oid in sorted(receivers):
-            self._deliver(oid, message)
+        self._deliver(sorted(receivers), message)
         return len(station_ids)
 
-    def _deliver(self, oid: ObjectId, message: object) -> bool:
-        """One receiver's downlink hop: loss roll, sequencing, handover.
+    def _deliver(self, receivers: Iterable[ObjectId], message: object) -> bool:
+        """The downlink hops of one message, in ``receivers`` order
+        (ascending ids); returns whether any hop survived send time.
 
-        Receivers without an attached radio are skipped before any loss
-        roll -- there is no radio to miss the message, so no drop is
-        counted and no randomness is consumed.  Loss rolls and sequence
-        allocation happen at send time; under modeled latency the
-        surviving hop is parked in the pipeline and the receiver observes
-        the sequence number when the envelope opens.
+        Per receiver, in this order: a receiver without an attached radio
+        is skipped before any loss roll (no radio can miss the message, so
+        no drop is counted and no randomness is consumed), then loss is
+        rolled, the sequence number allocated and the delay drawn -- one
+        draw per message when the model has no jitter, since such a draw
+        consumes no randomness.  A zero-delay hop is handed over now; the
+        others join the run parked for their delay, whose members observe
+        their sequence numbers when it opens.  A handover may enqueue hops
+        of its own, so it closes every open run: a later receiver starts a
+        new envelope, keeping the per-hop ``(sender, seq)`` drain order.
         """
-        client = self._clients.get(oid)
-        if client is None:
-            return False
-        dropped = self.loss is not None and self.loss.drop_delivery(message, receiver=oid)
-        seq = self.next_downlink_seq(oid) if self.reliability is not None else None
-        if dropped:
-            return False
-        delay = 0 if self.latency is None else self._downlink_delay()
-        if delay > 0:
-            self._enqueue(
-                "downlink", message, SERVER_SENDER, delay, receiver=oid, downlink_seq=seq
-            )
-            return True
-        self._hand_over(client, message, seq)
-        return True
+        clients = self._clients
+        loss = self.loss
+        sequenced = self.reliability is not None
+        latency = self.latency
+        delay = 0
+        draw = None
+        if latency is not None and self.latency_active:
+            if latency.jitter_steps:
+                draw = latency.downlink_delay
+            else:
+                delay = latency.downlink_delay()
+        runs: dict[int, Envelope] = {}
+        sent = False
+        for oid in receivers:
+            client = clients.get(oid)
+            if client is None:
+                continue
+            dropped = loss is not None and loss.drop_delivery(message, receiver=oid)
+            seq = self.next_downlink_seq(oid) if sequenced else None
+            if dropped:
+                continue
+            sent = True
+            if draw is not None:
+                delay = draw()
+            if delay <= 0:
+                self._hand_over(client, message, seq)
+                runs.clear()
+                continue
+            envelope = runs.get(delay)
+            if envelope is None:
+                runs[delay] = self._enqueue(
+                    "downlink", message, SERVER_SENDER, delay, run=[(oid, seq)]
+                )
+            else:
+                self._envelope_seq += 1
+                envelope.run.append((oid, seq))
+        return sent

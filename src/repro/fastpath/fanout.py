@@ -1,9 +1,9 @@
-"""Vectorized broadcast fan-out (vectorized engine, fault-free fast path).
+"""Vectorized broadcast fan-out (vectorized engine).
 
 Profiling the dense workload shows the reporting phase dominated not by
 the reports themselves but by their *reactions*: every server broadcast
-is delivered receiver by receiver through ``SimulatedTransport._deliver``
--> ``MobiEyesClient.on_downlink``, ~100 scalar handler invocations per
+is delivered receiver by receiver through
+``MobiEyesClient.on_downlink``, ~100 scalar handler invocations per
 broadcast.  For the high-volume broadcast types those handlers perform a
 per-receiver table poke that can be applied in bulk:
 
@@ -20,6 +20,13 @@ one id set :meth:`VectorizedCoverageIndex.receiver_mask` reads off the
 per-step index (a few dozen ids; the ledger and the appliers consume the
 set as it is).
 
+One :meth:`BroadcastFanout.apply` serves both clocks.  Inline,
+:meth:`~BroadcastFanout.try_broadcast` charges the ledger and applies
+the broadcast to its covered set at send time.  Under modeled latency
+the transport parks each broadcast's surviving receivers as one run per
+drawn delay (loss already rolled at send), and when the run opens in the
+delivery phase the transport hands it to ``apply`` as a set.
+
 Equivalence to the per-receiver loop:
 
 - The per-receiver handlers are mutually independent (each touches only
@@ -29,11 +36,13 @@ Equivalence to the per-receiver loop:
   in descriptor order and emitted in ascending receiver order, exactly
   the reference interleaving of uplinks.
 - Message and energy accounting uses the same ledger call with the same
-  receiver membership.
+  receiver membership (at send time; opening a run charges nothing).
 - The fan-out declines (falls back to the scalar loop) whenever per-
-  receiver semantics matter: loss rolls, reliability sequencing, trace
-  logging, deferred delivery, detached radios, or a lazy-propagation
-  velocity broadcast carrying descriptors.
+  receiver semantics matter.  At send: loss rolls, reliability
+  sequencing, trace logging and deferred delivery (the transport rolls
+  and parks per receiver).  At open: downlink sequence numbers (the
+  reliability layer).  On both clocks: detached radios and a
+  lazy-propagation velocity broadcast carrying descriptors.
 """
 
 from __future__ import annotations
@@ -76,22 +85,17 @@ class BroadcastFanout:
     # ------------------------------------------------------------ dispatch
 
     def try_broadcast(self, station_ids, region, message) -> bool:
-        """Apply one region broadcast in bulk; False declines to scalar."""
-        applier = self._appliers.get(type(message))
-        if applier is None:
-            return False
+        """Send one region broadcast and apply it inline, in bulk; False
+        declines to the transport's per-receiver path (which, under
+        deferred delivery, parks the runs :meth:`apply` takes later)."""
         transport = self.transport
         if (
             transport.loss is not None
             or transport.reliability is not None
             or transport.trace is not None
             or transport.latency_active
-            or len(transport._clients) != self.store.n
+            or not self.accepts(message)
         ):
-            return False
-        if type(message) is VelocityChangeBroadcast and message.descriptors:
-            # Lazy propagation: receivers may install from the expanded
-            # descriptors; keep the scalar per-receiver path.
             return False
         # Looked up through the instance at call time: the index's three
         # reads are the seams an outside tracer wraps by name.
@@ -102,8 +106,24 @@ class BroadcastFanout:
             receivers=receivers,
             broadcasts=len(station_ids),
         )
-        applier(message, receivers)
+        self.apply(message, receivers)
         return True
+
+    def accepts(self, message) -> bool:
+        """Whether ``message`` can be applied in bulk: a broadcast type
+        with an applier, every radio attached, and no lazy-propagation
+        descriptors (a receiver may install from those; the scalar
+        handler keeps that path)."""
+        if type(message) not in self._appliers:
+            return False
+        if len(self.transport._clients) != self.store.n:
+            return False
+        return not (type(message) is VelocityChangeBroadcast and message.descriptors)
+
+    def apply(self, message, receivers: set) -> None:
+        """Every receiver's handler effects for an accepted ``message``:
+        the inline send's covered set, or a deferred run when it opens."""
+        self._appliers[type(message)](message, receivers)
 
     # ------------------------------------------------------------ appliers
 

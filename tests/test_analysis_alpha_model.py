@@ -62,6 +62,16 @@ class TestModelShape:
         assert 2.0 <= alpha <= 20.0  # the paper reports an ideal range [4, 6]
         assert rate > 0
 
+    def test_optimal_alpha_is_the_true_minimum(self, model):
+        # A coarse scan alone returned alpha 11.10 at 75.685 msgs/s while
+        # total_rate(10) is 75.526; the refined optimum beats every point
+        # of a 0.001 grid over [1, 50].
+        alpha, rate = model.optimal_alpha()
+        assert 10.2 < alpha < 10.4
+        assert rate < model.total_rate(10.0)
+        for k in range(49_001):
+            assert rate <= model.total_rate(1.0 + k / 1000)
+
     def test_lazy_mode_cheaper_uplink(self):
         params = paper_defaults()
         eager = AlphaCostModel.from_params(params, lazy=False)

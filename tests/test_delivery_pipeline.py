@@ -17,14 +17,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import MobiEyesConfig
 from repro.core.partition import PartitionMap
+from repro.core.snapshot import step_hash
 from repro.core.transport import SERVER_SENDER, SimulatedTransport
 from repro.fastpath import numpy_available
+from repro.faults.channels import BernoulliChannel
+from repro.faults.injector import FaultInjector
 from repro.faults.policy import ReliabilityPolicy
 from repro.geometry import Point, Rect
 from repro.grid import Grid
 from repro.metrics.collectors import MetricsLog, StepStats
 from repro.network import BaseStationLayout, LatencyModel, MessageLedger
-from repro.sim import TraceLog
+from repro.network.loss import LossModel
+from repro.sim import SimulationRng, TraceLog
 from tests.conftest import paper_system
 
 
@@ -261,6 +265,222 @@ class TestDeferredOrdering:
         assert [m.bits for m in server.received] == [1]
         assert transport.latency_active
         assert transport.pending_count() == 0
+
+
+# ----------------------------------------- one envelope per broadcast run
+
+
+class _RunClient(FakeClient):
+    """A radio that also records the downlink sequence numbers it sees."""
+
+    def __init__(self):
+        super().__init__()
+        self.seqs = []
+
+    def observe_downlink_seq(self, seq):
+        self.seqs.append(seq)
+
+
+class _StubFanout:
+    """A fan-out that declines at send (as under latency), accepts every
+    opened run and records what it applies."""
+
+    def __init__(self):
+        self.applied = []
+
+    def try_broadcast(self, station_ids, region, message):
+        return False
+
+    def accepts(self, message):
+        return True
+
+    def apply(self, message, receivers):
+        self.applied.append((message, set(receivers)))
+
+
+BROADCAST_CELLS = [(i, j) for i in range(2) for j in range(2)]
+
+
+def attach_broadcast_audience(transport, n, step=1):
+    """``n`` radios inside BROADCAST_CELLS, ids 0 .. n-1, nobody else."""
+    clients = {oid: _RunClient() for oid in range(n)}
+    for oid, client in clients.items():
+        transport.attach_client(oid, client)
+    positions = [(oid, Point(0.5 + 0.7 * oid, 9.5 - 0.7 * oid)) for oid in clients]
+    transport.begin_step(step, positions)
+    return clients
+
+
+def queued_envelopes(transport):
+    return [env for batch in transport._queue.values() for env in batch]
+
+
+def drain(transport, first, last):
+    for step in range(first, last + 1):
+        transport.begin_step(step, [])
+        transport.delivery_phase(step)
+
+
+def assert_hops_conserved(transport):
+    assert transport._envelope_seq == (
+        transport.delivered_deferred + transport.discarded_envelopes + transport.pending_count()
+    )
+
+
+class TestBroadcastRuns:
+    """A deferred broadcast parks one envelope per drawn delay, carrying
+    its receivers as an ascending ``(oid, downlink_seq)`` run; every
+    counter keeps counting hops."""
+
+    def test_one_envelope_per_broadcast(self, layout, grid):
+        transport, ledger, *_ = make_transport(layout, grid, LatencyModel(downlink_steps=1))
+        clients = attach_broadcast_audience(transport, 9)
+        assert transport.broadcast(BROADCAST_CELLS, SizedMessage(bits=32)) > 0
+        (envelope,) = queued_envelopes(transport)
+        assert envelope.kind == "downlink" and envelope.sender == SERVER_SENDER
+        assert envelope.run == [(oid, None) for oid in range(9)]
+        assert envelope.seq == 1 and transport._envelope_seq == 9
+        assert transport.pending_count() == 9 == envelope.hops
+        assert ledger.downlink_count > 0  # charged at send
+        assert_hops_conserved(transport)
+        drain(transport, 2, 2)
+        assert all(len(client.received) == 1 for client in clients.values())
+        assert (transport.delivered_deferred, transport.delivered_delay_sum) == (9, 9)
+        assert transport.pending_count() == 0
+        assert_hops_conserved(transport)
+
+    @pytest.mark.parametrize("jitter", [1, 2, 3])
+    def test_jitter_parks_at_most_one_run_per_delay(self, layout, grid, jitter):
+        model = LatencyModel(downlink_steps=1, jitter_steps=jitter, seed=jitter)
+        transport, *_ = make_transport(layout, grid, model)
+        clients = attach_broadcast_audience(transport, 12)
+        transport.broadcast(BROADCAST_CELLS, SizedMessage(bits=32))
+        envelopes = queued_envelopes(transport)
+        assert len(envelopes) <= jitter + 1
+        assert transport.pending_count() == 12 == sum(env.hops for env in envelopes)
+        for env in envelopes:  # each run ascending, at its first member's seq
+            oids = [oid for oid, _ in env.run]
+            assert oids == sorted(oids) and env.seq == 1 + oids[0]
+        drain(transport, 2, 2 + jitter)
+        assert all(len(client.received) == 1 for client in clients.values())
+        assert transport.pending_count() == 0
+        assert_hops_conserved(transport)
+
+    def test_zero_drawn_hop_is_inline_and_closes_the_runs(self, layout, grid):
+        # downlink 0 + jitter: a hop drawn 0 is handed over at send; the
+        # members around it never share an envelope across it.
+        model = LatencyModel(jitter_steps=1, seed=3)
+        transport, *_ = make_transport(layout, grid, model)
+        clients = attach_broadcast_audience(transport, 12)
+        transport.broadcast(BROADCAST_CELLS, SizedMessage(bits=32))
+        inline = {oid for oid, client in clients.items() if client.received}
+        assert inline and len(inline) < 12
+        for env in queued_envelopes(transport):
+            oids = [oid for oid, _ in env.run]
+            assert not any(oids[0] < oid < oids[-1] for oid in inline)
+        assert transport.pending_count() == 12 - len(inline)
+        drain(transport, 2, 2)
+        assert all(len(client.received) == 1 for client in clients.values())
+        assert_hops_conserved(transport)
+
+    def test_detached_radios_skipped_at_send_and_at_open(self, layout, grid):
+        transport, *_ = make_transport(layout, grid, LatencyModel(downlink_steps=1))
+        clients = attach_broadcast_audience(transport, 6)
+        transport.detach_client(2)  # before the send: no hop at all
+        transport.broadcast(BROADCAST_CELLS, SizedMessage(bits=32))
+        (envelope,) = queued_envelopes(transport)
+        assert [oid for oid, _ in envelope.run] == [0, 1, 3, 4, 5]
+        assert transport.pending_count() == 5
+        transport.detach_client(4)  # in flight: the hop opens to nobody
+        drain(transport, 2, 2)
+        got = sorted(oid for oid, client in clients.items() if client.received)
+        assert got == [0, 1, 3, 5]
+        assert transport.delivered_deferred == 5
+        assert_hops_conserved(transport)
+
+    def test_fanout_takes_the_run_at_open(self, layout, grid):
+        transport, *_ = make_transport(layout, grid, LatencyModel(downlink_steps=1))
+        clients = attach_broadcast_audience(transport, 5)
+        transport.fanout = fanout = _StubFanout()
+        message = SizedMessage(bits=32)
+        transport.broadcast(BROADCAST_CELLS, message)
+        drain(transport, 2, 2)
+        assert fanout.applied == [(message, {0, 1, 2, 3, 4})]
+        assert not any(client.received for client in clients.values())
+        assert transport.delivered_deferred == 5
+
+    def test_sequenced_run_is_handed_over_per_receiver(self, layout, grid):
+        # Under the reliability layer every hop carries its sequence
+        # number: the fan-out is skipped and each radio observes its own.
+        transport, _ = make_reliable_transport(
+            layout, grid, _DropPlan(), LatencyModel(downlink_steps=1)
+        )
+        clients = attach_broadcast_audience(transport, 4)
+        transport.fanout = fanout = _StubFanout()
+        transport.send(1, SizedMessage(bits=8))  # oid 1's stream: seq 1
+        transport.broadcast(BROADCAST_CELLS, SizedMessage(bits=32))
+        runs = sorted((env.seq, env.run) for env in queued_envelopes(transport))
+        assert runs == [(1, [(1, 1)]), (2, [(0, 1), (1, 2), (2, 1), (3, 1)])]
+        drain(transport, 2, 2)
+        assert fanout.applied == []
+        assert [client.seqs for client in clients.values()] == [[1], [1, 2], [1], [1]]
+
+
+def _differential_loss(kind, seed):
+    rng = SimulationRng(seed)
+    if kind == "off":
+        return None
+    if kind == "bernoulli":
+        return LossModel(rng, uplink_loss_rate=0.1, downlink_loss_rate=0.1)
+    channels = {}
+    if kind == "reliable+bernoulli":
+        channels = dict(
+            uplink_channel=BernoulliChannel(rng, rate=0.1),
+            downlink_channel=BernoulliChannel(rng, rate=0.1),
+        )
+    return FaultInjector(rng, policy=ReliabilityPolicy(heartbeat_steps=2), **channels)
+
+
+def _transport_view(system):
+    counters = system.counters()
+    return (
+        step_hash(system),
+        system.transport.pending_count(),
+        {k: v for k, v in counters.items() if k.startswith(("transport.", "reliability."))},
+    )
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestRunsAcrossEngines:
+    """The vectorized engine applies an opened run in bulk, the reference
+    engine receiver by receiver: per step they agree on ``step_hash``,
+    the in-flight hop count and every transport counter."""
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        latency=st.sampled_from([(1, 0), (1, 1), (0, 1), (2, 2)]),
+        loss=st.sampled_from(["off", "bernoulli", "reliable", "reliable+bernoulli"]),
+        shards=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_engines_agree_per_step(self, latency, loss, shards, seed):
+        # (delay, jitter) on both links; (0, 1) is downlink 0 + jitter 1,
+        # where a hop drawn 0 is handed over inline mid-broadcast.
+        delay, jitter = latency
+        twins = [
+            paper_system(
+                engine, shards=shards, seed=seed, latency=delay,
+                latency_jitter_steps=jitter, loss=_differential_loss(loss, seed),
+            )
+            for engine in ("reference", "vectorized")
+        ]
+        for step in range(8):
+            for system in twins:
+                system.step()
+            ref, vec = (_transport_view(system) for system in twins)
+            assert ref == vec, f"step {step + 1}"
+        twins[1].check_invariants()
+        assert twins[0].transport._envelope_seq > 0
 
 
 # -------------------------------------------- deferred reliability

@@ -283,8 +283,8 @@ class TestBroadcastUnregisteredReceivers:
         system = make_system(cluster_objects(), loss=loss)
         message = QueryInstallBroadcast(queries=())
         baseline = SimulationRng(6).random()
-        assert system.transport._deliver(999, message) is False
-        assert system.transport._deliver(999, message) is False
+        assert system.transport._deliver((999,), message) is False
+        assert system.transport._deliver((999,), message) is False
         assert loss.dropped_deliveries == 0
         # The loss model's rng was never rolled: there is no radio to miss
         # the message, so no drop decision exists to randomize.

@@ -88,6 +88,33 @@ class TestCheckpointRoundtrip:
         resumed.close()
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_restore_with_a_parked_broadcast_run(self, engine):
+        # A deferred broadcast is one downlink envelope carrying its
+        # receivers as a run: the checkpoint holds it as it is, and the
+        # restored system opens it on the original timetable (in bulk on
+        # the vectorized engine).
+        if engine == "vectorized":
+            pytest.importorskip("numpy")
+        system = paper_system(engine, shards=2, latency=1)
+        system.run(4)
+        queued = [env for batch in system.transport._queue.values() for env in batch]
+        assert max(env.hops for env in queued if env.kind == "downlink") > 1
+        assert system.transport.pending_count() > len(queued)
+        cp = checkpoint(system)
+        hashes = []
+        for _ in range(6):
+            system.step()
+            hashes.append(step_hash(system))
+        system.close()
+
+        resumed = restore(from_bytes(cp.to_bytes()))
+        for want in hashes:
+            resumed.step()
+            assert step_hash(resumed) == want
+            resumed.check_invariants()
+        resumed.close()
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_restore_with_reliable_exchanges_in_flight(self, engine):
         # Lossy links under latency keep reliable exchanges open across the
         # step boundary (parked rel-* envelopes, armed retransmit timers);
@@ -188,11 +215,12 @@ class TestCheckpointRoundtrip:
         # v5 bytes (whose queue may hold batched-report envelopes of a
         # deleted class), v6 bytes (reliable exchanges of the old shape),
         # v7 payloads (deep-copied objects, no header), v8 bytes (per-
-        # client stats, no server load sections) and v9 bytes (the previous
-        # whole-world checkpoint nested under ``last_checkpoint``) are
-        # refused by the header's version field, not half-read.
+        # client stats, no server load sections), v9 bytes (the previous
+        # whole-world checkpoint nested under ``last_checkpoint``) and v10
+        # bytes (one queued downlink envelope per receiver, not per run)
+        # are refused by the header's version field, not half-read.
         data = cp.to_bytes()
-        for old in (4, 5, 6, 7, 8, 9):
+        for old in (4, 5, 6, 7, 8, 9, 10):
             stale_bytes = data[:8] + old.to_bytes(2, "big") + data[10:]
             with pytest.raises(ValueError, match=f"version {old} unsupported"):
                 from_bytes(stale_bytes)
