@@ -13,10 +13,11 @@ def test_fig09_power_vs_queries(run_figure):
         assert naive[row] > optimal[row]
         assert naive[row] > mobieyes[row]
 
-    # MobiEyes' power grows with the query count (more broadcasts are
-    # over-heard); the paper shows central-optimal overtaking it for
-    # larger numbers of queries.
-    assert mobieyes[-1] > mobieyes[0]
-    gap_first = mobieyes[0] - optimal[0]
-    gap_last = mobieyes[-1] - optimal[-1]
-    assert gap_last >= gap_first
+    # Central-optimal's reports do not depend on the query count; MobiEyes'
+    # power grows with it (more broadcasts are over-heard).  So MobiEyes
+    # wins at the fewest queries and central-optimal overtakes it as
+    # queries grow -- the paper's crossover.
+    assert len(set(optimal)) == 1
+    assert mobieyes == sorted(set(mobieyes))
+    assert mobieyes[0] < optimal[0]
+    assert mobieyes[-1] > optimal[-1]

@@ -388,7 +388,10 @@ def checkpoint(system: "MobiEyesSystem") -> Checkpoint:
     payload: dict[str, Any] = {
         "config": system.config,
         "step": system.clock.step,
-        "objects": system.motion.objects,
+        # Plain objects: the vectorized engine's are views over its store.
+        "objects": system.motion.objects
+        if system._fastpath is None
+        else [obj.detached() for obj in system.motion.objects],
         "rng": system.rng,
         "velocity_changes_per_step": system.motion.velocity_changes_per_step,
         "changed_last_step": system.motion.changed_last_step,

@@ -23,6 +23,9 @@ Typical use::
     qid = system.install_query(QuerySpec(oid=3, region=Circle(0, 0, 2.0)))
     system.run(steps=100)
     print(system.result(qid))
+
+The live objects are ``system.motion.objects``: on the reference engine the
+caller's, moved in place; on the vectorized one views over its store.
 """
 
 from __future__ import annotations
@@ -340,14 +343,12 @@ class MobiEyesSystem:
     # ------------------------------------------------------------- phases
 
     def _positions(self) -> list[tuple[ObjectId, object]]:
-        return [(obj.oid, obj.pos) for obj in self.motion.objects]
+        # The vectorized coverage index reads the store's columns instead.
+        return [(o.oid, o.pos) for o in self.motion.objects] if self._fastpath is None else []
 
     def _movement_phase(self, clock: SimulationClock) -> None:
         self._boundary_slot(clock.step)
         self._unstepped_updates.clear()
-        if self._fastpath is not None:
-            self._fastpath.movement_phase(clock)
-            return
         self.motion.advance(clock.step_hours, clock.now_hours)
         self.transport.begin_step(clock.step, self._positions())
 

@@ -9,13 +9,13 @@ and :class:`~repro.core.transport.SimulatedTransport`, so ledgers, traces,
 and the loss model see bit-identical traffic -- but replaces the hot-loop
 *computation* with structure-of-arrays numpy kernels:
 
-- :class:`~repro.fastpath.store.ObjectStateStore`: positions, velocities,
-  speed bounds, grid cells, and lattice tiles in contiguous ``float64`` /
-  ``int64`` arrays.
-- :class:`~repro.fastpath.motion.VectorizedMotionModel`: movement as two
-  fused array operations; boundary reflections fall back to the scalar
-  kernel for the handful of out-of-bounds objects so arithmetic matches the
-  reference bit for bit.
+- :class:`~repro.fastpath.store.ObjectStateStore`: the one owner of the
+  objects' kinematic state -- positions, velocities, ``recorded_at``,
+  speed bounds, grid cells, lattice tiles -- as ``float64`` / ``int64``
+  columns; the objects everyone holds are row views over it.
+- :class:`~repro.fastpath.motion.VectorizedMotionModel`: movement as
+  array operations on those columns; boundary reflections fall back to
+  the scalar kernel for the few out-of-bounds objects, bit for bit.
 - :class:`~repro.fastpath.coverage.VectorizedCoverageIndex`: cell/tile
   bucketing as a stable ``argsort`` group-by and every station's receivers
   resolved in one batched distance pass, once per step; a lookup is a

@@ -3,10 +3,10 @@
 :class:`FastpathRuntime` shares the vectorized motion model's
 :class:`~repro.fastpath.store.ObjectStateStore`, owns the vectorized
 coverage index (installed onto the transport in place of the dict-based
-one) and the batch evaluator, and implements the three hot phases of
-:class:`~repro.core.system.MobiEyesSystem`:
+one) and the batch evaluator, and implements two hot phases of
+:class:`~repro.core.system.MobiEyesSystem` (*movement* is the motion
+model's own ``advance``, which the system calls on either engine):
 
-- *movement*: array kinematics, then the transport's step rollover.
 - *reporting*: a vectorized cell-crossing scan picks the candidate objects
   (cell changed, or focal and therefore subject to the dead-reckoning
   check); only candidates run their scalar protocol reactions, strictly in
@@ -101,13 +101,6 @@ class FastpathRuntime:
         self.rel_rec[row] = state.recorded_at
 
     # ------------------------------------------------------------- phases
-
-    def movement_phase(self, clock: "SimulationClock") -> None:
-        """Advance kinematics and roll the transport into the new step."""
-        self.system.motion.advance(clock.step_hours, clock.now_hours)
-        # The vectorized coverage index reads the store directly; no
-        # position list is materialized.
-        self.system.transport.begin_step(clock.step, ())
 
     def reporting_phase(self, clock: "SimulationClock") -> None:
         """Run the scalar report logic for the objects that need it."""

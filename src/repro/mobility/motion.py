@@ -78,24 +78,25 @@ class MotionModel:
         """Move every object along its velocity for one step, then randomly
         re-assign velocity vectors to ``velocity_changes_per_step`` objects.
         """
-        for obj in self.objects:
-            if obj.vel.x == 0.0 and obj.vel.y == 0.0:
-                continue
-            raw = Point(obj.pos.x + obj.vel.x * step_hours, obj.pos.y + obj.vel.y * step_hours)
-            pos, vel = reflect_into(self.uod, raw, obj.vel)
-            velocity_changed = vel != obj.vel
-            obj.pos = pos
-            if velocity_changed:
-                obj.vel = vel
-            # Objects continuously re-record their own state (GPS + clock).
-            obj.recorded_at = now_hours
-
+        self._move(step_hours, now_hours)
         self.changed_last_step = []
         count = min(self.velocity_changes_per_step, len(self.objects))
         if count > 0:
             for obj in self.rng.sample(self.objects, count):
                 self._randomize_velocity(obj, now_hours)
                 self.changed_last_step.append(obj.oid)
+
+    def _move(self, step_hours: float, now_hours: float) -> None:
+        """Move every moving object one step, reflecting at the boundary."""
+        for obj in self.objects:
+            if obj.vel.x == 0.0 and obj.vel.y == 0.0:
+                continue
+            raw = Point(obj.pos.x + obj.vel.x * step_hours, obj.pos.y + obj.vel.y * step_hours)
+            obj.pos, vel = reflect_into(self.uod, raw, obj.vel)
+            if vel != obj.vel:
+                obj.vel = vel
+            # Objects continuously re-record their own state (GPS + clock).
+            obj.recorded_at = now_hours
 
     def apply_update(
         self, oid: ObjectId, pos: Point, vel: Vector, now_hours: float

@@ -34,7 +34,7 @@ def build_system(
     ``seed`` (default ``params.seed``) roots one rng: ``fork(1)`` draws
     the workload and ``fork(2)`` drives motion, so equal arguments give
     bit-identical systems -- build twice for a twin, never share the
-    workload (a run moves its objects in place).  ``config`` holds
+    workload (a reference run moves its objects in place).  ``config`` holds
     :class:`MobiEyesConfig` fields laid over the geometry taken from
     ``params``; ``motion`` is a factory ``(objects, rng) -> motion model``
     called with the system's own object list and ``fork(3)`` (a custom

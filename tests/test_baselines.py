@@ -148,6 +148,23 @@ class TestReportingPolicies:
         obj.recorded_at = 0.5
         assert policy.report(obj, 0.5) is None
 
+    def test_central_optimal_at_zero_threshold_ignores_rounding(self):
+        # A position advanced step by step drifts a few ulps from the one
+        # extrapolated from the last report; at threshold 0 that rounding
+        # is not a change, a new velocity vector is.
+        policy = CentralOptimalReporting(threshold=0.0)
+        obj = make_object(0, 1.1, 2.3, vx=123.456, vy=-7.89)
+        step_hours = 30.0 / 3600.0
+        policy.report(obj, 0.0)
+        reports = []
+        for k in range(1, 41):
+            obj.pos = obj.pos + obj.vel * step_hours
+            obj.recorded_at = k * step_hours
+            if k == 20:
+                obj.vel = Vector(-5.0, 60.0)
+            reports.append(policy.report(obj, obj.recorded_at) is not None)
+        assert [k for k, sent in enumerate(reports, 1) if sent] == [20]
+
     def test_central_optimal_reports_significant_change(self):
         policy = CentralOptimalReporting(threshold=0.1)
         obj = make_object(0, 5, 5, vx=10.0)

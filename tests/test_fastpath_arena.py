@@ -106,9 +106,9 @@ class Twin:
                 lqt.notify_state(entry)
         elif kind == "move":
             _, c, x, y = op
+            # On the vectorized twin the client's object is a row view, so
+            # the assignment is the store write the evaluator reads.
             self.clients[c].obj.pos = Point(x, y)
-            if self.evaluator is not None:
-                self.evaluator.store.sync_from_objects()
 
     def evaluate(self, now):
         """Run one evaluation; returns the reports it sent, in order."""

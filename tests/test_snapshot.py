@@ -176,6 +176,38 @@ class TestCheckpointRoundtrip:
         for each in (resumed, twin, system):
             each.close()
 
+    def test_vectorized_checkpoint_with_an_update_pending(self):
+        # The vectorized engine's objects are row views over its store: the
+        # checkpoint carries them as plain objects (no view class is
+        # allow-listed), a restore rebuilds the views, and an external
+        # update the movement phase has not consumed yet resumes exactly.
+        pytest.importorskip("numpy")
+        from repro.fastpath.store import ObjectRow
+        from repro.geometry import Point, Vector
+        from repro.mobility.model import MovingObject
+
+        system = paper_system("vectorized", shards=2)
+        system.run(4)
+        system.apply_external_update(3, Point(-2.0, 7.5), Vector(12.0, -40.0))
+        assert 3 in system._unstepped_updates
+        cp = checkpoint(system)
+        objects = snapshot._decode(cp.blob)["objects"]
+        assert {type(obj) for obj in objects} == {MovingObject}
+        assert not any("ObjectRow" in names for names in snapshot._ALLOWED_GLOBALS.values())
+        hashes = []
+        for _ in range(5):
+            system.step()
+            hashes.append(step_hash(system))
+        system.close()
+
+        resumed = restore(from_bytes(cp.to_bytes()))
+        assert {type(obj) for obj in resumed.motion.objects} == {ObjectRow}
+        assert resumed.motion.objects == resumed.motion.store.objects
+        for want in hashes:
+            resumed.step()
+            assert step_hash(resumed) == want
+        resumed.close()
+
     def test_checkpoint_is_not_consumed(self):
         system = paper_system(shards=1)
         system.run(4)
