@@ -205,9 +205,11 @@ def fig05(runs: RunTable, params: SimulationParameters):
 @experiment("fig06", "Uplink messages/second vs number of objects")
 def fig06(runs: RunTable, params: SimulationParameters):
     """Paper (Fig. 6): the uplink (object -> server) component of Fig. 5's
-    messaging cost, log scale. MobiEyes-LQP cuts uplink traffic far below
-    every other approach (only focal objects talk to the server) -- crucial
-    for asymmetric links where uplink bandwidth is scarce.
+    messaging cost, log scale. The paper has MobiEyes-LQP far below every
+    other approach (only focal objects talk to the server) -- crucial for
+    asymmetric links where uplink bandwidth is scarce. Here LQP stays below
+    naive and EQP but above central-optimal, closing on it as the population
+    grows (DESIGN.md, "Shapes the full-scale table still does not show").
     """
     rows = [
         (p.num_objects, *(log.uplink_messages_per_second() for log in four_systems(runs, p)))
@@ -221,8 +223,11 @@ def fig07(runs: RunTable, params: SimulationParameters):
     """Paper (Fig. 7): messages/second vs velocity changes per step (nmo)
     for the four approaches. The EQP-to-central-optimal gap narrows as nmo
     grows (both must relay more velocity changes, but MobiEyes' fixed
-    cell-change overhead is amortized); LQP stays best for small query
-    counts.
+    cell-change overhead is amortized); the paper has LQP best for small
+    query counts. At this figure's query count (5% of the objects) LQP's
+    cost is nearly flat in nmo and drops below central-optimal only at the
+    largest nmo (DESIGN.md, "Shapes the full-scale table still does not
+    show").
     """
     params = with_queries(params, max(1, round(params.num_objects * 0.05)))
     rows = [
