@@ -1,4 +1,9 @@
-"""Configuration of a MobiEyes deployment."""
+"""Configuration of a MobiEyes deployment.
+
+One frozen dataclass, validated once at construction.  Service ingest has
+two knobs, the per-tick admission budget and the queue bound: backpressure
+is a rejected submission, never a withheld tick.
+"""
 
 from __future__ import annotations
 
@@ -119,10 +124,6 @@ class MobiEyesConfig:
             is also 0.  A submission that would overflow the bound is
             rejected -- counted in ``backpressure_rejects``, never
             silently dropped.
-        ingest_inflight_limit: service-mode backpressure on the transport:
-            while more than this many hops are pending delivery, the
-            service defers the whole tick's admissions (counted as
-            deferrals).  ``0`` (the default) disables the inflight gate.
     """
 
     uod: Rect
@@ -151,7 +152,6 @@ class MobiEyesConfig:
     elastic_schedule: tuple[tuple, ...] = ()
     ingest_budget_per_step: int = 0
     ingest_queue_limit: int = 0
-    ingest_inflight_limit: int = 0
     eval_period_hours: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -230,7 +230,7 @@ class MobiEyesConfig:
                 )
             if self.elastic_max_shards < MIN_SHARDS:
                 raise ValueError(f"elastic_max_shards must be 0 or at least {MIN_SHARDS}")
-        for knob in ("ingest_budget_per_step", "ingest_queue_limit", "ingest_inflight_limit"):
+        for knob in ("ingest_budget_per_step", "ingest_queue_limit"):
             if getattr(self, knob) < 0:
                 raise ValueError(f"{knob} must be non-negative")
         # Cached once: the object-side evaluation period in hours, used by

@@ -4,20 +4,20 @@ The coordinator is the transport's uplink sink and the system's
 server-compatible facade when ``config.shards > 1``.  It owns no protocol
 tables itself; it builds one :class:`~repro.core.shard.ServerShard` per
 contiguous column stripe of the grid (see
-:class:`~repro.core.partition.PartitionMap`) plus three directories
-that stay in sync through component callbacks:
-
-- ``owner_of``: query id -> owning shard (registry ``on_added`` /
-  ``on_removed``),
-- ``_focal_home``: focal object -> shard owning its queries (same
-  callbacks, keyed by the entry's focal),
-- ``_fot_home``: object -> shard holding its FOT entry (focal tracker
-  ``on_change``).
+:class:`~repro.core.partition.PartitionMap`), and the shards are the
+directory.  Who owns a query (:meth:`Coordinator.owner`), where a focal
+object lives (:meth:`Coordinator._home_of`: the shard whose registry
+anchors its queries, else the one whose tracker holds its FOT entry) and
+which slots are retired (the slots missing from the map's stripe order)
+are asked of the live shards and the map at every read, never copied.
+The derivation rests on the single-owner rule :meth:`check_invariants`
+asserts: at most one shard holds any query, anchors any focal, or
+tracks any FOT entry.
 
 Routing: cell-change reports go to the shard owning the *new* cell
 (triggering a focal handoff when the sender's queries live elsewhere);
 result-change reports go to the shard owning the sender's current cell;
-everything else follows the sender's home directory, falling back to the
+everything else goes to the sender's home shard, falling back to the
 sender's cell.  Under soft-state leases the coordinator also guarantees
 the lease touch: if a message routed away from the sender's home shard,
 the home is touched too, so a focal object that only ever talks to
@@ -35,10 +35,9 @@ server.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from repro.core.config import MobiEyesConfig
-from repro.core.focal import FocalTracker
 from repro.core.messages import (
     REC_CELL,
     REC_RESULT,
@@ -49,7 +48,7 @@ from repro.core.messages import (
 )
 from repro.core.partition import PartitionMap
 from repro.core.query import MovingQuery, QueryId, QuerySpec
-from repro.core.registry import QueryRegistry, ResultCallback
+from repro.core.registry import ResultCallback
 from repro.core.reporting import ReportBuffer
 from repro.core.shard import ServerShard
 from repro.core.tables import FotEntry, SqtEntry
@@ -73,9 +72,6 @@ class Coordinator:
         self.config = config
         requested = num_shards if num_shards is not None else config.shards
         self.partitioner = PartitionMap(grid, requested)
-        self.owner_of: dict[QueryId, int] = {}
-        self._focal_home: dict[ObjectId, int] = {}
-        self._fot_home: dict[ObjectId, int] = {}
         self._subscribers: dict[QueryId, list[ResultCallback]] = {}
         self._next_qid: QueryId = 1
         # One report-epoch map for the whole fleet; every shard holds this
@@ -83,15 +79,15 @@ class Coordinator:
         self._report_epochs: dict[ObjectId, int] = {}
         self._leases_on = False
         self._lease_steps = 0
-        # Elastic lifecycle: ``shards`` indices are *stable slot ids* --
-        # a retired shard's slot stays in place (empty) so directories,
-        # reliability endpoints, and checkpoints never renumber; a later
-        # spawn recycles the lowest retired slot before growing the list.
-        self._retired: set[int] = set()
         # The one record of which shards are down, with the query ids that
         # died with each: ``crash_shard`` adds, ``recover_shard`` removes,
         # the checkpoint's partition section carries it.
         self._dead: dict[int, set[QueryId]] = {}
+        # Elastic lifecycle: ``shards`` indices are *stable slot ids* -- a
+        # retired shard's slot stays in place (empty, with no stripe in the
+        # map) so reliability endpoints and checkpoints never renumber; a
+        # later spawn recycles the lowest retired slot before growing the
+        # list.
         self.shards: list[ServerShard] = [
             self._make_shard(sid) for sid in range(self.partitioner.num_shards)
         ]
@@ -108,18 +104,12 @@ class Coordinator:
         return self.partitioner.num_shards
 
     def _make_shard(self, sid: int) -> ServerShard:
-        """Build one shard slot wired into the shared directories.
+        """Build one shard slot.
 
         Used by the constructor, by :meth:`spawn_shard` when the fleet
         grows past every previously built slot, and by
         :meth:`restore_fleet` when a checkpoint restores a larger
         fleet than the config's initial count."""
-        registry = QueryRegistry(
-            on_added=self._added_callback(sid),
-            on_removed=self._removed_callback(sid),
-            subscribers=self._subscribers,
-        )
-        tracker = FocalTracker(on_change=self._fot_callback(sid))
         shard = ServerShard(
             self.grid,
             self.transport,
@@ -127,48 +117,49 @@ class Coordinator:
             coordinator=self,
             shard_id=sid,
             partitioner=self.partitioner,
-            registry=registry,
-            tracker=tracker,
         )
         if self._leases_on:
             shard.enable_leases(self._lease_steps)
         return shard
 
-    # ------------------------------------------------ directory callbacks
+    # ------------------------------------------------------- who owns what
+    #
+    # Asked of the shards at every read.  Each answer is unique because
+    # check_invariants' single-owner rule holds; none is cached.
 
-    def _added_callback(self, sid: int) -> Callable[[SqtEntry], None]:
-        def on_added(entry: SqtEntry) -> None:
-            self.owner_of[entry.qid] = sid
-            if entry.oid is not None:
-                self._focal_home[entry.oid] = sid
+    def owner(self, qid: QueryId) -> int | None:
+        """The slot whose registry holds query ``qid`` (None: no shard)."""
+        for shard in self.shards:
+            if qid in shard.registry:
+                return shard.shard_id
+        return None
 
-        return on_added
+    def _fot_slot(self, oid: ObjectId) -> int | None:
+        """The slot whose tracker holds ``oid``'s FOT entry."""
+        for shard in self.shards:
+            if oid in shard.tracker:
+                return shard.shard_id
+        return None
 
-    def _removed_callback(self, sid: int) -> Callable[[SqtEntry, bool], None]:
-        def on_removed(entry: SqtEntry, focal_left: bool) -> None:
-            self.owner_of.pop(entry.qid, None)
-            if entry.oid is not None and not focal_left:
-                if self._focal_home.get(entry.oid) == sid:
-                    del self._focal_home[entry.oid]
-
-        return on_removed
-
-    def _fot_callback(self, sid: int) -> Callable[[ObjectId, bool], None]:
-        def on_change(oid: ObjectId, present: bool) -> None:
-            if present:
-                self._fot_home[oid] = sid
-            elif self._fot_home.get(oid) == sid:
-                del self._fot_home[oid]
-
-        return on_change
-
-    # ------------------------------------------------------------ routing
+    def _focal_slot(self, oid: ObjectId) -> int | None:
+        """The slot whose registry anchors ``oid``'s queries."""
+        for shard in self.shards:
+            if shard.registry.is_focal(oid):
+                return shard.shard_id
+        return None
 
     def _home_of(self, oid: ObjectId) -> int | None:
-        home = self._focal_home.get(oid)
-        if home is None:
-            home = self._fot_home.get(oid)
-        return home
+        """The focal slot of ``oid``, else its FOT slot (an install round
+        trip's answer lands before the query does)."""
+        home = self._focal_slot(oid)
+        return home if home is not None else self._fot_slot(oid)
+
+    def _homed_on(self, sid: int) -> list[ObjectId]:
+        """The objects homed on slot ``sid``: its focals and its FOT ids."""
+        shard = self.shards[sid]
+        return sorted({*shard.registry.focal_ids(), *shard.tracker.ids()})
+
+    # ------------------------------------------------------------ routing
 
     @property
     def partition_epoch(self) -> int:
@@ -181,7 +172,7 @@ class Coordinator:
         """The one routing rule, by record kind: a cell change goes to the
         owner of ``new_cell``, a result change to the owner of the sender's
         current cell, anything else (velocity changes and every control
-        message) to the sender's home directory, falling back to its cell.
+        message) to the sender's home shard, falling back to its cell.
         Both :meth:`shard_for_uplink` and :meth:`apply_report_record`
         resolve through here."""
         if kind == REC_CELL:
@@ -327,17 +318,11 @@ class Coordinator:
             target.load.ops += len(buckets)
             summary["rqi_cells_moved"] = len(buckets)
         # Focals homed on the donor whose last-known cell sits inside the
-        # moved span follow it (the ordinary handoff keeps the ownership
-        # directories in sync).  Objects that miss the cut -- no position
-        # on record yet, or currently outside the span -- reconverge
-        # through their next cell-change report.
-        homed = sorted(
-            oid
-            for oid, home in {**self._fot_home, **self._focal_home}.items()
-            if home == src
-        )
+        # moved span follow it through the ordinary handoff.  Objects that
+        # miss the cut -- no position on record yet, or currently outside
+        # the span -- reconverge through their next cell-change report.
         cell_of = self.transport.coverage.cell_of
-        for oid in homed:
+        for oid in self._homed_on(src):
             try:
                 cell = cell_of(oid)
             except KeyError:
@@ -367,9 +352,9 @@ class Coordinator:
             raise ValueError(f"split donor {donor} is not a live shard")
         if part.width_of(donor) < 2:
             raise ValueError(f"shard {donor} is too narrow to split")
-        if self._retired:
-            sid = min(self._retired)
-            self._retired.discard(sid)
+        retired = self.retired_shards
+        if retired:
+            sid = retired[0]
         else:
             sid = len(self.shards)
             self.shards.append(self._make_shard(sid))
@@ -388,8 +373,8 @@ class Coordinator:
         explicitly: focals homed on ``sid`` whose last-known cell already
         sat outside the stripe, and static SQT entries (their descriptors
         live at the install-time owner regardless of cell).  Only then is
-        the emptied stripe removed from the map and the slot marked
-        retired -- the :class:`ServerShard` object stays in ``shards`` so
+        the emptied stripe removed from the map, which is what retires the
+        slot -- the :class:`ServerShard` object stays in ``shards`` so
         every index and reliability endpoint remains valid, ready for a
         later :meth:`spawn_shard` to recycle.
         """
@@ -403,12 +388,7 @@ class Coordinator:
         shard, target = self.shards[sid], self.shards[into]
         # Focals still homed here (last-known cell outside the drained
         # span, or no position on record): the ordinary handoff.
-        homed = sorted(
-            oid
-            for oid, home in {**self._fot_home, **self._focal_home}.items()
-            if home == sid
-        )
-        for oid in homed:
+        for oid in self._homed_on(sid):
             self.migrate_focal(oid, into)
             summary["focals_migrated"] += 1
         # Static queries stay at their install-time owner; re-home their
@@ -417,22 +397,21 @@ class Coordinator:
             shard.registry.release(entry.qid)
             target.registry.add(entry)
         part.remove_stripe(sid)
-        self._retired.add(sid)
         return summary
 
-    def restore_fleet(self, slots: int, retired: Iterable[int], dead: dict) -> None:
+    def restore_fleet(self, slots: int, dead: dict) -> None:
         """Checkpoint restore: grow ``shards`` to ``slots`` (a fleet that
         scaled out past the config's initial count) and adopt the
-        checkpointed retired slots and dead shards."""
+        checkpointed dead shards."""
         while len(self.shards) < slots:
             self.shards.append(self._make_shard(len(self.shards)))
-        self._retired = set(retired)
         self._dead = {sid: set(lost) for sid, lost in dead.items()}
 
     @property
     def retired_shards(self) -> tuple[int, ...]:
-        """Retired slot ids, ascending (for checkpoints and reports)."""
-        return tuple(sorted(self._retired))
+        """Retired slot ids, ascending: the slots with no stripe in the map."""
+        is_live = self.partitioner.is_live
+        return tuple(sid for sid in range(len(self.shards)) if not is_live(sid))
 
     @property
     def dead_shards(self) -> tuple[int, ...]:
@@ -448,16 +427,17 @@ class Coordinator:
         lease / suspension records, and RQI buckets are erased; queued
         uplink envelopes addressed to it die with it (reliable exchanges
         stay pending client-side and retry through the normal budget).
-        The ownership directories shed the dead queries through the usual
-        registry callbacks, so surviving shards route around the hole:
+        Ownership is read off the registries, so the dead queries are
+        nobody's once the shard's are emptied and surviving shards route
+        around the hole:
         results for dead queries resolve to ``None`` and are skipped, and
         fresh uplinks into the dead stripe are dropped by the fault
         injector, which asks :meth:`uplink_dead`.  Returns drop/teardown
         counters for the chaos report.
         """
         shard = self.shards[sid]
-        # Discard in-flight uplinks first: routing consults the ownership
-        # directories this teardown is about to erase.
+        # Discard in-flight uplinks first: routing consults the tables this
+        # teardown is about to erase.
         def addressed_to_dead(env) -> bool:
             return env.kind in ("uplink", "rel-uplink") and (
                 self.shard_for_uplink(env.message) == sid
@@ -525,7 +505,7 @@ class Coordinator:
                     adopter._rqi_add(entry.qid, entry.mon_region)
                 recovered_queries += 1
             for oid, packed in section["tracker"]:
-                if oid in self._fot_home or oid in shard.tracker.suspended:
+                if self._fot_slot(oid) is not None or oid in shard.tracker.suspended:
                     continue
                 if not shard.registry.is_focal(oid):
                     continue
@@ -558,7 +538,9 @@ class Coordinator:
 
     def focal_entry(self, oid: ObjectId) -> FotEntry:
         """The FOT entry of an object, wherever it lives."""
-        home = self._fot_home[oid]
+        home = self._fot_slot(oid)
+        if home is None:
+            raise KeyError(oid)
         return self.shards[home].tracker.get(oid)
 
     def queries_at(self, cell: CellIndex) -> frozenset[QueryId]:
@@ -568,12 +550,15 @@ class Coordinator:
 
     def entry_of(self, qid: QueryId) -> SqtEntry:
         """The SQT entry of a query, from its owning shard."""
-        return self.shards[self.owner_of[qid]].registry.get(qid)
+        entry = self.result_entry(qid)
+        if entry is None:
+            raise KeyError(qid)
+        return entry
 
     def result_entry(self, qid: QueryId) -> SqtEntry | None:
         """The entry a result change applies to, or None if the query no
         longer exists anywhere."""
-        owner = self.owner_of.get(qid)
+        owner = self.owner(qid)
         if owner is None:
             return None
         return self.shards[owner].registry.get(qid)
@@ -609,7 +594,7 @@ class Coordinator:
         home = self._home_of(spec.oid)
         if home is None:
             # Install-time round trip: forced inline (see the monolith's
-            # install_query) so the directory is populated before we route.
+            # install_query) so a tracker holds the focal before we route.
             with self.transport.synchronous():
                 self.transport.send(spec.oid, MotionStateRequest(oid=spec.oid))
             home = self._home_of(spec.oid)
@@ -619,7 +604,7 @@ class Coordinator:
 
     def remove_query(self, qid: QueryId) -> None:
         """Uninstall a query everywhere (routed to its owning shard)."""
-        owner = self.owner_of.get(qid)
+        owner = self.owner(qid)
         if owner is None:
             raise KeyError(qid)
         self.shards[owner].remove_query(qid)
@@ -643,7 +628,7 @@ class Coordinator:
     def subscribe(self, qid: QueryId, callback: ResultCallback) -> None:
         """Register a result-change callback (fires once per change, from
         whichever shard applies it -- the subscriber book is shared)."""
-        if qid not in self.owner_of:
+        if self.owner(qid) is None:
             raise KeyError(f"unknown query {qid}")
         self._subscribers.setdefault(qid, []).append(callback)
 
@@ -715,10 +700,26 @@ class Coordinator:
     # --------------------------------------------------------- invariants
 
     def check_invariants(self) -> None:
-        """Per-shard invariants plus the cross-shard partition and
-        directory consistency rules.  Retired slots must be fully drained
-        -- a retired shard holding state is a lost-migration bug -- and a
-        dead shard holds no entry, no focal and no RQI cell."""
+        """The single-owner rule, then per-shard invariants and the
+        cross-shard partition rules.
+
+        Single owner: no query is held, no focal anchored and no FOT entry
+        tracked by two shards -- every ownership lookup above derives its
+        one answer from that.  Retired slots must be fully drained -- a
+        retired shard holding state is a lost-migration bug -- and a dead
+        shard holds no entry, no focal and no RQI cell."""
+        for what, held in (
+            ("query", lambda shard: shard.registry.ids()),
+            ("focal", lambda shard: shard.registry.focal_ids()),
+            ("FOT entry", lambda shard: shard.tracker.ids()),
+        ):
+            holder: dict = {}
+            for shard in self.shards:
+                for key in held(shard):
+                    assert key not in holder, (
+                        f"{what} {key} held by shards {holder[key]} and {shard.shard_id}"
+                    )
+                    holder[key] = shard.shard_id
         for shard in self.shards:
             sid = shard.shard_id
             if sid in self._dead or not self.partitioner.is_live(sid):
@@ -730,27 +731,6 @@ class Coordinator:
                 )
                 continue
             shard.check_invariants()
-        for shard in self.shards:
-            sid = shard.shard_id
-            for entry in shard.registry.entries():
-                assert self.owner_of.get(entry.qid) == sid, (
-                    f"query {entry.qid} owned by shard {sid} but directory says "
-                    f"{self.owner_of.get(entry.qid)}"
-                )
-                if not entry.is_static:
-                    assert self._focal_home.get(entry.oid) == sid, (
-                        f"focal {entry.oid} owns queries on shard {sid} but its home is "
-                        f"{self._focal_home.get(entry.oid)}"
-                    )
-            for oid in shard.tracker.ids():
-                assert self._fot_home.get(oid) == sid, (
-                    f"object {oid} tracked by shard {sid} but FOT directory says "
-                    f"{self._fot_home.get(oid)}"
-                )
-        total = sum(len(shard.registry) for shard in self.shards)
-        assert total == len(self.owner_of), (
-            f"ownership directory has {len(self.owner_of)} queries, shards hold {total}"
-        )
 
 
 class _SqtView:
@@ -760,47 +740,48 @@ class _SqtView:
         self._coord = coordinator
 
     def __contains__(self, qid: QueryId) -> bool:
-        return qid in self._coord.owner_of
+        return self._coord.owner(qid) is not None
 
     def __len__(self) -> int:
-        return len(self._coord.owner_of)
+        return sum(len(shard.registry) for shard in self._coord.shards)
 
     def get(self, qid: QueryId) -> SqtEntry:
         return self._coord.entry_of(qid)
 
     def ids(self) -> Iterator[QueryId]:
-        return iter(sorted(self._coord.owner_of))
+        return iter(sorted(chain.from_iterable(s.registry.ids() for s in self._coord.shards)))
 
     def entries(self) -> Iterator[SqtEntry]:
-        return iter([self._coord.entry_of(qid) for qid in sorted(self._coord.owner_of)])
+        entries = chain.from_iterable(s.registry.entries() for s in self._coord.shards)
+        return iter(sorted(entries, key=lambda entry: entry.qid))
 
     def is_focal(self, oid: ObjectId) -> bool:
-        return oid in self._coord._focal_home
+        return self._coord._focal_slot(oid) is not None
 
     def queries_of_focal(self, oid: ObjectId) -> list[SqtEntry]:
-        home = self._coord._focal_home.get(oid)
+        home = self._coord._focal_slot(oid)
         if home is None:
             return []
         return self._coord.shards[home].registry.queries_of_focal(oid)
 
 
 class _FotView:
-    """Read view over every shard's FOT, resolved by the home directory."""
+    """Read view over every shard's FOT."""
 
     def __init__(self, coordinator: Coordinator) -> None:
         self._coord = coordinator
 
     def __contains__(self, oid: ObjectId) -> bool:
-        return oid in self._coord._fot_home
+        return self._coord._fot_slot(oid) is not None
 
     def __len__(self) -> int:
-        return len(self._coord._fot_home)
+        return sum(len(shard.tracker) for shard in self._coord.shards)
 
     def get(self, oid: ObjectId) -> FotEntry:
         return self._coord.focal_entry(oid)
 
     def ids(self) -> Iterator[ObjectId]:
-        return iter(sorted(self._coord._fot_home))
+        return iter(sorted(chain.from_iterable(s.tracker.ids() for s in self._coord.shards)))
 
 
 class _RqiView:

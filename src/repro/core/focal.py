@@ -8,15 +8,14 @@ wired up under fault injection: the last step each object was heard
 from, and the max-speed bounds of focal objects whose queries are
 currently suspended.
 
-The optional ``on_change`` callback fires exactly once per FOT
-membership change (``on_change(oid, present)``; a refresh of a tracked
-object is not one); the coordinator uses it to track which shard
-currently holds each focal object's state.
+Behind a coordinator the trackers are the FOT directory: the shard
+holding an object's focal state is the one whose tracker contains it,
+asked at every read and recorded nowhere else.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.core.tables import FotEntry
 from repro.mobility.model import MotionState, ObjectId
@@ -25,7 +24,7 @@ from repro.mobility.model import MotionState, ObjectId
 class FocalTracker:
     """The FOT of one server, lease freshness, and suspension state."""
 
-    def __init__(self, on_change: Callable[[ObjectId, bool], None] | None = None) -> None:
+    def __init__(self) -> None:
         self._entries: dict[ObjectId, FotEntry] = {}
         # Soft-state leases (enabled under fault injection): last step each
         # object was heard from, and the max-speed bound of focal objects
@@ -33,7 +32,6 @@ class FocalTracker:
         self.lease_steps: int | None = None
         self.last_heard: dict[ObjectId, int] = {}
         self.suspended: dict[ObjectId, float] = {}
-        self._on_change = on_change
 
     # ---------------------------------------------------------------- FOT
 
@@ -55,8 +53,6 @@ class FocalTracker:
             entry.max_speed = max_speed
             return entry
         entry = self._entries[oid] = FotEntry(oid=oid, state=state, max_speed=max_speed)
-        if self._on_change is not None:
-            self._on_change(oid, True)
         return entry
 
     def update_state(self, oid: ObjectId, state: MotionState) -> None:
@@ -66,8 +62,6 @@ class FocalTracker:
     def remove(self, oid: ObjectId) -> None:
         """Drop a focal object's state."""
         del self._entries[oid]
-        if self._on_change is not None:
-            self._on_change(oid, False)
 
     def ids(self) -> Iterator[ObjectId]:
         """Tracked focal object ids in ascending order.  The explicit sort
@@ -139,7 +133,6 @@ class FocalTracker:
 
     def evict(self, oid: ObjectId) -> None:
         """Forget one object entirely (its state migrated to another shard)."""
-        if oid in self._entries:
-            self.remove(oid)
+        self._entries.pop(oid, None)
         self.last_heard.pop(oid, None)
         self.suspended.pop(oid, None)

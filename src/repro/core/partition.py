@@ -13,7 +13,7 @@ The map is *mutable*: the stripe boundaries can shift at runtime
 stripe *count* can change too.
 Shard ids are **stable names**, not positions: the map keeps an explicit left-to-right
 ``order`` of shard ids alongside the boundary list, so every layer that
-holds per-shard state keyed by id (coordinator directories, reliability
+holds per-shard state keyed by id (the coordinator's slots, reliability
 sequence streams, checkpoints) survives a stripe being inserted
 (:meth:`insert_stripe`) or removed (:meth:`remove_stripe`) without any
 renumbering.  While no stripe has ever been inserted or removed the order

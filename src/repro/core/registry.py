@@ -6,14 +6,12 @@ server, or one shard behind the coordinator) -- ``qid -> SqtEntry`` plus
 the focal-object grouping, held here and nowhere else -- and owns that
 server's reverse query index, so ownership changes have one entrance.
 
-Optional ``on_added`` / ``on_removed`` callbacks let a coordinator keep
-its global query-ownership directory in sync with per-shard registries;
-each fires exactly once per ownership change, whichever of
-:meth:`~QueryRegistry.add`, :meth:`~QueryRegistry.release` or
-:meth:`~QueryRegistry.remove` made it.  The monolithic server passes
-none.  The subscriber book may be shared between registries (the
-coordinator hands every shard the same dict) so result-change
-subscriptions survive cross-shard focal handoffs.
+Behind a coordinator the registries are the ownership directory: the
+coordinator finds a query's owner, or a focal object's home, by asking
+each shard's registry (``qid in registry``, :meth:`~QueryRegistry.is_focal`)
+and keeps no copy.  The subscriber book may be shared between registries
+(every shard gets the coordinator's dict) so result-change subscriptions
+survive cross-shard focal handoffs.
 """
 
 from __future__ import annotations
@@ -32,20 +30,13 @@ ResultCallback = Callable[[QueryId, ObjectId, bool], None]
 class QueryRegistry:
     """The SQT and RQI of one server plus the result-change subscriber book."""
 
-    def __init__(
-        self,
-        on_added: Callable[[SqtEntry], None] | None = None,
-        on_removed: Callable[[SqtEntry, bool], None] | None = None,
-        subscribers: dict[QueryId, list[ResultCallback]] | None = None,
-    ) -> None:
+    def __init__(self, subscribers: dict[QueryId, list[ResultCallback]] | None = None) -> None:
         self._entries: dict[QueryId, SqtEntry] = {}
         self._by_focal: dict[ObjectId, set[QueryId]] = {}
         self.rqi = ReverseQueryIndex()
         self.subscribers: dict[QueryId, list[ResultCallback]] = (
             subscribers if subscribers is not None else {}
         )
-        self._on_added = on_added
-        self._on_removed = on_removed
 
     # --------------------------------------------------------------- SQT
 
@@ -69,8 +60,6 @@ class QueryRegistry:
         self._entries[entry.qid] = entry
         if entry.oid is not None:
             self._by_focal.setdefault(entry.oid, set()).add(entry.qid)
-        if self._on_added is not None:
-            self._on_added(entry)
 
     def release(self, qid: QueryId) -> SqtEntry:
         """Give up ownership of an entry migrating to another registry,
@@ -81,8 +70,6 @@ class QueryRegistry:
             group.discard(qid)
             if not group:
                 del self._by_focal[entry.oid]
-        if self._on_removed is not None:
-            self._on_removed(entry, entry.is_static or self.is_focal(entry.oid))
         return entry
 
     def remove(self, qid: QueryId) -> tuple[SqtEntry, bool]:
@@ -102,6 +89,10 @@ class QueryRegistry:
     def is_focal(self, oid: ObjectId) -> bool:
         """Whether ``oid`` anchors at least one owned query."""
         return oid in self._by_focal
+
+    def focal_ids(self) -> Iterator[ObjectId]:
+        """The objects anchoring owned queries, in ascending order."""
+        return iter(sorted(self._by_focal))
 
     def entries(self) -> Iterator[SqtEntry]:
         """Owned entries in qid-ascending order.

@@ -81,14 +81,13 @@ class MobiEyesServer:
         config: MobiEyesConfig,
         *,
         registry: QueryRegistry | None = None,
-        tracker: FocalTracker | None = None,
         attach: bool = True,
     ) -> None:
         self.grid = grid
         self.transport = transport
         self.config = config
         self.registry = registry if registry is not None else QueryRegistry()
-        self.tracker = tracker if tracker is not None else FocalTracker()
+        self.tracker = FocalTracker()
         self.load = LoadAccount()
         self._next_qid: QueryId = 1
         # Per-object report generations (see ResultChangeReport.epoch);

@@ -12,7 +12,7 @@ its own partition:
   the owning shard (single-owner replication of the descriptor's home).
 - Query ids come from the coordinator's global allocator.
 - Focal state, SQT entries, and result purges that live elsewhere are
-  fetched through the coordinator's directories.
+  fetched through the coordinator, which asks the shard holding them.
 - A grid-cell crossing into this shard's territory triggers a focal
   handoff (:meth:`Coordinator.migrate_focal`) before the normal cell
   change handling runs, so the focal's queries and FOT entry are local
@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.config import MobiEyesConfig
-from repro.core.focal import FocalTracker
 from repro.core.partition import PartitionMap
 from repro.core.query import QueryId
 from repro.core.registry import QueryRegistry
@@ -56,13 +55,11 @@ class ServerShard(MobiEyesServer):
         coordinator: "Coordinator",
         shard_id: int,
         partitioner: PartitionMap,
-        *,
-        registry: QueryRegistry,
-        tracker: FocalTracker,
     ) -> None:
-        super().__init__(
-            grid, transport, config, registry=registry, tracker=tracker, attach=False
-        )
+        # The subscriber book is the fleet's: a subscription survives its
+        # query's handoff between shards.
+        registry = QueryRegistry(subscribers=coordinator._subscribers)
+        super().__init__(grid, transport, config, registry=registry, attach=False)
         self.coordinator = coordinator
         self.shard_id = shard_id
         self.partitioner = partitioner

@@ -25,7 +25,8 @@ RNGs stay shared).  The bytes become objects again in one place,
 payload's shape before anything is built from it.  Each component names
 its checkpointed attributes once, in a class-level ``CHECKPOINT_FIELDS``
 read by :func:`export_state` / :func:`import_state`.  (The system itself
-cannot be pickled: directory callbacks and watcher hooks are closures.)
+cannot be pickled: its watcher hooks and the fault injector's position
+locator are closures.)
 
 What is deliberately **not** captured:
 
@@ -53,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Wire-format version.  Bump on any layout change: the header, a payload
 #: key, an owner's ``CHECKPOINT_FIELDS``, a field of a payload class.
-CHECKPOINT_VERSION = 11
+CHECKPOINT_VERSION = 12
 
 #: Largest payload a checkpoint may hold, checked before anything is
 #: hashed or decoded (Table 1 at full scale is ~6 MB).
@@ -255,7 +256,14 @@ def _check_shape(p: Any) -> None:
     if not fleet_ok or (partition is None) != (config.shards == 1):
         raise ValueError(f"checkpoint server sections do not fit shards={config.shards}")
     if partition is not None:
-        _check_keys("partition", partition, ("bounds", "epoch", "order", "retired", "dead"))
+        _check_keys("partition", partition, ("bounds", "epoch", "order", "dead"))
+        # A slot missing from the stripe order is retired; one beyond the
+        # fleet has no server section to restore.
+        order = partition["order"]
+        if not isinstance(order, tuple) or any(
+            type(sid) is not int or not 0 <= sid < len(sections) for sid in order
+        ):
+            raise ValueError(f"checkpoint stripe order {order!r} does not fit the fleet")
     # The transport builds a reliability layer exactly when the loss seam
     # is an injector (which travels as a dict).
     if (p["reliability"] is not None) != isinstance(loss, dict):
@@ -341,9 +349,10 @@ def _capture_loss(system: "MobiEyesSystem") -> Any:
 
 
 def _capture_partition(system: "MobiEyesSystem") -> dict[str, Any] | None:
-    """The mutable partition state: boundary layout, epoch, stripe order,
-    retired and dead slots (None for a monolith: no map).  The shard-slot
-    count is the number of server sections."""
+    """The mutable partition state: boundary layout, epoch, stripe order
+    and dead slots (None for a monolith: no map).  The shard-slot count is
+    the number of server sections; the slots missing from the order are
+    the retired ones."""
     partitioner = getattr(system.server, "partitioner", None)
     if partitioner is None:
         return None
@@ -351,7 +360,6 @@ def _capture_partition(system: "MobiEyesSystem") -> dict[str, Any] | None:
         "bounds": partitioner.bounds,
         "epoch": partitioner.epoch,
         "order": partitioner.order,
-        "retired": system.server.retired_shards,
         "dead": system.server._dead,
     }
 
@@ -439,10 +447,9 @@ def _rebuild_loss(data: Any):
 
 def _graft_server(system: "MobiEyesSystem", sections: list[dict[str, Any]]) -> None:
     units = _server_units(system)
-    # SQT entries first (directory callbacks populate owner_of /
-    # _focal_home), then the RQI registrations, then
-    # the trackers -- so the FOT-subset-of-focals invariant holds at
-    # every point of the graft.
+    # SQT entries first, then the RQI registrations, then the trackers --
+    # so the FOT-subset-of-focals invariant holds at every point of the
+    # graft.
     for unit, section in zip(units, sections):
         for entry in section["entries"]:
             unit.registry.add(entry)
@@ -505,10 +512,10 @@ def restore(cp: Checkpoint) -> "MobiEyesSystem":
     if partition is not None:
         server = system.server
         # Elastic fleets first grow the slot list (a run that scaled out
-        # has more server sections than the config's initial count) and
-        # re-mark retired slots, then adopt the stripe layout -- all
-        # before the graft, whose RQI splits consult the live map.
-        server.restore_fleet(len(p["server"]), partition["retired"], partition["dead"])
+        # has more server sections than the config's initial count), then
+        # adopt the stripe layout, which retires every slot it leaves out
+        # -- all before the graft, whose RQI splits consult the live map.
+        server.restore_fleet(len(p["server"]), partition["dead"])
         server.partitioner.restore_state(
             tuple(partition["bounds"]), partition["epoch"], tuple(partition["order"])
         )

@@ -169,7 +169,7 @@ def test_knob_counts_only_ratchet_down():
     from repro.core import MobiEyesConfig
 
     fields = [f for f in dataclasses.fields(MobiEyesConfig) if f.init]
-    assert len(fields) <= 27, [f.name for f in fields]
+    assert len(fields) <= 26, [f.name for f in fields]
 
     def arguments(parser):
         count = 0

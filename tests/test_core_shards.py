@@ -191,8 +191,8 @@ class TestCrossShardMechanics:
         system = sharded_world()
         coord = system.server
         qid = system.install_query(circle_query(0, 2.0))
-        assert coord.owner_of[qid] == 0
-        assert coord._focal_home[0] == 0
+        assert coord.owner(qid) == 0
+        assert coord._home_of(0) == 0
         assert 0 in coord.shards[0].tracker
 
         # The focal crosses the stripe boundary: its report routes to
@@ -204,8 +204,8 @@ class TestCrossShardMechanics:
                 oid=0, prev_cell=(4, 5), new_cell=(5, 5), state=client0.obj.snapshot()
             )
         )
-        assert coord.owner_of[qid] == 1
-        assert coord._focal_home[0] == 1
+        assert coord.owner(qid) == 1
+        assert coord._home_of(0) == 1
         assert 0 not in coord.shards[0].tracker
         assert 0 in coord.shards[1].tracker
         assert qid not in coord.shards[0].registry
@@ -218,8 +218,8 @@ class TestCrossShardMechanics:
         system.remove_query(qid)
         assert qid not in coord.sqt
         assert 0 not in coord.fot
-        assert qid not in coord.owner_of
-        assert 0 not in coord._focal_home
+        assert coord.owner(qid) is None
+        assert coord._home_of(0) is None
         for shard in coord.shards:
             assert qid not in shard.registry
             assert 0 not in shard.tracker
@@ -232,7 +232,7 @@ class TestCrossShardMechanics:
             CellChangeReport(oid=0, prev_cell=(5, 5), new_cell=(6, 5))
         )
         assert 0 not in coord.fot
-        assert not coord._focal_home
+        assert not coord.sqt.is_focal(0)
         coord.check_invariants()
 
     def test_remove_query_wins_race_against_handoff_report(self):
@@ -250,8 +250,8 @@ class TestCrossShardMechanics:
             )
         )
         assert 0 not in coord.fot
-        assert not coord.owner_of
-        assert not coord._focal_home
+        assert not len(coord.sqt)
+        assert not coord.sqt.is_focal(0)
         for shard in coord.shards:
             assert 0 not in shard.tracker
         coord.check_invariants()
@@ -272,13 +272,77 @@ class TestCrossShardMechanics:
                 oid=0, prev_cell=(4, 5), new_cell=(5, 5), state=client0.obj.snapshot()
             )
         )
-        assert coord.owner_of[qid] == 1
+        assert coord.owner(qid) == 1
         # The result set and the subscription survived the migration.
         assert 1 in system.result(qid)
         before = len(events)
         system.transport.uplink(CellChangeReport(oid=0, prev_cell=(5, 5), new_cell=(5, 6)))
         assert len(events) == before  # no spurious callbacks from routing
         coord.check_invariants()
+
+
+class TestTheShardsAreTheDirectory:
+    """Ownership is read off the shards, so ``check_invariants()`` states
+    the rule every lookup depends on: at most one shard holds any query,
+    anchors any focal, or tracks any FOT entry.  Each doctored table below
+    breaks it once."""
+
+    def test_a_query_registered_in_two_shards_fails(self):
+        system = sharded_world()
+        coord = system.server
+        qid = system.install_query(circle_query(0, 2.0))
+        coord.shards[1].registry.add(coord.shards[0].registry.get(qid))
+        with pytest.raises(AssertionError, match=f"query {qid} held by shards 0 and 1"):
+            coord.check_invariants()
+
+    def test_an_object_in_two_trackers_fails(self):
+        system = sharded_world()
+        coord = system.server
+        system.install_query(circle_query(0, 2.0))
+        fot = coord.shards[0].tracker.get(0)
+        coord.shards[1].tracker.upsert(0, fot.state, fot.max_speed)
+        with pytest.raises(AssertionError, match="FOT entry 0 held by shards 0 and 1"):
+            coord.check_invariants()
+
+    def test_one_focals_queries_split_across_two_shards_fails(self):
+        system = sharded_world()
+        coord = system.server
+        system.install_query(circle_query(0, 2.0))
+        second = system.install_query(circle_query(0, 1.0))
+        coord.shards[1].registry.add(coord.shards[0].registry.release(second))
+        with pytest.raises(AssertionError, match="focal 0 held by shards 0 and 1"):
+            coord.check_invariants()
+
+    def test_retired_slots_are_the_slots_missing_from_the_stripe_order(self):
+        """spawn -> retire -> spawn (recycling the slot), each followed by a
+        checkpoint round trip: the retired slots are derived from the map
+        on the live system and on every restored one."""
+        from repro.core.snapshot import checkpoint, from_bytes, restore, step_hash
+
+        def retired_checks(system):
+            server = system.server
+            missing = set(range(len(server.shards))) - set(server.partitioner.order)
+            assert server.retired_shards == tuple(sorted(missing))
+            system.check_invariants()
+            return server.retired_shards
+
+        with paper_system(shards=2) as system:
+            system.run(2)
+            assert retired_checks(system) == ()
+            for op, retired in (
+                (("split", 0), ()),
+                (("merge", 2, 0), (2,)),
+                (("split", 1), ()),
+            ):
+                system.apply_op(op, "test", system.clock.step)
+                assert retired_checks(system) == retired
+                with restore(from_bytes(checkpoint(system).to_bytes())) as resumed:
+                    assert retired_checks(resumed) == retired
+                    system.run(2)
+                    resumed.run(2)
+                    assert step_hash(resumed) == step_hash(system)
+                    assert retired_checks(resumed) == retired_checks(system)
+            assert system.server.partitioner.order == (0, 1, 2)
 
 
 class TestCoordinatorFacade:

@@ -78,23 +78,6 @@ class TestFocalObjectTable:
         fot.remove(1)
         assert 1 not in fot
 
-    def test_on_change_fires_once_per_membership_change(self):
-        events = []
-        fot = FocalTracker(on_change=lambda oid, present: events.append((oid, present)))
-        fot.upsert(3, state(), 50.0)
-        fot.upsert(3, state(1, 1), 60.0)  # a refresh is not a membership change
-        fot.update_state(3, state(2, 2))
-        assert events == [(3, True)]
-        packed = fot.export_state(3)
-        fot.evict(3)
-        fot.evict(3)  # already gone: no second callback
-        assert events == [(3, True), (3, False)]
-        other = FocalTracker(on_change=lambda oid, present: events.append(("other", oid, present)))
-        other.import_state(3, packed)
-        assert events[2:] == [("other", 3, True)]
-        assert other.get(3).max_speed == 60.0
-        assert list(other.ids()) == [3] and len(fot) == 0
-
 
 class TestServerQueryTable:
     def test_add_and_get(self):
@@ -133,39 +116,13 @@ class TestServerQueryTable:
         assert len(sqt) == 0
 
 
-def recording_registry(subscribers=None):
-    """A registry whose ownership callbacks append to the returned log."""
-    log = []
-    registry = QueryRegistry(
-        on_added=lambda entry: log.append(("added", entry.qid)),
-        on_removed=lambda entry, focal_left: log.append(("removed", entry.qid, focal_left)),
-        subscribers=subscribers,
-    )
-    return registry, log
-
-
 class TestRegistryOwnership:
-    """What the coordinator's directories rely on: one callback per
-    ownership change, whichever method made it."""
-
-    def test_each_callback_fires_exactly_once_per_ownership_change(self):
-        registry, log = recording_registry()
-        registry.add(sqt_entry(qid=1, oid=10))
-        registry.add(sqt_entry(qid=2, oid=10))
-        registry.add(sqt_entry(qid=3, oid=None))
-        assert log == [("added", 1), ("added", 2), ("added", 3)]
-        del log[:]
-        # focal_left: the focal still anchors query 2, then nothing; a
-        # static query has no focal to lose.
-        assert registry.remove(1)[1] is True
-        assert registry.release(2).qid == 2
-        assert registry.remove(3)[1] is True
-        assert log == [("removed", 1, True), ("removed", 2, False), ("removed", 3, True)]
+    """What the coordinator's ownership lookups rely on: ``add``,
+    ``release`` and ``remove`` keep the SQT and the focal grouping exact."""
 
     def test_release_keeps_subscriptions_and_remove_drops_them(self):
         book = {}
-        source, _ = recording_registry(book)
-        target, _ = recording_registry(book)
+        source, target = QueryRegistry(book), QueryRegistry(book)
         source.add(sqt_entry(qid=1))
         seen = []
         source.subscribe(1, lambda qid, oid, entered: seen.append((qid, oid, entered)))
@@ -179,13 +136,11 @@ class TestRegistryOwnership:
         assert seen == [(1, 7, True)]
 
     def test_duplicate_add_raises_before_any_callback_or_index_write(self):
-        registry, log = recording_registry()
+        registry = QueryRegistry()
         first = sqt_entry(qid=1, oid=10)
         registry.add(first)
-        del log[:]
         with pytest.raises(ValueError, match="duplicate query id 1"):
             registry.add(sqt_entry(qid=1, oid=20))
-        assert log == []
         assert registry.get(1) is first
         assert not registry.is_focal(20)
         assert [e.qid for e in registry.queries_of_focal(10)] == [1]
@@ -202,29 +157,24 @@ class TestRegistryOwnership:
         )
     )
     def test_any_sequence_matches_a_plain_dict_model(self, ops):
-        registry, log = recording_registry()
+        registry = QueryRegistry()
         model = {}  # qid -> entry
         for op, qid, oid in ops:
-            del log[:]
             if op == "add":
                 if qid in model:
                     with pytest.raises(ValueError):
                         registry.add(sqt_entry(qid=qid, oid=oid))
-                    assert log == []
                 else:
                     model[qid] = sqt_entry(qid=qid, oid=oid)
                     registry.add(model[qid])
-                    assert log == [("added", qid)]
             elif qid not in model:
                 with pytest.raises(KeyError):
                     getattr(registry, op)(qid)
-                assert log == []
             else:
                 entry = model.pop(qid)
                 focal_left = entry.oid is None or any(e.oid == entry.oid for e in model.values())
                 out = getattr(registry, op)(qid)
                 assert out == ((entry, focal_left) if op == "remove" else entry)
-                assert log == [("removed", qid, focal_left)]
             assert len(registry) == len(model)
             assert list(registry.ids()) == sorted(model)
             assert list(registry.entries()) == [model[q] for q in sorted(model)]
@@ -232,6 +182,9 @@ class TestRegistryOwnership:
                 owned = [model[q] for q in sorted(model) if model[q].oid == focal]
                 assert registry.queries_of_focal(focal) == owned
                 assert registry.is_focal(focal) == bool(owned)
+            assert list(registry.focal_ids()) == sorted(
+                {e.oid for e in model.values() if e.oid is not None}
+            )
             for q in range(1, 7):
                 assert (q in registry) == (q in model)
 

@@ -46,7 +46,6 @@ def build_system(
     jitter=0,
     ingest_budget=0,
     queue_limit=0,
-    inflight_limit=0,
 ):
     params = build_params(scale=scale, seed=seed)
     system = paper_system(
@@ -57,7 +56,6 @@ def build_system(
         latency_jitter_steps=jitter,
         ingest_budget_per_step=ingest_budget,
         ingest_queue_limit=queue_limit,
-        ingest_inflight_limit=inflight_limit,
     )
     # paper_system keeps its workload; the scripts below read only object
     # ids off it, so the same draw (fork 1 of the seed) made again serves.
@@ -197,19 +195,6 @@ class TestBackpressure:
             )
             assert service.system.clock.step == 10
 
-    def test_inflight_gate_defers_whole_tick(self):
-        system, workload, params = build_system(latency=3, inflight_limit=1)
-        with MobiEyesService(system) as service:
-            service.tick()  # prime the latency pipeline: pending > 1
-            assert service.system.transport.pending_count() > 1
-            op = scripted_steps(params, workload, 1, rate=1, churn_every=0)[0][0]
-            ticket = service.submit_update(op[1], op[2], op[3])
-            service.tick()
-            assert not ticket.applied  # gated: nothing admitted this tick
-            assert service.deferred_ticks >= 1
-            assert service.deferred_ops >= 1
-            service.check_accounting()
-
     def test_explicit_queue_limit_overrides_derivation(self):
         system, _, _ = build_system(ingest_budget=2, queue_limit=9)
         with MobiEyesService(system) as service:
@@ -233,7 +218,9 @@ class TestTickets:
             assert install.applied and install.qid is not None
             assert remove.applied and remove.qid == install.qid
 
-    def test_remove_of_never_applied_install_raises(self):
+    def test_remove_of_never_applied_install_is_rejected(self):
+        # The install is refused at submission (the queue is full); a
+        # removal by its ticket has nothing to remove.
         system, workload, params = build_system(ingest_budget=2)
         with MobiEyesService(system) as service:
             ops = scripted_steps(params, workload, 1, rate=2, churn_every=0)[0]
@@ -243,9 +230,27 @@ class TestTickets:
             rejected = service.install_query(QuerySpec(oid=oid, region=Circle(0, 0, 0.5)))
             assert rejected.rejected
             service.tick()
-            service.remove_query(rejected)
-            with pytest.raises(ValueError, match="never applied"):
-                service.tick()
+            remove = service.remove_query(rejected)
+            service.tick()
+            assert remove.rejected and remove.qid is None
+            assert service.invalid_rejects == 1
+            service.check_accounting()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_remove_queued_behind_an_install_rejected_at_admission(self, shards):
+        # The removal must not raise out of tick() ("references an install
+        # that was never applied"): that lost its ticket and left the
+        # accounting one short (submitted=2 != applied=0 + rejects=1 +
+        # queued=0).
+        system, _, _ = build_system(shards=shards, scale=0.01, seed=3)
+        with MobiEyesService(system) as service:
+            install = service.install_query(QuerySpec(oid=10**6, region=Circle(0, 0, 0.5)))
+            remove = service.remove_query(install)
+            service.tick()
+            assert install.rejected and remove.rejected and remove.qid is None
+            assert service.invalid_rejects == 2
+            service.check_accounting()
+            system.check_invariants()
 
 
 class TestInvalidTargets:
@@ -395,7 +400,6 @@ class TestConfigValidation:
         for knob in (
             "ingest_budget_per_step",
             "ingest_queue_limit",
-            "ingest_inflight_limit",
         ):
             with pytest.raises(ValueError):
                 self._config(**{knob: -1})

@@ -248,11 +248,13 @@ class TestCheckpointRoundtrip:
         # deleted class), v6 bytes (reliable exchanges of the old shape),
         # v7 payloads (deep-copied objects, no header), v8 bytes (per-
         # client stats, no server load sections), v9 bytes (the previous
-        # whole-world checkpoint nested under ``last_checkpoint``) and v10
-        # bytes (one queued downlink envelope per receiver, not per run)
-        # are refused by the header's version field, not half-read.
+        # whole-world checkpoint nested under ``last_checkpoint``), v10
+        # bytes (one queued downlink envelope per receiver, not per run) and
+        # v11 bytes (a partition section listing the retired slots, a config
+        # with ``ingest_inflight_limit``) are refused by the header's
+        # version field, not half-read.
         data = cp.to_bytes()
-        for old in (4, 5, 6, 7, 8, 9, 10):
+        for old in (4, 5, 6, 7, 8, 9, 10, 11):
             stale_bytes = data[:8] + old.to_bytes(2, "big") + data[10:]
             with pytest.raises(ValueError, match=f"version {old} unsupported"):
                 from_bytes(stale_bytes)
@@ -405,6 +407,19 @@ class TestWrongShapeFailsClosed:
         self.refused(doctored(cp, lambda p: p["clients"].pop(1)), r"clients: missing \[1\]")
         self.refused(doctored(cp, lambda p: p["transport"].update(extra=1)), "unexpected .*'extra'")
         self.refused(doctored(cp, lambda p: p["server"].append(p["server"][0])), "do not fit shards=1")
+
+    def test_a_partition_section_must_fit_the_fleet(self):
+        # The retired slots are the ones the stripe order leaves out, so the
+        # order may name no slot without a server section.
+        with make_system([make_object(0, 25, 25)], shards=2) as system:
+            cp = checkpoint(system)
+
+        def partition(edit):
+            return doctored(cp, lambda p: edit(p["partition"]))
+
+        self.refused(partition(lambda part: part.update(order=(0, 2))), "does not fit the fleet")
+        self.refused(partition(lambda part: part.update(order=[0, 1])), "does not fit the fleet")
+        self.refused(partition(lambda part: part.update(retired=())), r"unexpected \['retired'\]")
 
     def test_import_rejects_keys_that_differ_from_the_owners_tuple(self):
         with make_system([make_object(0, 25, 25)]) as system:
@@ -723,16 +738,16 @@ class TestShardCrashRecovery:
         )
         qid = system.install_query(circle_query(0, 3.0))
         coord = system.server
-        assert coord.owner_of[qid] == 1
+        assert coord.owner(qid) == 1
 
         system.run(6)  # the crash at step 6 has already fired
-        assert qid not in coord.owner_of, "crash should erase the owning shard"
+        assert coord.owner(qid) is None, "crash should erase the owning shard"
         assert 0 not in coord.fot
         assert not list(coord.shards[1].registry.entries())
 
         system.run(10)  # recovery at step 10, then reconvergence
         assert injector.drops_by_cause["uplink-crash"] > 0
-        assert coord.owner_of[qid] == 1, "recovery should rebuild the query"
+        assert coord.owner(qid) == 1, "recovery should rebuild the query"
         assert 0 in coord.fot
         coord.check_invariants()
         results = system.results()
@@ -782,10 +797,10 @@ class TestShardCrashRecovery:
         )
         qid = system.install_query(circle_query(4, 2.0))  # focal on shard 0
         coord = system.server
-        assert coord.owner_of[qid] == 0
+        assert coord.owner(qid) == 0
         for _ in range(16):
             system.step()
-            assert qid in coord.owner_of
+            assert coord.owner(qid) is not None
         coord.check_invariants()
         system.close()
 
@@ -867,7 +882,7 @@ class TestLeaseHandoffRace:
         )
         qid = system.install_query(circle_query(0, 3.0))
         coord = system.server
-        assert coord.owner_of[qid] == 0
+        assert coord.owner(qid) == 0
 
         suspended_seen = False
         for _ in range(12):
@@ -882,13 +897,9 @@ class TestLeaseHandoffRace:
         entry = coord.sqt.get(qid)
         assert not entry.suspended
         assert 0 in coord.fot
-        # The focal kept moving while dark: the reinstated query lives on
-        # the shard that owns its current cell, wherever the race left it.
-        home = coord.owner_of[qid]
-        (owner,) = {
-            shard.shard_id for shard in coord.shards if qid in shard.registry
-        } or {home}
-        assert owner == home
+        # The focal kept moving while dark: the reinstated query lives with
+        # its focal, on whichever shard the race left them.
+        assert coord.owner(qid) == coord._home_of(0) is not None
         coord.check_invariants()
         results = system.results()
         oracle = system.oracle_results()

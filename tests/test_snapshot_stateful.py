@@ -6,14 +6,17 @@ latency 0 or 1, the placement policy armed or not, a service attached or
 not, a fault injector (with a recovery-basis cadence) attached or not --
 with the rules step / install / remove / external update / transfer /
 split / merge / crash / recover (all five through ``apply_op``) / service
-submit + tick / ``checkpoint -> to_bytes -> from_bytes -> restore`` (the
-restored system replaces the running one, also while a shard is dead),
-beside a twin that takes the same calls and is never checkpointed.  After
-every rule both systems pass ``check_invariants()`` (which includes
-envelope conservation and dead-shard emptiness), hash identically, agree
-on ``rebalance_log``, ``crash_log``, per-shard ops and every deterministic
-key of ``counters()``, conserve ingest operations, satisfy the ledger
-identities, and hold a well-formed partition map.
+submit (an update, an install, a removal by an earlier install's ticket or
+by a live qid) + tick / ``checkpoint -> to_bytes -> from_bytes -> restore``
+(the restored system replaces the running one, also while a shard is
+dead), beside a twin that takes the same calls and is never checkpointed.
+After every rule both systems pass ``check_invariants()`` (which includes
+the single-owner rule, envelope conservation and dead-shard emptiness),
+hash identically, agree on ``rebalance_log``, ``crash_log``, per-shard ops,
+every deterministic key of ``counters()`` and every install ticket's fate,
+conserve ingest operations, satisfy the ledger identities, and hold a
+well-formed partition map whose retired slots are the ones its stripe
+order leaves out.
 
 The profile sets the volume (``--hypothesis-profile long`` in CI; see
 tests/conftest.py).  A failure hypothesis shrinks here is committed as an
@@ -72,6 +75,8 @@ class CheckpointMachine(RuleBasedStateMachine):
         super().__init__()
         self.system = self.twin = None
         self.service = self.twin_service = None
+        # (ticket, twin's ticket) of every submitted install, in order.
+        self.installs = []
         self.epoch = 0
 
     @initialize(
@@ -243,7 +248,21 @@ class CheckpointMachine(RuleBasedStateMachine):
     @rule(data=st.data(), radius=st.floats(0.5, 4.0))
     def submit_install(self, data, radius):
         spec = QuerySpec(data.draw(st.sampled_from(self.oids)), Circle(0, 0, radius))
-        self.both_services(lambda svc: svc.install_query(spec))
+        pair = self.service.install_query(spec), self.twin_service.install_query(spec)
+        self.installs.append(pair)
+
+    @precondition(
+        lambda self: self.service is not None and (self.installs or len(self.system.server.sqt))
+    )
+    @rule(data=st.data())
+    def submit_remove(self, data):
+        """By an earlier install's ticket -- applied, still queued or
+        rejected -- or by a live qid."""
+        live = [(qid, qid) for qid in self.system.server.sqt.ids()]
+        pools = [st.sampled_from(pool) for pool in (self.installs, live) if pool]
+        mine, theirs = data.draw(st.one_of(pools))
+        self.service.remove_query(mine)
+        self.twin_service.remove_query(theirs)
 
     @precondition(lambda self: self.service is not None)
     @rule()
@@ -258,8 +277,12 @@ class CheckpointMachine(RuleBasedStateMachine):
         self.system.close()
         self.system = restored
         if self.service is not None:
-            # Adopts the checkpointed ingest queue and counters.
+            # Adopts the checkpointed ingest queue and counters.  A queued
+            # install's ticket is now the restored queue's copy of it.
+            queued = list(self.service._queue)
             self.service = MobiEyesService(restored)
+            copy = dict(zip(map(id, queued), self.service._queue))
+            self.installs = [(copy.get(id(mine), mine), theirs) for mine, theirs in self.installs]
 
     # ----------------------------------------------------------- invariants
 
@@ -283,6 +306,8 @@ class CheckpointMachine(RuleBasedStateMachine):
         if self.service is not None:
             self.service.check_accounting()
             self.twin_service.check_accounting()
+            for mine, theirs in self.installs:
+                assert (mine.status, mine.qid) == (theirs.status, theirs.qid)
         if self.faults:
             # The ledger half of message conservation: every lost hop has
             # exactly one cause, only a hop the ledger charged can be lost,
@@ -370,7 +395,7 @@ def test_a_static_install_on_a_dead_stripe_lands_on_a_shard_that_is_up():
         system.run(2)
         crash(system, 0)
         qid = system.install_query(QuerySpec.static(Rect(0.0, 0.0, 1.0, 1.0)))
-        assert system.server.owner_of[qid] == 1
+        assert system.server.owner(qid) == 1
         system.check_invariants()
         system.run(2)
         recover(system, 0)
@@ -425,12 +450,12 @@ def test_a_recovered_query_joins_its_focal_where_the_focal_lives_now():
     with make_system(objects, shards=2, checkpoint_every_steps=2, loss=injector) as system:
         old = system.install_query(circle_query(0, 3.0))
         system.run(2)
-        assert system.server.owner_of[old] == 1
+        assert system.server.owner(old) == 1
         crash(system, 1)
         system.run(3)
         new = system.install_query(circle_query(0, 1.0))
         recover(system, 1)
-        assert system.server.owner_of[old] == system.server.owner_of[new] == 0
+        assert system.server.owner(old) == system.server.owner(new) == 0
         system.check_invariants()
         system.run(4)
         assert system.results() == system.oracle_results()
