@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.baselines.object_index import ObjectIndexEngine
@@ -27,7 +27,6 @@ from repro.metrics.accuracy import exact_results, mean_result_error
 from repro.metrics.collectors import MetricsLog, StepStats
 from repro.mobility.model import MotionState, MovingObject, ObjectId
 from repro.network.messaging import MessageLedger
-from repro.network.radio import RadioModel
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SimulationRng
@@ -58,7 +57,6 @@ class CentralizedConfig:
     reporting: ReportingMode = ReportingMode.NAIVE
     indexing: IndexingMode = IndexingMode.OBJECTS
     dead_reckoning_threshold: float = 0.0
-    radio: RadioModel = field(default_factory=RadioModel)
     #: grid cell size used only by the oracle's bucketing (not the protocol)
     oracle_alpha: float = 5.0
 
@@ -78,7 +76,7 @@ class CentralizedSystem:
     ) -> None:
         self.config = config
         self.rng = rng if rng is not None else SimulationRng()
-        self.ledger = MessageLedger(radio=config.radio)
+        self.ledger = MessageLedger()
         if motion is not None:
             if list(motion.objects) != list(objects):
                 raise ValueError("motion model must wrap the same object population")

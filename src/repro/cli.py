@@ -243,7 +243,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rebalance_every=args.rebalance_every,
         ingest_rate=args.ingest_rate,
         ingest_budget=args.ingest_budget,
-        queue_limit=args.queue_limit,
         query_churn_every=args.query_churn,
         latency=args.latency,
         jitter=args.latency_jitter,
@@ -456,13 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission budget per tick (0 = drain the whole queue); the "
         "queue bound derives from it, so rate > budget exercises "
         "backpressure rejects",
-    )
-    serve.add_argument(
-        "--queue-limit",
-        type=int,
-        default=0,
-        help="explicit ingest queue bound (0 = derive from the budget and "
-        "the latency pipeline depth)",
     )
     serve.add_argument(
         "--query-churn",

@@ -1,8 +1,14 @@
 """Configuration of a MobiEyes deployment.
 
-One frozen dataclass, validated once at construction.  Service ingest has
-two knobs, the per-tick admission budget and the queue bound: backpressure
-is a rejected submission, never a withheld tick.
+One frozen dataclass, validated once at construction.  A field exists
+because some caller sets it; a value every caller leaves at its default
+is a constant where it is read (the paper's one-step LQT evaluation, the
+lazy-propagation static beacon cadence in :mod:`repro.core.server`, the
+ledger's GSM/GPRS :class:`~repro.network.radio.RadioModel`, the service's
+derived ingest queue bound); ``tests/test_ci_checks.py`` holds that rule.
+Service ingest has one knob, the per-tick
+admission budget: backpressure is a rejected submission, never a withheld
+tick.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from dataclasses import dataclass, field
 from repro.geometry import Rect
 from repro.core.propagation import PropagationMode
 from repro.core.rebalance import MIN_SHARDS
-from repro.network.radio import RadioModel
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,12 +39,6 @@ class MobiEyesConfig:
             sharing a focal object and monitoring region; object-side shared
             evaluation with the query bitmap in result reports).
         safe_period: enable the safe-period optimization (Section 4.2).
-        eval_period_steps: object-side query evaluation period, in steps.
-        static_beacon_steps: under *lazy* propagation, static queries have
-            no focal-object broadcasts to heal missed installs, so the
-            server re-broadcasts their descriptors every this many steps
-            (0 disables beaconing).  Ignored under eager propagation.
-        radio: energy model for message-size accounting.
         engine: hot-path implementation.  ``"reference"`` is the pure-Python
             per-object protocol (no third-party imports); ``"vectorized"``
             runs movement, coverage indexing, cell-crossing detection, and
@@ -116,14 +115,13 @@ class MobiEyesConfig:
             queued ingest operations (position updates, query installs or
             removals) a :class:`~repro.core.service.MobiEyesService`
             admits into the system per tick.  ``0`` (the default) admits
-            everything queued.
-        ingest_queue_limit: bound of the service ingest queue.  ``0``
-            derives the bound from the admission budget and the latency
-            model's pipeline depth (budget x (1 + uplink + downlink +
-            jitter steps)), or leaves the queue unbounded when the budget
-            is also 0.  A submission that would overflow the bound is
-            rejected -- counted in ``backpressure_rejects``, never
-            silently dropped.
+            everything queued.  The queue bound derives from it: budget x
+            the latency model's pipeline depth (1 + uplink + downlink +
+            jitter steps), unbounded when the budget is 0.  A submission
+            that would overflow the bound is rejected -- counted in
+            ``backpressure_rejects``, never silently dropped.
+        eval_period_hours: derived, not set: one step in hours, the period
+            every object evaluates its LQT at (the safe-period comparison).
     """
 
     uod: Rect
@@ -134,9 +132,6 @@ class MobiEyesConfig:
     dead_reckoning_threshold: float = 0.0
     grouping: bool = True
     safe_period: bool = False
-    eval_period_steps: int = 1
-    static_beacon_steps: int = 10
-    radio: RadioModel = field(default_factory=RadioModel)
     engine: str = "reference"
     shards: int = 1
     uplink_latency_steps: int = 0
@@ -151,7 +146,6 @@ class MobiEyesConfig:
     elastic_max_shards: int = 0
     elastic_schedule: tuple[tuple, ...] = ()
     ingest_budget_per_step: int = 0
-    ingest_queue_limit: int = 0
     eval_period_hours: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -163,10 +157,6 @@ class MobiEyesConfig:
             raise ValueError("base_station_side must be positive")
         if self.dead_reckoning_threshold < 0:
             raise ValueError("dead_reckoning_threshold must be non-negative")
-        if self.eval_period_steps < 1:
-            raise ValueError("eval_period_steps must be at least 1")
-        if self.static_beacon_steps < 0:
-            raise ValueError("static_beacon_steps must be non-negative")
         if self.engine not in ("reference", "vectorized"):
             raise ValueError(f"engine must be 'reference' or 'vectorized', got {self.engine!r}")
         if self.shards < 1:
@@ -230,12 +220,8 @@ class MobiEyesConfig:
                 )
             if self.elastic_max_shards < MIN_SHARDS:
                 raise ValueError(f"elastic_max_shards must be 0 or at least {MIN_SHARDS}")
-        for knob in ("ingest_budget_per_step", "ingest_queue_limit"):
-            if getattr(self, knob) < 0:
-                raise ValueError(f"{knob} must be non-negative")
-        # Cached once: the object-side evaluation period in hours, used by
-        # every safe-period comparison (the config is frozen, so the inputs
-        # cannot change after construction).
-        object.__setattr__(
-            self, "eval_period_hours", self.eval_period_steps * self.step_seconds / 3600.0
-        )
+        if self.ingest_budget_per_step < 0:
+            raise ValueError("ingest_budget_per_step must be non-negative")
+        # Cached once: every object evaluates its LQT each step, so the
+        # safe-period comparisons read one step in hours.
+        object.__setattr__(self, "eval_period_hours", self.step_seconds / 3600.0)

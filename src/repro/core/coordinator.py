@@ -77,8 +77,6 @@ class Coordinator:
         # One report-epoch map for the whole fleet; every shard holds this
         # very dict (restore fills it in place, never rebinds it).
         self._report_epochs: dict[ObjectId, int] = {}
-        self._leases_on = False
-        self._lease_steps = 0
         # The one record of which shards are down, with the query ids that
         # died with each: ``crash_shard`` adds, ``recover_shard`` removes,
         # the checkpoint's partition section carries it.
@@ -87,14 +85,13 @@ class Coordinator:
         # retired shard's slot stays in place (empty, with no stripe in the
         # map) so reliability endpoints and checkpoints never renumber; a
         # later spawn recycles the lowest retired slot before growing the
-        # list.
-        self.shards: list[ServerShard] = [
-            self._make_shard(sid) for sid in range(self.partitioner.num_shards)
-        ]
+        # list.  Slots are never removed, so slot 0 always exists to ask.
+        self.shards: list[ServerShard] = []
+        for sid in range(self.partitioner.num_shards):
+            self.shards.append(self._make_shard(sid))
         self._sqt_view = _SqtView(self)
         self._fot_view = _FotView(self)
         self._rqi_view = _RqiView(self)
-        transport.enable_cell_routing()
         transport.attach_server(self)
 
     @property
@@ -118,8 +115,10 @@ class Coordinator:
             shard_id=sid,
             partitioner=self.partitioner,
         )
-        if self._leases_on:
-            shard.enable_leases(self._lease_steps)
+        # Leases are armed on the whole fleet or on none: ask slot 0.
+        lease_steps = self.shards[0].tracker.lease_steps if self.shards else None
+        if lease_steps is not None:
+            shard.enable_leases(lease_steps)
         return shard
 
     # ------------------------------------------------------- who owns what
@@ -212,7 +211,7 @@ class Coordinator:
     def on_uplink(self, message: object) -> None:
         """Dispatch an object -> server message to the responsible shard."""
         endpoint = self.shard_for_uplink(message)
-        if self._leases_on:
+        if self.shards[0].tracker.leases_enabled:
             oid = getattr(message, "oid", None)
             if oid is not None:
                 self._touch_home(
@@ -230,7 +229,7 @@ class Coordinator:
         row = cols.rows[i]
         oid = row[0]
         endpoint = self._route_report(kind, oid, row[3] if kind == REC_CELL else None)
-        if self._leases_on:
+        if self.shards[0].tracker.leases_enabled:
             self._touch_home(oid, endpoint, row[1], None)
         self.shards[endpoint].apply_report_record(cols, i)
 
@@ -610,9 +609,8 @@ class Coordinator:
         self.shards[owner].remove_query(qid)
 
     def enable_leases(self, lease_steps: int) -> None:
-        """Arm soft-state leases on every shard (and every future spawn)."""
-        self._leases_on = True
-        self._lease_steps = lease_steps
+        """Arm soft-state leases on every shard (a future spawn copies slot
+        0's)."""
         for shard in self.shards:
             shard.enable_leases(lease_steps)
 

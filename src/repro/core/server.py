@@ -67,6 +67,11 @@ from repro.core.transport import SimulatedTransport
 from repro.grid import CellIndex, CellRange, CellRangeUnion, Grid, monitoring_region
 from repro.mobility.model import MotionState, ObjectId
 
+#: Under *lazy* propagation static queries have no focal-object broadcasts
+#: to heal a missed install, so the system calls
+#: :meth:`MobiEyesServer.beacon_static_queries` every this many steps.
+STATIC_BEACON_STEPS = 10
+
 
 class MobiEyesServer:
     """Server-side half of the MobiEyes protocol."""
@@ -639,7 +644,7 @@ class MobiEyesServer:
 
     def beacon_static_queries(self) -> int:
         """Re-broadcast every static query's descriptor to its monitoring
-        region (lazy-propagation healing; see ``static_beacon_steps``).
+        region (lazy-propagation healing, every ``STATIC_BEACON_STEPS``).
         Returns the number of broadcasts sent."""
         with self.load.timed():
             static_entries = [e for e in self.registry.entries() if e.is_static]

@@ -5,19 +5,20 @@ service turns it into an *open-ended* deployment.  A
 :class:`MobiEyesService` wraps a system behind a queue-driven ingest API
 -- :meth:`submit_update`, :meth:`install_query`, :meth:`remove_query` --
 whose operations are accepted at any time and applied *between* steps, at
-the next tick's admission slot.  The ticker (:meth:`tick`, :meth:`run`)
-advances steps indefinitely.  Nothing the system does on its own leaves
-the process: ``checkpoint_every_steps`` only refreshes the in-memory
-recovery basis (the server tables a crashed shard is rebuilt from).
+the next tick's admission slot.  The ticker (:meth:`tick`, or :meth:`run`
+for a count of ticks) advances one step per tick.  Nothing the system does
+on its own leaves the process: ``checkpoint_every_steps`` only refreshes
+the in-memory recovery basis (the server tables a crashed shard is rebuilt
+from).
 Durability is the caller's ``checkpoint(system).to_bytes()``
 (:mod:`repro.core.snapshot`), which carries the ingest queue itself so a
 restored service resumes with the same pending work.
 
 Admission control and backpressure:
 
-- the ingest queue is *bounded* (``ingest_queue_limit``; 0 derives the
-  bound from the admission budget times the latency pipeline's depth).
-  A submission that would overflow is **rejected**: its ticket comes back
+- the ingest queue is *bounded* by the admission budget times the
+  latency pipeline's depth (unbounded without a budget).  A submission
+  that would overflow is **rejected**: its ticket comes back
   ``"rejected"`` and ``backpressure_rejects`` counts it -- never a silent
   drop;
 - an operation that cannot be applied when it is admitted -- its target
@@ -110,21 +111,16 @@ class MobiEyesService:
         self.system = system
         config = system.config
         self.budget = config.ingest_budget_per_step
-        limit = config.ingest_queue_limit
-        if limit == 0 and self.budget > 0:
-            # Derive the bound from what the pipeline can absorb: one
-            # admission budget per step the latency model keeps a message
-            # in flight (plus the current step itself).
-            depth = 1 + (
-                config.uplink_latency_steps
-                + config.downlink_latency_steps
-                + config.latency_jitter_steps
-            )
-            limit = self.budget * depth
+        # What the pipeline can absorb: one admission budget per step the
+        # latency model keeps a message in flight, plus the current step.
+        depth = 1 + (
+            config.uplink_latency_steps
+            + config.downlink_latency_steps
+            + config.latency_jitter_steps
+        )
         #: Queue bound; 0 means unbounded (no budget to derive from).
-        self.queue_limit = limit
+        self.queue_limit = self.budget * depth
         self._queue: deque[IngestTicket] = deque()
-        self._running = False
         # Lifetime accounting.  Invariant (tested):
         #   submitted == applied + rejected + len(queue).
         self.submitted = 0
@@ -253,29 +249,13 @@ class MobiEyesService:
         self.ticks += 1
         return self.system.step()
 
-    def run(self, steps: int | None = None) -> int:
-        """Drive the ticker for ``steps`` ticks, or indefinitely when
-        ``steps`` is None (until :meth:`stop` is called from a callback
-        or another thread).  Returns the final step index."""
-        self._running = True
+    def run(self, steps: int) -> int:
+        """Drive the ticker for ``steps`` ticks.  Returns the final step
+        index."""
         last = self.system.clock.step
-        try:
-            remaining = steps
-            while self._running and (remaining is None or remaining > 0):
-                last = self.tick()
-                if remaining is not None:
-                    remaining -= 1
-        finally:
-            self._running = False
+        for _ in range(steps):
+            last = self.tick()
         return last
-
-    def stop(self) -> None:
-        """Ask a running ticker to stop after the current tick."""
-        self._running = False
-
-    @property
-    def running(self) -> bool:
-        return self._running
 
     # ------------------------------------------------------------ reports
 

@@ -12,8 +12,8 @@ motion model, then drives them with the time-stepped engine:
 3. *delivery* -- the transport drains deferred envelopes whose modeled
    latency elapsed and runs the reliability retransmit timers (a no-op
    without a latency model).
-4. *evaluation* -- clients process their LQTs and uplink differential
-   result changes.
+4. *evaluation* -- every client processes its LQT (each step, as in the
+   paper) and uplinks differential result changes.
 5. *measurement* -- per-step metrics are recorded.
 
 Typical use::
@@ -37,7 +37,7 @@ from repro.core.config import MobiEyesConfig
 from repro.core.load import LoadAccount, read_counters
 from repro.core.messages import RebalanceDirective, ResyncDirective
 from repro.core.query import QueryId, QuerySpec
-from repro.core.server import MobiEyesServer
+from repro.core.server import STATIC_BEACON_STEPS, MobiEyesServer
 from repro.core.snapshot import capture_basis, decode_basis
 from repro.core.transport import SimulatedTransport
 from repro.grid import CellRange, Grid
@@ -62,8 +62,7 @@ class MobiEyesSystem:
     COUNTERS = ("checkpoints_taken",)
     #: The facade's own attributes a checkpoint carries (core/snapshot.py).
     CHECKPOINT_FIELDS = (
-        "_step_mark", "_last_error", "_last_error_step", "rebalance_log", "crash_log",
-        "_unstepped_updates", *COUNTERS,
+        "_step_mark", "rebalance_log", "crash_log", "_unstepped_updates", *COUNTERS,
     )
 
     def __init__(
@@ -83,7 +82,7 @@ class MobiEyesSystem:
         self.rng = rng if rng is not None else SimulationRng()
         self.grid = Grid(config.uod, config.alpha)
         self.layout = BaseStationLayout(self.grid, config.base_station_side)
-        self.ledger = MessageLedger(radio=config.radio)
+        self.ledger = MessageLedger()
         self.trace = trace
         self.transport = SimulatedTransport(
             self.layout, self.grid, self.ledger, trace=trace, loss=loss
@@ -190,8 +189,6 @@ class MobiEyesSystem:
             self.transport.coverage = self._fastpath.coverage
         self.track_accuracy = track_accuracy
         self._closed = False
-        self._last_error: float | None = None
-        self._last_error_step: int | None = None
         self.metrics = MetricsLog(
             step_seconds=config.step_seconds,
             population=len(self.motion),
@@ -494,12 +491,7 @@ class MobiEyesSystem:
             for oid in self._client_order:
                 with window:
                     clients[oid].report_phase(clock)
-        beacon = self.config.static_beacon_steps
-        if (
-            self.config.propagation.is_lazy
-            and beacon > 0
-            and clock.step % beacon == 0
-        ):
+        if self.config.propagation.is_lazy and clock.step % STATIC_BEACON_STEPS == 0:
             self.server.beacon_static_queries()
 
     def _delivery_phase(self, clock: SimulationClock) -> None:
@@ -518,8 +510,6 @@ class MobiEyesSystem:
         self.server.expire_leases(clock.step)
 
     def _evaluation_phase(self, clock: SimulationClock) -> None:
-        if clock.step % self.config.eval_period_steps != 0:
-            return
         if self._fastpath is not None:
             self._fastpath.evaluation_phase(clock)
             return
@@ -576,15 +566,11 @@ class MobiEyesSystem:
         else:
             lqt_total = sum(len(client.lqt) for client in self.clients.values())
 
-        # Accuracy is sampled on evaluation steps only: results change
-        # meaningfully when the objects re-evaluate their LQTs, and the
-        # oracle pass is by far the most expensive part of measurement.
-        # Intermediate steps carry the last sample forward, stamped with
-        # the step it was taken at so a stale sample is never mistaken
-        # for a current one.
-        if self.track_accuracy and clock.step % self.config.eval_period_steps == 0:
-            self._last_error = mean_result_error(self.results(), self.oracle_results())
-            self._last_error_step = clock.step
+        # The oracle pass is by far the most expensive part of measurement,
+        # so accuracy is sampled only when asked for.
+        error = None
+        if self.track_accuracy:
+            error = mean_result_error(self.results(), self.oracle_results())
 
         self.metrics.append(
             StepStats(
@@ -601,8 +587,7 @@ class MobiEyesSystem:
                 skipped_by_safe_period=skipped_sp,
                 skipped_by_grouping=skipped_group,
                 object_processing_seconds=processing,
-                result_error=self._last_error,
-                result_error_step=self._last_error_step,
+                result_error=error,
                 inflight_messages=self.transport.pending_count(),
                 delivered_messages=delivered,
                 delivery_delay_steps=delay_sum,

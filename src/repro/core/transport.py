@@ -112,7 +112,8 @@ class CoverageIndex:
     Objects are bucketed once per step both by base-station lattice tile
     (a station's coverage circle only overlaps its tile and the eight
     neighbours, so circle lookups touch a constant number of buckets) and
-    by grid cell (region delivery is a direct bucket union).
+    by grid cell (region delivery is a direct bucket union); each object's
+    cell is kept too, for a sharded server routing uplinks by sender cell.
     """
 
     def __init__(self, layout: BaseStationLayout, grid: Grid) -> None:
@@ -120,34 +121,24 @@ class CoverageIndex:
         self.grid = grid
         self._tile_buckets: dict[tuple[int, int], list[tuple[ObjectId, Point]]] = {}
         self._cell_buckets: dict[CellIndex, list[ObjectId]] = {}
-        # Per-object cell lookup, maintained only when a sharded server
-        # needs to route uplinks by sender cell (off by default: the
-        # monolithic server never asks, and the extra dict write per
-        # object would sit on the hot path for nothing).
-        self.track_cells = False
         self._cell_of: dict[ObjectId, CellIndex] = {}
 
     def rebuild(self, positions: Iterable[tuple[ObjectId, Point]]) -> None:
         """Re-bucket the object positions for the new step."""
-        self._tile_buckets.clear()
-        self._cell_buckets.clear()
+        tiles, cells, cell_map = self._tile_buckets, self._cell_buckets, self._cell_of
+        tiles.clear()
+        cells.clear()
+        cell_map.clear()
         tile_of = self.layout.tile_of_point
         cell_of = self.grid.cell_index
-        if self.track_cells:
-            self._cell_of.clear()
-            for oid, pos in positions:
-                cell = cell_of(pos)
-                self._tile_buckets.setdefault(tile_of(pos), []).append((oid, pos))
-                self._cell_buckets.setdefault(cell, []).append(oid)
-                self._cell_of[oid] = cell
-            return
         for oid, pos in positions:
-            self._tile_buckets.setdefault(tile_of(pos), []).append((oid, pos))
-            self._cell_buckets.setdefault(cell_of(pos), []).append(oid)
+            cell = cell_of(pos)
+            tiles.setdefault(tile_of(pos), []).append((oid, pos))
+            cells.setdefault(cell, []).append(oid)
+            cell_map[oid] = cell
 
     def cell_of(self, oid: ObjectId) -> CellIndex:
-        """The grid cell an object was in at the last rebuild (requires
-        ``track_cells``)."""
+        """The grid cell an object was in at the last rebuild."""
         return self._cell_of[oid]
 
     def covered_by_stations(self, station_ids: Iterable[BaseStationId]) -> set[ObjectId]:
@@ -248,9 +239,6 @@ class SimulatedTransport:
         self._server: UplinkReceiver | None = None
         self._step = 0
         self._downlink_seq: dict[ObjectId, int] = {}
-        # Sharded-server support: when on, the coverage index keeps a
-        # per-object cell lookup so uplinks can be routed by sender cell.
-        self._route_cells = False
         # Deferred-delivery pipeline: per-link delays from the latency
         # model, envelopes parked until their deliver_step, and a forced-
         # inline depth for exchanges that must complete within a call
@@ -303,12 +291,6 @@ class SimulatedTransport:
         self.report_buffer = ReportBuffer()
         self.report_window = _ReportWindow(self, self.report_buffer)
 
-    def enable_cell_routing(self) -> None:
-        """Keep per-object cells in the coverage index, so a sharded server
-        can route uplinks by ``coverage.cell_of(sender)``."""
-        self._route_cells = True
-        self.coverage.track_cells = True
-
     def uplink_endpoint(self, message: object) -> int:
         """The server-side endpoint an uplink lands on: the shard id under
         a sharded server, always ``0`` for the monolith.  The reliability
@@ -324,9 +306,6 @@ class SimulatedTransport:
         self._step = step
         if self.loss is not None:
             self.loss.begin_step(step)
-        if self._route_cells:
-            # Survives the fastpath swapping in its own coverage index.
-            self.coverage.track_cells = True
         self.coverage.rebuild(positions)
 
     def next_downlink_seq(self, oid: ObjectId) -> int:

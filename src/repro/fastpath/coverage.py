@@ -65,9 +65,6 @@ class VectorizedCoverageIndex:
         self.layout = layout
         self.grid = grid
         self.store = store
-        # Accepted for interface parity with the reference index; the cell
-        # arrays are maintained unconditionally, so nothing extra to track.
-        self.track_cells = False
         np = store.np
         self._cell_rows = np.empty(0, dtype=np.int64)  # store rows in cell-sorted order
         self._cell_keys = self._cell_rows  # flattened cell keys, sorted

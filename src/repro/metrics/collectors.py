@@ -36,13 +36,8 @@ class StepStats:
     skipped_by_safe_period: int = 0
     skipped_by_grouping: int = 0
     object_processing_seconds: float = 0.0
+    # Sampled this very step (``None`` when accuracy is not tracked).
     result_error: float | None = None
-    # Provenance of ``result_error``: the step its sample was actually
-    # taken at.  Accuracy is sampled on evaluation steps and carried
-    # forward in between, so without this field a pre-delivery error
-    # could masquerade as current.  ``None`` means "unknown" (hand-built
-    # records): treated as fresh for backward compatibility.
-    result_error_step: int | None = None
     # Deferred-delivery pipeline: envelopes still in flight at the end of
     # the step, envelopes opened during the step, and their summed
     # send-to-delivery delay in steps.  All zero on the inline path.
@@ -54,12 +49,6 @@ class StepStats:
     def total_messages(self) -> int:
         """Uplink plus downlink messages this step."""
         return self.uplink_messages + self.downlink_messages
-
-    @property
-    def result_error_is_fresh(self) -> bool:
-        """Whether ``result_error`` was sampled this very step (a carried-
-        forward sample from an earlier evaluation step is stale)."""
-        return self.result_error_step is None or self.result_error_step == self.step
 
 
 @dataclass
@@ -171,19 +160,9 @@ class MetricsLog:
     # ----------------------------------------------------------- accuracy
 
     def mean_result_error(self) -> float | None:
-        """Mean missing-fraction error over *fresh* samples, or None.
-
-        Only steps whose sample was taken that very step count
-        (``result_error_is_fresh``); a carried-forward sample -- taken
-        before later deliveries landed -- is never reported as current.
-        Records without provenance (``result_error_step`` unset) keep the
-        historical behavior and count as fresh.
-        """
-        samples = [
-            s.result_error
-            for s in self._measured()
-            if s.result_error is not None and s.result_error_is_fresh
-        ]
+        """Mean missing-fraction error over the measured steps' samples, or
+        None when accuracy was not tracked."""
+        samples = [s.result_error for s in self._measured() if s.result_error is not None]
         if not samples:
             return None
         return sum(samples) / len(samples)

@@ -203,12 +203,10 @@ def run_soak(
     elastic_schedule: tuple[tuple, ...] = (),
     ingest_rate: int = 6,
     ingest_budget: int = 4,
-    queue_limit: int = 0,
     query_churn_every: int = 10,
     latency: int = 0,
     jitter: int = 0,
     twin: bool = True,
-    compare_every: int = 1,
     report_every: int = 0,
     tag: str = "local",
     out_dir: str | Path | None = None,
@@ -246,7 +244,6 @@ def run_soak(
         latency_jitter_steps=jitter,
         latency_seed=seed,
         ingest_budget_per_step=ingest_budget,
-        ingest_queue_limit=queue_limit,
     )
     static_config = dict(config)  # the twin: same knobs, a fleet that never changes
     if elastic in ("policy", "both"):
@@ -400,12 +397,11 @@ def run_soak(
                     service.tick()
                     if static is not None:
                         static.tick()
-                        if compare_every and done % compare_every == 0:
-                            compared += 1
-                            if twin_divergence(
-                                service.system.results(), static.system.results()
-                            ):
-                                mismatched_steps.append(done + 1)
+                        compared += 1
+                        if twin_divergence(
+                            service.system.results(), static.system.results()
+                        ):
+                            mismatched_steps.append(done + 1)
                     done += 1
                     if tail_start is not None and done == tail_start:
                         tail_base = {

@@ -169,7 +169,7 @@ def test_knob_counts_only_ratchet_down():
     from repro.core import MobiEyesConfig
 
     fields = [f for f in dataclasses.fields(MobiEyesConfig) if f.init]
-    assert len(fields) <= 26, [f.name for f in fields]
+    assert len(fields) <= 22, [f.name for f in fields]
 
     def arguments(parser):
         count = 0
@@ -180,10 +180,70 @@ def test_knob_counts_only_ratchet_down():
                 count += 1
         return count
 
-    assert arguments(build_parser()) <= 50
+    assert arguments(build_parser()) <= 49
 
 
 SRC = SCRIPT.parents[2] / "src"
+
+#: ``MobiEyesConfig`` fields no caller sets, each with the reason it stays a
+#: field rather than a constant.
+UNSET_CONFIG_FIELDS = {
+    # False is the settled reference path of tests/test_report_batching.py:
+    # the per-message reports the buffered pipeline is graded against.
+    "batch_reports",
+}
+
+
+def names_set(source: str) -> set[str]:
+    """The names ``source`` sets: keyword arguments, the string keys of
+    dict literals, and string subscripts assigned to (``config["x"] = v``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(
+                key.value
+                for key in node.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.slice, ast.Constant)
+        ):
+            names.add(node.slice.value)
+    return names
+
+
+def unset_config_fields(fields: set[str], root: Path) -> list[str]:
+    """The fields no module under ``root``'s ``src/`` (outside
+    ``core/config.py``, whose defaults set nothing) or ``bench/`` sets by
+    name, less the allowlist."""
+    paths = [*(root / "src").rglob("*.py"), *(root / "bench").rglob("*.py")]
+    config = root / "src" / "repro" / "core" / "config.py"
+    set_anywhere = set().union(*(names_set(p.read_text()) for p in paths if p != config))
+    return sorted(fields - set_anywhere - UNSET_CONFIG_FIELDS)
+
+
+def test_every_config_field_has_a_caller(tmp_path):
+    """The Options rule: a value every caller leaves at its default is a
+    constant where it is read, not a field (PR 28 turned four into
+    constants)."""
+    from repro.core import MobiEyesConfig
+
+    fields = {f.name for f in dataclasses.fields(MobiEyesConfig) if f.init}
+    root = SRC.parent
+    assert unset_config_fields(fields, root) == []
+    assert UNSET_CONFIG_FIELDS <= fields
+    # A doctored field: set only in config.py itself, then nowhere at all.
+    doctored = tmp_path / "src" / "repro" / "core"
+    doctored.mkdir(parents=True)
+    (doctored / "config.py").write_text("MobiEyesConfig(uod=None, doctored_knob=3)\n")
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text('build(config={"uod": None})\nconfig["alpha"] = 1\n')
+    assert unset_config_fields({"uod", "alpha", "doctored_knob"}, tmp_path) == ["doctored_knob"]
+    assert unset_config_fields(fields | {"doctored_knob"}, root) == ["doctored_knob"]
 
 #: The classes that own lifetime counters: each names them once, in a
 #: class-level ``COUNTERS`` tuple its ``CHECKPOINT_FIELDS`` include.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import MovingQuery, PropagationMode, QuerySpec, TrueFilter
+from repro.core.server import STATIC_BEACON_STEPS
 from repro.geometry import Circle, Point, Rect, Vector
 
 from tests.conftest import make_object, make_system
@@ -130,12 +131,10 @@ class TestStaticUnderLazyPropagation:
             make_object(0, 45, 45, vx=-150.0, vy=-150.0, max_speed=200.0),
             make_object(1, 21, 21),
         ]
-        system = make_system(
-            objects, propagation=PropagationMode.LAZY, static_beacon_steps=3
-        )
+        system = make_system(objects, propagation=PropagationMode.LAZY)
         qid = system.install_query(static_circle(20, 20, 3))
         entered = False
-        for _ in range(25):
+        for _ in range(3 * STATIC_BEACON_STEPS):
             system.step()
             if 0 in system.result(qid):
                 entered = True
@@ -148,21 +147,17 @@ class TestStaticUnderLazyPropagation:
         )
         system.install_query(static_circle(20, 20, 3))
         before = system.ledger.counts_by_type.get("QueryInstallBroadcast", 0)
-        system.run(12)
+        system.run(2 * STATIC_BEACON_STEPS)
         after = system.ledger.counts_by_type.get("QueryInstallBroadcast", 0)
         assert after == before  # no periodic re-broadcasts under EQP
 
     def test_beacon_traffic_counted(self):
-        system = make_system(
-            [make_object(0, 21, 21)],
-            propagation=PropagationMode.LAZY,
-            static_beacon_steps=2,
-        )
+        system = make_system([make_object(0, 21, 21)], propagation=PropagationMode.LAZY)
         system.install_query(static_circle(20, 20, 3))
         before = system.ledger.counts_by_type.get("QueryInstallBroadcast", 0)
-        system.run(6)
+        system.run(2 * STATIC_BEACON_STEPS + 1)
         after = system.ledger.counts_by_type.get("QueryInstallBroadcast", 0)
-        assert after - before == 3  # steps 2, 4, 6
+        assert after - before == 2  # steps 10 and 20
 
 
 class TestCentralizedStaticQueries:

@@ -152,13 +152,11 @@ class TestBoundaryBehaviour:
             system.step()
             assert system.results()[qid] == system.oracle_results()[qid]
 
-    def test_eval_period_greater_than_one(self):
+    def test_every_step_evaluates(self):
         objects = [make_object(0, 25, 25), make_object(1, 26, 25, vx=30.0)]
-        system = make_system(objects, eval_period_steps=3)
+        system = make_system(objects)
         system.install_query(circle_query(0, 2.0))
         system.run(6)
-        # Evaluations only happened on steps 3 and 6.
-        evaluated_steps = [
-            s.step for s in system.metrics.steps if s.evaluated_queries > 0
-        ]
-        assert evaluated_steps == [3, 6]
+        # The paper's period: every object evaluates its LQT each step.
+        evaluated_steps = [s.step for s in system.metrics.steps if s.evaluated_queries > 0]
+        assert evaluated_steps == [1, 2, 3, 4, 5, 6]

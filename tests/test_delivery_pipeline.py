@@ -830,20 +830,7 @@ class TestLatencySystemDifferential:
 
 
 class TestAccuracyProvenance:
-    def test_result_error_freshness(self):
-        fresh = StepStats(step=3, result_error=0.5, result_error_step=3)
-        stale = StepStats(step=4, result_error=0.5, result_error_step=3)
-        legacy = StepStats(step=5, result_error=0.5)  # no provenance recorded
-        assert fresh.result_error_is_fresh
-        assert not stale.result_error_is_fresh
-        assert legacy.result_error_is_fresh
-
-    def test_mean_result_error_skips_stale_samples(self):
-        log = MetricsLog(step_seconds=30.0, population=10)
-        log.append(StepStats(step=1, result_error=0.2, result_error_step=1))
-        log.append(StepStats(step=2, result_error=0.2, result_error_step=1))  # carried
-        log.append(StepStats(step=3, result_error=0.8, result_error_step=3))
-        assert log.mean_result_error() == pytest.approx(0.5)
+    """A sample is taken in the step it reports."""
 
     def test_mean_result_error_without_provenance(self):
         log = MetricsLog(step_seconds=30.0, population=10)
@@ -851,20 +838,12 @@ class TestAccuracyProvenance:
         log.append(StepStats(step=2, result_error=0.75))
         assert log.mean_result_error() == pytest.approx(0.5)
 
-    def test_system_marks_carried_samples_stale(self):
+    def test_system_samples_every_step(self):
         system = paper_system("reference", shards=1, latency=3, track_accuracy=True)
         system.run(10)
-        carried = [
-            s for s in system.metrics.steps if s.result_error is not None and not s.result_error_is_fresh
-        ]
-        fresh = [
-            s for s in system.metrics.steps if s.result_error is not None and s.result_error_is_fresh
-        ]
-        assert fresh, "accuracy tracking should produce fresh samples"
-        # mean over fresh samples only: recomputing by hand must agree
-        expected = sum(s.result_error for s in fresh) / len(fresh)
-        assert system.metrics.mean_result_error() == pytest.approx(expected)
-        del carried  # may be empty with eval_period=1; presence not required
+        samples = [s.result_error for s in system.metrics.steps]
+        assert None not in samples
+        assert system.metrics.mean_result_error() == pytest.approx(sum(samples) / len(samples))
 
 
 # ------------------------------------------------- chaos under latency

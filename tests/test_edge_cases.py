@@ -30,14 +30,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MobiEyesConfig(uod=Rect(0, 0, 10, 10), dead_reckoning_threshold=-0.1)
 
-    def test_bad_eval_period(self):
-        with pytest.raises(ValueError):
-            MobiEyesConfig(uod=Rect(0, 0, 10, 10), eval_period_steps=0)
-
-    def test_bad_beacon(self):
-        with pytest.raises(ValueError):
-            MobiEyesConfig(uod=Rect(0, 0, 10, 10), static_beacon_steps=-1)
-
 
 class TestDegenerateGeometries:
     def test_single_cell_grid(self):
@@ -161,20 +153,3 @@ class TestRadioExtremes:
         radio = RadioModel()
         assert radio.transmit_energy(0) == 0.0
         assert radio.receive_energy(0) == 0.0
-
-
-class TestEvalPeriodInteraction:
-    def test_safe_period_with_long_eval_period(self):
-        objects = [
-            make_object(0, 10, 25, max_speed=50.0),
-            make_object(1, 40, 25, max_speed=50.0),
-        ]
-        system = make_system(objects, alpha=50.0, safe_period=True, eval_period_steps=4)
-        qid = system.install_query(circle_query(0, 2.0))
-        system.run(12)
-        # Evaluations happened only on steps 4, 8, 12 and the safe period
-        # (30 mi gap at 100 mph closing ~ 17 min > one eval period) skipped
-        # some of those too.
-        evaluated_steps = [s.step for s in system.metrics.steps if s.evaluated_queries > 0]
-        assert set(evaluated_steps) <= {4, 8, 12}
-        assert system.result(qid) == system.oracle_results()[qid]

@@ -45,7 +45,6 @@ def build_system(
     latency=0,
     jitter=0,
     ingest_budget=0,
-    queue_limit=0,
 ):
     params = build_params(scale=scale, seed=seed)
     system = paper_system(
@@ -55,7 +54,6 @@ def build_system(
         params=params,
         latency_jitter_steps=jitter,
         ingest_budget_per_step=ingest_budget,
-        ingest_queue_limit=queue_limit,
     )
     # paper_system keeps its workload; the scripts below read only object
     # ids off it, so the same draw (fork 1 of the seed) made again serves.
@@ -132,9 +130,11 @@ class TestScriptedBitIdentity:
 
     def test_budgeted_admission_still_deterministic(self):
         """A budget spreads the same ops over later ticks -- and a plain
-        sim applying them at those (later) steps matches bit for bit."""
-        system, workload, params = build_system(ingest_budget=2, queue_limit=10)
-        plain, _, _ = build_system()
+        sim applying them at those (later) steps matches bit for bit.  Hop
+        latency deepens the pipeline, so the derived bound (2 x 5) holds
+        every op."""
+        system, workload, params = build_system(ingest_budget=2, latency=2)
+        plain, _, _ = build_system(latency=2)
         ops = scripted_steps(params, workload, 1, rate=5, churn_every=0)[0]
         with MobiEyesService(system) as service, plain:
             tickets = [service.submit_update(op[1], op[2], op[3]) for op in ops]
@@ -194,11 +194,6 @@ class TestBackpressure:
                 + counters["queued"]
             )
             assert service.system.clock.step == 10
-
-    def test_explicit_queue_limit_overrides_derivation(self):
-        system, _, _ = build_system(ingest_budget=2, queue_limit=9)
-        with MobiEyesService(system) as service:
-            assert service.queue_limit == 9
 
     def test_no_budget_means_unbounded(self):
         system, _, _ = build_system()
@@ -358,7 +353,7 @@ class TestServiceCheckpoint:
     def test_queue_survives_checkpoint_roundtrip(self):
         """A checkpoint taken mid-service carries the ingest queue; the
         restored service drains it identically (hash-lockstep)."""
-        system, workload, params = build_system(ingest_budget=1, queue_limit=50)
+        system, workload, params = build_system(ingest_budget=2, latency=2)
         script = scripted_steps(params, workload, 1, rate=3, churn_every=0)[0]
         with MobiEyesService(system) as service:
             service.tick()
@@ -397,16 +392,11 @@ class TestConfigValidation:
         )
 
     def test_negative_ingest_knobs_rejected(self):
-        for knob in (
-            "ingest_budget_per_step",
-            "ingest_queue_limit",
-        ):
-            with pytest.raises(ValueError):
-                self._config(**{knob: -1})
+        with pytest.raises(ValueError):
+            self._config(ingest_budget_per_step=-1)
 
     def test_run_method_drives_ticker(self):
         system, _, _ = build_system()
         with MobiEyesService(system) as service:
             assert service.run(3) == 3
             assert service.ticks == 3
-            assert not service.running

@@ -251,10 +251,12 @@ class TestCheckpointRoundtrip:
         # whole-world checkpoint nested under ``last_checkpoint``), v10
         # bytes (one queued downlink envelope per receiver, not per run) and
         # v11 bytes (a partition section listing the retired slots, a config
-        # with ``ingest_inflight_limit``) are refused by the header's
-        # version field, not half-read.
+        # with ``ingest_inflight_limit``) and v12 bytes (a config with the
+        # evaluation period, beacon cadence, radio and queue bound; carried
+        # accuracy samples) are refused by the header's version field, not
+        # half-read.
         data = cp.to_bytes()
-        for old in (4, 5, 6, 7, 8, 9, 10, 11):
+        for old in (4, 5, 6, 7, 8, 9, 10, 11, 12):
             stale_bytes = data[:8] + old.to_bytes(2, "big") + data[10:]
             with pytest.raises(ValueError, match=f"version {old} unsupported"):
                 from_bytes(stale_bytes)
@@ -637,7 +639,7 @@ class TestAllowListIsExact:
             system.run(3)
             take(system)
         # A service mid-backlog: queued tickets and their specs.
-        with paper_system(shards=2, ingest_budget_per_step=1, ingest_queue_limit=8) as system:
+        with paper_system(shards=2, latency=1, ingest_budget_per_step=1) as system:
             service = MobiEyesService(system)
             for oid in sorted(system.clients)[:2]:
                 service.install_query(QuerySpec(oid=oid, region=Circle(0, 0, 1.0)))
