@@ -119,13 +119,12 @@ class CentralizedSystem:
         # two index modes differ in ops and not only in seconds.
         self.server_seconds = 0.0
         self.server_ops = 0
-        self._load_mark = (0.0, 0)
         self.metrics = MetricsLog(
             step_seconds=config.step_seconds,
             population=len(self.motion),
             warmup_steps=warmup_steps,
         )
-        self._ledger_mark = self.ledger.snapshot()
+        self._step_mark = self._sample_totals()
 
         self.engine = SimulationEngine(SimulationClock(config.step_seconds))
         self.engine.register("movement", self._movement_phase)
@@ -247,13 +246,25 @@ class CentralizedSystem:
         else:
             self.index.apply_position(oid, pos)
 
+    def _sample_totals(self) -> tuple:
+        """The lifetime totals a step sample is a difference of."""
+        ledger = self.ledger
+        return (
+            self.server_seconds,
+            self.server_ops,
+            ledger.uplink_count,
+            ledger.downlink_count,
+            ledger.uplink_bits,
+            ledger.downlink_bits,
+            ledger.total_energy(),
+        )
+
     def _measurement_phase(self, clock: SimulationClock) -> None:
-        mark = self.ledger.snapshot()
-        delta = self._ledger_mark.delta(mark)
-        self._ledger_mark = mark
-        load = (self.server_seconds, self.server_ops)
-        seconds, ops = (now - before for now, before in zip(load, self._load_mark))
-        self._load_mark = load
+        totals = self._sample_totals()
+        seconds, ops, uplinks, downlinks, uplink_bits, downlink_bits, energy = (
+            now - before for now, before in zip(totals, self._step_mark)
+        )
+        self._step_mark = totals
         error = None
         if self.track_accuracy:
             error = mean_result_error(self.results(), self.oracle_results())
@@ -262,11 +273,11 @@ class CentralizedSystem:
                 step=clock.step,
                 server_seconds=seconds,
                 server_ops=ops,
-                uplink_messages=delta.uplink_count,
-                downlink_messages=delta.downlink_count,
-                uplink_bits=delta.uplink_bits,
-                downlink_bits=delta.downlink_bits,
-                energy_joules=delta.total_energy,
+                uplink_messages=uplinks,
+                downlink_messages=downlinks,
+                uplink_bits=uplink_bits,
+                downlink_bits=downlink_bits,
+                energy_joules=energy,
                 result_error=error,
             )
         )

@@ -308,7 +308,9 @@ class MobiEyesSystem:
         With modeled latency the client-side coupling invariants are
         relaxed: installs, removals, and monitoring-region updates may
         still be in flight, so a client's LQT can legitimately lag the
-        server's tables until the pipeline drains.  The structural
+        server's tables until the pipeline drains.  Likewise while a
+        downlink can be lost: a receiver that missed a removal or a region
+        update lags until its next cell change or resync.  The structural
         server-side invariants and the "never monitor your own query"
         rule hold regardless.
         """
@@ -322,7 +324,10 @@ class MobiEyesSystem:
         # Likewise while a shard is dead and for a client that still owes the
         # resync a recovery directed: the LQT may hold what the crash erased.
         relaxed = (
-            transport.latency_active or transport.pending_count() > 0 or self.server.dead_shards
+            transport.latency_active
+            or transport.pending_count() > 0
+            or self.server.dead_shards
+            or (transport.loss is not None and transport.loss.drops_downlinks)
         )
         for oid in self._client_order:
             client = self.clients[oid]

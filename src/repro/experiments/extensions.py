@@ -95,18 +95,6 @@ def ablation_propagation(runs: RunTable, params: SimulationParameters):
     return ("propagation", "msgs/s", "uplink/s", "downlink/s", "error"), rows
 
 
-def _burst_channel(rng: SimulationRng, mean_rate: float) -> GilbertElliottChannel:
-    """A Gilbert-Elliott channel whose stationary mean equals ``mean_rate``
-    (10% of time in the bad state, clean good state)."""
-    return GilbertElliottChannel(
-        rng,
-        p_good_to_bad=0.05,
-        p_bad_to_good=0.45,
-        loss_good=0.0,
-        loss_bad=min(1.0, 10.0 * mean_rate),
-    )
-
-
 @experiment("ablation-loss", "Result error vs wireless message loss (iid, burst, disconnections)")
 def ablation_loss(runs: RunTable, params: SimulationParameters):
     """Extension (the paper assumes reliable delivery): query-result error
@@ -157,8 +145,8 @@ def ablation_loss(runs: RunTable, params: SimulationParameters):
         injector = FaultInjector(channel_rng)
 
         def arm(injector=injector, channel_rng=channel_rng, rate=rate):
-            injector.uplink_channel = _burst_channel(channel_rng, rate)
-            injector.downlink_channel = _burst_channel(channel_rng, rate)
+            injector.uplink_channel = GilbertElliottChannel.with_mean_rate(channel_rng, rate)
+            injector.downlink_channel = GilbertElliottChannel.with_mean_rate(channel_rng, rate)
 
         rows.append(row("burst", rate, run_one(injector, arm), injector))
     # Scheduled disconnections: every 7th object off the air for the

@@ -60,6 +60,18 @@ class GilbertElliottChannel:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
+    @classmethod
+    def with_mean_rate(cls, rng: SimulationRng, rate: float) -> "GilbertElliottChannel":
+        """The burst channel whose stationary mean loss is ``rate``: a clean
+        good state, and a bad state holding 10% of the time."""
+        return cls(
+            rng,
+            p_good_to_bad=0.05,
+            p_bad_to_good=0.45,
+            loss_good=0.0,
+            loss_bad=min(1.0, 10.0 * rate),
+        )
+
     @property
     def mean_loss_rate(self) -> float:
         """The stationary average loss rate of the channel."""

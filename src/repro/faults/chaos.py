@@ -110,15 +110,7 @@ def _make_channel(rng: SimulationRng, rate: float, burst: bool):
         return None
     if not burst:
         return BernoulliChannel(rng, rate=rate)
-    # Gilbert-Elliott with a 10% stationary bad fraction and a clean good
-    # state, parameterized so the stationary mean equals ``rate``.
-    return GilbertElliottChannel(
-        rng,
-        p_good_to_bad=0.05,
-        p_bad_to_good=0.45,
-        loss_good=0.0,
-        loss_bad=min(1.0, 10.0 * rate),
-    )
+    return GilbertElliottChannel.with_mean_rate(rng, rate)
 
 
 def run_chaos(

@@ -140,6 +140,13 @@ class FaultInjector:
 
     # ------------------------------------------------------- loss interface
 
+    @property
+    def drops_downlinks(self) -> bool:
+        """Whether a downlink delivery can be lost: a downlink channel, a
+        disconnection or a station outage."""
+        schedule = self.schedule
+        return self.downlink_channel is not None or bool(schedule.disconnects or schedule.outages)
+
     def drop_uplink(self, message: object) -> bool:
         """Whether this object -> server message is lost in transit.
 

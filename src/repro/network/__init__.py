@@ -3,7 +3,7 @@
 from repro.network.basestation import BaseStation, BaseStationId, BaseStationLayout
 from repro.network.latency import LatencyModel
 from repro.network.loss import LossModel, is_reliable
-from repro.network.messaging import LedgerSnapshot, MessageLedger
+from repro.network.messaging import MessageLedger
 from repro.network.radio import RadioModel
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "BaseStationId",
     "BaseStationLayout",
     "LatencyModel",
-    "LedgerSnapshot",
     "LossModel",
     "MessageLedger",
     "RadioModel",

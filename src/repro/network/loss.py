@@ -44,6 +44,11 @@ class LossModel:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"loss rate must be in [0, 1], got {rate}")
 
+    @property
+    def drops_downlinks(self) -> bool:
+        """Whether a downlink delivery can be lost."""
+        return self.downlink_loss_rate > 0.0
+
     def begin_step(self, step: int) -> None:
         """Per-step hook (no state to roll for i.i.d. loss)."""
 

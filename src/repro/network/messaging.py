@@ -110,39 +110,3 @@ class MessageLedger:
         if population <= 0:
             raise ValueError("population must be positive")
         return self.total_energy() / population
-
-    def snapshot(self) -> "LedgerSnapshot":
-        """An immutable copy of the running totals."""
-        return LedgerSnapshot(
-            uplink_count=self.uplink_count,
-            downlink_count=self.downlink_count,
-            uplink_bits=self.uplink_bits,
-            downlink_bits=self.downlink_bits,
-            total_energy=self.total_energy(),
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class LedgerSnapshot:
-    """Immutable totals, used to compute per-interval deltas."""
-
-    uplink_count: int
-    downlink_count: int
-    uplink_bits: float
-    downlink_bits: float
-    total_energy: float
-
-    def delta(self, later: "LedgerSnapshot") -> "LedgerSnapshot":
-        """Per-field difference between this and a later snapshot."""
-        return LedgerSnapshot(
-            uplink_count=later.uplink_count - self.uplink_count,
-            downlink_count=later.downlink_count - self.downlink_count,
-            uplink_bits=later.uplink_bits - self.uplink_bits,
-            downlink_bits=later.downlink_bits - self.downlink_bits,
-            total_energy=later.total_energy - self.total_energy,
-        )
-
-    @property
-    def total_count(self) -> int:
-        """Total number of wireless messages."""
-        return self.uplink_count + self.downlink_count

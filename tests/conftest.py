@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from repro import scenario
 from repro.core import MobiEyesConfig, MobiEyesSystem, PropagationMode, QuerySpec, TrueFilter
+from repro.core.snapshot import step_hash
 from repro.geometry import Circle, Point, Rect, Vector
 from repro.mobility import MovingObject
 from repro.sim import SimulationRng
@@ -102,6 +103,28 @@ def paper_system(
         track_accuracy=track_accuracy,
     )
     return system
+
+
+def observe(system, ops=True):
+    """What two systems stepped in lockstep must agree on: ``step_hash``
+    (clock, results, ledger totals, in-flight hops), every ``counters()``
+    key but the wall-clock ``*seconds`` totals, the ledger's per-type books,
+    and the per-step stats without their clock fields.  ``ops=False`` drops
+    the server's op count, which cross-shard focal handoffs raise: for
+    twins of different shard counts."""
+    counters = {k: v for k, v in system.counters().items() if not k.endswith("seconds")}
+    clockless = dict(server_seconds=0.0, object_processing_seconds=0.0)
+    if not ops:
+        del counters["server.ops"]
+        clockless["server_ops"] = 0
+    ledger = system.ledger
+    return (
+        step_hash(system),
+        counters,
+        dict(ledger.counts_by_type),
+        dict(ledger.bits_by_type),
+        [dataclasses.replace(stats, **clockless) for stats in system.metrics.steps],
+    )
 
 
 def circle_query(oid, radius, query_filter=None):

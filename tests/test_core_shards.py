@@ -28,7 +28,7 @@ from repro.fastpath import numpy_available
 from repro.fastpath.bench import dense_params, skewed_params
 from repro.geometry import Point
 
-from tests.conftest import circle_query, make_object, make_system, paper_system
+from tests.conftest import circle_query, make_object, make_system, observe, paper_system
 
 ENGINES = ["reference"] + (["vectorized"] if numpy_available() else [])
 
@@ -66,32 +66,6 @@ def build_system(
         )
 
 
-def step_snapshot(system):
-    ledger = system.ledger.snapshot()
-    return (
-        sorted((qid, tuple(sorted(oids))) for qid, oids in system.results().items()),
-        ledger.uplink_count,
-        ledger.downlink_count,
-        ledger.uplink_bits,
-        ledger.downlink_bits,
-    )
-
-
-def metrics_snapshot(system, include_ops=True):
-    rows = []
-    for stats in system.metrics.steps:
-        row = dataclasses.asdict(stats)
-        # Wall-clock fields legitimately differ between deployments.
-        row.pop("server_seconds", None)
-        row.pop("object_processing_seconds", None)
-        if not include_ops:
-            # Cross-shard focal handoffs are real extra server work the
-            # monolith never performs; everything else must match.
-            row.pop("server_ops", None)
-        rows.append(row)
-    return rows
-
-
 class TestBitIdentity:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_one_shard_coordinator_equals_monolith(self, engine):
@@ -102,13 +76,12 @@ class TestBitIdentity:
         for step in range(14):
             mono.step()
             coord.step()
-            assert step_snapshot(mono) == step_snapshot(coord), (
+            assert observe(mono) == observe(coord), (
                 f"coordinator diverged from monolith at step {step + 1}"
             )
             if step % 5 == 0:
                 mono.check_invariants()
                 coord.check_invariants()
-        assert metrics_snapshot(mono) == metrics_snapshot(coord)
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_multishard_equals_monolith(self, shards):
@@ -118,13 +91,12 @@ class TestBitIdentity:
         for step in range(12):
             mono.step()
             multi.step()
-            assert step_snapshot(mono) == step_snapshot(multi), (
+            # Cross-shard focal handoffs are real extra server work the
+            # monolith never performs; everything else must match.
+            assert observe(mono, ops=False) == observe(multi, ops=False), (
                 f"{shards}-shard deployment diverged at step {step + 1}"
             )
         multi.check_invariants()
-        assert metrics_snapshot(mono, include_ops=False) == metrics_snapshot(
-            multi, include_ops=False
-        )
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_multishard_matches_exact_oracle_on_dense_scenario(self, shards):

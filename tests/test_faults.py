@@ -91,9 +91,8 @@ class TestChannels:
         assert rng.random() == before
 
     def test_gilbert_elliott_mean_and_bursts(self):
-        channel = GilbertElliottChannel(
-            SimulationRng(11), p_good_to_bad=0.05, p_bad_to_good=0.45, loss_good=0.0, loss_bad=1.0
-        )
+        channel = GilbertElliottChannel.with_mean_rate(SimulationRng(11), 0.1)
+        assert (channel.loss_good, channel.loss_bad) == (0.0, 1.0)
         assert channel.mean_loss_rate == pytest.approx(0.1)
         rolls = [channel.roll() for _ in range(20000)]
         assert 0.06 < sum(rolls) / len(rolls) < 0.14

@@ -160,14 +160,3 @@ class TestMessageLedger:
     def test_mean_energy_invalid_population(self):
         with pytest.raises(ValueError):
             MessageLedger().mean_energy_per_object(0)
-
-    def test_snapshot_delta(self):
-        ledger = MessageLedger()
-        ledger.record_uplink("a", 100, sender=1)
-        before = ledger.snapshot()
-        ledger.record_uplink("a", 100, sender=1)
-        ledger.record_downlink("b", 10, receivers=(2,), broadcasts=3)
-        delta = before.delta(ledger.snapshot())
-        assert delta.uplink_count == 1
-        assert delta.downlink_count == 3
-        assert delta.total_count == 4

@@ -24,36 +24,28 @@ import copy
 import pytest
 
 from repro import scenario
-from repro.core import MobiEyesConfig, RebalancePolicy
+from repro.core import MobiEyesConfig, MobiEyesSystem, RebalancePolicy
 from repro.core.messages import RebalanceDirective
 from repro.core.snapshot import checkpoint, export_state, import_state, restore, step_hash
 from repro.fastpath import numpy_available
 from repro.fastpath.bench import skewed_params
 from repro.workload import paper_defaults
-from tests.conftest import paper_system
+from tests.conftest import observe, paper_system
 
 ENGINES = ["reference"] + (["vectorized"] if numpy_available() else [])
 
 # Two boundary moves: columns right at step 3, partially back at step 7.
 SCHEDULE = ((3, 0, 1, 1), (7, 1, 0, 2))
 
-
-def step_snapshot(system):
-    ledger = system.ledger.snapshot()
-    return (
-        sorted((qid, tuple(sorted(oids))) for qid, oids in system.results().items()),
-        ledger.uplink_count,
-        ledger.downlink_count,
-        ledger.uplink_bits,
-        ledger.downlink_bits,
-    )
+RESULTS = MobiEyesSystem.results  # a run_trace view: the result sets only
 
 
-def run_trace(system, steps):
+def run_trace(system, steps, view=observe):
+    """``view(system)`` after each of ``steps`` steps."""
     trace = []
     for _ in range(steps):
         system.step()
-        trace.append(step_snapshot(system))
+        trace.append(view(system))
     return trace
 
 
@@ -150,7 +142,11 @@ class TestScheduledBitIdentity:
         """The broadcast-always design: a fixed trigger schedule produces
         the same results, message counts, and bits at 1, 2, and 4 shards."""
         traces = {
-            shards: run_trace(paper_system(engine=engine, shards=shards, rebalance_schedule=SCHEDULE), 10)
+            shards: run_trace(
+                paper_system(engine=engine, shards=shards, rebalance_schedule=SCHEDULE),
+                10,
+                lambda system: observe(system, ops=False),
+            )
             for shards in (1, 2, 4)
         }
         assert traces[1] == traces[2] == traces[4]
@@ -178,9 +174,7 @@ class TestScheduledBitIdentity:
         downlinks (the directive broadcasts)."""
         moving = paper_system(shards=4, rebalance_schedule=SCHEDULE)
         static = paper_system(shards=4)
-        moving_trace = run_trace(moving, 10)
-        static_trace = run_trace(static, 10)
-        assert [r for r, *_ in moving_trace] == [r for r, *_ in static_trace]
+        assert run_trace(moving, 10, RESULTS) == run_trace(static, 10, RESULTS)
 
     def test_clients_adopt_broadcast_epoch(self):
         system = paper_system(shards=2, rebalance_schedule=SCHEDULE)
@@ -203,9 +197,7 @@ class TestStaleEpochReroute:
         arrive stamped with the old epoch; the live map reroutes them."""
         moving = paper_system(shards=4, rebalance_schedule=SCHEDULE, latency=2)
         static = paper_system(shards=4, latency=2)
-        moving_trace = run_trace(moving, 10)
-        static_trace = run_trace(static, 10)
-        assert [r for r, *_ in moving_trace] == [r for r, *_ in static_trace]
+        assert run_trace(moving, 10, RESULTS) == run_trace(static, 10, RESULTS)
         assert moving.transport.stale_epoch_reroutes > 0
         assert static.transport.stale_epoch_reroutes == 0
 
@@ -255,9 +247,7 @@ class TestPolicyMode:
         a single result relative to the static twin."""
         static = paper_system(shards=4, hotspot=0.5, scale=0.02)
         moving = paper_system(shards=4, hotspot=0.5, scale=0.02, rebalance_every_steps=3)
-        static_trace = run_trace(static, 12)
-        moving_trace = run_trace(moving, 12)
-        assert [r for r, *_ in moving_trace] == [r for r, *_ in static_trace]
+        assert run_trace(moving, 12, RESULTS) == run_trace(static, 12, RESULTS)
         assert any(op["cols_moved"] for op in moving.rebalance_log)
 
         def imbalance(system):

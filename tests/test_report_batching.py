@@ -15,8 +15,8 @@ Four layers of guarantees:
   ``batch_reports`` on produces the same per-type message counts, the
   same total bits, the same query results, ``step_hash``, in-flight count
   and stale-epoch reroute count as the per-message path, across grouping
-  on/off, 1/2/4 shards, zero/nonzero latency, and with a rebalance
-  schedule moving stripes under the in-flight reports.
+  on/off, 1/2/4 shards, zero/nonzero latency, and with transfers moving
+  stripes under the in-flight reports.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from repro.core import MobiEyesConfig
 from repro.core.client import MobiEyesClient
 from repro.core.reporting import ReportBuffer
 from repro.core.server import MobiEyesServer
-from repro.core.snapshot import step_hash
 from repro.core.transport import SimulatedTransport
 from repro.geometry import Point, Rect, Vector
 from repro.grid import Grid
 from repro.mobility.model import MotionState
 from repro.network import BaseStationLayout, LatencyModel, MessageLedger
 from tests.conftest import make_object, paper_system
+from tests.test_snapshot_stateful import pinned
 
 
 def _state(x: float, y: float) -> MotionState:
@@ -267,49 +267,26 @@ def test_latency_flush_enqueues_one_uplink_envelope_per_record():
 
 
 # --------------------------------------------------------------- system level
+#
+# Batched against per-message reports: each test is one pinned draw of the
+# reference-twin machine (tests/test_snapshot_stateful.py) with a reference
+# subject, so the twins differ only in batching.  The machine compares
+# results, step_hash, every counter (in-flight hops, stale-epoch reroutes),
+# the ledger's per-type books and the per-step stats after every rule.
 
-SCHEDULE = ((3, 0, 1, 1), (6, 1, 0, 1), (9, 0, 1, 1))
-
-
-def _run(batch: bool, grouping: bool, shards: int, latency: int, steps: int = 12, **config):
-    system = paper_system(
-        seed=99,
-        shards=shards,
-        latency=latency,
-        grouping=grouping,
-        dead_reckoning_threshold=0.5,
-        batch_reports=batch,
-        **config,
-    )
-    system.run(steps)
-    ledger = system.ledger
-    return (
-        sorted((qid, tuple(sorted(oids))) for qid, oids in system.results().items()),
-        dict(ledger.counts_by_type),
-        dict(ledger.bits_by_type),
-        ledger.uplink_count,
-        ledger.uplink_bits,
-        ledger.downlink_count,
-        ledger.downlink_bits,
-        system.transport.stale_epoch_reroutes,
-        system.transport.pending_count(),
-        step_hash(system),
-    )
+STEPS = (3, 3, 3, 3)
 
 
 @pytest.mark.parametrize("grouping", [True, False])
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_batching_preserves_accounting(grouping, shards):
-    """Batched == per-message: results, per-type counts, and bit totals."""
-    assert _run(True, grouping, shards, latency=0) == _run(
-        False, grouping, shards, latency=0
-    )
+    pinned(*STEPS, shards=shards, grouping=grouping, delta=0.5)
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_batching_preserves_accounting_under_latency(shards):
     """Same identity on the deferred path (the flush replays per message)."""
-    assert _run(True, True, shards, latency=2) == _run(False, True, shards, latency=2)
+    pinned(*STEPS, shards=shards, latency=2, delta=0.5)
 
 
 @pytest.mark.parametrize("latency", [0, 2])
@@ -317,8 +294,10 @@ def test_batching_preserves_accounting_under_latency(shards):
 def test_batching_preserves_accounting_under_rebalance(shards, latency):
     """Stripes move while reports are in flight: every stale uplink is
     counted once per message, whichever way it was flushed."""
-    batched = _run(True, True, shards, latency, rebalance_schedule=SCHEDULE)
-    assert batched == _run(False, True, shards, latency, rebalance_schedule=SCHEDULE)
-    *_, reroutes, _pending, _hash = batched
+    machine = pinned(
+        2, ("transfer", 0, 1, 1), 3, ("transfer", 1, 0, 1), 3, ("transfer", 0, 1, 1), 4,
+        shards=shards, latency=latency, delta=0.5,
+    )
     if latency:
-        assert reroutes > 0  # the schedule did catch reports in flight
+        # The moves did catch reports in flight.
+        assert machine.system.transport.stale_epoch_reroutes > 0
