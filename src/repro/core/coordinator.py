@@ -34,8 +34,8 @@ server.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterator
+from itertools import chain, groupby
+from typing import Iterator, Sequence
 
 from repro.core.config import MobiEyesConfig
 from repro.core.messages import (
@@ -232,6 +232,14 @@ class Coordinator:
         if self.shards[0].tracker.leases_enabled:
             self._touch_home(oid, endpoint, row[1], None)
         self.shards[endpoint].apply_report_record(cols, i)
+
+    def apply_crossings(self, rows: Sequence[tuple]) -> None:
+        """Hand each shard its consecutive same-endpoint slice of a run of
+        non-focal cell-change records (a cell change lands on the owner of
+        its new cell), in order."""
+        shard_of = self.partitioner.shard_of_cell
+        for endpoint, run in groupby(rows, key=lambda row: shard_of(row[3])):
+            self.shards[endpoint].apply_crossings(list(run))
 
     # ---------------------------------------------------- focal handoff
 

@@ -4,20 +4,28 @@ Result, cell and velocity changes dominate uplink traffic, and one frozen
 dataclass per report is the reference path's hot spot.  Inside a *window*
 (``with transport.report_window:``) clients append one row tuple per
 report to the :class:`ReportBuffer` instead; closing the window flushes
-the rows (:meth:`repro.core.transport.SimulatedTransport.flush_reports`)
-in append order -- the order the per-message path would have sent them.
-The flush charges the ledger per record under the dataclass messages' type
+the rows (:meth:`repro.core.transport.SimulatedTransport.flush_reports`).
+The flush charges the ledger per record, in append order -- the order the
+per-message path would have sent them -- under the dataclass messages' type
 names and bit sizes (:meth:`ReportBuffer.bits_of`) and, under loss, fault
 injection or modeled latency, *rehydrates* each record and replays it
 through the ordinary uplink path, so drops, acks, delay draws and
 envelopes stay per logical message.
 
-A window never spans a point where a client's buffered send could
-influence its own later decisions: the phase loops open one per reporting
-client and one around the evaluation dispatch.
+A window never spans a point where one client's buffered send could
+influence a later client's decisions in the same window: the reporting
+loops open one per :func:`report_runs` run -- each maximal run of
+consecutive non-focal clients, and each focal client alone -- and one
+around the evaluation dispatch.  Inside a non-focal run no reaction moves
+the reverse query index or a focal state, and a cell change's install
+list touches only its sender's own table, so the flush may apply the
+run's result records first and hand its cell records to the server as
+one stage (docs/PROTOCOL.md "Report windows").
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.messages import (
     REC_CELL,
@@ -34,6 +42,32 @@ from repro.core.messages import (
 from repro.core.query import QueryId
 from repro.grid import CellIndex
 from repro.mobility.model import MotionState, ObjectId
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.client import MobiEyesClient
+
+
+def report_runs(clients: Iterable["MobiEyesClient"]) -> Iterator[list["MobiEyesClient"]]:
+    """The report windows of one reporting phase over ``clients`` (in
+    ascending object id): each maximal run of consecutive non-focal clients
+    (``has_mq`` False), and each focal client alone.
+
+    A focal crossing moves the reverse query index and broadcasts to
+    receivers by their ``last_cell``, which a later client's own crossing
+    reads, so a run stops there.  Lazily generated: a client's ``has_mq``
+    is read after every earlier window has flushed.
+    """
+    run: list["MobiEyesClient"] = []
+    for client in clients:
+        if client.has_mq:
+            if run:
+                yield run
+                run = []
+            yield [client]
+        else:
+            run.append(client)
+    if run:
+        yield run
 
 
 class ReportBuffer:

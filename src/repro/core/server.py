@@ -12,7 +12,9 @@ broadcast (the paper's Section 4.1 grouping) is :meth:`MobiEyesServer._groups`.
 
 Reports reach the handlers two ways: ``on_uplink`` takes a message
 dataclass apart, ``apply_report_record`` unpacks one row of a flushed
-report window; both call the same record-level handlers.
+report window; both call the same record-level handlers.  A flushed
+window's non-focal cell changes arrive together at ``apply_crossings``,
+the stage the record-level cell handler calls with a run of one.
 
 Server load is measured by a :class:`~repro.core.load.LoadAccount`: the
 wall-clock time spent inside the server's handlers (the same "time spent
@@ -33,7 +35,7 @@ benchmark's tracer wraps those instance attributes by name.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 ResultCallback = Callable[["QueryId", "ObjectId", bool], None]
 
@@ -473,38 +475,53 @@ class MobiEyesServer:
         new_cell: CellIndex,
         state: MotionState | None,
     ) -> None:
-        """Handle an object that crossed into a new grid cell (Section 3.5)."""
+        """Handle an object that crossed into a new grid cell (Section 3.5):
+        the focal half here, the install list as a run of one through
+        :meth:`apply_crossings`.  The focal's region refresh moves only its
+        own queries in the RQI, which its install list never names, so the
+        two halves read the same tables in either order."""
         self._acquire_focal(oid)
+        focal_updates: list[tuple[object, list[SqtEntry]]] = []
         with self.load.timed():
             if state is not None and oid in self.tracker:
                 self.tracker.update_state(oid, state)
-            new_queries = self._new_queries_for(oid, prev_cell, new_cell)
-            focal_updates: list[tuple[object, list[SqtEntry]]] = []
             if self.registry.is_focal(oid):
                 focal_updates = self._refresh_focal_regions(oid, new_cell)
-
-        if new_queries:
-            self.transport.send(
-                oid,
-                QueryInstallList(
-                    oid=oid,
-                    queries=tuple(self._descriptor(e) for e in new_queries),
-                ),
-            )
+        self.apply_crossings(((oid, state, prev_cell, new_cell),))
         for combined_region, group in focal_updates:
             self.transport.broadcast(
                 combined_region,
                 QueryUpdateBroadcast(queries=tuple(self._descriptor(e) for e in group)),
             )
 
-    def _new_queries_for(
-        self, oid: ObjectId, prev_cell: CellIndex, new_cell: CellIndex
-    ) -> list[SqtEntry]:
-        """Queries newly covering the object's cell (RQI difference)."""
-        fresh = self._fresh_queries_at(prev_cell, new_cell)
-        self.load.ops += 1
-        # The object never monitors its own queries (it is their focal).
-        return [entry for qid in fresh if (entry := self._entry_of(qid)).oid != oid]
+    def apply_crossings(self, rows: Sequence[tuple]) -> None:
+        """The non-focal half of the cell-change reaction, for a run of
+        cell-change records ``(oid, state, prev_cell, new_cell)`` in order:
+        each sender's install list holds the queries newly covering its
+        cell -- the RQI difference, less its own queries -- and the lists
+        go to the transport together.
+
+        A flushed report window hands over its non-focal records here as
+        one stage; :meth:`_on_cell_change_rec` hands over a run of one.
+        Nothing here moves the RQI, the SQT or the FOT, so the records of
+        a run react independently of each other.
+        """
+        lists: list[tuple[ObjectId, list[SqtEntry]]] = []
+        with self.load.timed():
+            for oid, _state, prev_cell, new_cell in rows:
+                fresh = self._fresh_queries_at(prev_cell, new_cell)
+                self.load.ops += 1
+                # The object never monitors its own queries (it is their focal).
+                entries = [entry for qid in fresh if (entry := self._entry_of(qid)).oid != oid]
+                if entries:
+                    lists.append((oid, entries))
+        if lists:
+            self.transport.send_each(
+                [
+                    (oid, QueryInstallList(oid=oid, queries=tuple(map(self._descriptor, entries))))
+                    for oid, entries in lists
+                ]
+            )
 
     def _refresh_focal_regions(
         self, oid: ObjectId, new_cell: CellIndex

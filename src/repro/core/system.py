@@ -37,6 +37,7 @@ from repro.core.config import MobiEyesConfig
 from repro.core.load import LoadAccount, read_counters
 from repro.core.messages import RebalanceDirective, ResyncDirective
 from repro.core.query import QueryId, QuerySpec
+from repro.core.reporting import report_runs
 from repro.core.server import STATIC_BEACON_STEPS, MobiEyesServer
 from repro.core.snapshot import capture_basis, decode_basis
 from repro.core.transport import SimulatedTransport
@@ -487,15 +488,17 @@ class MobiEyesSystem:
         if self._fastpath is not None:
             self._fastpath.reporting_phase(clock)
         else:
-            # With batched reporting, one report window per client: the
-            # client's own sends are buffered, then flushed (window closed)
-            # before the next client reports -- so server reactions
-            # interleave exactly as on the per-message path.
+            # With batched reporting, one report window per run of
+            # consecutive non-focal clients and one per focal client: the
+            # window flushes (closed) before the next one opens, so every
+            # reaction that can reach a later client's report has run
+            # before that client reports -- as on the per-message path.
             window = self.transport.report_window
             clients = self.clients
-            for oid in self._client_order:
+            for run in report_runs(clients[oid] for oid in self._client_order):
                 with window:
-                    clients[oid].report_phase(clock)
+                    for client in run:
+                        client.report_phase(clock)
         if self.config.propagation.is_lazy and clock.step % STATIC_BEACON_STEPS == 0:
             self.server.beacon_static_queries()
 

@@ -36,6 +36,7 @@ from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol
 
+from repro.core.messages import REC_CELL
 from repro.core.reporting import ReportBuffer
 from repro.geometry import Point
 from repro.grid import CellIndex, CellRange, CellRangeUnion, Grid
@@ -521,8 +522,12 @@ class SimulatedTransport:
           ``batch_reports=False`` runs -- keeping drop rolls, acks,
           retransmissions, delay draws and envelopes per logical message.
         - **Inline records** (everything else): records are charged to
-          the ledger and applied to the server row by row -- no
-          dataclass, no envelope.
+          the ledger in append order -- no dataclass, no envelope -- and
+          applied to the server row by row, except the non-focal cell
+          changes (no motion state), which go to the server afterwards as
+          one stage (``apply_crossings``).  A report window holds those
+          only for a run of non-focal clients, whose result records and
+          cell reactions commute (core/reporting.py).
         """
         n = len(buf.kind)
         if n == 0:
@@ -544,14 +549,22 @@ class SimulatedTransport:
         ledger = self.ledger
         trace = self.trace
         step = self._step
+        kinds = buf.kind
         rows = buf.rows
+        crossings = []
         for i in range(n):
             name = buf.kind_name_of(i)
-            oid = rows[i][0]
+            row = rows[i]
+            oid = row[0]
             ledger.record_uplink(name, buf.bits_of(i), sender=oid)
             if trace is not None:
                 trace.record(step, "uplink", type=name, oid=oid)
-            apply_record(buf, i)
+            if kinds[i] == REC_CELL and row[1] is None:
+                crossings.append(row)
+            else:
+                apply_record(buf, i)
+        if crossings:
+            server.apply_crossings(crossings)
         buf.clear()
 
     def send(self, oid: ObjectId, message: object) -> bool | None:
@@ -568,6 +581,24 @@ class SimulatedTransport:
         if self.trace is not None:
             self.trace.record(self._step, "send", type=type(message).__name__, oid=oid)
         return self._deliver((oid,), message)
+
+    def send_each(self, sends: list[tuple[ObjectId, object]]) -> None:
+        """Server -> several objects, one message each, in list order.
+
+        Each message is charged as its own :meth:`send` would charge it.
+        A message the vectorized fan-out takes inline (under its broadcast
+        decline rules) is applied to its addressee by the fan-out's
+        appliers; any other goes through the ordinary :meth:`send`.
+        """
+        fanout = self.fanout
+        for oid, message in sends:
+            if fanout is not None and fanout.takes_inline(message):
+                self.ledger.record_downlink(
+                    type(message).__name__, message.bits, receivers=(oid,), broadcasts=1
+                )
+                fanout.apply(message, {oid})
+            else:
+                self.send(oid, message)
 
     def broadcast(self, region: Iterable[CellIndex], message: object) -> int:
         """Server -> the objects of a grid-cell region.

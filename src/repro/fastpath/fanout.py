@@ -12,6 +12,8 @@ per-receiver table poke that can be applied in bulk:
 - ``QueryInstallBroadcast`` / ``QueryUpdateBroadcast``: refresh or drop
   the entry of each holding receiver, install on covered non-holders.
 - ``QueryRemoveBroadcast``: drop the entry of each holding receiver.
+- ``QueryInstallList``, the unicast a cell change earns: the install /
+  refresh of the query broadcasts, for a receiver set of one.
 
 :class:`BroadcastFanout` reads the query-id -> holders index the batch
 evaluator maintains inside its ``lqt_changed`` table hook, so a broadcast
@@ -22,7 +24,9 @@ set as it is).
 
 One :meth:`BroadcastFanout.apply` serves both clocks.  Inline,
 :meth:`~BroadcastFanout.try_broadcast` charges the ledger and applies
-the broadcast to its covered set at send time.  Under modeled latency
+the broadcast to its covered set at send time, and the transport's
+``send_each`` does the same for each install list of a stage and its
+addressee.  Under modeled latency
 the transport parks each broadcast's surviving receivers as one run per
 drawn delay (loss already rolled at send), and when the run opens in the
 delivery phase the transport hands it to ``apply`` as a set.
@@ -51,6 +55,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.messages import (
     QueryInstallBroadcast,
+    QueryInstallList,
     QueryRemoveBroadcast,
     QueryUpdateBroadcast,
     VelocityChangeBroadcast,
@@ -80,6 +85,8 @@ class BroadcastFanout:
             QueryInstallBroadcast: self._apply_query,
             QueryUpdateBroadcast: self._apply_query,
             QueryRemoveBroadcast: self._apply_remove,
+            # A unicast: its receiver set is its one addressee.
+            QueryInstallList: self._apply_query,
         }
 
     # ------------------------------------------------------------ dispatch
@@ -88,19 +95,12 @@ class BroadcastFanout:
         """Send one region broadcast and apply it inline, in bulk; False
         declines to the transport's per-receiver path (which, under
         deferred delivery, parks the runs :meth:`apply` takes later)."""
-        transport = self.transport
-        if (
-            transport.loss is not None
-            or transport.reliability is not None
-            or transport.trace is not None
-            or transport.latency_active
-            or not self.accepts(message)
-        ):
+        if not self.takes_inline(message):
             return False
         # Looked up through the instance at call time: the index's three
         # reads are the seams an outside tracer wraps by name.
         receivers = self.coverage.receiver_mask(station_ids, region)
-        transport.ledger.record_downlink(
+        self.transport.ledger.record_downlink(
             type(message).__name__,
             message.bits,
             receivers=receivers,
@@ -109,11 +109,24 @@ class BroadcastFanout:
         self.apply(message, receivers)
         return True
 
+    def takes_inline(self, message) -> bool:
+        """Whether ``message`` can be applied in bulk at send time: it
+        :meth:`accepts` it, and no loss roll, reliability sequencing, trace
+        record or deferred delivery needs the per-receiver path."""
+        transport = self.transport
+        return not (
+            transport.loss is not None
+            or transport.reliability is not None
+            or transport.trace is not None
+            or transport.latency_active
+        ) and self.accepts(message)
+
     def accepts(self, message) -> bool:
-        """Whether ``message`` can be applied in bulk: a broadcast type
-        with an applier, every radio attached, and no lazy-propagation
-        descriptors (a receiver may install from those; the scalar
-        handler keeps that path)."""
+        """Whether ``message`` can be applied in bulk: a type with an
+        applier (the region broadcasts, and the install list a cell change
+        earns), every radio attached, and no lazy-propagation descriptors
+        (a receiver may install from those; the scalar handler keeps that
+        path)."""
         if type(message) not in self._appliers:
             return False
         if len(self.transport._clients) != self.store.n:

@@ -10,9 +10,11 @@ model's own ``advance``, which the system calls on either engine):
 - *reporting*: a vectorized cell-crossing scan picks the candidate objects
   (cell changed, or focal and therefore subject to the dead-reckoning
   check); only candidates run their scalar protocol reactions, strictly in
-  ascending object-id order so mid-phase broadcasts interleave exactly as
-  in the reference loop.  Non-candidates provably do nothing in the
-  reference loop, so skipping them is unobservable.
+  ascending object-id order and in report windows by the reference loop's
+  rule (one per run of non-focal candidates, one per focal candidate) so
+  mid-phase broadcasts interleave exactly as in the reference loop.
+  Non-candidates provably do nothing in the reference loop, so skipping
+  them is unobservable.
 - *evaluation*: one system-wide :class:`BatchEvaluator` pass.
 
 The *delivery* phase is not vectorized: deferred envelopes (nonzero
@@ -36,6 +38,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
+from repro.core.reporting import report_runs
 from repro.fastpath.coverage import VectorizedCoverageIndex
 from repro.fastpath.evaluator import BatchEvaluator
 from repro.fastpath.fanout import BroadcastFanout
@@ -133,25 +136,26 @@ class FastpathRuntime:
         cell_i = store.cell_i
         cell_j = store.cell_j
         threshold = self.system.config.dead_reckoning_threshold
-        # With batched reporting, one report window per candidate (mirrors
-        # the reference engine's per-client window): the candidate's sends
-        # are buffered and flush before the next candidate runs.
+        # With batched reporting, one report window per run of consecutive
+        # non-focal candidates and one per focal candidate (the reference
+        # engine's rule, core/reporting.py::report_runs): a window flushes
+        # before the next one opens.
         window = self.system.transport.report_window
-        for oid in sorted(candidates):
-            client = clients[oid]
-            row = row_of[oid]
-            new_cell = (int(cell_i[row]), int(cell_j[row]))
+        for run in report_runs(clients[oid] for oid in sorted(candidates)):
             with window:
-                if new_cell != client.last_cell:
-                    # Keep the scan's mirror of `last_cell` in step (the
-                    # handler sets the attribute as its first statement).
-                    self.last_i[row] = new_cell[0]
-                    self.last_j[row] = new_cell[1]
-                    client._handle_own_cell_change(new_cell, now)
-                if client.has_mq:
-                    deviation = client.obj.pos.distance_to(client._relayed_state.predict(now))
-                    if deviation > threshold:
-                        client._relay_motion_state(now)
+                for client in run:
+                    row = row_of[client.oid]
+                    new_cell = (int(cell_i[row]), int(cell_j[row]))
+                    if new_cell != client.last_cell:
+                        # Keep the scan's mirror of `last_cell` in step (the
+                        # handler sets the attribute as its first statement).
+                        self.last_i[row] = new_cell[0]
+                        self.last_j[row] = new_cell[1]
+                        client._handle_own_cell_change(new_cell, now)
+                    if client.has_mq:
+                        deviation = client.obj.pos.distance_to(client._relayed_state.predict(now))
+                        if deviation > threshold:
+                            client._relay_motion_state(now)
 
     def evaluation_phase(self, clock: "SimulationClock") -> None:
         """One batched pass over every client's local query table."""

@@ -1,6 +1,6 @@
 """Properties of the buffered report pipeline.
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 - *Wire-size identity* (unit level): a buffered record's ledger size
   equals the size of the dataclass message it replaces -- buffering never
@@ -11,6 +11,9 @@ Four layers of guarantees:
 - *Window protocol* (unit level): ``with transport.report_window:`` closes
   the window before it flushes, flushes nothing after a raise, and is a
   no-op without batching.
+- *Window rule* (system level): the reporting phase flushes once per run
+  of consecutive non-focal crossings, and a run stops at a focal client
+  (the boundary case, graded against the per-message twin).
 - *Accounting identity* (system level): a simulation run with
   ``batch_reports`` on produces the same per-type message counts, the
   same total bits, the same query results, ``step_hash``, in-flight count
@@ -26,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import MobiEyesConfig
 from repro.core.client import MobiEyesClient
+from repro.core.messages import REC_CELL
 from repro.core.reporting import ReportBuffer
 from repro.core.server import MobiEyesServer
 from repro.core.transport import SimulatedTransport
@@ -33,8 +37,8 @@ from repro.geometry import Point, Rect, Vector
 from repro.grid import Grid
 from repro.mobility.model import MotionState
 from repro.network import BaseStationLayout, LatencyModel, MessageLedger
-from tests.conftest import make_object, paper_system
-from tests.test_snapshot_stateful import pinned
+from tests.conftest import circle_query, make_object, make_system, observe, paper_system
+from tests.test_snapshot_stateful import ENGINES, pinned
 
 
 def _state(x: float, y: float) -> MotionState:
@@ -287,6 +291,88 @@ def test_batching_preserves_accounting(grouping, shards):
 def test_batching_preserves_accounting_under_latency(shards):
     """Same identity on the deferred path (the flush replays per message)."""
     pinned(*STEPS, shards=shards, latency=2, delta=0.5)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_focal_crossing_closes_the_report_window_before_a_watcher_crosses(engine):
+    """The run boundary.  F (oid 0) carries a radius-4.5 circle whose
+    monitoring region spans columns 4-6 while F is in column 5 and 5-7 once
+    it is in column 6; B (oid 1, no queries) stands in column 6 inside the
+    circle.  In step 2 both cross east: F into column 6, B from column 6
+    (in the old and the new region) into column 7 (only in the new one).
+
+    Client by client, F's ``QueryUpdateBroadcast`` refreshes B's entry
+    before B reports, so B keeps q as a target and sends nothing.  A window
+    spanning F would let B drop q on a hull miss (a leave report), F's
+    broadcast reinstall it, and the evaluation re-enter it: two extra
+    uplinks against the per-message twin."""
+    systems = []
+    for batch in (True, False):
+        objects = [
+            make_object(0, 28.9, 27.5, vx=120.0, max_speed=300.0),  # F: 1 mile a step
+            make_object(1, 31.7, 27.5, vx=216.0, max_speed=300.0),  # B: 1.8 miles a step
+        ]
+        system = make_system(objects, engine=engine, batch_reports=batch)
+        system.install_query(circle_query(0, 4.5))
+        systems.append(system)
+    batched, twin = systems
+    (qid,) = batched.server.sqt.ids()
+    for step, cells in ((1, [(5, 5), (6, 5)]), (2, [(6, 5), (7, 5)])):
+        for system in systems:
+            system.step()
+            assert [system.client(oid).last_cell for oid in (0, 1)] == cells
+            assert system.result(qid) == {1}
+            assert system.client(1).lqt.get(qid).is_target
+        assert observe(batched) == observe(twin), f"step {step}"
+    assert batched.ledger.counts_by_type["ResultChangeReport"] == 1  # B's one entry
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_reporting_flushes_once_per_run_of_non_focal_crossings(engine):
+    """Six objects cross east in step 1, oid 3 the focal of a query: the
+    reporting phase flushes the cell records of 0-2, of 3 alone, then of
+    4 and 5 -- one flush per run, not one per crossing client."""
+    objects = [make_object(oid, 24.9, 2.5 + 5 * oid, vx=60.0) for oid in range(6)]
+    system = make_system(objects, engine=engine)
+    system.install_query(circle_query(3, 1.0))
+    transport = system.transport
+    flush = transport.flush_reports
+    runs = []
+
+    def watch(buf):
+        runs.append([row[0] for kind, row in zip(buf.kind, buf.rows) if kind == REC_CELL])
+        flush(buf)
+
+    transport.flush_reports = watch
+    system.step()
+    assert [run for run in runs if run] == [[0, 1, 2], [3], [4, 5]]
+    assert all(client.last_cell[0] == 5 for client in system.clients.values())
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_batched_crossing_runs_match_the_reference(engine, shards):
+    """An exact, crossing-dense draw: the reporting phase flushes runs of
+    three and more non-focal crossings whose install lists are not empty,
+    and the subject stays in lockstep with the per-message reference."""
+    runs = []  # per flush of >= 3 non-focal crossings: install lists sent
+
+    def watch(machine):
+        transport = machine.system.transport
+        books = machine.system.ledger.counts_by_type
+        flush = transport.flush_reports
+
+        def counted(buf):
+            run = sum(kind == REC_CELL and row[1] is None for kind, row in zip(buf.kind, buf.rows))
+            sent = books["QueryInstallList"]
+            flush(buf)
+            if run >= 3:
+                runs.append(books["QueryInstallList"] - sent)
+
+        transport.flush_reports = counted
+
+    pinned(watch, 4, 4, engine=engine, shards=shards, exact=True, seed=3)
+    assert runs and max(runs) > 0
 
 
 @pytest.mark.parametrize("latency", [0, 2])
