@@ -24,9 +24,8 @@ acknowledges it to the sender).
 Every message class declares a ``reliable`` flag.  Reliable messages are
 the control-plane exchanges that must not silently half-complete (query
 installation round trips, role notifications, and the recovery protocol);
-under the plain :class:`~repro.network.loss.LossModel` they are simply
-exempt from loss, while the fault-injection stack
-(:mod:`repro.faults`) delivers them through a real ack/retransmit loop.
+the fault-injection stack (:mod:`repro.faults`), the one loss seam,
+delivers them through a real ack/retransmit loop.
 """
 
 from __future__ import annotations

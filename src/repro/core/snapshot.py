@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Wire-format version.  Bump on any layout change: the header, a payload
 #: key, an owner's ``CHECKPOINT_FIELDS``, a field of a payload class.
-CHECKPOINT_VERSION = 13
+CHECKPOINT_VERSION = 14
 
 #: Largest payload a checkpoint may hold, checked before anything is
 #: hashed or decoded (Table 1 at full scale is ~6 MB).
@@ -148,7 +148,6 @@ _ALLOWED_GLOBALS = {
     "repro.metrics.collectors": "StepStats",
     "repro.mobility.model": "MotionState MovingObject",
     "repro.network.latency": "LatencyModel",
-    "repro.network.loss": "LossModel",
     "repro.sim.rng": "SimulationRng",
     "repro.workload.filters": "ClassThresholdFilter",
 }
@@ -263,9 +262,9 @@ def _check_shape(p: Any) -> None:
             type(sid) is not int or not 0 <= sid < len(sections) for sid in order
         ):
             raise ValueError(f"checkpoint stripe order {order!r} does not fit the fleet")
-    # The transport builds a reliability layer exactly when the loss seam
-    # is an injector (which travels as a dict).
-    if (p["reliability"] is not None) != isinstance(loss, dict):
+    # The transport builds a reliability layer exactly when a fault
+    # injector is attached.
+    if (p["reliability"] is None) != (loss is None):
         raise ValueError("checkpoint reliability state does not match its loss seam")
     try:
         oids = [obj.oid for obj in p["objects"]]
@@ -280,7 +279,7 @@ def _check_shape(p: Any) -> None:
         ("transport", p["transport"], SimulatedTransport),
         ("ledger", p["ledger"], MessageLedger),
         ("reliability", p["reliability"], ReliabilityLayer),
-        ("injector", loss if isinstance(loss, dict) else None, FaultInjector),
+        ("injector", loss, FaultInjector),
         ("service", p["service"], MobiEyesService),
         ("rebalance policy", p["rebalance_policy"], RebalancePolicy),
         ("system", p["system"], MobiEyesSystem),
@@ -336,15 +335,6 @@ def _capture_clients(system: "MobiEyesSystem") -> dict[int, dict[str, Any]]:
             **export_state(client),
         }
     return out
-
-
-def _capture_loss(system: "MobiEyesSystem") -> Any:
-    """The loss seam's state.  A :class:`~repro.faults.injector.FaultInjector`
-    travels as a dict of its data attributes (its position locator is a
-    closure over the live clients) and is rebuilt and re-bound at restore;
-    a plain loss model has no wiring into the system and travels as-is."""
-    loss = system.transport.loss
-    return export_state(loss) if getattr(loss, "policy", None) is not None else loss
 
 
 def _capture_partition(system: "MobiEyesSystem") -> dict[str, Any] | None:
@@ -405,7 +395,10 @@ def checkpoint(system: "MobiEyesSystem") -> Checkpoint:
         "track_accuracy": system.track_accuracy,
         "warmup_steps": system.metrics.warmup_steps,
         "latency": system.latency,
-        "loss": _capture_loss(system),
+        # The fault injector as a dict of its data attributes (its position
+        # locator is a closure over the live clients), rebuilt and re-bound
+        # at restore.
+        "loss": export_state(system.transport.loss),
         "server": _capture_server(system),
         # Partition state must restore *before* the server graft: grafted
         # RQI registrations split monitoring regions by the live map.
@@ -434,9 +427,9 @@ def checkpoint(system: "MobiEyesSystem") -> Checkpoint:
 # ------------------------------------------------------------------ restore
 
 
-def _rebuild_loss(data: Any):
-    if not isinstance(data, dict):
-        return data
+def _rebuild_loss(data: dict[str, Any] | None):
+    if data is None:
+        return None
     from repro.faults.injector import FaultInjector
 
     injector = FaultInjector(data["rng"])

@@ -30,7 +30,7 @@ caller's, moved in place; on the vectorized one views over its store.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.client import EvalCounters, MobiEyesClient
 from repro.core.config import MobiEyesConfig
@@ -48,12 +48,14 @@ from repro.mobility.model import MovingObject, ObjectId
 from repro.mobility.motion import MotionModel
 from repro.network.basestation import BaseStationLayout
 from repro.network.latency import LatencyModel
-from repro.network.loss import LossModel
 from repro.network.messaging import MessageLedger
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import SimulationRng
 from repro.sim.trace import TraceLog
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.injector import FaultInjector
 
 
 class MobiEyesSystem:
@@ -75,7 +77,7 @@ class MobiEyesSystem:
         track_accuracy: bool = False,
         trace: TraceLog | None = None,
         warmup_steps: int = 0,
-        loss: LossModel | None = None,
+        loss: FaultInjector | None = None,
         motion: MotionModel | None = None,
         latency: LatencyModel | None = None,
     ) -> None:
@@ -137,7 +139,6 @@ class MobiEyesSystem:
         self.focal_flags: set[ObjectId] = set()
         for client in self.clients.values():
             client.focal_registry = self.focal_flags
-        self._fault_injector = None
         # The server tables as bytes (snapshot.capture_basis), retaken every
         # ``checkpoint_every_steps``: what a crashed shard is rebuilt from.
         self.recovery_basis: bytes | None = None
@@ -157,11 +158,10 @@ class MobiEyesSystem:
             # count too: split a persistently hot stripe into a spawned
             # shard, merge a persistently cold one away.
             self._rebalance_policy = RebalancePolicy(config.elastic_max_shards)
-        if getattr(loss, "policy", None) is not None:
+        if loss is not None:
             # Fault injection: bind the injector to live positions (and to
             # the coordinator's dead set), turn on server leases, and give
             # every client the fault policy (heartbeats and resync).
-            self._fault_injector = loss
             uplink_dead = getattr(self.server, "uplink_dead", None)
             loss.bind(self.layout, lambda oid: self.clients[oid].obj.pos, uplink_dead)
             self.server.enable_leases(loss.policy.lease_steps)
@@ -202,7 +202,7 @@ class MobiEyesSystem:
         self.engine.register("movement", self._movement_phase)
         self.engine.register("reporting", self._reporting_phase)
         self.engine.register("delivery", self._delivery_phase)
-        if self._fault_injector is not None:
+        if loss is not None:
             self.engine.register("server", self._fault_phase)
         self.engine.register("evaluation", self._evaluation_phase)
         self.engine.register("measurement", self._measurement_phase)
@@ -292,7 +292,7 @@ class MobiEyesSystem:
         }
         for name, owner in (
             ("reliability", transport.reliability),
-            ("injector", self._fault_injector),
+            ("injector", transport.loss),
             ("service", self._service),
         ):
             if owner is not None:

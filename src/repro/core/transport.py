@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol
 
 from repro.core.messages import REC_CELL
 from repro.core.reporting import ReportBuffer
@@ -43,9 +43,11 @@ from repro.grid import CellIndex, CellRange, CellRangeUnion, Grid
 from repro.mobility.model import ObjectId
 from repro.network.basestation import BaseStationId, BaseStationLayout
 from repro.network.latency import LatencyModel
-from repro.network.loss import LossModel
 from repro.network.messaging import MessageLedger
 from repro.sim.trace import TraceLog
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.injector import FaultInjector
 
 # Envelope sender key for server-originated traffic.  Object ids are
 # non-negative, so the server's messages sort first within a step.
@@ -197,13 +199,12 @@ class _ReportWindow:
 class SimulatedTransport:
     """Routes protocol messages, accounting them in a message ledger.
 
-    When ``loss`` is a :class:`~repro.faults.injector.FaultInjector`
-    (recognized by its ``policy`` attribute) the transport activates the
-    real reliability machinery: messages whose class declares
-    ``reliable = True`` go through the ack/retransmit layer instead of
-    the loss-exemption shortcut, and every downlink delivered to (or
-    dropped for) a registered client bumps that client's sequence number
-    so receivers can detect the traffic they missed.
+    The loss seam is a :class:`~repro.faults.injector.FaultInjector` or
+    None.  An injector activates the reliability machinery with it:
+    messages whose class declares ``reliable = True`` go through the
+    ack/retransmit layer, and every downlink delivered to (or dropped
+    for) a registered client bumps that client's sequence number so
+    receivers can detect the traffic they missed.
     """
 
     #: Lifetime counters (core/load.py): hops opened by the delivery phase
@@ -224,14 +225,14 @@ class SimulatedTransport:
         grid: Grid,
         ledger: MessageLedger,
         trace: TraceLog | None = None,
-        loss: LossModel | None = None,
+        loss: FaultInjector | None = None,
     ) -> None:
         self.layout = layout
         self.ledger = ledger
         self.trace = trace
         self.loss = loss
         self.reliability = None
-        if getattr(loss, "policy", None) is not None:
+        if loss is not None:
             from repro.faults.reliability import ReliabilityLayer
 
             self.reliability = ReliabilityLayer(self, loss)
@@ -515,8 +516,8 @@ class SimulatedTransport:
         ordinary inline path, exactly where the per-message pipeline would
         have sent it.  Two modes, chosen once per flush:
 
-        - **Replay** (a loss model or the reliability layer is active,
-          hops are deferred by modeled latency, or the server has no
+        - **Replay** (a fault injector is attached, hops are deferred by
+          modeled latency, or the server has no
           ``apply_report_record``): every record is rehydrated into its
           dataclass and sent through :meth:`uplink` -- the path
           ``batch_reports=False`` runs -- keeping drop rolls, acks,
@@ -536,12 +537,7 @@ class SimulatedTransport:
         if server is None:
             raise RuntimeError("no server attached to transport")
         apply_record = getattr(server, "apply_report_record", None)
-        if (
-            self.loss is not None
-            or self.reliability is not None
-            or apply_record is None
-            or self.latency_active
-        ):
+        if self.loss is not None or apply_record is None or self.latency_active:
             for i in range(n):
                 self.uplink(buf.rehydrate(i))
             buf.clear()

@@ -21,9 +21,9 @@ from repro.core.load import load_balance
 from repro.experiments.figures import LAZY, alpha_sweep
 from repro.experiments.registry import experiment
 from repro.experiments.runner import RunTable, run_centralized, run_mobieyes
-from repro.faults import DisconnectWindow, FaultInjector, FaultSchedule, GilbertElliottChannel
+from repro.faults import DisconnectWindow, FaultInjector, FaultSchedule
+from repro.faults.channels import mean_rate_channel
 from repro.mobility import MotionModel, RandomWaypointModel
-from repro.network.loss import LossModel
 from repro.scenario import build_system, result_digest
 from repro.sim.rng import SimulationRng
 from repro.workload import SimulationParameters
@@ -98,23 +98,23 @@ def ablation_propagation(runs: RunTable, params: SimulationParameters):
 @experiment("ablation-loss", "Result error vs wireless message loss (iid, burst, disconnections)")
 def ablation_loss(runs: RunTable, params: SimulationParameters):
     """Extension (the paper assumes reliable delivery): query-result error
-    under three failure models. ``iid``: independent Bernoulli loss on
-    uplink messages and per-receiver downlink deliveries (control-plane
-    messages stay loss-exempt); staleness heals at the next velocity-change
-    broadcast or cell crossing, so the error grows gracefully with the loss
-    rate and zero loss is exact. ``burst``: Gilbert-Elliott channels with
-    the same stationary mean, through the fault-injection subsystem --
-    reliable messages are really retransmitted (and paid for) instead of
-    exempted, and the recovery protocol (sequence gaps, heartbeats, resync)
-    heals the bursts. ``disconnect``: no channel loss; every 7th object
-    drops off the air for the middle third of the run, exercising carrier
-    sensing, the server's soft-state leases and resync-on-reconnect.
+    under three failure models, all through the fault-injection subsystem,
+    so every row runs one reliability rule: control-plane messages are
+    really retransmitted (and paid for, acks and heartbeats included), and
+    the recovery protocol (sequence gaps, heartbeats, resync) heals what
+    is lost. ``iid``: independent Bernoulli loss on uplink messages and
+    per-receiver downlink deliveries; the error grows gracefully with the
+    loss rate and zero loss is exact. ``burst``: Gilbert-Elliott channels
+    with the same stationary mean. ``disconnect``: no channel loss; every
+    7th object drops off the air for the middle third of the run,
+    exercising carrier sensing, the server's soft-state leases and
+    resync-on-reconnect.
     """
     steps = runs.steps
 
-    def run_one(loss, arm=None) -> MobiEyesSystem:
+    def run_one(injector: FaultInjector, arm=None) -> MobiEyesSystem:
         system, _, _ = build_system(
-            params, track_accuracy=True, warmup_steps=runs.warmup, loss=loss
+            params, track_accuracy=True, warmup_steps=runs.warmup, loss=injector
         )
         if arm is not None:
             arm()  # channels attach after installation (deployment is clean)
@@ -132,23 +132,18 @@ def ablation_loss(runs: RunTable, params: SimulationParameters):
         )
 
     rows = []
-    # Independent loss baseline (rows first: downstream tooling slices on
-    # the "model" column, order keeps old eyeballs working too).
-    for rate in (0.0, 0.05, 0.1, 0.2, 0.4):
-        loss = LossModel(
-            SimulationRng(params.seed).fork(3), uplink_loss_rate=rate, downlink_loss_rate=rate
-        )
-        rows.append(row("iid", rate, run_one(loss), loss))
-    # Burst loss through the fault-injection subsystem (matched means).
-    for rate in (0.05, 0.1):
-        channel_rng = SimulationRng(params.seed).fork(3)
-        injector = FaultInjector(channel_rng)
+    # Channel loss on both links: independent rows first, then bursts with
+    # matched means.
+    for model, rates in (("iid", (0.0, 0.05, 0.1, 0.2, 0.4)), ("burst", (0.05, 0.1))):
+        for rate in rates:
+            channel_rng = SimulationRng(params.seed).fork(3)
+            injector = FaultInjector(channel_rng)
 
-        def arm(injector=injector, channel_rng=channel_rng, rate=rate):
-            injector.uplink_channel = GilbertElliottChannel.with_mean_rate(channel_rng, rate)
-            injector.downlink_channel = GilbertElliottChannel.with_mean_rate(channel_rng, rate)
+            def arm(injector=injector, rng=channel_rng, rate=rate, burst=model == "burst"):
+                injector.uplink_channel = mean_rate_channel(rng, rate, burst)
+                injector.downlink_channel = mean_rate_channel(rng, rate, burst)
 
-        rows.append(row("burst", rate, run_one(injector, arm), injector))
+            rows.append(row(model, rate, run_one(injector, arm), injector))
     # Scheduled disconnections: every 7th object off the air for the
     # middle third of the run, no channel loss.
     schedule = FaultSchedule(

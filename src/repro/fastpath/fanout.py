@@ -111,12 +111,12 @@ class BroadcastFanout:
 
     def takes_inline(self, message) -> bool:
         """Whether ``message`` can be applied in bulk at send time: it
-        :meth:`accepts` it, and no loss roll, reliability sequencing, trace
-        record or deferred delivery needs the per-receiver path."""
+        :meth:`accepts` it, and no loss roll or reliability sequencing (a
+        fault injector), trace record or deferred delivery needs the
+        per-receiver path."""
         transport = self.transport
         return not (
             transport.loss is not None
-            or transport.reliability is not None
             or transport.trace is not None
             or transport.latency_active
         ) and self.accepts(message)

@@ -9,9 +9,9 @@ deployment faces:
 - :mod:`~repro.faults.schedule` -- scriptable deterministic fault
   schedules: per-object disconnection windows, base-station outages,
   and server-shard crash windows.
-- :mod:`~repro.faults.injector` -- :class:`FaultInjector`, a drop-in for
-  :class:`~repro.network.loss.LossModel` that combines schedule faults
-  with a channel and does *not* exempt reliable messages.
+- :mod:`~repro.faults.injector` -- :class:`FaultInjector`, the system's
+  one loss seam: schedule faults plus a channel per link, with no
+  exemption for reliable messages.
 - :mod:`~repro.faults.reliability` -- the ack/retransmit protocol that
   earns reliability instead: one exchange state machine whose every hop
   is inline or deferred as the transport's latency model says, bounded

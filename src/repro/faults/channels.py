@@ -1,12 +1,12 @@
 """Loss channels: per-roll stochastic processes deciding packet drops.
 
 A channel answers one question -- "is this transmission lost?" -- and may
-carry state between rolls.  :class:`BernoulliChannel` reproduces the
-independent loss of :class:`~repro.network.loss.LossModel`;
-:class:`GilbertElliottChannel` is the classic two-state Markov burst-loss
-model (a *good* state with rare drops and a *bad* state where most
-transmissions die), which is how cellular links actually fail: in bursts,
-not independently.
+carry state between rolls.  :class:`BernoulliChannel` is independent
+(i.i.d.) loss; :class:`GilbertElliottChannel` is the classic two-state
+Markov burst-loss model (a *good* state with rare drops and a *bad* state
+where most transmissions die), which is how cellular links actually fail:
+in bursts, not independently.  :func:`mean_rate_channel` builds either
+at a given mean rate, for side-by-side runs.
 
 Determinism: every roll draws from the channel's seeded rng in call
 order, so two runs with the same seed (and the two simulation engines,
@@ -89,3 +89,15 @@ class GilbertElliottChannel:
                 self.bad = True
         rate = self.loss_bad if self.bad else self.loss_good
         return rate > 0.0 and self.rng.random() < rate
+
+
+def mean_rate_channel(
+    rng: SimulationRng, rate: float, burst: bool
+) -> BernoulliChannel | GilbertElliottChannel | None:
+    """A loss channel with mean rate ``rate``: i.i.d., or Gilbert-Elliott
+    bursts when ``burst`` (None when the rate is zero)."""
+    if rate <= 0.0:
+        return None
+    if not burst:
+        return BernoulliChannel(rng, rate=rate)
+    return GilbertElliottChannel.with_mean_rate(rng, rate)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.load import counter_section, fleet_section
-from repro.faults.channels import BernoulliChannel, GilbertElliottChannel
+from repro.faults.channels import mean_rate_channel
 from repro.faults.injector import FaultInjector
 from repro.faults.policy import ReliabilityPolicy
 from repro.faults.schedule import CrashWindow, DisconnectWindow, FaultSchedule, StationOutage
@@ -102,15 +102,6 @@ def canonical_rebalance_schedule(
         ops.append((crash_start + 1, hi - 1, hi, 1))
         ops.append((crash_end + 1, hi, hi - 1, 1))
     return tuple(sorted(op for op in ops if op[0] < steps))
-
-
-def _make_channel(rng: SimulationRng, rate: float, burst: bool):
-    """A loss channel with mean rate ``rate`` (None when rate is zero)."""
-    if rate <= 0.0:
-        return None
-    if not burst:
-        return BernoulliChannel(rng, rate=rate)
-    return GilbertElliottChannel.with_mean_rate(rng, rate)
 
 
 def run_chaos(
@@ -197,8 +188,8 @@ def run_chaos(
     # lockstep twin.
     twin = None
     try:
-        injector.uplink_channel = _make_channel(channel_rng, uplink_loss, burst)
-        injector.downlink_channel = _make_channel(channel_rng, downlink_loss, burst)
+        injector.uplink_channel = mean_rate_channel(channel_rng, uplink_loss, burst)
+        injector.downlink_channel = mean_rate_channel(channel_rng, downlink_loss, burst)
 
         # Recovery yardstick under latency: a fault-free twin with the same
         # latency pipeline (motion is identical -- faults never touch the

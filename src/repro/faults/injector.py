@@ -1,12 +1,13 @@
 """The fault injector: a loss model that tells the truth.
 
-:class:`FaultInjector` is a drop-in for
-:class:`~repro.network.loss.LossModel` on the transport's ``loss`` seam,
-with three differences:
+:class:`FaultInjector` is the one thing the transport's ``loss`` seam
+takes (the seam is an injector or None):
 
-- besides a stochastic channel it applies *scheduled* faults: an offline
-  object's traffic drops in both directions, and any message whose
-  sender's or receiver's serving base station is dead drops too;
+- besides stochastic channels (i.i.d. :class:`BernoulliChannel` or
+  burst :class:`GilbertElliottChannel`, per link) it applies *scheduled*
+  faults: an offline object's traffic drops in both directions, and any
+  message whose sender's or receiver's serving base station is dead drops
+  too;
 - it does **not** exempt reliable messages -- attaching an injector makes
   the transport route them through the explicit ack/retransmit layer
   (:mod:`repro.faults.reliability`) instead, whose retries it also rolls;
@@ -41,10 +42,9 @@ Locator = Callable[[ObjectId], Point]
 class FaultInjector:
     """Schedule-driven and channel-driven loss with per-cause accounting.
 
-    The ``dropped_uplinks`` / ``dropped_deliveries`` counters mirror
-    :class:`~repro.network.loss.LossModel` so existing instrumentation
-    keeps working; ``drops_by_cause`` splits them into ``disconnect``,
-    ``outage``, and ``channel``.
+    ``dropped_uplinks`` / ``dropped_deliveries`` count every drop;
+    ``drops_by_cause`` splits them into ``disconnect``, ``outage``,
+    ``crash`` and ``channel``.
     """
 
     #: Lifetime counters (core/load.py); ``drops_by_cause`` splits them.

@@ -1,8 +1,7 @@
 """Ack/retransmit delivery for reliable messages.
 
-The plain :class:`~repro.network.loss.LossModel` hand-waves reliability
-by exempting control-plane messages from loss.  This layer earns it: a
-reliable message is (re)transmitted up to ``policy.max_attempts`` times,
+The fault injector drops control-plane messages like any other, so
+reliability has to be earned: a reliable message is (re)transmitted up to ``policy.max_attempts`` times,
 the receiver acknowledges each copy it hears with an
 :class:`~repro.core.messages.Ack`, and the exchange succeeds only when
 the *sender* sees an ack.  Every transmission attempt and every ack is

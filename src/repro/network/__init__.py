@@ -2,7 +2,6 @@
 
 from repro.network.basestation import BaseStation, BaseStationId, BaseStationLayout
 from repro.network.latency import LatencyModel
-from repro.network.loss import LossModel, is_reliable
 from repro.network.messaging import MessageLedger
 from repro.network.radio import RadioModel
 
@@ -11,8 +10,6 @@ __all__ = [
     "BaseStationId",
     "BaseStationLayout",
     "LatencyModel",
-    "LossModel",
     "MessageLedger",
     "RadioModel",
-    "is_reliable",
 ]

@@ -35,19 +35,20 @@ PRESETS = {
 }
 
 # The hand-picked optimization matrix: each row is 18 steps of one draw with
-# a vectorized subject (the id names the axes the row moves).
+# a vectorized subject (the id names the axes the row moves; ``loss_p`` is
+# packet loss: an injector with Bernoulli channels on both links).
 MATRIX = {
     "defaults": dict(),
     "grouping": dict(grouping=False),
     "safe_period": dict(safe_period=True),
     "lazy": dict(lazy=True),
-    "loss_p": dict(loss="plain", rate=0.3),
+    "loss_p": dict(loss="injector+channels", rate=0.3),
     "thresh": dict(delta=1.0),
     "grouping-safe_period-lazy-loss_p-thresh": dict(
-        grouping=False, safe_period=True, lazy=True, loss="plain", rate=0.15, delta=0.5
+        grouping=False, safe_period=True, lazy=True, loss="injector+channels", rate=0.15, delta=0.5
     ),
     "shards": dict(shards=2),
-    "shards-thresh-loss_p": dict(shards=4, delta=1.0, loss="plain", rate=0.15),
+    "shards-thresh-loss_p": dict(shards=4, delta=1.0, loss="injector+channels", rate=0.15),
 }
 
 

@@ -33,7 +33,6 @@ from repro.faults import (
 from repro.geometry import Point, Rect, Vector
 from repro.grid import Grid
 from repro.mobility import MotionState
-from repro.network import LossModel
 from repro.network.basestation import BaseStationLayout
 from repro.sim import SimulationRng
 
@@ -264,9 +263,11 @@ class TestReliabilityLayer:
 
 class TestBroadcastUnregisteredReceivers:
     def test_no_loss_roll_and_no_drop_count_for_missing_radio(self):
-        loss = LossModel(SimulationRng(2), downlink_loss_rate=1.0)
+        rng = SimulationRng(2)
+        loss = FaultInjector(rng)
         system = make_system(cluster_objects(), loss=loss)
         system.install_query(circle_query(0, 3.0))
+        loss.downlink_channel = BernoulliChannel(rng, rate=1.0)
         loss.dropped_deliveries = 0
         system.transport.detach_client(4)
         system.transport.detach_client(5)
@@ -278,14 +279,14 @@ class TestBroadcastUnregisteredReceivers:
 
     def test_unregistered_receiver_consumes_no_randomness(self):
         rng = SimulationRng(6)
-        loss = LossModel(rng, downlink_loss_rate=0.5)
+        loss = FaultInjector(SimulationRng(7), downlink_channel=BernoulliChannel(rng, rate=0.5))
         system = make_system(cluster_objects(), loss=loss)
         message = QueryInstallBroadcast(queries=())
         baseline = SimulationRng(6).random()
         assert system.transport._deliver((999,), message) is False
         assert system.transport._deliver((999,), message) is False
         assert loss.dropped_deliveries == 0
-        # The loss model's rng was never rolled: there is no radio to miss
+        # The channel's rng was never rolled: there is no radio to miss
         # the message, so no drop decision exists to randomize.
         assert rng.random() == baseline
 

@@ -38,14 +38,19 @@ from repro.core.snapshot import (
     restore,
     step_hash,
 )
-from repro.faults import CrashWindow, FaultInjector, FaultSchedule, ReliabilityPolicy
+from repro.faults import (
+    CrashWindow,
+    FaultInjector,
+    FaultSchedule,
+    ReliabilityLayer,
+    ReliabilityPolicy,
+)
 from repro.faults.chaos import canonical_schedule, run_chaos
 from repro.faults.schedule import DisconnectWindow
 from repro.faults.channels import BernoulliChannel, GilbertElliottChannel
 from repro.fastpath import numpy_available
 from repro.fastpath.bench import skewed_params
 from repro.geometry import Circle, Rect
-from repro.network.loss import LossModel
 from repro.sim import SimulationRng
 
 from tests.conftest import circle_query, make_object, make_system, paper_system
@@ -253,10 +258,11 @@ class TestCheckpointRoundtrip:
         # v11 bytes (a partition section listing the retired slots, a config
         # with ``ingest_inflight_limit``) and v12 bytes (a config with the
         # evaluation period, beacon cadence, radio and queue bound; carried
-        # accuracy samples) are refused by the header's version field, not
-        # half-read.
+        # accuracy samples) and v13 bytes (a loss section that may be a
+        # pickled ``LossModel``) are refused by the header's version field,
+        # not half-read.
         data = cp.to_bytes()
-        for old in (4, 5, 6, 7, 8, 9, 10, 11, 12):
+        for old in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13):
             stale_bytes = data[:8] + old.to_bytes(2, "big") + data[10:]
             with pytest.raises(ValueError, match=f"version {old} unsupported"):
                 from_bytes(stale_bytes)
@@ -405,6 +411,18 @@ class TestWrongShapeFailsClosed:
         cp = tiny_checkpoint()
         self.refused(
             doctored(cp, lambda p: p.update(reliability={})), "reliability state does not match"
+        )
+        # The loss seam is an injector's state or None: any other object is
+        # refused, whatever the reliability section says.
+        self.refused(
+            doctored(
+                cp,
+                lambda p: p.update(
+                    loss=Circle(0, 0, 1.0),
+                    reliability=dict.fromkeys(ReliabilityLayer.CHECKPOINT_FIELDS),
+                ),
+            ),
+            "injector is Circle, not a dict",
         )
         self.refused(doctored(cp, lambda p: p["clients"].pop(1)), r"clients: missing \[1\]")
         self.refused(doctored(cp, lambda p: p["transport"].update(extra=1)), "unexpected .*'extra'")
@@ -634,10 +652,6 @@ class TestAllowListIsExact:
             for _ in range(16):
                 system.step()
                 take(system)
-        # A plain loss model, which travels whole.
-        with paper_system(shards=1, loss=LossModel(SimulationRng(3), 0.1, 0.1)) as system:
-            system.run(3)
-            take(system)
         # A service mid-backlog: queued tickets and their specs.
         with paper_system(shards=2, latency=1, ingest_budget_per_step=1) as system:
             service = MobiEyesService(system)

@@ -12,8 +12,8 @@ evaluator arena at 4 tombstones, so draws cross compaction.
 ``build`` draws the axes the paper's optimizations and the deployment
 turn: grouping, safe period, eager / lazy propagation, the dead-reckoning
 threshold, 1 / 2 / 4 shards, hop latency 0 / 1 / 2 with jitter 0 / 1, the
-loss seam (none, a plain ``LossModel``, a fault injector, an injector with
-Bernoulli channels), the placement policy and a service.  The rules are
+loss seam (none, a fault injector, an injector with Bernoulli channels),
+the placement policy and a service.  The rules are
 step / install / remove / external update / transfer / split / merge /
 crash / recover (the last five through ``apply_op``) / service submit (an
 update, an install, a removal by an earlier install's ticket or by a live
@@ -54,14 +54,13 @@ from repro.core.snapshot import checkpoint, from_bytes, restore, step_hash
 from repro.fastpath import numpy_available
 from repro.faults import BernoulliChannel, FaultInjector, ReliabilityPolicy
 from repro.geometry import Circle, Point, Rect, Vector
-from repro.network.loss import LossModel
 from repro.sim import SimulationRng
 
 from tests.conftest import observe, paper_system
 
 ENGINES = ("reference", "vectorized") if numpy_available() else ("reference",)
 SIDE = 20.0  # the universe of discourse of a 0.004-scale Table-1 world
-LOSS = ("none", "plain", "injector", "injector+channels")
+LOSS = ("none", "injector", "injector+channels")
 
 coordinate = st.floats(0.0, SIDE, allow_nan=False, width=32)
 filters = st.sampled_from([TrueFilter(), PropertyEqualsFilter("class", 1)])
@@ -81,8 +80,6 @@ def loss_seam(kind, seed, rate):
     rng = SimulationRng(seed)
     if kind == "none":
         return None
-    if kind == "plain":
-        return LossModel(rng, uplink_loss_rate=rate, downlink_loss_rate=rate)
     channels = {}
     if kind == "injector+channels":
         channels = dict(
@@ -154,7 +151,7 @@ class CheckpointMachine(RuleBasedStateMachine):
             loss = "injector" if loss.startswith("injector") else "none"
         every, ceiling = policy if shards > 1 else (0, 0)
         self.faults = shards > 1 and loss.startswith("injector")  # arms crash / recover
-        self.channel_loss = loss in ("plain", "injector+channels")
+        self.channel_loss = loss == "injector+channels"
         self.exact_draw = not (lazy or delta or self.channel_loss or latency or jitter)
         common = dict(
             shards=shards,
@@ -608,16 +605,19 @@ def test_a_queued_install_whose_focal_cannot_answer_is_rejected_not_raised():
 @pytest.mark.parametrize("batch", [True, False], ids=["batched", "per-message"])
 @pytest.mark.parametrize("engine", ENGINES)
 def test_a_lost_removal_broadcast_is_not_an_invariant_violation(engine, batch):
-    """Drawn by the loss seams: build(loss="plain", rate=0.15, shards=1),
-    remove(the fourth qid).  The ``QueryRemoveBroadcast`` missed a receiver,
-    whose LQT keeps the query until its next cell change or resync, and
-    ``check_invariants()`` raised ``LQT holds a removed query``.  While a
-    downlink can be lost, the client-coupling half holds only eventually."""
-    loss = LossModel(SimulationRng(0), uplink_loss_rate=0.15, downlink_loss_rate=0.15)
+    """Drawn by the loss seams (PR 29, on the plain loss model since deleted):
+    remove a query under downlink loss.  The ``QueryRemoveBroadcast`` missed
+    a receiver, whose LQT keeps the query until its next cell change or
+    resync, and ``check_invariants()`` raised ``LQT holds a removed query``.
+    While a downlink can be lost, the client-coupling half holds only
+    eventually."""
+    rng = SimulationRng(0)
+    loss = FaultInjector(rng)
     with paper_system(
         engine, shards=1, scale=0.004, seed=0, alpha=2.5, batch_reports=batch, loss=loss
     ) as system:
-        qid = sorted(system.server.sqt.ids())[3]
+        loss.downlink_channel = BernoulliChannel(rng, rate=0.5)
+        qid = sorted(system.server.sqt.ids())[0]
         system.remove_query(qid)
         assert any(qid in client.lqt for client in system.clients.values())
         system.check_invariants()
