@@ -335,7 +335,7 @@ class LocalQueryTable:
         watcher = self._watcher
         if watcher is not None:
             # Before the overwrite, while a replaced entry still shows.
-            watcher.lqt_changed(self._watch_oid, entry, entry.qid not in self._entries)
+            watcher.lqt_changed(self._watch_oid, entry, 0 if entry.qid in self._entries else 1)
         self._entries[entry.qid] = entry
         self.tighten_hull(entry.mon_region)
 

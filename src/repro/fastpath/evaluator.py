@@ -14,28 +14,40 @@ and its unit of allocation and invalidation is one **group**: the entries
 of one client bound to one focal object (one entry when grouping is off),
 stored as a contiguous run in ``LocalQueryTable.by_focal`` order.
 
+How a table change reaches the arena:
+
 - every client's :class:`~repro.core.tables.LocalQueryTable` passes each
-  installed/removed entry to the evaluator (``lqt_changed``), which notes
-  the ``(client, group)`` it belongs to and keeps the system-wide entry
-  count (``lqt_total``).  The next evaluation *tombstones* (``alive`` mask
-  cleared) the runs of the noted groups only and appends their current
-  table image at the arena tail: one Python pass over the changed groups,
-  then one slice assignment per arena column.  A client's untouched groups
-  -- and untouched clients -- cost nothing.
+  installed/removed entry to the evaluator (``lqt_changed``), which keeps
+  the system-wide entry count (``lqt_total``) and sorts the change as it
+  happens.  An install that creates a group is *staged* as an append: it
+  reserves the next slot past the written ones, and the entry is held
+  until the refresh writes it.  A removal that empties a written
+  one-entry group *tombstones* its slot (``alive`` mask cleared at the
+  next refresh).  Any other change -- a group that has or gets a second
+  entry, a same-qid replacement -- marks the group for *re-imaging* from
+  the table.  A staged group that empties or grows before the refresh
+  hands its reserved slot to the last staged group, so no slot is wasted.
+- the next evaluation's refresh writes the staged groups into their
+  reserved slots and the re-imaged groups (one Python pass over their
+  clients' tables) after them, tombstones the retired slots, and writes
+  every arena column with one slice assignment.  A client's untouched
+  groups -- and untouched clients -- cost nothing.
 - a ``(client, group) -> slot`` map of plain ints finds a group's run and
   its cached prediction basis; no Python object exists per group.
-- when the dead fraction grows past the live population the arena is
-  compacted in place (one boolean-index copy per column; the slot map is
-  renumbered in a single pass).
+- when more than ``compact_threshold`` slots are dead and the dead exceed
+  half the live entries, the arena is compacted in place (one
+  boolean-index copy per column; the slot map is renumbered in a single
+  pass).
 - in-place replacement of an entry's ``focal_state`` -- velocity broadcasts
   and existing-entry refreshes, which do *not* bump the table version --
-  fires ``state_changed``; when the entry is the first of its focal group
-  the cached per-group dead-reckoning basis (position, velocity, record
-  time) is rewritten in place.  Other in-place mutations need no hook:
-  ``ptm`` is re-read per evaluation when safe periods are on, ``is_target``
-  is dual-written by the delta pass itself, ``focal_max_speed`` rewrites
-  always carry the focal object's immutable ``max_speed``, and
-  ``mon_region`` is not consulted by evaluation.
+  fires ``state_changed``; when the entry is the first of a written focal
+  group the cached per-group dead-reckoning basis (position, velocity,
+  record time) is rewritten in place (a staged or re-imaged group reads
+  its basis off the entry at the refresh).  Other in-place mutations need
+  no hook: ``ptm`` is re-read per evaluation when safe periods are on,
+  ``is_target`` is dual-written by the delta pass itself,
+  ``focal_max_speed`` rewrites always carry the focal object's immutable
+  ``max_speed``, and ``mon_region`` is not consulted by evaluation.
 
 Exactness contract (checked by the differential test suite): for any
 configuration the batch pass produces the same per-entry ``is_target`` and
@@ -87,6 +99,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _ENTRY_COLUMNS = ("e_reach", "e_fmax", "e_circ", "e_targ", "e_alive", "e_row", "e_group")
 _GROUP_COLUMNS = ("g_start", "g_len", "g_alive", "g_oid", "g_basis")
+# The slot-map state of a group awaiting re-imaging (``BatchEvaluator._slot``).
+_REIMAGE = -1
 
 
 def _neg_reach(entry: "LqtEntry") -> float:
@@ -146,20 +160,28 @@ class BatchEvaluator:
         self.n_grp = 0
         self.dead_ent = 0
         self.n_lqt = 0  # LQT entries system-wide, static ones included
-        # Compact once this many slots are tombstoned *and* the dead
-        # outnumber the alive 2:1; tests lower it to force compaction on
-        # tiny workloads.
+        # Compact once more than this many slots are tombstoned *and* the
+        # dead exceed half the live entries; tests lower it to force
+        # compaction on tiny workloads.
         self.compact_threshold = 2048
         self._clients: dict = {}
-        # client oid -> {group key -> live group slot}; the key is the focal
-        # object id, or the query id when grouping is off.
+        # client oid -> {group key -> group slot}; the key is the focal
+        # object id, or the query id when grouping is off.  A slot below
+        # ``n_grp`` holds a written group whose run images the table; a slot
+        # from ``n_grp`` on is reserved for a staged one-entry group, which
+        # the next refresh writes there; _REIMAGE marks a group awaiting
+        # re-imaging.
         self._slot: dict = {}
-        # (client oid, group key) pairs, flattened, whose table image changed
-        # since the last refresh.  A flat list of ints keeps the hook free
-        # of container allocations: it fires inside the reporting phase,
-        # where garbage-collector passes would be billed to whichever
-        # server section happens to trip them.
+        # The changes since the last refresh, kept in flat lists: the hook
+        # fires inside the reporting phase, where garbage-collector passes
+        # would be billed to whichever server section happens to trip
+        # them.  ``_staged`` holds one (client's slot map, group key,
+        # client oid, entry) record per reserved slot, in slot order;
+        # ``_touched`` one (client oid, group key) pair per group to
+        # re-image; ``_dead`` the slots to tombstone.
+        self._staged: list = []
         self._touched: list = []
+        self._dead: list = []
         # Static entries stay out of the arena: client oid -> its static
         # entries in table order, and the clients whose list is out of date.
         self._statics: dict = {}
@@ -188,8 +210,14 @@ class BatchEvaluator:
     def lqt_changed(self, oid: "ObjectId", entry: "LqtEntry", delta: int) -> None:
         """Table hook: ``entry`` was installed into (``delta`` 1, or 0 when
         it replaced an entry of the same query) or removed from (``delta``
-        -1) the client's table; its group is re-imaged at the next refresh,
-        the fan-out's ``holders`` index is brought up to date here.
+        -1) the client's table.
+
+        The fan-out's ``holders`` index is brought up to date here, and the
+        change is sorted for the next refresh: an install that creates a
+        group is staged as an append, a removal that empties a written
+        one-entry group tombstones its slot, and any other change -- a
+        group that has or gets a second entry, a same-qid replacement --
+        marks the group for re-imaging from the table.
         """
         self.n_lqt += delta
         qid = entry.qid
@@ -208,17 +236,50 @@ class BatchEvaluator:
         if focal is None:
             self._static_stale.add(oid)
             return
-        self._touched += (oid, focal if self.grouping else qid)
+        key = focal if self.grouping else qid
+        slots = self._slot[oid]
+        g = slots.get(key)
+        if g is None:  # a new group (a removed entry always has one)
+            staged = self._staged
+            slots[key] = self.n_grp + len(staged) // 4
+            staged += (slots, key, oid, entry)
+            return
+        if g >= self.n_grp:  # a staged group: its entry goes, or it grows
+            self._unstage(g)
+            if delta < 0:
+                del slots[key]
+                return
+        elif g == _REIMAGE:
+            return
+        elif delta < 0 and self.g_len[g] == 1:  # a written group empties
+            del slots[key]
+            self._dead.append(g)
+            return
+        else:
+            self._dead.append(g)
+        slots[key] = _REIMAGE
+        self._touched += (oid, key)
+
+    def _unstage(self, g: int) -> None:
+        """Cancel the staged group reserved at slot ``g``: the last staged
+        group moves into its slot, so the reserved slots stay contiguous
+        and a staged group that empties or grows wastes none."""
+        staged = self._staged
+        i = 4 * (g - self.n_grp)
+        if i + 4 < len(staged):
+            staged[i : i + 4] = staged[-4:]
+            staged[i][staged[i + 1]] = g
+        del staged[-4:]
 
     def basis_slot(self, oid: "ObjectId", entry: "LqtEntry") -> int | None:
         """The group slot whose cached prediction basis is ``entry``'s focal
-        state: set only when ``entry`` is the first of a group in the arena.
+        state: set only when ``entry`` is the first of a written group.
 
-        A group awaiting re-imaging may answer with its old slot; writing
-        there is harmless, the refresh reads the fresh state from the table.
+        A staged group (not yet written) or one awaiting re-imaging answers
+        None: the refresh reads its basis off the entry.
         """
         g = self._slot[oid].get(entry.oid if self.grouping else entry.qid)
-        if g is not None and self.g_first[g] is entry:
+        if g is not None and 0 <= g < self.n_grp and self.g_first[g] is entry:
             return g
         return None
 
@@ -256,13 +317,15 @@ class BatchEvaluator:
             setattr(self, name, new)
 
     def _refresh(self) -> None:
-        """Absorb the pending LQT deltas.
+        """Absorb the pending LQT changes.
 
-        Tombstones the run of every touched group and appends the group's
-        current table image -- its members in table order, reach-descending
-        (stable), exactly ``LocalQueryTable.by_focal`` -- at the arena tail.
-        One Python pass over the changed groups collects the new runs; each
-        arena column is then written with a single slice assignment.
+        Writes every staged group into its reserved slot, re-images every
+        group marked for it into the slots after those -- its members in
+        table order, reach-descending (stable), exactly
+        ``LocalQueryTable.by_focal`` -- and tombstones the slots the hook
+        retired.  One Python pass over the re-imaged groups' tables collects
+        their runs; each arena column is then written with a single slice
+        assignment.
         """
         clients = self._clients
         for oid in self._static_stale:
@@ -272,61 +335,57 @@ class BatchEvaluator:
             else:
                 self._statics.pop(oid, None)
         self._static_stale.clear()
-        pending = self._touched
-        if not pending:
-            return
-        touched: dict = {}  # client oid -> its touched group keys
-        for oid, key in zip(pending[::2], pending[1::2]):
-            keys = touched.get(oid)
-            if keys is None:
-                touched[oid] = {key}
-            else:
-                keys.add(key)
-        pending.clear()
         np = self.np
         i64 = np.int64
         grouping = self.grouping
-        row_of = self.store.row_of
         lo = self.n_ent
         g_lo = self.n_grp
-        dead: list[int] = []  # group slots to tombstone
-        refs: list = []  # the new runs, concatenated
-        firsts: list = []  # per new group: its first entry ...
-        counts: list[int] = []  # ... its length ...
-        owners: list = []  # ... and its client's oid and store row
-        rows: list[int] = []
-        for oid, keys in touched.items():
-            entries = clients[oid].lqt._entries
-            if grouping:
-                members: dict = {key: [] for key in keys}
-                for entry in entries.values():
-                    group = members.get(entry.oid)
-                    if group is not None:
-                        group.append(entry)
-            else:
-                members = {}
-                for qid in keys:
-                    entry = entries.get(qid)
-                    members[qid] = () if entry is None else (entry,)
-            slots = self._slot[oid]
-            row = row_of[oid]
-            for key, group in members.items():
-                old = slots.pop(key, None)
-                if old is not None:
-                    dead.append(old)
-                if not group:
-                    continue
-                if len(group) > 1:
-                    group.sort(key=_neg_reach)
-                slots[key] = g_lo + len(counts)
-                counts.append(len(group))
-                refs += group
-                firsts.append(group[0])
-                owners.append(oid)
-                rows.append(row)
-
+        # The staged groups hold the reserved slots g_lo, g_lo + 1, ...
+        staged = self._staged
+        refs: list = staged[3::4]  # the new runs, concatenated
+        firsts: list = list(refs)  # per new group: its first entry ...
+        counts: list[int] = [1] * len(refs)  # ... its length ...
+        owners: list = staged[2::4]  # ... and its client's oid
+        staged.clear()
+        pending = self._touched
+        if pending:
+            touched: dict = {}  # client oid -> its groups to re-image
+            for oid, key in zip(pending[::2], pending[1::2]):
+                keys = touched.get(oid)
+                if keys is None:
+                    touched[oid] = [key]
+                else:
+                    keys.append(key)
+            pending.clear()
+            for oid, keys in touched.items():
+                entries = clients[oid].lqt._entries
+                if grouping:
+                    members: dict = {key: [] for key in keys}
+                    for entry in entries.values():
+                        group = members.get(entry.oid)
+                        if group is not None:
+                            group.append(entry)
+                else:
+                    members = {}
+                    for qid in keys:
+                        entry = entries.get(qid)
+                        members[qid] = () if entry is None else (entry,)
+                slots = self._slot[oid]
+                for key, group in members.items():
+                    if not group:
+                        del slots[key]
+                        continue
+                    if len(group) > 1:
+                        group.sort(key=_neg_reach)
+                    slots[key] = g_lo + len(counts)
+                    counts.append(len(group))
+                    refs += group
+                    firsts.append(group[0])
+                    owners.append(oid)
+        dead = self._dead
         if dead:
             d = np.asarray(dead, dtype=i64)
+            dead.clear()
             lens = self.g_len[d]
             ends = np.cumsum(lens)
             total = int(ends[-1])
@@ -340,7 +399,7 @@ class BatchEvaluator:
             for i in idx.tolist():
                 e_refs[i] = _DEAD
             g_first = self.g_first
-            for g in dead:
+            for g in d.tolist():
                 g_first[g] = _DEAD
 
         n = len(refs)
@@ -361,18 +420,20 @@ class BatchEvaluator:
         self.e_targ[lo:hi] = [e.is_target for e in refs]
         self.e_alive[lo:hi] = True
         self.e_group[lo:hi] = np.repeat(np.arange(g_lo, gh, dtype=i64), carr)
+        row_of = self.store.row_of
+        rows = [row_of[oid] for oid in owners]
         self.e_row[lo:hi] = np.repeat(np.asarray(rows, dtype=i64), carr)
         self.g_start[g_lo:gh] = lo + np.cumsum(carr) - carr
         self.g_len[g_lo:gh] = carr
         self.g_alive[g_lo:gh] = True
         self.g_oid[g_lo:gh] = owners
-        basis = []
+        basis: list = []  # five floats per new group, flat
         for first in firsts:
             state = first.focal_state
             pos = state.pos
             vel = state.vel
-            basis.append((pos.x, pos.y, vel.x, vel.y, state.recorded_at))
-        self.g_basis[g_lo:gh] = basis
+            basis += (pos.x, pos.y, vel.x, vel.y, state.recorded_at)
+        self.g_basis[g_lo:gh] = np.array(basis).reshape(n_g, 5)
         self.e_refs += refs
         self.g_first += firsts
         self.n_ent = hi
@@ -444,7 +505,7 @@ class BatchEvaluator:
                 expected = {e.qid: [e] for e in lqt.entries() if not e.is_static}
             assert slots.keys() == expected.keys(), f"client {oid}: groups out of date"
             for key, g in slots.items():
-                assert self.g_alive[g] and int(self.g_oid[g]) == oid
+                assert g >= 0 and self.g_alive[g] and int(self.g_oid[g]) == oid
                 lo = int(self.g_start[g])
                 hi = lo + int(self.g_len[g])
                 run = e_refs[lo:hi]

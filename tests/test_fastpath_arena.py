@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import TrueFilter
+from repro.core.messages import QueryDescriptor, QueryUpdateBroadcast
 from repro.core.tables import LqtEntry
 from repro.fastpath import numpy_available
 from repro.geometry import Circle, Point, Rect, Vector
@@ -43,6 +44,8 @@ CATALOGUE = {
     8: (None, Circle(26, 26, 2.0)),
 }
 MON_REGION = CellRange(0, 0, 9, 9)
+# The whole grid: an update broadcast over it covers every client.
+GRID = CellRange(0, 9, 0, 9)
 
 clients = st.integers(0, N_CLIENTS - 1)
 qids = st.sampled_from(sorted(CATALOGUE))
@@ -74,6 +77,7 @@ class Twin:
             client._send_result_changes = self._recorder(client.oid)
         runtime = self.system._fastpath
         self.evaluator = runtime.evaluator if runtime is not None else None
+        self.fanout = runtime.fanout if runtime is not None else None
 
     def _recorder(self, oid):
         return lambda changes: self.sent.append((oid, list(changes.items())))
@@ -109,6 +113,26 @@ class Twin:
             # On the vectorized twin the client's object is a row view, so
             # the assignment is the store write the evaluator reads.
             self.clients[c].obj.pos = Point(x, y)
+        elif kind == "update":
+            # A focal-crossing broadcast to one covered receiver: the
+            # reference client's handler, or the vectorized fan-out.
+            _, c, qid, x, y = op
+            focal, region = CATALOGUE[qid]
+            desc = QueryDescriptor(
+                qid=qid,
+                oid=focal,
+                region=region,
+                filter=TrueFilter(),
+                focal_state=MotionState(Point(x, y), Vector(3.0, 1.0), now),
+                focal_max_speed=60.0,
+                mon_region=GRID,
+            )
+            message = QueryUpdateBroadcast(queries=(desc,))
+            client = self.clients[c]
+            if self.fanout is None:
+                client.on_downlink(message)
+            else:
+                self.fanout.apply(message, {client.oid})
 
     def evaluate(self, now):
         """Run one evaluation; returns the reports it sent, in order."""
@@ -133,7 +157,9 @@ class Twin:
         return [stats.evaluated_queries, stats.skipped_by_safe_period, stats.skipped_by_grouping]
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# The example count is the active profile's: 100 in tier-1, 2000 under the
+# long profile CI runs.
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     ops=st.lists(operations, min_size=1, max_size=60),
     safe_period=st.booleans(),
@@ -195,3 +221,91 @@ def test_compaction_renumbers_the_slot_map():
     assert [e.qid for e in ev.e_refs] == [2, 5, 4]
     play(("state", 0, 2, 40.0, 40.0, 5.0))  # focal jumps away: a leave report
     assert ref.sent == [(0, [(2, False)])]
+
+
+def _stepper():
+    """A reference twin, a vectorized twin (grouping on, safe periods off),
+    and a ``play(*ops)`` that applies the ops to both and then runs one
+    evaluation on each, checking that the reports, the entries and the
+    arena image agree."""
+    ref = Twin("reference", True, False)
+    vec = Twin("vectorized", True, False)
+    clock = [0.0]
+
+    def play(*script):
+        for op in script:
+            ref.apply(op, clock[0])
+            vec.apply(op, clock[0])
+        clock[0] += 1.0 / 120.0
+        assert vec.evaluate(clock[0]) == ref.evaluate(clock[0])
+        assert vec.entry_state() == ref.entry_state()
+        vec.evaluator.check_invariants()
+        return ref.sent
+
+    return vec.evaluator, play
+
+
+def _layout(ev):
+    return (ev.n_ent, ev.n_grp, ev.dead_ent)
+
+
+def _entry(ev, oid, qid):
+    return ev._clients[oid].lqt.find(qid)
+
+
+@pytest.mark.parametrize("written", [False, True], ids=["staged", "written"])
+def test_install_remove_install_of_one_group_between_evaluations(written):
+    """The same (client, focal) group comes, goes and comes back between two
+    evaluations; the arena holds the second entry, once."""
+    ev, play = _stepper()
+    play(("install", 1, 4, 25.0, 26.0))
+    if written:
+        play(("install", 0, 0, 25.0, 25.0))
+        assert _layout(ev) == (2, 2, 0)
+    play(
+        ("remove", 0, 0),
+        ("install", 0, 0, 30.0, 25.0),
+        ("install", 2, 6, 26.0, 25.0),  # another client's group, created after
+        ("remove", 0, 0),
+        ("install", 0, 0, 26.0, 25.0),
+    )
+    assert _layout(ev) == ((4, 4, 1) if written else (3, 3, 0))
+    # The basis is the last install's: the focal sits on the client.
+    g = ev.basis_slot(0, _entry(ev, 0, 0))
+    assert g is not None and ev.g_basis[g, :2].tolist() == [26.0, 25.0]
+
+
+def test_a_staged_group_that_grows_takes_one_slot():
+    """A second install into a group not yet written leaves the arena laid
+    out as a plain re-image of the two-entry group: no slot is wasted."""
+    ev, play = _stepper()
+    play(
+        ("install", 0, 2, 25.0, 25.0),
+        ("install", 1, 6, 26.0, 25.0),
+        ("install", 0, 0, 25.0, 25.0),  # larger reach: it leads the run
+    )
+    assert _layout(ev) == (3, 2, 0)
+    play(
+        ("install", 2, 4, 25.0, 25.0),
+        ("install", 2, 5, 25.0, 25.0),
+        ("remove", 2, 4),
+    )
+    assert _layout(ev) == (4, 3, 0)
+
+
+@pytest.mark.parametrize("how", ["notify_state", "fanout"])
+def test_a_staged_entry_rewritten_in_place_is_evaluated_on_its_new_state(how):
+    """An in-place ``focal_state`` rewrite of an entry installed since the
+    last evaluation: the next evaluation predicts from the new state."""
+    ev, play = _stepper()
+    assert play(("install", 0, 4, 25.0, 25.0)) == [(0, [(4, True)])]
+    rewrite = (
+        ("state", 0, 6, 40.0, 40.0, 0.0)
+        if how == "notify_state"
+        else ("update", 0, 6, 40.0, 40.0)
+    )
+    # Installed on the client, then moved away before any evaluation: no
+    # report, where the installed state alone would report an enter.
+    assert play(("install", 0, 6, 25.0, 25.0), rewrite) == []
+    g = ev.basis_slot(0, _entry(ev, 0, 6))
+    assert g is not None and ev.g_basis[g, :2].tolist() == [40.0, 40.0]
