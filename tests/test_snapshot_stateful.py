@@ -498,6 +498,19 @@ def test_restore_between_an_external_update_and_the_next_step(engine):
     assert step_hash(system) == step_hash(twin)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_an_external_update_voids_the_moved_objects_safe_periods(engine):
+    """Shrunk from ``CheckpointMachine``: build(safe_period, seed=5, exact),
+    step(5), external_update(oid 22 -> (2, 12), at rest), step(1).  The
+    teleported object kept the safe periods it had set at its old position,
+    skipped query 4 although it now stood inside it, and the exact draw's
+    results missed the enter (both engines, so the twins agreed)."""
+    move = lambda machine: machine.both(  # noqa: E731
+        lambda system: system.apply_external_update(22, Point(2.0, 12.0), Vector(0.0, 0.0))
+    )
+    pinned(5, move, 1, engine=engine, safe_period=True, seed=5, exact=True)
+
+
 # Shrunk from the crash / recover rules (PR 24; docs/ROBUSTNESS.md "Shard
 # crash and recovery" tells each story).
 
