@@ -237,10 +237,19 @@ class MobiEyesSystem:
         there itself, so a scripted sequence of these calls replayed at
         fixed steps is bit-identical however it is driven (service queue
         or direct calls).
+
+        The object's safe periods were bounds from where it stood, so the
+        ones it has set are voided.
         """
-        obj = self.clients[oid].obj
+        client = self.clients[oid]
+        obj = client.obj
         self._unstepped_updates.setdefault(oid, (obj.pos, obj.vel, obj.recorded_at))
         self.motion.apply_update(oid, pos, vel, self.clock.now_hours)
+        lqt = client.lqt
+        for entry in lqt.entries():
+            if entry.ptm:
+                entry.ptm = 0.0
+                lqt.notify_state(entry)
 
     def step(self) -> int:
         """Advance the simulation by one time step."""

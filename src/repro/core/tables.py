@@ -239,10 +239,10 @@ class LocalQueryTable:
     changes as they happen: ``lqt_changed(oid, entry, delta)`` fires on every install/remove with
     the affected entry and the change in table size (install: 1, or 0 when
     it replaces an entry of the same query; remove: -1), and
-    ``state_changed(oid, entry)`` fires when the owning client replaces an
-    entry's ``focal_state`` in place (see :meth:`notify_state`).  With no
-    watcher registered -- the reference engine -- the hooks reduce to one
-    ``None`` check.
+    ``state_changed(oid, entry)`` fires when an entry's ``focal_state`` is
+    replaced in place or its ``ptm`` voided -- every such rewrite voids
+    ``ptm`` (see :meth:`notify_state`).  With no watcher registered -- the
+    reference engine -- the hooks reduce to one ``None`` check.
 
     The table also maintains a *hull*: the intersection of every
     installed entry's monitoring-region bounds.  While the owning object
@@ -311,7 +311,8 @@ class LocalQueryTable:
         self.hull_hi_j = hi_j
 
     def notify_state(self, entry: LqtEntry) -> None:
-        """Tell the watcher (if any) that ``entry.focal_state`` was replaced."""
+        """Tell the watcher (if any) that ``entry.focal_state`` was replaced
+        in place or ``entry.ptm`` voided; the caller has set ``ptm`` to 0."""
         watcher = self._watcher
         if watcher is not None:
             watcher.state_changed(self._watch_oid, entry)

@@ -32,19 +32,24 @@ How a table change reaches the arena:
   clients' tables) after them, tombstones the retired slots, and writes
   every arena column with one slice assignment.  A client's untouched
   groups -- and untouched clients -- cost nothing.
-- a ``(client, group) -> slot`` map of plain ints finds a group's run and
-  its cached prediction basis; no Python object exists per group.
+- a ``(client, group) -> slot`` map of plain ints finds a group's run; no
+  Python object exists per group.  Every slot holds its entry's focal
+  state ``(x, y, vx, vy, recorded_at)`` and ``ptm`` as one column of the
+  ``(6, cap)`` block ``e_state``, written by the refresh and the
+  compaction; a dead slot holds None in place of its entry.
 - when more than ``compact_threshold`` slots are dead and the dead exceed
   half the live entries, the arena is compacted in place (one
   boolean-index copy per column; the slot map is renumbered in a single
   pass).
 - in-place replacement of an entry's ``focal_state`` -- velocity broadcasts
   and existing-entry refreshes, which do *not* bump the table version --
-  fires ``state_changed``; when the entry is the first of a written focal
-  group the cached per-group dead-reckoning basis (position, velocity,
-  record time) is rewritten in place (a staged or re-imaged group reads
-  its basis off the entry at the refresh).  Other in-place mutations need
-  no hook: ``ptm`` is re-read per evaluation when safe periods are on,
+  and the voided safe periods of an externally moved object fire
+  ``state_changed``.  Every such rewrite voids ``ptm``, so the one hook
+  rewrites the entry's column, state and ``ptm = 0``, once its group is
+  written (before, the refresh reads the column off the entry).  The
+  batch pass writes each ``ptm`` it computes to the column and to the
+  entry, which stays the record the reference engine, leave reports and
+  checkpoints read.  Other in-place mutations need no hook:
   ``is_target`` is dual-written by the delta pass itself,
   ``focal_max_speed`` rewrites always carry the focal object's immutable
   ``max_speed``, and ``mon_region`` is not consulted by evaluation.
@@ -59,9 +64,10 @@ that make a system-wide batch legal:
   traffic, so one client's reports cannot influence another client's
   evaluation within the same phase;
 - within a focal group the reference predicts the focal position from the
-  *first non-skipped* entry's motion state and reuses it for the group
-  (with safe periods off that is always the first entry, which is what the
-  cached basis columns hold);
+  *first non-skipped* entry's motion state and reuses it for the group;
+  the safe-period skip is the lane mask ``ptm > now`` (empty with safe
+  periods off, which never write ``ptm``), and a segmented minimum over
+  the unmasked slots finds that entry;
 - entries are sorted by reach descending, so the grouping short-circuit
   ("beyond a larger region's reach implies outside all smaller ones") is a
   prefix property computable with a segmented cumulative sum;
@@ -97,8 +103,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mobility.model import ObjectId
 
 
-_ENTRY_COLUMNS = ("e_reach", "e_fmax", "e_circ", "e_targ", "e_alive", "e_row", "e_group")
-_GROUP_COLUMNS = ("g_start", "g_len", "g_alive", "g_oid", "g_basis")
+_ENTRY_COLUMNS = (
+    "e_reach", "e_fmax", "e_circ", "e_targ", "e_alive", "e_row", "e_group", "e_state"
+)
+_GROUP_COLUMNS = ("g_start", "g_len", "g_alive", "g_oid")
+# ``e_state`` rows: the focal state ``(x, y, vx, vy, recorded_at)``, then
+# the safe period ``ptm``.
+_PTM = 5
 # The slot-map state of a group awaiting re-imaging (``BatchEvaluator._slot``).
 _REIMAGE = -1
 
@@ -107,15 +118,10 @@ def _neg_reach(entry: "LqtEntry") -> float:
     return -entry.reach
 
 
-class _DeadEntry:
-    """Stands in ``e_refs`` for the entry of a tombstoned slot until the
-    arena is compacted, so a dead slot pins no removed ``LqtEntry``.  The
-    safe-period scan reads ``ptm`` off every slot, dead ones included."""
-
-    ptm = 0.0
-
-
-_DEAD = _DeadEntry()
+def _state_column(entry: "LqtEntry") -> list:
+    """``entry``'s ``e_state`` column."""
+    state = entry.focal_state
+    return [state.pos.x, state.pos.y, state.vel.x, state.vel.y, state.recorded_at, entry.ptm]
 
 
 class BatchEvaluator:
@@ -144,7 +150,11 @@ class BatchEvaluator:
         self.e_alive = np.empty(ecap, bool)
         self.e_row = np.empty(ecap, i64)  # owner's store row
         self.e_group = np.empty(ecap, i64)
-        self.e_refs: list = []  # LqtEntry per slot, aligned with the columns
+        # The entry's focal state and safe period, one column per slot
+        # (component-major: each component is one contiguous row).
+        self.e_state = np.empty((6, ecap), f64)
+        # LqtEntry per slot (None once tombstoned), aligned with the columns.
+        self.e_refs: list = []
         # Group-dimension columns: one slot per (client, focal) group -- per
         # (client, query) when grouping is off -- whose entries are the
         # contiguous run ``g_start .. g_start + g_len``.
@@ -152,10 +162,6 @@ class BatchEvaluator:
         self.g_len = np.empty(gcap, i64)
         self.g_alive = np.empty(gcap, bool)
         self.g_oid = np.empty(gcap, i64)  # owning client's object id
-        # Cached dead-reckoning basis of the group's first entry, one row
-        # ``(x, y, vx, vy, recorded_at)`` per group.
-        self.g_basis = np.empty((gcap, 5), f64)
-        self.g_first: list = []  # that first entry, aligned with the slots
         self.n_ent = 0
         self.n_grp = 0
         self.dead_ent = 0
@@ -271,29 +277,37 @@ class BatchEvaluator:
             staged[i][staged[i + 1]] = g
         del staged[-4:]
 
-    def basis_slot(self, oid: "ObjectId", entry: "LqtEntry") -> int | None:
-        """The group slot whose cached prediction basis is ``entry``'s focal
-        state: set only when ``entry`` is the first of a written group.
+    def entry_slot(self, oid: "ObjectId", entry: "LqtEntry") -> int | None:
+        """The arena slot of ``entry``, one of client ``oid``'s entries.
 
-        A staged group (not yet written) or one awaiting re-imaging answers
-        None: the refresh reads its basis off the entry.
+        A static entry, or one of a staged group (not yet written) or of a
+        group awaiting re-imaging, answers None: the refresh reads its
+        column off the entry.
         """
         g = self._slot[oid].get(entry.oid if self.grouping else entry.qid)
-        if g is not None and 0 <= g < self.n_grp and self.g_first[g] is entry:
-            return g
-        return None
+        if g is None or not 0 <= g < self.n_grp:
+            return None
+        # A written group's run holds every entry of the group.
+        i = self.g_start.item(g)
+        refs = self.e_refs
+        while refs[i] is not entry:
+            i += 1
+        return i
 
-    def write_basis(self, slots, state) -> None:
-        """Rewrite the cached prediction basis of group slot(s) ``slots``."""
+    def write_state(self, slots, state) -> None:
+        """Rewrite the focal state of slot(s) ``slots`` and void their
+        ``ptm``: every in-place ``focal_state`` rewrite voids the safe
+        period."""
         pos = state.pos
         vel = state.vel
-        self.g_basis[slots] = (pos.x, pos.y, vel.x, vel.y, state.recorded_at)
+        self.e_state.T[slots] = (pos.x, pos.y, vel.x, vel.y, state.recorded_at, 0.0)
 
     def state_changed(self, oid: "ObjectId", entry: "LqtEntry") -> None:
-        """Table hook: ``entry.focal_state`` was replaced in place."""
-        g = self.basis_slot(oid, entry)
-        if g is not None:
-            self.write_basis(g, entry.focal_state)
+        """Table hook: ``entry.focal_state`` was replaced in place, or its
+        safe period voided (``entry.ptm`` is 0)."""
+        i = self.entry_slot(oid, entry)
+        if i is not None:
+            self.write_state(i, entry.focal_state)
 
     def lqt_total(self) -> int:
         """Total LQT entries system-wide (kept current by the table hook)."""
@@ -302,18 +316,19 @@ class BatchEvaluator:
     # -------------------------------------------------- arena maintenance
 
     def _reserve(self, names: tuple, live: int, need: int) -> None:
-        """Make the named columns hold ``need`` rows, keeping the first
-        ``live`` (capacity doubles, so appends stay amortized O(1))."""
+        """Make the named columns hold ``need`` slots (their last axis),
+        keeping the first ``live`` (capacity doubles, so appends stay
+        amortized O(1))."""
         np = self.np
-        cap = len(getattr(self, names[0]))
+        cap = getattr(self, names[0]).shape[-1]
         if need <= cap:
             return
         while cap < need:
             cap *= 2
         for name in names:
             old = getattr(self, name)
-            new = np.empty((cap,) + old.shape[1:], old.dtype)
-            new[:live] = old[:live]
+            new = np.empty(old.shape[:-1] + (cap,), old.dtype)
+            new[..., :live] = old[..., :live]
             setattr(self, name, new)
 
     def _refresh(self) -> None:
@@ -343,8 +358,7 @@ class BatchEvaluator:
         # The staged groups hold the reserved slots g_lo, g_lo + 1, ...
         staged = self._staged
         refs: list = staged[3::4]  # the new runs, concatenated
-        firsts: list = list(refs)  # per new group: its first entry ...
-        counts: list[int] = [1] * len(refs)  # ... its length ...
+        counts: list[int] = [1] * len(refs)  # per new group: its length ...
         owners: list = staged[2::4]  # ... and its client's oid
         staged.clear()
         pending = self._touched
@@ -380,7 +394,6 @@ class BatchEvaluator:
                     slots[key] = g_lo + len(counts)
                     counts.append(len(group))
                     refs += group
-                    firsts.append(group[0])
                     owners.append(oid)
         dead = self._dead
         if dead:
@@ -393,14 +406,13 @@ class BatchEvaluator:
             # its length, plus the offset within the run.
             idx = np.repeat(self.g_start[d] - (ends - lens), lens) + np.arange(total)
             self.e_alive[idx] = False
+            # A dead slot is never masked by its safe period.
+            self.e_state[_PTM, idx] = 0.0
             self.g_alive[d] = False
             self.dead_ent += total
             e_refs = self.e_refs
             for i in idx.tolist():
-                e_refs[i] = _DEAD
-            g_first = self.g_first
-            for g in d.tolist():
-                g_first[g] = _DEAD
+                e_refs[i] = None
 
         n = len(refs)
         if not n:
@@ -427,15 +439,14 @@ class BatchEvaluator:
         self.g_len[g_lo:gh] = carr
         self.g_alive[g_lo:gh] = True
         self.g_oid[g_lo:gh] = owners
-        basis: list = []  # five floats per new group, flat
-        for first in firsts:
-            state = first.focal_state
+        flat: list = []  # the new slots' e_state columns, six floats each
+        for entry in refs:
+            state = entry.focal_state
             pos = state.pos
             vel = state.vel
-            basis += (pos.x, pos.y, vel.x, vel.y, state.recorded_at)
-        self.g_basis[g_lo:gh] = np.array(basis).reshape(n_g, 5)
+            flat += (pos.x, pos.y, vel.x, vel.y, state.recorded_at, entry.ptm)
+        self.e_state[:, lo:hi] = np.array(flat).reshape(n, 6).T
         self.e_refs += refs
-        self.g_first += firsts
         self.n_ent = hi
         self.n_grp = gh
 
@@ -450,21 +461,20 @@ class BatchEvaluator:
         gcum = np.cumsum(ga)
         new_n = int(ecum[-1]) if n else 0
         new_g = int(gcum[-1]) if g else 0
-        for name in ("e_reach", "e_fmax", "e_circ", "e_targ", "e_row"):
+        for name in ("e_reach", "e_fmax", "e_circ", "e_targ", "e_row", "e_state"):
             arr = getattr(self, name)
-            arr[:new_n] = arr[:n][ea]
+            arr[..., :new_n] = arr[..., :n][..., ea]
         compact_groups = self.e_group[:n][ea]
         self.e_group[:new_n] = gcum[compact_groups] - 1
         alive_starts = self.g_start[:g][ga]
         self.g_start[:new_g] = ecum[alive_starts] - 1
-        for name in ("g_len", "g_oid", "g_basis"):
+        for name in ("g_len", "g_oid"):
             arr = getattr(self, name)
             arr[:new_g] = arr[:g][ga]
         # ``ea``/``ga`` are *views* of the alive columns: consume them
         # before the flags are reset below, or the compress masks are
         # corrupted.
         self.e_refs = list(compress(self.e_refs, ea.tolist()))
-        self.g_first = list(compress(self.g_first, ga.tolist()))
         new_slot = (gcum - 1).tolist()  # valid at alive group slots
         for slots in self._slot.values():
             for key, slot in slots.items():
@@ -486,11 +496,15 @@ class BatchEvaluator:
         clients = self._clients
         assert self.n_lqt == sum(len(c.lqt) for c in clients.values()), "lqt_total drifted"
         assert int(self.e_alive[:n].sum()) == n - self.dead_ent, "dead-entry count drifted"
-        assert len(self.e_refs) == n and len(self.g_first) == self.n_grp
+        assert len(self.e_refs) == n
         e_alive = self.e_alive
         e_group = self.e_group
         e_targ = self.e_targ[:n].tolist()
         e_refs = self.e_refs
+        dead = ~e_alive[:n]
+        assert all((ref is None) == gone for ref, gone in zip(e_refs, dead.tolist())) and not (
+            self.e_state[_PTM, :n][dead].any()
+        ), "a dead slot holds an entry or a safe period"
         live_entries = live_groups = 0
         for oid, slots in self._slot.items():
             lqt = clients[oid].lqt
@@ -515,18 +529,23 @@ class BatchEvaluator:
                 )
                 assert e_alive[lo:hi].all() and (e_group[lo:hi] == g).all()
                 assert [e.is_target for e in run] == e_targ[lo:hi]
-                first = run[0]
-                assert self.g_first[g] is first
-                state = first.focal_state
-                assert self.g_basis[g].tolist() == [
-                    state.pos.x, state.pos.y, state.vel.x, state.vel.y, state.recorded_at
-                ], f"client {oid} group {key}: stale prediction basis"
+                assert [_state_column(e) for e in run] == self.e_state[:, lo:hi].T.tolist(), (
+                    f"client {oid} group {key}: stale focal state or ptm"
+                )
                 held += hi - lo
             assert held == len(lqt), f"client {oid}: entries outside every group"
             live_entries += held - len(statics)
             live_groups += len(slots)
         assert live_entries == n - self.dead_ent, "live slot owned by no client"
         assert live_groups == int(self.g_alive[: self.n_grp].sum())
+        # Every held entry is its holder's table entry, by identity, and
+        # the index holds as many as the tables do: the two are equal.
+        assert all(
+            bucket and all(clients[oid].lqt.find(qid) is entry for oid, entry in bucket.items())
+            for qid, bucket in self.holders.items()
+        ) and sum(map(len, self.holders.values())) == self.n_lqt, (
+            "the fan-out's holders index differs from the tables"
+        )
 
     # --------------------------------------------------------------- run
 
@@ -593,60 +612,30 @@ class BatchEvaluator:
         ox = self.store.x[rows]
         oy = self.store.y[rows]
 
-        # Safe-period skips and the per-group prediction basis: the focal
-        # position comes from the first *non-skipped* entry's motion state,
-        # so with safe periods on the basis is re-derived every evaluation;
-        # with them off it is always the first entry, served by the cached
-        # group columns (maintained by the rebuilds and the state hook).
-        if self.sp_on:
-            refs = self.e_refs
-            ptm = np.fromiter((e.ptm for e in refs), np.float64, count=n)
-            skip = (ptm > now) & alive
-            self.stats.skipped_by_safe_period += int(skip.sum())
+        # Safe-period skips are a lane mask; each group predicts its focal
+        # position from its first unmasked slot (the group start when nothing
+        # is masked; a wholly masked group's prediction is never read).
+        state = self.e_state
+        starts = g_start[e_group]  # per slot: its group's first slot
+        skip = state[_PTM, :n] > now
+        n_skip = int(np.count_nonzero(skip))
+        if n_skip:
+            self.stats.skipped_by_safe_period += n_skip
             valid = alive & ~skip
-            pick = np.where(valid, np.arange(n, dtype=i64), n)
-            g_first = np.minimum.reduceat(pick, g_start)
-            live_groups = np.nonzero(self.g_alive[:n_g] & (g_first < n))[0]
-            px_g = np.zeros(n_g)
-            py_g = np.zeros(n_g)
-            if live_groups.size:
-                seen: dict[int, int] = {}
-                sidx: list[int] = []
-                xs: list[float] = []
-                ys: list[float] = []
-                vxs: list[float] = []
-                vys: list[float] = []
-                recs: list[float] = []
-                for ei in g_first[live_groups].tolist():
-                    state = refs[ei].focal_state
-                    k = seen.get(id(state))
-                    if k is None:
-                        k = len(xs)
-                        seen[id(state)] = k
-                        pos = state.pos
-                        vel = state.vel
-                        xs.append(pos.x)
-                        ys.append(pos.y)
-                        vxs.append(vel.x)
-                        vys.append(vel.y)
-                        recs.append(state.recorded_at)
-                    sidx.append(k)
-                si = np.asarray(sidx, dtype=i64)
-                # Exact reference operation order: dt = now - tm, then
-                # pos + vel * dt, elementwise in float64.
-                sdt = now - np.asarray(recs)[si]
-                px_g[live_groups] = np.asarray(xs)[si] + np.asarray(vxs)[si] * sdt
-                py_g[live_groups] = np.asarray(ys)[si] + np.asarray(vys)[si] * sdt
+            first = np.minimum.reduceat(np.where(skip, n - 1, np.arange(n)), g_start)
+            lead = first[e_group]  # per slot: the slot its group predicts from
         else:
-            skip = None
             valid = alive
-            basis = self.g_basis[:n_g]
-            g_dt = now - basis[:, 4]
-            px_g = basis[:, 0] + basis[:, 2] * g_dt
-            py_g = basis[:, 1] + basis[:, 3] * g_dt
-
-        dx = ox - px_g[e_group]
-        dy = oy - py_g[e_group]
+            lead = starts
+        # Every slot's dead-reckoned focal position, in the exact reference
+        # operation order (dt = now - tm, then pos + vel * dt, elementwise in
+        # float64), then one gather per coordinate.
+        x, y, vx, vy, recorded_at = state[:5, :n]
+        dt = now - recorded_at
+        fx = (x + vx * dt).take(lead)
+        fy = (y + vy * dt).take(lead)
+        dx = ox - fx
+        dy = oy - fy
         dist_sq = dx * dx + dy * dy
         beyond = dist_sq > reach * reach
 
@@ -656,9 +645,9 @@ class BatchEvaluator:
             # later (smaller-reach) entry of the group as implied-outside.
             # Tombstoned groups compute garbage that never escapes their
             # own segment and is masked out below.
-            b = beyond.astype(i64) if skip is None else (beyond & ~skip).astype(i64)
+            b = (beyond & valid).astype(i64)
             excl = np.cumsum(b) - b
-            before = excl - excl[g_start[e_group]]
+            before = excl - excl[starts]
             implied = (before > 0) & valid
         else:
             implied = np.zeros(n, dtype=bool)
@@ -670,18 +659,12 @@ class BatchEvaluator:
         inside = checked & ~beyond
         noncircle = inside & ~self.e_circ[:n]
         if noncircle.any():
-            predicted_cache: dict[int, Point] = {}
-            g_oid = self.g_oid
+            idxs = np.nonzero(noncircle)[0]
+            oids = self.g_oid[e_group[idxs]].tolist()
             e_refs = self.e_refs
             clients = self._clients
-            for i in np.nonzero(noncircle)[0].tolist():
-                g = int(e_group[i])
-                predicted = predicted_cache.get(g)
-                if predicted is None:
-                    predicted = Point(float(px_g[g]), float(py_g[g]))
-                    predicted_cache[g] = predicted
-                client = clients[int(g_oid[g])]
-                inside[i] = client._contains(e_refs[i], predicted)
+            for i, px, py, oid in zip(idxs.tolist(), fx[idxs].tolist(), fy[idxs].tolist(), oids):
+                inside[i] = clients[oid]._contains(e_refs[i], Point(px, py))
 
         self.stats.evaluated_queries += int(checked.sum())
         if self.grouping:
@@ -701,8 +684,10 @@ class BatchEvaluator:
                 write = outside & (sp > self.config.eval_period_hours)
                 if write.any():
                     idxs = np.nonzero(write)[0]
-                    values = (now + sp[idxs]).tolist()
-                    for i, value in zip(idxs.tolist(), values):
+                    values = now + sp[idxs]
+                    state[_PTM, idxs] = values
+                    refs = self.e_refs
+                    for i, value in zip(idxs.tolist(), values.tolist()):
                         refs[i].ptm = value
 
         delta = (inside != self.e_targ[:n]) & valid

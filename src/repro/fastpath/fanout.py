@@ -143,12 +143,11 @@ class BroadcastFanout:
     def _apply_velocity(self, message: VelocityChangeBroadcast, recv: set) -> None:
         """Fresh focal motion state for each holding receiver's entries.
 
-        Every receiver got the same state, so the group slots whose cached
-        dead-reckoning basis the in-place ``focal_state`` rewrites
-        invalidate are collected and rewritten in one shot.
+        Every receiver got the same state, so the arena slots of the
+        rewritten entries are collected and rewritten in one shot.
         """
         state = message.state
-        basis_slot = self.evaluator.basis_slot
+        entry_slot = self.evaluator.entry_slot
         slots: list[int] = []
         for qid in message.qids:
             bucket = self.holders.get(qid)
@@ -158,11 +157,11 @@ class BroadcastFanout:
                 if oid in recv:
                     entry.focal_state = state
                     entry.ptm = 0.0  # prediction basis changed: re-evaluate
-                    slot = basis_slot(oid, entry)
+                    slot = entry_slot(oid, entry)
                     if slot is not None:
                         slots.append(slot)
         if slots:
-            self.evaluator.write_basis(slots, state)
+            self.evaluator.write_state(slots, state)
 
     def _apply_remove(self, message: QueryRemoveBroadcast, recv: set) -> None:
         """Drop each removed query from its holding receivers (no leave
@@ -179,7 +178,7 @@ class BroadcastFanout:
     def _apply_query(self, message, recv: set) -> None:
         """Install / refresh / drop per the broadcast descriptors."""
         clients = self.clients
-        basis_slot = self.evaluator.basis_slot
+        entry_slot = self.evaluator.entry_slot
         # Leave reports accumulate per receiver in descriptor order and are
         # sent last, ascending by receiver -- the exact uplink sequence of
         # the sorted per-receiver loop (only these reports are externally
@@ -213,7 +212,7 @@ class BroadcastFanout:
                     entry.mon_region = region
                     entry.ptm = 0.0  # focal moved: the safe period is void
                     client.lqt.tighten_hull(region)
-                    slot = basis_slot(oid, entry)
+                    slot = entry_slot(oid, entry)
                     if slot is not None:
                         slots.append(slot)
                 else:
@@ -221,6 +220,6 @@ class BroadcastFanout:
                     if removed is not None and removed.is_target:
                         leaves.setdefault(oid, {})[qid] = False
             if slots:
-                self.evaluator.write_basis(slots, desc.focal_state)
+                self.evaluator.write_state(slots, desc.focal_state)
         for oid in sorted(leaves):
             clients[oid]._send_result_changes(leaves[oid])

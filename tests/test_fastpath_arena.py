@@ -5,10 +5,10 @@ in-place ``focal_state`` rewrites, object moves and evaluations are applied
 to a handful of clients on a vectorized system and on a reference twin.
 After every evaluation the arena must image the tables exactly
 (``BatchEvaluator.check_invariants``: every group's run equals
-``lqt.by_focal()`` in members, in-group order, first-entry basis and
-``is_target``), and the reports the batch pass dispatched must equal the
-reference ``evaluation_phase`` reports in content and order.  Skipped
-without numpy."""
+``lqt.by_focal()`` in members, in-group order, every slot's focal state
+and ``ptm``, and ``is_target``), and the reports the batch pass
+dispatched must equal the reference ``evaluation_phase`` reports in
+content and order.  Skipped without numpy."""
 
 from __future__ import annotations
 
@@ -223,13 +223,13 @@ def test_compaction_renumbers_the_slot_map():
     assert ref.sent == [(0, [(2, False)])]
 
 
-def _stepper():
-    """A reference twin, a vectorized twin (grouping on, safe periods off),
-    and a ``play(*ops)`` that applies the ops to both and then runs one
+def _stepper(safe_period=False):
+    """A reference twin, a vectorized twin (grouping on), and a
+    ``play(*ops)`` that applies the ops to both and then runs one
     evaluation on each, checking that the reports, the entries and the
     arena image agree."""
-    ref = Twin("reference", True, False)
-    vec = Twin("vectorized", True, False)
+    ref = Twin("reference", True, safe_period)
+    vec = Twin("vectorized", True, safe_period)
     clock = [0.0]
 
     def play(*script):
@@ -271,8 +271,8 @@ def test_install_remove_install_of_one_group_between_evaluations(written):
     )
     assert _layout(ev) == ((4, 4, 1) if written else (3, 3, 0))
     # The basis is the last install's: the focal sits on the client.
-    g = ev.basis_slot(0, _entry(ev, 0, 0))
-    assert g is not None and ev.g_basis[g, :2].tolist() == [26.0, 25.0]
+    i = ev.entry_slot(0, _entry(ev, 0, 0))
+    assert i is not None and ev.e_state[:2, i].tolist() == [26.0, 25.0]
 
 
 def test_a_staged_group_that_grows_takes_one_slot():
@@ -307,5 +307,28 @@ def test_a_staged_entry_rewritten_in_place_is_evaluated_on_its_new_state(how):
     # Installed on the client, then moved away before any evaluation: no
     # report, where the installed state alone would report an enter.
     assert play(("install", 0, 6, 25.0, 25.0), rewrite) == []
-    g = ev.basis_slot(0, _entry(ev, 0, 6))
-    assert g is not None and ev.g_basis[g, :2].tolist() == [40.0, 40.0]
+    i = ev.entry_slot(0, _entry(ev, 0, 6))
+    assert i is not None and ev.e_state[:2, i].tolist() == [40.0, 40.0]
+
+
+@pytest.mark.parametrize("how", ["notify_state", "fanout"])
+def test_a_written_second_entry_rewritten_in_place_is_evaluated_on_its_new_state(how):
+    """Safe periods on: the first entry of a written two-entry group is
+    skipped by its safe period, so the group predicts from the second --
+    whose ``focal_state`` was just rewritten in place."""
+    ev, play = _stepper(safe_period=True)
+    # Both far from the client: both set a safe period.
+    assert play(("install", 0, 0, 40.0, 40.0), ("install", 0, 2, 40.0, 40.0)) == []
+    assert _layout(ev) == (2, 1, 0)
+    qid0, qid2 = _entry(ev, 0, 0), _entry(ev, 0, 2)
+    assert qid0.ptm > 0.0 and qid2.ptm > 0.0
+    rewrite = (
+        ("state", 0, 2, 25.0, 25.0, 0.0)
+        if how == "notify_state"
+        else ("update", 0, 2, 25.0, 25.0)
+    )
+    # The focal now sits on the client: qid 2 enters; qid 0 stays skipped.
+    assert play(rewrite) == [(0, [(2, True)])]
+    i = ev.entry_slot(0, qid2)
+    assert i == ev.entry_slot(0, qid0) + 1 and ev.e_state[:2, i].tolist() == [25.0, 25.0]
+    assert not qid0.is_target
