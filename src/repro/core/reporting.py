@@ -47,10 +47,42 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import MobiEyesClient
 
 
+# Who reports.  Both engines' reporting loops hand ``report_runs`` only
+# the *candidates*, and this is the one argument for why skipping the rest
+# is unobservable.  ``MobiEyesClient.report_phase`` acts on two conditions
+# only: the object's cell differs from its ``last_cell`` (a crossing), or
+# it is focal (``has_mq``) and its dead-reckoning deviation exceeds the
+# threshold.  A client that has not crossed and is not focal does nothing.
+#
+# - The reference loop asks at each client's turn: in ``focal_flags`` (the
+#   registry ``_set_has_mq`` keeps equal to ``has_mq``), or
+#   ``coverage.cell_of(oid) != last_cell``.  The coverage index was
+#   rebuilt from the positions the movement phase just produced, and
+#   nothing moves an object during reporting, so ``cell_of`` is the cell
+#   ``report_phase`` would compute.
+# - The vectorized loop fixes its candidates at phase start with array
+#   expressions -- crossed, or focal with a deviation above the threshold
+#   -- so a non-candidate must stay a no-op until its turn.  It does:
+#   positions stay put and ``last_cell`` changes only in its own client's
+#   crossing handler, so it cannot cross; no message that makes a client
+#   focal (``FocalRoleNotification`` from an install, a ``ResyncResponse``)
+#   arrives during the phase -- installs run between steps, resyncs are
+#   requested in the fault phase, and deferred hops land in the delivery
+#   phase -- so it cannot turn focal; and a focal client's
+#   relayed state changes mid-phase only through ``_set_relayed`` (a
+#   resync, a motion-state request, its own crossing), which installs a
+#   snapshot of the current position, deviation zero.
+#
+# The property test ``tests/test_reference_skips.py`` steps the reference
+# loop beside one over every client; the vectorized loop is graded against
+# the reference engine by the differential suites.
+
+
 def report_runs(clients: Iterable["MobiEyesClient"]) -> Iterator[list["MobiEyesClient"]]:
-    """The report windows of one reporting phase over ``clients`` (in
-    ascending object id): each maximal run of consecutive non-focal clients
-    (``has_mq`` False), and each focal client alone.
+    """The report windows of one reporting phase over ``clients`` (the
+    candidates, in ascending object id; see "Who reports" above): each
+    maximal run of consecutive non-focal clients (``has_mq`` False), and
+    each focal client alone.
 
     A focal crossing moves the reverse query index and broadcasts to
     receivers by their ``last_cell``, which a later client's own crossing

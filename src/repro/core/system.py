@@ -497,14 +497,24 @@ class MobiEyesSystem:
         if self._fastpath is not None:
             self._fastpath.reporting_phase(clock)
         else:
-            # With batched reporting, one report window per run of
-            # consecutive non-focal clients and one per focal client: the
-            # window flushes (closed) before the next one opens, so every
-            # reaction that can reach a later client's report has run
-            # before that client reports -- as on the per-message path.
+            # Only the candidates report: a client that is not focal and
+            # has not left its last cell does nothing (core/reporting.py,
+            # "Who reports").  With batched reporting, one report window
+            # per run of consecutive non-focal candidates and one per focal
+            # candidate: the window flushes (closed) before the next one
+            # opens, so every reaction that can reach a later client's
+            # report has run before that client reports -- as on the
+            # per-message path.
             window = self.transport.report_window
             clients = self.clients
-            for run in report_runs(clients[oid] for oid in self._client_order):
+            focal = self.focal_flags
+            cell_of = self.transport.coverage.cell_of
+            candidates = (
+                clients[oid]
+                for oid in self._client_order
+                if oid in focal or cell_of(oid) != clients[oid].last_cell
+            )
+            for run in report_runs(candidates):
                 with window:
                     for client in run:
                         client.report_phase(clock)
@@ -532,10 +542,14 @@ class MobiEyesSystem:
             return
         # One window around the whole evaluation pass: result reports only
         # flow client -> server here (applying one cannot influence another
-        # client's evaluation), so a single end-of-phase flush is safe.
+        # client's evaluation), so a single end-of-phase flush is safe.  A
+        # client with an empty table has nothing to evaluate.
+        clients = self.clients
         with self.transport.report_window:
             for oid in self._client_order:
-                self.clients[oid].evaluation_phase(clock)
+                client = clients[oid]
+                if client.lqt:
+                    client.evaluation_phase(clock)
 
     def close(self) -> None:
         """End of the system's lifecycle.  Idempotent; the system holds

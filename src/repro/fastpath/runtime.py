@@ -13,8 +13,8 @@ model's own ``advance``, which the system calls on either engine):
   ascending object-id order and in report windows by the reference loop's
   rule (one per run of non-focal candidates, one per focal candidate) so
   mid-phase broadcasts interleave exactly as in the reference loop.
-  Non-candidates provably do nothing in the reference loop, so skipping
-  them is unobservable.
+  Non-candidates provably do nothing (the one argument is
+  ``core/reporting.py``, "Who reports"), so skipping them is unobservable.
 - *evaluation*: one system-wide :class:`BatchEvaluator` pass.
 
 The *delivery* phase is not vectorized: deferred envelopes (nonzero
@@ -114,16 +114,12 @@ class FastpathRuntime:
         candidates = set(store.oids[changed].tolist()) if changed.any() else set()
         focal = self.system.focal_flags
         if focal:
-            # Dead-reckoning pre-filter: a focal candidate whose cell did
-            # not change and whose phase-start deviation is within the
-            # threshold is a provable no-op in the scalar loop, because its
-            # relayed state cannot change before its own turn -- any
-            # mid-phase `_set_relayed` (resync, motion-state request, its
-            # own cell-change relay) installs a fresh snapshot whose
-            # predicted position IS the current position, i.e. deviation
-            # zero.  The array expression replays the scalar arithmetic
-            # exactly: predict's `pos + vel * dt` and `math.hypot` (the
-            # same libm hypot `np.hypot` dispatches to).
+            # Dead-reckoning pre-filter: a focal client that has not
+            # crossed and whose phase-start deviation is within the
+            # threshold is a no-op until its turn (core/reporting.py, "Who
+            # reports").  The array expression replays the scalar
+            # arithmetic exactly: predict's `pos + vel * dt` and
+            # `math.hypot` (the same libm hypot `np.hypot` dispatches to).
             dt = now - self.rel_rec
             dx = store.x - (self.rel_x + self.rel_vx * dt)
             dy = store.y - (self.rel_y + self.rel_vy * dt)

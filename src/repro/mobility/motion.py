@@ -87,14 +87,31 @@ class MotionModel:
                 self.changed_last_step.append(obj.oid)
 
     def _move(self, step_hours: float, now_hours: float) -> None:
-        """Move every moving object one step, reflecting at the boundary."""
+        """Move every moving object one step, reflecting at the boundary.
+
+        An object that stays inside the UoD takes its new position as is,
+        velocity unchanged -- what ``reflect_into`` returns for it -- so
+        only the few that leave it are folded back (the rule
+        ``VectorizedMotionModel._move`` uses too).  A zero-width UoD axis
+        flips even an in-bounds velocity, so there every object reflects.
+        """
+        uod = self.uod
+        lx, ly, ux, uy = uod.lx, uod.ly, uod.ux, uod.uy
+        open_box = lx < ux and ly < uy
         for obj in self.objects:
-            if obj.vel.x == 0.0 and obj.vel.y == 0.0:
+            vel = obj.vel
+            vx, vy = vel.x, vel.y
+            if vx == 0.0 and vy == 0.0:
                 continue
-            raw = Point(obj.pos.x + obj.vel.x * step_hours, obj.pos.y + obj.vel.y * step_hours)
-            obj.pos, vel = reflect_into(self.uod, raw, obj.vel)
-            if vel != obj.vel:
-                obj.vel = vel
+            pos = obj.pos
+            x = pos.x + vx * step_hours
+            y = pos.y + vy * step_hours
+            if open_box and lx <= x <= ux and ly <= y <= uy:
+                obj.pos = Point(x, y)
+            else:
+                obj.pos, new_vel = reflect_into(uod, Point(x, y), vel)
+                if new_vel != vel:
+                    obj.vel = new_vel
             # Objects continuously re-record their own state (GPS + clock).
             obj.recorded_at = now_hours
 

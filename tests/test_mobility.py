@@ -89,6 +89,46 @@ class TestMotionModel:
         assert obj.pos == Point(11.0, 5.0)
         assert obj.recorded_at == 0.5
 
+    # (uod, position, velocity, where a one-hour step lands): edges, one ulp
+    # beyond them, a zero velocity on one axis, both axes out, and a
+    # zero-width axis (whose fold flips a velocity too small to move).
+    BOUNDARY = Rect(2, 2, 8, 8)
+    ULP_BELOW_2 = math.nextafter(2.0, -math.inf)
+    ULP_ABOVE_10 = math.nextafter(10.0, math.inf)
+    LANDINGS = {
+        "on_lx": (BOUNDARY, (2.5, 5.0), (-0.5, 0.25), (2.0, 5.25)),
+        "on_ux": (BOUNDARY, (9.5, 5.0), (0.5, 0.25), (10.0, 5.25)),
+        "corner": (BOUNDARY, (9.5, 2.5), (0.5, -0.5), (10.0, 2.0)),
+        "ulp_below_lx": (
+            BOUNDARY, (2.0 + 2**-51, 5.0), (-(2**-51 + 2**-52), 0.25), (ULP_BELOW_2, 5.25)
+        ),
+        "ulp_beyond_ux": (
+            BOUNDARY, (math.nextafter(9.0, math.inf), 5.0), (1.0, 0.25), (ULP_ABOVE_10, 5.25)
+        ),
+        "ulp_beyond_uy": (
+            BOUNDARY, (5.0, math.nextafter(9.0, math.inf)), (0.25, 1.0), (5.25, ULP_ABOVE_10)
+        ),
+        "zero_vx_on_ux": (BOUNDARY, (10.0, 6.0), (0.0, 0.5), (10.0, 6.5)),
+        "zero_vy_x_out": (
+            BOUNDARY, (math.nextafter(9.0, math.inf), 4.0), (1.0, 0.0), (ULP_ABOVE_10, 4.0)
+        ),
+        "both_out": (BOUNDARY, (9.5, 2.5), (1.0, -1.0), (10.5, 1.5)),
+        "zero_width_x": (Rect(2.0, 2.0, 0.0, 8.0), (2.0, 5.0), (5e-324, 0.5), (2.0, 5.5)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LANDINGS))
+    def test_a_step_lands_where_reflect_into_puts_it(self, case):
+        uod, (x, y), (vx, vy), landing = self.LANDINGS[case]
+        obj = make_object(x=x, y=y, vx=vx, vy=vy)
+        raw = Point(x + vx, y + vy)
+        assert raw == Point(*landing)  # the step lands exactly on the case
+        want_pos, want_vel = reflect_into(uod, raw, obj.vel)
+        MotionModel([obj], uod, SimulationRng(1)).advance(1.0, 7.0)
+        bits = lambda v: (v.x.hex(), v.y.hex())  # noqa: E731  (signed zeros too)
+        assert bits(obj.pos) == bits(want_pos)
+        assert bits(obj.vel) == bits(want_vel)
+        assert obj.recorded_at == 7.0
+
     def test_stationary_objects_do_not_move(self):
         obj = make_object(vx=0.0, vy=0.0)
         model = MotionModel([obj], Rect(0, 0, 100, 100), SimulationRng(1))
