@@ -152,19 +152,10 @@ class MobiEyesClient:
         self.last_cell = new_cell
         # Drop queries whose monitoring region no longer covers this cell;
         # leaving a monitoring region while being a target is reported so
-        # the server-side result stays clean.  The LQT hull (intersection
-        # of every region's bounds) makes the common case O(1): while the
-        # new cell is inside the hull, no entry can have been left.
-        if not self.lqt.hull_contains(new_cell):
-            leave_changes: dict[QueryId, bool] = {}
-            for entry in self.lqt.entries():
-                if not entry.mon_region.contains(new_cell):
-                    self.lqt.remove(entry.qid)
-                    if entry.is_target:
-                        leave_changes[entry.qid] = False
-            self.lqt.recompute_hull()
-            if leave_changes:
-                self._send_result_changes(leave_changes)
+        # the server-side result stays clean.
+        leave_changes = self.lqt.drop_uncovered(new_cell)
+        if leave_changes:
+            self._send_result_changes(leave_changes)
         # Under lazy propagation only focal objects report cell changes.
         if self.config.propagation.is_lazy and not self.has_mq:
             return
@@ -483,12 +474,7 @@ class MobiEyesClient:
                 continue
             existing = self.lqt.find(desc.qid)
             if existing is not None:
-                existing.focal_state = desc.focal_state
-                existing.focal_max_speed = desc.focal_max_speed
-                existing.mon_region = desc.mon_region
-                existing.ptm = 0.0  # focal moved: the safe period is void
-                self.lqt.tighten_hull(desc.mon_region)
-                self.lqt.notify_state(existing)
+                self.lqt.refresh(existing, desc)
             elif desc.filter.matches(self.obj.props):
                 self.lqt.install(LqtEntry.from_descriptor(desc))
         if leave_changes:
@@ -498,9 +484,7 @@ class MobiEyesClient:
         for qid in message.qids:
             entry = self.lqt.find(qid)
             if entry is not None:
-                entry.focal_state = message.state
-                entry.ptm = 0.0  # prediction basis changed: re-evaluate
-                self.lqt.notify_state(entry)
+                self.lqt.set_focal_state(entry, message.state)
         # Lazy propagation: the expanded broadcast lets objects that changed
         # cells install the queries they missed.
         if message.descriptors:

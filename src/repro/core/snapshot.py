@@ -328,7 +328,7 @@ def _capture_clients(system: "MobiEyesSystem") -> dict[int, dict[str, Any]]:
         client = system.clients[oid]
         lqt = client.lqt
         out[oid] = {
-            "entries": list(lqt._entries.values()),  # install order
+            "entries": lqt.entries(),  # install order
             "hull": (lqt.hull_lo_i, lqt.hull_hi_i, lqt.hull_lo_j, lqt.hull_hi_j),
             "has_mq": client.has_mq,
             "relayed": client._relayed_state,

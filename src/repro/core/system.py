@@ -245,11 +245,7 @@ class MobiEyesSystem:
         obj = client.obj
         self._unstepped_updates.setdefault(oid, (obj.pos, obj.vel, obj.recorded_at))
         self.motion.apply_update(oid, pos, vel, self.clock.now_hours)
-        lqt = client.lqt
-        for entry in lqt.entries():
-            if entry.ptm:
-                entry.ptm = 0.0
-                lqt.notify_state(entry)
+        client.lqt.void_safe_periods()
 
     def step(self) -> int:
         """Advance the simulation by one time step."""

@@ -234,24 +234,28 @@ class LqtEntry:
 class LocalQueryTable:
     """LQT: the queries a moving object currently monitors.
 
+    Outside evaluation (which writes ``ptm`` and ``is_target``), only the
+    table writes its entries: install, remove, the drop scan
+    :meth:`drop_uncovered`, and the in-place rewrites :meth:`refresh`,
+    :meth:`set_focal_state` and :meth:`void_safe_periods`, each of which
+    voids the entry's safe period (``ptm`` 0).
+
     A consumer that caches derived structure (the vectorized batch
     evaluator) registers a *watcher* (:meth:`watch`) to be told about
-    changes as they happen: ``lqt_changed(oid, entry, delta)`` fires on every install/remove with
-    the affected entry and the change in table size (install: 1, or 0 when
-    it replaces an entry of the same query; remove: -1), and
-    ``state_changed(oid, entry)`` fires when an entry's ``focal_state`` is
-    replaced in place or its ``ptm`` voided -- every such rewrite voids
-    ``ptm`` (see :meth:`notify_state`).  With no watcher registered -- the
-    reference engine -- the hooks reduce to one ``None`` check.
+    changes as they happen: ``lqt_changed(oid, entry, delta)`` fires on
+    every install/remove with the affected entry and the change in table
+    size (install: 1, or 0 when it replaces an entry of the same query;
+    remove: -1), and ``state_changed(oid, entry)`` on every in-place
+    rewrite.  With no watcher registered -- the reference engine -- the
+    hooks reduce to one ``None`` check.
 
     The table also maintains a *hull*: the intersection of every
     installed entry's monitoring-region bounds.  While the owning object
     stays inside the hull, no entry's region can have been left, so the
-    cell-crossing drop scan is skipped entirely.  The hull only tightens
-    on install (and on in-place region rewrites via :meth:`tighten_hull`);
-    removals leave it stale-but-conservative until
-    :meth:`recompute_hull` -- a too-small hull only costs an extra scan,
-    never a missed drop.
+    drop scan is skipped entirely.  The hull only tightens on install and
+    on region rewrites; removals leave it stale-but-conservative until the
+    next drop scan rebuilds it -- a too-small hull only costs an extra
+    scan, never a missed drop.
     """
 
     def __init__(self) -> None:
@@ -271,16 +275,7 @@ class LocalQueryTable:
 
     # ----------------------------------------------------------------- hull
 
-    def hull_contains(self, cell: CellIndex) -> bool:
-        """Whether ``cell`` lies inside every entry's monitoring-region
-        bounds (conservatively: inside the maintained hull)."""
-        i, j = cell
-        return (
-            self.hull_lo_i <= i <= self.hull_hi_i
-            and self.hull_lo_j <= j <= self.hull_hi_j
-        )
-
-    def tighten_hull(self, region: CellRange) -> None:
+    def _tighten_hull(self, region: CellRange) -> None:
         """Intersect the hull with one monitoring region's bounds."""
         if region.lo_i > self.hull_lo_i:
             self.hull_lo_i = region.lo_i
@@ -291,31 +286,59 @@ class LocalQueryTable:
         if region.hi_j < self.hull_hi_j:
             self.hull_hi_j = region.hi_j
 
-    def recompute_hull(self) -> None:
-        """Rebuild the hull exactly from the surviving entries."""
-        lo_i = lo_j = -_HULL_MAX
-        hi_i = hi_j = _HULL_MAX
-        for entry in self._entries.values():
-            region = entry.mon_region
-            if region.lo_i > lo_i:
-                lo_i = region.lo_i
-            if region.hi_i < hi_i:
-                hi_i = region.hi_i
-            if region.lo_j > lo_j:
-                lo_j = region.lo_j
-            if region.hi_j < hi_j:
-                hi_j = region.hi_j
-        self.hull_lo_i = lo_i
-        self.hull_hi_i = hi_i
-        self.hull_lo_j = lo_j
-        self.hull_hi_j = hi_j
+    def drop_uncovered(self, cell: CellIndex) -> dict[QueryId, bool]:
+        """Remove every entry whose monitoring region does not cover
+        ``cell`` (the owner's new cell) and rebuild the hull exactly from
+        the survivors; returns the leave changes -- ``qid -> False`` for
+        each removed entry that was a target.  O(1) while ``cell`` lies
+        inside the hull."""
+        i, j = cell
+        if self.hull_lo_i <= i <= self.hull_hi_i and self.hull_lo_j <= j <= self.hull_hi_j:
+            return {}
+        leaves: dict[QueryId, bool] = {}
+        self.hull_lo_i = self.hull_lo_j = -_HULL_MAX
+        self.hull_hi_i = self.hull_hi_j = _HULL_MAX
+        for entry in list(self._entries.values()):
+            if entry.mon_region.contains(cell):
+                self._tighten_hull(entry.mon_region)
+            else:
+                self.remove(entry.qid)
+                if entry.is_target:
+                    leaves[entry.qid] = False
+        return leaves
 
-    def notify_state(self, entry: LqtEntry) -> None:
-        """Tell the watcher (if any) that ``entry.focal_state`` was replaced
-        in place or ``entry.ptm`` voided; the caller has set ``ptm`` to 0."""
+    # ------------------------------------------------------------ rewrites
+
+    def refresh(self, entry: LqtEntry, desc: QueryDescriptor) -> None:
+        """Rewrite ``entry`` from a fresh descriptor of its query (the
+        focal object moved)."""
+        entry.focal_state = desc.focal_state
+        entry.focal_max_speed = desc.focal_max_speed
+        entry.mon_region = desc.mon_region
+        entry.ptm = 0.0
+        self._tighten_hull(desc.mon_region)
         watcher = self._watcher
         if watcher is not None:
             watcher.state_changed(self._watch_oid, entry)
+
+    def set_focal_state(self, entry: LqtEntry, state: MotionState) -> None:
+        """Rewrite ``entry``'s focal state: the prediction basis changed,
+        so the safe period is void."""
+        entry.focal_state = state
+        entry.ptm = 0.0
+        watcher = self._watcher
+        if watcher is not None:
+            watcher.state_changed(self._watch_oid, entry)
+
+    def void_safe_periods(self) -> None:
+        """Void every set safe period (the owner was moved externally, and
+        they were bounds from where it stood)."""
+        watcher = self._watcher
+        for entry in self._entries.values():
+            if entry.ptm:
+                entry.ptm = 0.0
+                if watcher is not None:
+                    watcher.state_changed(self._watch_oid, entry)
 
     def __contains__(self, qid: QueryId) -> bool:
         return qid in self._entries
@@ -338,7 +361,7 @@ class LocalQueryTable:
             # Before the overwrite, while a replaced entry still shows.
             watcher.lqt_changed(self._watch_oid, entry, 0 if entry.qid in self._entries else 1)
         self._entries[entry.qid] = entry
-        self.tighten_hull(entry.mon_region)
+        self._tighten_hull(entry.mon_region)
 
     def remove(self, qid: QueryId) -> LqtEntry | None:
         """Remove a stored entry."""

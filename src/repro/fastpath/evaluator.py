@@ -41,16 +41,16 @@ How a table change reaches the arena:
   half the live entries, the arena is compacted in place (one
   boolean-index copy per column; the slot map is renumbered in a single
   pass).
-- in-place replacement of an entry's ``focal_state`` -- velocity broadcasts
-  and existing-entry refreshes, which do *not* bump the table version --
-  and the voided safe periods of an externally moved object fire
-  ``state_changed``.  Every such rewrite voids ``ptm``, so the one hook
-  rewrites the entry's column, state and ``ptm = 0``, once its group is
-  written (before, the refresh reads the column off the entry).  The
-  batch pass writes each ``ptm`` it computes to the column and to the
-  entry, which stays the record the reference engine, leave reports and
-  checkpoints read.  Other in-place mutations need no hook:
-  ``is_target`` is dual-written by the delta pass itself,
+- every in-place rewrite goes through the table (``refresh``,
+  ``set_focal_state``, ``void_safe_periods``), which fires
+  ``state_changed``; the hook marks a written entry's slot, and the next
+  refresh images the marked slots -- focal state and the voided ``ptm``
+  -- from their entries with the helper that images new slots, before
+  the tombstones, so a marked slot retired since ends dead.  An entry of
+  a staged or re-image-pending group needs no mark.  The batch pass
+  writes each ``ptm`` it computes to the column and to the entry, which
+  stays the record the reference engine, leave reports and checkpoints
+  read; ``is_target`` is dual-written by the delta pass itself.
   ``focal_max_speed`` rewrites always carry the focal object's immutable
   ``max_speed``, and ``mon_region`` is not consulted by evaluation.
 
@@ -184,10 +184,12 @@ class BatchEvaluator:
         # them.  ``_staged`` holds one (client's slot map, group key,
         # client oid, entry) record per reserved slot, in slot order;
         # ``_touched`` one (client oid, group key) pair per group to
-        # re-image; ``_dead`` the slots to tombstone.
+        # re-image; ``_dead`` the group slots to tombstone; ``_rewritten``
+        # the entry slots rewritten in place, to image from their entries.
         self._staged: list = []
         self._touched: list = []
         self._dead: list = []
+        self._rewritten: list = []
         # Static entries stay out of the arena: client oid -> its static
         # entries in table order, and the clients whose list is out of date.
         self._statics: dict = {}
@@ -277,37 +279,21 @@ class BatchEvaluator:
             staged[i][staged[i + 1]] = g
         del staged[-4:]
 
-    def entry_slot(self, oid: "ObjectId", entry: "LqtEntry") -> int | None:
-        """The arena slot of ``entry``, one of client ``oid``'s entries.
-
-        A static entry, or one of a staged group (not yet written) or of a
-        group awaiting re-imaging, answers None: the refresh reads its
-        column off the entry.
-        """
-        g = self._slot[oid].get(entry.oid if self.grouping else entry.qid)
-        if g is None or not 0 <= g < self.n_grp:
-            return None
-        # A written group's run holds every entry of the group.
-        i = self.g_start.item(g)
-        refs = self.e_refs
-        while refs[i] is not entry:
-            i += 1
-        return i
-
-    def write_state(self, slots, state) -> None:
-        """Rewrite the focal state of slot(s) ``slots`` and void their
-        ``ptm``: every in-place ``focal_state`` rewrite voids the safe
-        period."""
-        pos = state.pos
-        vel = state.vel
-        self.e_state.T[slots] = (pos.x, pos.y, vel.x, vel.y, state.recorded_at, 0.0)
-
     def state_changed(self, oid: "ObjectId", entry: "LqtEntry") -> None:
-        """Table hook: ``entry.focal_state`` was replaced in place, or its
-        safe period voided (``entry.ptm`` is 0)."""
-        i = self.entry_slot(oid, entry)
-        if i is not None:
-            self.write_state(i, entry.focal_state)
+        """Table hook: ``entry``, one of client ``oid``'s, was rewritten in
+        place (its focal state replaced or its safe period voided).  Its
+        slot in a written group is marked for the next refresh to image
+        from the entry; a static entry, or one of a staged group or of a
+        group awaiting re-imaging, has its column read off the entry when
+        the group is written."""
+        g = self._slot[oid].get(entry.oid if self.grouping else entry.qid)
+        if g is not None and 0 <= g < self.n_grp:
+            # A written group's run holds every entry of the group.
+            i = self.g_start.item(g)
+            refs = self.e_refs
+            while refs[i] is not entry:
+                i += 1
+            self._rewritten.append(i)
 
     def lqt_total(self) -> int:
         """Total LQT entries system-wide (kept current by the table hook)."""
@@ -337,14 +323,14 @@ class BatchEvaluator:
         Writes every staged group into its reserved slot, re-images every
         group marked for it into the slots after those -- its members in
         table order, reach-descending (stable), exactly
-        ``LocalQueryTable.by_focal`` -- and tombstones the slots the hook
-        retired.  One Python pass over the re-imaged groups' tables collects
-        their runs; each arena column is then written with a single slice
-        assignment.
+        ``LocalQueryTable.by_focal`` -- images the slots rewritten in
+        place, and tombstones the slots the hook retired.  One Python pass
+        over the re-imaged groups' tables collects their runs; each arena
+        column is then written with a single slice assignment.
         """
         clients = self._clients
         for oid in self._static_stale:
-            statics = [e for e in clients[oid].lqt._entries.values() if e.oid is None]
+            statics = [e for e in clients[oid].lqt.entries() if e.oid is None]
             if statics:
                 self._statics[oid] = statics
             else:
@@ -372,17 +358,17 @@ class BatchEvaluator:
                     keys.append(key)
             pending.clear()
             for oid, keys in touched.items():
-                entries = clients[oid].lqt._entries
+                lqt = clients[oid].lqt
                 if grouping:
                     members: dict = {key: [] for key in keys}
-                    for entry in entries.values():
+                    for entry in lqt.entries():
                         group = members.get(entry.oid)
                         if group is not None:
                             group.append(entry)
                 else:
                     members = {}
                     for qid in keys:
-                        entry = entries.get(qid)
+                        entry = lqt.find(qid)
                         members[qid] = () if entry is None else (entry,)
                 slots = self._slot[oid]
                 for key, group in members.items():
@@ -395,6 +381,12 @@ class BatchEvaluator:
                     counts.append(len(group))
                     refs += group
                     owners.append(oid)
+        rewritten = self._rewritten
+        if rewritten:
+            # Before the tombstones: a marked slot may have died since.
+            e_refs = self.e_refs
+            self._image_states(rewritten, [e_refs[i] for i in rewritten])
+            rewritten.clear()
         dead = self._dead
         if dead:
             d = np.asarray(dead, dtype=i64)
@@ -439,16 +431,32 @@ class BatchEvaluator:
         self.g_len[g_lo:gh] = carr
         self.g_alive[g_lo:gh] = True
         self.g_oid[g_lo:gh] = owners
-        flat: list = []  # the new slots' e_state columns, six floats each
-        for entry in refs:
-            state = entry.focal_state
-            pos = state.pos
-            vel = state.vel
-            flat += (pos.x, pos.y, vel.x, vel.y, state.recorded_at, entry.ptm)
-        self.e_state[:, lo:hi] = np.array(flat).reshape(n, 6).T
+        self._image_states(slice(lo, hi), refs)
         self.e_refs += refs
         self.n_ent = hi
         self.n_grp = gh
+
+    def _image_states(self, where, refs: list) -> None:
+        """Write ``refs``' focal states and ``ptm`` into the ``e_state``
+        columns ``where`` (a slice or a list of slots, aligned with
+        ``refs``).  A run of entries sharing one focal state -- one
+        broadcast's receivers -- reads it once."""
+        basis: list = []  # (x, y, vx, vy, recorded_at) per run, flat
+        lens: list[int] = []
+        last = None
+        for entry in refs:
+            state = entry.focal_state
+            if state is last:
+                lens[-1] += 1
+            else:
+                last = state
+                pos = state.pos
+                vel = state.vel
+                basis += (pos.x, pos.y, vel.x, vel.y, state.recorded_at)
+                lens.append(1)
+        runs = self.np.array(basis).reshape(-1, 5)
+        self.e_state[:_PTM, where] = runs.repeat(lens, axis=0).T
+        self.e_state[_PTM, where] = [entry.ptm for entry in refs]
 
     def _compact(self) -> None:
         """Squeeze tombstoned slots out of the arena (order-preserving)."""
@@ -588,7 +596,7 @@ class BatchEvaluator:
                         client._send_result_changes(report)
             else:
                 by_focal: dict = {}
-                for entry in client.lqt._entries.values():
+                for entry in client.lqt.entries():
                     if entry.qid in changed:
                         by_focal.setdefault(entry.oid, {})[entry.qid] = changed[entry.qid]
                 for report in by_focal.values():

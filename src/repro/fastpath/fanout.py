@@ -17,7 +17,10 @@ per-receiver table poke that can be applied in bulk:
 
 :class:`BroadcastFanout` reads the query-id -> holders index the batch
 evaluator maintains inside its ``lqt_changed`` table hook, so a broadcast
-touches exactly the entries it affects, and takes the receivers as the
+touches exactly the entries it affects.  It writes them through each
+receiver's :class:`~repro.core.tables.LocalQueryTable` (``install``,
+``remove``, ``refresh``, ``set_focal_state``), whose watcher keeps the
+arena current, so it knows no arena slot.  It takes the receivers as the
 one id set :meth:`VectorizedCoverageIndex.receiver_mask` reads off the
 per-step index (a few dozen ids; the ledger and the appliers consume the
 set as it is).
@@ -141,27 +144,16 @@ class BroadcastFanout:
     # ------------------------------------------------------------ appliers
 
     def _apply_velocity(self, message: VelocityChangeBroadcast, recv: set) -> None:
-        """Fresh focal motion state for each holding receiver's entries.
-
-        Every receiver got the same state, so the arena slots of the
-        rewritten entries are collected and rewritten in one shot.
-        """
+        """Fresh focal motion state for each holding receiver's entries."""
         state = message.state
-        entry_slot = self.evaluator.entry_slot
-        slots: list[int] = []
+        clients = self.clients
         for qid in message.qids:
             bucket = self.holders.get(qid)
             if not bucket:
                 continue
             for oid, entry in bucket.items():
                 if oid in recv:
-                    entry.focal_state = state
-                    entry.ptm = 0.0  # prediction basis changed: re-evaluate
-                    slot = entry_slot(oid, entry)
-                    if slot is not None:
-                        slots.append(slot)
-        if slots:
-            self.evaluator.write_state(slots, state)
+                    clients[oid].lqt.set_focal_state(entry, state)
 
     def _apply_remove(self, message: QueryRemoveBroadcast, recv: set) -> None:
         """Drop each removed query from its holding receivers (no leave
@@ -178,7 +170,6 @@ class BroadcastFanout:
     def _apply_query(self, message, recv: set) -> None:
         """Install / refresh / drop per the broadcast descriptors."""
         clients = self.clients
-        entry_slot = self.evaluator.entry_slot
         # Leave reports accumulate per receiver in descriptor order and are
         # sent last, ascending by receiver -- the exact uplink sequence of
         # the sorted per-receiver loop (only these reports are externally
@@ -192,7 +183,6 @@ class BroadcastFanout:
             # Read live while the loop edits it through the table hook:
             # each receiver is visited once, so its own answer is never stale.
             bucket = self.holders.get(qid, {})
-            slots: list[int] = []
             for oid in recv:
                 if oid == focal:
                     continue
@@ -207,19 +197,10 @@ class BroadcastFanout:
                     if covered and desc.filter.matches(client.obj.props):
                         client.lqt.install(LqtEntry.from_descriptor(desc))
                 elif covered:
-                    entry.focal_state = desc.focal_state
-                    entry.focal_max_speed = desc.focal_max_speed
-                    entry.mon_region = region
-                    entry.ptm = 0.0  # focal moved: the safe period is void
-                    client.lqt.tighten_hull(region)
-                    slot = entry_slot(oid, entry)
-                    if slot is not None:
-                        slots.append(slot)
+                    client.lqt.refresh(entry, desc)
                 else:
                     removed = client.lqt.remove(qid)
                     if removed is not None and removed.is_target:
                         leaves.setdefault(oid, {})[qid] = False
-            if slots:
-                self.evaluator.write_state(slots, desc.focal_state)
         for oid in sorted(leaves):
             clients[oid]._send_result_changes(leaves[oid])

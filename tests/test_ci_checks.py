@@ -354,33 +354,44 @@ KINEMATIC_ATTRIBUTES = {"pos", "vel", "recorded_at"}
 STORE_COLUMNS = {"x", "y", "vx", "vy", "recorded_at", "built_pos", "built_vel"}
 
 
+def assigned(node: ast.AST) -> list[ast.AST]:
+    """The simple targets ``node`` assigns to, if it is an assignment
+    (plain, augmented, annotated or unpacked)."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    out = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets += target.elts
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        else:
+            out.append(target)
+    return out
+
+
 def kinematic_writes(source: str) -> list[int]:
     """Lines of ``source`` that assign to a ``.pos`` / ``.vel`` /
     ``.recorded_at`` attribute, or to an item of a store column such as
-    ``store.recorded_at[rows]`` (plain, augmented, annotated or unpacked)."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        else:
-            continue
-        while targets:
-            target = targets.pop()
-            if isinstance(target, (ast.Tuple, ast.List)):
-                targets += target.elts
-            elif isinstance(target, ast.Starred):
-                targets.append(target.value)
-            elif isinstance(target, ast.Attribute) and target.attr in KINEMATIC_ATTRIBUTES:
-                lines.append(node.lineno)
-            elif (
+    ``store.recorded_at[rows]``."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            for target in assigned(node)
+            if (isinstance(target, ast.Attribute) and target.attr in KINEMATIC_ATTRIBUTES)
+            or (
                 isinstance(target, ast.Subscript)
                 and isinstance(target.value, ast.Attribute)
                 and target.value.attr in STORE_COLUMNS
-            ):
-                lines.append(node.lineno)
-    return sorted(set(lines))
+            )
+        }
+    )
 
 
 def test_the_store_is_the_one_writer_of_vectorized_kinematics():
@@ -408,6 +419,83 @@ def test_the_store_is_the_one_writer_of_vectorized_kinematics():
     assert kinematic_writes(doctored) == [3, 4, 5, 6, 7, 8]
     store_source = (SRC / "repro" / "fastpath" / "store.py").read_text()
     assert kinematic_writes(store_source)  # the guard sees the store's own writes
+
+
+LQT_REWRITTEN_FIELDS = {"focal_state", "focal_max_speed", "mon_region"}
+EVALUATED_FIELDS = {"ptm", "is_target"}
+EVALUATORS = {
+    "MobiEyesClient._process_group",
+    "MobiEyesClient._process_static_entries",
+    "BatchEvaluator._batch",
+}
+
+
+def lqt_rewrites(source: str) -> list[int]:
+    """Lines of ``source`` that rewrite an LQT entry past its table: an
+    assignment to ``.focal_state`` / ``.focal_max_speed`` /
+    ``.mon_region``, any ``._entries`` access, or a ``.ptm`` /
+    ``.is_target`` write outside the three evaluation functions."""
+    lines = []
+
+    def scan(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_entries":
+                lines.append(child.lineno)
+            for target in assigned(child):
+                if isinstance(target, ast.Attribute) and (
+                    target.attr in LQT_REWRITTEN_FIELDS
+                    or (target.attr in EVALUATED_FIELDS and scope not in EVALUATORS)
+                ):
+                    lines.append(child.lineno)
+            scan(child, scope)
+
+    scan(ast.parse(source), "")
+    return sorted(set(lines))
+
+
+def test_the_table_is_the_one_rewriter_of_lqt_entries():
+    """Outside evaluation, an LQT entry is written only by
+    ``core/tables.py``'s ``LocalQueryTable`` (install, remove, ``refresh``,
+    ``set_focal_state``, ``void_safe_periods``, ``drop_uncovered``), whose
+    watcher keeps the vectorized arena current.  The object side, the
+    system, the checkpoint and the vectorized engine call those methods;
+    ``server.py``'s ``mon_region`` writes are to SQT rows and out of scope."""
+    core = SRC / "repro" / "core"
+    paths = [core / "client.py", core / "system.py", core / "snapshot.py"]
+    paths += sorted((SRC / "repro" / "fastpath").glob("*.py"))
+    hits = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in paths
+        for line in lqt_rewrites(path.read_text())
+    ]
+    assert not hits, hits
+    # The retired rewrite paths stay gone: the table's watcher hook, the
+    # arena's state write and the slot lookup the fan-out called.
+    source = "".join(path.read_text() for path in sorted(SRC.rglob("*.py")))
+    for name in ("notify_state", "write_state", "entry_slot"):
+        assert name not in source, name
+    doctored = (
+        "lqt.refresh(entry, desc)\n"  # a table method: fine
+        "entry.focal_state = state\n"
+        "entry.focal_max_speed, entry.mon_region = speed, region\n"
+        "entries = client.lqt._entries\n"
+        "entry.ptm = 0.0\n"
+        "class MobiEyesClient:\n"
+        "    def _process_group(self, entry):\n"
+        "        entry.ptm = now + sp\n"  # evaluation: fine
+        "        entry.is_target = inside\n"
+        "    def _on_velocity_broadcast(self, entry):\n"
+        "        entry.is_target = False\n"
+        "class BatchEvaluator:\n"
+        "    def _refresh(self, refs):\n"
+        "        refs[0].ptm = 0.0\n"
+    )
+    assert lqt_rewrites(doctored) == [2, 3, 4, 5, 11, 14]
+    tables = (core / "tables.py").read_text()
+    assert lqt_rewrites(tables)  # the guard sees the table's own writes
 
 
 def test_every_experiment_states_its_shape_once_and_has_a_benchmark():

@@ -50,6 +50,12 @@ def lqt_entry(qid=1, oid=10, r=2.0):
     )
 
 
+cells = st.tuples(st.integers(0, 8), st.integers(0, 8))
+cell_ranges = st.tuples(
+    st.integers(0, 5), st.integers(0, 3), st.integers(0, 5), st.integers(0, 3)
+).map(lambda t: CellRange(t[0], t[0] + t[1], t[2], t[2] + t[3]))
+
+
 class TestFocalObjectTable:
     def test_upsert_and_get(self):
         fot = FocalTracker()
@@ -271,3 +277,109 @@ class TestLocalQueryTable:
         assert entry.focal_max_speed == 80.0
         assert entry.is_target is False
         assert entry.ptm == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("install"), st.integers(1, 5), cell_ranges),
+                st.tuples(st.just("remove"), st.integers(1, 5)),
+                st.tuples(st.just("refresh"), st.integers(1, 5), cell_ranges),
+                st.tuples(st.just("set_focal_state"), st.integers(1, 5), st.integers(0, 9)),
+                # What evaluation writes: a safe period and a result flag.
+                st.tuples(st.just("evaluate"), st.integers(1, 5), st.booleans()),
+                st.tuples(st.just("void_safe_periods")),
+                st.tuples(st.just("drop_uncovered"), cells),
+            ),
+            max_size=40,
+        )
+    )
+    def test_any_sequence_matches_a_plain_dict_model(self, ops):
+        """Installs, removes, the in-place rewrites and the drop scan
+        against a plain dict: the entries, the hull, the drops and their
+        leaves, the voided ``ptm`` and the watcher calls all agree."""
+        from repro.core.messages import QueryDescriptor
+
+        lqt = LocalQueryTable()
+        calls = []
+        lqt.watch(RecordingWatcher(calls), 7)
+        model = {}  # qid -> (mon_region, focal x, ptm, is_target), install order
+        for op in ops:
+            kind, args = op[0], op[1:]
+            entry = lqt.find(args[0]) if args and kind != "drop_uncovered" else None
+            expected = []
+            if kind == "install":
+                qid, region = args
+                expected = [("lqt_changed", qid, 0 if qid in model else 1)]
+                fresh = lqt_entry(qid=qid)
+                fresh.mon_region = region
+                lqt.install(fresh)
+                model[qid] = (region, 0.0, 0.0, False)
+            elif kind == "remove":
+                if args[0] in model:
+                    expected = [("lqt_changed", args[0], -1)]
+                    del model[args[0]]
+                lqt.remove(args[0])
+            elif entry is not None and kind == "refresh":
+                qid, region = args
+                desc = QueryDescriptor(
+                    qid=qid,
+                    oid=entry.oid,
+                    region=entry.region,
+                    filter=entry.filter,
+                    focal_state=state(9.0),
+                    focal_max_speed=entry.focal_max_speed,
+                    mon_region=region,
+                )
+                expected = [("state_changed", qid)]
+                lqt.refresh(entry, desc)
+                model[qid] = (region, 9.0, 0.0, model[qid][3])
+            elif entry is not None and kind == "set_focal_state":
+                qid, x = args
+                expected = [("state_changed", qid)]
+                lqt.set_focal_state(entry, state(x))
+                model[qid] = (model[qid][0], x, 0.0, model[qid][3])
+            elif entry is not None and kind == "evaluate":
+                qid, flag = args
+                entry.ptm, entry.is_target = 0.5, flag
+                model[qid] = (model[qid][0], model[qid][1], 0.5, flag)
+            elif kind == "void_safe_periods":
+                expected = [("state_changed", qid) for qid, m in model.items() if m[2]]
+                lqt.void_safe_periods()
+                model = {qid: (m[0], m[1], 0.0, m[3]) for qid, m in model.items()}
+            elif kind == "drop_uncovered":
+                (cell,) = args
+                dropped = [qid for qid, m in model.items() if not m[0].contains(cell)]
+                expected = [("lqt_changed", qid, -1) for qid in dropped]
+                leaves = {qid: False for qid in dropped if model[qid][3]}
+                assert lqt.drop_uncovered(cell) == leaves
+                for qid in dropped:
+                    del model[qid]
+            assert calls == expected, op
+            calls.clear()
+            if entry is not None and kind in ("refresh", "set_focal_state"):
+                assert entry.ptm == 0.0
+            assert {
+                e.qid: (e.mon_region, e.focal_state.pos.x, e.ptm, e.is_target)
+                for e in lqt.entries()
+            } == model
+            assert lqt.ids() == list(model)
+            # The hull lies inside every live entry's bounds.
+            for region, *_ in model.values():
+                assert region.lo_i <= lqt.hull_lo_i and lqt.hull_hi_i <= region.hi_i
+                assert region.lo_j <= lqt.hull_lo_j and lqt.hull_hi_j <= region.hi_j
+
+
+class RecordingWatcher:
+    """An LQT watcher that records every hook call, in order."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def lqt_changed(self, oid, entry, delta):
+        assert oid == 7
+        self.calls.append(("lqt_changed", entry.qid, delta))
+
+    def state_changed(self, oid, entry):
+        assert oid == 7
+        self.calls.append(("state_changed", entry.qid))

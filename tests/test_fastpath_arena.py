@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import TrueFilter
-from repro.core.messages import QueryDescriptor, QueryUpdateBroadcast
+from repro.core.messages import QueryDescriptor, QueryUpdateBroadcast, VelocityChangeBroadcast
 from repro.core.tables import LqtEntry
 from repro.fastpath import numpy_available
 from repro.geometry import Circle, Point, Rect, Vector
@@ -105,29 +105,32 @@ class Twin:
             lqt = self.clients[c].lqt
             entry = lqt.find(qid)
             if entry is not None and not entry.is_static:
-                entry.focal_state = MotionState(Point(x, y), Vector(v, -v), now)
-                entry.ptm = 0.0
-                lqt.notify_state(entry)
+                lqt.set_focal_state(entry, MotionState(Point(x, y), Vector(v, -v), now))
         elif kind == "move":
             _, c, x, y = op
             # On the vectorized twin the client's object is a row view, so
             # the assignment is the store write the evaluator reads.
             self.clients[c].obj.pos = Point(x, y)
-        elif kind == "update":
-            # A focal-crossing broadcast to one covered receiver: the
-            # reference client's handler, or the vectorized fan-out.
+        elif kind in ("update", "velocity"):
+            # A focal-crossing or velocity-change broadcast to one covered
+            # receiver: the reference client's handler, or the vectorized
+            # fan-out.
             _, c, qid, x, y = op
             focal, region = CATALOGUE[qid]
-            desc = QueryDescriptor(
-                qid=qid,
-                oid=focal,
-                region=region,
-                filter=TrueFilter(),
-                focal_state=MotionState(Point(x, y), Vector(3.0, 1.0), now),
-                focal_max_speed=60.0,
-                mon_region=GRID,
-            )
-            message = QueryUpdateBroadcast(queries=(desc,))
+            state = MotionState(Point(x, y), Vector(3.0, 1.0), now)
+            if kind == "velocity":
+                message = VelocityChangeBroadcast(oid=focal, state=state, qids=(qid,))
+            else:
+                desc = QueryDescriptor(
+                    qid=qid,
+                    oid=focal,
+                    region=region,
+                    filter=TrueFilter(),
+                    focal_state=state,
+                    focal_max_speed=60.0,
+                    mon_region=GRID,
+                )
+                message = QueryUpdateBroadcast(queries=(desc,))
             client = self.clients[c]
             if self.fanout is None:
                 client.on_downlink(message)
@@ -253,6 +256,22 @@ def _entry(ev, oid, qid):
     return ev._clients[oid].lqt.find(qid)
 
 
+def _slot(ev, oid, qid):
+    """The arena slot of client ``oid``'s entry of ``qid``."""
+    entry = _entry(ev, oid, qid)
+    return next(i for i, ref in enumerate(ev.e_refs) if ref is entry)
+
+
+def _rewrite(how, oid, qid, x, y):
+    """The op rewriting client ``oid``'s entry of ``qid`` in place, its
+    focal now at ``(x, y)``: by the table method (``set_focal_state``), an
+    update broadcast (``fanout``) or a velocity broadcast (``velocity``),
+    each broadcast applied by the fan-out or the reference handler."""
+    if how == "set_focal_state":
+        return ("state", oid, qid, x, y, 0.0)
+    return ("update" if how == "fanout" else how, oid, qid, x, y)
+
+
 @pytest.mark.parametrize("written", [False, True], ids=["staged", "written"])
 def test_install_remove_install_of_one_group_between_evaluations(written):
     """The same (client, focal) group comes, goes and comes back between two
@@ -271,8 +290,7 @@ def test_install_remove_install_of_one_group_between_evaluations(written):
     )
     assert _layout(ev) == ((4, 4, 1) if written else (3, 3, 0))
     # The basis is the last install's: the focal sits on the client.
-    i = ev.entry_slot(0, _entry(ev, 0, 0))
-    assert i is not None and ev.e_state[:2, i].tolist() == [26.0, 25.0]
+    assert ev.e_state[:2, _slot(ev, 0, 0)].tolist() == [26.0, 25.0]
 
 
 def test_a_staged_group_that_grows_takes_one_slot():
@@ -293,25 +311,20 @@ def test_a_staged_group_that_grows_takes_one_slot():
     assert _layout(ev) == (4, 3, 0)
 
 
-@pytest.mark.parametrize("how", ["notify_state", "fanout"])
+@pytest.mark.parametrize("how", ["set_focal_state", "fanout", "velocity"])
 def test_a_staged_entry_rewritten_in_place_is_evaluated_on_its_new_state(how):
     """An in-place ``focal_state`` rewrite of an entry installed since the
     last evaluation: the next evaluation predicts from the new state."""
     ev, play = _stepper()
     assert play(("install", 0, 4, 25.0, 25.0)) == [(0, [(4, True)])]
-    rewrite = (
-        ("state", 0, 6, 40.0, 40.0, 0.0)
-        if how == "notify_state"
-        else ("update", 0, 6, 40.0, 40.0)
-    )
+    rewrite = _rewrite(how, 0, 6, 40.0, 40.0)
     # Installed on the client, then moved away before any evaluation: no
     # report, where the installed state alone would report an enter.
     assert play(("install", 0, 6, 25.0, 25.0), rewrite) == []
-    i = ev.entry_slot(0, _entry(ev, 0, 6))
-    assert i is not None and ev.e_state[:2, i].tolist() == [40.0, 40.0]
+    assert ev.e_state[:2, _slot(ev, 0, 6)].tolist() == [40.0, 40.0]
 
 
-@pytest.mark.parametrize("how", ["notify_state", "fanout"])
+@pytest.mark.parametrize("how", ["set_focal_state", "fanout", "velocity"])
 def test_a_written_second_entry_rewritten_in_place_is_evaluated_on_its_new_state(how):
     """Safe periods on: the first entry of a written two-entry group is
     skipped by its safe period, so the group predicts from the second --
@@ -322,13 +335,27 @@ def test_a_written_second_entry_rewritten_in_place_is_evaluated_on_its_new_state
     assert _layout(ev) == (2, 1, 0)
     qid0, qid2 = _entry(ev, 0, 0), _entry(ev, 0, 2)
     assert qid0.ptm > 0.0 and qid2.ptm > 0.0
-    rewrite = (
-        ("state", 0, 2, 25.0, 25.0, 0.0)
-        if how == "notify_state"
-        else ("update", 0, 2, 25.0, 25.0)
-    )
+    rewrite = _rewrite(how, 0, 2, 25.0, 25.0)
     # The focal now sits on the client: qid 2 enters; qid 0 stays skipped.
     assert play(rewrite) == [(0, [(2, True)])]
-    i = ev.entry_slot(0, qid2)
-    assert i == ev.entry_slot(0, qid0) + 1 and ev.e_state[:2, i].tolist() == [25.0, 25.0]
+    i = _slot(ev, 0, 2)
+    assert i == _slot(ev, 0, 0) + 1 and ev.e_state[:2, i].tolist() == [25.0, 25.0]
     assert not qid0.is_target
+
+
+@pytest.mark.parametrize("how", ["set_focal_state", "fanout", "velocity"])
+@pytest.mark.parametrize("retire", ["remove", "regroup"])
+def test_a_rewritten_slot_retired_before_the_refresh_ends_dead(how, retire):
+    """Safe periods on: a written one-entry group's entry is rewritten in
+    place (its slot marked for the next refresh), then the slot is retired
+    before that refresh -- the entry is removed, or its group grows to two
+    entries and is re-imaged.  The marked slot ends dead with ``ptm`` 0."""
+    ev, play = _stepper(safe_period=True)
+    assert play(("install", 0, 0, 40.0, 40.0)) == []  # far away: a safe period
+    i = _slot(ev, 0, 0)
+    assert ev.e_state[5, i] > 0.0
+    rewrite = _rewrite(how, 0, 0, 40.0, 40.0)
+    retirement = ("remove", 0, 0) if retire == "remove" else ("install", 0, 2, 25.0, 25.0)
+    play(rewrite, retirement)
+    assert not ev.e_alive[i] and ev.e_refs[i] is None and ev.e_state[5, i] == 0.0
+    ev.check_invariants()
