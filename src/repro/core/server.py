@@ -485,7 +485,10 @@ class MobiEyesServer:
         with self.load.timed():
             if state is not None and oid in self.tracker:
                 self.tracker.update_state(oid, state)
-            if self.registry.is_focal(oid):
+            # A suspended focal's queries are out of service (no RQI
+            # registration, no FOT entry): ``_reinstate`` recomputes their
+            # regions from the state it resurfaces with.
+            if self.registry.is_focal(oid) and not self.tracker.is_suspended(oid):
                 focal_updates = self._refresh_focal_regions(oid, new_cell)
         self.apply_crossings(((oid, state, prev_cell, new_cell),))
         for combined_region, group in focal_updates:

@@ -244,8 +244,8 @@ class LocalQueryTable:
     evaluator) registers a *watcher* (:meth:`watch`) to be told about
     changes as they happen: ``lqt_changed(oid, entry, delta)`` fires on
     every install/remove with the affected entry and the change in table
-    size (install: 1, or 0 when it replaces an entry of the same query;
-    remove: -1), and ``state_changed(oid, entry)`` on every in-place
+    size, always +1 or -1 (an install of a query the table already holds
+    is refused), and ``state_changed(oid, entry)`` on every in-place
     rewrite.  With no watcher registered -- the reference engine -- the
     hooks reduce to one ``None`` check.
 
@@ -355,13 +355,16 @@ class LocalQueryTable:
         return self._entries.get(qid)
 
     def install(self, entry: LqtEntry) -> None:
-        """Install (or replace) a query entry."""
-        watcher = self._watcher
-        if watcher is not None:
-            # Before the overwrite, while a replaced entry still shows.
-            watcher.lqt_changed(self._watch_oid, entry, 0 if entry.qid in self._entries else 1)
+        """Install a query entry.  A query the table already holds is
+        refused (``ValueError``): its entry is rewritten in place, or
+        removed first, so table order is install order."""
+        if entry.qid in self._entries:
+            raise ValueError(f"query {entry.qid} is already installed")
         self._entries[entry.qid] = entry
         self._tighten_hull(entry.mon_region)
+        watcher = self._watcher
+        if watcher is not None:
+            watcher.lqt_changed(self._watch_oid, entry, 1)
 
     def remove(self, qid: QueryId) -> LqtEntry | None:
         """Remove a stored entry."""

@@ -21,8 +21,8 @@ and the loss model see bit-identical traffic -- but replaces the hot-loop
   resolved in one batched distance pass, once per step; a lookup is a
   ``set`` filled from list slices.
 - :class:`~repro.fastpath.evaluator.BatchEvaluator`: all LQT entries
-  system-wide gathered once per evaluation step into per-focal batches;
-  ``dist^2 vs reach^2``, containment, safe periods, and enter/leave deltas
+  system-wide in one persistent arena, one slot per entry that never
+  moves; ``dist^2 vs reach^2``, containment, safe periods, and enter/leave deltas
   as array expressions; differential reports dispatched through the
   unchanged client/transport message path.
 

@@ -301,7 +301,6 @@ def test_every_incremented_attribute_of_a_counter_owner_is_declared():
 #: that is state with a lifecycle, not a counter drained by its reader.
 RESTARTED_NOT_DRAINED = {
     "MobiEyesClient._steps_since_ack",  # a timer an acknowledgement restarts
-    "BatchEvaluator.dead_ent",  # tombstones in the arena; compaction removes them
     "SimulationClock.step",  # SimulationClock.reset() rewinds the clock
 }
 
@@ -496,6 +495,65 @@ def test_the_table_is_the_one_rewriter_of_lqt_entries():
     assert lqt_rewrites(doctored) == [2, 3, 4, 5, 11, 14]
     tables = (core / "tables.py").read_text()
     assert lqt_rewrites(tables)  # the guard sees the table's own writes
+
+
+ARENA_NAME = re.compile(r"e_\w+|_slot")
+
+
+def arena_accesses(source: str) -> list[int]:
+    """Lines of ``source`` that read or write an attribute named like the
+    batch evaluator's arena -- a slot column ``e_*``, ``e_refs`` -- or its
+    slot map ``_slot``, by attribute or by ``getattr`` / ``setattr``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and ARENA_NAME.fullmatch(node.attr):
+            lines.add(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "setattr", "hasattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+            and ARENA_NAME.fullmatch(node.args[1].value)
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_evaluator_touches_the_arena():
+    """An LQT entry's arena slot never moves, and only
+    ``fastpath/evaluator.py`` knows where it is: no other module reads or
+    writes a slot column, ``e_refs`` or the slot map (the fan-out resolves
+    entries through ``holders``).  The deleted compaction and staging
+    machinery stays gone."""
+    from repro.fastpath.evaluator import _ENTRY_COLUMNS
+
+    evaluator = SRC / "repro" / "fastpath" / "evaluator.py"
+    hits = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != evaluator
+        for line in arena_accesses(path.read_text())
+    ]
+    assert not hits, hits
+    assert all(ARENA_NAME.fullmatch(name) for name in _ENTRY_COLUMNS)
+    doctored = (
+        "bucket = evaluator.holders.get(qid)\n"  # the fan-out's index: fine
+        "slot = evaluator._slot[oid, qid]\n"
+        "evaluator.e_state[:2, slot] = x, y\n"
+        "entry = evaluator.e_refs[slot]\n"
+        "flags = getattr(evaluator, 'e_targ')\n"
+        "evaluator.e_alive, n = alive, 1\n"
+    )
+    assert arena_accesses(doctored) == [2, 3, 4, 5, 6]
+    assert arena_accesses(evaluator.read_text())  # the guard sees the evaluator's own
+    source = "".join(path.read_text() for path in sorted(SRC.rglob("*.py")))
+    for name in (
+        "_compact", "compact_threshold", "_staged", "_unstage", "_touched", "_REIMAGE",
+        "g_start", "g_len", "g_alive", "g_oid",
+    ):
+        assert name not in source, name
 
 
 def test_every_experiment_states_its_shape_once_and_has_a_benchmark():

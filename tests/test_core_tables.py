@@ -310,11 +310,16 @@ class TestLocalQueryTable:
             expected = []
             if kind == "install":
                 qid, region = args
-                expected = [("lqt_changed", qid, 0 if qid in model else 1)]
                 fresh = lqt_entry(qid=qid)
                 fresh.mon_region = region
-                lqt.install(fresh)
-                model[qid] = (region, 0.0, 0.0, False)
+                if qid in model:
+                    # A held query is refused: no watcher call, no change.
+                    with pytest.raises(ValueError):
+                        lqt.install(fresh)
+                else:
+                    expected = [("lqt_changed", qid, 1)]
+                    lqt.install(fresh)
+                    model[qid] = (region, 0.0, 0.0, False)
             elif kind == "remove":
                 if args[0] in model:
                     expected = [("lqt_changed", args[0], -1)]

@@ -1,14 +1,16 @@
-"""Property test for the batch evaluator's group-granular arena.
+"""Property tests for the batch evaluator's arena.
 
-Random interleavings of LQT installs, removes, same-qid replacements,
-in-place ``focal_state`` rewrites, object moves and evaluations are applied
-to a handful of clients on a vectorized system and on a reference twin.
-After every evaluation the arena must image the tables exactly
-(``BatchEvaluator.check_invariants``: every group's run equals
-``lqt.by_focal()`` in members, in-group order, every slot's focal state
-and ``ptm``, and ``is_target``), and the reports the batch pass
-dispatched must equal the reference ``evaluation_phase`` reports in
-content and order.  Skipped without numpy."""
+Random interleavings of LQT installs, removes, in-place ``focal_state``
+rewrites, object moves and evaluations are applied to a handful of
+clients on a vectorized system and on a reference twin.  After every
+evaluation the arena must image the tables exactly
+(``BatchEvaluator.check_invariants``: every entry's slot, its focal state
+and ``ptm``, ``is_target``, its group, and the install order that
+reproduces ``lqt.by_focal()``'s in-group order), and the reports the batch
+pass dispatched must equal the reference ``evaluation_phase`` reports in
+content and order.  Every entry keeps its slot from install to removal,
+and the arena grows only when no freed slot is left.  Skipped without
+numpy."""
 
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not install
 
 N_CLIENTS = 4
 # qid -> (focal oid or None for a static query, region).  Focal 100 carries
-# four queries: two of equal radius (the stable-sort tie) and a rectangle
-# (the scalar containment fallback).
+# five queries: three of equal radius (the in-group tie, broken by install
+# order) and a rectangle (the scalar containment fallback).
 CATALOGUE = {
     0: (100, Circle(0, 0, 3.0)),
     1: (100, Circle(0, 0, 3.0)),
@@ -42,6 +44,7 @@ CATALOGUE = {
     6: (102, Circle(0, 0, 2.5)),
     7: (None, Rect(24, 24, 3, 3)),
     8: (None, Circle(26, 26, 2.0)),
+    9: (100, Circle(0, 0, 3.0)),
 }
 MON_REGION = CellRange(0, 0, 9, 9)
 # The whole grid: an update broadcast over it covers every client.
@@ -53,7 +56,7 @@ coords = st.floats(20.0, 30.0, allow_nan=False).map(lambda v: round(v, 1))
 speeds = st.floats(-40.0, 40.0, allow_nan=False).map(lambda v: round(v, 1))
 operations = st.one_of(
     # Weighted towards installs so tables fill up; installing a held qid is
-    # the replace-same-qid case.
+    # skipped (a table refuses it).
     st.tuples(st.just("install"), clients, qids, coords, coords),
     st.tuples(st.just("install"), clients, qids, coords, coords),
     st.tuples(st.just("remove"), clients, qids),
@@ -86,6 +89,8 @@ class Twin:
         kind = op[0]
         if kind == "install":
             _, c, qid, x, y = op
+            if qid in self.clients[c].lqt:
+                return
             focal, region = CATALOGUE[qid]
             state = None if focal is None else MotionState(Point(x, y), Vector(1.0, -2.0), now)
             entry = LqtEntry(
@@ -160,77 +165,109 @@ class Twin:
         return [stats.evaluated_queries, stats.skipped_by_safe_period, stats.skipped_by_grouping]
 
 
+
+
+class SlotLedger:
+    """What the arena promises about its slots, checked op by op: an
+    entry keeps the slot it was installed into until it is removed, and
+    ``n_ent`` is the peak of (arena entries at the last refresh + installs
+    since) -- a freed slot is handed out before the arena grows."""
+
+    def __init__(self, twin):
+        self.twin = twin
+        self.ev = twin.evaluator
+        self.slots = {}  # (client oid, qid) -> (entry, its slot)
+        self.live = 0  # arena entries at the last refresh
+        self.pending = 0  # installs since
+        self.peak = 0
+
+    def check(self):
+        ev = self.ev
+        held = {
+            (c.oid, e.qid): e for c in self.twin.clients for e in c.lqt.entries() if not e.is_static
+        }
+        for key, (entry, _) in list(self.slots.items()):
+            if held.get(key) is not entry:
+                del self.slots[key]
+        for key, entry in held.items():
+            if key not in self.slots:
+                self.slots[key] = (entry, ev._slot[key])
+                self.pending += 1
+            slot = self.slots[key][1]
+            assert ev._slot[key] == slot and ev.e_refs[slot] is entry, key
+        self.peak = max(self.peak, self.live + self.pending)
+        assert ev.n_ent == self.peak
+
+    def refreshed(self):
+        self.live, self.pending = len(self.slots), 0
+
+
 # The example count is the active profile's: 100 in tier-1, 2000 under the
 # long profile CI runs.
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    ops=st.lists(operations, min_size=1, max_size=60),
-    safe_period=st.booleans(),
-    compact_threshold=st.sampled_from([0, 3, 2048]),
-)
+@given(ops=st.lists(operations, min_size=1, max_size=60), safe_period=st.booleans())
 @pytest.mark.parametrize("grouping", [True, False], ids=["grouping", "no-grouping"])
-def test_arena_images_tables_under_random_interleavings(
-    grouping, ops, safe_period, compact_threshold
-):
+def test_arena_images_tables_under_random_interleavings(grouping, ops, safe_period):
     ref = Twin("reference", grouping, safe_period)
     vec = Twin("vectorized", grouping, safe_period)
-    vec.evaluator.compact_threshold = compact_threshold
+    ledger = SlotLedger(vec)
     now = 0.0
     for op in ops + [("evaluate",)]:
         if op[0] != "evaluate":
             ref.apply(op, now)
             vec.apply(op, now)
+            ledger.check()
             continue
         now += 1.0 / 120.0
         assert vec.evaluate(now) == ref.evaluate(now)
         assert vec.entry_state() == ref.entry_state()
         assert vec.eval_counts() == ref.eval_counts()
         vec.evaluator.check_invariants()
+        ledger.refreshed()
         assert vec.evaluator.lqt_total() == sum(len(c.lqt) for c in vec.clients)
 
 
-def test_compaction_renumbers_the_slot_map():
-    """Deterministic walk: tombstone group runs, compact, keep evaluating."""
-    ref = Twin("reference", True, False)
-    vec = Twin("vectorized", True, False)
-    ev = vec.evaluator
-    ev.compact_threshold = 0
+ARENA_QIDS = sorted(qid for qid, (focal, _) in CATALOGUE.items() if focal is not None)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    keys=st.lists(
+        st.integers(0, N_CLIENTS * len(ARENA_QIDS) - 1), min_size=1100, max_size=1100
+    ),
+    every=st.integers(1, 12),
+    grouping=st.booleans(),
+)
+def test_an_entry_keeps_its_slot_over_many_install_remove_cycles(keys, every, grouping):
+    """1,100 toggles of (client, query) keys -- an install when the client
+    does not hold the query, else a removal, so at least 532 complete
+    install/remove cycles -- with an evaluation every ``every`` toggles."""
+    vec = Twin("vectorized", grouping, False)
+    ledger = SlotLedger(vec)
     now = 0.0
-
-    def play(*script):
-        nonlocal now
-        for op in script:
-            ref.apply(op, now)
-            vec.apply(op, now)
-        now += 1.0 / 120.0
-        assert vec.evaluate(now) == ref.evaluate(now)
-        assert vec.entry_state() == ref.entry_state()
-        ev.check_invariants()
-
-    play(
-        ("install", 0, 0, 25.0, 25.0),
-        ("install", 0, 2, 25.0, 25.0),
-        ("install", 0, 4, 25.0, 26.0),
-        ("install", 1, 5, 25.0, 26.0),
-    )
-    assert (ev.n_ent, ev.n_grp, ev.dead_ent) == (4, 3, 0)
-    play(
-        ("remove", 0, 0),  # the group's first entry goes: qid 2 becomes the basis
-        ("remove", 0, 4),  # a whole group goes
-        ("install", 1, 4, 25.0, 26.0),  # smaller reach: joins behind qid 5
-    )
-    # Four slots died against three alive, so the arena was compacted.
-    assert (ev.n_ent, ev.n_grp, ev.dead_ent) == (3, 2, 0)
-    assert [e.qid for e in ev.e_refs] == [2, 5, 4]
-    play(("state", 0, 2, 40.0, 40.0, 5.0))  # focal jumps away: a leave report
-    assert ref.sent == [(0, [(2, False)])]
+    cycles = 0
+    for k, key in enumerate(keys, 1):
+        c, qid = divmod(key, len(ARENA_QIDS))
+        qid = ARENA_QIDS[qid]
+        if qid in vec.clients[c].lqt:
+            vec.apply(("remove", c, qid), now)
+            cycles += 1
+        else:
+            vec.apply(("install", c, qid, 20.0 + k % 100 / 10, 25.0), now)
+        ledger.check()
+        if k % every == 0:
+            now += 1.0 / 120.0
+            vec.evaluate(now)
+            ledger.refreshed()
+    vec.evaluator.check_invariants()
+    assert cycles >= 500
 
 
 def _stepper(safe_period=False):
     """A reference twin, a vectorized twin (grouping on), and a
     ``play(*ops)`` that applies the ops to both and then runs one
-    evaluation on each, checking that the reports, the entries and the
-    arena image agree."""
+    evaluation on each, checking that the reports, the entries, the
+    evaluation counters and the arena image agree."""
     ref = Twin("reference", True, safe_period)
     vec = Twin("vectorized", True, safe_period)
     clock = [0.0]
@@ -242,14 +279,11 @@ def _stepper(safe_period=False):
         clock[0] += 1.0 / 120.0
         assert vec.evaluate(clock[0]) == ref.evaluate(clock[0])
         assert vec.entry_state() == ref.entry_state()
+        assert vec.eval_counts() == ref.eval_counts()
         vec.evaluator.check_invariants()
         return ref.sent
 
     return vec.evaluator, play
-
-
-def _layout(ev):
-    return (ev.n_ent, ev.n_grp, ev.dead_ent)
 
 
 def _entry(ev, oid, qid):
@@ -258,8 +292,7 @@ def _entry(ev, oid, qid):
 
 def _slot(ev, oid, qid):
     """The arena slot of client ``oid``'s entry of ``qid``."""
-    entry = _entry(ev, oid, qid)
-    return next(i for i, ref in enumerate(ev.e_refs) if ref is entry)
+    return ev._slot[oid, qid]
 
 
 def _rewrite(how, oid, qid, x, y):
@@ -275,12 +308,13 @@ def _rewrite(how, oid, qid, x, y):
 @pytest.mark.parametrize("written", [False, True], ids=["staged", "written"])
 def test_install_remove_install_of_one_group_between_evaluations(written):
     """The same (client, focal) group comes, goes and comes back between two
-    evaluations; the arena holds the second entry, once."""
+    evaluations (``written``: its first entry was evaluated before); the
+    arena holds the last entry, once, and a slot freed by a removal is
+    handed out only after the refresh that tombstones it."""
     ev, play = _stepper()
     play(("install", 1, 4, 25.0, 26.0))
     if written:
         play(("install", 0, 0, 25.0, 25.0))
-        assert _layout(ev) == (2, 2, 0)
     play(
         ("remove", 0, 0),
         ("install", 0, 0, 30.0, 25.0),
@@ -288,33 +322,20 @@ def test_install_remove_install_of_one_group_between_evaluations(written):
         ("remove", 0, 0),
         ("install", 0, 0, 26.0, 25.0),
     )
-    assert _layout(ev) == ((4, 4, 1) if written else (3, 3, 0))
+    # Three entries live; the removed ones' slots are free.
+    freed = [1, 2] if written else [1]
+    assert ev.n_ent == 3 + len(freed) and sorted(ev._free) == freed
     # The basis is the last install's: the focal sits on the client.
     assert ev.e_state[:2, _slot(ev, 0, 0)].tolist() == [26.0, 25.0]
-
-
-def test_a_staged_group_that_grows_takes_one_slot():
-    """A second install into a group not yet written leaves the arena laid
-    out as a plain re-image of the two-entry group: no slot is wasted."""
-    ev, play = _stepper()
-    play(
-        ("install", 0, 2, 25.0, 25.0),
-        ("install", 1, 6, 26.0, 25.0),
-        ("install", 0, 0, 25.0, 25.0),  # larger reach: it leads the run
-    )
-    assert _layout(ev) == (3, 2, 0)
-    play(
-        ("install", 2, 4, 25.0, 25.0),
-        ("install", 2, 5, 25.0, 25.0),
-        ("remove", 2, 4),
-    )
-    assert _layout(ev) == (4, 3, 0)
+    play(("install", 3, 5, 25.0, 25.0))
+    assert ev.n_ent == 3 + len(freed) and _slot(ev, 3, 5) in freed
 
 
 @pytest.mark.parametrize("how", ["set_focal_state", "fanout", "velocity"])
 def test_a_staged_entry_rewritten_in_place_is_evaluated_on_its_new_state(how):
     """An in-place ``focal_state`` rewrite of an entry installed since the
-    last evaluation: the next evaluation predicts from the new state."""
+    last evaluation (its slot not yet written): the next evaluation
+    predicts from the new state."""
     ev, play = _stepper()
     assert play(("install", 0, 4, 25.0, 25.0)) == [(0, [(4, True)])]
     rewrite = _rewrite(how, 0, 6, 40.0, 40.0)
@@ -326,36 +347,74 @@ def test_a_staged_entry_rewritten_in_place_is_evaluated_on_its_new_state(how):
 
 @pytest.mark.parametrize("how", ["set_focal_state", "fanout", "velocity"])
 def test_a_written_second_entry_rewritten_in_place_is_evaluated_on_its_new_state(how):
-    """Safe periods on: the first entry of a written two-entry group is
-    skipped by its safe period, so the group predicts from the second --
-    whose ``focal_state`` was just rewritten in place."""
+    """Safe periods on: the first entry of a two-entry group is skipped by
+    its safe period, so the group predicts from the second -- whose
+    ``focal_state`` was just rewritten in place."""
     ev, play = _stepper(safe_period=True)
     # Both far from the client: both set a safe period.
     assert play(("install", 0, 0, 40.0, 40.0), ("install", 0, 2, 40.0, 40.0)) == []
-    assert _layout(ev) == (2, 1, 0)
     qid0, qid2 = _entry(ev, 0, 0), _entry(ev, 0, 2)
     assert qid0.ptm > 0.0 and qid2.ptm > 0.0
     rewrite = _rewrite(how, 0, 2, 25.0, 25.0)
     # The focal now sits on the client: qid 2 enters; qid 0 stays skipped.
     assert play(rewrite) == [(0, [(2, True)])]
     i = _slot(ev, 0, 2)
-    assert i == _slot(ev, 0, 0) + 1 and ev.e_state[:2, i].tolist() == [25.0, 25.0]
+    assert ev.e_group[i] == ev.e_group[_slot(ev, 0, 0)]
+    assert ev.e_state[:2, i].tolist() == [25.0, 25.0]
     assert not qid0.is_target
 
 
 @pytest.mark.parametrize("how", ["set_focal_state", "fanout", "velocity"])
 @pytest.mark.parametrize("retire", ["remove", "regroup"])
 def test_a_rewritten_slot_retired_before_the_refresh_ends_dead(how, retire):
-    """Safe periods on: a written one-entry group's entry is rewritten in
-    place (its slot marked for the next refresh), then the slot is retired
-    before that refresh -- the entry is removed, or its group grows to two
-    entries and is re-imaged.  The marked slot ends dead with ``ptm`` 0."""
+    """Safe periods on: a one-entry group's entry is rewritten in place
+    (its slot marked for the next refresh), then, before that refresh,
+    the entry is removed -- its slot ends dead with ``ptm`` 0 -- or its
+    group grows to two entries, which no longer retires the slot: it keeps
+    the entry, imaged with the rewritten state."""
     ev, play = _stepper(safe_period=True)
     assert play(("install", 0, 0, 40.0, 40.0)) == []  # far away: a safe period
     i = _slot(ev, 0, 0)
     assert ev.e_state[5, i] > 0.0
+    entry = _entry(ev, 0, 0)
     rewrite = _rewrite(how, 0, 0, 40.0, 40.0)
     retirement = ("remove", 0, 0) if retire == "remove" else ("install", 0, 2, 25.0, 25.0)
     play(rewrite, retirement)
-    assert not ev.e_alive[i] and ev.e_refs[i] is None and ev.e_state[5, i] == 0.0
+    if retire == "remove":
+        assert not ev.e_alive[i] and ev.e_refs[i] is None and ev.e_state[5, i] == 0.0
+        assert ev._free == [i]
+    else:
+        assert _slot(ev, 0, 0) == i and ev.e_alive[i] and ev.e_refs[i] is entry
     ev.check_invariants()
+
+
+def test_the_group_lead_follows_install_order_not_slot_order():
+    """Safe periods on: three equal-reach entries of one group.  The
+    earliest is masked by its safe period; of the other two, the later
+    one takes a lower slot, freed by a removal.  The group predicts from
+    the earlier of the two -- the table's order -- whose focal sits on the
+    client, so the later one enters; a lead chosen by slot would predict
+    from the later one's far focal and report the earlier one leaving."""
+    ev, play = _stepper(safe_period=True)
+    assert play(("install", 0, 4, 25.0, 25.0), ("install", 0, 0, 40.0, 40.0)) == [
+        (0, [(4, True)])
+    ]
+    assert _entry(ev, 0, 0).ptm > 0.0  # far away: masked from now on
+    assert play(("remove", 0, 4), ("install", 0, 1, 25.0, 25.0)) == [(0, [(1, True)])]
+    assert play(("install", 0, 9, 40.0, 40.0)) == [(0, [(9, True)])]
+    assert _slot(ev, 0, 9) < _slot(ev, 0, 1) and _entry(ev, 0, 0).ptm > 0.0
+
+
+def test_a_group_counts_its_beyond_reach_members_but_the_first_as_skipped():
+    """A three-member group whose two smaller members lie beyond reach:
+    the first of those is checked, the second implied outside -- exactly
+    one ``skipped_by_grouping``."""
+    ev, play = _stepper()
+    # Radii 3.0 and 1.5 and a rectangle of reach sqrt(5): the client
+    # stands 2.5 from the focal, inside the first only.
+    assert play(
+        ("install", 0, 0, 22.5, 25.0),
+        ("install", 0, 2, 22.5, 25.0),
+        ("install", 0, 3, 22.5, 25.0),
+    ) == [(0, [(0, True)])]
+    assert (ev.stats.evaluated_queries, ev.stats.skipped_by_grouping) == (2, 1)

@@ -6,8 +6,8 @@ static queries and moving circle or rectangle queries -- as a *subject*
 beside a *twin* that takes the same calls and is never checkpointed.  The
 twin is the reference implementation: the reference engine with
 per-message reports (``batch_reports=False``).  The subject runs either
-engine with report batching on; a vectorized subject compacts its
-evaluator arena at 4 tombstones, so draws cross compaction.
+engine with report batching on; a vectorized subject's evaluator
+arena reuses every removed entry's slot, so draws cross slot reuse.
 
 ``build`` draws the axes the paper's optimizations and the deployment
 turn: grouping, safe period, eager / lazy propagation, the dead-reckoning
@@ -169,7 +169,6 @@ class CheckpointMachine(RuleBasedStateMachine):
         )
         self.system = world(engine, batch_reports=True, **common)
         self.twin = world("reference", batch_reports=False, **common)
-        self.compact_early()
         self.oids = sorted(self.system.clients)
         if service:
             self.service = MobiEyesService(self.system)
@@ -185,11 +184,6 @@ class CheckpointMachine(RuleBasedStateMachine):
             ("dead-reckoning threshold", delta),
         ):
             note(axis, value)
-
-    def compact_early(self):
-        """A vectorized subject compacts its arena at 4 tombstones."""
-        if self.system._fastpath is not None:
-            self.system._fastpath.evaluator.compact_threshold = 4
 
     def both(self, call):
         got, want = call(self.system), call(self.twin)
@@ -360,7 +354,6 @@ class CheckpointMachine(RuleBasedStateMachine):
         restored = restore(from_bytes(checkpoint(self.system).to_bytes()))
         self.system.close()
         self.system = restored
-        self.compact_early()
         if self.service is not None:
             # Adopts the checkpointed ingest queue and counters.  A queued
             # install's ticket is now the restored queue's copy of it.
@@ -509,6 +502,29 @@ def test_an_external_update_voids_the_moved_objects_safe_periods(engine):
         lambda system: system.apply_external_update(22, Point(2.0, 12.0), Vector(0.0, 0.0))
     )
     pinned(5, move, 1, engine=engine, safe_period=True, seed=5, exact=True)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_cell_change_of_a_suspended_focal_refreshes_none_of_its_queries(engine):
+    """Shrunk from ``CheckpointMachine``: build(latency 2, jitter 1, an
+    injector with Bernoulli channels, seed 6, grouping off), three static
+    installs around step(2), then step(1) x4.  Focal 39's lease ran out
+    and its queries were suspended; at step 6 a cell-change record of its
+    without motion state still refreshed their monitoring regions and
+    broadcast their descriptors, which read the FOT entry the suspension
+    had removed (``KeyError`` in ``FocalTracker.get``)."""
+
+    def static(x, y, w, h):
+        return lambda machine: machine.install_static(x, y, w, h, TrueFilter())
+
+    pinned(
+        static(0.0, 14.455988883972168, 4.1883296199022055, 4.078468421104134),
+        static(0.0, 10.83736515045166, 0.5, 3.2747929912643214),
+        2,
+        static(0.0, 0.0, 7.504824929092363, 4.986762413883112),
+        1, 1, 1, 1,
+        engine=engine, latency=2, jitter=1, loss="injector+channels", seed=6, grouping=False,
+    )
 
 
 # Shrunk from the crash / recover rules (PR 24; docs/ROBUSTNESS.md "Shard
