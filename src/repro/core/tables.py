@@ -200,6 +200,10 @@ class LqtEntry:
     is_target: bool = False
     ptm: float = 0.0  # hours
     reach: float = field(init=False, default=0.0)
+    # The vectorized batch evaluator's handles -- the entry's arena slot and
+    # group id, -1 until it places the entry -- which only it writes.
+    arena_slot: int = field(init=False, default=-1, repr=False, compare=False)
+    arena_group: int = field(init=False, default=-1, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.reach = region_reach(self.region) if self.oid is not None else 0.0
@@ -228,6 +232,7 @@ class LqtEntry:
         entry.is_target = False
         entry.ptm = 0.0
         entry.reach = region_reach(desc.region) if desc.oid is not None else 0.0
+        entry.arena_slot = entry.arena_group = -1
         return entry
 
 
@@ -245,7 +250,7 @@ class LocalQueryTable:
     changes as they happen: ``lqt_changed(oid, entry, delta)`` fires on
     every install/remove with the affected entry and the change in table
     size, always +1 or -1 (an install of a query the table already holds
-    is refused), and ``state_changed(oid, entry)`` on every in-place
+    is refused), and ``state_changed(entry)`` on every in-place
     rewrite.  With no watcher registered -- the reference engine -- the
     hooks reduce to one ``None`` check.
 
@@ -319,7 +324,7 @@ class LocalQueryTable:
         self._tighten_hull(desc.mon_region)
         watcher = self._watcher
         if watcher is not None:
-            watcher.state_changed(self._watch_oid, entry)
+            watcher.state_changed(entry)
 
     def set_focal_state(self, entry: LqtEntry, state: MotionState) -> None:
         """Rewrite ``entry``'s focal state: the prediction basis changed,
@@ -328,7 +333,7 @@ class LocalQueryTable:
         entry.ptm = 0.0
         watcher = self._watcher
         if watcher is not None:
-            watcher.state_changed(self._watch_oid, entry)
+            watcher.state_changed(entry)
 
     def void_safe_periods(self) -> None:
         """Void every set safe period (the owner was moved externally, and
@@ -338,7 +343,7 @@ class LocalQueryTable:
             if entry.ptm:
                 entry.ptm = 0.0
                 if watcher is not None:
-                    watcher.state_changed(self._watch_oid, entry)
+                    watcher.state_changed(entry)
 
     def __contains__(self, qid: QueryId) -> bool:
         return qid in self._entries

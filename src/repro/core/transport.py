@@ -284,10 +284,6 @@ class SimulatedTransport:
         """Register an object's radio for downlink delivery."""
         self._clients[oid] = client
 
-    def detach_client(self, oid: ObjectId) -> None:
-        """Remove an object's radio."""
-        self._clients.pop(oid, None)
-
     def enable_report_batching(self) -> None:
         """Buffer the high-volume reports sent inside a report window."""
         self.report_buffer = ReportBuffer()
@@ -404,8 +400,7 @@ class SimulatedTransport:
 
         A downlink run goes to the vectorized engine's fan-out in one
         piece when it accepts the message and the hops carry no sequence
-        numbers; otherwise each member is handed over in ascending order,
-        skipping a radio that detached while the run was in flight.
+        numbers; otherwise each member is handed over in ascending order.
         """
         hops = envelope.hops
         self.delivered_deferred += hops
@@ -428,9 +423,7 @@ class SimulatedTransport:
                 return
             clients = self._clients
             for oid, seq in envelope.run:
-                client = clients.get(oid)
-                if client is not None:  # else: radio detached mid-flight
-                    self._hand_over(client, message, seq)
+                self._hand_over(clients[oid], message, seq)
         else:
             self.reliability.open_envelope(envelope)
 

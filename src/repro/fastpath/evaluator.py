@@ -16,9 +16,9 @@ system-wide entry count (``lqt_total``) and the fan-out's ``holders``
 index, and gives a new entry its slot there and then: a slot from the
 free list, or the next one past the end.  The entry keeps that slot until
 it is removed; the next refresh then tombstones the slot (``alive``
-cleared, ``ptm`` 0, no entry) and puts it back on the free list.  A
-``(client, qid) -> slot`` map of plain ints, never renumbered, finds an
-entry's slot.
+cleared, ``ptm`` 0, no entry) and puts it back on the free list.  The
+entry holds its slot and group id itself (``LqtEntry.arena_slot`` and
+``arena_group``, which only this module touches).
 
 Each slot stores its entry's columns -- reach, focal max speed, whether
 the region is a reach-sized circle, ``is_target``, the owner's store row,
@@ -31,23 +31,22 @@ per column.
 
 A **group** is the entries one client holds for one focal object under
 grouping (paper Section 4.1), or one entry when grouping is off.  Under
-grouping a ``(client, focal)`` group keeps one id, with a live-member
-count, while it has members; a freed id is reused.  Its members may sit
-in any slots: the reference in-group order, ``LocalQueryTable.by_focal``
-(reach descending, then table order), is ``(-reach, install sequence)``,
-because a table refuses to install a qid it already holds, so its order
-is install order.
+grouping a ``(client, focal)`` group keeps one id while it has members:
+an install takes a placed sibling's (same focal, same table), else a
+freed or new one.  Members may sit in any slots: the reference in-group
+order, ``LocalQueryTable.by_focal`` (reach descending, then table order),
+is ``(-reach, install sequence)``, because a table refuses to install a
+qid it already holds, so its order is install order.
 
 Every in-place rewrite goes through the table (``refresh``,
 ``set_focal_state``, ``void_safe_periods``), which fires
-``state_changed``; the hook looks the entry's slot up and marks it, and
-the next refresh images the marked slots from their entries before the
-tombstones.  The batch pass writes each ``ptm`` it computes to the column
-and to the entry, which stays the record the reference engine, leave
-reports and checkpoints read; ``is_target`` is dual-written by the delta
-pass itself.  ``focal_max_speed`` rewrites always carry the focal
-object's immutable ``max_speed``, and ``mon_region`` is not consulted by
-evaluation.
+``state_changed``; the hook marks the entry's slot, and the next refresh
+images the marked slots from their entries before the tombstones.  The
+batch pass writes each ``ptm`` it computes to the column and to the
+entry, which stays the record the reference engine, leave reports and
+checkpoints read; ``is_target`` is dual-written by the delta pass itself.
+``focal_max_speed`` rewrites always carry the focal object's immutable
+``max_speed``, and ``mon_region`` is not consulted by evaluation.
 
 Exactness contract (checked by the differential test suite): for any
 configuration the batch pass produces the same per-entry ``is_target`` and
@@ -150,14 +149,10 @@ class BatchEvaluator:
         self.n_lqt = 0  # LQT entries system-wide, static ones included
         self._seq = 0  # the next install sequence number
         self._clients: dict = {}
-        # (client oid, qid) -> slot, for every entry in the arena.
-        self._slot: dict = {}
         # Tombstoned slots, handed out again before the arena grows.
         self._free: list = []
-        # Grouping: (client oid, focal oid) -> group id; the live members
-        # per group id; the ids of groups that emptied.
-        self._group: dict = {}
-        self._members: list = []
+        # Grouping: the group ids issued, and those of groups that emptied.
+        self._n_groups = 0
         self._free_groups: list = []
         # The changes since the last refresh, kept in flat lists of ints:
         # the hook fires inside the reporting phase, where garbage-collector
@@ -198,8 +193,9 @@ class BatchEvaluator:
 
         The ``holders`` index is brought up to date here.  An installed
         entry takes its slot -- a free one, or the next past the end -- and
-        joins its group; the refresh writes the slot.  A removed entry
-        leaves its group, and the refresh tombstones and frees its slot.
+        its group's id, both recorded on the entry; the refresh writes the
+        slot.  A removed entry's slot is tombstoned and freed by the
+        refresh, and its group's id is freed with the group's last member.
         """
         self.n_lqt += delta
         qid = entry.qid
@@ -217,14 +213,9 @@ class BatchEvaluator:
         if focal is None:
             self._static_stale.add(oid)
         elif delta < 0:
-            self._dead.append(self._slot.pop((oid, qid)))
-            if self.grouping:
-                key = (oid, focal)
-                group = self._group[key]
-                self._members[group] -= 1
-                if not self._members[group]:
-                    del self._group[key]
-                    self._free_groups.append(group)
+            self._dead.append(entry.arena_slot)
+            if self.grouping and not any(e.oid == focal for e in self._clients[oid].lqt.entries()):
+                self._free_groups.append(entry.arena_group)
         else:
             if self._free:
                 slot = self._free.pop()
@@ -233,27 +224,32 @@ class BatchEvaluator:
                 slot = self.n_ent
                 self.n_ent += 1
                 self.e_refs.append(entry)
-            self._slot[oid, qid] = slot
-            group = slot
-            if self.grouping:
-                key = (oid, focal)
-                group = self._group.get(key)
-                if group is None:
-                    if not self._free_groups:
-                        self._free_groups.append(len(self._members))
-                        self._members.append(0)
-                    group = self._group[key] = self._free_groups.pop()
-                self._members[group] += 1
+            group = self._group_of(oid, entry) if self.grouping else slot
+            entry.arena_slot = slot
+            entry.arena_group = group
             self._installed += (slot, oid, group)
 
-    def state_changed(self, oid: "ObjectId", entry: "LqtEntry") -> None:
-        """Table hook: ``entry``, one of client ``oid``'s, was rewritten in
-        place (its focal state replaced or its safe period voided).  Its
-        slot is marked for the next refresh to image from the entry; a
-        static entry has no slot."""
-        slot = self._slot.get((oid, entry.qid))
-        if slot is not None:
-            self._rewritten.append(slot)
+    def _group_of(self, oid: "ObjectId", entry: "LqtEntry") -> int:
+        """The group id of ``entry``, installed into client ``oid``'s table:
+        a placed sibling's (same focal), else a freed or a new one.  Handles
+        count only where their slot holds their entry: a restored or
+        attached entry arrives with another system's."""
+        refs = self.e_refs
+        for e in self._clients[oid].lqt.entries():
+            slot = e.arena_slot
+            if e.oid == entry.oid and e is not entry and 0 <= slot < self.n_ent and refs[slot] is e:
+                return e.arena_group
+        if not self._free_groups:
+            self._free_groups.append(self._n_groups)
+            self._n_groups += 1
+        return self._free_groups.pop()
+
+    def state_changed(self, entry: "LqtEntry") -> None:
+        """Table hook: ``entry`` was rewritten in place (its focal state
+        replaced or its safe period voided).  Its slot is marked for the
+        next refresh to image from the entry; a static entry has no slot."""
+        if entry.oid is not None:
+            self._rewritten.append(entry.arena_slot)
 
     def lqt_total(self) -> int:
         """Total LQT entries system-wide (kept current by the table hook)."""
@@ -377,7 +373,8 @@ class BatchEvaluator:
             "the free list differs from the dead slots"
         )
         row_of = self.store.row_of
-        held = groups = 0
+        held = 0
+        group_ids: list = []  # one per live (client, focal) group
         for oid, client in clients.items():
             lqt = client.lqt
             statics = self._statics.get(oid, [])
@@ -386,11 +383,9 @@ class BatchEvaluator:
             for entry in lqt.entries():
                 if entry.is_static:
                     continue
-                slot = self._slot[oid, entry.qid]
-                group = self._group[oid, entry.oid] if self.grouping else slot
-                assert e_refs[slot] is entry and self.e_group.item(slot) == group, (
-                    f"client {oid} query {entry.qid}: wrong slot or group"
-                )
+                slot = entry.arena_slot
+                assert 0 <= slot < n and e_refs[slot] is entry, f"client {oid}: {entry.qid}"
+                assert self.e_group.item(slot) == entry.arena_group, f"client {oid}: {entry.qid}"
                 assert self.e_row.item(slot) == row_of[oid]
                 assert self.e_targ.item(slot) == entry.is_target
                 assert _state_column(entry) == self.e_state[:, slot].tolist(), (
@@ -400,15 +395,15 @@ class BatchEvaluator:
             for focal, members in lqt.by_focal().items() if self.grouping else ():
                 if focal is None:
                     continue
-                slots = [self._slot[oid, e.qid] for e in members]
-                assert self._members[self._group[oid, focal]] == len(members)
+                ids = {e.arena_group for e in members}
+                assert len(ids) == 1, f"client {oid} group {focal}: more than one id"
+                group_ids += ids
+                slots = [e.arena_slot for e in members]
                 order = sorted(slots, key=lambda i: (-self.e_reach.item(i), self.e_seq.item(i)))
                 assert order == slots, f"client {oid} group {focal}: not in install order"
-                groups += 1
-        assert len(self._slot) == held == n - len(self._free), "a live slot owned by no entry"
-        assert len(self._group) == groups
-        assert len(self._group) + len(self._free_groups) == len(self._members)
-        assert not any(self._members[g] for g in self._free_groups), "a freed group has members"
+        assert held == n - len(self._free), "a live slot owned by no entry"
+        # Each id issued is one live group's or free, never both or twice.
+        assert sorted(group_ids + self._free_groups) == list(range(self._n_groups)), "group ids"
         # Every held entry is its holder's table entry, by identity, and
         # the index holds as many as the tables do: the two are equal.
         assert all(
@@ -496,7 +491,7 @@ class BatchEvaluator:
             # (Two scatter reductions: a lexsort of the same slots read ~7x
             # slower.)
             group = self.e_group[:n]
-            n_groups = len(self._members)
+            n_groups = self._n_groups
             size = np.bincount(group[valid], minlength=n_groups)
             multi = np.flatnonzero(valid & (size[group] > 1))
             if multi.size:

@@ -48,8 +48,8 @@ Equivalence to the per-receiver loop:
   receiver semantics matter.  At send: loss rolls, reliability
   sequencing, trace logging and deferred delivery (the transport rolls
   and parks per receiver).  At open: downlink sequence numbers (the
-  reliability layer).  On both clocks: detached radios and a
-  lazy-propagation velocity broadcast carrying descriptors.
+  reliability layer).  On both clocks: a lazy-propagation velocity
+  broadcast carrying descriptors.
 """
 
 from __future__ import annotations
@@ -127,12 +127,9 @@ class BroadcastFanout:
     def accepts(self, message) -> bool:
         """Whether ``message`` can be applied in bulk: a type with an
         applier (the region broadcasts, and the install list a cell change
-        earns), every radio attached, and no lazy-propagation descriptors
-        (a receiver may install from those; the scalar handler keeps that
-        path)."""
+        earns), and no lazy-propagation descriptors (a receiver may install
+        from those; the scalar handler keeps that path)."""
         if type(message) not in self._appliers:
-            return False
-        if len(self.transport._clients) != self.store.n:
             return False
         return not (type(message) is VelocityChangeBroadcast and message.descriptors)
 

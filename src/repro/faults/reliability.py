@@ -223,11 +223,6 @@ class ReliabilityLayer:
                 exchange.acked = True
                 self._finish(exchange)
             return
-        client = None
-        if not exchange.up:
-            client = transport._clients.get(exchange.oid)
-            if client is None:
-                return  # radio detached mid-flight; the budget drains unacked
         if exchange.delivered:
             self.duplicates_suppressed += 1
         else:
@@ -235,6 +230,8 @@ class ReliabilityLayer:
             if exchange.up:
                 transport._server.on_uplink(exchange.message)
             else:
+                # reliable_send opened the exchange only to an attached radio.
+                client = transport._clients[exchange.oid]
                 transport._hand_over(client, exchange.message, exchange.seq)
         self._hop(exchange, exchange.ack, _ACK)
 

@@ -76,6 +76,7 @@ def paper_system(
     latency_model=None,
     track_accuracy=False,
     params=None,
+    focal_skew=None,
     **config,
 ):
     """A scaled Table-1 world through ``scenario.build_system``, queries
@@ -83,7 +84,8 @@ def paper_system(
     (``latency`` is the config's per-hop delay, ``latency_model`` an
     explicit model handed to the system instead).  ``params`` replaces the
     scaled Table-1 parameters (and ``scale`` / ``seed`` / ``hotspot``) with
-    ready-made ones, e.g. the dense or skewed preset."""
+    ready-made ones, e.g. the dense or skewed preset; ``focal_skew`` draws
+    the focal objects from a zipf of that exponent."""
     if params is None:
         params = dataclasses.replace(
             paper_defaults(), seed=seed, hotspot_fraction=hotspot
@@ -98,6 +100,7 @@ def paper_system(
             latency_seed=params.seed,
             **config,
         ),
+        focal_skew=focal_skew,
         loss=loss,
         latency=latency_model,
         track_accuracy=track_accuracy,

@@ -497,13 +497,19 @@ def test_the_table_is_the_one_rewriter_of_lqt_entries():
     assert lqt_rewrites(tables)  # the guard sees the table's own writes
 
 
-ARENA_NAME = re.compile(r"e_\w+|_slot")
+ARENA_NAME = re.compile(r"e_\w+|arena_\w+")
+# The one access outside the evaluator: the handles' defaults where
+# ``LqtEntry.from_descriptor`` fills an entry's slots.
+ARENA_DEFAULTS = ("core/tables.py", "entry.arena_slot = entry.arena_group = -1")
+# The deleted (client, ·)-keyed maps and per-group member counts.
+GONE_ARENA_MAPS = {"_slot", "_group", "_members"}
 
 
 def arena_accesses(source: str) -> list[int]:
     """Lines of ``source`` that read or write an attribute named like the
-    batch evaluator's arena -- a slot column ``e_*``, ``e_refs`` -- or its
-    slot map ``_slot``, by attribute or by ``getattr`` / ``setattr``."""
+    batch evaluator's arena -- a slot column ``e_*``, ``e_refs`` -- or an
+    LQT entry's arena handle ``arena_slot`` / ``arena_group``, by
+    attribute or by ``getattr`` / ``setattr``."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and ARENA_NAME.fullmatch(node.attr):
@@ -524,29 +530,38 @@ def arena_accesses(source: str) -> list[int]:
 def test_only_the_evaluator_touches_the_arena():
     """An LQT entry's arena slot never moves, and only
     ``fastpath/evaluator.py`` knows where it is: no other module reads or
-    writes a slot column, ``e_refs`` or the slot map (the fan-out resolves
-    entries through ``holders``).  The deleted compaction and staging
-    machinery stays gone."""
+    writes a slot column, ``e_refs`` or an entry's arena handles (the
+    fan-out resolves entries through ``holders``), but for the handles'
+    defaults in ``core/tables.py``.  The deleted compaction and staging
+    machinery and the ``(client, ·)`` maps stay gone."""
     from repro.fastpath.evaluator import _ENTRY_COLUMNS
 
     evaluator = SRC / "repro" / "fastpath" / "evaluator.py"
-    hits = [
-        f"{path.relative_to(SRC)}:{line}"
-        for path in sorted(SRC.rglob("*.py"))
-        if path != evaluator
-        for line in arena_accesses(path.read_text())
-    ]
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == evaluator:
+            continue
+        name = path.relative_to(SRC / "repro").as_posix()
+        text = path.read_text()
+        lines = text.splitlines()
+        hits += [
+            f"{name}:{line}"
+            for line in arena_accesses(text)
+            if (name, lines[line - 1].strip()) != ARENA_DEFAULTS
+        ]
     assert not hits, hits
     assert all(ARENA_NAME.fullmatch(name) for name in _ENTRY_COLUMNS)
     doctored = (
         "bucket = evaluator.holders.get(qid)\n"  # the fan-out's index: fine
-        "slot = evaluator._slot[oid, qid]\n"
+        "slot = entry.arena_slot\n"
         "evaluator.e_state[:2, slot] = x, y\n"
         "entry = evaluator.e_refs[slot]\n"
         "flags = getattr(evaluator, 'e_targ')\n"
         "evaluator.e_alive, n = alive, 1\n"
+        "entry.arena_group = group\n"
+        "setattr(entry, 'arena_slot', -1)\n"
     )
-    assert arena_accesses(doctored) == [2, 3, 4, 5, 6]
+    assert arena_accesses(doctored) == [2, 3, 4, 5, 6, 7, 8]
     assert arena_accesses(evaluator.read_text())  # the guard sees the evaluator's own
     source = "".join(path.read_text() for path in sorted(SRC.rglob("*.py")))
     for name in (
@@ -554,6 +569,15 @@ def test_only_the_evaluator_touches_the_arena():
         "g_start", "g_len", "g_alive", "g_oid",
     ):
         assert name not in source, name
+    # Their names are substrings of live ones (``_free_groups``), so these
+    # are matched as whole attribute names.
+    gone = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in GONE_ARENA_MAPS
+    ]
+    assert not gone, gone
 
 
 def test_every_experiment_states_its_shape_once_and_has_a_benchmark():

@@ -385,6 +385,5 @@ class RecordingWatcher:
         assert oid == 7
         self.calls.append(("lqt_changed", entry.qid, delta))
 
-    def state_changed(self, oid, entry):
-        assert oid == 7
+    def state_changed(self, entry):
         self.calls.append(("state_changed", entry.qid))

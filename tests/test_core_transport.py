@@ -123,14 +123,6 @@ class TestTransport:
         assert transport.broadcast([], SizedMessage()) == 0
         assert ledger.downlink_count == 0
 
-    def test_detach_client_stops_delivery(self, layout, grid):
-        transport, _ledger, _server, _trace = self.make(layout, grid)
-        client = FakeClient()
-        transport.attach_client(3, client)
-        transport.detach_client(3)
-        transport.send(3, MotionStateRequest(oid=3))
-        assert client.received == []
-
     def test_wide_region_uses_multiple_stations(self, layout, grid):
         transport, ledger, _server, _trace = self.make(layout, grid)
         transport.begin_step(1, [])

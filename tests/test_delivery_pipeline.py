@@ -243,17 +243,6 @@ class TestDeferredOrdering:
             + transport.pending_count()
         )
 
-    def test_detached_receiver_skipped(self, layout, grid):
-        transport, *_ = make_transport(layout, grid, LatencyModel(downlink_steps=1))
-        client = FakeClient()
-        transport.attach_client(4, client)
-        transport.begin_step(1, [(4, Point(5, 5))])
-        transport.send(4, SizedMessage(bits=8))
-        transport.detach_client(4)
-        transport.begin_step(2, [])
-        transport.delivery_phase(2)
-        assert client.received == []
-
     def test_synchronous_forces_inline(self, layout, grid):
         transport, _, server, _ = make_transport(layout, grid, LatencyModel(uplink_steps=3))
         transport.begin_step(1, [(5, Point(5, 5))])
@@ -299,11 +288,13 @@ class _StubFanout:
 BROADCAST_CELLS = [(i, j) for i in range(2) for j in range(2)]
 
 
-def attach_broadcast_audience(transport, n, step=1):
-    """``n`` radios inside BROADCAST_CELLS, ids 0 .. n-1, nobody else."""
+def attach_broadcast_audience(transport, n, step=1, unattached=()):
+    """``n`` objects inside BROADCAST_CELLS, ids 0 .. n-1, nobody else; all
+    but ``unattached`` have a radio."""
     clients = {oid: _RunClient() for oid in range(n)}
     for oid, client in clients.items():
-        transport.attach_client(oid, client)
+        if oid not in unattached:
+            transport.attach_client(oid, client)
     positions = [(oid, Point(0.5 + 0.7 * oid, 9.5 - 0.7 * oid)) for oid in clients]
     transport.begin_step(step, positions)
     return clients
@@ -381,18 +372,17 @@ class TestBroadcastRuns:
         assert all(len(client.received) == 1 for client in clients.values())
         assert_hops_conserved(transport)
 
-    def test_detached_radios_skipped_at_send_and_at_open(self, layout, grid):
+    def test_unattached_radio_skipped_at_send(self, layout, grid):
         transport, *_ = make_transport(layout, grid, LatencyModel(downlink_steps=1))
-        clients = attach_broadcast_audience(transport, 6)
-        transport.detach_client(2)  # before the send: no hop at all
+        # Object 2 is covered but has no radio: no hop at all.
+        clients = attach_broadcast_audience(transport, 6, unattached=(2,))
         transport.broadcast(BROADCAST_CELLS, SizedMessage(bits=32))
         (envelope,) = queued_envelopes(transport)
         assert [oid for oid, _ in envelope.run] == [0, 1, 3, 4, 5]
         assert transport.pending_count() == 5
-        transport.detach_client(4)  # in flight: the hop opens to nobody
         drain(transport, 2, 2)
         got = sorted(oid for oid, client in clients.items() if client.received)
-        assert got == [0, 1, 3, 5]
+        assert got == [0, 1, 3, 4, 5]
         assert transport.delivered_deferred == 5
         assert_hops_conserved(transport)
 

@@ -9,8 +9,9 @@ and ``ptm``, ``is_target``, its group, and the install order that
 reproduces ``lqt.by_focal()``'s in-group order), and the reports the batch
 pass dispatched must equal the reference ``evaluation_phase`` reports in
 content and order.  Every entry keeps its slot from install to removal,
-and the arena grows only when no freed slot is left.  Skipped without
-numpy."""
+and the arena grows only when no freed slot is left.  A group keeps its
+id until it empties, and an entry arriving with another evaluator's
+handles (restored or attached) is placed anew.  Skipped without numpy."""
 
 from __future__ import annotations
 
@@ -21,12 +22,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import TrueFilter
 from repro.core.messages import QueryDescriptor, QueryUpdateBroadcast, VelocityChangeBroadcast
+from repro.core.snapshot import checkpoint, restore, step_hash
 from repro.core.tables import LqtEntry
 from repro.fastpath import numpy_available
+from repro.fastpath.evaluator import BatchEvaluator
 from repro.geometry import Circle, Point, Rect, Vector
 from repro.grid import CellRange
 from repro.mobility.model import MotionState
-from tests.conftest import make_object, make_system
+from tests.conftest import make_object, make_system, paper_system
 
 pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
@@ -166,7 +169,6 @@ class Twin:
 
 
 
-
 class SlotLedger:
     """What the arena promises about its slots, checked op by op: an
     entry keeps the slot it was installed into until it is removed, and
@@ -191,10 +193,10 @@ class SlotLedger:
                 del self.slots[key]
         for key, entry in held.items():
             if key not in self.slots:
-                self.slots[key] = (entry, ev._slot[key])
+                self.slots[key] = (entry, entry.arena_slot)
                 self.pending += 1
             slot = self.slots[key][1]
-            assert ev._slot[key] == slot and ev.e_refs[slot] is entry, key
+            assert entry.arena_slot == slot and ev.e_refs[slot] is entry, key
         self.peak = max(self.peak, self.live + self.pending)
         assert ev.n_ent == self.peak
 
@@ -292,7 +294,7 @@ def _entry(ev, oid, qid):
 
 def _slot(ev, oid, qid):
     """The arena slot of client ``oid``'s entry of ``qid``."""
-    return ev._slot[oid, qid]
+    return _entry(ev, oid, qid).arena_slot
 
 
 def _rewrite(how, oid, qid, x, y):
@@ -418,3 +420,100 @@ def test_a_group_counts_its_beyond_reach_members_but_the_first_as_skipped():
         ("install", 0, 3, 22.5, 25.0),
     ) == [(0, [(0, True)])]
     assert (ev.stats.evaluated_queries, ev.stats.skipped_by_grouping) == (2, 1)
+
+
+def test_a_group_keeps_its_id_until_it_empties():
+    """A (client, focal) group keeps its id when its first-installed member
+    is removed, a newcomer of the same client and focal joins that id, and
+    the id is recycled once the group empties."""
+    ev, play = _stepper()
+    play(
+        ("install", 0, 0, 25.0, 25.0),
+        ("install", 0, 1, 25.0, 25.0),
+        ("install", 1, 4, 26.0, 25.0),
+    )
+    group = _entry(ev, 0, 0).arena_group
+    assert _entry(ev, 0, 1).arena_group == group != _entry(ev, 1, 4).arena_group
+    play(("remove", 0, 0))
+    assert _entry(ev, 0, 1).arena_group == group
+    play(("install", 0, 2, 25.0, 25.0))
+    assert _entry(ev, 0, 2).arena_group == group
+    play(("remove", 0, 1), ("remove", 0, 2))
+    assert ev._free_groups == [group]
+    play(("install", 2, 6, 27.0, 25.0))
+    assert _entry(ev, 2, 6).arena_group == group and ev._free_groups == []
+
+
+def test_an_entry_holding_another_evaluators_handles_joins_its_live_sibling():
+    """An entry arrives holding the slot and group id another evaluator
+    gave it -- here both name another client's entry and group -- next to
+    a live sibling (same client, same focal): it takes a slot of its own
+    and the sibling's group id."""
+    vec = Twin("vectorized", True, False)
+    other = Twin("vectorized", True, False)
+    ev = vec.evaluator
+    vec.apply(("install", 1, 4, 26.0, 25.0), 0.0)
+    vec.apply(("install", 0, 0, 25.0, 25.0), 0.0)
+    other.apply(("install", 0, 1, 25.0, 25.0), 0.0)
+    arrival = other.clients[0].lqt.remove(1)
+    bystander = _entry(ev, 1, 4)
+    assert (arrival.arena_slot, arrival.arena_group) == (0, 0)
+    assert (bystander.arena_slot, bystander.arena_group) == (0, 0)
+    vec.clients[0].lqt.install(arrival)
+    sibling = _entry(ev, 0, 0)
+    assert arrival.arena_group == sibling.arena_group != bystander.arena_group
+    assert ev.e_refs[arrival.arena_slot] is arrival and arrival.arena_slot == 2
+    vec.evaluate(1.0 / 120.0)
+    ev.check_invariants()
+
+
+def test_attach_replays_entries_holding_another_evaluators_handles():
+    """A second evaluator attached to tables whose entries hold the first
+    one's handles.  The replay places client 0's group in table order; when
+    it places the first member, the second still holds slot 0 -- in range,
+    but now the first member's -- and a stale group id: the first member
+    takes a new id, and the second joins it."""
+    vec = Twin("vectorized", True, False)
+    first = vec.evaluator
+    vec.apply(("install", 1, 4, 26.0, 25.0), 0.0)
+    vec.apply(("install", 0, 0, 25.0, 25.0), 0.0)
+    vec.apply(("remove", 1, 4), 0.0)
+    vec.evaluate(1.0 / 120.0)  # frees slot 0 and group 0
+    vec.apply(("install", 0, 1, 25.0, 25.0), 0.0)
+    lead, second = _entry(first, 0, 0), _entry(first, 0, 1)
+    assert (lead.arena_slot, second.arena_slot, second.arena_group) == (1, 0, 1)
+    fresh = BatchEvaluator(first.config, first.store, first.stats)
+    fresh.attach(vec.clients)
+    assert (lead.arena_slot, second.arena_slot) == (0, 1)
+    assert lead.arena_group == second.arena_group == 0
+    fresh.check_invariants()
+
+
+def test_one_checkpoint_restored_twice_at_focal_skew():
+    """Zipf focal skew 1.2, where many groups have several members: a
+    mid-run checkpoint is restored twice.  The restored entries carry the
+    original's arena handles; each restored system's arena images its
+    tables, and both replay the original's next ten step hashes."""
+    system = paper_system("vectorized", shards=1, focal_skew=1.2)
+    system.run(6)
+    sizes = [
+        len(members)
+        for client in system.clients.values()
+        for focal, members in client.lqt.by_focal().items()
+        if focal is not None
+    ]
+    assert sum(size > 1 for size in sizes) > 10
+    cp = checkpoint(system)
+    hashes = []
+    for _ in range(10):
+        system.step()
+        hashes.append(step_hash(system))
+    system.close()
+    for _ in range(2):
+        resumed = restore(cp)
+        resumed.check_invariants()
+        for want in hashes:
+            resumed.step()
+            assert step_hash(resumed) == want
+        resumed.check_invariants()
+        resumed.close()

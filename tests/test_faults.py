@@ -269,13 +269,15 @@ class TestBroadcastUnregisteredReceivers:
         system.install_query(circle_query(0, 3.0))
         loss.downlink_channel = BernoulliChannel(rng, rate=1.0)
         loss.dropped_deliveries = 0
-        system.transport.detach_client(4)
-        system.transport.detach_client(5)
+        # Two more objects in the region, 6 and 7, whose radios never attached.
+        transport = system.transport
+        positions = [(obj.oid, obj.pos) for obj in system.motion.objects]
+        transport.coverage.rebuild(positions + [(6, Point(25, 24)), (7, Point(24, 26))])
         region = system.server.sqt.get(1).mon_region
-        system.transport.broadcast(region, QueryInstallBroadcast(queries=()))
+        transport.broadcast(region, QueryInstallBroadcast(queries=()))
         # Exactly the registered receivers rolled (and, at rate 1.0,
-        # dropped); the two detached radios were skipped entirely.
-        assert loss.dropped_deliveries == 4
+        # dropped); the two without a radio were skipped entirely.
+        assert loss.dropped_deliveries == 6
 
     def test_unregistered_receiver_consumes_no_randomness(self):
         rng = SimulationRng(6)

@@ -259,10 +259,11 @@ class TestCheckpointRoundtrip:
         # with ``ingest_inflight_limit``) and v12 bytes (a config with the
         # evaluation period, beacon cadence, radio and queue bound; carried
         # accuracy samples) and v13 bytes (a loss section that may be a
-        # pickled ``LossModel``) are refused by the header's version field,
-        # not half-read.
+        # pickled ``LossModel``) and v14 bytes (LQT entries without their
+        # arena handles) are refused by the header's version field, not
+        # half-read.
         data = cp.to_bytes()
-        for old in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13):
+        for old in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
             stale_bytes = data[:8] + old.to_bytes(2, "big") + data[10:]
             with pytest.raises(ValueError, match=f"version {old} unsupported"):
                 from_bytes(stale_bytes)
