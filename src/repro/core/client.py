@@ -188,19 +188,35 @@ class MobiEyesClient:
 
     # -------------------------------------------------- evaluation phase
 
-    def evaluation_phase(self, clock: SimulationClock) -> None:
-        """Process the LQT (paper Section 3.6, with Section 4 optimizations)."""
+    def evaluation_phase(self, clock: SimulationClock, memo: dict | None = None) -> None:
+        """Process the LQT (paper Section 3.6, with Section 4 optimizations).
+
+        ``memo`` maps a focal ``MotionState``'s ``id`` to the state and its
+        predicted position at ``clock.now_hours``.  The system shares one
+        across a whole evaluation phase, so each focal state is predicted
+        once however many objects hold a query of it; a client evaluated
+        on its own makes its own.  Keying by identity is exact within a
+        phase: a state is immutable, and the memo holds it, so its ``id``
+        names no other object while the memo lives.
+        """
         started = time.perf_counter()
         now = clock.now_hours
+        if memo is None:
+            memo = {}
         changes_by_focal: dict[ObjectId, dict[QueryId, bool]] = {}
         if self.config.grouping:
-            for focal_oid, group in self.lqt.by_focal().items():
-                changed = self._process_group(group, now)
+            if len(self.lqt) == 1:
+                (entry,) = self.lqt.entries()
+                groups = ((entry.oid, [entry]),)
+            else:
+                groups = self.lqt.by_focal().items()
+            for focal_oid, group in groups:
+                changed = self._process_group(group, now, memo)
                 if changed:
                     changes_by_focal[focal_oid] = changed
         else:
             for entry in self.lqt.entries():
-                changed = self._process_group([entry], now)
+                changed = self._process_group([entry], now, memo)
                 if changed:
                     changes_by_focal.setdefault(entry.oid, {}).update(changed)
         self.stats.processing_seconds += time.perf_counter() - started
@@ -213,15 +229,16 @@ class MobiEyesClient:
                 for qid, flag in changed.items():
                     self._send_result_changes({qid: flag})
 
-    def _process_group(self, group: list[LqtEntry], now: float) -> dict[QueryId, bool]:
+    def _process_group(self, group: list[LqtEntry], now: float, memo: dict) -> dict[QueryId, bool]:
         """Evaluate one focal group (reach-descending); returns changes.
 
-        With grouping, the focal position is predicted once per group, and
-        once the object's distance to the focal object exceeds a query's
-        *reach* (the region's maximal extent from the binding point; the
-        radius for circles) every remaining smaller query in the group is
-        implied outside without a containment check -- the paper's
-        "consider queries with smaller radiuses only if inside the larger".
+        The focal position is read from the phase's ``memo``, predicted on
+        a miss.  With grouping, once the object's distance to the focal
+        object exceeds a query's *reach* (the region's maximal extent from
+        the binding point; the radius for circles) every remaining smaller
+        query in the group is implied outside without a containment check
+        -- the paper's "consider queries with smaller radiuses only if
+        inside the larger".
         """
         if group and group[0].is_static:
             return self._process_static_entries(group, now)
@@ -235,7 +252,13 @@ class MobiEyesClient:
                 self.stats.skipped_by_safe_period += 1
                 continue
             if predicted is None:
-                predicted = entry.focal_state.predict(now)
+                state = entry.focal_state
+                known = memo.get(id(state))
+                if known is None:
+                    predicted = state.predict(now)
+                    memo[id(state)] = (state, predicted)
+                else:
+                    predicted = known[1]
                 dist_sq = self.obj.pos.distance_squared_to(predicted)
             reach = entry.reach
             if outside_reach:

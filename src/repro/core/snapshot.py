@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Wire-format version.  Bump on any layout change: the header, a payload
 #: key, an owner's ``CHECKPOINT_FIELDS``, a field of a payload class.
-CHECKPOINT_VERSION = 15
+CHECKPOINT_VERSION = 16
 
 #: Largest payload a checkpoint may hold, checked before anything is
 #: hashed or decoded (Table 1 at full scale is ~6 MB).

@@ -539,13 +539,16 @@ class MobiEyesSystem:
         # One window around the whole evaluation pass: result reports only
         # flow client -> server here (applying one cannot influence another
         # client's evaluation), so a single end-of-phase flush is safe.  A
-        # client with an empty table has nothing to evaluate.
+        # client with an empty table has nothing to evaluate.  The clients
+        # share one prediction memo, so each focal state is predicted once
+        # a phase (``MobiEyesClient.evaluation_phase`` says why that is exact).
         clients = self.clients
+        memo: dict = {}
         with self.transport.report_window:
             for oid in self._client_order:
                 client = clients[oid]
                 if client.lqt:
-                    client.evaluation_phase(clock)
+                    client.evaluation_phase(clock, memo)
 
     def close(self) -> None:
         """End of the system's lifecycle.  Idempotent; the system holds

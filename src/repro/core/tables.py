@@ -21,6 +21,7 @@ Object side:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator
 
 from repro.geometry import Shape
@@ -177,6 +178,7 @@ class ReverseQueryIndex:
 
 # Hull sentinel: wide enough that any real cell index lies inside.
 _HULL_MAX = 1 << 62
+_REACH = attrgetter("reach")
 
 
 @dataclass(slots=True)
@@ -207,6 +209,21 @@ class LqtEntry:
 
     def __post_init__(self) -> None:
         self.reach = region_reach(self.region) if self.oid is not None else 0.0
+
+    # A checkpoint leaves the arena handles out: restore re-installs every
+    # entry, and the table hook places it afresh.
+    def __getstate__(self) -> tuple:
+        return (
+            self.qid, self.oid, self.region, self.filter, self.focal_state,
+            self.focal_max_speed, self.mon_region, self.is_target, self.ptm, self.reach,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.qid, self.oid, self.region, self.filter, self.focal_state,
+            self.focal_max_speed, self.mon_region, self.is_target, self.ptm, self.reach,
+        ) = state
+        self.arena_slot = self.arena_group = -1
 
     @property
     def is_static(self) -> bool:
@@ -384,6 +401,12 @@ class LocalQueryTable:
         """Iterate over the stored entries."""
         return list(self._entries.values())
 
+    def of_focal(self, focal: ObjectId) -> Iterator[LqtEntry]:
+        """The entries bound to focal object ``focal``, in table order, read
+        lazily from the table (nothing is copied; do not change the table
+        while iterating)."""
+        return (entry for entry in self._entries.values() if entry.oid == focal)
+
     def ids(self) -> list[QueryId]:
         """Iterate over the stored identifiers."""
         return list(self._entries)
@@ -401,5 +424,7 @@ class LocalQueryTable:
         for entry in self._entries.values():
             groups.setdefault(entry.oid, []).append(entry)
         for group in groups.values():
-            group.sort(key=lambda e: -e.reach)
+            if len(group) > 1:
+                # Stable, so equal reaches keep table order.
+                group.sort(key=_REACH, reverse=True)
         return groups

@@ -112,52 +112,86 @@ class UplinkReceiver(Protocol):
 class CoverageIndex:
     """Fast lookup of the objects covered by stations or grid-cell regions.
 
-    Objects are bucketed once per step both by base-station lattice tile
-    (a station's coverage circle only overlaps its tile and the eight
-    neighbours, so circle lookups touch a constant number of buckets) and
-    by grid cell (region delivery is a direct bucket union); each object's
-    cell is kept too, for a sharded server routing uplinks by sender cell.
+    ``rebuild`` makes one pass a step: it buckets every object by grid
+    cell (``Pmap``, :meth:`Grid.cell_index`'s arithmetic inline) and keeps
+    each object's cell -- for a sharded server routing uplinks by sender
+    cell -- and position.  Region delivery is a union of cell buckets.  A
+    station's circle is tested only against the objects in the cells whose
+    ``Bmap`` names the station: those are the cells the circle touches, so
+    every point it contains lies in one of them.  A station's cell list is
+    resolved on its first lookup and kept (the lattice and the Bmap are
+    fixed), so an index that is never asked costs nothing to set up.
     """
 
     def __init__(self, layout: BaseStationLayout, grid: Grid) -> None:
         self.layout = layout
         self.grid = grid
-        self._tile_buckets: dict[tuple[int, int], list[tuple[ObjectId, Point]]] = {}
         self._cell_buckets: dict[CellIndex, list[ObjectId]] = {}
         self._cell_of: dict[ObjectId, CellIndex] = {}
+        self._pos_of: dict[ObjectId, Point] = {}
+        self._station_cells: dict[BaseStationId, list[CellIndex]] = {}
 
     def rebuild(self, positions: Iterable[tuple[ObjectId, Point]]) -> None:
-        """Re-bucket the object positions for the new step."""
-        tiles, cells, cell_map = self._tile_buckets, self._cell_buckets, self._cell_of
-        tiles.clear()
-        cells.clear()
+        """Re-bucket the object positions for the new step.
+
+        Raises:
+            ValueError: if a position is outside the universe of discourse.
+        """
+        buckets, cell_map, pos_map = self._cell_buckets, self._cell_of, self._pos_of
+        buckets.clear()
         cell_map.clear()
-        tile_of = self.layout.tile_of_point
-        cell_of = self.grid.cell_index
+        pos_map.clear()
+        grid = self.grid
+        uod = grid.uod
+        lx, ly, ux, uy = uod.lx, uod.ly, uod.ux, uod.uy
+        alpha = grid.alpha
+        last_i = grid.n_cols - 1
+        last_j = grid.n_rows - 1
         for oid, pos in positions:
-            cell = cell_of(pos)
-            tiles.setdefault(tile_of(pos), []).append((oid, pos))
-            cells.setdefault(cell, []).append(oid)
+            x = pos.x
+            y = pos.y
+            if not (lx <= x <= ux and ly <= y <= uy):
+                raise ValueError(f"position {pos} outside universe of discourse {uod}")
+            i = int((x - lx) / alpha)
+            if i > last_i:
+                i = last_i
+            j = int((y - ly) / alpha)
+            if j > last_j:
+                j = last_j
+            cell = (i, j)
+            bucket = buckets.get(cell)
+            if bucket is None:
+                buckets[cell] = [oid]
+            else:
+                bucket.append(oid)
             cell_map[oid] = cell
+            pos_map[oid] = pos
 
     def cell_of(self, oid: ObjectId) -> CellIndex:
         """The grid cell an object was in at the last rebuild."""
         return self._cell_of[oid]
 
+    def _cells_of_station(self, bsid: BaseStationId) -> list[CellIndex]:
+        """The cells whose ``Bmap`` names station ``bsid``, resolved once."""
+        cells = self._station_cells.get(bsid)
+        if cells is None:
+            layout = self.layout
+            near = self.grid.cells_intersecting(layout.get(bsid).coverage.bounding_rect())
+            cells = [cell for cell in near if bsid in layout.bmap(cell)]
+            self._station_cells[bsid] = cells
+        return cells
+
     def covered_by_stations(self, station_ids: Iterable[BaseStationId]) -> set[ObjectId]:
         """Objects inside any of the stations' coverage circles."""
         out: set[ObjectId] = set()
+        buckets, pos_of = self._cell_buckets, self._pos_of
         for bsid in station_ids:
-            station = self.layout.get(bsid)
-            ti, tj = self.layout.tile_of_station(bsid)
-            coverage = station.coverage
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    bucket = self._tile_buckets.get((ti + di, tj + dj))
-                    if not bucket:
-                        continue
-                    for oid, pos in bucket:
-                        if coverage.contains(pos):
+            contains = self.layout.get(bsid).coverage.contains
+            for cell in self._cells_of_station(bsid):
+                bucket = buckets.get(cell)
+                if bucket:
+                    for oid in bucket:
+                        if contains(pos_of[oid]):
                             out.add(oid)
         return out
 

@@ -1,10 +1,11 @@
 """Array-backed coverage index (vectorized engine).
 
 The reference :class:`~repro.core.transport.CoverageIndex` re-buckets every
-object into per-tile and per-cell dict lists each step and walks them per
-lookup.  Positions are frozen between two ``rebuild`` calls, so the
-vectorized index resolves the whole receiver geometry there, once per step,
-and keeps it as plain Python lists:
+object into per-cell dict lists each step and walks them per lookup (a
+station's lookup tests the objects of the cells whose ``Bmap`` names it).
+Positions are frozen between two ``rebuild`` calls, so the vectorized
+index resolves the whole receiver geometry there, once per step, and keeps
+it as plain Python lists:
 
 - the population sorted by flattened cell key, plus one offset per cell: a
   cell's objects are a slice, and so is one column of a rectangular region;

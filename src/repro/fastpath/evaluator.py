@@ -214,7 +214,7 @@ class BatchEvaluator:
             self._static_stale.add(oid)
         elif delta < 0:
             self._dead.append(entry.arena_slot)
-            if self.grouping and not any(e.oid == focal for e in self._clients[oid].lqt.entries()):
+            if self.grouping and next(self._clients[oid].lqt.of_focal(focal), None) is None:
                 self._free_groups.append(entry.arena_group)
         else:
             if self._free:
@@ -235,9 +235,9 @@ class BatchEvaluator:
         count only where their slot holds their entry: a restored or
         attached entry arrives with another system's."""
         refs = self.e_refs
-        for e in self._clients[oid].lqt.entries():
+        for e in self._clients[oid].lqt.of_focal(entry.oid):
             slot = e.arena_slot
-            if e.oid == entry.oid and e is not entry and 0 <= slot < self.n_ent and refs[slot] is e:
+            if e is not entry and 0 <= slot < self.n_ent and refs[slot] is e:
                 return e.arena_group
         if not self._free_groups:
             self._free_groups.append(self._n_groups)

@@ -118,10 +118,6 @@ class BaseStationLayout:
         i, j = tile
         return self.stations[i * self.tile_rows + j]
 
-    def tile_of_station(self, bsid: BaseStationId) -> tuple[int, int]:
-        """The lattice tile a station is deployed on."""
-        return (bsid // self.tile_rows, bsid % self.tile_rows)
-
     def station_covering(self, point: Point) -> BaseStation:
         """A station covering ``point`` (objects uplink through one).
 

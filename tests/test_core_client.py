@@ -1,8 +1,11 @@
 """Unit tests for the moving-object client (LQT processing, reporting)."""
 
+import pytest
+
 from repro.core import PropagationMode
 from repro.core.messages import MotionStateRequest, ResultChangeReport
 from repro.geometry import Point, Vector
+from repro.mobility.model import MotionState
 
 from tests.conftest import circle_query, make_object, make_system
 
@@ -48,6 +51,45 @@ class TestEvaluation:
         small_world.step()
         # After ~2 steps the focal is ~2 miles north; object 2 within range.
         assert 2 in small_world.result(qid)
+
+
+class TestPredictionMemo:
+    """The reference evaluation phase predicts each focal ``MotionState``
+    once, however many objects hold a query bound to it."""
+
+    @pytest.mark.parametrize("grouping", [True, False])
+    def test_each_focal_state_is_predicted_once_a_phase(self, monkeypatch, grouping):
+        holders = [make_object(oid, 20 + oid, 25) for oid in range(1, 9)]
+        system = make_system([make_object(0, 25, 25), *holders], grouping=grouping)
+        system.install_query(circle_query(0, 3.0))
+        system.install_query(circle_query(0, 1.5))
+        system.step()
+        states = {
+            id(entry.focal_state)
+            for client in system.clients.values()
+            for entry in client.lqt.entries()
+        }
+        assert len(states) == 1  # every holder's entries share the one state
+        assert sum(len(client.lqt) for client in system.clients.values()) >= 16
+
+        calls = []
+        predict = MotionState.predict
+
+        def counted(state, now):
+            calls.append((id(state), now))
+            return predict(state, now)
+
+        monkeypatch.setattr(MotionState, "predict", counted)
+        first = system.clock.now_hours
+        system._evaluation_phase(system.clock)
+        assert calls == [(*states, first)]
+        monkeypatch.setattr(MotionState, "predict", predict)
+        system.step()  # nothing moves, so the entries keep their state
+        monkeypatch.setattr(MotionState, "predict", counted)
+        second = system.clock.now_hours
+        system._evaluation_phase(system.clock)
+        assert second != first
+        assert calls == [(*states, first), (*states, second)]
 
 
 class TestGroupedEvaluation:

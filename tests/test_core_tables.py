@@ -6,6 +6,8 @@ owners); ``TestFocalObjectTable`` / ``TestServerQueryTable`` keep their
 ids and hold the owners to the table contract.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -277,6 +279,33 @@ class TestLocalQueryTable:
         assert entry.focal_max_speed == 80.0
         assert entry.is_target is False
         assert entry.ptm == 0.0
+
+    def test_a_pickled_entry_leaves_its_arena_handles_behind(self):
+        """A checkpoint carries every field of an entry but the batch
+        evaluator's handles: restore re-places each entry, so an unpickled
+        one comes back unplaced (-1) and otherwise equal."""
+        entry = lqt_entry(qid=3, oid=7, r=2.5)
+        entry.is_target, entry.ptm = True, 1.25
+        entry.arena_slot, entry.arena_group = 11, 4
+        copy = pickle.loads(pickle.dumps(entry, pickle.HIGHEST_PROTOCOL))
+        assert copy == entry and copy.reach == entry.reach == 2.5
+        assert (copy.is_target, copy.ptm) == (True, 1.25)
+        assert (copy.arena_slot, copy.arena_group) == (-1, -1)
+        assert b"arena" not in pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+
+    def test_of_focal_reads_one_focal_in_table_order(self):
+        lqt = LocalQueryTable()
+        for qid, oid in ((1, 10), (2, 20), (3, 10), (4, None), (5, 10)):
+            lqt.install(lqt_entry(qid=qid, oid=oid))
+        assert [e.qid for e in lqt.of_focal(10)] == [1, 3, 5]
+        assert [e.qid for e in lqt.of_focal(None)] == [4]
+        assert list(lqt.of_focal(99)) == []
+
+    def test_by_focal_keeps_table_order_among_equal_reaches(self):
+        lqt = LocalQueryTable()
+        for qid, r in ((1, 2.0), (2, 5.0), (3, 2.0), (4, 5.0), (5, 1.0)):
+            lqt.install(lqt_entry(qid=qid, oid=10, r=r))
+        assert [e.qid for e in lqt.by_focal()[10]] == [2, 4, 1, 3, 5]
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -1,6 +1,11 @@
 """Tests for the simulated transport and coverage index."""
 
+import functools
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.messages import MotionStateRequest
 from repro.core.transport import CoverageIndex, SimulatedTransport
@@ -63,6 +68,120 @@ class TestCoverageIndex:
         index.rebuild([(1, Point(2, 2))])
         index.rebuild([(2, Point(2, 2))])
         assert index.in_cells([(0, 0)]) == {2}
+
+
+# Geometries for the coverage property: Table 1's (alpha 5, stations every
+# 10 miles, a UoD side that is a multiple of neither), one whose station
+# side is not a multiple of alpha, and one whose UoD side is a multiple of
+# both (its far edges clamp into the last cell).
+COVERAGE_GEOMETRIES = {
+    "table1": (Rect(0, 0, math.sqrt(100_000.0), math.sqrt(100_000.0)), 5.0, 10.0),
+    "off_lattice": (Rect(0, 0, 61.7, 48.2), 5.0, 7.3),
+    "exact": (Rect(0, 0, 50, 50), 5.0, 10.0),
+}
+
+
+@functools.cache
+def coverage_geometry(name):
+    uod, alpha, alen = COVERAGE_GEOMETRIES[name]
+    grid = Grid(uod, alpha)
+    return grid, BaseStationLayout(grid, alen)
+
+
+def coordinate(extent, alpha, alen):
+    """One coordinate in ``[0, extent]``: uniform, or on (or one ulp either
+    side of) a cell line, a station tile line or the universe's edge."""
+    lines = st.one_of(
+        st.integers(0, math.ceil(extent / alpha)).map(lambda k: k * alpha),
+        st.integers(0, math.ceil(extent / alen)).map(lambda k: k * alen),
+        st.sampled_from([0.0, extent]),
+    )
+    near = st.tuples(lines, st.sampled_from([-math.inf, 0.0, math.inf])).map(
+        lambda t: t[0] if t[1] == 0.0 else math.nextafter(t[0], t[1])
+    )
+    return st.one_of(st.floats(0.0, extent), near).map(lambda v: min(max(v, 0.0), extent))
+
+
+@st.composite
+def coverage_world(draw):
+    """A geometry and 1-40 positions: random, on cell / tile lines, edges
+    and corners, or on (one ulp off) a station's circle."""
+    grid, layout = coverage_geometry(draw(st.sampled_from(sorted(COVERAGE_GEOMETRIES))))
+    uod = grid.uod
+
+    def clamped(x, y):
+        return Point(min(max(x, 0.0), uod.w), min(max(y, 0.0), uod.h))
+
+    @st.composite
+    def on_circle(draw):
+        circle = layout.get(draw(st.integers(0, len(layout) - 1))).coverage
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        x = circle.cx + circle.r * math.cos(angle)
+        y = circle.cy + circle.r * math.sin(angle)
+        step = draw(st.sampled_from([-math.inf, 0.0, math.inf]))
+        if step:
+            x, y = math.nextafter(x, step), math.nextafter(y, -step)
+        return clamped(x, y)
+
+    on_lines = st.builds(
+        Point, coordinate(uod.w, grid.alpha, layout.side_length),
+        coordinate(uod.h, grid.alpha, layout.side_length),
+    )
+    corners = st.builds(Point, st.sampled_from([0.0, uod.w]), st.sampled_from([0.0, uod.h]))
+    points = draw(st.lists(st.one_of(on_lines, corners, on_circle()), min_size=1, max_size=40))
+    return grid, layout, points
+
+
+def cell_span(n):
+    return st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted)
+
+
+class TestCoverageIndexProperty:
+    @given(coverage_world(), st.data())
+    def test_lookups_equal_a_brute_force_scan(self, world, data):
+        grid, layout, points = world
+        index = CoverageIndex(layout, grid)
+        index.rebuild(list(enumerate(points)))
+        hearing = [set(layout.stations_hearing(pos)) for pos in points]
+        near = sorted(set().union(*hearing))
+        for bsid in near:
+            assert index.covered_by_stations([bsid]) == {
+                oid for oid, heard in enumerate(hearing) if bsid in heard
+            }, bsid
+        ids = data.draw(
+            st.sets(st.one_of(st.sampled_from(near), st.integers(0, len(layout) - 1)))
+        )
+        assert index.covered_by_stations(ids) == {
+            oid for oid, heard in enumerate(hearing) if heard & ids
+        }
+        cells = [grid.cell_index(pos) for pos in points]
+        for oid, cell in enumerate(cells):
+            assert index.cell_of(oid) == cell
+        for cell in set(cells):
+            assert index.in_cells([cell]) == {oid for oid, c in enumerate(cells) if c == cell}
+        (lo_i, hi_i), (lo_j, hi_j) = data.draw(cell_span(grid.n_cols)), data.draw(
+            cell_span(grid.n_rows)
+        )
+        region = CellRange(lo_i, hi_i, lo_j, hi_j)
+        assert index.in_cells(region) == {oid for oid, c in enumerate(cells) if c in region}
+
+    @given(
+        st.sampled_from(sorted(COVERAGE_GEOMETRIES)),
+        st.sampled_from(["left", "right", "below", "above"]),
+        st.floats(1e-9, 1e6),
+        st.floats(0.0, 1.0),
+    )
+    def test_a_position_outside_the_universe_is_refused(self, name, side, gap, along):
+        grid, layout = coverage_geometry(name)
+        uod = grid.uod
+        index = CoverageIndex(layout, grid)
+        x, y = uod.lx + along * uod.w, uod.ly + along * uod.h
+        x = {"left": uod.lx - gap, "right": uod.ux + gap}.get(side, x)
+        y = {"below": uod.ly - gap, "above": uod.uy + gap}.get(side, y)
+        with pytest.raises(ValueError, match="outside universe"):
+            grid.cell_index(Point(x, y))
+        with pytest.raises(ValueError, match="outside universe"):
+            index.rebuild([(0, Point(uod.w / 2, uod.h / 2)), (1, Point(x, y))])
 
 
 class TestTransport:

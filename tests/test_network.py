@@ -47,9 +47,9 @@ class TestLayout:
             assert station.covers_point(p)
 
     def test_tile_roundtrip(self, layout):
-        for bsid in range(len(layout)):
-            tile = layout.tile_of_station(bsid)
-            assert layout.station_at_tile(tile).bsid == bsid
+        for station in layout.stations:
+            tile = layout.tile_of_point(station.coverage.center)
+            assert layout.station_at_tile(tile).bsid == station.bsid
 
     def test_stations_hearing(self, layout):
         hearers = layout.stations_hearing(Point(50, 50))

@@ -260,10 +260,11 @@ class TestCheckpointRoundtrip:
         # evaluation period, beacon cadence, radio and queue bound; carried
         # accuracy samples) and v13 bytes (a loss section that may be a
         # pickled ``LossModel``) and v14 bytes (LQT entries without their
-        # arena handles) are refused by the header's version field, not
+        # arena handles) and v15 bytes (LQT entries pickled with them, as a
+        # slots dict) are refused by the header's version field, not
         # half-read.
         data = cp.to_bytes()
-        for old in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
+        for old in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15):
             stale_bytes = data[:8] + old.to_bytes(2, "big") + data[10:]
             with pytest.raises(ValueError, match=f"version {old} unsupported"):
                 from_bytes(stale_bytes)
