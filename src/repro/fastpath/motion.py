@@ -3,13 +3,15 @@
 that left the universe of discourse reflected by the scalar
 :func:`~repro.mobility.motion.reflect_into`, bit for bit as the reference.
 Zero-velocity objects keep their position *and* ``recorded_at``.  Velocity
-re-randomization and ``apply_update`` are the base
-:class:`~repro.mobility.motion.MotionModel` code, assigning through the
+re-randomization draws its random stream in the base
+:meth:`~repro.mobility.motion.MotionModel.advance` and writes the picked
+rows as columns; ``apply_update`` is the base code, assigning through the
 store's row views.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.fastpath.store import ObjectStateStore
@@ -44,3 +46,22 @@ class VectorizedMotionModel(MotionModel):
             store.set_pos(row, pos)
             if vel != old:  # like the reference, keep an unchanged vector
                 store.set_vel(row, vel)
+
+    def _assign_velocities(
+        self,
+        picked: list[MovingObject],
+        draws: list[tuple[float, float]],
+        now_hours: float,
+    ) -> None:
+        """Column-write equivalent of ``MotionModel._assign_velocities``.
+
+        ``math.cos`` / ``math.sin`` times the speed, as ``Vector.from_polar``
+        computes them (numpy's need not round the same)."""
+        cos, sin = math.cos, math.sin
+        row_of = self.store.row_of
+        self.store.set_velocities(
+            [row_of[obj.oid] for obj in picked],
+            [cos(heading) * speed for speed, heading in draws],
+            [sin(heading) * speed for speed, heading in draws],
+            now_hours,
+        )

@@ -108,6 +108,17 @@ class ObjectStateStore:
     def set_vel(self, row: int, vel: Vector) -> None:
         self.vx[row], self.vy[row], self.built_vel[row] = vel.x, vel.y, vel
 
+    def set_velocities(
+        self, rows: list[int], vx: list[float], vy: list[float], now_hours: float
+    ) -> None:
+        """Give the distinct ``rows`` the velocities ``(vx, vy)``, recorded
+        at ``now_hours``: one fancy-index assignment per column.  Their
+        cached ``Vector`` is dropped, so a read rebuilds it from the
+        columns."""
+        at = self.np.array(rows, dtype=self.np.int64)
+        self.vx[at], self.vy[at] = vx, vy
+        self.recorded_at[at], self.built_vel[at] = now_hours, None
+
     def advance(self, moved, nx, ny, now_hours: float) -> None:
         """Move the ``moved`` rows to ``nx`` / ``ny`` at ``now_hours``."""
         self.x[moved], self.y[moved] = nx[moved], ny[moved]

@@ -75,6 +75,25 @@ class CellRange:
         """Number of grid cells."""
         return (self.hi_i - self.lo_i + 1) * (self.hi_j - self.lo_j + 1)
 
+    def strips_outside(self, other: "CellRange") -> list[tuple[int, int, int]]:
+        """This range's cells not in ``other`` as column strips ``(i, lo_j,
+        hi_j)``, inclusive and non-empty, in this range's iteration order:
+        walking them cell by cell visits exactly the cells of
+        ``self - other``, in order, without testing the shared ones."""
+        lo_j, hi_j = self.lo_j, self.hi_j
+        below = min(hi_j, other.lo_j - 1)
+        above = max(lo_j, other.hi_j + 1)
+        strips: list[tuple[int, int, int]] = []
+        for i in range(self.lo_i, self.hi_i + 1):
+            if other.lo_i <= i <= other.hi_i:
+                if below >= lo_j:
+                    strips.append((i, lo_j, below))
+                if above <= hi_j:
+                    strips.append((i, above, hi_j))
+            else:
+                strips.append((i, lo_j, hi_j))
+        return strips
+
     def __iter__(self) -> Iterator[CellIndex]:
         for i in range(self.lo_i, self.hi_i + 1):
             for j in range(self.lo_j, self.hi_j + 1):

@@ -79,12 +79,17 @@ class MotionModel:
         re-assign velocity vectors to ``velocity_changes_per_step`` objects.
         """
         self._move(step_hours, now_hours)
-        self.changed_last_step = []
         count = min(self.velocity_changes_per_step, len(self.objects))
-        if count > 0:
-            for obj in self.rng.sample(self.objects, count):
-                self._randomize_velocity(obj, now_hours)
-                self.changed_last_step.append(obj.oid)
+        if count <= 0:
+            self.changed_last_step = []
+            return
+        # The one definition of the random stream: the sample, then a
+        # ``(speed, heading)`` pair per picked object, in sample order.
+        rng = self.rng
+        picked = rng.sample(self.objects, count)
+        draws = [(rng.uniform(0.0, obj.max_speed), rng.direction()) for obj in picked]
+        self._assign_velocities(picked, draws, now_hours)
+        self.changed_last_step = [obj.oid for obj in picked]
 
     def _move(self, step_hours: float, now_hours: float) -> None:
         """Move every moving object one step, reflecting at the boundary.
@@ -135,7 +140,14 @@ class MotionModel:
         obj.recorded_at = now_hours
         return obj
 
-    def _randomize_velocity(self, obj: MovingObject, now_hours: float) -> None:
-        speed = self.rng.uniform(0.0, obj.max_speed)
-        obj.vel = Vector.from_polar(self.rng.direction(), speed)
-        obj.recorded_at = now_hours
+    def _assign_velocities(
+        self,
+        picked: list[MovingObject],
+        draws: list[tuple[float, float]],
+        now_hours: float,
+    ) -> None:
+        """Give each picked object the velocity of its ``(speed, heading)``
+        draw, re-recorded at ``now_hours``."""
+        for obj, (speed, heading) in zip(picked, draws):
+            obj.vel = Vector.from_polar(heading, speed)
+            obj.recorded_at = now_hours

@@ -12,6 +12,17 @@ the union of circles covers the UoD.
 intersects the cell; the server uses it to pick a *minimal* set of stations
 whose circles jointly cover a query's monitoring region (greedy set cover,
 which is the standard polynomial approximation).
+
+When the station side is a whole number ``p`` of grid cells, ``Bmap``
+repeats every ``p`` cells away from the UoD's edges: a cell ``p`` columns
+to the right maps to the stations ``tile_rows`` ids up, a cell ``p`` rows
+up to the stations one id up.  The layout checks this cell by cell at
+construction (the circles pass exactly through cell corners, where float
+rounding could break it) and, where it holds, answers a region's cover
+from the cover of its translate into the first interior tile, plus the id
+shift: the greedy sees the same cells in the same order with every
+candidate id shifted by one constant, and its ties break toward the
+smaller id, so it picks the same stations, shifted.
 """
 
 from __future__ import annotations
@@ -26,9 +37,10 @@ from repro.grid import CellIndex, CellRange, CellRangeUnion, Grid
 BaseStationId = int
 
 # Entries `BaseStationLayout.minimal_cover` memoizes before it starts over.
-# Every focal cell crossing keys a fresh ``CellRangeUnion(old, new)``, so the
-# memo grows for as long as a run lasts; the cap is far above what the warm
-# set of a paper-scale run reaches, so it only bounds a soak.
+# Off the phase interior every focal cell crossing keys a fresh
+# ``CellRangeUnion(old, new)``, so the memo grows for as long as a run
+# lasts; the cap is far above what the warm set of a paper-scale run
+# reaches, so it only bounds a soak.
 COVER_CACHE_MAX = 1 << 16
 
 
@@ -63,6 +75,11 @@ class BaseStationLayout:
         self._bmap: dict[CellIndex, tuple[BaseStationId, ...]] = {}
         self._build_bmap()
         self._cover_cache: dict[object, list[BaseStationId]] = {}
+        # The lattice phase ``p`` (0: no phase memo) and the last column and
+        # row of the interior where ``Bmap`` was verified to repeat.
+        self._phase = 0
+        self._interior_hi_i = self._interior_hi_j = -1
+        self._build_phase()
 
     def _build_lattice(self) -> None:
         uod = self.grid.uod
@@ -94,6 +111,27 @@ class BaseStationLayout:
             if not ids:
                 raise RuntimeError(f"grid cell {cell} is not covered by any base station")
             self._bmap[cell] = tuple(sorted(ids))
+
+    def _build_phase(self) -> None:
+        """Turn the phase memo on if ``side_length / alpha`` is a whole
+        number ``p`` and ``Bmap`` repeats with it on every cell of the
+        interior: columns ``p`` up to the last but one tile column, rows
+        likewise, where every cell's stations have all their neighbours."""
+        ratio = self.side_length / self.grid.alpha
+        p = int(ratio)
+        hi_i = min(self.grid.n_cols, (self.tile_cols - 1) * p) - 1
+        hi_j = min(self.grid.n_rows, (self.tile_rows - 1) * p) - 1
+        if p < 1 or p != ratio or hi_i < p or hi_j < p:
+            return
+        bmap, rows = self._bmap, self.tile_rows
+        for i in range(p, hi_i + 1):
+            for j in range(p, hi_j + 1):
+                shift = (i // p - 1) * rows + j // p - 1
+                base = bmap[(p + i % p, p + j % p)]
+                if bmap[(i, j)] != tuple(bsid + shift for bsid in base):
+                    return
+        self._phase = p
+        self._interior_hi_i, self._interior_hi_j = hi_i, hi_j
 
     def __len__(self) -> int:
         return len(self.stations)
@@ -140,16 +178,63 @@ class BaseStationLayout:
         The greedy cover is a pure function of the region (the lattice and
         the Bmap are fixed at construction) and monitoring regions repeat
         heavily across steps, so results are memoized (up to
-        :data:`COVER_CACHE_MAX` entries; on overflow the memo is cleared).
+        :data:`COVER_CACHE_MAX` entries; on overflow the memo is cleared):
+        a range or range pair inside the phase interior by the bounds of
+        its translate into the first interior tile, with the stations of
+        that translate (see the module docstring), anything else by itself.
         """
-        key: object = (
-            region if isinstance(region, (CellRange, CellRangeUnion)) else tuple(region)
-        )
-        cached = self._cover_cache.get(key)
+        phase = self._phase_key(region) if self._phase else None
+        if phase is None:
+            if not isinstance(region, (CellRange, CellRangeUnion)):
+                region = tuple(region)
+            key, shift = region, 0
+        else:
+            key, shift = phase
+        cache = self._cover_cache
+        cached = cache.get(key)
         if cached is not None:
-            return list(cached)
-        if len(self._cover_cache) >= COVER_CACHE_MAX:
-            self._cover_cache.clear()
+            return [bsid + shift for bsid in cached]
+        if len(cache) >= COVER_CACHE_MAX:
+            cache.clear()
+        chosen = self._greedy(region)
+        cache[key] = [bsid - shift for bsid in chosen]
+        return chosen
+
+    def _phase_key(self, region: object) -> tuple[tuple[int, ...], int] | None:
+        """The phase memo's key of ``region`` -- the bounds of its translate
+        by whole tiles into the first interior tile -- and the station id
+        shift back, or None unless ``region`` is a range or a range pair
+        inside the interior."""
+        p = self._phase
+        if type(region) is CellRange:
+            lo_i, hi_i, lo_j, hi_j = region.lo_i, region.hi_i, region.lo_j, region.hi_j
+            if lo_i < p or lo_j < p or hi_i > self._interior_hi_i or hi_j > self._interior_hi_j:
+                return None
+            tile_i, tile_j = lo_i // p - 1, lo_j // p - 1
+            di, dj = tile_i * p, tile_j * p
+            key: tuple[int, ...] = (lo_i - di, hi_i - di, lo_j - dj, hi_j - dj)
+        elif type(region) is CellRangeUnion:
+            a, b = region.first, region.second
+            lo_i, lo_j = min(a.lo_i, b.lo_i), min(a.lo_j, b.lo_j)
+            if (
+                lo_i < p
+                or lo_j < p
+                or max(a.hi_i, b.hi_i) > self._interior_hi_i
+                or max(a.hi_j, b.hi_j) > self._interior_hi_j
+            ):
+                return None
+            tile_i, tile_j = lo_i // p - 1, lo_j // p - 1
+            di, dj = tile_i * p, tile_j * p
+            key = (
+                a.lo_i - di, a.hi_i - di, a.lo_j - dj, a.hi_j - dj,
+                b.lo_i - di, b.hi_i - di, b.lo_j - dj, b.hi_j - dj,
+            )
+        else:
+            return None
+        return key, tile_i * self.tile_rows + tile_j
+
+    def _greedy(self, region: "Iterable[CellIndex]") -> list[BaseStationId]:
+        """The greedy cover of ``region``'s cells, ascending."""
         # Cells as bits of one int: the greedy rounds then run on integer
         # AND / popcount instead of set intersections.  The selection is
         # identical to the set formulation -- the gain is the same count
@@ -159,7 +244,6 @@ class BaseStationLayout:
             if cell not in bit_of:
                 bit_of[cell] = 1 << len(bit_of)
         if not bit_of:
-            self._cover_cache[key] = []
             return []
         chosen: list[BaseStationId] = []
         # Candidate stations: anything appearing in the Bmap of a region cell.
@@ -184,8 +268,7 @@ class BaseStationLayout:
             uncovered &= ~best_bits
             del candidates[best_id]
         chosen.sort()
-        self._cover_cache[key] = chosen
-        return list(chosen)
+        return chosen
 
     def stations_hearing(self, point: Point) -> list[BaseStationId]:
         """All stations whose coverage contains ``point`` (for broadcast

@@ -43,6 +43,12 @@ class MessageLedger:
     #: but the radio model, which the config rebuilds.
     CHECKPOINT_FIELDS = (*COUNTERS, "counts_by_type", "bits_by_type", "energy_by_object")
 
+    def __post_init__(self) -> None:
+        # Joules per bit, read off the (frozen) radio model once: plain
+        # attributes, neither fields nor compared.
+        self._tx_per_bit = self.radio.tx_joules_per_bit
+        self._rx_per_bit = self.radio.rx_joules_per_bit
+
     # ------------------------------------------------------------- recording
 
     def record_uplink(self, msg_type: str, bits: float, sender: ObjectId | None = None) -> None:
@@ -52,7 +58,8 @@ class MessageLedger:
         self.counts_by_type[msg_type] += 1
         self.bits_by_type[msg_type] += bits
         if sender is not None:
-            self._charge(sender, self.radio.transmit_energy(bits))
+            energy = self.energy_by_object
+            energy[sender] = energy.get(sender, 0.0) + bits * self._tx_per_bit
 
     def record_downlink(
         self,
@@ -71,16 +78,13 @@ class MessageLedger:
         self.downlink_bits += bits * broadcasts
         self.counts_by_type[msg_type] += broadcasts
         self.bits_by_type[msg_type] += bits * broadcasts
-        rx_energy = self.radio.receive_energy(bits)
-        # Inlined _charge: this loop runs once per receiver per broadcast,
-        # the hottest accounting path in dense workloads.
+        rx_energy = bits * self._rx_per_bit
+        # This loop runs once per receiver per broadcast, the hottest
+        # accounting path in dense workloads.
         energy = self.energy_by_object
         get = energy.get
         for oid in receivers:
             energy[oid] = get(oid, 0.0) + rx_energy
-
-    def _charge(self, oid: ObjectId, joules: float) -> None:
-        self.energy_by_object[oid] = self.energy_by_object.get(oid, 0.0) + joules
 
     # ------------------------------------------------------------- summaries
 

@@ -286,20 +286,12 @@ class TestLocalQueryTable:
         one comes back unplaced (-1) and otherwise equal."""
         entry = lqt_entry(qid=3, oid=7, r=2.5)
         entry.is_target, entry.ptm = True, 1.25
-        entry.arena_slot, entry.arena_group = 11, 4
+        entry.arena_slot = 11
         copy = pickle.loads(pickle.dumps(entry, pickle.HIGHEST_PROTOCOL))
         assert copy == entry and copy.reach == entry.reach == 2.5
         assert (copy.is_target, copy.ptm) == (True, 1.25)
-        assert (copy.arena_slot, copy.arena_group) == (-1, -1)
+        assert copy.arena_slot == -1
         assert b"arena" not in pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
-
-    def test_of_focal_reads_one_focal_in_table_order(self):
-        lqt = LocalQueryTable()
-        for qid, oid in ((1, 10), (2, 20), (3, 10), (4, None), (5, 10)):
-            lqt.install(lqt_entry(qid=qid, oid=oid))
-        assert [e.qid for e in lqt.of_focal(10)] == [1, 3, 5]
-        assert [e.qid for e in lqt.of_focal(None)] == [4]
-        assert list(lqt.of_focal(99)) == []
 
     def test_by_focal_keeps_table_order_among_equal_reaches(self):
         lqt = LocalQueryTable()
