@@ -1,15 +1,27 @@
 #!/usr/bin/env python3
-"""What CI asserts about the artifacts the harnesses write.
+"""What CI asserts about a ``DRIVE_<tag>.json`` artifact.
 
-usage: check_artifact.py <kind> <path>
+usage: check_artifact.py <path>
 
-``kind`` is one of ``chaos-crash``, ``chaos-rebalance``, ``chaos-latency``
-(a ``CHAOS_<tag>.json`` from ``python -m repro chaos``, one engine or
-``--engine both``) or ``soak`` (a ``SOAK_<tag>.json`` from ``python -m
-repro serve``).  Exits non-zero naming the first check that failed.
-``tests/test_ci_checks.py`` runs every kind against a report produced
-in-test, so a renamed report key fails tier-1 instead of silently
-passing here.
+The artifact is one report of ``python -m repro drive`` or, from
+``--engine both``, ``{"engines": {name: report}}``.  What each report must
+show follows from its own ``inputs``:
+
+- always: the basis is the one the inputs choose, and the run converged
+  to it; with no fault window, every step matched it (``results_match``)
+  and the ingest accounting identity holds;
+- a crash window: the run was perturbed inside the window, a recovery
+  basis was captured, and it is non-empty;
+- scheduled fleet moves: at least one was applied and the partition
+  epoch is at least the number of moves; under uplink latency,
+  stale-epoch reroutes were counted;
+- ingest faster than its budget: backpressure fired;
+- an elastic schedule: one split and one merge, the merged slot retired,
+  and the tail-window ops imbalance improved on the static twin.
+
+Exits non-zero naming the first check that failed.
+``tests/test_ci_checks.py`` runs it against reports produced in-test, so
+a renamed report key fails tier-1 instead of silently passing here.
 """
 
 from __future__ import annotations
@@ -23,101 +35,79 @@ def require(ok: bool, message: str) -> None:
         raise SystemExit(f"check_artifact: {message}")
 
 
-def _twin_graded_runs(report: dict) -> dict:
-    """The per-engine chaos reports, each recovered against its twin."""
-    runs = report["engines"] if "engines" in report else {report["engine"]: report}
-    for engine, run in runs.items():
-        require(run["recovery_basis"] == "twin", f"{engine}: not graded against the twin")
-        require(run["converged"], f"{engine}: never realigned with the fault-free twin")
-    return runs
+def check(name: str, run: dict) -> None:
+    inputs, grading, counters, fleet = run["inputs"], run["grading"], run["counters"], run["fleet"]
+    schedule = inputs["faults"]["schedule"]
+    plan = inputs["fleet"]
+    uplink_latency = inputs["latency"]["uplink_steps"]
+    lagged = (
+        uplink_latency or inputs["latency"]["downlink_steps"] or inputs["latency"]["jitter_steps"]
+        or schedule["crashes"] or plan["plan"] != "static" or inputs["dead_reckoning"]
+    )
+    basis = "twin" if lagged else "oracle"
+    require(grading["basis"] == basis, f"{name}: graded against the {grading['basis']}, "
+            f"but its inputs choose the {basis}")
+    require(grading["converged"], f"{name}: never realigned with the {basis}")
+    if not any(schedule.values()):
+        require(grading["results_match"],
+                f"{name}: diverged from the {basis} at step {grading['first_divergence_step']}")
+    service = counters["service"]
+    ingest = inputs["ingest"]
+    if 0 < ingest["budget_per_step"] < ingest["rate_per_step"]:
+        require(service["backpressure_rejects"] > 0, f"{name}: backpressure never fired: {service}")
+    # The no-silent-drop invariant: every submission is applied, rejected,
+    # or still queued.
+    require(
+        service["submitted"] == service["applied"] + service["backpressure_rejects"]
+        + service["invalid_rejects"] + service["queued"],
+        f"{name}: ingest accounting leak: {service}",
+    )
 
+    recovery = counters["recovery"]
+    divergence = grading["per_step"]["divergence"]
+    for window in schedule["crashes"]:
+        require(any(divergence[window["start"] - 1 : window["end"]]),
+                f"{name}: the crash never perturbed the run")
+        require(recovery["checkpoints_taken"] > 0, f"{name}: no recovery checkpoint was taken")
+        require(recovery["basis_bytes"] > 0, f"{name}: the recovery basis is empty")
 
-def check_chaos_crash(report: dict) -> None:
-    for engine, run in _twin_graded_runs(report).items():
-        crash = run["crash"]
-        require(crash["checkpoints_taken"] > 0, f"{engine}: no recovery checkpoint was taken")
-        require(crash["basis_bytes"] > 0, f"{engine}: the recovery basis is empty")
-        (window,) = crash["windows"]
-        divergence = run["per_step"]["twin_divergence"]
-        require(
-            any(divergence[window["start"] - 1 : window["end"]]),
-            f"{engine}: the crash never perturbed the run",
-        )
-        print(engine, "recovered from crash window", window, "after",
-              crash["checkpoints_taken"], "basis captures, the last", crash["basis_bytes"], "bytes")
-
-
-def check_chaos_rebalance(report: dict) -> None:
-    for engine, run in _twin_graded_runs(report).items():
-        rebalance = run["rebalance"]
-        moves = [op for op in rebalance["log"] if op["cols_moved"]]
-        require(bool(moves), f"{engine}: no repartition was applied")
-        require(rebalance["partition_epoch"] >= len(moves), f"{engine}: epoch behind the moves")
+    moves = [op for op in fleet["rebalance_log"] if op["cols_moved"]]
+    if plan["rebalance_schedule"] or plan["elastic_schedule"]:
+        require(bool(moves), f"{name}: no repartition was applied")
+        require(fleet["partition_epoch"] >= len(moves), f"{name}: epoch behind the moves")
         # Under uplink latency the reports sent the step before a move are
         # still in flight when it lands: a zero count means the move raced
         # nothing, or the counter stopped counting.
-        require(
-            run["latency"]["uplink_steps"] == 0 or rebalance["stale_epoch_reroutes"] > 0,
-            f"{engine}: no stale-epoch reroute although uplinks were in flight across a move",
-        )
-        print(engine, f"{len(moves)} moves, epoch {rebalance['partition_epoch']},",
-              f"{rebalance['stale_epoch_reroutes']} stale-epoch reroutes, converged")
-
-
-def check_chaos_latency(report: dict) -> None:
-    for engine, run in _twin_graded_runs(report).items():
-        print(engine, "converged, latency", run["latency"])
-
-
-def check_soak(report: dict) -> None:
-    require(
-        report["splits"] >= 1 and report["merges"] >= 1,
-        f"no split+merge lifecycle: {report['rebalance_log']}",
-    )
-    twin = report["twin"]
-    require(twin["results_match"], f"diverged at step {twin['first_divergence_step']}")
-    counters = report["ingest"]["counters"]
-    require(counters["backpressure_rejects"] > 0, f"backpressure never fired: {counters}")
-    # The no-silent-drop invariant: every submission is applied,
-    # rejected, or still queued.
-    require(
-        counters["submitted"]
-        == counters["applied"]
-        + counters["backpressure_rejects"]
-        + counters["invalid_rejects"]
-        + counters["queued"],
-        f"ingest accounting leak: {counters}",
-    )
-    # The spawned shard (slot 2) was merged back and retired.
-    require(report["fleet"]["retired_shards"] == [2], f"fleet: {report['fleet']}")
-    # Scale-out must buy balance, not just exercise the lifecycle: over
-    # the post-merge tail window the elastic fleet carries the sustained
-    # hotspot better than the static twin in the deterministic ops view.
-    # (The seconds view is printed, not asserted: a wall-clock verdict
-    # over a few milliseconds of total shard time.)
-    improvement = report["improvement"]
-    require(improvement["improved_ops"], f"ops imbalance did not improve: {improvement}")
-    print("splits", report["splits"], "merges", report["merges"],
-          "rejects", counters["backpressure_rejects"],
-          "imbalance_seconds", improvement["static_imbalance_seconds"],
-          "->", improvement["elastic_imbalance_seconds"])
-
-
-CHECKS = {
-    "chaos-crash": check_chaos_crash,
-    "chaos-rebalance": check_chaos_rebalance,
-    "chaos-latency": check_chaos_latency,
-    "soak": check_soak,
-}
+        require(uplink_latency == 0 or fleet["stale_epoch_reroutes"] > 0,
+                f"{name}: no stale-epoch reroute although uplinks were in flight across a move")
+    if plan["elastic_schedule"]:
+        require(fleet["splits"] >= 1 and fleet["merges"] >= 1,
+                f"{name}: no split+merge lifecycle: {fleet['rebalance_log']}")
+        merged = sorted(op[2] for op in plan["elastic_schedule"] if op[1] == "merge")
+        require(fleet["retired_shards"] == merged,
+                f"{name}: fleet retired {fleet['retired_shards']}, the schedule merged {merged}")
+        # Scale-out must buy balance, not just exercise the lifecycle: over
+        # the post-merge tail window the elastic fleet carries the hotspot
+        # better than the static twin in the deterministic ops view.  (The
+        # seconds view is printed, not asserted: a wall-clock verdict over
+        # a few milliseconds of total shard time.)
+        improvement = fleet["improvement"]
+        require(improvement["improved_ops"], f"{name}: ops imbalance did not improve: {improvement}")
+    print(name, f"converged to the {basis};", f"{len(moves)} moves,",
+          f"{recovery['checkpoints_taken']} basis captures,",
+          f"{service['backpressure_rejects']} backpressure rejects;",
+          "clock", json.dumps(run["clock"].get("improvement")))
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or argv[0] not in CHECKS:
-        print(f"usage: check_artifact.py {{{','.join(CHECKS)}}} <path>", file=sys.stderr)
+    if len(argv) != 1:
+        print("usage: check_artifact.py <path>", file=sys.stderr)
         return 2
-    kind, path = argv
-    with open(path) as handle:
-        CHECKS[kind](json.load(handle))
+    with open(argv[0]) as handle:
+        artifact = json.load(handle)
+    runs = artifact["engines"] if "engines" in artifact else {artifact["engine"]: artifact}
+    for name, run in runs.items():
+        check(name, run)
     return 0
 
 

@@ -7,8 +7,8 @@ Usage::
     python -m repro run all --scale 0.05         # everything, custom scale
     python -m repro params [--scale 0.06]        # show Table 1 (scaled)
     python -m repro simulate --objects 400 --queries 40 --steps 30
-    python -m repro chaos --smoke                # fault-injection harness
-    python -m repro serve --steps 60             # twin-graded service soak
+    python -m repro drive                        # the fault storm, graded
+    python -m repro drive --faults crash --shards 2   # see docs/ROBUSTNESS.md
 
 ``run`` prints each experiment's table (the same output the
 ``benchmarks/`` suite produces); ``simulate`` runs a single ad-hoc MobiEyes
@@ -19,6 +19,7 @@ a subcommand: it is ``python3 bench/run.py`` (see ``bench/README.md``).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 import textwrap
@@ -26,6 +27,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
+from repro import driver
 from repro.core import PropagationMode
 from repro.experiments import EXPERIMENTS, TITLES, run_experiment
 from repro.experiments.runner import DEFAULT_STEPS, RunTable, run_mobieyes
@@ -144,122 +146,48 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.faults.chaos import run_chaos
-
-    if args.engine == "both":
-        engines = ["reference", "vectorized"]
-    else:
-        engines = [args.engine]
+def _cmd_drive(args: argparse.Namespace) -> int:
+    engines = ["reference", "vectorized"] if args.engine == "both" else [args.engine]
     if "vectorized" in engines:
         try:
             import numpy  # noqa: F401
         except ImportError:
-            if args.engine == "both":
-                print("numpy unavailable: skipping the vectorized engine", file=sys.stderr)
-                engines.remove("vectorized")
-            else:
+            if args.engine != "both":
                 print("numpy is required for --engine vectorized", file=sys.stderr)
                 return 2
-    steps = 30 if args.smoke and args.steps is None else (args.steps or 40)
-    scale = 0.015 if args.smoke and args.scale is None else (args.scale or 0.02)
-
-    reports = {}
-    for engine in engines:
-        reports[engine] = run_chaos(
-            engine=engine,
-            steps=steps,
-            scale=scale,
-            seed=args.seed,
-            uplink_loss=args.uplink_loss,
-            downlink_loss=args.downlink_loss,
-            burst=args.burst,
-            shards=args.shards,
-            uplink_latency=args.latency,
-            downlink_latency=args.latency,
-            latency_jitter=args.latency_jitter,
-            crash=args.crash,
-            rebalance=args.rebalance,
-        )
-
+            print("numpy unavailable: skipping the vectorized engine", file=sys.stderr)
+            engines.remove("vectorized")
+    if args.steps == 0 and len(engines) > 1:
+        # Two interrupted runs stop at different steps: nothing to cross-check.
+        print("--steps 0 runs one engine: pass --engine", file=sys.stderr)
+        return 2
+    out_dir = Path(args.output or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"DRIVE_{args.tag}.json"
+    inputs = {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "func", "engine", "steps", "tag", "output")
+    }
+    log = functools.partial(print, file=sys.stderr)
+    reports = {
+        engine: driver.run(engine=engine, steps=args.steps or None, path=path, log=log, **inputs)
+        for engine in engines
+    }
     failed = False
     if len(reports) == 2:
-        ref, fast = reports["reference"], reports["vectorized"]
-        mismatched = [
-            key
-            for key in ("result_hash", "drops", "message_counts", "per_step")
-            if ref[key] != fast[key]
-        ]
+        mismatched = driver.engine_mismatch(reports)
         if mismatched:
             print(f"ENGINE MISMATCH on: {', '.join(mismatched)}", file=sys.stderr)
             failed = True
     for engine, report in reports.items():
-        if not report["converged"]:
-            basis = report.get("recovery_basis", "oracle")
-            print(
-                f"NON-CONVERGENCE: {engine} engine never recovered "
-                f"(basis: {basis})",
-                file=sys.stderr,
-            )
+        reason = driver.failure(report)
+        if reason:
+            print(f"{reason} ({engine} engine)", file=sys.stderr)
             failed = True
-
     artifact = reports[engines[0]] if len(reports) == 1 else {"engines": reports}
-    text = json.dumps(artifact, sort_keys=True, indent=2)
-    print(text)
-    tag = args.tag or ("smoke" if args.smoke else "local")
-    out_dir = Path(args.output) if args.output else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"CHAOS_{tag}.json"
-    path.write_text(text + "\n")
+    driver.write_artifact(path, artifact)
+    print(path.read_text(), end="")
     print(f"wrote {path}", file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.soak import run_soak
-
-    if args.engine == "vectorized":
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            print("numpy is required for --engine vectorized", file=sys.stderr)
-            return 2
-    if args.forever and args.steps is not None:
-        print("--forever and --steps are mutually exclusive", file=sys.stderr)
-        return 2
-    steps = None if args.forever else (args.steps if args.steps is not None else 60)
-    tag = args.tag or ("forever" if args.forever else "local")
-    report = run_soak(
-        steps=steps,
-        engine=args.engine,
-        shards=args.shards,
-        scenario=args.scenario,
-        scale=args.scale,
-        seed=args.seed,
-        elastic=args.elastic,
-        max_shards=args.max_shards,
-        rebalance_every=args.rebalance_every,
-        ingest_rate=args.ingest_rate,
-        ingest_budget=args.ingest_budget,
-        query_churn_every=args.query_churn,
-        latency=args.latency,
-        jitter=args.latency_jitter,
-        twin=not args.no_twin,
-        report_every=args.report_every,
-        tag=tag,
-        out_dir=args.output,
-    )
-    failed = False
-    twin_block = report.get("twin")
-    if twin_block is not None and not twin_block["results_match"]:
-        print(
-            "ELASTIC DIVERGENCE: results differ from the static-fleet twin "
-            f"(first at step {twin_block['first_divergence_step']})",
-            file=sys.stderr,
-        )
-        failed = True
     return 1 if failed else 0
 
 
@@ -317,181 +245,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.set_defaults(func=_cmd_simulate)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run the fault-injection harness, write CHAOS_<tag>.json, "
-        "exit nonzero on non-convergence",
+    drive = sub.add_parser(
+        "drive",
+        help="run one scenario graded against the oracle or a lockstep twin, "
+        "write DRIVE_<tag>.json, exit nonzero if it fails its grade",
     )
-    chaos.add_argument(
-        "--smoke", action="store_true", help="small deterministic scenario for CI"
-    )
-    chaos.add_argument(
+    drive.add_argument(
         "--engine",
         choices=("reference", "vectorized", "both"),
         default="both",
-        help="engine(s) to run; 'both' also cross-checks their reports",
+        help="engine(s) to run; 'both' also cross-checks every non-clock report value",
     )
-    chaos.add_argument("--steps", type=int, default=None, help="simulated steps (default 40)")
-    chaos.add_argument(
-        "--scale", type=float, default=None, help="workload scale (default 0.02)"
+    drive.add_argument(
+        "--steps", type=int, default=30, help="simulated steps (0 = until interrupted)"
     )
-    chaos.add_argument("--seed", type=int, default=7, help="scenario seed")
-    chaos.add_argument(
-        "--uplink-loss", type=float, default=0.0, help="mean uplink channel loss rate"
+    drive.add_argument("--scale", type=float, default=0.015, help="workload scale (1.0 = paper)")
+    drive.add_argument("--seed", type=int, default=7, help="workload, script and channel seed")
+    drive.add_argument("--scenario", choices=driver.SCENARIOS, default="paper",
+                       help="workload preset (skewed: the flash crowd elastic scale-out chases)")
+    drive.add_argument("--shards", type=int, default=1, help="server shards (1 = monolithic)")
+    drive.add_argument("--dead-reckoning", type=float, default=0.0,
+                       help="dead-reckoning threshold in miles (nonzero grades against a twin)")
+    drive.add_argument(
+        "--faults",
+        choices=driver.FAULTS,
+        default="storm",
+        help="storm: a station outage plus rolling disconnections; crash: the storm "
+        "plus a mid-run shard crash rebuilt from the recovery basis (--shards >= 2)",
     )
-    chaos.add_argument(
-        "--downlink-loss", type=float, default=0.0, help="mean downlink channel loss rate"
+    drive.add_argument("--uplink-loss", type=float, default=0.0, help="mean uplink loss rate")
+    drive.add_argument("--downlink-loss", type=float, default=0.0, help="mean downlink loss rate")
+    drive.add_argument("--burst", action="store_true",
+                       help="Gilbert-Elliott burst channels instead of Bernoulli")
+    drive.add_argument("--latency", type=int, default=0,
+                       help="per-hop delivery delay in steps, uplink and downlink")
+    drive.add_argument("--latency-jitter", dest="jitter", type=int, default=0,
+                       help="seeded random extra delay in [0, N] steps on top of --latency")
+    drive.add_argument(
+        "--fleet",
+        choices=driver.FLEET_PLANS,
+        default="static",
+        help="rebalance: repartitions racing the fault windows; policy: the load "
+        "thermostat up to --max-shards; schedule: one split and one merge; both: the "
+        "schedule beside a transfer-only thermostat (all need --shards >= 2)",
     )
-    chaos.add_argument(
-        "--burst",
-        action="store_true",
-        help="use Gilbert-Elliott burst channels instead of Bernoulli",
-    )
-    chaos.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="server shards behind the coordinator (default 1 = monolithic server)",
-    )
-    chaos.add_argument(
-        "--latency",
-        type=int,
-        default=0,
-        help="per-link delivery delay in steps applied to both uplink and "
-        "downlink; recovery is then graded against a fault-free twin run",
-    )
-    chaos.add_argument(
-        "--latency-jitter",
-        type=int,
-        default=0,
-        help="seeded random extra delay in [0, N] steps on top of --latency",
-    )
-    chaos.add_argument(
-        "--crash",
-        action="store_true",
-        help="add a mid-run shard crash window (requires --shards >= 2): the "
-        "shard's soft state is erased, rebuilt from the recovery basis (the "
-        "server tables) at the window end, and recovery is graded against the "
-        "fault-free lockstep twin",
-    )
-    chaos.add_argument(
-        "--rebalance",
-        action="store_true",
-        help="apply the canonical repartition triggers inside the fault "
-        "windows (requires --shards >= 2): boundary migration races the "
-        "outage, disconnections, and any --crash window, graded against "
-        "the static-stripes fault-free twin",
-    )
-    chaos.add_argument("--tag", default=None, help="artifact tag (default: 'local'/'smoke')")
-    chaos.add_argument(
-        "--output", default=None, help="directory for the artifact (default: current directory)"
-    )
-    chaos.set_defaults(func=_cmd_chaos)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the long-running service soak (queue-driven ingest, "
-        "elastic scale-out, twin-graded), write SOAK_<tag>.json",
-    )
-    serve.add_argument(
-        "--steps", type=int, default=None, help="bounded soak length (default 60)"
-    )
-    serve.add_argument(
-        "--forever",
-        action="store_true",
-        help="run until interrupted; Ctrl-C finalizes and writes the report",
-    )
-    serve.add_argument(
-        "--engine", choices=("reference", "vectorized"), default="reference"
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="initial server shards (elastic modes need >= 2)",
-    )
-    serve.add_argument(
-        "--scenario",
-        choices=("skewed", "dense", "paper"),
-        default="skewed",
-        help="workload preset (default skewed: the flash-crowd scenario "
-        "elastic scale-out exists for)",
-    )
-    serve.add_argument(
-        "--scale", type=float, default=0.02, help="workload scale (1.0 = paper)"
-    )
-    serve.add_argument("--seed", type=int, default=11, help="workload + script seed")
-    serve.add_argument(
-        "--elastic",
-        choices=("policy", "schedule", "both", "off"),
-        default="policy",
-        help="scale-out mode: 'policy' arms the thermostat with a fleet "
-        "ceiling (--max-shards), 'schedule' applies one split and one "
-        "merge at fixed steps, 'both' runs the schedule beside a "
-        "transfer-only thermostat, 'off' keeps the fleet fixed (no twin)",
-    )
-    serve.add_argument(
-        "--max-shards",
-        type=int,
-        default=4,
-        help="fleet ceiling for --elastic policy (default 4)",
-    )
-    serve.add_argument(
-        "--rebalance-every",
-        type=int,
-        default=5,
-        help="policy evaluation cadence in steps for --elastic policy",
-    )
-    serve.add_argument(
-        "--ingest-rate",
-        type=int,
-        default=6,
-        help="scripted external position reports submitted per step",
-    )
-    serve.add_argument(
-        "--ingest-budget",
-        type=int,
-        default=4,
-        help="admission budget per tick (0 = drain the whole queue); the "
-        "queue bound derives from it, so rate > budget exercises "
-        "backpressure rejects",
-    )
-    serve.add_argument(
-        "--query-churn",
-        type=int,
-        default=10,
-        help="install a runtime query every N steps and remove it half a "
-        "period later (0 = no churn)",
-    )
-    serve.add_argument(
-        "--latency",
-        type=int,
-        default=0,
-        help="per-link delivery delay in steps (uplink and downlink)",
-    )
-    serve.add_argument(
-        "--latency-jitter",
-        type=int,
-        default=0,
-        help="seeded random extra delay in [0, N] steps on top of --latency",
-    )
-    serve.add_argument(
-        "--no-twin",
-        action="store_true",
-        help="skip the static-fleet lockstep twin (faster, ungraded)",
-    )
-    serve.add_argument(
-        "--report-every",
-        type=int,
-        default=0,
-        help="rewrite SOAK_<tag>.json every N steps while running "
-        "(progress for --forever soaks)",
-    )
-    serve.add_argument("--tag", default=None, help="artifact tag (default 'local')")
-    serve.add_argument(
-        "--output", default=None, help="directory for the artifact (default: cwd)"
-    )
-    serve.set_defaults(func=_cmd_serve)
+    drive.add_argument("--max-shards", type=int, default=4, help="fleet ceiling of --fleet policy")
+    drive.add_argument("--rebalance-every", type=int, default=5,
+                       help="thermostat cadence in steps (--fleet policy/both)")
+    drive.add_argument("--ingest-rate", type=int, default=0,
+                       help="scripted external position reports submitted per step")
+    drive.add_argument("--ingest-budget", type=int, default=0,
+                       help="admission budget per tick (0 = drain the queue); rate > budget "
+                       "exercises backpressure")
+    drive.add_argument("--query-churn", type=int, default=0,
+                       help="install a query every N steps, remove it half a period later")
+    drive.add_argument("--report-every", type=int, default=0,
+                       help="rewrite the artifact every N steps while running")
+    drive.add_argument("--tag", default="local", help="artifact tag (default 'local')")
+    drive.add_argument("--output", default=None, help="artifact directory (default: cwd)")
+    drive.set_defaults(func=_cmd_drive)
 
     report = sub.add_parser(
         "report", help="run every experiment and write the EXPERIMENTS.md report"
@@ -510,7 +322,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ValueError as error:
-        # Harness and config validation (e.g. --crash at --shards 1).
+        # Driver and config validation (e.g. --faults crash at --shards 1).
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
         return 2
 

@@ -107,7 +107,7 @@ class MobiEyesConfig:
             ``(step, "split", donor)`` spawns a new shard from ``donor``'s
             stripe and ``(step, "merge", sid, into)`` drains shard ``sid``
             into its stripe-adjacent neighbor ``into`` and retires the
-            slot, both at the top of ``step`` (CI's soak smoke uses it);
+            slot, both at the top of ``step`` (CI's soak row uses it);
             requires ``shards >= 2`` and cannot be combined with
             ``rebalance_schedule`` (a fixed ``(src, dst)`` schedule is
             written against fixed shard ids).

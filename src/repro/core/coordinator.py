@@ -440,7 +440,7 @@ class Coordinator:
         results for dead queries resolve to ``None`` and are skipped, and
         fresh uplinks into the dead stripe are dropped by the fault
         injector, which asks :meth:`uplink_dead`.  Returns drop/teardown
-        counters for the chaos report.
+        counters for the run report.
         """
         shard = self.shards[sid]
         # Discard in-flight uplinks first: routing consults the tables this
@@ -494,8 +494,8 @@ class Coordinator:
         grid-wide resync directive so clients re-pull descriptors and
         report epochs; entries recovered here may be stale until those
         resyncs and the objects' own reports re-converge the results --
-        the chaos twin grades exactly that window.  Returns counters for
-        the chaos report.
+        the run driver's twin grades exactly that window.  Returns counters
+        for the run report.
         """
         shard = self.shards[sid]
         lost = self._dead.pop(sid)

@@ -21,7 +21,7 @@ counters once, in a class-level ``COUNTERS`` tuple that its
 :func:`read_counters` is the one read of that tuple, and anything that
 wants a per-step or per-window figure keeps a *mark* of the totals and
 subtracts (``MobiEyesSystem._measurement_phase``, the rebalance policy's
-window, the soak's tail window).  Nothing is zeroed on read.
+window, the run driver's tail window).  Nothing is zeroed on read.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ def read_counters(owner: Any) -> dict[str, Any]:
     if owner is None:
         return {}
     return {name: getattr(owner, name) for name in owner.COUNTERS}
-
-
-def counter_section(counters: dict[str, Any], owner: str) -> dict[str, Any]:
-    """One owner's slice of ``MobiEyesSystem.counters()``, prefix removed."""
-    prefix = owner + "."
-    return {key[len(prefix):]: value for key, value in counters.items() if key.startswith(prefix)}
 
 
 class LoadAccount:
@@ -128,31 +122,3 @@ def load_balance(shard_loads: list[dict]) -> dict:
         "critical_seconds": round(max(seconds), 4),
         "imbalance_seconds": round(max(seconds) / mean_seconds, 3) if mean_seconds else 1.0,
     }
-
-
-def fleet_section(system) -> dict:
-    """The shard-fleet block of a harness report, from a live system.
-
-    ``shard_loads`` (seconds rounded for display), their
-    :func:`load_balance`, and the partition map's bounds and epoch are
-    ``None`` on a monolithic server; the applied ``rebalance_log`` and the
-    ``transport.stale_epoch_reroutes`` counter are always present.  The seconds
-    views are wall-clock and vary run to run; everything else is
-    deterministic.
-    """
-    out = {
-        "shard_loads": None,
-        "load_balance": None,
-        "partition_bounds": None,
-        "partition_epoch": None,
-        "stale_epoch_reroutes": system.counters()["transport.stale_epoch_reroutes"],
-        "rebalance_log": list(system.rebalance_log),
-    }
-    server = system.server
-    if hasattr(server, "shard_loads"):
-        rows = server.shard_loads()
-        out["shard_loads"] = [{**row, "seconds": round(row["seconds"], 4)} for row in rows]
-        out["load_balance"] = load_balance(rows)
-        out["partition_bounds"] = list(server.partitioner.bounds)
-        out["partition_epoch"] = server.partition_epoch
-    return out

@@ -545,7 +545,7 @@ def step_hash(system: "MobiEyesSystem") -> str:
 
     Covers the clock, every query result, the message/bit/energy ledger
     totals, and the in-flight envelope count -- the quantities the bench
-    and chaos reports compare.  Two systems in the same state (e.g. an
+    and run reports compare.  Two systems in the same state (e.g. an
     original and its restored twin after equal steps) hash identically;
     floats serialize via ``repr`` so the comparison is bit-exact.
     """

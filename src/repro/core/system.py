@@ -144,7 +144,7 @@ class MobiEyesSystem:
         self.recovery_basis: bytes | None = None
         self.checkpoints_taken = 0
         # What each crash erased and each recovery rebuilt, and the applied
-        # placement operations (consumed by the chaos / soak reports).
+        # placement operations (consumed by the run driver's report).
         self.crash_log: list[dict] = []
         self.rebalance_log: list[dict] = []
         # step -> (crash ops, transfers, splits / merges) due at that
@@ -284,7 +284,7 @@ class MobiEyesSystem:
     def counters(self) -> dict:
         """Every lifetime counter of the system (plus its owners' gauges)
         under one flat ``"<owner>.<name>"`` key: the read-only view the
-        chaos, soak and fleet reports are filled from.  Owners the system
+        run driver's report is filled from.  Owners the system
         was built without are absent."""
         transport = self.transport
         sections = {

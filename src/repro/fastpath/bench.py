@@ -1,6 +1,6 @@
 """The two workload presets beside Table 1: ``dense`` and ``skewed``.
 
-The repo benchmark (``bench/workloads.py``), the service soak and the
+The repo benchmark (``bench/workloads.py``), the run driver and the
 shard tests build their worlds from these.  Running and grading a
 benchmark is ``bench/run.py`` + ``bench/compare.py``.
 """

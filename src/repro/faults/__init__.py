@@ -19,9 +19,9 @@ deployment faces:
   charged to the :class:`~repro.network.messaging.MessageLedger`.
 - :mod:`~repro.faults.policy` -- the knobs (retry budget, heartbeat
   cadence, soft-state lease length).
-- :mod:`~repro.faults.chaos` -- a seeded chaos harness measuring how fast
-  query results re-converge after each fault clears (imported lazily by
-  the CLI; not re-exported here to keep the import graph acyclic).
+
+The fault storm that measures how fast query results re-converge after
+each fault clears is one input of the run driver (:mod:`repro.driver`).
 
 Passing a :class:`FaultInjector` as ``MobiEyesSystem(..., loss=...)``
 activates the whole stack: the transport routes reliable messages through

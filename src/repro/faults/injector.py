@@ -11,7 +11,7 @@ takes (the seam is an injector or None):
 - it does **not** exempt reliable messages -- attaching an injector makes
   the transport route them through the explicit ack/retransmit layer
   (:mod:`repro.faults.reliability`) instead, whose retries it also rolls;
-- drops are counted per cause, so a chaos report can attribute loss to
+- drops are counted per cause, so a run report can attribute loss to
   disconnections, outages, or the channel.
 
 The serving station of an object is the station of its lattice tile (the

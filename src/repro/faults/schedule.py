@@ -7,7 +7,7 @@ station drops), and server-shard crashes (the shard's soft state and
 in-flight uplinks are lost; see
 :meth:`~repro.core.coordinator.Coordinator.crash_shard`).  The windows
 are pure data, so a schedule is trivially reproducible and serializable
-into a chaos report.
+into a run report.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """What every harness shares: build a system, digest its results, count
 how far two runs' results are apart.
 
-``chaos``, ``serve`` and the experiments all start from the same recipe --
+The run driver and the experiments all start from the same recipe --
 a Table-1 workload from one seeded stream, a config whose geometry comes
 from the workload parameters, a system, the workload's queries installed
 -- and several of them build the same thing twice to grade a run against

@@ -24,6 +24,10 @@ settings.register_profile("short", stateful_step_count=12)
 settings.register_profile("long", max_examples=2000, stateful_step_count=50)
 settings.load_profile("short")
 
+#: The service-soak inputs of ``repro.driver.run`` (the CI soak row's): the
+#: flash-crowd workload, dead reckoning on, no fault schedule.
+SOAK_INPUTS = dict(seed=11, scenario="skewed", dead_reckoning=1.0, faults="none")
+
 
 def make_object(oid, x, y, vx=0.0, vy=0.0, max_speed=100.0, props=None):
     return MovingObject(

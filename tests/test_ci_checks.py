@@ -1,10 +1,10 @@
 """``.github/scripts/check_artifact.py`` against reports produced here.
 
-CI runs the script on the artifacts of the smoke jobs.  Running it in
-tier-1 on freshly produced reports means a report key the harness renames
-fails here, and the doctored reports below show each check still bites --
-an assertion that silently stops checking is how the old ``--compare``
-gate died.
+CI runs the script on the artifact of every ``python -m repro drive`` row.
+Running it in tier-1 on freshly produced reports means a report key the
+driver renames fails here, and the doctored reports below show each check
+still bites -- an assertion that silently stops checking is how the old
+``--compare`` gate died.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import importlib
 import importlib.util
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from repro.faults.chaos import run_chaos
-from repro.soak import run_soak
+from repro.driver import run
+from tests.conftest import SOAK_INPUTS
 
 SCRIPT = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "check_artifact.py"
 
@@ -39,10 +40,10 @@ bench_trajectory = load_script(SCRIPT.with_name("bench_trajectory.py"))
 bench_drift = load_script(SCRIPT.with_name("bench_drift.py"))
 
 
-def run_check(kind: str, report: dict, tmp_path) -> int:
+def run_check(report: dict, tmp_path) -> int:
     path = tmp_path / "artifact.json"
     path.write_text(json.dumps(report))
-    return check_artifact.main([kind, str(path)])
+    return check_artifact.main([str(path)])
 
 
 def both_engines(report: dict) -> dict:
@@ -52,114 +53,128 @@ def both_engines(report: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def crash_report():
-    return run_chaos(engine="reference", steps=24, scale=0.01, shards=2, crash=True)
+    return run(engine="reference", steps=24, scale=0.01, shards=2, faults="crash")
 
 
 @pytest.fixture(scope="module")
 def rebalance_report():
-    return run_chaos(
-        engine="reference", steps=24, scale=0.01, shards=2, crash=True, rebalance=True
-    )
+    return run(engine="reference", steps=24, scale=0.01, shards=2, faults="crash", fleet="rebalance")
 
 
 @pytest.fixture(scope="module")
 def latency_report():
-    return run_chaos(
-        engine="reference", steps=30, scale=0.015, uplink_latency=1, downlink_latency=1
-    )
+    return run(engine="reference", steps=30, scale=0.015, latency=1)
 
 
 @pytest.fixture(scope="module")
-def soak_report(tmp_path_factory):
-    return run_soak(
-        steps=40,
-        shards=2,
-        scale=0.02,
-        elastic="both",
-        ingest_rate=6,
-        ingest_budget=3,
-        query_churn_every=8,
-        tag="ci-check",
-        out_dir=tmp_path_factory.mktemp("soak"),
-        log=lambda *_: None,
+def soak_report():
+    return run(
+        steps=40, shards=2, scale=0.02, fleet="both", ingest_rate=6, ingest_budget=3,
+        query_churn=8, **SOAK_INPUTS,
     )
 
 
 def test_chaos_crash(crash_report, tmp_path):
-    assert run_check("chaos-crash", crash_report, tmp_path) == 0
-    assert run_check("chaos-crash", both_engines(crash_report), tmp_path) == 0
+    assert run_check(crash_report, tmp_path) == 0
+    assert run_check(both_engines(crash_report), tmp_path) == 0
     broken = copy.deepcopy(crash_report)
-    broken["per_step"]["twin_divergence"] = [0] * len(broken["per_step"]["twin_divergence"])
+    divergence = broken["grading"]["per_step"]["divergence"]
+    divergence[:] = [0] * len(divergence)
     with pytest.raises(SystemExit, match="never perturbed"):
-        run_check("chaos-crash", broken, tmp_path)
+        run_check(broken, tmp_path)
     broken = copy.deepcopy(crash_report)
-    broken["crash"]["checkpoints_taken"] = 0
+    broken["counters"]["recovery"]["checkpoints_taken"] = 0
     with pytest.raises(SystemExit, match="checkpoint"):
-        run_check("chaos-crash", both_engines(broken), tmp_path)
+        run_check(both_engines(broken), tmp_path)
     broken = copy.deepcopy(crash_report)
-    broken["crash"]["basis_bytes"] = 0
+    broken["counters"]["recovery"]["basis_bytes"] = 0
     with pytest.raises(SystemExit, match="basis"):
-        run_check("chaos-crash", broken, tmp_path)
+        run_check(broken, tmp_path)
 
 
 def test_chaos_rebalance(rebalance_report, tmp_path):
-    assert run_check("chaos-rebalance", both_engines(rebalance_report), tmp_path) == 0
+    assert run_check(both_engines(rebalance_report), tmp_path) == 0
     broken = copy.deepcopy(rebalance_report)
-    broken["rebalance"]["log"] = []
+    broken["fleet"]["rebalance_log"] = []
     with pytest.raises(SystemExit, match="no repartition"):
-        run_check("chaos-rebalance", broken, tmp_path)
+        run_check(broken, tmp_path)
     broken = copy.deepcopy(rebalance_report)
-    broken["rebalance"]["partition_epoch"] = 0
+    broken["fleet"]["partition_epoch"] = 0
     with pytest.raises(SystemExit, match="epoch behind"):
-        run_check("chaos-rebalance", broken, tmp_path)
+        run_check(broken, tmp_path)
     # Under uplink latency a move must have raced in-flight uplinks; the
     # zero-latency run above legitimately reports none.
-    assert rebalance_report["rebalance"]["stale_epoch_reroutes"] == 0
+    assert rebalance_report["fleet"]["stale_epoch_reroutes"] == 0
     deferred = copy.deepcopy(rebalance_report)
-    deferred["latency"]["uplink_steps"] = 1
+    deferred["inputs"]["latency"]["uplink_steps"] = 1
     with pytest.raises(SystemExit, match="no stale-epoch reroute"):
-        run_check("chaos-rebalance", deferred, tmp_path)
-    deferred["rebalance"]["stale_epoch_reroutes"] = 6
-    assert run_check("chaos-rebalance", deferred, tmp_path) == 0
+        run_check(deferred, tmp_path)
+    deferred["fleet"]["stale_epoch_reroutes"] = 6
+    assert run_check(deferred, tmp_path) == 0
 
 
 def test_chaos_latency(latency_report, tmp_path):
-    assert run_check("chaos-latency", both_engines(latency_report), tmp_path) == 0
-    for key, value in (("converged", False), ("recovery_basis", "oracle")):
-        broken = {**latency_report, key: value}
+    assert run_check(both_engines(latency_report), tmp_path) == 0
+    for key, value in (("converged", False), ("basis", "oracle")):
+        broken = copy.deepcopy(latency_report)
+        broken["grading"][key] = value
         with pytest.raises(SystemExit, match="twin"):
-            run_check("chaos-latency", broken, tmp_path)
+            run_check(broken, tmp_path)
 
 
 def test_soak(soak_report, tmp_path):
-    assert run_check("soak", soak_report, tmp_path) == 0
+    assert run_check(soak_report, tmp_path) == 0
     doctored = {
-        "diverged": lambda r: r["twin"].update(results_match=False, first_divergence_step=3),
-        "lifecycle": lambda r: r.update(merges=0),
-        "backpressure": lambda r: r["ingest"]["counters"].update(backpressure_rejects=0),
-        "accounting": lambda r: r["ingest"]["counters"].update(applied=0),
+        "diverged": lambda r: r["grading"].update(results_match=False, first_divergence_step=3),
+        "lifecycle": lambda r: r["fleet"].update(merges=0),
+        "backpressure": lambda r: r["counters"]["service"].update(backpressure_rejects=0),
+        "accounting": lambda r: r["counters"]["service"].update(applied=0),
         "fleet": lambda r: r["fleet"].update(retired_shards=[]),
-        "ops imbalance": lambda r: r["improvement"].update(improved_ops=False),
+        "ops imbalance": lambda r: r["fleet"]["improvement"].update(improved_ops=False),
     }
     for message, doctor in doctored.items():
         broken = copy.deepcopy(soak_report)
         doctor(broken)
         with pytest.raises(SystemExit, match=message):
-            run_check("soak", broken, tmp_path)
+            run_check(broken, tmp_path)
     # The wall-clock verdict is reported, never gated on.
     unlucky = copy.deepcopy(soak_report)
-    unlucky["improvement"]["improved_seconds"] = False
-    assert run_check("soak", unlucky, tmp_path) == 0
+    unlucky["clock"]["improvement"]["improved_seconds"] = False
+    assert run_check(unlucky, tmp_path) == 0
 
 
-def test_workflow_invokes_every_check_mode():
-    """The chaos smoke jobs are one matrix: a row dropped or mistyped
-    there must not silently retire one of the script's checks."""
+def test_an_oracle_graded_run_must_match_every_step(tmp_path):
+    """A run without fault windows is graded on every step, not only on
+    its last one."""
+    report = run(engine="reference", steps=8, scale=0.01, faults="none")
+    assert report["grading"]["basis"] == "oracle"
+    assert run_check(report, tmp_path) == 0
+    broken = copy.deepcopy(report)
+    broken["grading"].update(results_match=False, first_divergence_step=2)
+    with pytest.raises(SystemExit, match="diverged from the oracle at step 2"):
+        run_check(broken, tmp_path)
+
+
+def test_workflow_checks_every_row_artifact():
+    """The driver rows are one matrix, and one unconditional step checks
+    each row's artifact: a row cannot opt out of its check."""
     workflow = (SCRIPT.parents[1] / "workflows" / "ci.yml").read_text()
-    invoked = set(re.findall(r"check_artifact\.py ([\w-]+)", workflow))
-    if "check_artifact.py ${{ matrix.check }}" in workflow:
-        invoked.update(re.findall(r"^\s+check: ([\w-]+)$", workflow, re.MULTILINE))
-    assert invoked == set(check_artifact.CHECKS)
+    (job,) = [job for job in re.split(r"\n  (?=[\w-]+:\n)", workflow) if "repro drive" in job]
+    rows = re.findall(r"^\s+- tag: ([\w-]+)\n\s+flags: (.*)$", job, re.MULTILINE)
+    assert len(rows) == 7
+    assert len({tag for tag, _ in rows}) == len(rows)
+    steps = job.split("\n      - ")[1:]
+    drive = [step for step in steps if "python -m repro drive" in step]
+    check = [step for step in steps if "check_artifact.py" in step]
+    assert len(drive) == len(check) == 1
+    assert "python -m repro drive ${{ matrix.flags }} --tag ${{ matrix.tag }}" in drive[0]
+    assert "check_artifact.py DRIVE_${{ matrix.tag }}.json" in check[0]
+    assert "if:" not in check[0] and "matrix.check" not in workflow
+    # Every row is a valid invocation of the one subcommand.
+    from repro.cli import build_parser
+
+    for tag, flags in rows:
+        build_parser().parse_args(["drive", *shlex.split(flags), "--tag", tag])
 
 
 def test_knob_counts_only_ratchet_down():
@@ -180,7 +195,7 @@ def test_knob_counts_only_ratchet_down():
                 count += 1
         return count
 
-    assert arguments(build_parser()) <= 49
+    assert arguments(build_parser()) <= 37
 
 
 SRC = SCRIPT.parents[2] / "src"
@@ -609,7 +624,7 @@ def test_every_experiment_states_its_shape_once_and_has_a_benchmark():
 
 def test_usage_errors(tmp_path, capsys):
     assert check_artifact.main([]) == 2
-    assert check_artifact.main(["bench", str(tmp_path / "x.json")]) == 2
+    assert check_artifact.main(["soak", str(tmp_path / "x.json")]) == 2
     assert "usage" in capsys.readouterr().err
 
 

@@ -76,21 +76,22 @@ class TestSimulate:
 
 
 class TestInvalidFlagCombinations:
-    """Harness/config validation errors are one stderr line and exit 2,
+    """Driver/config validation errors are one stderr line and exit 2,
     not a traceback out of ``main``."""
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["chaos", "--crash"],
-            ["chaos", "--rebalance", "--shards", "1"],
-            ["serve", "--shards", "1"],
+            ["drive", "--faults", "crash"],
+            ["drive", "--fleet", "rebalance"],
+            ["drive", "--fleet", "policy"],
         ],
-        ids=" ".join,
+        ids=lambda argv: " ".join(argv[1:]),
     )
     def test_exit_2_with_one_line_error(self, argv, capsys):
         assert main(argv) == 2
-        # (Without numpy, chaos first says it skips the vectorized engine.)
+        # (Without numpy, drive first says it skips the vectorized engine.)
+        # --shards defaults to 1.
         err = capsys.readouterr().err
         assert "Traceback" not in err
         last = err.strip().splitlines()[-1]
@@ -109,14 +110,64 @@ class TestServe:
         import json
 
         code = main([
-            "serve", "--steps", "12", "--scale", "0.01", "--elastic", "schedule",
-            "--tag", "cli", "--output", str(tmp_path),
+            "drive", "--steps", "12", "--scale", "0.01", "--fleet", "schedule",
+            "--shards", "2", "--scenario", "skewed", "--seed", "11", "--dead-reckoning", "1",
+            "--faults", "none", "--ingest-rate", "6", "--ingest-budget", "4",
+            "--query-churn", "10", "--engine", "reference", "--tag", "cli",
+            "--output", str(tmp_path),
         ])
         assert code == 0
-        report = json.loads((tmp_path / "SOAK_cli.json").read_text())
-        assert report["steps"] == 12
-        assert report["twin"]["results_match"]
-        assert report["twin"]["compared_steps"] == 12
+        report = json.loads((tmp_path / "DRIVE_cli.json").read_text())
+        assert report["grading"]["steps"] == 12
+        assert report["grading"]["basis"] == "twin"
+        assert report["grading"]["results_match"]
+
+
+class TestEngineCrossCheck:
+    """``--engine both`` compares every non-clock value of the two reports."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        from repro.driver import run
+
+        return run(engine="reference", steps=8, scale=0.01, shards=2)
+
+    @pytest.mark.parametrize(
+        "doctor, mismatch",
+        [
+            (lambda r: r["counters"]["reliability"].update(retransmits=10**6),
+             "counters.reliability"),
+            (lambda r: r["fleet"]["shard_loads"][0].update(ops=-1), "fleet.shard_loads"),
+            (lambda r: r["clock"].update(wall_seconds=10**6), None),
+        ],
+        ids=["reliability", "shard ops", "clock only"],
+    )
+    def test_doctored_vectorized_report(self, report, doctor, mismatch, monkeypatch, tmp_path,
+                                        capsys):
+        pytest.importorskip("numpy")
+        import copy
+
+        import repro.driver
+
+        def fake_run(engine, **_inputs):
+            out = {**copy.deepcopy(report), "engine": engine}
+            if engine == "vectorized":
+                doctor(out)
+            return out
+
+        monkeypatch.setattr(repro.driver, "run", fake_run)
+        code = main(["drive", "--shards", "2", "--output", str(tmp_path)])
+        err = capsys.readouterr().err
+        if mismatch is None:
+            assert code == 0 and "ENGINE MISMATCH" not in err
+        else:
+            assert code == 1
+            assert f"ENGINE MISMATCH on: {mismatch}" in err
+
+    def test_an_unbounded_run_takes_one_engine(self, capsys):
+        pytest.importorskip("numpy")
+        assert main(["drive", "--steps", "0", "--faults", "none"]) == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 class TestParser:

@@ -370,10 +370,10 @@ class TestCoordinatorFacade:
         assert min(row["ops"] for row in rows) > 0, rows
 
     def test_chaos_converges_with_two_shards(self):
-        from repro.faults.chaos import run_chaos
+        from repro.driver import run
 
-        baseline = run_chaos(engine="reference", steps=20, scale=0.01, shards=1)
-        sharded = run_chaos(engine="reference", steps=20, scale=0.01, shards=2)
-        assert sharded["converged"]
+        baseline = run(engine="reference", steps=20, scale=0.01, shards=1)
+        sharded = run(engine="reference", steps=20, scale=0.01, shards=2)
+        assert sharded["grading"]["converged"]
         assert sharded["result_hash"] == baseline["result_hash"]
-        assert sharded["message_counts"] == baseline["message_counts"]
+        assert sharded["counters"]["message_counts"] == baseline["counters"]["message_counts"]

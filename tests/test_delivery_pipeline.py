@@ -748,20 +748,17 @@ class TestAccuracyProvenance:
 
 class TestChaosUnderLatency:
     def test_chaos_converges_with_latency(self):
-        from repro.faults.chaos import run_chaos
+        from repro.driver import run
 
-        report = run_chaos(
-            engine="reference", steps=30, scale=0.015, seed=7,
-            uplink_latency=1, downlink_latency=1,
-        )
-        assert report["recovery_basis"] == "twin"
-        assert report["converged"], report["reconvergence"]
-        assert report["latency"]["uplink_steps"] == 1
-        assert report["per_step"]["twin_divergence"] is not None
+        report = run(engine="reference", steps=30, scale=0.015, seed=7, latency=1)
+        assert report["grading"]["basis"] == "twin"
+        assert report["grading"]["converged"], report["grading"]["reconvergence"]
+        assert report["inputs"]["latency"]["uplink_steps"] == 1
+        assert report["counters"]["twin_service"] is not None
 
     def test_chaos_zero_latency_keeps_oracle_basis(self):
-        from repro.faults.chaos import run_chaos
+        from repro.driver import run
 
-        report = run_chaos(engine="reference", steps=12, scale=0.015, seed=7)
-        assert report["recovery_basis"] == "oracle"
-        assert report["per_step"]["twin_divergence"] is None
+        report = run(engine="reference", steps=12, scale=0.015, seed=7)
+        assert report["grading"]["basis"] == "oracle"
+        assert report["counters"]["twin_service"] is None

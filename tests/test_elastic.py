@@ -44,7 +44,7 @@ from repro.geometry import Rect
 from repro.grid import Grid
 from repro.sim.rng import SimulationRng
 from repro.workload import paper_defaults
-from tests.conftest import paper_system
+from tests.conftest import SOAK_INPUTS, paper_system
 
 ENGINES = ["reference"] + (["vectorized"] if numpy_available() else [])
 
@@ -447,71 +447,74 @@ class TestElasticCheckpoint:
 
 class TestSoakHarness:
     def test_bounded_soak_schedule_mode(self, tmp_path):
-        from repro.soak import run_soak
+        from repro.driver import run
 
-        report = run_soak(
+        report = run(
             steps=15,
             shards=2,
             scale=0.012,
-            elastic="schedule",
+            fleet="schedule",
             ingest_rate=5,
             ingest_budget=2,
-            query_churn_every=6,
-            tag="test",
-            out_dir=tmp_path,
+            query_churn=6,
+            path=tmp_path / "DRIVE_test.json",
+            report_every=5,
             log=lambda *_: None,
+            **SOAK_INPUTS,
         )
-        assert (tmp_path / "SOAK_test.json").exists()
-        assert report["splits"] >= 1 and report["merges"] >= 1
-        assert report["twin"]["results_match"]
-        assert report["ingest"]["counters"]["backpressure_rejects"] > 0
-        counters = report["ingest"]["counters"]
+        assert (tmp_path / "DRIVE_test.json").exists()
+        fleet = report["fleet"]
+        assert fleet["splits"] >= 1 and fleet["merges"] >= 1
+        assert report["grading"]["results_match"]
+        counters = report["counters"]["service"]
+        assert counters["backpressure_rejects"] > 0
         assert counters["submitted"] == (
             counters["applied"]
             + counters["backpressure_rejects"]
             + counters["queued"]
         )
-        assert "improvement" in report
+        assert fleet["improvement"] is not None
 
-    def test_bounded_soak_both_mode_improves_balance(self, tmp_path):
+    def test_bounded_soak_both_mode_improves_balance(self):
         """CI's soak shape: the schedule guarantees the split/merge
         lifecycle, the (transfer-only) thermostat chases the sustained
         hotspot, and over the post-merge tail window the elastic fleet
         beats the static twin in the deterministic ops view."""
-        from repro.soak import run_soak
+        from repro.driver import run
 
-        report = run_soak(
+        report = run(
             steps=40,
             shards=2,
             scale=0.02,
-            elastic="both",
+            fleet="both",
             ingest_rate=6,
             ingest_budget=3,
-            query_churn_every=8,
-            tag="both",
-            out_dir=tmp_path,
-            log=lambda *_: None,
+            query_churn=8,
+            **SOAK_INPUTS,
         )
-        assert report["splits"] >= 1 and report["merges"] >= 1
-        assert report["twin"]["results_match"]
-        assert report["ingest"]["counters"]["backpressure_rejects"] > 0
-        imp = report["improvement"]
+        fleet = report["fleet"]
+        assert fleet["splits"] >= 1 and fleet["merges"] >= 1
+        assert report["grading"]["results_match"]
+        assert report["counters"]["service"]["backpressure_rejects"] > 0
+        imp = fleet["improvement"]
         assert imp["window"] == "tail:26"
         assert imp["improved_ops"], imp
         # Only policy transfers and scheduled ops appear: the schedule
         # owns membership in "both" mode, so no policy-split/-merge.
-        triggers = {op["trigger"] for op in report["rebalance_log"]}
+        triggers = {op["trigger"] for op in fleet["rebalance_log"]}
         assert "policy-split" not in triggers
         assert "policy-merge" not in triggers
-        assert report["fleet"]["retired_shards"] == [2]
+        assert fleet["retired_shards"] == [2]
 
     def test_soak_rejects_bad_modes(self):
-        from repro.soak import run_soak
+        from repro.driver import run
 
-        with pytest.raises(ValueError, match="elastic"):
-            run_soak(steps=2, elastic="nope")
+        with pytest.raises(ValueError, match="fleet"):
+            run(steps=2, fleet="nope")
         with pytest.raises(ValueError, match="shards"):
-            run_soak(steps=2, shards=1, elastic="policy")
+            run(steps=2, shards=1, fleet="policy")
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            run(steps=-3)
 
 
 class TestConfigValidation:

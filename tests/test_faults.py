@@ -30,6 +30,7 @@ from repro.faults import (
     ReliabilityPolicy,
     StationOutage,
 )
+from repro.fastpath import numpy_available
 from repro.geometry import Point, Rect, Vector
 from repro.grid import Grid
 from repro.mobility import MotionState
@@ -362,39 +363,88 @@ class TestDeterminism:
     hashes, on one engine and across both engines."""
 
     def test_chaos_report_is_bit_identical_across_runs(self):
-        from repro.faults.chaos import run_chaos
+        from repro.driver import run
 
-        a = run_chaos(engine="reference", steps=16, scale=0.01, seed=7)
-        b = run_chaos(engine="reference", steps=16, scale=0.01, seed=7)
+        a = run(engine="reference", steps=16, scale=0.01, seed=7)
+        b = run(engine="reference", steps=16, scale=0.01, seed=7)
+        assert a.pop("clock") is not None and b.pop("clock") is not None
         assert a == b
 
     @pytest.mark.parametrize("burst", [False, True])
     def test_engines_agree_on_drops_and_results(self, burst):
         pytest.importorskip("numpy")
-        from repro.faults.chaos import run_chaos
+        from repro.driver import engine_mismatch, run
 
         kwargs = dict(
             steps=16, scale=0.01, seed=11, uplink_loss=0.1, downlink_loss=0.1, burst=burst
         )
-        ref = run_chaos(engine="reference", **kwargs)
-        fast = run_chaos(engine="vectorized", **kwargs)
-        for key in ("result_hash", "drops", "reliability", "message_counts", "per_step"):
-            assert ref[key] == fast[key], f"engines disagree on {key}"
+        ref = run(engine="reference", **kwargs)
+        fast = run(engine="vectorized", **kwargs)
+        assert ref["result_hash"] == fast["result_hash"]
+        for key in ("injector", "reliability", "message_counts"):
+            assert ref["counters"][key] == fast["counters"][key], f"engines disagree on {key}"
+        assert ref["grading"]["per_step"] == fast["grading"]["per_step"]
+        # ... and on every other non-clock value.
+        assert engine_mismatch({"reference": ref, "vectorized": fast}) == []
 
     def test_different_seeds_differ(self):
-        from repro.faults.chaos import run_chaos
+        from repro.driver import run
 
-        a = run_chaos(engine="reference", steps=16, scale=0.01, seed=7)
-        b = run_chaos(engine="reference", steps=16, scale=0.01, seed=8)
-        assert a["result_hash"] != b["result_hash"] or a["drops"] != b["drops"]
+        a = run(engine="reference", steps=16, scale=0.01, seed=7)
+        b = run(engine="reference", steps=16, scale=0.01, seed=8)
+        assert (
+            a["result_hash"] != b["result_hash"]
+            or a["counters"]["injector"] != b["counters"]["injector"]
+        )
+
+
+class TestDriverCombinations:
+    """Inputs the two retired harnesses could not run together."""
+
+    def test_storm_crash_and_ingest_converge_on_both_engines(self):
+        """The fault storm, a shard crash and the ingest script at 2 shards,
+        graded against the twin fed the same script."""
+        from repro.driver import run
+
+        engines = ["reference"] + (["vectorized"] if numpy_available() else [])
+        reports = {
+            engine: run(
+                engine=engine, steps=30, scale=0.015, shards=2, faults="crash",
+                ingest_rate=4, ingest_budget=3, query_churn=6,
+            )
+            for engine in engines
+        }
+        divergences = set()
+        for report in reports.values():
+            grading, counters = report["grading"], report["counters"]
+            assert grading["basis"] == "twin" and grading["converged"], grading["reconvergence"]
+            (window,) = report["inputs"]["faults"]["schedule"]["crashes"]
+            assert any(grading["per_step"]["divergence"][window["start"] - 1 : window["end"]])
+            assert grading["per_step"]["divergence"][-1] == 0
+            for service in (counters["service"], counters["twin_service"]):
+                assert service["submitted"] > 0 and service["backpressure_rejects"] > 0
+                assert service["submitted"] == (
+                    service["applied"] + service["backpressure_rejects"]
+                    + service["invalid_rejects"] + service["queued"]
+                )
+            divergences.add(tuple(grading["per_step"]["divergence"]))
+        assert len(divergences) == 1
+
+    def test_crash_and_elastic_schedule_are_refused(self):
+        from repro.driver import run
+
+        with pytest.raises(ValueError, match="cannot be combined with elastic_schedule"):
+            run(engine="reference", steps=12, scale=0.01, shards=2, faults="crash", fleet="schedule")
 
 
 class TestChaosCli:
     def test_chaos_cli_output_is_bit_identical(self, tmp_path, capsys):
+        import json
+
         from repro.cli import main
 
         argv = [
-            "chaos",
+            "drive",
             "--engine",
             "reference",
             "--steps",
@@ -408,17 +458,20 @@ class TestChaosCli:
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
+        artifact = (tmp_path / "DRIVE_t.json").read_text()
+        assert artifact.strip() in first
         assert main(argv) == 0
         second = capsys.readouterr().out
+        # Equal apart from the clock.
+        first, second = json.loads(first), json.loads(second)
+        assert first.pop("clock") is not None and second.pop("clock") is not None
         assert first == second
-        artifact = (tmp_path / "CHAOS_t.json").read_text()
-        assert artifact.strip() in first
 
     def test_chaos_cli_smoke_converges(self, tmp_path, capsys):
         from repro.cli import main
 
-        rc = main(["chaos", "--smoke", "--engine", "reference", "--output", str(tmp_path)])
+        rc = main(["drive", "--engine", "reference", "--tag", "smoke", "--output", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert '"converged": true' in out
-        assert (tmp_path / "CHAOS_smoke.json").exists()
+        assert (tmp_path / "DRIVE_smoke.json").exists()

@@ -20,11 +20,12 @@ import pytest
 
 from repro.core import MobiEyesConfig, MobiEyesService
 from repro.core.query import QuerySpec
+from repro.core.service import OP_INSTALL, OP_REMOVE, OP_UPDATE
 from repro.core.snapshot import _decode, checkpoint, restore, step_hash
+from repro.driver import ingest_script_stream
 from repro.fastpath import numpy_available
 from repro.geometry import Circle, Point, Rect, Vector
 from repro.sim.rng import SimulationRng
-from repro.soak import OP_INSTALL, OP_REMOVE, OP_UPDATE, ingest_script_stream
 from repro.workload import generate_workload, paper_defaults
 from tests.conftest import paper_system
 

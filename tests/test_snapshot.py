@@ -38,6 +38,7 @@ from repro.core.snapshot import (
     restore,
     step_hash,
 )
+from repro.driver import canonical_schedule, run
 from repro.faults import (
     CrashWindow,
     FaultInjector,
@@ -45,7 +46,6 @@ from repro.faults import (
     ReliabilityLayer,
     ReliabilityPolicy,
 )
-from repro.faults.chaos import canonical_schedule, run_chaos
 from repro.faults.schedule import DisconnectWindow
 from repro.faults.channels import BernoulliChannel, GilbertElliottChannel
 from repro.fastpath import numpy_available
@@ -843,35 +843,37 @@ class TestRecoveryBasis:
 
 class TestChaosCrash:
     def test_chaos_crash_reconverges_to_the_twin(self):
-        report = run_chaos(engine="reference", steps=24, scale=0.01, shards=2, crash=True)
-        assert report["recovery_basis"] == "twin"
-        assert report["converged"] is True
-        crash = report["crash"]
-        assert crash is not None
-        assert crash["checkpoints_taken"] > 0
-        (window,) = crash["windows"]
+        report = run(engine="reference", steps=24, scale=0.01, shards=2, faults="crash")
+        grading = report["grading"]
+        assert grading["basis"] == "twin"
+        assert grading["converged"] is True
+        assert report["counters"]["recovery"]["checkpoints_taken"] > 0
+        (window,) = report["inputs"]["faults"]["schedule"]["crashes"]
         assert window["shard"] == 1
         # The crash really diverged the run from the fault-free twin ...
-        divergence = report["per_step"]["twin_divergence"]
+        divergence = grading["per_step"]["divergence"]
         assert any(d > 0 for d in divergence[window["start"] - 1 : window["end"]])
         # ... and the graded reconvergence window covers the crash end.
-        assert any(r["window_end"] == window["end"] for r in report["reconvergence"])
-        # Satellite: the chaos report carries the per-shard load split,
-        # seconds views included (the report's bit-identity carve-out).
-        assert len(report["shard_loads"]) == 2
-        assert "seconds" in report["shard_loads"][0]
-        assert report["load_balance"]["num_shards"] == 2
-        assert "imbalance_seconds" in report["load_balance"]
+        assert any(r["window_end"] == window["end"] for r in grading["reconvergence"])
+        # Satellite: the report carries the per-shard load split, its
+        # seconds views under the clock key.
+        assert len(report["fleet"]["shard_loads"]) == 2
+        assert "seconds" not in report["fleet"]["shard_loads"][0]
+        assert len(report["clock"]["shard_seconds"]) == 2
+        assert report["fleet"]["load_balance"]["num_shards"] == 2
+        assert "imbalance_seconds" in report["clock"]["load_balance"]
 
     def test_chaos_crash_requires_shards(self):
         with pytest.raises(ValueError, match="shards"):
-            run_chaos(engine="reference", steps=10, scale=0.01, crash=True)
+            run(engine="reference", steps=10, scale=0.01, faults="crash")
 
     def test_shard_loads_absent_when_monolithic(self):
-        report = run_chaos(engine="reference", steps=8, scale=0.01)
-        assert report["shard_loads"] is None
-        assert report["load_balance"] is None
-        assert report["crash"] is None
+        report = run(engine="reference", steps=8, scale=0.01)
+        assert report["fleet"]["shard_loads"] is None
+        assert report["fleet"]["load_balance"] is None
+        assert report["clock"]["shard_seconds"] is None
+        assert report["clock"]["load_balance"] is None
+        assert report["inputs"]["faults"]["schedule"]["crashes"] == []
 
 
 class TestLeaseHandoffRace:
