@@ -8,8 +8,10 @@ The artifact is one report of ``python -m repro drive`` or, from
 show follows from its own ``inputs``:
 
 - always: the basis is the one the inputs choose, and the run converged
-  to it; with no fault window, every step matched it (``results_match``)
-  and the ingest accounting identity holds;
+  to it; with no fault window, every step matched it (``results_match``);
+  a twin-graded run on lossless channels matched its twin on every step
+  before the first window opened; and the ingest accounting identity
+  holds;
 - a crash window: the run was perturbed inside the window, a recovery
   basis was captured, and it is non-empty;
 - scheduled fleet moves: at least one was applied and the partition
@@ -37,7 +39,7 @@ def require(ok: bool, message: str) -> None:
 
 def check(name: str, run: dict) -> None:
     inputs, grading, counters, fleet = run["inputs"], run["grading"], run["counters"], run["fleet"]
-    schedule = inputs["faults"]["schedule"]
+    schedule, channels = inputs["faults"]["schedule"], inputs["faults"]["channels"]
     plan = inputs["fleet"]
     uplink_latency = inputs["latency"]["uplink_steps"]
     lagged = (
@@ -51,6 +53,15 @@ def check(name: str, run: dict) -> None:
     if not any(schedule.values()):
         require(grading["results_match"],
                 f"{name}: diverged from the {basis} at step {grading['first_divergence_step']}")
+    elif basis == "twin" and not (channels["uplink_loss"] or channels["downlink_loss"]):
+        # The twin carries the run's reliability layer but no channel, so
+        # on lossless channels nothing but a fault window may set the two
+        # apart.  A lossy channel drops from step 1.
+        opens = min(window["start"] for windows in schedule.values() for window in windows)
+        early = grading["first_divergence_step"]
+        require(early is None or early >= opens,
+                f"{name}: diverged from the twin at step {early}, before the first "
+                f"fault window opened at step {opens}")
     service = counters["service"]
     ingest = inputs["ingest"]
     if 0 < ingest["budget_per_step"] < ingest["rate_per_step"]:

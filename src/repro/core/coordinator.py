@@ -222,15 +222,17 @@ class Coordinator:
                 )
         self.shards[endpoint].on_uplink(message)
 
+    def _route_row(self, kind: int, row: tuple) -> int:
+        """The shard a report row lands on (see :meth:`_route_report`)."""
+        return self._route_report(kind, row[0], row[3] if kind == REC_CELL else None)
+
     def apply_report_record(self, cols: ReportBuffer, i: int) -> None:
         """Route record ``i`` of a flushed report window to its shard
         (the row twin of :meth:`on_uplink`)."""
-        kind = cols.kind[i]
         row = cols.rows[i]
-        oid = row[0]
-        endpoint = self._route_report(kind, oid, row[3] if kind == REC_CELL else None)
+        endpoint = self._route_row(cols.kind[i], row)
         if self.shards[0].tracker.leases_enabled:
-            self._touch_home(oid, endpoint, row[1], None)
+            self._touch_home(row[0], endpoint, row[1], None)
         self.shards[endpoint].apply_report_record(cols, i)
 
     def apply_crossings(self, rows: Sequence[tuple]) -> None:
@@ -446,6 +448,9 @@ class Coordinator:
         # Discard in-flight uplinks first: routing consults the tables this
         # teardown is about to erase.
         def addressed_to_dead(env) -> bool:
+            if env.kind == "report":  # a parked row of a latency-only flush
+                rows = env.message
+                return self._route_row(rows.kind[env.context], rows.rows[env.context]) == sid
             return env.kind in ("uplink", "rel-uplink") and (
                 self.shard_for_uplink(env.message) == sid
             )

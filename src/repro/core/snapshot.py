@@ -54,7 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Wire-format version.  Bump on any layout change: the header, a payload
 #: key, an owner's ``CHECKPOINT_FIELDS``, a field of a payload class.
-CHECKPOINT_VERSION = 16
+#: 17: a queued downlink run is its receiver ids (sequence numbers beside
+#: them in ``Envelope.seqs``), and a latency-only flush parks report rows.
+CHECKPOINT_VERSION = 17
 
 #: Largest payload a checkpoint may hold, checked before anything is
 #: hashed or decoded (Table 1 at full scale is ~6 MB).
@@ -135,6 +137,7 @@ _ALLOWED_GLOBALS = {
     "VelocityChangeBroadcast VelocityChangeReport",
     "repro.core.propagation": "PropagationMode",
     "repro.core.query": "AndFilter NotFilter OrFilter PropertyEqualsFilter QuerySpec TrueFilter",
+    "repro.core.reporting": "ReportBuffer",
     "repro.core.service": "IngestTicket",
     "repro.core.tables": "FotEntry LqtEntry SqtEntry",
     "repro.core.transport": "Envelope",
@@ -286,6 +289,26 @@ def _check_shape(p: Any) -> None:
     ):
         if state is not None:
             _check_keys(what, state, owner.CHECKPOINT_FIELDS)
+    _check_queue(p["transport"]["_queue"])
+
+
+def _check_queue(queue: Any) -> None:
+    """Refuse a queued envelope the delivery phase could not open."""
+    from repro.core.messages import REC_KIND_NAMES
+
+    try:
+        for env in (env for batch in queue.values() for env in batch):
+            if env.kind == "downlink" and env.seqs is not None and len(env.seqs) != len(env.run):
+                raise ValueError(
+                    f"checkpoint downlink run {env.run!r} does not pair with its "
+                    f"sequence numbers {env.seqs!r}"
+                )
+            if env.kind == "report" and env.message.kind[env.context] not in range(
+                len(REC_KIND_NAMES)
+            ):
+                raise ValueError("checkpoint parked report row is of no record kind")
+    except (AttributeError, TypeError, IndexError) as exc:
+        raise ValueError(f"checkpoint transport queue is malformed: {exc}") from exc
 
 
 # ------------------------------------------------------------------ capture

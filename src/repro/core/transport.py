@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol
 
 from repro.core.messages import REC_CELL
@@ -56,14 +57,16 @@ SERVER_SENDER = -1
 
 @dataclass(slots=True)
 class Envelope:
-    """Deferred hops of one logical message in the delivery pipeline (a
-    report window flushed under latency parks one envelope per record).
+    """Deferred hops of one logical message in the delivery pipeline.
 
-    An uplink or reliability envelope is one hop.  A downlink envelope is
-    the *run* of one message's receivers that drew the same delay: the
-    ascending ``(oid, downlink_seq)`` pairs (``downlink_seq`` is None
-    unless the reliability layer numbers the stream), one hop each -- a
-    unicast is a run of one.
+    An uplink or reliability envelope is one hop.  A report record that a
+    latency-only window flush parks (kind ``"report"``) is one hop too: its
+    ``message`` is the flush's parked :class:`ReportBuffer` and its
+    ``context`` the record's row index.  A downlink envelope is the *run*
+    of one message's receivers that drew the same delay: ``run`` holds
+    their ascending ids, one hop each (a unicast is a run of one), and
+    ``seqs`` their downlink sequence numbers beside them, only when the
+    reliability layer numbers the stream.
 
     Ordering within a delivery step is total and deterministic: envelopes
     drain sorted by ``(sender, seq)``, where ``seq`` is a transport-global
@@ -78,11 +81,12 @@ class Envelope:
     deliver_step: int
     sender: int
     seq: int
-    kind: str  # "uplink" | "downlink" | a reliability exchange kind
+    kind: str  # "uplink" | "report" | "downlink" | a reliability exchange kind
     message: object
     sent_step: int
-    run: list[tuple[ObjectId, int | None]] | None = None  # a downlink's receivers
-    context: object = None  # reliability exchange state, when applicable
+    run: list[ObjectId] | None = None  # a downlink's receivers
+    seqs: list[int] | None = None  # their sequence numbers, when numbered
+    context: object = None  # reliability exchange state, or a parked row's index
     # Partition epoch at enqueue time: the routing generation this hop was
     # planned under.  If the map was repartitioned while the hop was in
     # flight, delivery re-resolves the destination against the live map
@@ -104,9 +108,12 @@ class DownlinkReceiver(Protocol):
 
 
 class UplinkReceiver(Protocol):
-    """The server's radio: receives uplink messages."""
+    """The server's radio: receives uplink messages, and report records
+    as rows of a :class:`ReportBuffer`."""
 
     def on_uplink(self, message: object) -> None: ...
+
+    def apply_report_record(self, cols: ReportBuffer, i: int) -> None: ...
 
 
 class CoverageIndex:
@@ -391,20 +398,23 @@ class SimulatedTransport:
         sender: int,
         delay: int,
         *,
-        run: list[tuple[ObjectId, int | None]] | None = None,
+        run: list[ObjectId] | None = None,
+        seqs: list[int] | None = None,
         context: object = None,
     ) -> Envelope:
-        """Park one hop (a downlink: the first of a run) in the pipeline
-        until its delay elapses."""
-        self._envelope_seq += 1
+        """Park hops in the pipeline until their delay elapses: one, or a
+        downlink's run, whose members each take the next ``seq`` stamp."""
+        seq = self._envelope_seq + 1
+        self._envelope_seq += 1 if run is None else len(run)
         envelope = Envelope(
             deliver_step=self._step + delay,
             sender=sender,
-            seq=self._envelope_seq,
+            seq=seq,
             kind=kind,
             message=message,
             sent_step=self._step,
             run=run,
+            seqs=seqs,
             context=context,
             epoch=getattr(self._server, "partition_epoch", 0),
         )
@@ -432,31 +442,35 @@ class SimulatedTransport:
     def _open_envelope(self, envelope: Envelope, step: int) -> None:
         """Hand one due envelope to its receiver(s).
 
-        A downlink run goes to the vectorized engine's fan-out in one
-        piece when it accepts the message and the hops carry no sequence
-        numbers; otherwise each member is handed over in ascending order.
+        A parked report row goes through the inline flush's row handler.
+        A downlink run without sequence numbers goes to the vectorized
+        engine's fan-out as its id set when it accepts the message;
+        otherwise each member is handed over in ascending order.
         """
         hops = envelope.hops
         self.delivered_deferred += hops
         self.delivered_delay_sum += hops * (step - envelope.sent_step)
         kind = envelope.kind
-        if kind in ("uplink", "rel-uplink") and envelope.epoch != getattr(
+        if kind in ("uplink", "report", "rel-uplink") and envelope.epoch != getattr(
             self._server, "partition_epoch", 0
         ):
-            # The map moved while this hop was in flight; on_uplink
+            # The map moved while this hop was in flight; the server
             # resolves the destination shard against the live map, so the
-            # uplink (plain or reliable) is rerouted rather than dropped.
+            # uplink (plain, parked row or reliable) is rerouted rather
+            # than dropped.
             self.stale_epoch_reroutes += 1
-        if kind == "uplink":
+        if kind == "report":
+            self._server.apply_report_record(envelope.message, envelope.context)
+        elif kind == "uplink":
             self._server.on_uplink(envelope.message)
         elif kind == "downlink":
             message = envelope.message
             fanout = self.fanout
-            if fanout is not None and self.reliability is None and fanout.accepts(message):
-                fanout.apply(message, {oid for oid, _ in envelope.run})
+            if envelope.seqs is None and fanout is not None and fanout.accepts(message):
+                fanout.apply(message, set(envelope.run))
                 return
             clients = self._clients
-            for oid, seq in envelope.run:
+            for oid, seq in zip(envelope.run, envelope.seqs or repeat(None)):
                 self._hand_over(clients[oid], message, seq)
         else:
             self.reliability.open_envelope(envelope)
@@ -543,19 +557,20 @@ class SimulatedTransport:
         ordinary inline path, exactly where the per-message pipeline would
         have sent it.  Two modes, chosen once per flush:
 
-        - **Replay** (a fault injector is attached, hops are deferred by
-          modeled latency, or the server has no
-          ``apply_report_record``): every record is rehydrated into its
-          dataclass and sent through :meth:`uplink` -- the path
-          ``batch_reports=False`` runs -- keeping drop rolls, acks,
-          retransmissions, delay draws and envelopes per logical message.
-        - **Inline records** (everything else): records are charged to
-          the ledger in append order -- no dataclass, no envelope -- and
-          applied to the server row by row, except the non-focal cell
-          changes (no motion state), which go to the server afterwards as
-          one stage (``apply_crossings``).  A report window holds those
-          only for a run of non-focal clients, whose result records and
-          cell reactions commute (core/reporting.py).
+        - **Replay** (a fault injector is attached): every record is
+          rehydrated into its dataclass and sent through :meth:`uplink`
+          -- the path ``batch_reports=False`` runs -- keeping drop rolls,
+          acks and retransmissions per logical message.
+        - **Records** (everything else): records are charged to the
+          ledger in append order -- no dataclass -- and applied to the
+          server row by row (``apply_report_record``), except the
+          non-focal cell changes (no motion state), which go to the server
+          afterwards as one stage (``apply_crossings``).  A report window
+          holds those only for a run of non-focal clients, whose result
+          records and cell reactions commute (core/reporting.py).  Under
+          modeled latency each record draws its delay after its charge,
+          as :meth:`uplink` would: drawn zero, it is applied at once;
+          otherwise it is parked as a ``"report"`` envelope on its row.
         """
         n = len(buf.kind)
         if n == 0:
@@ -563,12 +578,19 @@ class SimulatedTransport:
         server = self._server
         if server is None:
             raise RuntimeError("no server attached to transport")
-        apply_record = getattr(server, "apply_report_record", None)
-        if self.loss is not None or apply_record is None or self.latency_active:
+        if self.loss is not None:
             for i in range(n):
                 self.uplink(buf.rehydrate(i))
             buf.clear()
             return
+        apply_record = server.apply_report_record
+        draw = self.latency.uplink_delay if self.latency_active else None
+        if draw is not None:
+            # The parked envelopes keep the rows; the window gets new lists.
+            parked = ReportBuffer()
+            parked.kind, buf.kind = buf.kind, parked.kind
+            parked.rows, buf.rows = buf.rows, parked.rows
+            buf = parked
         ledger = self.ledger
         trace = self.trace
         step = self._step
@@ -582,13 +604,19 @@ class SimulatedTransport:
             ledger.record_uplink(name, buf.bits_of(i), sender=oid)
             if trace is not None:
                 trace.record(step, "uplink", type=name, oid=oid)
-            if kinds[i] == REC_CELL and row[1] is None:
+            if draw is not None:
+                delay = draw()
+                if delay > 0:
+                    self._enqueue("report", buf, oid, delay, context=i)
+                    continue
+            elif kinds[i] == REC_CELL and row[1] is None:
                 crossings.append(row)
-            else:
-                apply_record(buf, i)
+                continue
+            apply_record(buf, i)
         if crossings:
             server.apply_crossings(crossings)
-        buf.clear()
+        if draw is None:
+            buf.clear()
 
     def send(self, oid: ObjectId, message: object) -> bool | None:
         """Server -> one object (counted as a single downlink message).
@@ -660,15 +688,15 @@ class SimulatedTransport:
         (ascending ids); returns whether any hop survived send time.
 
         Per receiver, in this order: a receiver without an attached radio
-        is skipped before any loss roll (no radio can miss the message, so
-        no drop is counted and no randomness is consumed), then loss is
-        rolled, the sequence number allocated and the delay drawn -- one
-        draw per message when the model has no jitter, since such a draw
-        consumes no randomness.  A zero-delay hop is handed over now; the
-        others join the run parked for their delay, whose members observe
-        their sequence numbers when it opens.  A handover may enqueue hops
-        of its own, so it closes every open run: a later receiver starts a
-        new envelope, keeping the per-hop ``(sender, seq)`` drain order.
+        is skipped (no radio can miss the message, so no drop is counted
+        and no randomness is consumed), then loss is rolled, the sequence
+        number allocated and the delay drawn -- one draw per message when
+        the model has no jitter.  A zero-delay hop is handed over now; the
+        others join the run parked for their delay.  A handover may
+        enqueue hops of its own, so it closes every open run, keeping the
+        per-hop ``(sender, seq)`` drain order.  When no hop rolls, numbers
+        or draws and the one delay is positive, every attached receiver
+        joins the one run: one envelope for the whole message.
         """
         clients = self._clients
         loss = self.loss
@@ -700,10 +728,12 @@ class SimulatedTransport:
                 continue
             envelope = runs.get(delay)
             if envelope is None:
-                runs[delay] = self._enqueue(
-                    "downlink", message, SERVER_SENDER, delay, run=[(oid, seq)]
+                seqs = [] if sequenced else None
+                envelope = runs[delay] = self._enqueue(
+                    "downlink", message, SERVER_SENDER, delay, run=[], seqs=seqs
                 )
-            else:
-                self._envelope_seq += 1
-                envelope.run.append((oid, seq))
+            self._envelope_seq += 1  # the hop's own stamp
+            envelope.run.append(oid)
+            if sequenced:
+                envelope.seqs.append(seq)
         return sent

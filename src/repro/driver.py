@@ -25,12 +25,14 @@ make a correct run lag the exact answer -- zero latency, no crash, no
 fleet change and a zero dead-reckoning threshold -- the run is graded
 against the oracle.  Otherwise it is graded against a *twin* built from
 the same inputs minus the fault windows, the channels, the checkpoint
-cadence and any fleet change, fed the same ingest script and stepped in
-lockstep: recovery then means exact realignment with the twin, which
-proves faults, crashes and fleet changes never moved results.  The twin
-comparison is exact only for deterministic delays (``latency_jitter``
-0): jitter rolls are consumed per enqueued message, so a faulted run and
-its twin draw different delays and never bit-realign.
+cadence and any fleet change (a faulted run's twin keeps its
+reliability policy, on an injector with an empty schedule), fed the
+same ingest script and stepped in lockstep: recovery then means exact
+realignment with the twin, which proves faults, crashes and fleet
+changes never moved results.  The twin comparison is exact only for
+deterministic delays (``latency_jitter`` 0): jitter rolls are consumed
+per enqueued message, so a faulted run and its twin draw different
+delays and never bit-realign.
 
 Grading: ``divergence`` per step against the basis, each fault window's
 ``reconvergence`` (steps from the window's end to the first exact step,
@@ -376,7 +378,14 @@ def run(
         runners = [_ScriptRunner(service)]
         if graded_by_twin:
             twin_config = {key: value for key, value in config.items() if key not in TWIN_DROPS}
-            twin = MobiEyesService(build_system(params, seed, config=twin_config)[0])
+            # The run's reliability layer without its faults: an empty
+            # schedule and no channel, so the two agree until a window opens.
+            twin_loss = None if injector is None else FaultInjector(
+                SimulationRng(seed).fork(3), policy=injector.policy
+            )
+            twin = MobiEyesService(
+                build_system(params, seed, config=twin_config, loss=twin_loss)[0]
+            )
             runners.append(_ScriptRunner(twin))
         script = ingest_script_stream(params, workload, rng.fork(9), ingest_rate, query_churn)
 
@@ -508,7 +517,8 @@ def run(
                         "plan": fleet,
                         "rebalance_schedule": [list(op) for op in rebalance_schedule],
                         "elastic_schedule": [list(op) for op in elastic_schedule],
-                        "max_shards": max_shards if fleet in ("policy", "both") else None,
+                        # "both" arms the thermostat without a ceiling.
+                        "max_shards": max_shards if fleet == "policy" else None,
                         "rebalance_every": rebalance_every if fleet in ("policy", "both") else None,
                     },
                 },

@@ -30,9 +30,11 @@ One :meth:`BroadcastFanout.apply` serves both clocks.  Inline,
 the broadcast to its covered set at send time, and the transport's
 ``send_each`` does the same for each install list of a stage and its
 addressee.  Under modeled latency
-the transport parks each broadcast's surviving receivers as one run per
-drawn delay (loss already rolled at send), and when the run opens in the
-delivery phase the transport hands it to ``apply`` as a set.
+the transport parks each broadcast's receivers as one run of ids per
+drawn delay (loss already rolled at send; one run for the whole message
+when nothing is rolled, numbered or jittered), and when an unnumbered
+run opens in the delivery phase the transport hands ``set(run)`` to
+``apply``.
 
 Equivalence to the per-receiver loop:
 
@@ -47,9 +49,9 @@ Equivalence to the per-receiver loop:
 - The fan-out declines (falls back to the scalar loop) whenever per-
   receiver semantics matter.  At send: loss rolls, reliability
   sequencing, trace logging and deferred delivery (the transport rolls
-  and parks per receiver).  At open: downlink sequence numbers (the
-  reliability layer).  On both clocks: a lazy-propagation velocity
-  broadcast carrying descriptors.
+  and parks the runs).  At open: a run that carries downlink sequence
+  numbers (the reliability layer).  On both clocks: a lazy-propagation
+  velocity broadcast carrying descriptors.
 """
 
 from __future__ import annotations

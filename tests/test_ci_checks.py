@@ -120,6 +120,46 @@ def test_chaos_latency(latency_report, tmp_path):
         broken["grading"][key] = value
         with pytest.raises(SystemExit, match="twin"):
             run_check(broken, tmp_path)
+    # The twin carries the run's reliability layer: the two agree on
+    # every step before the first fault window opens.
+    schedule = latency_report["inputs"]["faults"]["schedule"]
+    opens = min(window["start"] for windows in schedule.values() for window in windows)
+    assert not any(latency_report["grading"]["per_step"]["divergence"][: opens - 1])
+    broken = copy.deepcopy(latency_report)
+    broken["grading"].update(results_match=False, first_divergence_step=opens - 1)
+    with pytest.raises(SystemExit, match="before the first fault window"):
+        run_check(broken, tmp_path)
+
+
+def test_a_lossy_channel_may_set_a_run_apart_from_its_twin_before_any_window(
+    latency_report, tmp_path
+):
+    """The twin has no channel: a lossy channel drops from step 1, so only
+    a twin-graded run on lossless channels must match before its first
+    window."""
+    lossy = run(engine="reference", steps=30, scale=0.015, latency=1, uplink_loss=0.2)
+    schedule = lossy["inputs"]["faults"]["schedule"]
+    opens = min(window["start"] for windows in schedule.values() for window in windows)
+    assert lossy["grading"]["basis"] == "twin"
+    assert lossy["grading"]["first_divergence_step"] < opens
+    early = copy.deepcopy(latency_report)
+    early["grading"].update(results_match=False, first_divergence_step=1)
+    early["inputs"]["faults"]["channels"]["uplink_loss"] = 0.2
+    assert run_check(early, tmp_path) == 0
+    early["inputs"]["faults"]["channels"]["uplink_loss"] = 0.0
+    with pytest.raises(SystemExit, match="before the first fault window"):
+        run_check(early, tmp_path)
+
+
+def test_max_shards_is_reported_only_where_a_ceiling_is_armed(latency_report, soak_report):
+    """Only the ``policy`` plan arms the thermostat with a ceiling; under
+    ``both`` it runs without one and under ``static`` there is none."""
+    policy = run(engine="reference", steps=4, scale=0.01, shards=2, faults="none", fleet="policy")
+    assert policy["inputs"]["fleet"]["max_shards"] == 4
+    assert soak_report["inputs"]["fleet"]["plan"] == "both"
+    assert soak_report["inputs"]["fleet"]["max_shards"] is None
+    assert latency_report["inputs"]["fleet"]["plan"] == "static"
+    assert latency_report["inputs"]["fleet"]["max_shards"] is None
 
 
 def test_soak(soak_report, tmp_path):
@@ -638,15 +678,34 @@ def test_bench_trajectory_prints_the_committed_documents(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     prs = [f"pr{bench_trajectory.pr_number(path)}" for path in documents]
     assert [line.split(":")[0] for line in lines[: len(prs)]] == prs
-    assert lines[len(prs)].split() == ["workload", "metric", "unit", *prs]
-    rows = [line.split() for line in lines[len(prs) + 1 :]]
+    # One line per pair document, then the host-dependence label.
+    pairs = sorted(root.glob("PAIRS_*.json"))
+    assert [line.split(":")[0] for line in lines[len(prs) : len(prs) + len(pairs)]] == [
+        path.stem for path in pairs
+    ]
+    head = len(prs) + len(pairs)
+    assert "host-dependent" in lines[head]
+    assert lines[head + 1].split() == ["workload", "metric", "unit", *prs, "pairs_x"]
+    rows = [line.split() for line in lines[head + 2 :]]
     assert len(rows) == 50
-    assert all(len(row) == 3 + len(prs) for row in rows)
+    assert all(len(row) == 4 + len(prs) for row in rows)
+    # The chained column multiplies each workload's pair median ratios.
+    chained: dict = {}
+    for path in pairs:
+        document = json.loads(path.read_text())
+        ratio = document["verdict"]["metrics"]["steps_per_s"]["median_ratio"]
+        chained[document["workload"]] = chained.get(document["workload"], 1.0) * ratio
+    for row in rows:
+        want = chained.get(row[0])
+        if row[1] == "steps_per_s" and want is None:
+            assert row[-1] == "-"
+        elif row[1] == "steps_per_s":
+            assert float(row[-1]) == pytest.approx(want, abs=1e-4)
     # A median, not a placeholder, wherever the document has the workload.
     newest = json.loads(documents[-1].read_text())
     steps_per_s = newest["workloads"]["paper_table1"]["metrics"]["steps_per_s"]["median"]
     assert rows[0][:3] == ["paper_table1", "steps_per_s", "steps/s"]
-    assert float(rows[0][-1]) == pytest.approx(steps_per_s, rel=1e-4)
+    assert float(rows[0][-2]) == pytest.approx(steps_per_s, rel=1e-4)
     # Another schema, a smoke run and a stray name are refused.
     for doctor, message in (
         ({"schema": 2}, "schema 2"),

@@ -318,8 +318,9 @@ def assert_hops_conserved(transport):
 
 class TestBroadcastRuns:
     """A deferred broadcast parks one envelope per drawn delay, carrying
-    its receivers as an ascending ``(oid, downlink_seq)`` run; every
-    counter keeps counting hops."""
+    its receivers as an ascending id run (their downlink sequence numbers
+    beside it only when the stream is numbered); every counter keeps
+    counting hops."""
 
     def test_one_envelope_per_broadcast(self, layout, grid):
         transport, ledger, *_ = make_transport(layout, grid, LatencyModel(downlink_steps=1))
@@ -327,7 +328,7 @@ class TestBroadcastRuns:
         assert transport.broadcast(BROADCAST_CELLS, SizedMessage(bits=32)) > 0
         (envelope,) = queued_envelopes(transport)
         assert envelope.kind == "downlink" and envelope.sender == SERVER_SENDER
-        assert envelope.run == [(oid, None) for oid in range(9)]
+        assert envelope.run == list(range(9)) and envelope.seqs is None
         assert envelope.seq == 1 and transport._envelope_seq == 9
         assert transport.pending_count() == 9 == envelope.hops
         assert ledger.downlink_count > 0  # charged at send
@@ -348,8 +349,8 @@ class TestBroadcastRuns:
         assert len(envelopes) <= jitter + 1
         assert transport.pending_count() == 12 == sum(env.hops for env in envelopes)
         for env in envelopes:  # each run ascending, at its first member's seq
-            oids = [oid for oid, _ in env.run]
-            assert oids == sorted(oids) and env.seq == 1 + oids[0]
+            assert env.run == sorted(env.run) and env.seq == 1 + env.run[0]
+            assert env.seqs is None
         drain(transport, 2, 2 + jitter)
         assert all(len(client.received) == 1 for client in clients.values())
         assert transport.pending_count() == 0
@@ -365,8 +366,7 @@ class TestBroadcastRuns:
         inline = {oid for oid, client in clients.items() if client.received}
         assert inline and len(inline) < 12
         for env in queued_envelopes(transport):
-            oids = [oid for oid, _ in env.run]
-            assert not any(oids[0] < oid < oids[-1] for oid in inline)
+            assert not any(env.run[0] < oid < env.run[-1] for oid in inline)
         assert transport.pending_count() == 12 - len(inline)
         drain(transport, 2, 2)
         assert all(len(client.received) == 1 for client in clients.values())
@@ -378,7 +378,8 @@ class TestBroadcastRuns:
         clients = attach_broadcast_audience(transport, 6, unattached=(2,))
         transport.broadcast(BROADCAST_CELLS, SizedMessage(bits=32))
         (envelope,) = queued_envelopes(transport)
-        assert [oid for oid, _ in envelope.run] == [0, 1, 3, 4, 5]
+        assert envelope.run == [0, 1, 3, 4, 5] and envelope.seq == 1
+        assert transport._envelope_seq == 5
         assert transport.pending_count() == 5
         drain(transport, 2, 2)
         got = sorted(oid for oid, client in clients.items() if client.received)
@@ -407,11 +408,186 @@ class TestBroadcastRuns:
         transport.fanout = fanout = _StubFanout()
         transport.send(1, SizedMessage(bits=8))  # oid 1's stream: seq 1
         transport.broadcast(BROADCAST_CELLS, SizedMessage(bits=32))
-        runs = sorted((env.seq, env.run) for env in queued_envelopes(transport))
-        assert runs == [(1, [(1, 1)]), (2, [(0, 1), (1, 2), (2, 1), (3, 1)])]
+        runs = sorted((env.seq, env.run, env.seqs) for env in queued_envelopes(transport))
+        assert runs == [(1, [1], [1]), (2, [0, 1, 2, 3], [1, 2, 1, 1])]
         drain(transport, 2, 2)
         assert fanout.applied == []
         assert [client.seqs for client in clients.values()] == [[1], [1, 2], [1], [1]]
+
+
+class _Tagged:
+    """A downlink message known by its tag."""
+
+    def __init__(self, tag):
+        self.tag = tag
+        self.bits = 16
+
+
+class _HashDrops:
+    """A loss seam whose delivery roll is a fixed function of the message
+    and the receiver (so any visiting order rolls alike); ``rate`` 0 drops
+    nothing but still numbers the stream."""
+
+    def __init__(self, rate):
+        self.policy = ReliabilityPolicy()
+        self.rate = rate
+
+    def begin_step(self, step):
+        pass
+
+    def drop_uplink(self, message):
+        return False
+
+    def drop_delivery(self, message, receiver=None):
+        return (message.tag * 7 + receiver * 13) % 10 < self.rate
+
+
+#: Tags from here on are reactions, which provoke nothing further.
+REACTION = 10_000
+
+
+def reaction_to(tag, oid, attached):
+    """What delivering ``tag`` to ``oid`` provokes: every other delivery
+    of an original message, a message to the attached ids above ``oid``
+    (a handover that enqueues hops is what closes a run)."""
+    if tag >= REACTION or (tag + oid) % 2:
+        return None
+    return REACTION + 16 * tag + oid, [other for other in attached if other > oid]
+
+
+class _StampingClient:
+    """Records each delivery as ``(message tag, seq, delivery step)`` and
+    sends the reaction it provokes."""
+
+    def __init__(self, transport, oid, attached):
+        self.transport = transport
+        self.oid = oid
+        self.attached = attached
+        self.got = []
+        self._seq = None
+
+    def observe_downlink_seq(self, seq):
+        self._seq = seq
+
+    def on_downlink(self, message):
+        self.got.append((message.tag, self._seq, self.transport.step))
+        self._seq = None
+        reaction = reaction_to(message.tag, self.oid, self.attached)
+        if reaction is not None:
+            self.transport._deliver(reaction[1], _Tagged(reaction[0]))
+
+
+class _OrderedFanout(_StubFanout):
+    """Applies an opened run to each receiver in ascending order."""
+
+    def __init__(self, clients):
+        super().__init__()
+        self.clients = clients
+
+    def apply(self, message, receivers):
+        assert isinstance(receivers, set)
+        for oid in sorted(receivers):
+            self.clients[oid].on_downlink(message)
+
+
+def per_hop_reference(sends, attached, latency, drops, sequenced, last_step):
+    """The pipeline hop by hop: each step drains the due hops by ``(due,
+    stamp)``, then sends, parking one stamped hop per surviving receiver;
+    a delivery sends its reaction at once."""
+    got = {oid: [] for oid in attached}
+    seqs = dict.fromkeys(attached, 0)
+    parked = []
+    stamp = 0
+
+    def deliver(oid, tag, seq, step):
+        got[oid].append((tag, seq, step))
+        reaction = reaction_to(tag, oid, sorted(attached))
+        if reaction is not None:
+            send(step, *reaction)
+
+    def send(step, tag, receivers):
+        nonlocal stamp
+        message = _Tagged(tag)
+        delay = 0 if latency.jitter_steps else latency.downlink_delay()
+        for oid in sorted(receivers):
+            if oid not in attached:
+                continue
+            dropped = drops is not None and drops.drop_delivery(message, receiver=oid)
+            seq = None
+            if sequenced:
+                seqs[oid] += 1
+                seq = seqs[oid]
+            if dropped:
+                continue
+            if latency.jitter_steps:
+                delay = latency.downlink_delay()
+            if delay <= 0:
+                deliver(oid, tag, seq, step)
+            else:
+                stamp += 1
+                parked.append((step + delay, stamp, oid, tag, seq))
+
+    for step in range(1, last_step + 1):
+        due = sorted(hop for hop in parked if hop[0] <= step)
+        for hop in due:
+            parked.remove(hop)
+        for _, _, oid, tag, seq in due:
+            deliver(oid, tag, seq, step)
+        for _, tag, receivers in (send for send in sends if send[0] == step):
+            send(step, tag, receivers)
+    assert not parked
+    return got
+
+
+@given(
+    sends=st.lists(
+        st.tuples(st.integers(1, 3), st.sets(st.integers(0, 9), max_size=10)),
+        min_size=1, max_size=6,
+    ),
+    unattached=st.sets(st.integers(0, 9), max_size=3),
+    downlink=st.integers(0, 2),
+    jitter=st.integers(0, 2),
+    seed=st.integers(0, 99),
+    seam=st.sampled_from(["none", "numbered", "lossy"]),
+    fanout=st.booleans(),
+)
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_run_parking_equals_the_per_hop_pipeline(
+    layout, grid, sends, unattached, downlink, jitter, seed, seam, fanout
+):
+    """Fixed or jittered delays, no loss seam or one (which numbers the
+    stream), with or without a fan-out taking the opened runs, and
+    deliveries that send messages of their own: every receiver gets the
+    same ``(message, seq, delivery step)`` sequence as a hop-by-hop
+    pipeline, and every stamped hop is delivered, discarded or still
+    queued after each step."""
+    model = dict(downlink_steps=downlink, jitter_steps=jitter, seed=seed)
+    drops = None if seam == "none" else _HashDrops(0 if seam == "numbered" else 3)
+    transport = SimulatedTransport(layout, grid, MessageLedger(), loss=drops)
+    transport.set_latency(LatencyModel(**model))
+    transport.attach_server(FakeServer())
+    attached = sorted(set(range(10)) - unattached)
+    clients = {oid: _StampingClient(transport, oid, attached) for oid in attached}
+    for oid, client in clients.items():
+        transport.attach_client(oid, client)
+    if fanout:
+        transport.fanout = _OrderedFanout(clients)
+    sends = [(step, tag, receivers) for tag, (step, receivers) in enumerate(sorted(sends))]
+    last_step = 3 + 2 * (downlink + jitter)  # a reaction sent at 3 lands by then
+    for step in range(1, last_step + 1):
+        transport.begin_step(step, [])
+        transport.delivery_phase(step)
+        for sent_at, tag, receivers in sends:
+            if sent_at == step:
+                transport._deliver(sorted(receivers), _Tagged(tag))
+        assert_hops_conserved(transport)
+    assert transport.pending_count() == 0
+    want = per_hop_reference(
+        sends, set(attached), LatencyModel(**model), drops, drops is not None, last_step
+    )
+    assert {oid: client.got for oid, client in clients.items()} == want
 
 
 # -------------------------------------------- deferred reliability

@@ -24,6 +24,8 @@ Five layers of guarantees:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +40,7 @@ from repro.grid import Grid
 from repro.mobility.model import MotionState
 from repro.network import BaseStationLayout, LatencyModel, MessageLedger
 from tests.conftest import circle_query, make_object, make_system, observe, paper_system
+from tests.test_delivery_pipeline import assert_hops_conserved, queued_envelopes
 from tests.test_snapshot_stateful import ENGINES, pinned
 
 
@@ -232,8 +235,9 @@ def test_window_is_a_no_op_without_batching():
 
 
 def test_latency_flush_enqueues_one_uplink_envelope_per_record():
-    """Under modeled latency a flushed window is N ordinary ``uplink``
-    envelopes, one per record, drained in ``(sender, seq)`` order."""
+    """Under modeled latency a flushed window parks N ``report`` envelopes,
+    one per record, each holding its row, drained in ``(sender, seq)``
+    order through the server's row handler."""
     transport = _transport()
     transport.set_latency(LatencyModel(uplink_steps=2))
     server = _RecordingServer()
@@ -247,7 +251,11 @@ def test_latency_flush_enqueues_one_uplink_envelope_per_record():
     transport.flush_reports(buf)
     assert buf.count == 0
     queued = [env for batch in transport._queue.values() for env in batch]
-    assert [env.kind for env in queued] == ["uplink"] * (2 * len(senders))
+    assert [env.kind for env in queued] == ["report"] * (2 * len(senders))
+    assert [(env.sender, env.context) for env in queued] == [
+        (oid, i) for i, oid in enumerate(oid for oid in senders for _ in "vr")
+    ]
+    assert transport.ledger.uplink_count == 2 * len(senders)  # charged at send
     assert transport.pending_count() == 2 * len(senders)
     assert not server.messages and not server.records  # nothing applied yet
 
@@ -262,12 +270,72 @@ def test_latency_flush_enqueues_one_uplink_envelope_per_record():
     transport.begin_step(3, [])
     transport.delivery_phase(3)
     assert opened == sorted(opened) and len(opened) == 2 * len(senders)
-    assert [type(m).__name__ for m in server.messages] == [
+    assert [type(m).__name__ for m in server.records] == [
         "VelocityChangeReport",
         "ResultChangeReport",
     ] * len(senders)
-    assert [m.oid for m in server.messages] == [3, 3, 5, 5, 7, 7]
-    assert not server.records and transport.pending_count() == 0
+    assert [m.oid for m in server.records] == [3, 3, 5, 5, 7, 7]
+    assert not server.messages and transport.pending_count() == 0
+
+
+@given(_records(), st.integers(min_value=0, max_value=2), st.integers(0, 2**16))
+@settings(max_examples=50, deadline=None)
+def test_a_parked_record_once_opened_equals_applying_it_inline(records, jitter, seed):
+    """A latency-only flush charges what the inline flush charges, and each
+    record it parks reaches the four record-level handlers, when opened,
+    with the arguments ``apply_report_record`` gives them inline."""
+    calls = {}
+    for mode in ("inline", "parked"):
+        transport = _transport()
+        server = MobiEyesServer(GRID, transport, CONFIG)
+        server.enable_leases(3)
+        seen = calls[mode] = []
+        for name in RECORD_HANDLERS:
+            def handler(*args, _name=name):
+                seen.append((_name, *(tuple(a) if hasattr(a, "__iter__") else a for a in args)))
+
+            setattr(server, name, handler)
+        buf = ReportBuffer()
+        _fill(buf, records)
+        if mode == "inline":
+            charged = Counter(buf.kind_name_of(i) for i in range(buf.count))
+            bits = sum(buf.bits_of(i) for i in range(buf.count))
+            for i in range(buf.count):
+                server.apply_report_record(buf, i)
+            continue
+        transport.set_latency(LatencyModel(uplink_steps=1, jitter_steps=jitter, seed=seed))
+        transport.flush_reports(buf)
+        assert buf.count == 0
+        assert (transport.ledger.counts_by_type, transport.ledger.uplink_bits) == (charged, bits)
+        for step in range(1, 2 + jitter):
+            transport.delivery_phase(step)
+        assert transport.pending_count() == 0
+    # Records open by drawn delay, then in (sender, seq) order; each
+    # sender has one record here, so compare the calls sender by sender.
+    by_sender = {mode: sorted(seen, key=lambda call: call[1]) for mode, seen in calls.items()}
+    assert by_sender["parked"] == by_sender["inline"]
+
+
+def test_a_crash_discards_the_parked_rows_addressed_to_the_dead_shard():
+    """A parked report row dies with the shard its row routes to, as a
+    parked uplink would, and is counted as a discarded hop."""
+    with paper_system(shards=2, latency=1, scale=0.006) as system:
+        system.run(3)
+        transport, coordinator = system.transport, system.server
+        reports = [env for env in queued_envelopes(transport) if env.kind == "report"]
+        routed = {
+            id(env): coordinator._route_row(
+                env.message.kind[env.context], env.message.rows[env.context]
+            )
+            for env in reports
+        }
+        assert set(routed.values()) == {0, 1}
+        before = transport.discarded_envelopes
+        system.apply_op(("crash", 1), "test", 3)
+        kept = [env for env in queued_envelopes(transport) if env.kind == "report"]
+        assert kept == [env for env in reports if routed[id(env)] == 0]
+        assert transport.discarded_envelopes - before >= len(reports) - len(kept)
+        assert_hops_conserved(transport)
 
 
 # --------------------------------------------------------------- system level

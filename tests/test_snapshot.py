@@ -11,6 +11,7 @@ window.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pickle
 import pickletools
 from unittest import mock
@@ -565,6 +566,53 @@ class TestHostileBytesFailClosed:
             with pytest.raises(ValueError, match="bad magic"):
                 from_bytes(V7_BYTES)
         assert not unpickler.called
+
+    def test_a_v16_blob_is_refused_before_decoding(self):
+        """v17 changed the queued envelope shape (downlink runs of ids,
+        parked report rows): a v16 blob is refused by its header."""
+        blob = tiny_checkpoint().blob
+        header = snapshot._HEADER.pack(
+            snapshot._MAGIC, 16, len(blob), hashlib.sha256(blob).digest()
+        )
+        with mock.patch.object(snapshot, "_PayloadUnpickler") as unpickler:
+            with pytest.raises(ValueError, match="version 16 unsupported"):
+                from_bytes(header + blob)
+        assert not unpickler.called
+
+    @staticmethod
+    def queued_checkpoint(kind: str) -> Checkpoint:
+        """A latency-1 world's checkpoint with a queued ``kind`` envelope."""
+        with paper_system(shards=1, latency=1, scale=0.006) as system:
+            for _ in range(8):
+                system.step()
+                queue = system.transport._queue
+                if any(env.kind == kind for batch in queue.values() for env in batch):
+                    return checkpoint(system)
+        raise AssertionError(f"no {kind} envelope was ever queued")
+
+    @staticmethod
+    def first_queued(payload: dict, kind: str):
+        queue = payload["transport"]["_queue"]
+        return next(env for batch in queue.values() for env in batch if env.kind == kind)
+
+    def test_a_downlink_run_that_does_not_pair_with_its_seqs_fails_closed(self):
+        cp = self.queued_checkpoint("downlink")
+        restore(cp).close()  # the undoctored payload restores
+
+        def unpaired(payload):
+            env = self.first_queued(payload, "downlink")
+            env.seqs = list(range(len(env.run) + 1))
+
+        TestWrongShapeFailsClosed.refused(doctored(cp, unpaired), "does not pair")
+
+    def test_a_parked_report_row_of_no_record_kind_fails_closed(self):
+        cp = self.queued_checkpoint("report")
+
+        def unknown(payload):
+            env = self.first_queued(payload, "report")
+            env.message.kind[env.context] = 7
+
+        TestWrongShapeFailsClosed.refused(doctored(cp, unknown), "no record kind")
 
 
 def globals_of(blob: bytes) -> set[tuple[str, str]]:
