@@ -67,11 +67,10 @@ class MobiEyesConfig:
             velocity changes) through the buffered pipeline
             (:mod:`repro.core.reporting`): clients append one row tuple
             per report to a shared buffer flushed once per window instead
-            of allocating one dataclass per report (under loss, fault
-            injection or modeled latency the flush replays per message).
-            Result hashes, message counts, sizes, and energy accounting
-            are bit-identical either way; ``False`` forces the historical
-            per-message path.
+            of allocating one dataclass per report (a record lost or
+            deferred on its way up stays a row).  Result hashes, message
+            counts, sizes, and energy accounting are bit-identical either
+            way; ``False`` forces the historical per-message path.
         shard_workers: accepts only ``0`` (the pooled shard executors were
             removed); kept because ``bench/workloads.py`` passes it.
         checkpoint_every_steps: cadence (in steps) at which the system

@@ -192,8 +192,11 @@ class Coordinator:
             self.shards[home]._touch_lease_rec(oid, state, max_speed)
 
     def shard_for_uplink(self, message: object) -> int:
-        """The shard an uplink message is dispatched to (also the ack
-        endpoint the reliability layer keys its sequence streams by)."""
+        """The shard an uplink message, or a report record as its ``(kind,
+        row)`` pair, is dispatched to (also the ack endpoint the
+        reliability layer keys its sequence streams by)."""
+        if type(message) is tuple:
+            return self._route_row(*message)
         if isinstance(message, CellChangeReport):
             return self._route_report(REC_CELL, message.oid, message.new_cell)
         if isinstance(message, ResultChangeReport):
@@ -204,8 +207,8 @@ class Coordinator:
         return self._route_report(REC_VELOCITY, oid, None)
 
     def uplink_dead(self, message: object) -> bool:
-        """Whether an uplink's destination shard is down (the fault
-        injector's crash check)."""
+        """Whether an uplink's (or a report record's) destination shard is
+        down (the fault injector's crash check)."""
         return bool(self._dead) and self.shard_for_uplink(message) in self._dead
 
     def on_uplink(self, message: object) -> None:
@@ -448,7 +451,7 @@ class Coordinator:
         # Discard in-flight uplinks first: routing consults the tables this
         # teardown is about to erase.
         def addressed_to_dead(env) -> bool:
-            if env.kind == "report":  # a parked row of a latency-only flush
+            if env.kind == "report":  # a parked row of a flush under latency
                 rows = env.message
                 return self._route_row(rows.kind[env.context], rows.rows[env.context]) == sid
             return env.kind in ("uplink", "rel-uplink") and (

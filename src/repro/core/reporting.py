@@ -7,10 +7,10 @@ report to the :class:`ReportBuffer` instead; closing the window flushes
 the rows (:meth:`repro.core.transport.SimulatedTransport.flush_reports`).
 The flush charges the ledger per record, in append order -- the order the
 per-message path would have sent them -- under the dataclass messages' type
-names and bit sizes (:meth:`ReportBuffer.bits_of`) and, under loss, fault
-injection or modeled latency, *rehydrates* each record and replays it
-through the ordinary uplink path, so drops, acks, delay draws and
-envelopes stay per logical message.
+names and bit sizes (:meth:`ReportBuffer.bits_of`), and rolls each record's
+loss and draws its delay as the per-message path would, so drops, delay
+draws and envelopes stay per logical message: a record drawn late is
+parked on its row, never rebuilt as a dataclass.
 
 A window never spans a point where one client's buffered send could
 influence a later client's decisions in the same window: the reporting
@@ -32,9 +32,6 @@ from repro.core.messages import (
     REC_KIND_NAMES,
     REC_RESULT,
     REC_VELOCITY,
-    CellChangeReport,
-    ResultChangeReport,
-    VelocityChangeReport,
     cell_change_bits,
     result_change_bits,
     velocity_change_bits,
@@ -159,16 +156,6 @@ class ReportBuffer:
     def kind_name_of(self, i: int) -> str:
         """Ledger type name of record ``i``."""
         return REC_KIND_NAMES[self.kind[i]]
-
-    def rehydrate(self, i: int) -> ResultChangeReport | CellChangeReport | VelocityChangeReport:
-        """Record ``i`` as its per-message dataclass (the replay flush path)."""
-        kind = self.kind[i]
-        row = self.rows[i]
-        if kind == REC_RESULT:
-            return ResultChangeReport(oid=row[0], changes=dict(row[3]), epoch=row[2])
-        if kind == REC_CELL:
-            return CellChangeReport(oid=row[0], prev_cell=row[2], new_cell=row[3], state=row[1])
-        return VelocityChangeReport(oid=row[0], state=row[1])
 
     def clear(self) -> None:
         """Drop all buffered records (the window stays as it is)."""

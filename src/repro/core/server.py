@@ -294,11 +294,9 @@ class MobiEyesServer:
         """Apply record ``i`` of a flushed report window.
 
         ``cols`` is the :class:`~repro.core.reporting.ReportBuffer` the
-        transport is flushing, or the one a latency-only flush parked the
-        record in (only a flush under a fault injector replays dataclasses
-        through :meth:`on_uplink` instead).  Semantically
-        identical to :meth:`on_uplink` with the equivalent per-record
-        dataclass, but without constructing it.
+        transport is flushing, or the one a flush under latency parked the
+        record in.  Semantically identical to :meth:`on_uplink` with the
+        equivalent per-record dataclass, but without constructing it.
         """
         kind = cols.kind[i]
         row = cols.rows[i]

@@ -60,7 +60,7 @@ class Envelope:
     """Deferred hops of one logical message in the delivery pipeline.
 
     An uplink or reliability envelope is one hop.  A report record that a
-    latency-only window flush parks (kind ``"report"``) is one hop too: its
+    window flush under latency parks (kind ``"report"``) is one hop too: its
     ``message`` is the flush's parked :class:`ReportBuffer` and its
     ``context`` the record's row index.  A downlink envelope is the *run*
     of one message's receivers that drew the same delay: ``run`` holds
@@ -443,9 +443,11 @@ class SimulatedTransport:
         """Hand one due envelope to its receiver(s).
 
         A parked report row goes through the inline flush's row handler.
-        A downlink run without sequence numbers goes to the vectorized
-        engine's fan-out as its id set when it accepts the message;
-        otherwise each member is handed over in ascending order.
+        A downlink run goes to the vectorized engine's fan-out as its id
+        set when it accepts the message, once each member has observed
+        its sequence number, if numbered, in ascending order (that only
+        marks a gap for resync; nothing is rolled at open); otherwise each
+        member is handed over in ascending order.
         """
         hops = envelope.hops
         self.delivered_deferred += hops
@@ -466,11 +468,15 @@ class SimulatedTransport:
         elif kind == "downlink":
             message = envelope.message
             fanout = self.fanout
-            if envelope.seqs is None and fanout is not None and fanout.accepts(message):
-                fanout.apply(message, set(envelope.run))
-                return
             clients = self._clients
-            for oid, seq in zip(envelope.run, envelope.seqs or repeat(None)):
+            run, seqs = envelope.run, envelope.seqs
+            if fanout is not None and fanout.accepts(message):
+                if seqs is not None:
+                    for oid, seq in zip(run, seqs):
+                        clients[oid].observe_downlink_seq(seq)
+                fanout.apply(message, set(run))
+                return
+            for oid, seq in zip(run, seqs or repeat(None)):
                 self._hand_over(clients[oid], message, seq)
         else:
             self.reliability.open_envelope(envelope)
@@ -555,22 +561,18 @@ class SimulatedTransport:
         Must be called with the window closed (``buf.depth == 0``): any
         report a server reaction provokes mid-flush then takes the
         ordinary inline path, exactly where the per-message pipeline would
-        have sent it.  Two modes, chosen once per flush:
-
-        - **Replay** (a fault injector is attached): every record is
-          rehydrated into its dataclass and sent through :meth:`uplink`
-          -- the path ``batch_reports=False`` runs -- keeping drop rolls,
-          acks and retransmissions per logical message.
-        - **Records** (everything else): records are charged to the
-          ledger in append order -- no dataclass -- and applied to the
-          server row by row (``apply_report_record``), except the
-          non-focal cell changes (no motion state), which go to the server
-          afterwards as one stage (``apply_crossings``).  A report window
-          holds those only for a run of non-focal clients, whose result
-          records and cell reactions commute (core/reporting.py).  Under
-          modeled latency each record draws its delay after its charge,
-          as :meth:`uplink` would: drawn zero, it is applied at once;
-          otherwise it is parked as a ``"report"`` envelope on its row.
+        have sent it.  Each record meets what :meth:`uplink` would, in
+        append order and with no dataclass: it is charged to the ledger,
+        rolls its loss on its ``(kind, row)`` pair (under a fault
+        injector), draws its delay (under modeled latency), and is parked
+        as a ``"report"`` envelope on its row or applied to the server
+        (``apply_report_record``).  With neither seam the non-focal cell
+        changes (no motion state) go to the server afterwards as one stage
+        (``apply_crossings``): a window holds those only for a run of
+        non-focal clients, whose result records and cell reactions commute
+        (core/reporting.py).  Under an injector a stage would reorder the
+        install lists' downlink drops against the later records' uplink
+        drops on the shared channel stream.
         """
         n = len(buf.kind)
         if n == 0:
@@ -578,12 +580,8 @@ class SimulatedTransport:
         server = self._server
         if server is None:
             raise RuntimeError("no server attached to transport")
-        if self.loss is not None:
-            for i in range(n):
-                self.uplink(buf.rehydrate(i))
-            buf.clear()
-            return
         apply_record = server.apply_report_record
+        loss = self.loss
         draw = self.latency.uplink_delay if self.latency_active else None
         if draw is not None:
             # The parked envelopes keep the rows; the window gets new lists.
@@ -591,6 +589,9 @@ class SimulatedTransport:
             parked.kind, buf.kind = buf.kind, parked.kind
             parked.rows, buf.rows = buf.rows, parked.rows
             buf = parked
+        # A record of this kind and no motion state is staged (never one
+        # under an injector: no record kind is -1).
+        staged = REC_CELL if loss is None else -1
         ledger = self.ledger
         trace = self.trace
         step = self._step
@@ -604,12 +605,14 @@ class SimulatedTransport:
             ledger.record_uplink(name, buf.bits_of(i), sender=oid)
             if trace is not None:
                 trace.record(step, "uplink", type=name, oid=oid)
+            if loss is not None and loss.drop_uplink((kinds[i], row)):
+                continue  # sent (and accounted) but lost in transit
             if draw is not None:
                 delay = draw()
                 if delay > 0:
                     self._enqueue("report", buf, oid, delay, context=i)
                     continue
-            elif kinds[i] == REC_CELL and row[1] is None:
+            elif kinds[i] == staged and row[1] is None:
                 crossings.append(row)
                 continue
             apply_record(buf, i)

@@ -32,9 +32,10 @@ the broadcast to its covered set at send time, and the transport's
 addressee.  Under modeled latency
 the transport parks each broadcast's receivers as one run of ids per
 drawn delay (loss already rolled at send; one run for the whole message
-when nothing is rolled, numbered or jittered), and when an unnumbered
-run opens in the delivery phase the transport hands ``set(run)`` to
-``apply``.
+when nothing is rolled, numbered or jittered), and when a run opens in
+the delivery phase the transport hands ``set(run)`` to ``apply`` -- after
+each member observed its downlink sequence number, in ascending order,
+when the reliability layer numbers the stream.
 
 Equivalence to the per-receiver loop:
 
@@ -49,9 +50,10 @@ Equivalence to the per-receiver loop:
 - The fan-out declines (falls back to the scalar loop) whenever per-
   receiver semantics matter.  At send: loss rolls, reliability
   sequencing, trace logging and deferred delivery (the transport rolls
-  and parks the runs).  At open: a run that carries downlink sequence
-  numbers (the reliability layer).  On both clocks: a lazy-propagation
-  velocity broadcast carrying descriptors.
+  and parks the runs).  On both clocks: a lazy-propagation velocity
+  broadcast carrying descriptors.  Nothing is declined at open: loss was
+  rolled at send, and a member observing its sequence number only marks
+  its own client for resync.
 """
 
 from __future__ import annotations

@@ -86,9 +86,9 @@ class FastpathRuntime:
             self.last_j[row] = cell[1]
             self._relayed_changed(obj.oid, client._relayed_state)
             client._relayed_watcher = self._relayed_changed
-        # Bulk application of eligible server broadcasts; the transport
-        # falls back to its per-receiver loop whenever the fan-out
-        # declines (loss, reliability, tracing, latency, ...).
+        # Bulk application of eligible server broadcasts, inline at send
+        # or when a deferred run opens; the transport falls back to its
+        # per-receiver loop whenever the fan-out declines (see its rules).
         self.fanout = BroadcastFanout(self)
         system.transport.fanout = self.fanout
 

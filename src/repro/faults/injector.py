@@ -148,13 +148,16 @@ class FaultInjector:
         return self.downlink_channel is not None or bool(schedule.disconnects or schedule.outages)
 
     def drop_uplink(self, message: object) -> bool:
-        """Whether this object -> server message is lost in transit.
+        """Whether this object -> server message is lost in transit: a
+        message, or a flushed report record as its ``(kind, row)`` pair
+        (the row's sender first; the coordinator routes either).
 
         The crash check asks the coordinator and consumes no RNG, so a
         crash-free run's channel stream is bit-identical with or without
         crash windows in the schedule.
         """
-        cause = self._fault_cause(getattr(message, "oid", None), self.uplink_channel, message)
+        oid = message[1][0] if type(message) is tuple else getattr(message, "oid", None)
+        cause = self._fault_cause(oid, self.uplink_channel, message)
         if cause is None:
             return False
         self.dropped_uplinks += 1

@@ -13,6 +13,7 @@ graded per rule by the reference-twin machine
 from __future__ import annotations
 
 import dataclasses
+from itertools import count, groupby
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -159,7 +160,11 @@ class TestZeroLatencyIdentity:
             list(trace.events),
         )
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(
+        max_examples=settings().max_examples * 3 // 5,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
     @given(ops=OPS)
     def test_all_interleavings_match_inline(self, ops):
         grid = Grid(Rect(0, 0, 50, 50), alpha=5.0)
@@ -257,17 +262,6 @@ class TestDeferredOrdering:
 # ----------------------------------------- one envelope per broadcast run
 
 
-class _RunClient(FakeClient):
-    """A radio that also records the downlink sequence numbers it sees."""
-
-    def __init__(self):
-        super().__init__()
-        self.seqs = []
-
-    def observe_downlink_seq(self, seq):
-        self.seqs.append(seq)
-
-
 class _StubFanout:
     """A fan-out that declines at send (as under latency), accepts every
     opened run and records what it applies."""
@@ -291,7 +285,7 @@ BROADCAST_CELLS = [(i, j) for i in range(2) for j in range(2)]
 def attach_broadcast_audience(transport, n, step=1, unattached=()):
     """``n`` objects inside BROADCAST_CELLS, ids 0 .. n-1, nobody else; all
     but ``unattached`` have a radio."""
-    clients = {oid: _RunClient() for oid in range(n)}
+    clients = {oid: FakeClient() for oid in range(n)}
     for oid, client in clients.items():
         if oid not in unattached:
             transport.attach_client(oid, client)
@@ -398,21 +392,26 @@ class TestBroadcastRuns:
         assert not any(client.received for client in clients.values())
         assert transport.delivered_deferred == 5
 
-    def test_sequenced_run_is_handed_over_per_receiver(self, layout, grid):
+    def test_sequenced_run_observes_in_order_then_goes_to_the_fanout(self, layout, grid):
         # Under the reliability layer every hop carries its sequence
-        # number: the fan-out is skipped and each radio observes its own.
+        # number: each radio of the run observes its own, ascending, and
+        # then the fan-out applies the run as one id set.
         transport, _ = make_reliable_transport(
             layout, grid, _DropPlan(), LatencyModel(downlink_steps=1)
         )
         clients = attach_broadcast_audience(transport, 4)
+        events = []
+        for oid, client in clients.items():
+            client.observe_downlink_seq = lambda seq, _oid=oid: events.append((_oid, seq))
         transport.fanout = fanout = _StubFanout()
+        fanout.apply = lambda message, receivers: events.append(set(receivers))
         transport.send(1, SizedMessage(bits=8))  # oid 1's stream: seq 1
         transport.broadcast(BROADCAST_CELLS, SizedMessage(bits=32))
         runs = sorted((env.seq, env.run, env.seqs) for env in queued_envelopes(transport))
         assert runs == [(1, [1], [1]), (2, [0, 1, 2, 3], [1, 2, 1, 1])]
         drain(transport, 2, 2)
-        assert fanout.applied == []
-        assert [client.seqs for client in clients.values()] == [[1], [1, 2], [1], [1]]
+        assert events == [(1, 1), {1}, (0, 1), (1, 2), (2, 1), (3, 1), {0, 1, 2, 3}]
+        assert not any(client.received for client in clients.values())
 
 
 class _Tagged:
@@ -490,17 +489,24 @@ class _OrderedFanout(_StubFanout):
             self.clients[oid].on_downlink(message)
 
 
-def per_hop_reference(sends, attached, latency, drops, sequenced, last_step):
+def per_hop_reference(sends, attached, latency, drops, sequenced, last_step, fanout):
     """The pipeline hop by hop: each step drains the due hops by ``(due,
     stamp)``, then sends, parking one stamped hop per surviving receiver;
-    a delivery sends its reaction at once."""
+    a delivery sends its reaction at once.  A hop is delivered after its
+    receiver observes its sequence number -- except that a fan-out takes a
+    numbered run whole: every member observes, ascending, before the
+    first delivery.  A run is the hops one send parks between two inline
+    deliveries (which close the runs) that fall due in the same step."""
     got = {oid: [] for oid in attached}
+    observed = dict.fromkeys(attached)  # a _StampingClient's last observed seq
     seqs = dict.fromkeys(attached, 0)
     parked = []
     stamp = 0
+    runs = count()
 
-    def deliver(oid, tag, seq, step):
-        got[oid].append((tag, seq, step))
+    def deliver(oid, tag, step):
+        got[oid].append((tag, observed[oid], step))
+        observed[oid] = None
         reaction = reaction_to(tag, oid, sorted(attached))
         if reaction is not None:
             send(step, *reaction)
@@ -509,6 +515,7 @@ def per_hop_reference(sends, attached, latency, drops, sequenced, last_step):
         nonlocal stamp
         message = _Tagged(tag)
         delay = 0 if latency.jitter_steps else latency.downlink_delay()
+        run = next(runs)
         for oid in sorted(receivers):
             if oid not in attached:
                 continue
@@ -522,17 +529,28 @@ def per_hop_reference(sends, attached, latency, drops, sequenced, last_step):
             if latency.jitter_steps:
                 delay = latency.downlink_delay()
             if delay <= 0:
-                deliver(oid, tag, seq, step)
+                observed[oid] = seq
+                deliver(oid, tag, step)
+                run = next(runs)
             else:
                 stamp += 1
-                parked.append((step + delay, stamp, oid, tag, seq))
+                parked.append((step + delay, stamp, run, oid, tag, seq))
 
     for step in range(1, last_step + 1):
         due = sorted(hop for hop in parked if hop[0] <= step)
         for hop in due:
             parked.remove(hop)
-        for _, _, oid, tag, seq in due:
-            deliver(oid, tag, seq, step)
+        for _, hops in groupby(due, key=lambda hop: hop[2]):
+            hops = list(hops)
+            if fanout and sequenced:
+                for *_, oid, tag, seq in hops:
+                    observed[oid] = seq
+                for *_, oid, tag, seq in hops:
+                    deliver(oid, tag, step)
+            else:
+                for *_, oid, tag, seq in hops:
+                    observed[oid] = seq
+                    deliver(oid, tag, step)
         for _, tag, receivers in (send for send in sends if send[0] == step):
             send(step, tag, receivers)
     assert not parked
@@ -552,7 +570,9 @@ def per_hop_reference(sends, attached, latency, drops, sequenced, last_step):
     fanout=st.booleans(),
 )
 @settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=settings().max_examples * 3 // 5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_run_parking_equals_the_per_hop_pipeline(
     layout, grid, sends, unattached, downlink, jitter, seed, seam, fanout
@@ -585,7 +605,7 @@ def test_run_parking_equals_the_per_hop_pipeline(
         assert_hops_conserved(transport)
     assert transport.pending_count() == 0
     want = per_hop_reference(
-        sends, set(attached), LatencyModel(**model), drops, drops is not None, last_step
+        sends, set(attached), LatencyModel(**model), drops, drops is not None, last_step, fanout
     )
     assert {oid: client.got for oid, client in clients.items()} == want
 
@@ -809,7 +829,7 @@ class TestOneExchangeMachineOnBothClocks:
     deferred changes *when* things happen, never *what* happens."""
 
     @settings(
-        max_examples=150,
+        max_examples=settings().max_examples * 3 // 2,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )

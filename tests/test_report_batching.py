@@ -5,8 +5,8 @@ Five layers of guarantees:
 - *Wire-size identity* (unit level): a buffered record's ledger size
   equals the size of the dataclass message it replaces -- buffering never
   changes what the ledger charges, only how many Python objects exist.
-- *Handler identity* (unit level): a buffered row and its rehydrated
-  dataclass reach the server's record-level handlers with equal arguments,
+- *Handler identity* (unit level): a buffered row and the dataclass the
+  per-message path would send for it reach the server's record-level handlers with equal arguments,
   and a sharded server's same shard.
 - *Window protocol* (unit level): ``with transport.report_window:`` closes
   the window before it flushes, flushes nothing after a raise, and is a
@@ -31,7 +31,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import MobiEyesConfig
 from repro.core.client import MobiEyesClient
-from repro.core.messages import REC_CELL
+from repro.core.messages import (
+    REC_CELL,
+    REC_RESULT,
+    CellChangeReport,
+    ResultChangeReport,
+    VelocityChangeReport,
+)
 from repro.core.reporting import ReportBuffer
 from repro.core.server import MobiEyesServer
 from repro.core.transport import SimulatedTransport
@@ -90,15 +96,27 @@ def _fill(buf: ReportBuffer, records, oids=range(40)) -> None:
             buf.add_velocity(oid=oid, state=_state(float(i), 0.0))
 
 
+def as_message(buf: ReportBuffer, i: int):
+    """Record ``i`` as the dataclass the per-message path sends for it."""
+    kind, row = buf.kind[i], buf.rows[i]
+    if kind == REC_RESULT:
+        return ResultChangeReport(oid=row[0], changes=dict(row[3]), epoch=row[2])
+    if kind == REC_CELL:
+        return CellChangeReport(oid=row[0], prev_cell=row[2], new_cell=row[3], state=row[1])
+    return VelocityChangeReport(oid=row[0], state=row[1])
+
+
 @given(_records())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=max(1, settings().max_examples // 2), deadline=None)
 def test_buffered_record_bits_equal_dataclass_bits(records):
-    """bits_of(i) == rehydrate(i).bits for every record kind and shape."""
+    """bits_of(i) and kind_name_of(i) are the dataclass message's, for
+    every record kind and shape."""
     buf = ReportBuffer()
     _fill(buf, records)
     assert buf.count == len(records)
     for i in range(buf.count):
-        assert buf.bits_of(i) == buf.rehydrate(i).bits
+        message = as_message(buf, i)
+        assert (buf.bits_of(i), buf.kind_name_of(i)) == (message.bits, type(message).__name__)
 
 
 GRID = Grid(Rect(0, 0, 160, 160), alpha=5.0)  # 32 x 32 cells: holds _records()
@@ -117,9 +135,9 @@ def _transport() -> SimulatedTransport:
 
 
 @given(_records())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=max(1, settings().max_examples // 2), deadline=None)
 def test_row_and_dataclass_reach_the_record_handlers_alike(records):
-    """apply_report_record(buf, i) == on_uplink(buf.rehydrate(i)), observed
+    """apply_report_record(buf, i) == on_uplink(as_message(buf, i)), observed
     at the four record-level handlers (leases on, so the touch fires)."""
     server = MobiEyesServer(GRID, _transport(), CONFIG)
     server.enable_leases(3)
@@ -136,7 +154,7 @@ def test_row_and_dataclass_reach_the_record_handlers_alike(records):
         server.apply_report_record(buf, i)
         by_row = calls[:]
         calls.clear()
-        server.on_uplink(buf.rehydrate(i))
+        server.on_uplink(as_message(buf, i))
         assert by_row == calls and len(calls) == 2  # the touch, then the kind's handler
         calls.clear()
 
@@ -150,7 +168,7 @@ def sharded():
 
 
 @given(_records(max_cell=5))  # the 0.012-scale grid is 7 x 7 cells
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=max(1, settings().max_examples // 2), deadline=None)
 def test_row_and_dataclass_resolve_to_the_same_shard(sharded, records):
     coordinator = sharded.server
     landed = []
@@ -160,7 +178,7 @@ def test_row_and_dataclass_resolve_to_the_same_shard(sharded, records):
     buf = ReportBuffer()
     _fill(buf, records, oids=sorted(sharded.clients)[::3])  # focal and plain senders
     for i in range(buf.count):
-        message = buf.rehydrate(i)
+        message = as_message(buf, i)
         coordinator.apply_report_record(buf, i)
         coordinator.on_uplink(message)
         assert landed == [coordinator.shard_for_uplink(message)] * 2
@@ -179,7 +197,7 @@ class _RecordingServer:
         self.messages.append(message)
 
     def apply_report_record(self, cols, i):
-        self.records.append(cols.rehydrate(i))
+        self.records.append(as_message(cols, i))
         if self.reaction is not None:
             reaction, self.reaction = self.reaction, None
             reaction()
@@ -279,7 +297,7 @@ def test_latency_flush_enqueues_one_uplink_envelope_per_record():
 
 
 @given(_records(), st.integers(min_value=0, max_value=2), st.integers(0, 2**16))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=max(1, settings().max_examples // 2), deadline=None)
 def test_a_parked_record_once_opened_equals_applying_it_inline(records, jitter, seed):
     """A latency-only flush charges what the inline flush charges, and each
     record it parks reaches the four record-level handlers, when opened,
@@ -357,8 +375,40 @@ def test_batching_preserves_accounting(grouping, shards):
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_batching_preserves_accounting_under_latency(shards):
-    """Same identity on the deferred path (the flush replays per message)."""
+    """Same identity on the deferred path (records drawn late park as rows)."""
     pinned(*STEPS, shards=shards, latency=2, delta=0.5)
+
+
+@pytest.mark.parametrize("latency", [0, 1])
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_batching_preserves_accounting_under_loss(engine, shards, latency):
+    """Lossy channels on both links rolling one shared stream, beside the
+    per-message twin: a flushed record rolls its drop, then draws its
+    delay, where the dataclass would.  Sharded, shard 1 is down for three
+    steps and the flushes drop the rows routed to it as ``uplink-crash``."""
+    at_flush = []
+
+    def watch(machine):
+        transport = machine.system.transport
+        flush = transport.flush_reports
+
+        def counted(buf):
+            crashed = transport.loss.drops_by_cause["uplink-crash"]
+            flush(buf)
+            at_flush.append(transport.loss.drops_by_cause["uplink-crash"] - crashed)
+
+        transport.flush_reports = counted
+
+    window = (("crash", 1), 3, ("recover", 1)) if shards > 1 else ()
+    machine = pinned(
+        watch, 3, 3, *window, 3,
+        engine=engine, shards=shards, latency=latency, loss="injector+channels", rate=0.3,
+        delta=0.5,
+    )
+    by_cause = machine.system.transport.loss.drops_by_cause
+    assert by_cause["uplink-channel"] > 0 and by_cause["downlink-channel"] > 0
+    assert (sum(at_flush) > 0) == (shards > 1)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

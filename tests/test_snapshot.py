@@ -715,6 +715,12 @@ class TestAllowListIsExact:
             system.run(5)
             assert len(system.server.shards) == 3
             take(system)
+        # Per-message reports under latency: the cell and velocity changes
+        # in flight are dataclasses (a window flush parks rows instead).
+        with paper_system(batch_reports=False, latency=1) as system:
+            for _ in range(4):
+                system.step()
+                take(system)
 
         allowed = {
             (module, name)
