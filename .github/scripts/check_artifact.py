@@ -11,7 +11,8 @@ show follows from its own ``inputs``:
   to it; with no fault window, every step matched it (``results_match``);
   a twin-graded run on lossless channels matched its twin on every step
   before the first window opened; and the ingest accounting identity
-  holds;
+  holds; the ``metrics`` section's message rates, times the simulated
+  seconds it covers, give back the report's own per-type message counts;
 - a crash window: the run was perturbed inside the window, a recovery
   basis was captured, and it is non-empty;
 - scheduled fleet moves: at least one was applied and the partition
@@ -29,6 +30,7 @@ a renamed report key fails tier-1 instead of silently passing here.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 
@@ -73,6 +75,18 @@ def check(name: str, run: dict) -> None:
         + service["invalid_rejects"] + service["queued"],
         f"{name}: ingest accounting leak: {service}",
     )
+    # The paper's rates are read from the per-step log, the counts from
+    # the ledger: two books of the same messages.
+    metrics = run["metrics"]
+    if metrics["steps"]:
+        sim_seconds = metrics["steps"] * metrics["step_seconds"]
+        sent = sum(counters["message_counts"].values())
+        split = (metrics["uplink_msgs_per_sim_s"] + metrics["downlink_msgs_per_sim_s"]) * sim_seconds
+        for label, count in (("uplink + downlink", split),
+                             ("total", metrics["msgs_per_sim_s"] * sim_seconds)):
+            require(math.isclose(count, sent, rel_tol=1e-9),
+                    f"{name}: {label} msgs/s x {sim_seconds} s = {count}, "
+                    f"but the message counts sum to {sent}")
 
     recovery = counters["recovery"]
     divergence = grading["per_step"]["divergence"]

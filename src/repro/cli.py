@@ -6,14 +6,15 @@ Usage::
     python -m repro run fig04                    # reproduce one figure
     python -m repro run all --scale 0.05         # everything, custom scale
     python -m repro params [--scale 0.06]        # show Table 1 (scaled)
-    python -m repro simulate --objects 400 --queries 40 --steps 30
     python -m repro drive                        # the fault storm, graded
     python -m repro drive --faults crash --shards 2   # see docs/ROBUSTNESS.md
 
 ``run`` prints each experiment's table (the same output the
-``benchmarks/`` suite produces); ``simulate`` runs a single ad-hoc MobiEyes
-simulation and prints a metrics summary.  The performance benchmark is not
-a subcommand: it is ``python3 bench/run.py`` (see ``bench/README.md``).
+``benchmarks/`` suite produces); ``drive`` is the one way to run a single
+scenario: it grades the run and writes one JSON report, whose ``metrics``
+section holds the paper's per-run numbers (messages per second, LQT size,
+power per object, result error).  The performance benchmark is not a
+subcommand: it is ``python3 bench/run.py`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from pathlib import Path
 from typing import Sequence
 
 from repro import driver
-from repro.core import PropagationMode
 from repro.experiments import EXPERIMENTS, TITLES, run_experiment
-from repro.experiments.runner import DEFAULT_STEPS, RunTable, run_mobieyes
+from repro.experiments.runner import DEFAULT_STEPS, RunTable
 from repro.metrics.report import format_table
-from repro.workload import bench_defaults, paper_defaults
+from repro.workload import paper_defaults
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -102,47 +102,6 @@ def _cmd_params(args: argparse.Namespace) -> int:
         ("mospeed (mph)", str(params.max_speeds)),
     ]
     print(format_table(("parameter", "value"), rows, title="Table 1 simulation parameters"))
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    scale = args.objects / paper_defaults().num_objects
-    params = paper_defaults().scaled(scale)
-    if args.queries is not None:
-        from repro.experiments.runner import with_queries
-
-        params = with_queries(params, args.queries)
-    propagation = PropagationMode.LAZY if args.lazy else PropagationMode.EAGER
-    started = time.perf_counter()
-    system = run_mobieyes(
-        params,
-        steps=args.steps,
-        warmup=min(args.steps // 4, 5),
-        propagation=propagation,
-        track_accuracy=args.accuracy,
-    )
-    elapsed = time.perf_counter() - started
-    metrics = system.metrics
-    rows = [
-        ("objects", params.num_objects),
-        ("queries", params.num_queries),
-        ("steps", args.steps),
-        ("propagation", propagation.value),
-        ("messages/s", metrics.messages_per_second()),
-        ("uplink/s", metrics.uplink_messages_per_second()),
-        ("downlink/s", metrics.downlink_messages_per_second()),
-        ("mean LQT size", metrics.mean_lqt_size()),
-        ("server s/step", metrics.mean_server_seconds()),
-        ("power/object (W)", metrics.mean_power_watts_per_object()),
-        ("result error", metrics.mean_result_error() if args.accuracy else "-"),
-        ("wall time (s)", round(elapsed, 2)),
-    ]
-    print(format_table(("metric", "value"), rows, title="MobiEyes simulation"))
-    if args.render:
-        from repro.viz import render_world
-
-        print()
-        print(render_world(system))
     return 0
 
 
@@ -231,19 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     params = sub.add_parser("params", help="print the Table 1 parameters")
     params.add_argument("--scale", type=float, default=None)
     params.set_defaults(func=_cmd_params)
-
-    simulate = sub.add_parser("simulate", help="run one ad-hoc MobiEyes simulation")
-    simulate.add_argument("--objects", type=int, default=bench_defaults().num_objects)
-    simulate.add_argument("--queries", type=int, default=None)
-    simulate.add_argument("--steps", type=int, default=30)
-    simulate.add_argument("--lazy", action="store_true", help="use lazy query propagation")
-    simulate.add_argument(
-        "--accuracy", action="store_true", help="track result error against the oracle"
-    )
-    simulate.add_argument(
-        "--render", action="store_true", help="draw an ASCII map of the final world state"
-    )
-    simulate.set_defaults(func=_cmd_simulate)
 
     drive = sub.add_parser(
         "drive",

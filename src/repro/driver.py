@@ -41,11 +41,18 @@ window, the last step matched), ``results_match`` (every step matched)
 and ``staleness_weighted_error`` (the oracle error fraction weighted by
 how many consecutive steps the run had been wrong).
 
+The report's ``metrics`` section holds the paper's per-run numbers under
+the names ``BENCHMARK.json`` gives them: messages per simulated second
+(all, uplink, downlink), the mean LQT size, the communication power per
+object in mW (``system.metrics`` over every step, no warm-up) and the
+mean per-query missing fraction against the oracle (``result_error``,
+sampled after every step).
+
 Every wall-clock value of the report sits under its ``clock`` key --
-shard seconds, the seconds views of each balance, the wall time and
-``improved_seconds`` -- so two runs with the same inputs are equal once
-``clock`` is popped, and so are the two engines' reports apart from
-``engine``.
+server milliseconds per step, shard seconds, the seconds views of each
+balance, the wall time and ``improved_seconds`` -- so two runs with the
+same inputs are equal once ``clock`` is popped, and so are the two
+engines' reports apart from ``engine``.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from repro.faults.policy import ReliabilityPolicy
 from repro.faults.schedule import CrashWindow, DisconnectWindow, FaultSchedule, StationOutage
 from repro.geometry import Circle, Point, Vector
 from repro.grid import Grid
+from repro.metrics.accuracy import mean_result_error
 from repro.network.basestation import BaseStationLayout
 from repro.scenario import build_system, result_digest, twin_divergence
 from repro.sim.rng import SimulationRng
@@ -264,6 +272,23 @@ def _section(counters: dict, owner: str) -> dict:
     return {key[len(prefix):]: value for key, value in counters.items() if key.startswith(prefix)}
 
 
+def _paper_metrics(log, error_samples: list[float]) -> dict:
+    """The paper's per-run numbers over every step of ``log`` (the system's
+    :class:`~repro.metrics.collectors.MetricsLog`, no warm-up), plus the
+    step count and length that turn a rate back into a message count."""
+    measured = bool(log.steps)  # an interrupt before the first step averages nothing
+    return {
+        "steps": len(log.steps),
+        "step_seconds": log.step_seconds,
+        "msgs_per_sim_s": log.messages_per_second() if measured else None,
+        "uplink_msgs_per_sim_s": log.uplink_messages_per_second() if measured else None,
+        "downlink_msgs_per_sim_s": log.downlink_messages_per_second() if measured else None,
+        "mean_lqt_size": log.mean_lqt_size() if measured else None,
+        "energy_mw_per_object": 1000.0 * log.mean_power_watts_per_object() if measured else None,
+        "result_error": sum(error_samples) / len(error_samples) if error_samples else None,
+    }
+
+
 def write_artifact(path: Path, artifact: dict) -> None:
     path.write_text(json.dumps(artifact, sort_keys=True, indent=2) + "\n", encoding="ascii")
 
@@ -315,6 +340,14 @@ def run(
         raise ValueError(f"fleet plan {fleet!r} requires shards >= 2 (a boundary must exist)")
     if steps is None and (faults != "none" or fleet in ("rebalance", "schedule", "both")):
         raise ValueError("a run without a step bound takes no fault or fleet schedule")
+    for name, rate in (("uplink_loss", uplink_loss), ("downlink_loss", downlink_loss)):
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {rate}")
+    for name, value in (
+        ("ingest_rate", ingest_rate), ("query_churn", query_churn), ("report_every", report_every)
+    ):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative (0 = off), got {value}")
     params = replace(scenario_params(scenario, scale), seed=seed)
     crash = None
     checkpoint_every = 0
@@ -409,6 +442,7 @@ def run(
         per_step = None if steps is None else {
             "divergence": [], "symmetric_error": [], "missing_fraction": [],
         }
+        error_samples: list[float] = []
         first_wrong = None
         last_divergence = 0
         last_error = 0.0
@@ -448,6 +482,10 @@ def run(
             clock = {
                 "wall_seconds": round(wall, 4),
                 "steps_per_sec": round(done / wall, 4) if wall > 0 and done else None,
+                "server_ms_per_step": (
+                    round(1000.0 * system.metrics.mean_server_seconds(), 4)
+                    if system.metrics.steps else None
+                ),
                 "shard_seconds": None if rows is None else [
                     round(row["seconds"], 4) for row in rows
                 ],
@@ -555,6 +593,7 @@ def run(
                     "pending_at_end": system.transport.pending_count(),
                 },
                 "fleet": fleet_out,
+                "metrics": _paper_metrics(system.metrics, error_samples),
                 "result_hash": result_digest(system),
                 "clock": clock,
             }
@@ -575,6 +614,9 @@ def run(
                     miss += len(truth - got)
                     diff += len(truth ^ got)
                 last_error = diff / max(1, total)
+                error = mean_result_error(results, oracle)
+                if error is not None:
+                    error_samples.append(error)
                 if twin is not None:
                     twin.tick()
                     diff = twin_divergence(results, twin.system.results())

@@ -1,5 +1,5 @@
-"""Terminal visualization helpers (world maps, sparklines, charts)."""
+"""Terminal visualization: line charts for ``repro run --chart``."""
 
-from repro.viz.ascii import line_chart, render_world, sparkline
+from repro.viz.ascii import line_chart
 
-__all__ = ["line_chart", "render_world", "sparkline"]
+__all__ = ["line_chart"]

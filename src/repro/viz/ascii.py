@@ -1,14 +1,8 @@
-"""Terminal visualization: world maps, sparklines, and line charts.
+"""Terminal line charts.
 
-Pure-text rendering (no plotting dependencies are available offline) used
-by the CLI and handy when debugging protocol behaviour:
-
-- :func:`render_world` draws the grid with object counts, focal objects,
-  and monitoring-region overlays;
-- :func:`sparkline` compresses a numeric series into one line of block
-  characters;
-- :func:`line_chart` draws a small multi-series chart for experiment
-  columns.
+Pure-text rendering (no plotting dependencies are available offline):
+:func:`line_chart` draws a small multi-series chart of experiment columns
+for ``repro run --chart``.
 """
 
 from __future__ import annotations
@@ -16,28 +10,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 SERIES_MARKS = "*o+x#@%&"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line block-character rendering of a numeric series."""
-    finite = [v for v in values if v is not None and math.isfinite(v)]
-    if not finite:
-        return ""
-    lo, hi = min(finite), max(finite)
-    span = hi - lo
-    out = []
-    for value in values:
-        if value is None or not math.isfinite(value):
-            out.append(" ")
-            continue
-        if span == 0:
-            out.append(SPARK_BLOCKS[0])
-        else:
-            idx = int((value - lo) / span * (len(SPARK_BLOCKS) - 1))
-            out.append(SPARK_BLOCKS[idx])
-    return "".join(out)
 
 
 def line_chart(
@@ -91,56 +64,4 @@ def line_chart(
         f"{SERIES_MARKS[i % len(SERIES_MARKS)]} {label}" for i, label in enumerate(series)
     )
     lines.append(" " * 12 + legend)
-    return "\n".join(lines)
-
-
-def render_world(system, max_cols: int = 60) -> str:
-    """ASCII map of a :class:`~repro.core.system.MobiEyesSystem`.
-
-    Each character is one grid cell (down-sampled when the grid is wider
-    than ``max_cols``): digits count the objects in the cell (``+`` for
-    10 or more), ``F`` marks a cell holding a focal object, and ``·``
-    marks empty cells inside some query's monitoring region (``.``
-    otherwise).  Row 0 (the UoD's southern edge) is printed at the bottom.
-    """
-    grid = system.grid
-    stride = max(1, math.ceil(grid.n_cols / max_cols))
-    cols = math.ceil(grid.n_cols / stride)
-    rows = math.ceil(grid.n_rows / stride)
-
-    counts = [[0] * cols for _ in range(rows)]
-    focal = [[False] * cols for _ in range(rows)]
-    monitored = [[False] * cols for _ in range(rows)]
-
-    focal_ids = set(system.server.fot.ids())
-    for obj in system.motion.objects:
-        i, j = grid.cell_index(obj.pos)
-        counts[j // stride][i // stride] += 1
-        if obj.oid in focal_ids:
-            focal[j // stride][i // stride] = True
-    for entry in system.server.sqt.entries():
-        for (i, j) in entry.mon_region:
-            monitored[j // stride][i // stride] = True
-
-    lines = []
-    for j in reversed(range(rows)):
-        chars = []
-        for i in range(cols):
-            if focal[j][i]:
-                chars.append("F")
-            elif counts[j][i] >= 10:
-                chars.append("+")
-            elif counts[j][i] > 0:
-                chars.append(str(counts[j][i]))
-            elif monitored[j][i]:
-                chars.append("·")
-            else:
-                chars.append(".")
-        lines.append("".join(chars))
-    lines.append("")
-    lines.append(
-        f"{grid.n_cols}x{grid.n_rows} cells (alpha={grid.alpha:g}), "
-        f"{len(system.motion)} objects, {len(system.server.sqt)} queries; "
-        "F=focal cell, digits=objects, ·=monitored empty cell"
-    )
     return "\n".join(lines)

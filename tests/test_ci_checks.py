@@ -92,6 +92,26 @@ def test_chaos_crash(crash_report, tmp_path):
         run_check(broken, tmp_path)
 
 
+def test_the_paper_metrics_give_back_the_message_counts(crash_report, tmp_path):
+    """The rates come from the per-step log and the counts from the ledger:
+    a rate or a count doctored apart fails the check."""
+    metrics = crash_report["metrics"]
+    sent = sum(crash_report["counters"]["message_counts"].values())
+    assert metrics["steps"] == crash_report["grading"]["steps"] == 24
+    assert metrics["msgs_per_sim_s"] * 24 * metrics["step_seconds"] == pytest.approx(sent)
+    doctors = (
+        lambda m, c: m.update(uplink_msgs_per_sim_s=m["uplink_msgs_per_sim_s"] * 1.01),
+        lambda m, c: m.update(msgs_per_sim_s=m["msgs_per_sim_s"] + 1),
+        lambda m, c: m.update(steps=23),
+        lambda m, c: c.update(Heartbeat=c["Heartbeat"] + 1),
+    )
+    for doctor in doctors:
+        broken = copy.deepcopy(crash_report)
+        doctor(broken["metrics"], broken["counters"]["message_counts"])
+        with pytest.raises(SystemExit, match="message counts sum to"):
+            run_check(both_engines(broken), tmp_path)
+
+
 def test_chaos_rebalance(rebalance_report, tmp_path):
     assert run_check(both_engines(rebalance_report), tmp_path) == 0
     broken = copy.deepcopy(rebalance_report)
@@ -235,7 +255,7 @@ def test_knob_counts_only_ratchet_down():
                 count += 1
         return count
 
-    assert arguments(build_parser()) <= 37
+    assert arguments(build_parser()) <= 31
 
 
 SRC = SCRIPT.parents[2] / "src"

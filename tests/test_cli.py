@@ -59,48 +59,51 @@ class TestReport:
         assert target.read_text() == "the result of record\n"
 
 
-class TestSimulate:
-    def test_basic_simulation(self, capsys):
-        code = main(
-            ["simulate", "--objects", "100", "--queries", "10", "--steps", "6", "--accuracy"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "messages/s" in out
-        assert "mean LQT size" in out
-
-    def test_lazy_flag(self, capsys):
-        code = main(["simulate", "--objects", "100", "--steps", "4", "--lazy"])
-        assert code == 0
-        assert "lazy" in capsys.readouterr().out
-
-
 class TestInvalidFlagCombinations:
     """Driver/config validation errors are one stderr line and exit 2,
     not a traceback out of ``main``."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, named",
         [
-            ["drive", "--faults", "crash"],
-            ["drive", "--fleet", "rebalance"],
-            ["drive", "--fleet", "policy"],
+            pytest.param(argv, named, id=" ".join(argv[1:]))
+            for argv, named in (
+                # --shards defaults to 1.
+                (["drive", "--faults", "crash"], "shards >= 2"),
+                (["drive", "--fleet", "rebalance"], "shards >= 2"),
+                (["drive", "--fleet", "policy"], "shards >= 2"),
+                # Inputs a run used to misread: a negative loss rate attached no
+                # channel, a negative churn period churned every |N| steps, a
+                # negative rate ingested nothing, a negative cadence rewrote the
+                # artifact every step -- each while the report echoed the input.
+                (["drive", "--uplink-loss", "-0.2"], "uplink_loss must be in [0, 1], got -0.2"),
+                (["drive", "--downlink-loss", "1.5"], "downlink_loss must be in [0, 1], got 1.5"),
+                (["drive", "--query-churn", "-4"], "query_churn must be non-negative"),
+                (["drive", "--ingest-rate", "-1"], "ingest_rate must be non-negative"),
+                (["drive", "--report-every", "-1"], "report_every must be non-negative"),
+            )
         ],
-        ids=lambda argv: " ".join(argv[1:]),
     )
-    def test_exit_2_with_one_line_error(self, argv, capsys):
-        assert main(argv) == 2
+    def test_exit_2_with_one_line_error(self, argv, named, capsys, tmp_path):
+        assert main([*argv, "--output", str(tmp_path)]) == 2
         # (Without numpy, drive first says it skips the vectorized engine.)
-        # --shards defaults to 1.
         err = capsys.readouterr().err
         assert "Traceback" not in err
         last = err.strip().splitlines()[-1]
-        assert last.startswith(f"repro {argv[0]}: error: ") and "shards >= 2" in last
+        assert last.startswith(f"repro {argv[0]}: error: ") and named in last
+        assert not list(tmp_path.iterdir())  # refused before the first step
 
     def test_bench_subcommand_is_gone(self, capsys):
         # The benchmark is bench/run.py, not a subcommand.
         with pytest.raises(SystemExit) as exit_info:
             main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_simulate_subcommand_is_gone(self, capsys):
+        # One run command: drive's report carries what simulate printed.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate"])
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
@@ -121,6 +124,36 @@ class TestServe:
         assert report["grading"]["steps"] == 12
         assert report["grading"]["basis"] == "twin"
         assert report["grading"]["results_match"]
+
+
+class TestPaperMetrics:
+    def test_the_report_carries_the_paper_metrics(self, tmp_path, capsys):
+        """The ``metrics`` section is the system's own per-step log with no
+        warm-up, and its result error is the paper's missing fraction
+        sampled after every step -- what a system tracking accuracy reads."""
+        import json
+
+        from repro.driver import scenario_params
+        from repro.scenario import build_system
+
+        assert main(["drive", "--steps", "8", "--scale", "0.01", "--faults", "none",
+                     "--engine", "reference", "--output", str(tmp_path)]) == 0
+        metrics = json.loads((tmp_path / "DRIVE_local.json").read_text())["metrics"]
+        system = build_system(scenario_params("paper", 0.01), 7, track_accuracy=True)[0]
+        system.run(8)
+        log = system.metrics
+        assert metrics == {
+            "steps": 8,
+            "step_seconds": log.step_seconds,
+            "msgs_per_sim_s": log.messages_per_second(),
+            "uplink_msgs_per_sim_s": log.uplink_messages_per_second(),
+            "downlink_msgs_per_sim_s": log.downlink_messages_per_second(),
+            "mean_lqt_size": log.mean_lqt_size(),
+            "energy_mw_per_object": 1000.0 * log.mean_power_watts_per_object(),
+            "result_error": log.mean_result_error(),
+        }
+        assert metrics["msgs_per_sim_s"] > 0 and metrics["mean_lqt_size"] > 0
+        system.close()
 
 
 class TestEngineCrossCheck:

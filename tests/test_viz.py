@@ -1,31 +1,8 @@
-"""Tests for the terminal visualization helpers."""
+"""Tests for the terminal line chart."""
 
 import pytest
 
-from repro.viz import line_chart, render_world, sparkline
-
-from tests.conftest import circle_query, make_object, make_system
-
-
-class TestSparkline:
-    def test_monotone_series(self):
-        line = sparkline([1, 2, 3, 4])
-        assert len(line) == 4
-        assert line[0] == "▁"
-        assert line[-1] == "█"
-
-    def test_constant_series(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_none_values_render_blank(self):
-        line = sparkline([1, None, 3])
-        assert line[1] == " "
-
-    def test_all_none(self):
-        assert sparkline([None, None]) == ""
+from repro.viz import line_chart
 
 
 class TestLineChart:
@@ -58,45 +35,3 @@ class TestLineChart:
             line_chart({})
         with pytest.raises(ValueError):
             line_chart({"a": []})
-
-
-class TestRenderWorld:
-    def build(self):
-        objects = [
-            make_object(0, 25, 25),
-            make_object(1, 26, 25),
-            make_object(2, 2, 2),
-        ]
-        system = make_system(objects)
-        system.install_query(circle_query(0, 2.0))
-        return system
-
-    def test_renders_grid_dimensions(self):
-        system = self.build()
-        out = render_world(system)
-        rows = out.splitlines()
-        # 10x10 grid of 5-mile cells on a 50x50 world.
-        assert len(rows[0]) == 10
-        assert "10x10 cells" in out
-
-    def test_marks_focal_and_objects(self):
-        system = self.build()
-        out = render_world(system)
-        assert "F" in out  # focal object's cell
-        assert "1" in out  # the lone object at (2, 2)
-
-    def test_monitored_cells_marked(self):
-        system = self.build()
-        assert "·" in render_world(system)
-
-    def test_row_zero_at_bottom(self):
-        system = self.build()
-        rows = render_world(system).splitlines()
-        # Object 2 sits in cell (0, 0) -> bottom-left corner of the map.
-        assert rows[9][0] == "1"
-
-    def test_downsampling_wide_grids(self):
-        objects = [make_object(0, 25, 25)]
-        system = make_system(objects, alpha=0.5)  # 100x100 cells
-        out = render_world(system, max_cols=50)
-        assert len(out.splitlines()[0]) == 50
