@@ -6,7 +6,7 @@ soft-state lease and suspension records, every client's LQT and
 recovery scalars, the transport's deferred-envelope queue and sequence
 counters, the reliability layer's in-flight exchanges and ledgers, the
 fault injector's channel RNGs and drop accounting, the message ledger,
-the metrics cursors, and the simulation RNG streams.  Restoring it
+the event log, the metrics cursors, and the simulation RNG streams.  Restoring it
 builds a *fresh* system -- callbacks, watchers, and fastpath mirrors
 are reconstructed by the ordinary constructor -- and grafts the
 captured state back in through the same table APIs the live protocol
@@ -32,8 +32,8 @@ What is deliberately **not** captured:
 
 - result-change *subscriptions* -- callbacks are code, not state; a
   system with live subscribers refuses to checkpoint;
-- trace logs (refuse) and custom motion models (refuse): both carry
-  arbitrary user state this module cannot promise to rebuild;
+- custom motion models (refuse): they carry arbitrary user state this
+  module cannot promise to rebuild;
 - the fastpath's arrays and mirrors: derived state, rebuilt by the
   constructor from the restored objects and pushed back in sync by the
   LQT install / relayed-state watcher hooks during the graft.
@@ -54,9 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Wire-format version.  Bump on any layout change: the header, a payload
 #: key, an owner's ``CHECKPOINT_FIELDS``, a field of a payload class.
-#: 17: a queued downlink run is its receiver ids (sequence numbers beside
-#: them in ``Envelope.seqs``), and a latency-only flush parks report rows.
-CHECKPOINT_VERSION = 17
+#: 18: the event log replaces ``crash_log`` / ``rebalance_log`` (the ledger's
+#: ``trace`` is that log when message events are on); the injector has no ``rng``.
+CHECKPOINT_VERSION = 18
 
 #: Largest payload a checkpoint may hold, checked before anything is
 #: hashed or decoded (Table 1 at full scale is ~6 MB).
@@ -152,6 +152,7 @@ _ALLOWED_GLOBALS = {
     "repro.mobility.model": "MotionState MovingObject",
     "repro.network.latency": "LatencyModel",
     "repro.sim.rng": "SimulationRng",
+    "repro.sim.trace": "TraceEvent TraceLog",
     "repro.workload.filters": "ClassThresholdFilter",
 }
 
@@ -243,6 +244,7 @@ def _check_shape(p: Any) -> None:
     from repro.faults.injector import FaultInjector
     from repro.faults.reliability import ReliabilityLayer
     from repro.network.messaging import MessageLedger
+    from repro.sim.trace import TraceEvent, TraceLog
 
     _check_keys("payload", p, _PAYLOAD_KEYS)
     config, partition, sections, loss = p["config"], p["partition"], p["server"], p["loss"]
@@ -289,6 +291,15 @@ def _check_shape(p: Any) -> None:
     ):
         if state is not None:
             _check_keys(what, state, owner.CHECKPOINT_FIELDS)
+    # The event log: a TraceLog of well-formed events, the ledger's trace or not.
+    log, trace = p["system"]["log"], p["ledger"]["trace"]
+    events = vars(log).get("events") if type(log) is TraceLog else None
+    if (trace is not None and trace is not log) or type(events) is not list or any(
+        type(e) is not TraceEvent
+        or [type(getattr(e, f, None)) for f in ("step", "kind", "details")] != [int, str, dict]
+        for e in events
+    ):
+        raise ValueError(f"checkpoint event log is malformed ({type(log).__name__})")
     _check_queue(p["transport"]["_queue"])
 
 
@@ -377,8 +388,6 @@ def _capture_partition(system: "MobiEyesSystem") -> dict[str, Any] | None:
 
 
 def _check_supported(system: "MobiEyesSystem") -> None:
-    if system.trace is not None:
-        raise ValueError("cannot checkpoint a system with a trace log attached")
     if type(system.motion).__name__ not in ("MotionModel", "VectorizedMotionModel"):
         raise ValueError(
             f"cannot checkpoint a custom motion model ({type(system.motion).__name__})"
@@ -455,7 +464,7 @@ def _rebuild_loss(data: dict[str, Any] | None):
         return None
     from repro.faults.injector import FaultInjector
 
-    injector = FaultInjector(data["rng"])
+    injector = FaultInjector()
     import_state(injector, data)
     return injector
 
@@ -542,12 +551,12 @@ def restore(cp: Checkpoint) -> "MobiEyesSystem":
     import_state(system.eval_counters, p["eval_counters"])
     import_state(system.transport, p["transport"])
     import_state(system.transport.reliability, p["reliability"])
+    # In place: the one ledger (the transport's step; the log as its trace).
+    import_state(system.ledger, p["ledger"])
     # The constructor rolled the loss seam into step 0: re-activate the
     # fault windows of the step the transport is really in.
     if system.transport.loss is not None:
         system.transport.loss.begin_step(system.transport.step)
-    # In place: the transport and the system share the one ledger object.
-    import_state(system.ledger, p["ledger"])
     system.motion.changed_last_step = p["changed_last_step"]
     system.metrics.steps = p["metrics_steps"]
     import_state(system, p["system"])

@@ -64,9 +64,7 @@ class MobiEyesSystem:
     #: Lifetime counters (core/load.py).
     COUNTERS = ("checkpoints_taken",)
     #: The facade's own attributes a checkpoint carries (core/snapshot.py).
-    CHECKPOINT_FIELDS = (
-        "_step_mark", "rebalance_log", "crash_log", "_unstepped_updates", *COUNTERS,
-    )
+    CHECKPOINT_FIELDS = ("_step_mark", "log", "_unstepped_updates", *COUNTERS)
 
     def __init__(
         self,
@@ -85,11 +83,9 @@ class MobiEyesSystem:
         self.rng = rng if rng is not None else SimulationRng()
         self.grid = Grid(config.uod, config.alpha)
         self.layout = BaseStationLayout(self.grid, config.base_station_side)
-        self.ledger = MessageLedger()
-        self.trace = trace
-        self.transport = SimulatedTransport(
-            self.layout, self.grid, self.ledger, trace=trace, loss=loss
-        )
+        self.log = trace if trace is not None else TraceLog()
+        self.ledger = MessageLedger(trace=trace)
+        self.transport = SimulatedTransport(self.layout, self.grid, self.ledger, loss=loss)
         if config.batch_reports:
             # Clients append the high-volume uplink reports to one buffer
             # while a phase's report window is open; the transport flushes
@@ -143,10 +139,6 @@ class MobiEyesSystem:
         # ``checkpoint_every_steps``: what a crashed shard is rebuilt from.
         self.recovery_basis: bytes | None = None
         self.checkpoints_taken = 0
-        # What each crash erased and each recovery rebuilt, and the applied
-        # placement operations (consumed by the run driver's report).
-        self.crash_log: list[dict] = []
-        self.rebalance_log: list[dict] = []
         # step -> (crash ops, transfers, splits / merges) due at that
         # boundary, resolved here once (see _boundary_slot).
         self._due: dict[int, tuple[list, list, list]] = {}
@@ -215,6 +207,16 @@ class MobiEyesSystem:
     def clock(self) -> SimulationClock:
         """The simulation clock driving this system."""
         return self.engine.clock
+
+    @property
+    def crash_log(self) -> list[dict]:
+        """What each crash erased and each recovery rebuilt, from the log."""
+        return [e.details for e in self.log.events if e.kind in ("crash", "recover")]
+
+    @property
+    def rebalance_log(self) -> list[dict]:
+        """The applied transfers, splits and merges, from the log."""
+        return [e.details for e in self.log.events if e.kind in ("transfer", "split", "merge")]
 
     def install_query(self, spec: QuerySpec) -> QueryId:
         """Install a moving query; returns its server-assigned qid."""
@@ -452,15 +454,16 @@ class MobiEyesSystem:
 
     def apply_op(self, op: tuple, source: str, step: int, announce: bool = True) -> None:
         """Apply one step-boundary operation through the coordinator, stamp
-        it with ``step``, log it and announce it: ``("recover", sid)`` /
-        ``("crash", sid)`` go to ``crash_log`` (a recovery directs every
+        its summary with ``step``, write it to the log as an event of the
+        op's kind and announce it: ``("recover", sid)`` / ``("crash",
+        sid)`` read back through ``crash_log`` (a recovery directs every
         client to resync), ``("transfer", src, dst, cols)`` / ``("split",
-        donor)`` / ``("merge", sid, into)`` to ``rebalance_log`` (moved
-        columns advertise the new epoch).  The schedules, the policy and
-        the tests all come through here."""
+        donor)`` / ``("merge", sid, into)`` through ``rebalance_log``
+        (moved columns advertise the new epoch).  The schedules, the
+        policy and the tests all come through here."""
         coordinator = self.server
         kind = op[0]
-        log, directive = self.crash_log, None
+        directive = None
         if kind == "recover":
             sections = decode_basis(self.recovery_basis)
             summary = coordinator.recover_shard(op[1], sections, step)
@@ -475,11 +478,10 @@ class MobiEyesSystem:
             else:
                 summary = coordinator.apply_rebalance(*op[1:])
             summary["trigger"] = source if kind == "transfer" else f"{source}-{kind}"
-            log = self.rebalance_log
             if summary["cols_moved"]:
                 directive = RebalanceDirective(epoch=coordinator.partition_epoch)
         summary["step"] = step
-        log.append(summary)
+        self.log.record(step, kind, **summary)
         if announce and directive is not None:
             self._broadcast_everywhere(directive)
 

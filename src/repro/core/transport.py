@@ -45,7 +45,6 @@ from repro.mobility.model import ObjectId
 from repro.network.basestation import BaseStationId, BaseStationLayout
 from repro.network.latency import LatencyModel
 from repro.network.messaging import MessageLedger
-from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
@@ -258,19 +257,17 @@ class SimulatedTransport:
     )
     #: The attributes a checkpoint carries (exported and re-imported by
     #: name in core/snapshot.py; everything else is wiring or derived).
-    CHECKPOINT_FIELDS = ("_step", "_downlink_seq", "_queue", "_envelope_seq", *COUNTERS)
+    CHECKPOINT_FIELDS = ("_downlink_seq", "_queue", "_envelope_seq", *COUNTERS)
 
     def __init__(
         self,
         layout: BaseStationLayout,
         grid: Grid,
         ledger: MessageLedger,
-        trace: TraceLog | None = None,
         loss: FaultInjector | None = None,
     ) -> None:
         self.layout = layout
         self.ledger = ledger
-        self.trace = trace
         self.loss = loss
         self.reliability = None
         if loss is not None:
@@ -280,7 +277,6 @@ class SimulatedTransport:
         self.coverage = CoverageIndex(layout, grid)
         self._clients: dict[ObjectId, DownlinkReceiver] = {}
         self._server: UplinkReceiver | None = None
-        self._step = 0
         self._downlink_seq: dict[ObjectId, int] = {}
         # Deferred-delivery pipeline: per-link delays from the latency
         # model, envelopes parked until their deliver_step, and a forced-
@@ -314,8 +310,8 @@ class SimulatedTransport:
 
     @property
     def step(self) -> int:
-        """The simulation step the transport is currently in."""
-        return self._step
+        """The simulation step the transport is in (the ledger keeps it)."""
+        return self.ledger.step
 
     def attach_server(self, server: UplinkReceiver) -> None:
         """Register the server as the uplink sink."""
@@ -342,7 +338,7 @@ class SimulatedTransport:
 
     def begin_step(self, step: int, positions: Iterable[tuple[ObjectId, Point]]) -> None:
         """Refresh the coverage index for the new step's object positions."""
-        self._step = step
+        self.ledger.step = step
         if self.loss is not None:
             self.loss.begin_step(step)
         self.coverage.rebuild(positions)
@@ -407,12 +403,12 @@ class SimulatedTransport:
         seq = self._envelope_seq + 1
         self._envelope_seq += 1 if run is None else len(run)
         envelope = Envelope(
-            deliver_step=self._step + delay,
+            deliver_step=self.ledger.step + delay,
             sender=sender,
             seq=seq,
             kind=kind,
             message=message,
-            sent_step=self._step,
+            sent_step=self.ledger.step,
             run=run,
             seqs=seqs,
             context=context,
@@ -539,8 +535,6 @@ class SimulatedTransport:
         bits = message.bits  # type: ignore[attr-defined]
         sender = getattr(message, "oid", None)
         self.ledger.record_uplink(type(message).__name__, bits, sender=sender)
-        if self.trace is not None:
-            self.trace.record(self._step, "uplink", type=type(message).__name__, oid=sender)
         if self.loss is not None and self.loss.drop_uplink(message):
             return False  # sent (and accounted) but lost in transit
         # With no latency model configured the hop is always inline: hand
@@ -570,9 +564,10 @@ class SimulatedTransport:
         changes (no motion state) go to the server afterwards as one stage
         (``apply_crossings``): a window holds those only for a run of
         non-focal clients, whose result records and cell reactions commute
-        (core/reporting.py).  Under an injector a stage would reorder the
-        install lists' downlink drops against the later records' uplink
-        drops on the shared channel stream.
+        (core/reporting.py).  Not under an injector: a stage would reorder
+        the install lists' downlink drops against later uplink drops on the
+        shared channel stream, and skip the row handler's lease touch
+        (``_touch_lease_rec``; the coordinator's ``_touch_home``).
         """
         n = len(buf.kind)
         if n == 0:
@@ -593,8 +588,6 @@ class SimulatedTransport:
         # under an injector: no record kind is -1).
         staged = REC_CELL if loss is None else -1
         ledger = self.ledger
-        trace = self.trace
-        step = self._step
         kinds = buf.kind
         rows = buf.rows
         crossings = []
@@ -603,8 +596,6 @@ class SimulatedTransport:
             row = rows[i]
             oid = row[0]
             ledger.record_uplink(name, buf.bits_of(i), sender=oid)
-            if trace is not None:
-                trace.record(step, "uplink", type=name, oid=oid)
             if loss is not None and loss.drop_uplink((kinds[i], row)):
                 continue  # sent (and accounted) but lost in transit
             if draw is not None:
@@ -632,8 +623,6 @@ class SimulatedTransport:
             return self.reliability.reliable_send(oid, message)
         bits = message.bits  # type: ignore[attr-defined]
         self.ledger.record_downlink(type(message).__name__, bits, receivers=(oid,), broadcasts=1)
-        if self.trace is not None:
-            self.trace.record(self._step, "send", type=type(message).__name__, oid=oid)
         return self._deliver((oid,), message)
 
     def send_each(self, sends: list[tuple[ObjectId, object]]) -> None:
@@ -675,14 +664,6 @@ class SimulatedTransport:
         self.ledger.record_downlink(
             type(message).__name__, bits, receivers=receivers, broadcasts=len(station_ids)
         )
-        if self.trace is not None:
-            self.trace.record(
-                self._step,
-                "broadcast",
-                type=type(message).__name__,
-                stations=len(station_ids),
-                receivers=len(receivers),
-            )
         self._deliver(sorted(receivers), message)
         return len(station_ids)
 

@@ -340,6 +340,10 @@ def run(
         raise ValueError(f"fleet plan {fleet!r} requires shards >= 2 (a boundary must exist)")
     if steps is None and (faults != "none" or fleet in ("rebalance", "schedule", "both")):
         raise ValueError("a run without a step bound takes no fault or fleet schedule")
+    if fleet == "both" and rebalance_every == 0:
+        raise ValueError("fleet plan 'both' arms the thermostat: rebalance_every must be positive")
+    if burst and not (uplink_loss or downlink_loss):
+        raise ValueError("burst shapes channel loss: it needs uplink_loss or downlink_loss > 0")
     for name, rate in (("uplink_loss", uplink_loss), ("downlink_loss", downlink_loss)):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {rate}")
@@ -391,7 +395,7 @@ def run(
     injector = None
     if faults != "none" or uplink_loss or downlink_loss:
         channel_rng = SimulationRng(seed).fork(3)
-        injector = FaultInjector(channel_rng, schedule=schedule, policy=ReliabilityPolicy())
+        injector = FaultInjector(schedule=schedule, policy=ReliabilityPolicy())
     graded_by_twin = bool(
         latency or jitter or crash is not None or fleet != "static" or dead_reckoning
     )
@@ -413,9 +417,7 @@ def run(
             twin_config = {key: value for key, value in config.items() if key not in TWIN_DROPS}
             # The run's reliability layer without its faults: an empty
             # schedule and no channel, so the two agree until a window opens.
-            twin_loss = None if injector is None else FaultInjector(
-                SimulationRng(seed).fork(3), policy=injector.policy
-            )
+            twin_loss = None if injector is None else FaultInjector(policy=injector.policy)
             twin = MobiEyesService(
                 build_system(params, seed, config=twin_config, loss=twin_loss)[0]
             )
@@ -462,7 +464,7 @@ def run(
             rows = _shard_loads(system)
             balance, balance_clock = _balance(rows)
             server = system.server
-            log_ops = list(system.rebalance_log)
+            log_ops = system.rebalance_log
             fleet_out = {
                 "shard_loads": None if rows is None else [
                     {key: value for key, value in row.items() if key != "seconds"} for row in rows
@@ -588,7 +590,7 @@ def run(
                         "checkpoints_taken": counters["system.checkpoints_taken"],
                         "basis_bytes": len(system.recovery_basis or b""),
                         "envelopes_discarded": counters["transport.discarded_envelopes"],
-                        "crash_log": list(system.crash_log),
+                        "crash_log": system.crash_log,
                     },
                     "pending_at_end": system.transport.pending_count(),
                 },

@@ -137,7 +137,7 @@ def ablation_loss(runs: RunTable, params: SimulationParameters):
     for model, rates in (("iid", (0.0, 0.05, 0.1, 0.2, 0.4)), ("burst", (0.05, 0.1))):
         for rate in rates:
             channel_rng = SimulationRng(params.seed).fork(3)
-            injector = FaultInjector(channel_rng)
+            injector = FaultInjector()
 
             def arm(injector=injector, rng=channel_rng, rate=rate, burst=model == "burst"):
                 injector.uplink_channel = mean_rate_channel(rng, rate, burst)
@@ -152,7 +152,7 @@ def ablation_loss(runs: RunTable, params: SimulationParameters):
             for oid in range(0, params.num_objects, 7)  # the workload's oids are 0..N-1
         )
     )
-    injector = FaultInjector(SimulationRng(params.seed).fork(3), schedule=schedule)
+    injector = FaultInjector(schedule=schedule)
     rows.append(row("disconnect", 0.0, run_one(injector), injector))
     return ("model", "loss-rate", "error", "lost-uplinks", "lost-deliveries", "msgs/s"), rows
 

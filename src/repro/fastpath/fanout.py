@@ -46,14 +46,15 @@ Equivalence to the per-receiver loop:
   in descriptor order and emitted in ascending receiver order, exactly
   the reference interleaving of uplinks.
 - Message and energy accounting uses the same ledger call with the same
-  receiver membership (at send time; opening a run charges nothing).
+  receiver membership (at send time; opening a run charges nothing), so
+  an event log gets the same ``downlink`` event (the ledger writes it).
 - The fan-out declines (falls back to the scalar loop) whenever per-
   receiver semantics matter.  At send: loss rolls, reliability
-  sequencing, trace logging and deferred delivery (the transport rolls
-  and parks the runs).  On both clocks: a lazy-propagation velocity
-  broadcast carrying descriptors.  Nothing is declined at open: loss was
-  rolled at send, and a member observing its sequence number only marks
-  its own client for resync.
+  sequencing and deferred delivery (the transport rolls and parks the
+  runs).  On both clocks: a lazy-propagation velocity broadcast carrying
+  descriptors.  Nothing is declined at open: loss was rolled at send, and
+  a member observing its sequence number only marks its own client for
+  resync.
 """
 
 from __future__ import annotations
@@ -119,14 +120,9 @@ class BroadcastFanout:
     def takes_inline(self, message) -> bool:
         """Whether ``message`` can be applied in bulk at send time: it
         :meth:`accepts` it, and no loss roll or reliability sequencing (a
-        fault injector), trace record or deferred delivery needs the
-        per-receiver path."""
+        fault injector) or deferred delivery needs the per-receiver path."""
         transport = self.transport
-        return not (
-            transport.loss is not None
-            or transport.trace is not None
-            or transport.latency_active
-        ) and self.accepts(message)
+        return transport.loss is None and not transport.latency_active and self.accepts(message)
 
     def accepts(self, message) -> bool:
         """Whether ``message`` can be applied in bulk: a type with an

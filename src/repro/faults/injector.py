@@ -33,7 +33,6 @@ from repro.faults.schedule import FaultSchedule
 from repro.geometry import Point
 from repro.mobility.model import ObjectId
 from repro.network.basestation import BaseStationLayout
-from repro.sim.rng import SimulationRng
 
 Channel = BernoulliChannel | GilbertElliottChannel
 Locator = Callable[[ObjectId], Point]
@@ -52,19 +51,16 @@ class FaultInjector:
     #: What a checkpoint carries (see core/snapshot.py): the constructor's
     #: arguments and the drop accounting; the bindings are re-made at restore.
     CHECKPOINT_FIELDS = (
-        "rng", "schedule", "policy", "uplink_channel", "downlink_channel",
-        "drops_by_cause", *COUNTERS,
+        "schedule", "policy", "uplink_channel", "downlink_channel", "drops_by_cause", *COUNTERS,
     )
 
     def __init__(
         self,
-        rng: SimulationRng,
         schedule: FaultSchedule | None = None,
         policy: ReliabilityPolicy | None = None,
         uplink_channel: Channel | None = None,
         downlink_channel: Channel | None = None,
     ) -> None:
-        self.rng = rng
         self.schedule = schedule if schedule is not None else FaultSchedule()
         self.policy = policy if policy is not None else ReliabilityPolicy()
         self.uplink_channel = uplink_channel

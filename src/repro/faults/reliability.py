@@ -192,8 +192,6 @@ class ReliabilityLayer:
             transport.ledger.record_downlink(name, bits, receivers=(oid,), broadcasts=1)
         if is_ack:
             self.acks_sent += 1
-        elif transport.trace is not None:
-            transport.trace.record(transport.step, "uplink" if up else "send", type=name, oid=oid)
         if up:
             dropped = self.injector.drop_uplink(message)
         else:

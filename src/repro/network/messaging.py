@@ -9,7 +9,8 @@ that hears a broadcast (including over-hearers outside the monitoring
 region -- the paper calls this out as MobiEyes' main energy overhead).
 
 The :class:`MessageLedger` is shared by MobiEyes and the centralized
-baselines so the experiments compare identical accounting.
+baselines so the experiments compare identical accounting (and, given a
+``trace``, log each message they charge).
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection
 
 from repro.mobility.model import ObjectId
 from repro.network.radio import RadioModel
+from repro.sim.trace import TraceLog
 
 
 @dataclass
@@ -35,13 +37,19 @@ class MessageLedger:
     counts_by_type: Counter = field(default_factory=Counter)
     bits_by_type: Counter = field(default_factory=Counter)
     energy_by_object: dict[ObjectId, float] = field(default_factory=dict)
+    #: The event log each charged message also goes to (or None), and the
+    #: step those events are stamped with: the transport's, kept here.
+    trace: TraceLog | None = field(default=None, compare=False, repr=False)
+    step: int = field(default=0, compare=False, repr=False)
 
     #: Lifetime counters (core/load.py); the by-type and by-object books
     #: split them.
     COUNTERS = ("uplink_count", "downlink_count", "uplink_bits", "downlink_bits")
-    #: The totals a checkpoint carries (see core/snapshot.py): everything
-    #: but the radio model, which the config rebuilds.
-    CHECKPOINT_FIELDS = (*COUNTERS, "counts_by_type", "bits_by_type", "energy_by_object")
+    #: What a checkpoint carries (see core/snapshot.py): everything but the
+    #: radio model, which the config rebuilds.
+    CHECKPOINT_FIELDS = (
+        *COUNTERS, "counts_by_type", "bits_by_type", "energy_by_object", "trace", "step",
+    )
 
     def __post_init__(self) -> None:
         # Joules per bit, read off the (frozen) radio model once: plain
@@ -52,7 +60,7 @@ class MessageLedger:
     # ------------------------------------------------------------- recording
 
     def record_uplink(self, msg_type: str, bits: float, sender: ObjectId | None = None) -> None:
-        """One object -> server message."""
+        """One object -> server message: event ``uplink`` (``type``, ``oid``)."""
         self.uplink_count += 1
         self.uplink_bits += bits
         self.counts_by_type[msg_type] += 1
@@ -60,19 +68,22 @@ class MessageLedger:
         if sender is not None:
             energy = self.energy_by_object
             energy[sender] = energy.get(sender, 0.0) + bits * self._tx_per_bit
+        if self.trace is not None:
+            self.trace.record(self.step, "uplink", type=msg_type, oid=sender)
 
     def record_downlink(
         self,
         msg_type: str,
         bits: float,
-        receivers: Iterable[ObjectId] = (),
+        receivers: Collection[ObjectId] = (),
         broadcasts: int = 1,
     ) -> None:
-        """Server -> objects traffic.
+        """Server -> objects traffic: event ``downlink`` (``type``, ``messages``).
 
         ``broadcasts`` is the number of wireless messages (one per base
         station for a broadcast, 1 for a one-to-one message); ``receivers``
-        are all objects that hear the message and pay receive energy.
+        are all objects that hear the message and pay receive energy (the
+        event's ``receivers`` count).
         """
         self.downlink_count += broadcasts
         self.downlink_bits += bits * broadcasts
@@ -85,6 +96,10 @@ class MessageLedger:
         get = energy.get
         for oid in receivers:
             energy[oid] = get(oid, 0.0) + rx_energy
+        if self.trace is not None:
+            self.trace.record(
+                self.step, "downlink", type=msg_type, messages=broadcasts, receivers=len(receivers)
+            )
 
     # ------------------------------------------------------------- summaries
 

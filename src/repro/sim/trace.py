@@ -1,9 +1,9 @@
-"""Lightweight event tracing for simulations.
+"""The system's one event log.
 
-Tests and debugging sessions register a :class:`TraceLog` with a system to
-capture protocol events (broadcasts, uplinks, installs, result changes) as
-structured records without coupling the protocol code to any logging
-framework.  Tracing is off by default and costs one ``None`` check per event.
+A :class:`~repro.core.system.MobiEyesSystem` keeps the ``trace`` it was
+given, or a fresh log, and checkpoints it.  Decisions always go in (``crash``
+/ ``recover`` / ``transfer`` / ``split`` / ``merge``); charged messages
+(``uplink`` / ``downlink``, from the ledger) only when a trace was given.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class TraceLog:
 
     events: list[TraceEvent] = field(default_factory=list)
 
-    def record(self, step: int, kind: str, **details: Any) -> None:
-        """Append one event."""
+    def record(self, step: int, kind: str, /, **details: Any) -> None:
+        """Append one event (its details may hold a ``step`` of their own)."""
         self.events.append(TraceEvent(step, kind, details))
 
     def of_kind(self, kind: str) -> list[TraceEvent]:

@@ -81,6 +81,7 @@ def paper_system(
     track_accuracy=False,
     params=None,
     focal_skew=None,
+    trace=None,
     **config,
 ):
     """A scaled Table-1 world through ``scenario.build_system``, queries
@@ -89,7 +90,8 @@ def paper_system(
     explicit model handed to the system instead).  ``params`` replaces the
     scaled Table-1 parameters (and ``scale`` / ``seed`` / ``hotspot``) with
     ready-made ones, e.g. the dense or skewed preset; ``focal_skew`` draws
-    the focal objects from a zipf of that exponent."""
+    the focal objects from a zipf of that exponent; ``trace`` is the
+    system's event log, message events on."""
     if params is None:
         params = dataclasses.replace(
             paper_defaults(), seed=seed, hotspot_fraction=hotspot
@@ -108,6 +110,7 @@ def paper_system(
         loss=loss,
         latency=latency_model,
         track_accuracy=track_accuracy,
+        trace=trace,
     )
     return system
 

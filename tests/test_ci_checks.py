@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import re
 import shlex
@@ -256,6 +257,17 @@ def test_knob_counts_only_ratchet_down():
         return count
 
     assert arguments(build_parser()) <= 31
+
+    # Constructor parameters: the transport takes no ``trace`` (the ledger
+    # writes message events) and the injector no ``rng`` (its channels
+    # carry their own).
+    from repro.core import MobiEyesSystem
+    from repro.core.transport import SimulatedTransport
+    from repro.faults.injector import FaultInjector
+
+    for cls, most in ((MobiEyesSystem, 10), (SimulatedTransport, 4), (FaultInjector, 4)):
+        params = list(inspect.signature(cls).parameters)
+        assert len(params) <= most, (cls.__name__, params)
 
 
 SRC = SCRIPT.parents[2] / "src"

@@ -81,6 +81,14 @@ class TestInvalidFlagCombinations:
                 (["drive", "--query-churn", "-4"], "query_churn must be non-negative"),
                 (["drive", "--ingest-rate", "-1"], "ingest_rate must be non-negative"),
                 (["drive", "--report-every", "-1"], "report_every must be non-negative"),
+                # Inputs the plan ignored while the report echoed them: "both"
+                # with the thermostat off ran the plain schedule, and a burst
+                # with no loss rate attached no channel.
+                (
+                    ["drive", "--shards", "2", "--fleet", "both", "--rebalance-every", "0"],
+                    "rebalance_every must be positive",
+                ),
+                (["drive", "--burst"], "burst shapes channel loss"),
             )
         ],
     )

@@ -186,9 +186,9 @@ class TestCoverageIndexProperty:
 
 class TestTransport:
     def make(self, layout, grid):
-        ledger = MessageLedger()
         trace = TraceLog()
-        transport = SimulatedTransport(layout, grid, ledger, trace=trace)
+        ledger = MessageLedger(trace=trace)
+        transport = SimulatedTransport(layout, grid, ledger)
         server = FakeServer()
         transport.attach_server(server)
         return transport, ledger, server, trace

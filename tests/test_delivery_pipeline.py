@@ -64,9 +64,9 @@ class SizedMessage:
 
 
 def make_transport(layout, grid, latency=None):
-    ledger = MessageLedger()
     trace = TraceLog()
-    transport = SimulatedTransport(layout, grid, ledger, trace=trace)
+    ledger = MessageLedger(trace=trace)
+    transport = SimulatedTransport(layout, grid, ledger)
     if latency is not None:
         transport.set_latency(latency)
     server = FakeServer()

@@ -42,7 +42,6 @@ from repro.fastpath import numpy_available
 from repro.fastpath.bench import skewed_params
 from repro.geometry import Rect
 from repro.grid import Grid
-from repro.sim.rng import SimulationRng
 from repro.workload import paper_defaults
 from tests.conftest import SOAK_INPUTS, paper_system
 
@@ -263,7 +262,7 @@ class TestSpawnRetireLifecycle:
         from repro.faults.schedule import CrashWindow, FaultSchedule
 
         schedule = FaultSchedule(crashes=(CrashWindow(shard=1, start=start, end=end),))
-        return FaultInjector(SimulationRng(42).fork(3), schedule=schedule)
+        return FaultInjector(schedule=schedule)
 
     def test_crash_windows_reject_elastic(self):
         """A crash window and a scheduled split / merge both name shard ids

@@ -149,7 +149,7 @@ class TestScheduleAndInjector:
             disconnects=(DisconnectWindow(oid=1, start=1, end=3),),
             outages=(StationOutage(bsid=center_bsid, start=1, end=3),),
         )
-        injector = FaultInjector(SimulationRng(1), schedule=schedule)
+        injector = FaultInjector(schedule=schedule)
         injector.bind(layout, lambda oid: Point(25, 25))
         injector.begin_step(1)
         report = VelocityChangeReport(
@@ -184,12 +184,12 @@ def cluster_objects():
     ]
 
 
-def center_outage_injector(start=5, end=25, seed=3, **kwargs):
+def center_outage_injector(start=5, end=25, **kwargs):
     grid = Grid(Rect(0, 0, 50, 50), 5.0)
     layout = BaseStationLayout(grid, 10.0)
     center_bsid = layout.station_at_tile(layout.tile_of_point(Point(25, 25))).bsid
     schedule = FaultSchedule(outages=(StationOutage(bsid=center_bsid, start=start, end=end),))
-    return FaultInjector(SimulationRng(seed), schedule=schedule, **kwargs)
+    return FaultInjector(schedule=schedule, **kwargs)
 
 
 def symmetric_error(system) -> int:
@@ -202,7 +202,6 @@ class TestReliabilityLayer:
     def build_lossy(self, rate=0.5, seed=9):
         rng = SimulationRng(seed)
         injector = FaultInjector(
-            rng,
             uplink_channel=BernoulliChannel(rng, rate=rate),
             downlink_channel=BernoulliChannel(rng, rate=rate),
         )
@@ -245,7 +244,6 @@ class TestReliabilityLayer:
         # retries max_attempts times while the server sees it only once.
         rng = SimulationRng(4)
         injector = FaultInjector(
-            rng,
             policy=ReliabilityPolicy(max_attempts=3),
             downlink_channel=BernoulliChannel(rng, rate=1.0),
         )
@@ -265,7 +263,7 @@ class TestReliabilityLayer:
 class TestBroadcastUnregisteredReceivers:
     def test_no_loss_roll_and_no_drop_count_for_missing_radio(self):
         rng = SimulationRng(2)
-        loss = FaultInjector(rng)
+        loss = FaultInjector()
         system = make_system(cluster_objects(), loss=loss)
         system.install_query(circle_query(0, 3.0))
         loss.downlink_channel = BernoulliChannel(rng, rate=1.0)
@@ -282,7 +280,7 @@ class TestBroadcastUnregisteredReceivers:
 
     def test_unregistered_receiver_consumes_no_randomness(self):
         rng = SimulationRng(6)
-        loss = FaultInjector(SimulationRng(7), downlink_channel=BernoulliChannel(rng, rate=0.5))
+        loss = FaultInjector(downlink_channel=BernoulliChannel(rng, rate=0.5))
         system = make_system(cluster_objects(), loss=loss)
         message = QueryInstallBroadcast(queries=())
         baseline = SimulationRng(6).random()
@@ -336,7 +334,7 @@ class TestOutageRecovery:
         # purged) and reinstate them when the object resurfaces.
         policy = ReliabilityPolicy(lease_steps=6, heartbeat_steps=3)
         schedule = FaultSchedule(disconnects=(DisconnectWindow(oid=0, start=2, end=14),))
-        injector = FaultInjector(SimulationRng(3), schedule=schedule, policy=policy)
+        injector = FaultInjector(schedule=schedule, policy=policy)
         system = make_system(cluster_objects(), loss=injector)
         qid = system.install_query(circle_query(0, 3.0))
 

@@ -104,8 +104,12 @@ class TestFullWorkloadScenario:
         )
         system.install_queries(workload.query_specs)
         system.run(5)
-        assert trace.count("broadcast") > 0
-        assert trace.count("uplink") > 0
+        assert system.log is trace
+        # One event per charged message, written by the ledger.
+        downlinks = trace.of_kind("downlink")
+        assert sum(e.details["messages"] for e in downlinks) == system.ledger.downlink_count
+        assert trace.count("uplink") == system.ledger.uplink_count > 0
+        assert any(e.details["receivers"] > 1 for e in downlinks)  # broadcasts
 
 
 class TestChurnScenario:

@@ -22,7 +22,6 @@ def iid(seed, uplink=0.0, downlink=0.0):
     """An injector whose only faults are Bernoulli channels on both links."""
     rng = SimulationRng(seed)
     return FaultInjector(
-        rng,
         uplink_channel=BernoulliChannel(rng, rate=uplink),
         downlink_channel=BernoulliChannel(rng, rate=downlink),
     )
@@ -79,7 +78,7 @@ class TestSystemUnderLoss:
             make_object(3, 20, 20, vx=35.0, vy=5.0),
         ]
         rng = SimulationRng(seed)
-        loss = FaultInjector(rng)
+        loss = FaultInjector()
         system = make_system(objects, velocity_changes_per_step=2, loss=loss)
         system.install_query(circle_query(0, 3.0))
         loss.uplink_channel = BernoulliChannel(rng, rate=uplink)

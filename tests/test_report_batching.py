@@ -41,6 +41,7 @@ from repro.core.messages import (
 from repro.core.reporting import ReportBuffer
 from repro.core.server import MobiEyesServer
 from repro.core.transport import SimulatedTransport
+from repro.faults.injector import FaultInjector
 from repro.geometry import Point, Rect, Vector
 from repro.grid import Grid
 from repro.mobility.model import MotionState
@@ -465,6 +466,28 @@ def test_reporting_flushes_once_per_run_of_non_focal_crossings(engine):
     system.step()
     assert [run for run in runs if run] == [[0, 1, 2], [3], [4, 5]]
     assert all(client.last_cell[0] == 5 for client in system.clients.values())
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_crossing_flushed_under_an_injector_refreshes_its_senders_lease(shards):
+    """One reason a flush stages no crossing under an injector: the stage
+    (``apply_crossings``) touches no lease, the row handler does --
+    ``_touch_lease_rec`` on a shard, ``_touch_home`` on the coordinator.
+    A non-focal cell-change record flushed from a report window refreshes
+    its sender's ``last_heard`` to the current step."""
+    objects = [make_object(0, 25, 25), make_object(1, 26, 25)]
+    with make_system(objects, shards=shards, loss=FaultInjector()) as system:
+        system.install_query(circle_query(0, 3.0))
+        system.run(3)
+        transport, server = system.transport, system.server
+        cell = system.client(1).last_cell
+        assert 1 not in system.focal_flags
+        row = (1, None, cell, cell)
+        unit = server.shards[server.shard_for_uplink((REC_CELL, row))] if shards > 1 else server
+        unit.tracker.last_heard.pop(1, None)
+        with transport.report_window:
+            transport.report_buffer.add_cell(1, cell, cell, None)
+        assert unit.tracker.last_heard[1] == transport.step == 3
 
 
 @pytest.mark.parametrize("shards", [1, 2])

@@ -52,7 +52,7 @@ from repro.faults.channels import BernoulliChannel, GilbertElliottChannel
 from repro.fastpath import numpy_available
 from repro.fastpath.bench import skewed_params
 from repro.geometry import Circle, Rect
-from repro.sim import SimulationRng
+from repro.sim import SimulationRng, TraceLog
 
 from tests.conftest import circle_query, make_object, make_system, paper_system
 
@@ -130,7 +130,6 @@ class TestCheckpointRoundtrip:
             pytest.importorskip("numpy")
         rng = SimulationRng(11)
         injector = FaultInjector(
-            rng,
             policy=ReliabilityPolicy(heartbeat_steps=2),
             uplink_channel=BernoulliChannel(rng, rate=0.2),
             downlink_channel=BernoulliChannel(rng, rate=0.2),
@@ -167,7 +166,7 @@ class TestCheckpointRoundtrip:
         # delivered to objects the live run knows to be disconnected.
         def build():
             windows = tuple(DisconnectWindow(oid=oid, start=2, end=9) for oid in range(0, 40, 2))
-            injector = FaultInjector(SimulationRng(3), schedule=FaultSchedule(disconnects=windows))
+            injector = FaultInjector(schedule=FaultSchedule(disconnects=windows))
             return paper_system(shards=1, scale=0.004, seed=1, loss=injector)
 
         system, twin = build(), build()
@@ -262,10 +261,12 @@ class TestCheckpointRoundtrip:
         # accuracy samples) and v13 bytes (a loss section that may be a
         # pickled ``LossModel``) and v14 bytes (LQT entries without their
         # arena handles) and v15 bytes (LQT entries pickled with them, as a
-        # slots dict) are refused by the header's version field, not
-        # half-read.
+        # slots dict) and v16 bytes (one queued envelope per downlink hop)
+        # and v17 bytes (``crash_log`` / ``rebalance_log`` lists beside no
+        # event log, an injector ``rng``) are refused by the header's
+        # version field, not half-read.
         data = cp.to_bytes()
-        for old in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15):
+        for old in (4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17):
             stale_bytes = data[:8] + old.to_bytes(2, "big") + data[10:]
             with pytest.raises(ValueError, match=f"version {old} unsupported"):
                 from_bytes(stale_bytes)
@@ -443,6 +444,21 @@ class TestWrongShapeFailsClosed:
         self.refused(partition(lambda part: part.update(order=(0, 2))), "does not fit the fleet")
         self.refused(partition(lambda part: part.update(order=[0, 1])), "does not fit the fleet")
         self.refused(partition(lambda part: part.update(retired=())), r"unexpected \['retired'\]")
+
+    def test_a_malformed_event_log_fails_closed(self):
+        cp = tiny_checkpoint()
+
+        def log(edit):
+            return doctored(cp, lambda p: edit(p["system"]["log"]))
+
+        restore(cp).close()  # the undoctored payload restores
+        malformed = "event log is malformed"
+        self.refused(doctored(cp, lambda p: p["system"].update(log=[])), malformed)
+        self.refused(log(lambda events: events.events.append("crash")), malformed)
+        self.refused(log(lambda events: events.record("3", "crash")), malformed)
+        self.refused(log(lambda events: delattr(events, "events")), malformed)
+        # The ledger traces into the system's log or nowhere.
+        self.refused(doctored(cp, lambda p: p["ledger"].update(trace=TraceLog())), malformed)
 
     def test_import_rejects_keys_that_differ_from_the_owners_tuple(self):
         with make_system([make_object(0, 25, 25)]) as system:
@@ -665,7 +681,6 @@ class TestAllowListIsExact:
         schedule = dataclasses.replace(schedule, crashes=(CrashWindow(shard=1, start=8, end=12),))
         rng = SimulationRng(5)
         injector = FaultInjector(
-            rng,
             schedule=schedule,
             policy=ReliabilityPolicy(heartbeat_steps=2, lease_steps=3),
             uplink_channel=GilbertElliottChannel(
@@ -696,7 +711,7 @@ class TestAllowListIsExact:
         # A suspended focal's stateless sign of life: the server probes it
         # for motion state (uplink loss switched on after the installs).
         rng = SimulationRng(9)
-        injector = FaultInjector(rng, policy=ReliabilityPolicy(heartbeat_steps=2, lease_steps=2))
+        injector = FaultInjector(policy=ReliabilityPolicy(heartbeat_steps=2, lease_steps=2))
         with paper_system(shards=1, latency=1, loss=injector) as system:
             injector.uplink_channel = BernoulliChannel(rng, rate=0.5)
             for _ in range(16):
@@ -760,12 +775,12 @@ def boundary_objects():
 
 
 class TestShardCrashRecovery:
-    def crash_injector(self, start=6, end=10, shard=1, seed=3):
+    def crash_injector(self, start=6, end=10, shard=1):
         schedule = FaultSchedule(crashes=(CrashWindow(shard=shard, start=start, end=end),))
         # A short heartbeat cadence guarantees uplink traffic addressed to
         # the dead shard during the window (silent objects probe anyway).
         policy = ReliabilityPolicy(heartbeat_steps=3)
-        return FaultInjector(SimulationRng(seed), schedule=schedule, policy=policy)
+        return FaultInjector(schedule=schedule, policy=policy)
 
     def test_crash_requires_sharded_server(self):
         with pytest.raises(ValueError, match="shards"):
@@ -940,7 +955,7 @@ class TestLeaseHandoffRace:
         # the query with exact results.
         policy = ReliabilityPolicy(lease_steps=4, heartbeat_steps=2)
         schedule = FaultSchedule(disconnects=(DisconnectWindow(oid=0, start=3, end=14),))
-        injector = FaultInjector(SimulationRng(5), schedule=schedule, policy=policy)
+        injector = FaultInjector(schedule=schedule, policy=policy)
         objects = [
             make_object(0, 24.6, 25, vx=48.0, max_speed=60.0),  # crosses x=25 fast
             make_object(1, 25.5, 25, max_speed=30.0),

@@ -86,7 +86,7 @@ def loss_seam(kind, seed, rate):
             uplink_channel=BernoulliChannel(rng, rate=rate),
             downlink_channel=BernoulliChannel(rng, rate=rate),
         )
-    return FaultInjector(rng, policy=ReliabilityPolicy(heartbeat_steps=2, lease_steps=4), **channels)
+    return FaultInjector(policy=ReliabilityPolicy(heartbeat_steps=2, lease_steps=4), **channels)
 
 
 def world(engine="reference", shards=2, seed=0, loss="injector", rate=0.15, **config):
@@ -599,7 +599,7 @@ def test_a_recovered_query_joins_its_focal_where_the_focal_lives_now():
         make_object(1, 26, 25),
         make_object(2, 23, 25),
     ]
-    injector = FaultInjector(SimulationRng(3), policy=ReliabilityPolicy(heartbeat_steps=2))
+    injector = FaultInjector(policy=ReliabilityPolicy(heartbeat_steps=2))
     with make_system(objects, shards=2, checkpoint_every_steps=2, loss=injector) as system:
         old = system.install_query(circle_query(0, 3.0))
         system.run(2)
@@ -641,7 +641,7 @@ def test_a_lost_removal_broadcast_is_not_an_invariant_violation(engine, batch):
     While a downlink can be lost, the client-coupling half holds only
     eventually."""
     rng = SimulationRng(0)
-    loss = FaultInjector(rng)
+    loss = FaultInjector()
     with paper_system(
         engine, shards=1, scale=0.004, seed=0, alpha=2.5, batch_reports=batch, loss=loss
     ) as system:
